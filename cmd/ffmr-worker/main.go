@@ -43,7 +43,6 @@ func main() {
 		flightDir = flag.String("flight-dir", "", "arm the flight recorder; an injected crash dumps recent events here")
 		drain     = flag.Bool("drain", false, "on SIGINT/SIGTERM, drain gracefully: finish running attempts, hand completed map outputs off through the master, then deregister and exit (a second signal forces immediate shutdown)")
 		prefetch  = flag.Int("prefetch-depth", 0, "concurrent shuffle-segment fetches per reduce and background prefetch workers (default 4)")
-		batchWin  = flag.Duration("batch-window", 0, "how long a finished task waits for companions before its completion rides a heartbeat (default: send immediately; the beat still batches everything queued at send time)")
 	)
 	flag.Parse()
 	if *master == "" {
@@ -58,11 +57,10 @@ func main() {
 	// ship to the master on heartbeats, and the -admin /metrics endpoint
 	// (when enabled) scrapes the same registry.
 	cfg := distmr.WorkerConfig{
-		MasterAddr:            *master,
-		ListenAddr:            *listen,
-		PrefetchDepth:         *prefetch,
-		CompletionBatchWindow: *batchWin,
-		Obsv:                  obsv.Options{Logger: logger, AdminAddr: *admin, FlightDir: *flightDir},
+		MasterAddr:    *master,
+		ListenAddr:    *listen,
+		PrefetchDepth: *prefetch,
+		Obsv:          obsv.Options{Logger: logger, AdminAddr: *admin, FlightDir: *flightDir},
 	}
 	if *dir != "" {
 		store, err := spill.NewDiskRunStore(*dir)

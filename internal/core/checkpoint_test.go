@@ -95,8 +95,11 @@ func normalizeStat(rs RoundStat) RoundStat {
 // run interrupted at a mid-round checkpoint and resumed must report the
 // same flow value, the same round count, AND identical per-round
 // counters as a never-interrupted run — resuming may not replay, skip or
-// alter any round. Reducers=1 makes the per-round counters deterministic
-// (candidate submission order is fixed with a single reducer).
+// alter any round. DeterministicAccept makes the per-round counters
+// reproducible: a single reducer fixes the order batches are submitted
+// in, but aug_proc's consumer pool decodes batches in parallel and
+// decides them in whichever order the consumers reach the lock, so FCFS
+// acceptance still varies from run to run.
 func TestResumeEquivalence(t *testing.T) {
 	base, err := graphgen.BarabasiAlbert(300, 3, 41)
 	if err != nil {
@@ -106,7 +109,7 @@ func TestResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Variant: FF5, Reducers: 1}
+	opts := Options{Variant: FF5, Reducers: 1, DeterministicAccept: true}
 
 	full, err := Run(testCluster(3), in, opts)
 	if err != nil {

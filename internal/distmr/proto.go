@@ -127,11 +127,11 @@ type TaskResult struct {
 	Parts [][]spill.Segment
 
 	// Reduce-side results.
-	OutputData []byte // the output partition's record file
-	OutBytes   int64
-	OutRecords int64
-	Fetch      int64 // shuffle bytes fetched (raw)
-	Inter      int64 // subset fetched across simulated node boundaries
+	OutputData    []byte // the output partition's record file
+	OutBytes      int64
+	OutRecords    int64
+	Fetch         int64 // shuffle bytes fetched (raw)
+	Inter         int64 // subset fetched across simulated node boundaries
 	MergePasses   int64
 	MaxMergeFanIn int64
 	MaxGroup      int64

@@ -1,6 +1,7 @@
 package distmr
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/rpc"
@@ -291,33 +292,7 @@ func (jr *jobRun) run() (*mapreduce.Result, error) {
 	}
 	addAll(jr.counters.Snapshot())
 	res.Counters = all
-
-	// Workers always run the spill-backed shuffle (with a default budget)
-	// for counter parity, so the merged stats are nonzero even when the
-	// cluster itself is unbounded. Result promises "all zero on the
-	// in-memory path", so only budgeted clusters report — and publish —
-	// spill activity, exactly like the simulated engine.
-	if c.MemoryBudget > 0 {
-		c.PublishSpillMetrics(res, jobSpan)
-	} else {
-		res.Spills, res.SpilledBytes = 0, 0
-		res.MergePasses, res.MaxMergeFanIn = 0, 0
-	}
-
-	res.WallTime = time.Since(start)
-	res.SimTime = c.ModelSimTime(job, res, jr.splits, mapDur, reduceDur, reduceFetch)
-	jobSpan.SetInt("map_tasks", int64(res.MapTasks))
-	jobSpan.SetInt("reduce_tasks", int64(res.ReduceTasks))
-	jobSpan.SetInt(trace.AttrMapOutRecords, res.MapOutputRecords)
-	jobSpan.SetInt(trace.AttrShuffleBytes, res.ShuffleBytes)
-	jobSpan.SetInt(trace.AttrOutputBytes, res.OutputBytes)
-	jobSpan.SetInt("task_failures", all["task failures"])
-	jobSpan.SetInt(trace.AttrSimTimeUS, res.SimTime.Microseconds())
-	jr.log.Info("job done",
-		"map_tasks", res.MapTasks, "reduce_tasks", res.ReduceTasks,
-		"shuffle_bytes", res.ShuffleBytes, "output_bytes", res.OutputBytes,
-		"task_failures", all["task failures"],
-		"wall", res.WallTime, "sim", res.SimTime)
+	c.Finish(job, res, start, jobSpan, jr.log, jr.splits, mapDur, reduceDur, reduceFetch)
 	return res, nil
 }
 
@@ -578,30 +553,25 @@ func (jr *jobRun) acceptCompletions(w *workerHandle, comps []Completion) {
 func (jr *jobRun) descriptor(ts *taskState, assign int) *TaskDescriptor {
 	c, job := jr.c, jr.job
 	d := &TaskDescriptor{
-		JobSeq:       jr.seq,
-		JobName:      job.Name,
-		Kind:         job.Spec.Kind,
-		Params:       job.Spec.Params,
-		Phase:        ts.ph,
-		Task:         ts.task,
-		Attempt:      ts.attempt,
-		Assign:       jr.assignBase + assign,
-		Node:         ts.node,
-		Round:        job.Round,
-		NumReducers:  job.NumReducers,
-		MemoryBudget: c.MemoryBudget,
-		Compress:     c.SpillCompress,
-		MergeFanIn:   c.MergeFanIn,
-		Seed:         c.Fault.Seed,
-		CrashRate:    c.Fault.WorkerCrashRate,
-		SideFiles:    job.SideFiles,
-		Ctx:          jr.ctx(),
-	}
-	// The simulated engine only draws spill failures on its out-of-core
-	// path; the distributed worker always spills, so the draw is gated on
-	// the budget to keep the injected failure sets identical.
-	if c.MemoryBudget > 0 {
-		d.DiskFailureRate = c.Fault.DiskFailureRate
+		JobSeq:          jr.seq,
+		JobName:         job.Name,
+		Kind:            job.Spec.Kind,
+		Params:          job.Spec.Params,
+		Phase:           ts.ph,
+		Task:            ts.task,
+		Attempt:         ts.attempt,
+		Assign:          jr.assignBase + assign,
+		Node:            ts.node,
+		Round:           job.Round,
+		NumReducers:     job.NumReducers,
+		MemoryBudget:    c.MemoryBudget,
+		Compress:        c.SpillCompress,
+		MergeFanIn:      c.MergeFanIn,
+		Seed:            c.Fault.Seed,
+		CrashRate:       c.Fault.WorkerCrashRate,
+		DiskFailureRate: c.Fault.DiskFailureRate,
+		SideFiles:       job.SideFiles,
+		Ctx:             jr.ctx(),
 	}
 	if ts.ph == PhaseMap {
 		d.Split = jr.splits[ts.task].Data
@@ -721,7 +691,7 @@ func (jr *jobRun) handle(ev event) error {
 			return nil
 		}
 		jr.counters.Add("task failures", 1)
-		ts.lastErr = fmt.Errorf("mapreduce: %s", res.Err)
+		ts.lastErr = errors.New(res.Err)
 		jr.log.Warn("task attempt failed",
 			"phase", ts.ph.String(), "task", ts.task, "attempt", ts.attempt,
 			"worker", ev.w.id, "err", res.Err)

@@ -12,20 +12,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ffmr/internal/dfs"
 	"ffmr/internal/mapreduce"
 	"ffmr/internal/obsv"
 	"ffmr/internal/rpcutil"
 	"ffmr/internal/spill"
 	"ffmr/internal/trace"
 )
-
-// defaultMapBudget bounds a map task's shuffle buffer when the cluster
-// runs without an explicit MemoryBudget: large enough that small jobs
-// spill exactly once at close (a single sorted segment per partition),
-// which keeps the network shuffle uniform without changing statistics
-// the simulated in-memory path reports.
-const defaultMapBudget = 1 << 30
 
 // WorkerConfig configures a worker.
 type WorkerConfig struct {
@@ -52,15 +44,6 @@ type WorkerConfig struct {
 	// still-running map phase; it never changes bytes or counters
 	// (DESIGN.md §13).
 	PrefetchDepth int
-	// CompletionBatchWindow is how long a finished task waits for
-	// siblings before forcing a heartbeat, so one beat carries a batch of
-	// completions instead of each completion paying its own RPC. The
-	// default (zero or negative) sends immediately: the beat snapshots
-	// every completion queued at send time, which already batches tasks
-	// that finish together, and measured waves turn over faster without
-	// the added wait. A positive window is worth trying when task counts
-	// per wave are much larger than worker count.
-	CompletionBatchWindow time.Duration
 	// DialPolicy configures all of the worker's outbound dials.
 	DialPolicy rpcutil.Policy
 	// Obsv configures the worker's observability surface. FlightDir arms
@@ -158,12 +141,13 @@ type pendingComp struct {
 }
 
 // workerJob is a worker's cached per-job state: the reconstructed code
-// and the broadcast side files, built once on first task receipt.
+// and, around it, the environment every task attempt of the job runs in
+// (broadcast side files included), built once on first task receipt.
 type workerJob struct {
 	once sync.Once
 	err  error
 	code *JobCode
-	side map[string][]byte
+	env  *mapreduce.TaskEnv
 }
 
 // workerService is the RPC wrapper so only intended methods are served.
@@ -424,6 +408,9 @@ func (w *Worker) die(crash bool) {
 		w.mu.Unlock()
 
 		for _, j := range jobs {
+			// As in CleanJob: Once.Do orders the read of j.code after a build
+			// an attempt may still be running.
+			j.once.Do(func() { j.err = fmt.Errorf("distmr: worker %d is dead", w.id.Load()) })
 			if j.code != nil && j.code.Close != nil {
 				j.code.Close() //nolint:errcheck // best-effort service teardown
 			}
@@ -547,16 +534,8 @@ func (w *Worker) heartbeatLoop() {
 			return
 		case <-timer.C:
 		case <-w.compKick:
-			// A task finished: beat early so its completion lands now, but
-			// first give siblings a short window to join the batch (one
-			// beat per task wave instead of one per task).
-			if win := w.cfg.CompletionBatchWindow; win > 0 {
-				select {
-				case <-w.stop:
-					return
-				case <-time.After(win):
-				}
-			}
+			// A task finished: beat early so its completion lands now. The
+			// beat carries every completion queued by the time it is sent.
 			if !timer.Stop() {
 				select {
 				case <-timer.C:
@@ -765,7 +744,18 @@ func (w *Worker) jobState(desc *TaskDescriptor) (*workerJob, error) {
 			tc.SetTraceContext(desc.Ctx)
 		}
 		j.code = code
-		j.side = side
+		j.env = &mapreduce.TaskEnv{
+			Job:         desc.JobName,
+			Round:       desc.Round,
+			NewMapper:   code.NewMapper,
+			NewReducer:  code.NewReducer,
+			NewCombiner: code.NewCombiner,
+			Side:        side,
+			Service:     code.Service,
+			Store:       w.cfg.Store,
+			Tracer:      w.tracer,
+			ReadFile:    w.readMasterFile,
+		}
 	})
 	return j, j.err
 }
@@ -1056,111 +1046,44 @@ func (w *Worker) fetchSegmentData(src *MapSource, seg *spill.Segment, ctx trace.
 	return wc.Close()
 }
 
-// runMap executes one map attempt over its split, spilling sorted output
-// to the local store — always the spill path, so the segments exist to
-// be served to reducers and the statistics match the simulated engine's
-// out-of-core shuffle byte for byte.
+// runMap executes one map attempt: mapreduce.ExecMap over the split,
+// writing its sorted segments to the local store, where they wait to be
+// served to reducers.
 func (w *Worker) runMap(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *TaskResult {
-	res := &TaskResult{}
 	counters := mapreduce.NewCounters()
-	budget := desc.MemoryBudget
-	if budget <= 0 {
-		budget = defaultMapBudget
-	}
-	cfg := spill.Config{
-		Partitions:   desc.NumReducers,
-		MemoryBudget: budget,
-		Store:        w.cfg.Store,
-		NamePrefix:   fmt.Sprintf("j%05d/map-%05d/a%d/", desc.JobSeq, desc.Task, desc.Assign),
-		Node:         desc.Node,
-		Compress:     desc.Compress,
-		Tracer:       w.tracer,
-		Parent:       sp,
-	}
-	if j.code.NewCombiner != nil {
-		combiner := j.code.NewCombiner()
-		cfg.Combine = combiner.Combine
-		cfg.OnCombine = func(in, out int64) {
-			counters.Add("combine input records", in)
-			counters.Add("combine output records", out)
-		}
-	}
-	if desc.DiskFailureRate > 0 {
-		cfg.FailSpill = func(idx int) error {
-			// Same coordinates as the simulated engine, so a given seed
-			// injects the same disk failures on either backend.
-			if mapreduce.InjectHash(desc.Seed, desc.JobName, "spill", desc.Task, desc.Attempt<<16|idx) < desc.DiskFailureRate {
-				return fmt.Errorf("injected disk write failure")
-			}
-			return nil
-		}
-	}
-	sw, err := spill.NewWriter(cfg)
+	r, err := mapreduce.ExecMap(j.env, &mapreduce.MapTask{
+		Task:            desc.Task,
+		Attempt:         desc.Attempt,
+		Exec:            desc.Assign,
+		Node:            desc.Node,
+		Split:           desc.Split,
+		Partitions:      desc.NumReducers,
+		Budget:          desc.MemoryBudget,
+		Compress:        desc.Compress,
+		Prefix:          fmt.Sprintf("j%05d/map-%05d/a%d/", desc.JobSeq, desc.Task, desc.Assign),
+		Seed:            desc.Seed,
+		DiskFailureRate: desc.DiskFailureRate,
+	}, counters, sp)
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return &TaskResult{Err: err.Error()}
 	}
-	var emitErr error
-	var outRecs int64
-	emit := func(key, value []byte) {
-		if emitErr != nil {
-			return
-		}
-		p := mapreduce.Partition(key, desc.NumReducers)
-		if err := sw.Add(p, key, value); err != nil {
-			emitErr = err
-			return
-		}
-		outRecs++
+	return &TaskResult{
+		InRecs:   r.InRecs,
+		OutRecs:  r.OutRecs,
+		RawBytes: r.Out.RawBytes,
+		MaxFrame: r.Out.MaxFrame,
+		Spills:   r.Out.Spills,
+		Parts:    r.Out.Parts,
+		Counters: counters.Snapshot(),
 	}
-	ctx := mapreduce.NewTaskContext(desc.Round, desc.Task, desc.Assign, desc.Node, counters, j.side, j.code.Service, emit)
-	mapper := j.code.NewMapper()
-	r := dfs.NewRecordReader(desc.Split)
-	var inRecs int64
-	for emitErr == nil {
-		key, value, ok, err := r.Next()
-		if err != nil {
-			emitErr = err
-			break
-		}
-		if !ok {
-			break
-		}
-		inRecs++
-		if err := mapper.Map(ctx, key, value); err != nil {
-			emitErr = err
-			break
-		}
-	}
-	if emitErr != nil {
-		sw.Abort()
-		res.Err = emitErr.Error()
-		return res
-	}
-	out, err := sw.Close()
-	if err != nil {
-		sw.Abort()
-		res.Err = err.Error()
-		return res
-	}
-	res.InRecs = inRecs
-	res.OutRecs = outRecs
-	res.RawBytes = out.RawBytes
-	res.MaxFrame = out.MaxFrame
-	res.Spills = out.Spills
-	res.Parts = out.Parts
-	res.Counters = counters.Snapshot()
-	sp.SetInt("spills", out.Spills)
-	sp.SetInt("records_out", outRecs)
-	return res
 }
 
 // runReduce executes one reduce attempt: make this partition's segments
 // present in the local store (fetched in parallel, coalescing with any
-// prefetch already in flight or complete), k-way merge them, and stream
-// the groups through the reducer. Unfetchable segments abort before the
-// reducer runs (so job services see no partial submissions) and are
-// reported as lost map outputs for the master to recover.
+// prefetch already in flight or complete), then mapreduce.ExecReduce
+// over them. Unfetchable segments abort before the reducer runs (so job
+// services see no partial submissions) and are reported as lost map
+// outputs for the master to recover.
 func (w *Worker) runReduce(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *TaskResult {
 	res := &TaskResult{}
 	// Fetch sources concurrently (bounded by PrefetchDepth) but assemble
@@ -1203,66 +1126,31 @@ func (w *Worker) runReduce(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *
 	if len(res.LostMaps) > 0 {
 		return res
 	}
-	// Shuffle statistics come from segment metadata for every segment,
-	// whether it arrived via prefetch, this attempt's fetch, or was local
-	// all along — so pipelining changes wall-clock overlap, never counters.
-	for _, seg := range segs {
-		res.Fetch += seg.RawBytes
-		if seg.Node != desc.Node {
-			res.Inter += seg.RawBytes
-		}
-	}
 
-	var base []mapreduce.Rec
+	t := &mapreduce.ReduceTask{
+		Task:      desc.Task,
+		Exec:      desc.Assign,
+		Node:      desc.Node,
+		Segments:  segs,
+		FanIn:     desc.MergeFanIn,
+		Compress:  desc.Compress,
+		TmpPrefix: fmt.Sprintf("j%05d/reduce-%05d/a%d/", desc.JobSeq, desc.Task, desc.Assign),
+	}
 	if desc.Schimmy {
-		data, err := w.readMasterFile(fmt.Sprintf("%spart-%05d", desc.SchimmyBase, desc.Task))
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		base, err = mapreduce.ReadBaseRecords(data)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
+		t.SchimmyBase = desc.SchimmyBase
 	}
-
-	var stream mapreduce.RecIter = func() ([]byte, []byte, bool, error) {
-		return nil, nil, false, nil
-	}
-	if len(segs) > 0 {
-		it, mstats, err := spill.Merge(w.cfg.Store, segs, spill.MergeOptions{
-			FanIn:     desc.MergeFanIn,
-			Compress:  desc.Compress,
-			TmpPrefix: fmt.Sprintf("j%05d/reduce-%05d/a%d/", desc.JobSeq, desc.Task, desc.Assign),
-			Tracer:    w.tracer,
-			Parent:    sp,
-		})
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		defer it.Close()
-		stream = it.Next
-		res.MergePasses = mstats.Passes
-		res.MaxMergeFanIn = mstats.MaxFanIn
-		sp.SetInt("merge_passes", mstats.Passes)
-	}
-
 	counters := mapreduce.NewCounters()
-	var out dfs.RecordWriter
-	ctx := mapreduce.NewTaskContext(desc.Round, desc.Task, desc.Assign, desc.Node, counters, j.side, j.code.Service,
-		func(key, value []byte) { out.Append(key, value) })
-	reducer := j.code.NewReducer()
-	maxGroup, err := mapreduce.ReduceGroups(ctx, reducer, base, stream)
+	r, err := mapreduce.ExecReduce(j.env, t, counters, sp)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	res.MaxGroup = maxGroup
-	res.OutputData = out.Bytes()
-	res.OutRecords = int64(out.Records())
-	res.OutBytes = int64(out.Len())
+	res.Fetch, res.Inter = r.Fetch, r.Inter
+	res.MergePasses, res.MaxMergeFanIn = r.MergePasses, r.MaxMergeFanIn
+	res.MaxGroup = r.MaxGroup
+	res.OutputData = r.Output
+	res.OutRecords = r.OutRecords
+	res.OutBytes = int64(len(r.Output))
 	res.Counters = counters.Snapshot()
 	return res
 }

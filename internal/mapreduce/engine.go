@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"log/slog"
@@ -40,13 +39,14 @@ type Cluster struct {
 	// MemoryBudget, when > 0, bounds each map task's shuffle buffer in
 	// framed bytes: a full buffer is sorted and spilled to disk, and
 	// reducers stream their partition through a k-way merge over the
-	// spill runs instead of materializing it (Hadoop's external
-	// sort/merge). 0 keeps the classic unbounded in-memory shuffle.
+	// spill runs (Hadoop's external sort/merge). 0 is the same path with
+	// no bound: each map task writes its buffer once, sorted, to a per-job
+	// in-memory run store, and the job reports no spill statistics.
 	MemoryBudget int64
 	// SpillDir is where spill runs live when MemoryBudget > 0 (a fresh
 	// private dir is created per job; the OS temp dir when empty).
 	SpillDir string
-	// SpillCompress DEFLATE-compresses spill segments on disk.
+	// SpillCompress DEFLATE-compresses spill segments.
 	SpillCompress bool
 	// MergeFanIn bounds how many segments one reduce-side merge pass
 	// reads (Hadoop's io.sort.factor; default spill.DefaultMergeFanIn).
@@ -76,43 +76,12 @@ func NewCluster(nodes, slotsPerNode int, fs *dfs.FS) *Cluster {
 // slots returns the cluster-wide worker slot count.
 func (c *Cluster) slots() int { return c.Nodes * c.SlotsPerNode }
 
-// kvRec is one intermediate record retained between the map and reduce
-// phases, with enough metadata for shuffle accounting.
-type kvRec struct {
-	key, value []byte
-	node       int // node of the producing map task
-}
-
 // framedSize is the on-the-wire size of a record using SequenceFile
 // framing, which is what the shuffle would move. It delegates to the
 // canonical codec in the spill package so shuffle accounting, spill
 // files and DFS SequenceFiles agree byte-for-byte.
 func framedSize(key, value []byte) int64 {
 	return spill.FramedSize(key, value)
-}
-
-// shuffleData carries the map phase's output to the reduce phase in one
-// of two forms: materialized per-partition record lists (the classic
-// in-memory path) or per-task spill outputs in a run store (the
-// out-of-core path, MemoryBudget > 0).
-type shuffleData struct {
-	mem   [][]kvRec       // partition -> records (in-memory path)
-	outs  []*spill.Output // per map task (spill path)
-	store spill.RunStore  // backing store for outs
-}
-
-// spilled reports whether the out-of-core path is in use.
-func (sh *shuffleData) spilled() bool { return sh.store != nil }
-
-// partSegments gathers every map task's segments for one partition.
-func (sh *shuffleData) partSegments(p int) []spill.Segment {
-	var segs []spill.Segment
-	for _, out := range sh.outs {
-		if out != nil {
-			segs = append(segs, out.Parts[p]...)
-		}
-	}
-	return segs
 }
 
 // Split is one map task's input: a record-aligned byte range of a file
@@ -202,29 +171,35 @@ func (c *Cluster) Run(job *Job) (*Result, error) {
 		splits = append(splits, ss...)
 		res.InputBytes += sz
 	}
-	if len(splits) == 0 {
-		// A valid but empty input still runs zero map tasks and produces
-		// empty output partitions so downstream rounds can proceed.
-		splits = nil
-	}
-
 	counters := NewCounters()
 	res.MapTasks = len(splits)
 
-	// The out-of-core shuffle only applies to jobs with a reduce phase:
-	// map-only jobs have no shuffle to spill.
-	var store spill.RunStore
-	if c.MemoryBudget > 0 && job.NewReducer != nil {
+	// The shuffle medium: memory when the buffers are unbounded, a private
+	// directory when they are bounded and so must leave process memory.
+	var store spill.RunStore = spill.NewMemRunStore()
+	if c.MemoryBudget > 0 {
 		ds, err := spill.NewDiskRunStore(c.SpillDir)
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: %s: %w", job.Name, err)
 		}
 		store = ds
-		defer store.Close()
+	}
+	defer store.Close()
+	env := &TaskEnv{
+		Job:         job.Name,
+		Round:       job.Round,
+		NewMapper:   job.NewMapper,
+		NewReducer:  job.NewReducer,
+		NewCombiner: job.NewCombiner,
+		Side:        side,
+		Service:     job.Service,
+		Store:       store,
+		Tracer:      c.Tracer,
+		ReadFile:    c.FS.ReadFile,
 	}
 
 	mapSpan := c.Tracer.Start(trace.CatPhase, "map", jobSpan)
-	mapOut, mapDur, err := c.runMapPhase(job, splits, side, counters, res, mapSpan, store)
+	mapOut, mapDur, err := c.runMapPhase(job, env, splits, counters, res, mapSpan)
 	mapSpan.SetInt("tasks", int64(len(splits)))
 	mapSpan.SetInt("records_out", res.MapOutputRecords)
 	mapSpan.SetInt("bytes_out", res.MapOutputBytes)
@@ -236,13 +211,7 @@ func (c *Cluster) Run(job *Job) (*Result, error) {
 	c.FS.DeletePrefix(job.OutputPrefix)
 
 	reduceSpan := c.Tracer.Start(trace.CatPhase, "reduce", jobSpan)
-	var reduceDur []time.Duration
-	var reduceFetch []int64
-	if job.NewReducer == nil {
-		reduceDur, reduceFetch, err = c.writeMapOnlyOutput(job, mapOut, res)
-	} else {
-		reduceDur, reduceFetch, err = c.runReducePhase(job, mapOut, side, counters, res, reduceSpan)
-	}
+	reduceDur, reduceFetch, err := c.runReducePhase(job, env, mapOut, counters, res, reduceSpan)
 	reduceSpan.SetInt("tasks", int64(res.ReduceTasks))
 	reduceSpan.SetInt(trace.AttrShuffleBytes, res.ShuffleBytes)
 	reduceSpan.SetInt(trace.AttrOutputBytes, res.OutputBytes)
@@ -251,40 +220,52 @@ func (c *Cluster) Run(job *Job) (*Result, error) {
 		return nil, err
 	}
 
-	if mapOut.spilled() {
-		c.publishSpillMetrics(res, jobSpan)
-	}
-
 	res.Counters = counters.Snapshot()
+	c.Finish(job, res, start, jobSpan, log, splits, mapDur, reduceDur, reduceFetch)
+	return res, nil
+}
+
+// Finish completes a job's Result once a backend has summed its winning
+// attempts' statistics and counters into it: wall and modelled time, the
+// job span's attributes, the "job done" event — and the one place that
+// knows what MemoryBudget == 0 means for reporting. Every job runs the
+// spill writer and the merge, so the spill sums are never zero; but
+// without a budget each map task wrote its buffer exactly once, to
+// memory, which is a shuffle that never spilled: the statistics are
+// zeroed and nothing is published. With a budget they annotate the job
+// span and feed the tracer's registry, so exported traces show the spill
+// activity alongside the Table I counters.
+func (c *Cluster) Finish(job *Job, res *Result, start time.Time, jobSpan *trace.Span, log *slog.Logger,
+	splits []Split, mapDur, reduceDur []time.Duration, reduceFetch []int64) {
+
+	if c.MemoryBudget <= 0 {
+		res.Spills, res.SpilledBytes = 0, 0
+		res.MergePasses, res.MaxMergeFanIn = 0, 0
+	} else {
+		jobSpan.SetInt(trace.AttrSpills, res.Spills)
+		jobSpan.SetInt(trace.AttrSpilledBytes, res.SpilledBytes)
+		jobSpan.SetInt(trace.AttrMergePasses, res.MergePasses)
+		reg := c.Tracer.Registry()
+		reg.Counter(trace.CounterSpills).Add(res.Spills)
+		reg.Counter(trace.CounterSpilledBytes).Add(res.SpilledBytes)
+		reg.Counter(trace.CounterMergePasses).Add(res.MergePasses)
+		reg.Gauge(trace.GaugeMergeFanIn).Set(res.MaxMergeFanIn)
+	}
 	res.WallTime = time.Since(start)
-	res.SimTime = c.ModelSimTime(job, res, splits, mapDur, reduceDur, reduceFetch)
+	res.SimTime = c.modelSimTime(job, res, splits, mapDur, reduceDur, reduceFetch)
+	failures := res.Counters["task failures"]
 	jobSpan.SetInt("map_tasks", int64(res.MapTasks))
 	jobSpan.SetInt("reduce_tasks", int64(res.ReduceTasks))
 	jobSpan.SetInt(trace.AttrMapOutRecords, res.MapOutputRecords)
 	jobSpan.SetInt(trace.AttrShuffleBytes, res.ShuffleBytes)
 	jobSpan.SetInt(trace.AttrOutputBytes, res.OutputBytes)
-	jobSpan.SetInt("task_failures", counters.Get("task failures"))
+	jobSpan.SetInt("task_failures", failures)
 	jobSpan.SetInt(trace.AttrSimTimeUS, res.SimTime.Microseconds())
 	log.Info("job done",
 		"map_tasks", res.MapTasks, "reduce_tasks", res.ReduceTasks,
 		"shuffle_bytes", res.ShuffleBytes, "output_bytes", res.OutputBytes,
-		"task_failures", counters.Get("task failures"),
+		"task_failures", failures,
 		"wall", res.WallTime, "sim", res.SimTime)
-	return res, nil
-}
-
-// publishSpillMetrics annotates the job span and the tracer's registry
-// with the out-of-core shuffle statistics, so exported traces show the
-// spill activity alongside the Table I counters.
-func (c *Cluster) publishSpillMetrics(res *Result, jobSpan *trace.Span) {
-	jobSpan.SetInt(trace.AttrSpills, res.Spills)
-	jobSpan.SetInt(trace.AttrSpilledBytes, res.SpilledBytes)
-	jobSpan.SetInt(trace.AttrMergePasses, res.MergePasses)
-	reg := c.Tracer.Registry()
-	reg.Counter(trace.CounterSpills).Add(res.Spills)
-	reg.Counter(trace.CounterSpilledBytes).Add(res.SpilledBytes)
-	reg.Counter(trace.CounterMergePasses).Add(res.MergePasses)
-	reg.Gauge(trace.GaugeMergeFanIn).Set(res.MaxMergeFanIn)
 }
 
 func (c *Cluster) loadSideFiles(job *Job) (map[string][]byte, error) {
@@ -302,231 +283,72 @@ func (c *Cluster) loadSideFiles(job *Job) (map[string][]byte, error) {
 	return side, nil
 }
 
-// mapTaskStats aggregates one map task's record counters.
-type mapTaskStats struct {
-	inRecs, outRecs, outBytes, maxRec int64
-}
-
-// runMapPhase executes all map tasks on the worker pool and returns the
-// intermediate shuffle data plus per-task measured durations. With a
-// run store (MemoryBudget > 0) each task spills sorted runs to the
-// store under its budget; otherwise partitions are materialized in
-// memory.
-func (c *Cluster) runMapPhase(job *Job, splits []Split, side map[string][]byte,
-	counters *Counters, res *Result, phase *trace.Span, store spill.RunStore) (*shuffleData, []time.Duration, error) {
-
-	numParts := job.NumReducers
-	if job.NewReducer == nil {
-		numParts = len(splits)
-	}
-	sh := &shuffleData{store: store}
-	taskParts := make([][][]kvRec, len(splits)) // task -> partition -> records
-	taskOuts := make([]*spill.Output, len(splits))
-	taskDur := make([]time.Duration, len(splits))
-	taskStats := make([]mapTaskStats, len(splits))
-
+// runTasks runs n task bodies on the cluster's worker slots. It returns
+// how long each ran once it held a slot, and the first error any of them
+// reported.
+func (c *Cluster) runTasks(n int, task func(i int) error) ([]time.Duration, error) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, c.slots())
-	errs := make(chan error, len(splits))
-
-	for ti := range splits {
+	errs := make(chan error, n)
+	durs := make([]time.Duration, n)
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(ti int) {
+		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-
 			t0 := time.Now()
-			node := splits[ti].Node
-			err := c.runAttempts(job, "map", ti, node, counters, phase, func(att *trace.Span, attempt int) error {
-				// Per-attempt state: a failed attempt's partial output is
-				// discarded, as Hadoop discards a failed task attempt's
-				// spill files.
-				var st mapTaskStats
-				var parts [][]kvRec
-				var w *spill.Writer
-				var emitErr error
-				emit := func(key, value []byte) {
-					k := append([]byte(nil), key...)
-					v := append([]byte(nil), value...)
-					var p int
-					if job.NewReducer == nil {
-						p = ti
-					} else {
-						p = partition(k, job.NumReducers)
-					}
-					parts[p] = append(parts[p], kvRec{key: k, value: v, node: node})
-					st.outRecs++
-					sz := framedSize(k, v)
-					st.outBytes += sz
-					if sz > st.maxRec {
-						st.maxRec = sz
-					}
-				}
-				if sh.spilled() {
-					cfg := spill.Config{
-						Partitions:   numParts,
-						MemoryBudget: c.MemoryBudget,
-						Store:        store,
-						NamePrefix:   fmt.Sprintf("map-%05d/a%d/", ti, attempt),
-						Node:         node,
-						Compress:     c.SpillCompress,
-						Tracer:       c.Tracer,
-						Parent:       att,
-					}
-					if job.NewCombiner != nil {
-						combiner := job.NewCombiner()
-						cfg.Combine = combiner.Combine
-						cfg.OnCombine = func(in, out int64) {
-							counters.Add("combine input records", in)
-							counters.Add("combine output records", out)
-						}
-					}
-					if c.Fault.DiskFailureRate > 0 {
-						cfg.FailSpill = func(idx int) error {
-							// Hash on a per-(attempt, spill) coordinate so a
-							// retry re-draws every spill independently.
-							if injectHash(c.Fault.Seed, job.Name, "spill", ti, attempt<<16|idx) < c.Fault.DiskFailureRate {
-								return fmt.Errorf("injected disk write failure")
-							}
-							return nil
-						}
-					}
-					sw, err := spill.NewWriter(cfg)
-					if err != nil {
-						return fmt.Errorf("mapreduce: %s map task %d: %w", job.Name, ti, err)
-					}
-					w = sw
-					// The TaskContext emit API has no error return, so spill
-					// errors latch into emitErr and surface after the map loop.
-					emit = func(key, value []byte) {
-						if emitErr != nil {
-							return
-						}
-						p := partition(key, job.NumReducers)
-						if err := w.Add(p, key, value); err != nil {
-							emitErr = err
-							return
-						}
-						st.outRecs++
-					}
-				} else {
-					parts = make([][]kvRec, numParts)
-				}
-				ctx := &TaskContext{
-					round:    job.Round,
-					task:     ti,
-					exec:     attempt,
-					node:     node,
-					counters: counters,
-					side:     side,
-					service:  job.Service,
-					emit:     emit,
-				}
-
-				// fail discards the attempt's partial spill state (as Hadoop
-				// deletes a failed attempt's spill files) before reporting.
-				fail := func(err error) error {
-					if w != nil {
-						w.Abort()
-					}
-					return fmt.Errorf("mapreduce: %s map task %d: %w", job.Name, ti, err)
-				}
-
-				mapper := job.NewMapper()
-				r := dfs.NewRecordReader(splits[ti].Data)
-				st.inRecs = 0
-				for {
-					key, value, ok, err := r.Next()
-					if err != nil {
-						return fail(err)
-					}
-					if !ok {
-						break
-					}
-					st.inRecs++
-					if err := mapper.Map(ctx, key, value); err != nil {
-						return fail(err)
-					}
-				}
-				if sh.spilled() {
-					if emitErr == nil {
-						out, err := w.Close()
-						if err == nil {
-							st.outBytes = out.RawBytes
-							st.maxRec = out.MaxFrame
-							att.SetInt("spills", out.Spills)
-							att.SetInt("records_out", st.outRecs)
-							att.SetInt("raw_bytes", out.RawBytes)
-							taskOuts[ti] = out
-							taskStats[ti] = st
-							return nil
-						}
-						emitErr = err
-					}
-					return fail(emitErr)
-				}
-				if job.NewCombiner != nil && job.NewReducer != nil {
-					if err := combineParts(job, parts, &st, counters, node); err != nil {
-						return fmt.Errorf("mapreduce: %s map task %d: %w", job.Name, ti, err)
-					}
-				}
-				taskParts[ti] = parts
-				taskStats[ti] = st
-				return nil
-			})
-			if err != nil {
+			if err := task(i); err != nil {
 				errs <- err
-				return
 			}
-			taskDur[ti] = time.Since(t0)
-		}(ti)
+			durs[i] = time.Since(t0)
+		}(i)
 	}
 	wg.Wait()
 	close(errs)
-	if err := <-errs; err != nil {
+	return durs, <-errs
+}
+
+// runMapPhase schedules one ExecMap per split, with retries, and sums
+// the winning attempts' statistics into res. It returns each task's
+// result and measured duration.
+func (c *Cluster) runMapPhase(job *Job, env *TaskEnv, splits []Split,
+	counters *Counters, res *Result, phase *trace.Span) ([]*MapResult, []time.Duration, error) {
+
+	outs := make([]*MapResult, len(splits))
+	taskDur, err := c.runTasks(len(splits), func(ti int) error {
+		node := splits[ti].Node
+		return c.runAttempts(job, "map", ti, node, counters, phase, func(att *trace.Span, attempt int) (err error) {
+			outs[ti], err = ExecMap(env, &MapTask{
+				Task:            ti,
+				Attempt:         attempt,
+				Exec:            attempt,
+				Node:            node,
+				Split:           splits[ti].Data,
+				Partitions:      job.NumReducers,
+				Budget:          c.MemoryBudget,
+				Compress:        c.SpillCompress,
+				Prefix:          fmt.Sprintf("map-%05d/a%d/", ti, attempt),
+				Seed:            c.Fault.Seed,
+				DiskFailureRate: c.Fault.DiskFailureRate,
+			}, counters, att)
+			return err
+		})
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-
-	for ti := range taskStats {
-		res.MapInputRecords += taskStats[ti].inRecs
-		res.MapOutputRecords += taskStats[ti].outRecs
-		res.MapOutputBytes += taskStats[ti].outBytes
-		if taskStats[ti].maxRec > res.MaxRecordBytes {
-			res.MaxRecordBytes = taskStats[ti].maxRec
+	for _, r := range outs {
+		res.MapInputRecords += r.InRecs
+		res.MapOutputRecords += r.OutRecs
+		res.MapOutputBytes += r.Out.RawBytes
+		if r.Out.MaxFrame > res.MaxRecordBytes {
+			res.MaxRecordBytes = r.Out.MaxFrame
 		}
+		res.Spills += r.Out.Spills
+		res.SpilledBytes += r.Out.RawBytes
 	}
-
-	if sh.spilled() {
-		sh.outs = taskOuts
-		for _, out := range taskOuts {
-			if out != nil {
-				res.Spills += out.Spills
-				res.SpilledBytes += out.RawBytes
-			}
-		}
-		return sh, taskDur, nil
-	}
-
-	// Collect per-partition record lists across tasks.
-	out := make([][]kvRec, numParts)
-	for p := 0; p < numParts; p++ {
-		var n int
-		for ti := range taskParts {
-			if taskParts[ti] != nil {
-				n += len(taskParts[ti][p])
-			}
-		}
-		recs := make([]kvRec, 0, n)
-		for ti := range taskParts {
-			if taskParts[ti] != nil {
-				recs = append(recs, taskParts[ti][p]...)
-			}
-		}
-		out[p] = recs
-	}
-	sh.mem = out
-	return sh, taskDur, nil
+	return outs, taskDur, nil
 }
 
 // injectHash returns a deterministic pseudo-random value in [0,1) for a
@@ -552,6 +374,13 @@ func injectHash(seed int64, job, phase string, task, attempt int) float64 {
 		mix(byte(attempt >> (8 * i)))
 	}
 	return float64(h>>11) / float64(1<<53)
+}
+
+// InjectHash is injectHash for a distributed backend, whose workers draw
+// WorkerCrashRate decisions from the same sequence regardless of which
+// worker holds the lease.
+func InjectHash(seed int64, job, phase string, task, attempt int) float64 {
+	return injectHash(seed, job, phase, task, attempt)
 }
 
 // runAttempts executes a task body with Hadoop-style attempt semantics:
@@ -617,351 +446,92 @@ func partition(key []byte, numReducers int) int {
 	return int(h % uint32(numReducers))
 }
 
-// combineParts runs the job's combiner over one map task's output,
-// replacing each partition's records with the per-key combined values.
-// Hadoop counts pre-combine records as "map output records"; the
-// combine counters record the aggregation ratio.
-func combineParts(job *Job, parts [][]kvRec, st *mapTaskStats, counters *Counters, node int) error {
-	combiner := job.NewCombiner()
-	st.outBytes = 0
-	st.maxRec = 0
-	var inRecs, outRecs int64
-	for p := range parts {
-		recs := parts[p]
-		if len(recs) == 0 {
-			continue
-		}
-		sortRecs(recs)
-		// A fresh slice: the combiner may emit more records than it
-		// consumed, so in-place compaction could overwrite unread input.
-		combined := make([]kvRec, 0, len(recs))
-		for i := 0; i < len(recs); {
-			j := i
-			for j < len(recs) && bytes.Equal(recs[j].key, recs[i].key) {
-				j++
-			}
-			group := make([][]byte, 0, j-i)
-			for k := i; k < j; k++ {
-				group = append(group, recs[k].value)
-			}
-			inRecs += int64(len(group))
-			out, err := combiner.Combine(recs[i].key, group)
-			if err != nil {
-				return err
-			}
-			outRecs += int64(len(out))
-			for _, v := range out {
-				combined = append(combined, kvRec{key: recs[i].key, value: v, node: node})
-				sz := framedSize(recs[i].key, v)
-				st.outBytes += sz
-				if sz > st.maxRec {
-					st.maxRec = sz
-				}
-			}
-			i = j
-		}
-		parts[p] = combined
-	}
-	counters.Add("combine input records", inRecs)
-	counters.Add("combine output records", outRecs)
-	return nil
-}
-
-func partName(prefix string, p int) string { return fmt.Sprintf("%spart-%05d", prefix, p) }
+// Partition is partition for a distributed backend and the benchmark.
+func Partition(key []byte, numReducers int) int { return partition(key, numReducers) }
 
 // PartName returns the DFS name of output partition p under prefix,
 // matching Hadoop's part-NNNNN naming.
-func PartName(prefix string, p int) string { return partName(prefix, p) }
+func PartName(prefix string, p int) string { return fmt.Sprintf("%spart-%05d", prefix, p) }
 
-// writeMapOnlyOutput persists each map task's emissions directly, one
-// partition per task, for jobs with no reduce phase. The measured write
-// durations feed simTime so map-only jobs model real per-task output
-// cost rather than a free reduce phase; fetch is all zeros (nothing is
-// shuffled).
-func (c *Cluster) writeMapOnlyOutput(job *Job, mapOut *shuffleData, res *Result) ([]time.Duration, []int64, error) {
-	durs := make([]time.Duration, len(mapOut.mem))
-	for p, recs := range mapOut.mem {
-		t0 := time.Now()
-		sortRecs(recs)
-		var w dfs.RecordWriter
-		for _, r := range recs {
-			w.Append(r.key, r.value)
-		}
-		if err := c.FS.WriteFile(partName(job.OutputPrefix, p), w.Bytes()); err != nil {
-			return nil, nil, err
-		}
-		res.ReduceOutputRecords += int64(w.Records())
-		res.OutputBytes += int64(w.Len())
-		durs[p] = time.Since(t0)
-	}
-	return durs, make([]int64, len(mapOut.mem)), nil
-}
-
-func sortRecs(recs []kvRec) {
-	sort.Slice(recs, func(i, j int) bool {
-		if cmp := bytes.Compare(recs[i].key, recs[j].key); cmp != 0 {
-			return cmp < 0
-		}
-		return bytes.Compare(recs[i].value, recs[j].value) < 0
-	})
-}
-
-// runReducePhase shuffles, sorts, groups and reduces each partition,
-// writing one output file per reduce task. On the in-memory path the
-// partition is sorted in place; on the spill path the reducer streams
-// through a k-way merge over the map tasks' spill segments (with
-// intermediate merge passes when the segment count exceeds MergeFanIn).
-func (c *Cluster) runReducePhase(job *Job, mapOut *shuffleData, side map[string][]byte,
+// runReducePhase schedules one ExecReduce per partition, with retries,
+// writes each winning attempt's output partition and sums the winners'
+// statistics into res. A map-only job has one output partition per map
+// task instead, holding that task's single segment list; writing it is
+// the tail of the map task rather than a task of its own, so it is not
+// retried, not fault-injected, and counts no reduce task or shuffle byte.
+// The returned durations and fetch sizes feed modelSimTime.
+func (c *Cluster) runReducePhase(job *Job, env *TaskEnv, mapOut []*MapResult,
 	counters *Counters, res *Result, phase *trace.Span) ([]time.Duration, []int64, error) {
 
-	res.ReduceTasks = job.NumReducers
-	taskDur := make([]time.Duration, job.NumReducers)
-	fetch := make([]int64, job.NumReducers)
-	outRecs := make([]int64, job.NumReducers)
-	outBytes := make([]int64, job.NumReducers)
-	var shuffleBytes, interNode int64
-	var statMu sync.Mutex
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, c.slots())
-	errs := make(chan error, job.NumReducers)
-
-	for p := 0; p < job.NumReducers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-
-			t0 := time.Now()
-			node := p % c.Nodes
-
-			// Fetch accounting. Every segment of a map task lives on that
-			// task's node, so summing per segment on the spill path equals
-			// the in-memory per-record sum exactly.
-			var recs []kvRec
-			var segs []spill.Segment
-			var myFetch, myInter int64
-			if mapOut.spilled() {
-				segs = mapOut.partSegments(p)
-				for _, seg := range segs {
-					myFetch += seg.RawBytes
-					if seg.Node != node {
-						myInter += seg.RawBytes
-					}
-				}
-			} else {
-				recs = mapOut.mem[p]
-				for i := range recs {
-					sz := framedSize(recs[i].key, recs[i].value)
-					myFetch += sz
-					if recs[i].node != node {
-						myInter += sz
-					}
-				}
-				sortRecs(recs)
-			}
-
-			err := c.runAttempts(job, "reduce", p, node, counters, phase, func(att *trace.Span, attempt int) error {
-				var base []kvRec
-				if job.Schimmy {
-					b, err := c.readBasePartition(partName(job.SchimmyBase, p))
-					if err != nil {
-						return fmt.Errorf("mapreduce: %s reduce task %d: %w", job.Name, p, err)
-					}
-					base = b
-				}
-
-				// Each attempt gets a fresh record stream: a slice cursor in
-				// memory, or a fresh merge over the spill segments.
-				var stream recIter
-				if mapOut.spilled() {
-					it, mstats, err := spill.Merge(mapOut.store, segs, spill.MergeOptions{
-						FanIn:     c.MergeFanIn,
-						Compress:  c.SpillCompress,
-						TmpPrefix: fmt.Sprintf("reduce-%05d/a%d/", p, attempt),
-						Tracer:    c.Tracer,
-						Parent:    att,
-					})
-					if err != nil {
-						return fmt.Errorf("mapreduce: %s reduce task %d: %w", job.Name, p, err)
-					}
-					defer it.Close()
-					att.SetInt("merge_passes", mstats.Passes)
-					att.SetInt("merge_segments", mstats.Segments)
-					statMu.Lock()
-					res.MergePasses += mstats.Passes
-					if mstats.MaxFanIn > res.MaxMergeFanIn {
-						res.MaxMergeFanIn = mstats.MaxFanIn
-					}
-					statMu.Unlock()
-					stream = it.Next
-				} else {
-					stream = sliceIter(recs)
-				}
-
-				var w dfs.RecordWriter
-				ctx := &TaskContext{
-					round:    job.Round,
-					task:     p,
-					exec:     attempt,
-					node:     node,
-					counters: counters,
-					side:     side,
-					service:  job.Service,
-					emit:     func(key, value []byte) { w.Append(key, value) },
-				}
-				reducer := job.NewReducer()
-
-				maxGroup, err := reduceGroups(ctx, reducer, base, stream)
-				if err != nil {
-					return fmt.Errorf("mapreduce: %s reduce task %d: %w", job.Name, p, err)
-				}
-				statMu.Lock()
-				if maxGroup > res.MaxGroupBytes {
-					res.MaxGroupBytes = maxGroup
-				}
-				statMu.Unlock()
-
-				if err := c.FS.WriteFile(partName(job.OutputPrefix, p), w.Bytes()); err != nil {
-					return err
-				}
-				statMu.Lock()
-				outRecs[p] = int64(w.Records())
-				outBytes[p] = int64(w.Len())
-				statMu.Unlock()
-				return nil
-			})
-			if err != nil {
-				errs <- err
-				return
-			}
-			statMu.Lock()
-			shuffleBytes += myFetch
-			interNode += myInter
-			fetch[p] = myFetch
-			statMu.Unlock()
-			taskDur[p] = time.Since(t0)
-		}(p)
+	n := job.NumReducers
+	segments := func(p int) []spill.Segment {
+		var segs []spill.Segment
+		for _, m := range mapOut {
+			segs = append(segs, m.Out.Parts[p]...)
+		}
+		return segs
 	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
+	if job.NewReducer == nil {
+		n = len(mapOut)
+		segments = func(p int) []spill.Segment { return mapOut[p].Out.Parts[0] }
+	} else {
+		res.ReduceTasks = n
+	}
+	schimmyBase := ""
+	if job.Schimmy {
+		schimmyBase = job.SchimmyBase
+	}
+
+	outs := make([]*ReduceResult, n)
+	taskDur, err := c.runTasks(n, func(p int) error {
+		node := p % c.Nodes
+		segs := segments(p)
+		body := func(att *trace.Span, attempt int) (err error) {
+			outs[p], err = ExecReduce(env, &ReduceTask{
+				Task:        p,
+				Exec:        attempt,
+				Node:        node,
+				Segments:    segs,
+				FanIn:       c.MergeFanIn,
+				Compress:    c.SpillCompress,
+				TmpPrefix:   fmt.Sprintf("reduce-%05d/a%d/", p, attempt),
+				SchimmyBase: schimmyBase,
+			}, counters, att)
+			if err != nil {
+				return err
+			}
+			return c.FS.WriteFile(PartName(job.OutputPrefix, p), outs[p].Output)
+		}
+		if job.NewReducer == nil {
+			return body(nil, 0)
+		}
+		return c.runAttempts(job, "reduce", p, node, counters, phase, body)
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 
-	res.ShuffleBytes = shuffleBytes
-	res.InterNodeShuffleBytes = interNode
-	for p := range outRecs {
-		res.ReduceOutputRecords += outRecs[p]
-		res.OutputBytes += outBytes[p]
+	fetch := make([]int64, n)
+	for p, r := range outs {
+		res.ReduceOutputRecords += r.OutRecords
+		res.OutputBytes += int64(len(r.Output))
+		res.MergePasses += r.MergePasses
+		if r.MaxMergeFanIn > res.MaxMergeFanIn {
+			res.MaxMergeFanIn = r.MaxMergeFanIn
+		}
+		if r.MaxGroup > res.MaxGroupBytes {
+			res.MaxGroupBytes = r.MaxGroup
+		}
+		if job.NewReducer != nil {
+			fetch[p] = r.Fetch
+			res.ShuffleBytes += r.Fetch
+			res.InterNodeShuffleBytes += r.Inter
+		}
 	}
 	return taskDur, fetch, nil
 }
 
-// readBasePartition loads a schimmy base partition and returns its
-// records sorted by key for the merge-join.
-func (c *Cluster) readBasePartition(name string) ([]kvRec, error) {
-	if !c.FS.Exists(name) {
-		return nil, fmt.Errorf("schimmy base %q does not exist", name)
-	}
-	data, err := c.FS.ReadFile(name)
-	if err != nil {
-		return nil, err
-	}
-	var recs []kvRec
-	r := dfs.NewRecordReader(data)
-	for {
-		key, value, ok, err := r.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		recs = append(recs, kvRec{key: key, value: value})
-	}
-	sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i].key, recs[j].key) < 0 })
-	return recs, nil
-}
-
-// recIter streams sorted shuffle records to a reduce task: a cursor
-// over an in-memory slice, or a spill.Iterator's Next method on the
-// out-of-core path. Returned slices must stay valid across calls.
-type recIter func() (key, value []byte, ok bool, err error)
-
-// sliceIter adapts a sorted record slice to recIter.
-func sliceIter(recs []kvRec) recIter {
-	i := 0
-	return func() ([]byte, []byte, bool, error) {
-		if i >= len(recs) {
-			return nil, nil, false, nil
-		}
-		r := recs[i]
-		i++
-		return r.key, r.value, true, nil
-	}
-}
-
-// reduceGroups walks the sorted shuffle stream and (for schimmy jobs) the
-// sorted base partition in a merge-join, invoking the reducer once per
-// key in the union. Keys present only in the base still reach the
-// reducer so master records survive rounds in which they receive no
-// fragments. It returns the byte size of the largest group processed.
-func reduceGroups(ctx *TaskContext, reducer Reducer, base []kvRec, next recIter) (int64, error) {
-	var maxGroup int64
-	bi := 0
-	rkey, rval, rok, err := next()
-	if err != nil {
-		return 0, err
-	}
-	for bi < len(base) || rok {
-		var key []byte
-		switch {
-		case bi >= len(base):
-			key = rkey
-		case !rok:
-			key = base[bi].key
-		default:
-			if bytes.Compare(base[bi].key, rkey) <= 0 {
-				key = base[bi].key
-			} else {
-				key = rkey
-			}
-		}
-
-		var master []byte
-		if bi < len(base) && bytes.Equal(base[bi].key, key) {
-			master = base[bi].value
-			bi++
-			// Duplicate keys in a base partition would indicate a broken
-			// previous round; consume defensively.
-			for bi < len(base) && bytes.Equal(base[bi].key, key) {
-				bi++
-			}
-		}
-
-		var vals [][]byte
-		groupBytes := int64(len(master))
-		for rok && bytes.Equal(rkey, key) {
-			vals = append(vals, rval)
-			groupBytes += framedSize(rkey, rval)
-			rkey, rval, rok, err = next()
-			if err != nil {
-				return 0, err
-			}
-		}
-		if groupBytes > maxGroup {
-			maxGroup = groupBytes
-		}
-		if err := reducer.Reduce(ctx, key, master, &Values{vals: vals}); err != nil {
-			return 0, err
-		}
-	}
-	return maxGroup, nil
-}
-
-// ModelSimTime applies the cost model: map and reduce task costs are packed
+// modelSimTime applies the cost model: map and reduce task costs are packed
 // onto the cluster's worker slots (greedy longest-queue-avoidance, which
 // is how Hadoop's scheduler behaves with uniform tasks), and phase
 // makespans plus fixed overhead give the simulated round time. The
@@ -969,7 +539,7 @@ func reduceGroups(ctx *TaskContext, reducer Reducer, base []kvRec, next recIter)
 // speculative execution charges the better of two attempts' draws, which
 // is exactly the mechanism by which Hadoop's backup tasks shorten the
 // tail of a phase.
-func (c *Cluster) ModelSimTime(job *Job, res *Result, splits []Split, mapDur, reduceDur []time.Duration, reduceFetch []int64) time.Duration {
+func (c *Cluster) modelSimTime(job *Job, res *Result, splits []Split, mapDur, reduceDur []time.Duration, reduceFetch []int64) time.Duration {
 	cm := c.Cost
 	xfer := func(bytes int64, bytesPerSec float64) time.Duration {
 		if bytesPerSec <= 0 || bytes <= 0 {

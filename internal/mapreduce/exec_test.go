@@ -1,0 +1,366 @@
+package mapreduce
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"ffmr/internal/dfs"
+	"ffmr/internal/spill"
+)
+
+// execStores are the two shuffle media ExecMap and ExecReduce run over.
+var execStores = map[string]func(t *testing.T) spill.RunStore{
+	"mem": func(*testing.T) spill.RunStore { return spill.NewMemRunStore() },
+	"disk": func(t *testing.T) spill.RunStore {
+		s, err := spill.NewDiskRunStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	},
+}
+
+// execSplits builds map task inputs: lines of repeating words.
+func execSplits(tasks, lines int) [][]byte {
+	splits := make([][]byte, tasks)
+	for ti := range splits {
+		var w dfs.RecordWriter
+		for i := 0; i < lines; i++ {
+			w.Append([]byte(fmt.Sprintf("t%d-l%04d", ti, i)),
+				[]byte(fmt.Sprintf("alpha bravo-%d charlie delta-%d echo-%d", i%7, i%13, i%29)))
+		}
+		splits[ti] = w.Bytes()
+	}
+	return splits
+}
+
+// sumEnv is a word count whose combiner and reducer both sum, so the
+// reduce output does not depend on how often the combiner ran.
+func sumEnv(store spill.RunStore) *TaskEnv {
+	sum := func(values [][]byte) ([]byte, error) {
+		total := 0
+		for _, v := range values {
+			n, err := strconv.Atoi(string(v))
+			if err != nil {
+				return nil, err
+			}
+			total += n
+		}
+		return []byte(strconv.Itoa(total)), nil
+	}
+	return &TaskEnv{
+		Job:   "exec",
+		Store: store,
+		NewMapper: func() Mapper {
+			return MapperFunc(func(ctx *TaskContext, key, value []byte) error {
+				for _, w := range strings.Fields(string(value)) {
+					ctx.Emit([]byte(w), []byte("1"))
+				}
+				return nil
+			})
+		},
+		NewCombiner: func() Combiner {
+			return CombinerFunc(func(key []byte, values [][]byte) ([][]byte, error) {
+				v, err := sum(values)
+				return [][]byte{v}, err
+			})
+		},
+		NewReducer: func() Reducer {
+			return ReducerFunc(func(ctx *TaskContext, key, master []byte, values *Values) error {
+				var vals [][]byte
+				for v := values.Next(); v != nil; v = values.Next() {
+					vals = append(vals, v)
+				}
+				v, err := sum(vals)
+				ctx.Emit(key, v)
+				return err
+			})
+		},
+	}
+}
+
+const execParts = 3
+
+// execMaps runs one ExecMap attempt per split.
+func execMaps(t *testing.T, env *TaskEnv, splits [][]byte, budget int64, compress bool, counters *Counters) []*MapResult {
+	t.Helper()
+	outs := make([]*MapResult, len(splits))
+	for ti, split := range splits {
+		r, err := ExecMap(env, &MapTask{
+			Task: ti, Node: ti, Split: split, Partitions: execParts,
+			Budget: budget, Compress: compress, Prefix: fmt.Sprintf("map-%05d/a0/", ti),
+		}, counters, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[ti] = r
+	}
+	return outs
+}
+
+// partSegments gathers partition p's segments in map-task order.
+func partSegments(maps []*MapResult, p int) []spill.Segment {
+	var segs []spill.Segment
+	for _, m := range maps {
+		segs = append(segs, m.Out.Parts[p]...)
+	}
+	return segs
+}
+
+// TestExecSameOutputInEveryCell runs ExecMap then ExecReduce over both
+// stores, with a tiny and with no budget, raw and compressed. Every cell
+// must produce byte-identical output partitions; at a fixed budget the
+// statistics must not depend on the store or on compression (between
+// budgets they legitimately differ: the combiner runs once per spill).
+func TestExecSameOutputInEveryCell(t *testing.T) {
+	type stats struct {
+		InRecs, OutRecs, RawBytes, SegRecords, Spills int64
+		Fetch, Inter, OutRecords                      int64
+		CombineIn, CombineOut                         int64
+	}
+	splits := execSplits(3, 150)
+	var wantOut [][]byte
+	for _, budget := range []int64{512, 0} {
+		var want *stats
+		for storeName, newStore := range execStores {
+			for _, compress := range []bool{false, true} {
+				cell := fmt.Sprintf("%s/budget=%d/compress=%v", storeName, budget, compress)
+				store := newStore(t)
+				env := sumEnv(store)
+				counters := NewCounters()
+				maps := execMaps(t, env, splits, budget, compress, counters)
+
+				var got stats
+				for _, m := range maps {
+					got.InRecs += m.InRecs
+					got.OutRecs += m.OutRecs
+					got.RawBytes += m.Out.RawBytes
+					got.SegRecords += m.Out.Records
+					got.Spills += m.Out.Spills
+				}
+				var out [][]byte
+				for p := 0; p < execParts; p++ {
+					r, err := ExecReduce(env, &ReduceTask{
+						Task: p, Node: p, Segments: partSegments(maps, p),
+						FanIn: 2, Compress: compress, TmpPrefix: fmt.Sprintf("reduce-%05d/a0/", p),
+					}, counters, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", cell, err)
+					}
+					got.Fetch += r.Fetch
+					got.Inter += r.Inter
+					got.OutRecords += r.OutRecords
+					out = append(out, r.Output)
+				}
+				snap := counters.Snapshot()
+				got.CombineIn, got.CombineOut = snap["combine input records"], snap["combine output records"]
+
+				if wantOut == nil {
+					wantOut = out
+				} else if !reflect.DeepEqual(out, wantOut) {
+					t.Errorf("%s: reduce output differs from the first cell's", cell)
+				}
+				if want == nil {
+					want = &got
+				} else if got != *want {
+					t.Errorf("%s: stats %+v, want %+v as in the budget's first cell", cell, got, *want)
+				}
+				if budget > 0 && got.Spills < 2*int64(len(splits)) {
+					t.Errorf("%s: %d spills, want several per map task", cell, got.Spills)
+				}
+				if budget == 0 && got.Spills != int64(len(splits)) {
+					t.Errorf("%s: %d spills, want one per map task", cell, got.Spills)
+				}
+				if got.Fetch != got.RawBytes || got.OutRecs == 0 || got.OutRecords == 0 {
+					t.Errorf("%s: implausible stats %+v", cell, got)
+				}
+			}
+		}
+	}
+}
+
+// TestFailedMapAttemptLeavesStoreUnchanged fails map attempts after they
+// have already spilled — by a mapper error and by injected spill-write
+// faults — and checks that nothing of a failed attempt stays in the store.
+func TestFailedMapAttemptLeavesStoreUnchanged(t *testing.T) {
+	split := execSplits(1, 150)[0]
+	for storeName, newStore := range execStores {
+		t.Run(storeName, func(t *testing.T) {
+			store := newStore(t)
+			env := sumEnv(store)
+			execMaps(t, env, [][]byte{split}, 512, false, NewCounters()) // a neighbour's output
+			before := store.Objects()
+
+			seen := 0
+			boom := errors.New("boom")
+			failing := *env
+			failing.NewMapper = func() Mapper {
+				inner := env.NewMapper()
+				return MapperFunc(func(ctx *TaskContext, key, value []byte) error {
+					if seen++; seen > 100 {
+						return boom
+					}
+					return inner.Map(ctx, key, value)
+				})
+			}
+			task := MapTask{Task: 1, Split: split, Partitions: execParts, Budget: 512, Prefix: "map-00001/a0/"}
+			if _, err := ExecMap(&failing, &task, NewCounters(), nil); !errors.Is(err, boom) {
+				t.Fatalf("mapper error not reported: %v", err)
+			}
+			if got := store.Objects(); got != before {
+				t.Errorf("store holds %d objects after a mapper error, want %d", got, before)
+			}
+
+			failed := 0
+			task.DiskFailureRate, task.Seed = 0.05, 7
+			for attempt := 0; attempt < 40; attempt++ {
+				task.Attempt, task.Prefix = attempt, fmt.Sprintf("map-00001/a%d/", attempt)
+				if _, err := ExecMap(env, &task, NewCounters(), nil); err == nil {
+					store.RemovePrefix(task.Prefix)
+					continue
+				}
+				failed++
+				if got := store.Objects(); got != before {
+					t.Fatalf("store holds %d objects after attempt %d's spill fault, want %d", got, attempt, before)
+				}
+			}
+			if failed == 0 || failed == 40 {
+				t.Fatalf("%d of 40 attempts drew a spill fault; want some, not all", failed)
+			}
+
+			// Without a budget the single write is not a disk write.
+			task.Budget = 0
+			task.DiskFailureRate = 1
+			if _, err := ExecMap(env, &task, NewCounters(), nil); err != nil {
+				t.Errorf("unbudgeted attempt drew a disk fault: %v", err)
+			}
+		})
+	}
+}
+
+// readObjects returns the stored bytes of every listed segment.
+func readObjects(t *testing.T, store spill.RunStore, segs []spill.Segment) [][]byte {
+	t.Helper()
+	var objs [][]byte
+	for _, seg := range segs {
+		rc, err := store.Open(seg.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, data)
+	}
+	return objs
+}
+
+// TestFailedReduceAttemptLeavesRetryUnchanged fails a reduce attempt
+// half-way and retries it: the retry must produce what an undisturbed
+// attempt produces, and the failed one must not have touched the stored
+// segments. Where the merge copies records out of the store (on disk, or
+// compressed) the failing reducer also scribbles over every value it was
+// handed, which must be harmless. Where the merge parses in place
+// (uncompressed, in memory) the values are the stored bytes themselves —
+// that is what keeps the default shuffle free of per-record copies — and
+// Values.Next's read-only contract is what protects the retry, so there
+// the failing reducer keeps to it.
+func TestFailedReduceAttemptLeavesRetryUnchanged(t *testing.T) {
+	splits := execSplits(2, 100)
+	for storeName, newStore := range execStores {
+		for _, compress := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/compress=%v", storeName, compress), func(t *testing.T) {
+				store := newStore(t)
+				env := sumEnv(store)
+				env.NewCombiner = nil // keep many values per group
+				maps := execMaps(t, env, splits, 2048, compress, NewCounters())
+				segs := partSegments(maps, 0)
+				task := &ReduceTask{Segments: segs, FanIn: 2, Compress: compress, TmpPrefix: "reduce-00000/a0/"}
+				clean, err := ExecReduce(env, task, NewCounters(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stored := readObjects(t, store, segs)
+
+				copies := storeName == "disk" || compress
+				groups := 0
+				boom := errors.New("boom")
+				failing := *env
+				failing.NewReducer = func() Reducer {
+					return ReducerFunc(func(ctx *TaskContext, key, master []byte, values *Values) error {
+						for v := values.Next(); v != nil; v = values.Next() {
+							if copies {
+								for i := range v {
+									v[i] = 'X'
+								}
+							}
+						}
+						if groups++; groups > 3 {
+							return boom
+						}
+						return nil
+					})
+				}
+				if _, err := ExecReduce(&failing, task, NewCounters(), nil); !errors.Is(err, boom) {
+					t.Fatalf("reducer error not reported: %v", err)
+				}
+				if !reflect.DeepEqual(readObjects(t, store, segs), stored) {
+					t.Error("a failed reduce attempt changed the stored segments")
+				}
+				retry, err := ExecReduce(env, task, NewCounters(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(retry.Output, clean.Output) || retry.OutRecords != clean.OutRecords {
+					t.Error("the retry's output differs from an undisturbed attempt's")
+				}
+			})
+		}
+	}
+}
+
+// TestExecMapOnly runs a job with no reducer: one partition whatever the
+// key, no combiner, and a reduce body that copies the merged stream out.
+func TestExecMapOnly(t *testing.T) {
+	env := sumEnv(spill.NewMemRunStore())
+	env.NewReducer = nil
+	counters := NewCounters()
+	m := execMaps(t, env, execSplits(1, 20), 256, false, counters)[0]
+	if len(m.Out.Parts) != 1 || m.Out.Records != m.OutRecs {
+		t.Fatalf("map-only attempt wrote %d partitions, %d of %d records", len(m.Out.Parts), m.Out.Records, m.OutRecs)
+	}
+	if n := counters.Snapshot()["combine input records"]; n != 0 {
+		t.Errorf("map-only attempt combined %d records", n)
+	}
+	r, err := ExecReduce(env, &ReduceTask{Segments: m.Out.Parts[0], FanIn: 2, TmpPrefix: "reduce-00000/a0/"}, counters, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.OutRecords != m.OutRecs || r.MaxGroup != 0 {
+		t.Errorf("copied %d of %d records, max group %d", r.OutRecords, m.OutRecs, r.MaxGroup)
+	}
+	var prev []byte
+	rd := dfs.NewRecordReader(r.Output)
+	for {
+		key, _, ok, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if bytes.Compare(prev, key) > 0 {
+			t.Fatalf("output not sorted: %q after %q", key, prev)
+		}
+		prev = append(prev[:0], key...)
+	}
+}

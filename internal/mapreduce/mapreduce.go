@@ -7,21 +7,24 @@
 // records, shuffle bytes, largest record) that the paper's evaluation
 // reports directly (Table I, Fig. 7).
 //
-// The shuffle has two interchangeable paths selected by Job.SpillBudget:
-// the default in-memory sort-and-group, and the out-of-core path built on
-// package spill, where map outputs exceeding the budget are sorted and
-// spilled to segment files that reducers consume through a k-way merge —
-// Hadoop's external sort, scaled down. Both paths must produce identical
-// counters; the spill differential tests enforce that.
+// There is one map task body and one reduce task body, ExecMap and
+// ExecReduce (exec.go), and one shuffle, built on package spill: a map
+// task sorts its output into segments in a spill.RunStore and a reduce
+// task consumes its partition through a k-way merge — Hadoop's external
+// sort, scaled down. Cluster.MemoryBudget bounds the map-side buffer and
+// puts the segments on disk; without one the buffer is written once and
+// the segments stay in memory. Both must produce identical counters; the
+// spill differential tests enforce that.
 //
-// Execution has two backends behind the same Cluster API: the simulated
-// engine runs tasks on goroutines in-process, while Cluster.Distributed
-// hands whole jobs to a distmr master that leases tasks to worker
-// processes over TCP (see internal/distmr). Tasks execute concurrently
-// on real goroutines, so computation cost is measured; data movement
-// cost is modelled by a configurable CostModel so that a simulated
-// per-round runtime comparable to the paper's wall-clock-per-round can
-// be reported regardless of host speed.
+// Execution has two backends behind the same Cluster API, both calling
+// those two bodies: the simulated engine runs tasks on goroutines
+// in-process, while Cluster.Distributed hands whole jobs to a distmr
+// master that leases tasks to worker processes over TCP (see
+// internal/distmr). Tasks execute concurrently on real goroutines, so
+// computation cost is measured; data movement cost is modelled by a
+// configurable CostModel so that a simulated per-round runtime comparable
+// to the paper's wall-clock-per-round can be reported regardless of host
+// speed.
 package mapreduce
 
 import (
@@ -288,9 +291,11 @@ type Result struct {
 	OutputBytes         int64
 	InputBytes          int64
 
-	// Out-of-core shuffle statistics, all zero on the in-memory path
-	// (Cluster.MemoryBudget == 0). Spills counts map-side sort+write
-	// cycles; SpilledBytes is the framed (uncompressed) bytes they wrote;
+	// Out-of-core shuffle statistics, all zero without a memory budget
+	// (Cluster.MemoryBudget == 0: every map task then writes its buffer
+	// once, to memory, and Cluster.Finish reports that as no spill at
+	// all). Spills counts map-side sort+write cycles; SpilledBytes is the
+	// framed (uncompressed) bytes they wrote;
 	// MergePasses counts reduce-side merge passes (including each reduce
 	// task's final streaming pass); MaxMergeFanIn is the largest number
 	// of segments any single merge pass read.
@@ -331,9 +336,6 @@ func NewCountersIn(reg *trace.Registry) *Counters {
 
 // Add increments a named counter.
 func (c *Counters) Add(name string, delta int64) { c.reg.Counter(name).Add(delta) }
-
-// Get returns a counter's value.
-func (c *Counters) Get(name string) int64 { return c.reg.Counter(name).Value() }
 
 // Registry exposes the backing typed registry.
 func (c *Counters) Registry() *trace.Registry { return c.reg }
@@ -394,9 +396,9 @@ type Faults struct {
 	FailureRate float64
 	// DiskFailureRate injects a probability that any single spill write
 	// fails mid-task (emulating a local-disk error on the tasktracker).
-	// Only meaningful on the out-of-core shuffle path
-	// (Cluster.MemoryBudget > 0); the failed attempt's partial spill
-	// state is discarded and the task retried.
+	// Only drawn under a memory budget (Cluster.MemoryBudget > 0), when
+	// spill writes go to disk (ExecMap holds the rule); the failed
+	// attempt's partial spill state is discarded and the task retried.
 	DiskFailureRate float64
 	// WorkerCrashRate injects a probability that the worker holding a
 	// task lease dies at that task's start: it stops heartbeating,

@@ -8,10 +8,11 @@ import (
 	"ffmr/internal/dfs"
 )
 
-// BenchmarkShuffle compares the in-memory shuffle against the
-// out-of-core spill/merge path at several memory budgets, on a
-// shuffle-heavy identity-count job. Baseline numbers live in
-// BENCH_shuffle.json at the repo root.
+// BenchmarkShuffle sweeps the shuffle's memory budget, from unbounded
+// (segments in memory, written once per map task) down to budgets that
+// force many spills and merge passes on disk, on a shuffle-heavy
+// identity-count job. The end-to-end cost of a budget is ffbench's
+// spill.vs_mem_wall_ratio.
 func BenchmarkShuffle(b *testing.B) {
 	const inputRecords = 4000
 	build := func() ([][2]string, int64) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ffmr/internal/spill"
 	"ffmr/internal/trace"
 )
 
@@ -258,7 +259,8 @@ func TestSpillMetricsReachTracer(t *testing.T) {
 }
 
 func TestWriteMapOnlyOutputModelsTaskTime(t *testing.T) {
-	c := newTestCluster(2, 2, 1024)
+	// 4-byte framed records on 8-byte blocks: two map tasks, [b a] and [c].
+	c := newTestCluster(2, 2, 8)
 	writeRecords(t, c, "in/0", [][2]string{{"b", "2"}, {"a", "1"}, {"c", "3"}})
 	job := &Job{
 		Name:         "maponly",
@@ -271,12 +273,33 @@ func TestWriteMapOnlyOutputModelsTaskTime(t *testing.T) {
 			})
 		},
 	}
-	sh := &shuffleData{mem: [][]kvRec{
-		{{key: []byte("b"), value: []byte("2")}, {key: []byte("a"), value: []byte("1")}},
-		{{key: []byte("c"), value: []byte("3")}},
-	}}
-	res := &Result{}
-	durs, fetch, err := c.writeMapOnlyOutput(job, sh, res)
+	res, err := c.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts := c.FS.List("mo-out/"); res.MapTasks != 2 || len(parts) != 2 {
+		t.Fatalf("%d map tasks wrote %d output partitions, want 2 and 2", res.MapTasks, len(parts))
+	}
+	if res.ReduceOutputRecords != 3 {
+		t.Errorf("output records = %d, want 3", res.ReduceOutputRecords)
+	}
+	if res.ShuffleBytes != 0 || res.ReduceTasks != 0 {
+		t.Errorf("map-only job shuffled %d bytes over %d reduce tasks, want 0 and 0",
+			res.ShuffleBytes, res.ReduceTasks)
+	}
+	// Run folds the write durations into SimTime; read them where Run
+	// does, as the output-writing phase hands them to the cost model.
+	splits, _, err := c.PlanSplits("in/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := spill.NewMemRunStore()
+	env := &TaskEnv{Job: job.Name, NewMapper: job.NewMapper, Store: store, ReadFile: c.FS.ReadFile}
+	mapOut, _, err := c.runMapPhase(job, env, splits, NewCounters(), &Result{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	durs, fetch, err := c.runReducePhase(job, env, mapOut, NewCounters(), &Result{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +313,6 @@ func TestWriteMapOnlyOutputModelsTaskTime(t *testing.T) {
 		if fetch[i] != 0 {
 			t.Errorf("task %d fetch = %d, want 0 (map-only jobs shuffle nothing)", i, fetch[i])
 		}
-	}
-	if res.ReduceOutputRecords != 3 {
-		t.Errorf("output records = %d, want 3", res.ReduceOutputRecords)
 	}
 
 	// End to end: the simulated time of a map-only job must charge the

@@ -40,7 +40,7 @@ func (g *gate) fakeJob(tenant, label string, priority int, seq uint64) *job {
 	}
 }
 
-func (g *gate) release()   { g.releases <- struct{}{} }
+func (g *gate) release() { g.releases <- struct{}{} }
 func (g *gate) dispatched() []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()

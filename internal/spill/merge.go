@@ -8,18 +8,32 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"ffmr/internal/trace"
 )
 
-// segmentWriter streams framed records into one store object through an
-// optional DEFLATE stage, tracking raw and stored byte counts.
+// segFlushBytes is how many framed bytes a segmentWriter gathers before
+// it writes them to the store object. The bound is fixed, not the
+// segment's size, so a merged segment larger than any memory budget
+// still streams out in pieces.
+const segFlushBytes = 64 << 10
+
+// frameBufPool recycles segmentWriter frame buffers across segments,
+// tasks and merge passes.
+var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// segmentWriter frames records into one store object through an
+// optional DEFLATE stage, tracking raw and stored byte counts. Frames
+// gather in a pooled buffer and reach the object in writes of about
+// segFlushBytes, so a small segment is written exactly once.
 type segmentWriter struct {
 	store RunStore
 	obj   io.WriteCloser
-	cw    *countWriter
+	top   io.Writer // fw when compressing, else cw
+	cw    countWriter
 	fw    *flate.Writer
-	bw    *bufio.Writer
+	buf   *[]byte
 	seg   Segment
 }
 
@@ -43,40 +57,62 @@ func newSegmentWriter(store RunStore, name string, partition, node int, compress
 	sw := &segmentWriter{
 		store: store,
 		obj:   obj,
-		cw:    &countWriter{w: obj},
+		cw:    countWriter{w: obj},
 		seg:   Segment{Name: name, Partition: partition, Node: node, Compressed: compress},
 	}
-	var top io.Writer = sw.cw
+	sw.top = &sw.cw
 	if compress {
-		fw, err := flate.NewWriter(sw.cw, flate.BestSpeed)
+		fw, err := flate.NewWriter(&sw.cw, flate.BestSpeed)
 		if err != nil {
 			obj.Close()
 			return nil, fmt.Errorf("spill: %w", err)
 		}
 		sw.fw = fw
-		top = fw
+		sw.top = fw
 	}
-	sw.bw = bufio.NewWriter(top)
+	sw.buf = frameBufPool.Get().(*[]byte)
 	return sw, nil
 }
 
-// append frames one record onto the segment. scratch is a reusable
-// encode buffer owned by the caller.
-func (sw *segmentWriter) append(key, value []byte, scratch *[]byte) error {
-	*scratch = AppendFrame((*scratch)[:0], key, value)
-	if _, err := sw.bw.Write(*scratch); err != nil {
+// append frames one record onto the segment.
+func (sw *segmentWriter) append(key, value []byte) error {
+	before := len(*sw.buf)
+	*sw.buf = AppendFrame(*sw.buf, key, value)
+	sw.seg.Records++
+	sw.seg.RawBytes += int64(len(*sw.buf) - before)
+	if len(*sw.buf) >= segFlushBytes {
+		return sw.flush()
+	}
+	return nil
+}
+
+// flush writes the gathered frames to the object.
+func (sw *segmentWriter) flush() error {
+	_, err := sw.top.Write(*sw.buf)
+	*sw.buf = (*sw.buf)[:0]
+	if err != nil {
 		return fmt.Errorf("spill: write segment %q: %w", sw.seg.Name, err)
 	}
-	sw.seg.Records++
-	sw.seg.RawBytes += int64(len(*scratch))
 	return nil
+}
+
+// release returns the frame buffer to the pool, unless one oversize
+// record grew it far past the flush threshold.
+func (sw *segmentWriter) release() {
+	if cap(*sw.buf) <= 4*segFlushBytes {
+		*sw.buf = (*sw.buf)[:0]
+		frameBufPool.Put(sw.buf)
+	}
+	sw.buf = nil
 }
 
 // close flushes all stages and returns the finished segment metadata.
 func (sw *segmentWriter) close() (Segment, error) {
-	if err := sw.bw.Flush(); err != nil {
+	err := sw.flush()
+	sw.release()
+	if err != nil {
 		sw.obj.Close()
-		return Segment{}, fmt.Errorf("spill: flush segment %q: %w", sw.seg.Name, err)
+		return Segment{}, err
 	}
 	if sw.fw != nil {
 		if err := sw.fw.Close(); err != nil {
@@ -93,19 +129,24 @@ func (sw *segmentWriter) close() (Segment, error) {
 
 // abort closes the underlying object without finishing the segment.
 func (sw *segmentWriter) abort() {
+	sw.release()
 	sw.obj.Close()
 	sw.store.Remove(sw.seg.Name)
 }
 
 // segStream reads one segment's sorted records, holding the head record
-// for the merge heap.
+// for the merge heap. A segment whose opened object can hand over its
+// bytes (MemRunStore's) and is not compressed is parsed in place: keys
+// and values alias the stored bytes and nothing is allocated per record.
+// Any other segment streams through bufio and copies each record out.
 type segStream struct {
 	rc    io.ReadCloser
-	fr    io.ReadCloser // flate stage, nil when uncompressed
-	br    *bufio.Reader
+	data  []byte        // in-place form: the whole stored object
+	off   int           // in-place form: offset of the next frame
+	fr    io.ReadCloser // streamed form: flate stage, nil when uncompressed
+	br    *bufio.Reader // streamed form; nil selects the in-place form
 	key   []byte
 	value []byte
-	done  bool
 	order int // stream index, tie-break for determinism
 }
 
@@ -115,10 +156,13 @@ func openSegStream(store RunStore, seg Segment, order int) (*segStream, error) {
 		return nil, err
 	}
 	st := &segStream{rc: rc, order: order}
-	if seg.Compressed {
+	switch b, inPlace := rc.(interface{ Bytes() []byte }); {
+	case seg.Compressed:
 		st.fr = flate.NewReader(bufio.NewReader(rc))
 		st.br = bufio.NewReader(st.fr)
-	} else {
+	case inPlace:
+		st.data = b.Bytes()
+	default:
 		st.br = bufio.NewReader(rc)
 	}
 	return st, nil
@@ -127,9 +171,18 @@ func openSegStream(store RunStore, seg Segment, order int) (*segStream, error) {
 // advance loads the next record into the stream head. ok is false at
 // end of segment.
 func (st *segStream) advance() (ok bool, err error) {
+	if st.br == nil {
+		if st.off >= len(st.data) {
+			return false, nil
+		}
+		st.key, st.value, st.off, err = ReadFrame(st.data, st.off)
+		if err != nil {
+			return false, fmt.Errorf("spill: read segment: %w", err)
+		}
+		return true, nil
+	}
 	key, value, err := ReadStreamFrame(st.br)
 	if err == io.EOF {
-		st.done = true
 		return false, nil
 	}
 	if err != nil {
@@ -203,8 +256,6 @@ type Iterator struct {
 	store RunStore
 	h     mergeHeap
 	tmp   []string
-	key   []byte
-	value []byte
 }
 
 // Merge prepares a sorted stream over segs (each internally sorted).
@@ -292,7 +343,6 @@ func mergePass(store RunStore, batch []Segment, name string, opts MergeOptions) 
 	if err != nil {
 		return Segment{}, err
 	}
-	var scratch []byte
 	for {
 		key, value, ok, err := sub.Next()
 		if err != nil {
@@ -302,7 +352,7 @@ func mergePass(store RunStore, batch []Segment, name string, opts MergeOptions) 
 		if !ok {
 			break
 		}
-		if err := sw.append(key, value, &scratch); err != nil {
+		if err := sw.append(key, value); err != nil {
 			sw.abort()
 			return Segment{}, err
 		}
@@ -318,8 +368,8 @@ func mergePass(store RunStore, batch []Segment, name string, opts MergeOptions) 
 }
 
 // Next returns the next record in (key, value) order. The returned
-// slices remain valid after subsequent calls. ok is false when the
-// stream is exhausted.
+// slices remain valid after subsequent calls and are read-only: they may
+// alias a stored object. ok is false when the stream is exhausted.
 func (it *Iterator) Next() (key, value []byte, ok bool, err error) {
 	if len(it.h) == 0 {
 		return nil, nil, false, nil

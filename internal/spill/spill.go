@@ -1,5 +1,7 @@
-// Package spill is the out-of-core shuffle subsystem: Hadoop's external
-// sort/merge, scaled down to this repo's emulated MapReduce runtime.
+// Package spill is the shuffle subsystem: Hadoop's external sort/merge,
+// scaled down to this repo's emulated MapReduce runtime. Every job's
+// records cross from map to reduce through it; a job without a memory
+// budget is the case where each buffer is written once, to a MemRunStore.
 //
 // A map task emits into a Writer with a bounded memory budget. When the
 // buffered framed bytes reach the budget, the buffer is sorted per
@@ -41,7 +43,7 @@ type Segment struct {
 	// Records is the number of framed records in the segment.
 	Records int64
 	// RawBytes is the framed (uncompressed) payload size — the bytes the
-	// shuffle accounts for, matching the in-memory path's framedSize sums.
+	// shuffle accounts for.
 	RawBytes int64
 	// StoredBytes is the size in the store (smaller when compressed).
 	StoredBytes int64
@@ -184,7 +186,6 @@ type Writer struct {
 	out      Output
 	err      error
 	closed   bool
-	scratch  []byte
 }
 
 // NewWriter creates a Writer for one map task attempt.
@@ -262,7 +263,7 @@ func (w *Writer) spill() error {
 			recs = combined
 		}
 		name := fmt.Sprintf("%sspill-%05d/p-%05d", w.cfg.NamePrefix, idx, p)
-		seg, err := writeSegment(w.cfg.Store, name, p, w.cfg.Node, w.cfg.Compress, recs, &w.scratch)
+		seg, err := writeSegment(w.cfg.Store, name, p, w.cfg.Node, w.cfg.Compress, recs)
 		if err != nil {
 			sp.End()
 			return w.fail(err)
@@ -353,13 +354,13 @@ func (w *Writer) Abort() {
 
 // writeSegment encodes sorted records as one framed (optionally
 // compressed) store object and returns its metadata.
-func writeSegment(store RunStore, name string, partition, node int, compress bool, recs []rec, scratch *[]byte) (Segment, error) {
+func writeSegment(store RunStore, name string, partition, node int, compress bool, recs []rec) (Segment, error) {
 	sw, err := newSegmentWriter(store, name, partition, node, compress)
 	if err != nil {
 		return Segment{}, err
 	}
 	for i := range recs {
-		if err := sw.append(recs[i].key, recs[i].value, scratch); err != nil {
+		if err := sw.append(recs[i].key, recs[i].value); err != nil {
 			sw.abort()
 			return Segment{}, err
 		}

@@ -3,6 +3,7 @@ package spill
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
 	"testing"
 )
@@ -418,4 +419,107 @@ func TestArenaIsolatesRecords(t *testing.T) {
 		t.Fatalf("oversize copyIn returned %d bytes", len(big))
 	}
 	a.reset()
+}
+
+// streamOnlyStore hides the Bytes method of MemRunStore's reader, so a
+// merge over it takes the streamed form of segStream.
+type streamOnlyStore struct{ *MemRunStore }
+
+func (s streamOnlyStore) Open(name string) (io.ReadCloser, error) {
+	rc, err := s.MemRunStore.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return io.NopCloser(rc), nil
+}
+
+// TestInPlaceStreamMatchesStreamed reads the same uncompressed segments
+// once parsed in place and once streamed through bufio. The records are
+// large enough that the segment writer flushes several times per segment.
+func TestInPlaceStreamMatchesStreamed(t *testing.T) {
+	store := NewMemRunStore()
+	var recs [][2][]byte
+	for i := 0; i < 400; i++ {
+		recs = append(recs, [2][]byte{
+			[]byte(fmt.Sprintf("key-%03d", i%41)),
+			bytes.Repeat([]byte{byte('a' + i%26)}, 1+i*7%1500),
+		})
+	}
+	recs = append(recs, [2][]byte{[]byte("empty-value"), nil}, [2][]byte{nil, []byte("empty-key")})
+	w, err := NewWriter(Config{Partitions: 1, MemoryBudget: 200 << 10, Store: store, NamePrefix: "t/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Add(0, r[0], r[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Spills < 2 || out.RawBytes < 3*segFlushBytes {
+		t.Fatalf("%d spills of %d bytes: want several segments larger than the flush threshold", out.Spills, out.RawBytes)
+	}
+	for _, c := range []struct {
+		store   RunStore
+		inPlace bool
+	}{{store, true}, {streamOnlyStore{store}, false}} {
+		st, err := openSegStream(c.store, out.Parts[0][0], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.br == nil; got != c.inPlace {
+			t.Errorf("%T: stream parses in place = %v, want %v", c.store, got, c.inPlace)
+		}
+		st.close()
+	}
+	read := func(s RunStore) [][2][]byte {
+		it, _, err := Merge(s, out.Parts[0], MergeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		return drain(t, it)
+	}
+	inPlace, streamed := read(store), read(streamOnlyStore{store})
+	if !equalRecs(inPlace, streamed) {
+		t.Error("in-place and streamed reads of the same segments differ")
+	}
+	if !equalRecs(inPlace, sortedCopy(recs)) {
+		t.Error("merged stream does not equal the sorted input record set")
+	}
+}
+
+// TestCorruptMemObjectIsAnError damages a stored segment in ways the
+// in-place parser must report rather than index past: a cut mid-frame, a
+// length that promises more bytes than remain, and a varint that never
+// terminates.
+func TestCorruptMemObjectIsAnError(t *testing.T) {
+	for name, damage := range map[string]func(obj []byte) []byte{
+		"truncated":       func(obj []byte) []byte { return obj[:len(obj)-3] },
+		"overlong length": func(obj []byte) []byte { return append(obj, 0x7f, 'x') },
+		"endless varint":  func(obj []byte) []byte { return append(obj, bytes.Repeat([]byte{0xff}, 12)...) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := NewMemRunStore()
+			_, out, _ := runSpillMerge(t, store, 1<<30, 4, false, testRecords(20))
+			seg := out.Parts[0][0]
+			store.mu.Lock()
+			store.objs[seg.Name] = damage(append([]byte(nil), store.objs[seg.Name]...))
+			store.mu.Unlock()
+
+			it, _, err := Merge(store, out.Parts[0], MergeOptions{})
+			for err == nil {
+				var ok bool
+				if _, _, ok, err = it.Next(); !ok && err == nil {
+					t.Fatal("damaged segment read to its end without an error")
+				}
+			}
+			if it != nil {
+				it.Close()
+			}
+		})
+	}
 }

@@ -56,19 +56,23 @@ func NewMemRunStore() *MemRunStore {
 	return &MemRunStore{objs: make(map[string][]byte)}
 }
 
-// memWriter buffers writes and commits the object on Close.
+// memWriter gathers an object's bytes and hands its slice to the store
+// on Close, uncopied.
 type memWriter struct {
-	buf   bytes.Buffer
+	data  []byte
 	store *MemRunStore
 	name  string
 }
 
-func (w *memWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
+func (w *memWriter) Write(p []byte) (int, error) {
+	w.data = append(w.data, p...)
+	return len(p), nil
+}
 
 func (w *memWriter) Close() error {
 	w.store.mu.Lock()
-	defer w.store.mu.Unlock()
-	w.store.objs[w.name] = append([]byte(nil), w.buf.Bytes()...)
+	w.store.objs[w.name] = w.data
+	w.store.mu.Unlock()
 	return nil
 }
 
@@ -80,6 +84,17 @@ func (s *MemRunStore) Create(name string) (io.WriteCloser, error) {
 	return &memWriter{store: s, name: name}, nil
 }
 
+// memReader streams a stored object. Bytes hands the whole object over
+// instead, which lets the merge parse frames in place; stored objects
+// are immutable, so callers must treat the slice as read-only.
+type memReader struct {
+	bytes.Reader
+	data []byte
+}
+
+func (r *memReader) Bytes() []byte { return r.data }
+func (r *memReader) Close() error  { return nil }
+
 // Open implements RunStore.
 func (s *MemRunStore) Open(name string) (io.ReadCloser, error) {
 	s.mu.Lock()
@@ -88,7 +103,9 @@ func (s *MemRunStore) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("spill: run %q does not exist", name)
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	r := &memReader{data: data}
+	r.Reset(data)
+	return r, nil
 }
 
 // Has implements RunStore.

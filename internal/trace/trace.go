@@ -91,7 +91,6 @@ const (
 	CounterSpills       = "spills"
 	CounterSpilledBytes = "spilled bytes"
 	CounterMergePasses  = "merge passes"
-	CounterMergeSegs    = "merge segments"
 	GaugeMergeFanIn     = "merge fan-in"
 )
 
