@@ -6,8 +6,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ffmr/internal/graph"
@@ -19,16 +21,20 @@ import (
 // accepted paths this round, and rejects any path whose acceptance would
 // violate a capacity constraint given those grants.
 //
-// The zero value is an empty accumulator ready for use.
+// The zero value is an empty accumulator ready for use. An accumulator
+// keeps its grant table and Feasible's scratch across Reset, so one that
+// is reset and refilled per reduce group stops allocating.
 type Accumulator struct {
 	pending map[graph.EdgeID]int64
+	// uses is Feasible's scratch: the hops of the path under test, ordered
+	// by edge ID so that the uses of one edge are adjacent.
+	uses []edgeUse
 }
 
-func (a *Accumulator) grant(id graph.EdgeID) int64 {
-	if a.pending == nil {
-		return 0
-	}
-	return a.pending[id]
+// edgeUse names one hop of a path by the edge it traverses.
+type edgeUse struct {
+	id  graph.EdgeID
+	hop int32
 }
 
 // Feasible returns the largest flow delta that could be pushed along p
@@ -40,36 +46,49 @@ func (a *Accumulator) Feasible(p *graph.ExcessPath) int64 {
 	if len(p.Edges) == 0 {
 		return 0
 	}
-	// Net canonical usage per edge within this path.
-	netUse := make(map[graph.EdgeID]int64, len(p.Edges))
+	uses := slices.Grow(a.uses[:0], len(p.Edges))
 	for i := range p.Edges {
-		if p.Edges[i].Fwd {
-			netUse[p.Edges[i].ID]++
-		} else {
-			netUse[p.Edges[i].ID]--
-		}
+		uses = append(uses, edgeUse{id: p.Edges[i].ID, hop: int32(i)})
 	}
+	a.uses = uses
+	slices.SortFunc(uses, func(x, y edgeUse) int { return cmp.Compare(x.id, y.id) })
+
 	best := graph.CapInf
-	for i := range p.Edges {
-		pe := &p.Edges[i]
-		sign := int64(1)
-		if !pe.Fwd {
-			sign = -1
+	for lo := 0; lo < len(uses); {
+		id := uses[lo].id
+		// Net canonical usage of this edge within the path.
+		var net int64
+		hi := lo
+		for ; hi < len(uses) && uses[hi].id == id; hi++ {
+			if p.Edges[uses[hi].hop].Fwd {
+				net++
+			} else {
+				net--
+			}
 		}
-		// slack: residual in the traversal direction after previously
-		// granted deltas. m: how much one unit of flow along the whole
-		// path consumes of this hop's directional capacity.
-		slack := pe.Cap - pe.Flow - sign*a.grant(pe.ID)
-		m := sign * netUse[pe.ID]
-		if m <= 0 {
-			continue // net flow runs the other way; this hop only gains slack
+		granted := a.pending[id]
+		for _, u := range uses[lo:hi] {
+			pe := &p.Edges[u.hop]
+			sign := int64(1)
+			if !pe.Fwd {
+				sign = -1
+			}
+			// m: how much one unit of flow along the whole path consumes of
+			// this hop's directional capacity. slack: residual in the
+			// traversal direction after previously granted deltas.
+			m := sign * net
+			if m <= 0 {
+				continue // net flow runs the other way; this hop only gains slack
+			}
+			slack := pe.Cap - pe.Flow - sign*granted
+			if slack <= 0 {
+				return 0
+			}
+			if d := slack / m; d < best {
+				best = d
+			}
 		}
-		if slack <= 0 {
-			return 0
-		}
-		if d := slack / m; d < best {
-			best = d
-		}
+		lo = hi
 	}
 	if best <= 0 {
 		return 0
@@ -119,7 +138,9 @@ func (a *Accumulator) Deltas() map[graph.EdgeID]int64 {
 }
 
 // Reset clears all grants.
-func (a *Accumulator) Reset() { a.pending = nil }
+func (a *Accumulator) Reset() {
+	clear(a.pending)
+}
 
 // EncodeDeltas serializes an AugmentedEdges table deterministically
 // (sorted by edge ID) for distribution as a DFS side file, as the paper

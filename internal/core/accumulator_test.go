@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"ffmr/internal/graph"
@@ -113,6 +114,67 @@ func TestAccumulatorNonSimplePathBothDirections(t *testing.T) {
 	// saturated hop has m = sign*net = 0, so it imposes no constraint.
 	if d := a.Feasible(&p); d != 2 {
 		t.Fatalf("net-zero edge constrained the walk: delta = %d, want 2", d)
+	}
+}
+
+// feasibleByMap is Feasible as first written, with a per-call map of net
+// uses: the reference the scratch-based version is held to.
+func feasibleByMap(a *Accumulator, p *graph.ExcessPath) int64 {
+	if len(p.Edges) == 0 {
+		return 0
+	}
+	netUse := make(map[graph.EdgeID]int64, len(p.Edges))
+	for i := range p.Edges {
+		if p.Edges[i].Fwd {
+			netUse[p.Edges[i].ID]++
+		} else {
+			netUse[p.Edges[i].ID]--
+		}
+	}
+	best := graph.CapInf
+	for i := range p.Edges {
+		pe := &p.Edges[i]
+		sign := int64(1)
+		if !pe.Fwd {
+			sign = -1
+		}
+		slack := pe.Cap - pe.Flow - sign*a.pending[pe.ID]
+		m := sign * netUse[pe.ID]
+		if m <= 0 {
+			continue
+		}
+		if slack <= 0 {
+			return 0
+		}
+		if d := slack / m; d < best {
+			best = d
+		}
+	}
+	if best <= 0 {
+		return 0
+	}
+	return best
+}
+
+func TestFeasibleMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var acc Accumulator
+	for trial := 0; trial < 5000; trial++ {
+		if trial%50 == 0 {
+			acc.Reset()
+		}
+		var p graph.ExcessPath
+		for n := 1 + rng.Intn(24); n > 0; n-- {
+			// Few distinct edges, so paths repeat them in both directions.
+			p.Edges = append(p.Edges, graph.PathEdge{
+				ID: graph.EdgeID(rng.Intn(12)), Cap: int64(rng.Intn(6)), Flow: int64(rng.Intn(4)) - 1, Fwd: rng.Intn(2) == 0,
+			})
+		}
+		want := feasibleByMap(&acc, &p)
+		if got := acc.Feasible(&p); got != want {
+			t.Fatalf("trial %d: Feasible = %d, reference says %d, path %+v", trial, got, want, p.Edges)
+		}
+		acc.Accept(&p, 1+int64(rng.Intn(3)))
 	}
 }
 

@@ -565,21 +565,42 @@ func DialAugProc(addr string) (*AugProcClient, error) {
 	return &AugProcClient{c: c}, nil
 }
 
+// submitBuf is one Submit call's request: the envelope and the one buffer
+// all of the batch's paths are encoded into (Paths are slices of it).
+type submitBuf struct {
+	args SubmitArgs
+	enc  []byte
+}
+
+// submitPool recycles requests across Submit calls and clients. Call has
+// written the request to the connection by the time it returns, so nothing
+// references a request that goes back to the pool.
+var submitPool = sync.Pool{New: func() any { return new(submitBuf) }}
+
 // Submit sends candidate augmenting paths to aug_proc, tagged with the
 // round, the submitting reduce task and its execution id
 // (TaskContext.Exec). The round tag lets the server drop submissions
-// from executions orphaned in an earlier round.
+// from executions orphaned in an earlier round. The paths are encoded
+// before Submit returns; the caller may reuse them.
 func (c *AugProcClient) Submit(round, task, exec int, paths []graph.ExcessPath) error {
 	if len(paths) == 0 {
 		return nil
 	}
-	args := &SubmitArgs{Round: round, Task: task, Exec: exec, Paths: make([][]byte, len(paths))}
+	sb := submitPool.Get().(*submitBuf)
+	defer submitPool.Put(sb)
+	args, enc := &sb.args, sb.enc[:0]
+	*args = SubmitArgs{Round: round, Task: task, Exec: exec, Paths: args.Paths[:0]}
 	if ctx := c.ctx.Load(); ctx != nil {
 		args.Ctx = *ctx
 	}
 	for i := range paths {
-		args.Paths[i] = graph.EncodePath(&paths[i])
+		// A path encoded before enc had to grow stays behind in the old
+		// array, which its Paths entry keeps alive and valid.
+		start := len(enc)
+		enc = graph.AppendPath(enc, &paths[i])
+		args.Paths = append(args.Paths, enc[start:len(enc):len(enc)])
 	}
+	sb.enc = enc
 	return c.c.Call("AugProc.Submit", args, &SubmitReply{})
 }
 

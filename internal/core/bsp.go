@@ -210,14 +210,16 @@ func (p *bspProgram) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][
 
 	// Candidate generation from the post-merge state (FF2 semantics).
 	if !isSink {
-		generateCandidates(val, func(cand graph.ExcessPath) {
-			ctx.Collect(graph.EncodePath(&cand))
-		})
+		var local Accumulator
+		cands := generateCandidates(val, nil, &local)
+		for i := range cands {
+			ctx.Collect(graph.EncodePath(&cands[i]))
+		}
 	}
 
 	// Extension with FF5 sent-flag suppression.
 	extcfg := extendConfig{source: p.source, sink: p.sink, sentTracking: p.sentTracking}
-	extendVertex(v.ID, val, &extcfg, func(f fragment) {
+	extendVertex(v.ID, val, &extcfg, new(fragment), func(f *fragment) {
 		ctx.SendTo(f.To, graph.EncodeValue(&f.Value))
 	})
 

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ffmr/internal/dfs"
 	"ffmr/internal/graph"
@@ -99,10 +100,26 @@ func WriteInput(fs *dfs.FS, prefix string, in *graph.Input, chunks int) ([]strin
 
 // convertMapper emits, for each raw edge record, one half-edge fragment
 // to each endpoint. The record key (the edge's position in the input
-// list) becomes the EdgeID and the U->V orientation is canonical.
-type convertMapper struct{}
+// list) becomes the EdgeID and the U->V orientation is canonical. Both
+// fragments are built and encoded in buffers the mapper keeps for the
+// whole task.
+type convertMapper struct {
+	frag     graph.VertexValue
+	key, buf []byte
+}
 
-func (convertMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
+func newConvertMapper() mapreduce.Mapper {
+	return &convertMapper{frag: graph.VertexValue{Eu: make([]graph.Edge, 1)}}
+}
+
+func (m *convertMapper) emit(ctx *mapreduce.TaskContext, to graph.VertexID, half graph.Edge) {
+	m.frag.Eu[0] = half
+	m.key = graph.AppendKey(m.key[:0], to)
+	m.buf = graph.AppendValue(m.buf[:0], &m.frag)
+	ctx.Emit(m.key, m.buf)
+}
+
+func (m *convertMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
 	idx, err := graph.DecodeKey(key)
 	if err != nil {
 		return err
@@ -116,25 +133,23 @@ func (convertMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
 		revCap = 0
 	}
 	id := graph.EdgeID(idx)
-
-	frag := graph.VertexValue{Eu: []graph.Edge{{
-		To: e.V, ID: id, Cap: e.Cap, RevCap: revCap, Fwd: true,
-	}}}
-	ctx.Emit(graph.KeyBytes(e.U), graph.EncodeValue(&frag))
-
-	frag.Eu[0] = graph.Edge{To: e.U, ID: id, Cap: revCap, RevCap: e.Cap, Fwd: false}
-	ctx.Emit(graph.KeyBytes(e.V), graph.EncodeValue(&frag))
+	m.emit(ctx, e.U, graph.Edge{To: e.V, ID: id, Cap: e.Cap, RevCap: revCap, Fwd: true})
+	m.emit(ctx, e.V, graph.Edge{To: e.U, ID: id, Cap: revCap, RevCap: e.Cap, Fwd: false})
 	return nil
 }
 
 // convertReducer assembles each vertex's adjacency list and seeds the
 // excess paths: the source starts with one (empty) source excess path and
 // the sink with one (empty) sink excess path, the starting points of the
-// bi-directional search.
+// bi-directional search. out, frag and buf are reused from vertex to
+// vertex.
 type convertReducer struct {
 	source, sink  graph.VertexID
 	bidirectional bool
 	sentTracking  bool
+
+	out, frag graph.VertexValue
+	buf       []byte
 }
 
 func (r *convertReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, values *mapreduce.Values) error {
@@ -142,37 +157,38 @@ func (r *convertReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, 
 	if err != nil {
 		return err
 	}
-	var out graph.VertexValue
-	var frag graph.VertexValue
+	out := &r.out
+	out.Reset()
 	for {
 		vb := values.Next()
 		if vb == nil {
 			break
 		}
-		frag.Reset()
-		if err := graph.DecodeValueInto(vb, &frag); err != nil {
+		if err := graph.DecodeValueInto(vb, &r.frag); err != nil {
 			return err
 		}
-		out.Eu = append(out.Eu, frag.Eu...)
+		out.Eu = append(out.Eu, r.frag.Eu...)
 	}
-	sort.Slice(out.Eu, func(i, j int) bool {
-		if out.Eu[i].To != out.Eu[j].To {
-			return out.Eu[i].To < out.Eu[j].To
+	slices.SortFunc(out.Eu, func(a, b graph.Edge) int {
+		if a.To != b.To {
+			return cmp.Compare(a.To, b.To)
 		}
-		return out.Eu[i].ID < out.Eu[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	if u == r.source {
-		out.Su = []graph.ExcessPath{{}}
+		out.Su, _ = graph.NextSlot(out.Su)
 	}
 	if u == r.sink && r.bidirectional {
-		out.Tu = []graph.ExcessPath{{}}
+		out.Tu, _ = graph.NextSlot(out.Tu)
 	}
 	if r.sentTracking {
-		out.SentS = make([]uint64, len(out.Eu))
-		out.SentT = make([]uint64, len(out.Eu))
+		// Zeroed sent flags, one per edge.
+		out.SentS = append(out.SentS, make([]uint64, len(out.Eu))...)
+		out.SentT = append(out.SentT, make([]uint64, len(out.Eu))...)
 	}
 	ctx.Inc("vertices", 1)
 	ctx.Inc("half edges", int64(len(out.Eu)))
-	ctx.Emit(key, graph.EncodeValue(&out))
+	r.buf = graph.AppendValue(r.buf[:0], out)
+	ctx.Emit(key, r.buf)
 	return nil
 }

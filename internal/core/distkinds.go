@@ -81,7 +81,7 @@ func init() {
 			return nil, err
 		}
 		return &distmr.JobCode{
-			NewMapper: func() mapreduce.Mapper { return convertMapper{} },
+			NewMapper: newConvertMapper,
 			NewReducer: func() mapreduce.Reducer {
 				return &convertReducer{
 					source:        p.Source,

@@ -180,7 +180,7 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 			OutputPrefix: roundPrefix(prefix, 0),
 			NumReducers:  opts.Reducers,
 			Parent:       round0Span,
-			NewMapper:    func() mapreduce.Mapper { return convertMapper{} },
+			NewMapper:    newConvertMapper,
 			NewReducer: func() mapreduce.Reducer {
 				return &convertReducer{
 					source:        in.Source,

@@ -30,6 +30,10 @@ func (c *runConfig) pathLimit(v *graph.VertexValue) int {
 	return c.opts.K
 }
 
+func (c *runConfig) extendConfig() extendConfig {
+	return extendConfig{source: c.source, sink: c.sink, sentTracking: c.feat.sentTracking}
+}
+
 // ff1Sink receives the FF1 sink reducer's acceptance outcome. The
 // simulated engine hands the reducer the driver's collector directly; on
 // the distributed backend the worker holds an RPC connection to the
@@ -37,6 +41,13 @@ func (c *runConfig) pathLimit(v *graph.VertexValue) int {
 // reducer code is backend agnostic.
 type ff1Sink interface {
 	add(deltas map[graph.EdgeID]int64, st AugProcStats) error
+}
+
+// candidateSink receives the candidate augmenting paths an FF2+ reducer
+// generates. *AugProcClient is the one production implementation; it has
+// encoded the paths by the time Submit returns.
+type candidateSink interface {
+	Submit(round, task, exec int, paths []graph.ExcessPath) error
 }
 
 // ff1Collector stands in for aug_proc in FF1: the sink vertex's reducer
@@ -90,25 +101,55 @@ func (dc *deltaCache) get(ctx *mapreduce.TaskContext, file string) (map[graph.Ed
 	return m, nil
 }
 
+// FF4 (Section IV-C) eliminates object instantiations: a mapper or reducer
+// builds every record in scratch it owns and keeps for the whole task, so
+// that after the first few records nothing on the path from the bytes of
+// a shuffle group to the bytes of the reduce output allocates. There is
+// one MAP body and one REDUCE body for all variants; feat.reuseObjects only
+// decides whether the scratch survives from one record to the next. The
+// earlier variants drop it after every use and so keep allocating a fresh
+// value, path and buffer per record, which is the churn FF4 removes.
+//
+// Nothing in the scratch is referenced by what a call leaves behind:
+// TaskContext.Emit and AugProcClient.Submit copy the bytes they are given
+// before returning. Inside the scratch every path slot owns its Edges
+// array exclusively (graph.NextSlot, removeSaturated), so filling one
+// slot can never disturb a path held in another.
+
 // ffMapper implements the MAP function of Fig. 3 for all variants.
 type ffMapper struct {
-	cfg *runConfig
-	dc  deltaCache
+	cfg    *runConfig
+	extcfg extendConfig
+	dc     deltaCache
+	s      mapScratch
+}
 
-	// Reused buffers (FF4, Section IV-C). For earlier variants these are
-	// left nil and fresh objects are allocated per record, reproducing
-	// the allocation churn FF4 eliminates.
-	val *graph.VertexValue
-	buf []byte
+// mapScratch is what Map builds one record's emissions in.
+type mapScratch struct {
+	val   graph.VertexValue  // the decoded master record
+	frag  fragment           // the fragment being emitted
+	cands []graph.ExcessPath // FF1: candidate augmenting paths
+	local Accumulator        // FF1: generateCandidates' filter
+	key   []byte             // encoded destination key
+	buf   []byte             // encoded value
 }
 
 func newFFMapper(cfg *runConfig) mapreduce.Mapper {
-	m := &ffMapper{cfg: cfg}
-	if cfg.feat.reuseObjects {
-		m.val = new(graph.VertexValue)
-		m.buf = make([]byte, 0, 256)
+	return &ffMapper{cfg: cfg, extcfg: cfg.extendConfig()}
+}
+
+// emit encodes v and emits it to vertex to: into the scratch buffers, or
+// before FF4 into a fresh key, value and (for the next call) fragment.
+func (m *ffMapper) emit(ctx *mapreduce.TaskContext, to graph.VertexID, v *graph.VertexValue) {
+	s := &m.s
+	if !m.cfg.feat.reuseObjects {
+		ctx.Emit(graph.KeyBytes(to), graph.EncodeValue(v))
+		s.frag = fragment{}
+		return
 	}
-	return m
+	s.key = graph.AppendKey(s.key[:0], to)
+	s.buf = graph.AppendValue(s.buf[:0], v)
+	ctx.Emit(s.key, s.buf)
 }
 
 func (m *ffMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
@@ -116,13 +157,11 @@ func (m *ffMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
 	if err != nil {
 		return err
 	}
-	var val *graph.VertexValue
-	if m.cfg.feat.reuseObjects {
-		m.val.Reset()
-		val = m.val
-	} else {
-		val = new(graph.VertexValue)
+	if !m.cfg.feat.reuseObjects {
+		m.s = mapScratch{}
 	}
+	s := &m.s
+	val := &s.val
 	if err := graph.DecodeValueInto(value, val); err != nil {
 		return err
 	}
@@ -138,59 +177,77 @@ func (m *ffMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
 	// Update All Edge Flows (MAP lines 1-4).
 	updateVertex(val, deltas)
 
-	encode := func(v *graph.VertexValue) []byte {
-		if m.cfg.feat.reuseObjects {
-			m.buf = graph.AppendValue(m.buf[:0], v)
-			return m.buf
-		}
-		return graph.EncodeValue(v)
-	}
-
 	// Generate Augmenting Paths (MAP lines 5-8). Only FF1 does this in
 	// the map phase; FF2+ moved generation into the previous reduce.
 	if !m.cfg.feat.augProc {
-		sinkKey := graph.KeyBytes(m.cfg.sink)
-		generateCandidates(val, func(cand graph.ExcessPath) {
-			frag := graph.VertexValue{Su: []graph.ExcessPath{cand}}
-			ctx.Emit(sinkKey, encode(&frag))
-		})
+		s.cands = generateCandidates(val, s.cands[:0], &s.local)
+		for i := range s.cands {
+			frag := graph.VertexValue{Su: s.cands[i : i+1]}
+			m.emit(ctx, m.cfg.sink, &frag)
+		}
 	}
 
 	// Extending Excess Paths (MAP lines 9-16).
-	extcfg := extendConfig{
-		source:       m.cfg.source,
-		sink:         m.cfg.sink,
-		sentTracking: m.cfg.feat.sentTracking,
-	}
-	extendVertex(u, val, &extcfg, func(f fragment) {
-		ctx.Emit(graph.KeyBytes(f.To), encode(&f.Value))
+	extendVertex(u, val, &m.extcfg, &s.frag, func(f *fragment) {
+		m.emit(ctx, f.To, &f.Value)
 	})
 
 	// Emit the master vertex (MAP line 17) — suppressed by the schimmy
 	// pattern from FF3 on.
 	if !m.cfg.feat.schimmy {
-		ctx.Emit(key, encode(val))
+		m.emit(ctx, u, val)
 	}
 	return nil
 }
 
 // ffReducer implements the REDUCE function of Fig. 4 for all variants.
 type ffReducer struct {
-	cfg *runConfig
-	dc  deltaCache
+	cfg    *runConfig
+	extcfg extendConfig
+	dc     deltaCache
+	s      reduceScratch
+}
 
-	out  *graph.VertexValue
-	frag *graph.VertexValue
-	buf  []byte
+// reduceScratch is what Reduce builds one group's output in. It grows to
+// the largest group of the task and no further.
+type reduceScratch struct {
+	// vals is the slab of decoded values, master and fragments alike: the
+	// i-th value of every group is decoded into vals[i].
+	vals []*graph.VertexValue
+	used int
+
+	out          graph.VertexValue // the merged record
+	seenS, seenT map[uint64]bool   // signatures of the paths kept in out
+	as, at       Accumulator       // conflict filters of out.Su and out.Tu
+	ap           Accumulator       // FF1: the sink's final acceptance
+	local        Accumulator       // generateCandidates' filter
+	cands        []graph.ExcessPath
+	buf          []byte // encoded out
+}
+
+// value returns the next free slot of the slab.
+func (s *reduceScratch) value() *graph.VertexValue {
+	if s.used == len(s.vals) {
+		s.vals = append(s.vals, new(graph.VertexValue))
+	}
+	s.used++
+	return s.vals[s.used-1]
+}
+
+// reset empties the scratch for the next group, keeping its storage.
+func (s *reduceScratch) reset() {
+	s.used = 0
+	s.out.Reset()
+	clear(s.seenS)
+	clear(s.seenT)
+	s.as.Reset()
+	s.at.Reset()
+	s.ap.Reset()
+	s.cands = s.cands[:0]
 }
 
 func newFFReducer(cfg *runConfig) mapreduce.Reducer {
-	r := &ffReducer{cfg: cfg, frag: new(graph.VertexValue)}
-	if cfg.feat.reuseObjects {
-		r.out = new(graph.VertexValue)
-		r.buf = make([]byte, 0, 256)
-	}
-	return r
+	return &ffReducer{cfg: cfg, extcfg: cfg.extendConfig()}
 }
 
 func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, values *mapreduce.Values) error {
@@ -200,25 +257,24 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 	}
 	isSink := u == r.cfg.sink
 
-	var out *graph.VertexValue
 	if r.cfg.feat.reuseObjects {
-		r.out.Reset()
-		out = r.out
+		r.s.reset()
 	} else {
-		out = new(graph.VertexValue)
+		r.s = reduceScratch{}
 	}
+	s := &r.s
+	out := &s.out
 
 	// Buffer the shuffled fragments. With schimmy the master arrives via
 	// the base partition; otherwise it is one of the shuffled values,
 	// distinguished by having edges (Fig. 4 line 4).
 	var masterVal *graph.VertexValue
-	var frags []*graph.VertexValue
 	for {
 		vb := values.Next()
 		if vb == nil {
 			break
 		}
-		v := new(graph.VertexValue)
+		v := s.value()
 		if err := graph.DecodeValueInto(vb, v); err != nil {
 			return err
 		}
@@ -227,16 +283,14 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 				return fmt.Errorf("core: vertex %d has two master records", u)
 			}
 			masterVal = v
-			continue
 		}
-		frags = append(frags, v)
 	}
 
 	if r.cfg.feat.schimmy {
 		if master == nil {
 			return fmt.Errorf("core: vertex %d missing from schimmy base", u)
 		}
-		masterVal = new(graph.VertexValue)
+		masterVal = s.value()
 		if err := graph.DecodeValueInto(master, masterVal); err != nil {
 			return err
 		}
@@ -250,12 +304,7 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 			return err
 		}
 		updateVertex(masterVal, deltas)
-		extcfg := extendConfig{
-			source:       r.cfg.source,
-			sink:         r.cfg.sink,
-			sentTracking: r.cfg.feat.sentTracking,
-		}
-		extendVertex(u, masterVal, &extcfg, nil)
+		extendVertex(u, masterVal, &r.extcfg, nil, nil)
 	}
 	if masterVal == nil {
 		return fmt.Errorf("core: vertex %d received fragments but no master record", u)
@@ -268,22 +317,29 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 	k := r.cfg.pathLimit(masterVal)
 	sm, tm := len(masterVal.Su), len(masterVal.Tu)
 
-	var as, at Accumulator
-	var ap Accumulator // FF1 sink-side final acceptance
-	seenS := make(map[uint64]bool, k)
-	seenT := make(map[uint64]bool, k)
-	var candidates []graph.ExcessPath
+	if s.seenS == nil {
+		s.seenS = make(map[uint64]bool, k)
+	}
+	if s.seenT == nil {
+		s.seenT = make(map[uint64]bool, k)
+	}
 	var ff1Stats AugProcStats
 
+	// keep appends a copy of p to paths in the next slot of their array.
+	keep := func(paths []graph.ExcessPath, p *graph.ExcessPath) []graph.ExcessPath {
+		paths, slot := graph.NextSlot(paths)
+		slot.Set(p)
+		return paths
+	}
 	mergeSource := func(se *graph.ExcessPath) {
 		if isSink {
 			// Fig. 4 line 6: at the sink every incoming source excess
 			// path is a candidate augmenting path.
 			if r.cfg.feat.augProc {
-				candidates = append(candidates, se.Clone())
+				s.cands = keep(s.cands, se)
 			} else {
 				ff1Stats.Submitted++
-				if d := ap.Accept(se, graph.CapInf); d > 0 {
+				if d := s.ap.Accept(se, graph.CapInf); d > 0 {
 					ff1Stats.Accepted++
 					ff1Stats.TotalDelta += d
 				}
@@ -291,23 +347,23 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 			return
 		}
 		sig := se.Signature()
-		if seenS[sig] || len(out.Su) >= k {
+		if s.seenS[sig] || len(out.Su) >= k {
 			return
 		}
 		// The empty seed path at the source must always survive.
-		if se.Len() == 0 || as.Accept(se, 1) > 0 {
-			seenS[sig] = true
-			out.Su = append(out.Su, se.Clone())
+		if se.Len() == 0 || s.as.Accept(se, 1) > 0 {
+			s.seenS[sig] = true
+			out.Su = keep(out.Su, se)
 		}
 	}
 	mergeSink := func(te *graph.ExcessPath) {
 		sig := te.Signature()
-		if seenT[sig] || len(out.Tu) >= k {
+		if s.seenT[sig] || len(out.Tu) >= k {
 			return
 		}
-		if te.Len() == 0 || at.Accept(te, 1) > 0 {
-			seenT[sig] = true
-			out.Tu = append(out.Tu, te.Clone())
+		if te.Len() == 0 || s.at.Accept(te, 1) > 0 {
+			s.seenT[sig] = true
+			out.Tu = keep(out.Tu, te)
 		}
 	}
 
@@ -321,7 +377,10 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 		mergeSink(&masterVal.Tu[i])
 	}
 	baseS, baseT := len(out.Su), len(out.Tu)
-	for _, f := range frags {
+	for _, f := range s.vals[:s.used] {
+		if f.IsMaster() {
+			continue
+		}
 		for i := range f.Su {
 			mergeSource(&f.Su[i])
 		}
@@ -357,20 +416,19 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 
 	// FF2+: generate candidate augmenting paths here, from the post-merge
 	// state, and send them to aug_proc over the persistent connection as
-	// soon as they are found (Section IV-A).
+	// soon as they are found (Section IV-A). Submit has encoded them by
+	// the time it returns, so the next group may overwrite the slab.
 	if r.cfg.feat.augProc {
-		generateCandidates(out, func(cand graph.ExcessPath) {
-			candidates = append(candidates, cand)
-		})
-		if len(candidates) > 0 {
-			client, ok := ctx.Service().(*AugProcClient)
+		s.cands = generateCandidates(out, s.cands, &s.local)
+		if len(s.cands) > 0 {
+			client, ok := ctx.Service().(candidateSink)
 			if !ok {
 				return fmt.Errorf("core: job service is not an aug_proc client")
 			}
-			if err := client.Submit(ctx.Round(), ctx.Task(), ctx.Exec(), candidates); err != nil {
+			if err := client.Submit(ctx.Round(), ctx.Task(), ctx.Exec(), s.cands); err != nil {
 				return err
 			}
-			ctx.Inc("candidates sent", int64(len(candidates)))
+			ctx.Inc("candidates sent", int64(len(s.cands)))
 		}
 	} else if isSink {
 		// FF1: the sink reducer finalizes acceptance and publishes the
@@ -379,18 +437,16 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 		if !ok {
 			return fmt.Errorf("core: job service is not an FF1 collector")
 		}
-		if err := col.add(ap.Deltas(), ff1Stats); err != nil {
+		if err := col.add(s.ap.Deltas(), ff1Stats); err != nil {
 			return err
 		}
 	}
 
-	var enc []byte
-	if r.cfg.feat.reuseObjects {
-		r.buf = graph.AppendValue(r.buf[:0], out)
-		enc = r.buf
-	} else {
-		enc = graph.EncodeValue(out)
+	if !r.cfg.feat.reuseObjects {
+		ctx.Emit(key, graph.EncodeValue(out))
+		return nil
 	}
-	ctx.Emit(key, enc)
+	s.buf = graph.AppendValue(s.buf[:0], out)
+	ctx.Emit(key, s.buf)
 	return nil
 }

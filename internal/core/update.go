@@ -141,10 +141,14 @@ func pickSink(u graph.VertexID, tu []graph.ExcessPath, to graph.VertexID) *graph
 // edge with reverse residual capacity, one sink excess path is extended.
 // With FF5 sent-tracking it consults and updates the SentS/SentT arrays
 // to suppress re-sends of extensions that are still outstanding (paper
-// Section IV-D). The updated sent arrays live in v; emitted fragments go
-// through emit (pass nil to compute only the bookkeeping, which is what
-// the schimmy reducer does).
-func extendVertex(u graph.VertexID, v *graph.VertexValue, cfg *extendConfig, emit func(fragment)) {
+// Section IV-D). The updated sent arrays live in v.
+//
+// Every fragment is built in frag and handed to emit, which must be done
+// with it on return: the next fragment overwrites it, reusing its path
+// slot (FF4). A caller that wants a fresh object per fragment zeroes
+// *frag in emit. Pass a nil emit to compute only the bookkeeping, which
+// is what the schimmy reducer does; frag is then unused.
+func extendVertex(u graph.VertexID, v *graph.VertexValue, cfg *extendConfig, frag *fragment, emit func(*fragment)) {
 	if len(v.Su) > 0 {
 		for i := range v.Eu {
 			e := &v.Eu[i]
@@ -162,9 +166,12 @@ func extendVertex(u graph.VertexID, v *graph.VertexValue, cfg *extendConfig, emi
 				v.SentS[i] = se.Signature()
 			}
 			if emit != nil {
-				emit(fragment{To: e.To, Value: graph.VertexValue{
-					Su: []graph.ExcessPath{se.ExtendSource(u, e)},
-				}})
+				var slot *graph.ExcessPath
+				frag.To = e.To
+				frag.Value.Tu = frag.Value.Tu[:0]
+				frag.Value.Su, slot = graph.NextSlot(frag.Value.Su[:0])
+				slot.SetExtendSource(se, u, e)
+				emit(frag)
 			}
 		}
 	}
@@ -185,9 +192,12 @@ func extendVertex(u graph.VertexID, v *graph.VertexValue, cfg *extendConfig, emi
 				v.SentT[i] = te.Signature()
 			}
 			if emit != nil {
-				emit(fragment{To: e.To, Value: graph.VertexValue{
-					Tu: []graph.ExcessPath{te.ExtendSink(u, e)},
-				}})
+				var slot *graph.ExcessPath
+				frag.To = e.To
+				frag.Value.Su = frag.Value.Su[:0]
+				frag.Value.Tu, slot = graph.NextSlot(frag.Value.Tu[:0])
+				slot.SetExtendSink(te, u, e)
+				emit(frag)
 			}
 		}
 	}
@@ -195,24 +205,29 @@ func extendVertex(u graph.VertexID, v *graph.VertexValue, cfg *extendConfig, emi
 
 // generateCandidates concatenates every stored (source, sink) excess-path
 // pair into candidate augmenting paths (MAP lines 5-8 in FF1; moved into
-// the REDUCE function from FF2 on). A local accumulator filters
-// candidates that already conflict from this vertex's local view; the
-// final acceptance decision is made by the sink reducer (FF1) or
-// aug_proc (FF2+).
-func generateCandidates(v *graph.VertexValue, accept func(graph.ExcessPath)) {
+// the REDUCE function from FF2 on) and appends them to cands, which it
+// returns. local, which it resets first, filters candidates that already
+// conflict from this vertex's local view; the final acceptance decision is
+// made by the sink reducer (FF1) or aug_proc (FF2+). Candidates land in
+// the slots of cands beyond its length (graph.NextSlot), so a caller that
+// truncates and passes the same slab again reuses their storage (FF4).
+func generateCandidates(v *graph.VertexValue, cands []graph.ExcessPath, local *Accumulator) []graph.ExcessPath {
 	if len(v.Su) == 0 || len(v.Tu) == 0 {
-		return
+		return cands
 	}
-	var local Accumulator
+	local.Reset()
 	for si := range v.Su {
 		for ti := range v.Tu {
-			cand := graph.Concat(&v.Su[si], &v.Tu[ti])
-			if len(cand.Edges) == 0 {
+			if len(v.Su[si].Edges)+len(v.Tu[ti].Edges) == 0 {
 				continue // both seeds empty: s adjacent to nothing, degenerate
 			}
-			if local.Accept(&cand, graph.CapInf) > 0 {
-				accept(cand)
+			var cand *graph.ExcessPath
+			cands, cand = graph.NextSlot(cands)
+			cand.SetConcat(&v.Su[si], &v.Tu[ti])
+			if local.Accept(cand, graph.CapInf) == 0 {
+				cands = cands[:len(cands)-1] // the slot keeps its array for the next pair
 			}
 		}
 	}
+	return cands
 }

@@ -97,11 +97,22 @@ func vertexForExtension() *graph.VertexValue {
 	}
 }
 
+// extendAll runs extendVertex and returns every fragment it emitted, each
+// a fresh object: the emit callback takes the scratch fragment's contents
+// and zeroes it, as the pre-FF4 mappers do.
+func extendAll(u graph.VertexID, v *graph.VertexValue, cfg *extendConfig) []fragment {
+	var frags []fragment
+	extendVertex(u, v, cfg, new(fragment), func(f *fragment) {
+		frags = append(frags, *f)
+		*f = fragment{}
+	})
+	return frags
+}
+
 func TestExtendVertexEmitsBothDirections(t *testing.T) {
 	v := vertexForExtension()
-	var frags []fragment
 	cfg := &extendConfig{source: 0, sink: 9}
-	extendVertex(1, v, cfg, func(f fragment) { frags = append(frags, f) })
+	frags := extendAll(1, v, cfg)
 	// Source path extends along both edges; sink path extends along both.
 	if len(frags) != 4 {
 		t.Fatalf("got %d fragments, want 4", len(frags))
@@ -135,8 +146,7 @@ func TestExtendVertexAvoidsCycles(t *testing.T) {
 	v.Su[0].Edges = append(v.Su[0].Edges, graph.PathEdge{
 		ID: 7, From: 2, To: 1, Cap: 1, Fwd: true,
 	})
-	var frags []fragment
-	extendVertex(1, v, &extendConfig{source: 0, sink: 9}, func(f fragment) { frags = append(frags, f) })
+	frags := extendAll(1, v, &extendConfig{source: 0, sink: 9})
 	for _, f := range frags {
 		if len(f.Value.Su) == 1 && f.To == 2 {
 			t.Error("source path extended into a cycle")
@@ -147,8 +157,7 @@ func TestExtendVertexAvoidsCycles(t *testing.T) {
 func TestExtendVertexRespectsResidual(t *testing.T) {
 	v := vertexForExtension()
 	v.Eu[0].Flow = 1 // saturate edge 20 forward
-	var frags []fragment
-	extendVertex(1, v, &extendConfig{source: 0, sink: 9}, func(f fragment) { frags = append(frags, f) })
+	frags := extendAll(1, v, &extendConfig{source: 0, sink: 9})
 	for _, f := range frags {
 		if len(f.Value.Su) == 1 && f.To == 2 {
 			t.Error("source path extended over a saturated edge")
@@ -174,9 +183,7 @@ func TestExtendVertexSentTrackingSuppressesResend(t *testing.T) {
 	cfg := &extendConfig{source: 0, sink: 9, sentTracking: true}
 
 	count := func() int {
-		n := 0
-		extendVertex(1, v, cfg, func(fragment) { n++ })
-		return n
+		return len(extendAll(1, v, cfg))
 	}
 	first := count()
 	if first != 4 {
@@ -206,7 +213,7 @@ func TestExtendVertexNilEmitOnlyUpdatesBookkeeping(t *testing.T) {
 	v.SentS = make([]uint64, len(v.Eu))
 	v.SentT = make([]uint64, len(v.Eu))
 	cfg := &extendConfig{source: 0, sink: 9, sentTracking: true}
-	extendVertex(1, v, cfg, nil) // the schimmy reducer's replay mode
+	extendVertex(1, v, cfg, nil, nil) // the schimmy reducer's replay mode
 	if v.SentS[0] == 0 || v.SentT[0] == 0 {
 		t.Error("replay mode did not update sent flags")
 	}
@@ -222,8 +229,8 @@ func TestGenerateCandidatesPairsAndFilters(t *testing.T) {
 			{Edges: []graph.PathEdge{{ID: 3, From: 5, To: 9, Cap: 1, Fwd: true}}},
 		},
 	}
-	var got []graph.ExcessPath
-	generateCandidates(v, func(c graph.ExcessPath) { got = append(got, c) })
+	var local Accumulator
+	got := generateCandidates(v, nil, &local)
 	// Two pairs both share sink edge 3 (capacity 1): the local
 	// accumulator must reject the second.
 	if len(got) != 1 {
@@ -235,11 +242,11 @@ func TestGenerateCandidatesPairsAndFilters(t *testing.T) {
 }
 
 func TestGenerateCandidatesEmptySides(t *testing.T) {
-	var called bool
-	generateCandidates(&graph.VertexValue{
+	var local Accumulator
+	got := generateCandidates(&graph.VertexValue{
 		Su: []graph.ExcessPath{{Edges: []graph.PathEdge{{ID: 1, Cap: 1, Fwd: true}}}},
-	}, func(graph.ExcessPath) { called = true })
-	if called {
+	}, nil, &local)
+	if len(got) != 0 {
 		t.Error("candidate generated without sink paths")
 	}
 }

@@ -271,6 +271,23 @@ func TestRecordWriterReset(t *testing.T) {
 	}
 }
 
+func TestRecordWriterGrow(t *testing.T) {
+	var w RecordWriter
+	w.Append([]byte("a"), []byte("b"))
+	w.Grow(1 << 10)
+	first := &w.Bytes()[0]
+	for w.Len() < 1<<10 {
+		w.Append([]byte("key"), []byte("value"))
+	}
+	if &w.Bytes()[0] != first {
+		t.Error("appends within the grown size reallocated the buffer")
+	}
+	k, v, ok, err := NewRecordReader(w.Bytes()).Next()
+	if err != nil || !ok || string(k) != "a" || string(v) != "b" {
+		t.Errorf("after Grow got (%q,%q,%v,%v)", k, v, ok, err)
+	}
+}
+
 func TestQuickRecordFraming(t *testing.T) {
 	f := func(pairs [][2][]byte) bool {
 		var w RecordWriter

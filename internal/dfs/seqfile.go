@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"fmt"
+	"slices"
 
 	"ffmr/internal/spill"
 )
@@ -28,6 +29,13 @@ type RecordWriter struct {
 func (w *RecordWriter) Append(key, value []byte) {
 	w.buf = spill.AppendFrame(w.buf, key, value)
 	w.records++
+}
+
+// Grow makes room for n more encoded bytes, so a writer whose final size
+// is known in advance allocates its buffer once instead of doubling up to
+// it.
+func (w *RecordWriter) Grow(n int) {
+	w.buf = slices.Grow(w.buf, n)
 }
 
 // Len returns the current encoded size in bytes.

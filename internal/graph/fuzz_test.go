@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ffmr/internal/graph"
@@ -46,7 +47,56 @@ func seedCorpus(tb testing.TB) [][]byte {
 	}}
 	corpus = append(corpus, graph.EncodePath(p))
 	corpus = append(corpus, graph.EncodePath(&graph.ExcessPath{}))
+	// Two records that are smaller than dirtyValue's in every list, in
+	// different ways: a one-path fragment with no edges and no sent flags,
+	// and a master whose second path is empty and whose sent arrays have
+	// unequal lengths.
+	corpus = append(corpus, graph.EncodeValue(&graph.VertexValue{Tu: []graph.ExcessPath{*p}}))
+	corpus = append(corpus, graph.EncodeValue(&graph.VertexValue{
+		Su:    []graph.ExcessPath{*p, {}},
+		Eu:    []graph.Edge{{To: 5, ID: 3, Flow: 1, Cap: 4, RevCap: 4, Fwd: true}},
+		SentS: []uint64{p.Signature()},
+	}))
 	return corpus
+}
+
+// dirtyValue returns a value decoded from a record larger than the seed
+// corpus in every dimension: what a pooled slot holds when the previous
+// record it served was a hub's.
+func dirtyValue(tb testing.TB) *graph.VertexValue {
+	tb.Helper()
+	var big graph.VertexValue
+	for i := 0; i < 12; i++ {
+		var path graph.ExcessPath
+		for h := 0; h <= i; h++ {
+			path.Edges = append(path.Edges, graph.PathEdge{
+				ID: graph.EdgeID(1000 + h), From: graph.VertexID(h), To: graph.VertexID(h + 1), Flow: -3, Cap: 9, Fwd: h%2 == 0,
+			})
+		}
+		big.Su = append(big.Su, path)
+		big.Tu = append(big.Tu, path)
+	}
+	for i := 0; i < 40; i++ {
+		big.Eu = append(big.Eu, graph.Edge{To: graph.VertexID(i), ID: graph.EdgeID(i), Flow: 2, Cap: 5, RevCap: 5, Fwd: true})
+		big.SentS = append(big.SentS, ^uint64(0))
+		big.SentT = append(big.SentT, ^uint64(0))
+	}
+	v, err := graph.DecodeValue(graph.EncodeValue(&big))
+	if err != nil {
+		tb.Fatalf("decode of the dirtying record: %v", err)
+	}
+	return v
+}
+
+// sameValue reports whether a and b hold the same record: every list the
+// same length and every element equal. Spare capacity, and nil against
+// empty, are not differences.
+func sameValue(a, b *graph.VertexValue) bool {
+	samePaths := func(x, y []graph.ExcessPath) bool {
+		return slices.EqualFunc(x, y, func(p, q graph.ExcessPath) bool { return slices.Equal(p.Edges, q.Edges) })
+	}
+	return samePaths(a.Su, b.Su) && samePaths(a.Tu, b.Tu) && slices.Equal(a.Eu, b.Eu) &&
+		slices.Equal(a.SentS, b.SentS) && slices.Equal(a.SentT, b.SentT)
 }
 
 // FuzzVertexCodec checks the wire codec against arbitrary input: decoding
@@ -75,6 +125,15 @@ func FuzzVertexCodec(f *testing.F) {
 			}
 			if enc3 := graph.EncodeValue(&reuse); !bytes.Equal(enc, enc3) {
 				t.Fatalf("DecodeValueInto disagrees with DecodeValue:\n fresh: %x\n reuse: %x\ninput: %x", enc, enc3, data)
+			}
+			// So must a decode into a slot that still holds a larger record
+			// (FF4's slabs): no list may keep a stale length or element.
+			dirty := dirtyValue(t)
+			if err := graph.DecodeValueInto(data, dirty); err != nil {
+				t.Fatalf("DecodeValueInto a dirty value failed where DecodeValue succeeded: %v\ninput: %x", err, data)
+			}
+			if !sameValue(dirty, v) {
+				t.Fatalf("DecodeValueInto a dirty value disagrees with DecodeValue:\n fresh: %+v\n dirty: %+v\ninput: %x", v, dirty, data)
 			}
 		}
 		if p, err := graph.DecodePath(data); err == nil {

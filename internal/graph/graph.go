@@ -14,6 +14,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // VertexID identifies a vertex. IDs are dense, starting at 0.
@@ -161,39 +162,58 @@ func (p *ExcessPath) Head() VertexID { return p.Edges[0].From }
 // It must not be called on an empty path.
 func (p *ExcessPath) Tail() VertexID { return p.Edges[len(p.Edges)-1].To }
 
-// ExtendSource returns a copy of the source path p extended by one hop
-// along e from vertex u (the current tail) to e.To.
-func (p *ExcessPath) ExtendSource(u VertexID, e *Edge) ExcessPath {
-	edges := make([]PathEdge, len(p.Edges)+1)
-	copy(edges, p.Edges)
-	edges[len(p.Edges)] = PathEdge{
+// The Set methods build a path in p, a slot the caller owns: p's Edges
+// array is overwritten, and kept when it is large enough, so a slot that
+// is filled once per record stops allocating (FF4). On an empty slot they
+// allocate the copy. The arguments must not alias p.
+
+// Set makes p a copy of src.
+func (p *ExcessPath) Set(src *ExcessPath) {
+	p.Edges = append(p.Edges[:0], src.Edges...)
+}
+
+// SetExtendSource makes p the source path src extended by one hop along e
+// from vertex u (src's tail) to e.To.
+func (p *ExcessPath) SetExtendSource(src *ExcessPath, u VertexID, e *Edge) {
+	p.Edges = slices.Grow(p.Edges[:0], len(src.Edges)+1)
+	p.Edges = append(append(p.Edges, src.Edges...), PathEdge{
 		ID: e.ID, From: u, To: e.To, Flow: e.Flow, Cap: e.Cap, Fwd: e.Fwd,
-	}
-	return ExcessPath{Edges: edges}
+	})
 }
 
-// ExtendSink returns a copy of the sink path p extended by prefixing one
-// hop from e.To to u (the current head), traversed against e's
-// perspective. e is the half-edge stored at u pointing to e.To; the new
-// hop runs e.To -> u, so its flow and capacity are the mirrored values
-// (flow -e.Flow, capacity e.RevCap).
-func (p *ExcessPath) ExtendSink(u VertexID, e *Edge) ExcessPath {
-	edges := make([]PathEdge, len(p.Edges)+1)
-	copy(edges[1:], p.Edges)
-	edges[0] = PathEdge{
+// SetExtendSink makes p the sink path src prefixed by one hop from e.To to
+// u (src's head), traversed against e's perspective. e is the half-edge
+// stored at u pointing to e.To; the new hop runs e.To -> u, so its flow
+// and capacity are the mirrored values (flow -e.Flow, capacity e.RevCap).
+func (p *ExcessPath) SetExtendSink(src *ExcessPath, u VertexID, e *Edge) {
+	p.Edges = slices.Grow(p.Edges[:0], len(src.Edges)+1)
+	p.Edges = append(append(p.Edges, PathEdge{
 		ID: e.ID, From: e.To, To: u, Flow: -e.Flow, Cap: e.RevCap, Fwd: !e.Fwd,
-	}
-	return ExcessPath{Edges: edges}
+	}), src.Edges...)
 }
 
-// Concat joins a source path (s -> u) with a sink path (u -> t) into a
-// candidate augmenting path (s -> t). The caller guarantees both paths
-// belong to the same vertex u.
-func Concat(src, snk *ExcessPath) ExcessPath {
-	edges := make([]PathEdge, 0, len(src.Edges)+len(snk.Edges))
-	edges = append(edges, src.Edges...)
-	edges = append(edges, snk.Edges...)
-	return ExcessPath{Edges: edges}
+// SetConcat makes p the candidate augmenting path (s -> t) that joins a
+// source path (s -> u) with a sink path (u -> t). The caller guarantees
+// both paths belong to the same vertex u.
+func (p *ExcessPath) SetConcat(src, snk *ExcessPath) {
+	p.Edges = slices.Grow(p.Edges[:0], len(src.Edges)+len(snk.Edges))
+	p.Edges = append(append(p.Edges, src.Edges...), snk.Edges...)
+}
+
+// NextSlot grows ps by one path and returns it with the new last slot,
+// emptied. A slot between len(ps) and cap(ps) comes back with the Edges
+// array it held before, so a path list that is truncated and refilled
+// (Reset, then NextSlot and a Set method per path) reuses both levels of
+// storage. Every slot keeps exclusive ownership of its array.
+func NextSlot(ps []ExcessPath) ([]ExcessPath, *ExcessPath) {
+	if len(ps) < cap(ps) {
+		ps = ps[:len(ps)+1]
+	} else {
+		ps = append(ps, ExcessPath{})
+	}
+	slot := &ps[len(ps)-1]
+	slot.Edges = slot.Edges[:0]
+	return ps, slot
 }
 
 // Signature returns a stable hash of the path's hop sequence (edge IDs and

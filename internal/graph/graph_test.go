@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -112,7 +113,8 @@ func TestPathContainsHeadTail(t *testing.T) {
 func TestExtendSource(t *testing.T) {
 	p := makePath(0, 0, 2, 3, 1)
 	e := Edge{To: 9, ID: 7, Flow: 1, Cap: 4, RevCap: 4, Fwd: false}
-	q := p.ExtendSource(2, &e)
+	var q ExcessPath
+	q.SetExtendSource(&p, 2, &e)
 	if q.Len() != 3 {
 		t.Fatalf("extended length = %d, want 3", q.Len())
 	}
@@ -132,7 +134,8 @@ func TestExtendSource(t *testing.T) {
 func TestExtendSink(t *testing.T) {
 	p := makePath(5, 0, 2, 3, 0) // 5 -> 6 -> 7
 	e := Edge{To: 4, ID: 9, Flow: 2, Cap: 6, RevCap: 8, Fwd: true}
-	q := p.ExtendSink(5, &e)
+	var q ExcessPath
+	q.SetExtendSink(&p, 5, &e)
 	if q.Len() != 3 {
 		t.Fatalf("extended length = %d, want 3", q.Len())
 	}
@@ -151,12 +154,73 @@ func TestExtendSink(t *testing.T) {
 func TestConcat(t *testing.T) {
 	src := makePath(0, 0, 2, 1, 0)  // 0 -> 1 -> 2
 	snk := makePath(2, 10, 3, 1, 0) // 2 -> 3 -> 4 -> 5
-	aug := Concat(&src, &snk)
+	var aug ExcessPath
+	aug.SetConcat(&src, &snk)
 	if aug.Len() != 5 {
 		t.Fatalf("concat length = %d, want 5", aug.Len())
 	}
 	if aug.Head() != 0 || aug.Tail() != 5 {
 		t.Errorf("head/tail = %d/%d, want 0/5", aug.Head(), aug.Tail())
+	}
+}
+
+// TestSetMethodsReuseSlot fills a slot that still holds a longer path:
+// each Set method must leave exactly what it builds in an empty slot, in
+// the array the slot already owned.
+func TestSetMethodsReuseSlot(t *testing.T) {
+	src := &ExcessPath{Edges: []PathEdge{
+		{ID: 1, From: 0, To: 1, Cap: 2, Fwd: true},
+		{ID: 2, From: 1, To: 2, Flow: 1, Cap: 3},
+	}}
+	snk := &ExcessPath{Edges: []PathEdge{{ID: 7, From: 3, To: 9, Cap: 1, Fwd: true}}}
+	e := &Edge{To: 3, ID: 5, Flow: 1, Cap: 4, RevCap: 6, Fwd: true}
+	stale := make([]PathEdge, 8)
+	for i := range stale {
+		stale[i] = PathEdge{ID: 99, From: 99, To: 99, Flow: 99, Cap: 99, Fwd: true}
+	}
+	sets := map[string]func(p *ExcessPath){
+		"Set":             func(p *ExcessPath) { p.Set(src) },
+		"SetExtendSource": func(p *ExcessPath) { p.SetExtendSource(src, 2, e) },
+		"SetExtendSink":   func(p *ExcessPath) { p.SetExtendSink(snk, 3, e) },
+		"SetConcat":       func(p *ExcessPath) { p.SetConcat(src, snk) },
+	}
+	for name, set := range sets {
+		var fresh ExcessPath
+		set(&fresh)
+		slot := ExcessPath{Edges: slices.Clone(stale)}
+		set(&slot)
+		if !slices.Equal(slot.Edges, fresh.Edges) {
+			t.Errorf("%s into a used slot = %v, into an empty one %v", name, slot.Edges, fresh.Edges)
+		}
+		if cap(slot.Edges) != len(stale) {
+			t.Errorf("%s reallocated a slot that was large enough", name)
+		}
+	}
+}
+
+// TestNextSlotKeepsArraysExclusive refills a truncated path list: every
+// slot must come back empty with the array it owned, and no two slots
+// may ever share one.
+func TestNextSlotKeepsArraysExclusive(t *testing.T) {
+	var ps []ExcessPath
+	var slot *ExcessPath
+	for i := 0; i < 5; i++ {
+		ps, slot = NextSlot(ps)
+		slot.Edges = append(slot.Edges, make([]PathEdge, i+1)...)
+	}
+	owned := make([]*PathEdge, len(ps))
+	for i := range ps {
+		owned[i] = &ps[i].Edges[0]
+	}
+	ps = ps[:0]
+	for i := range owned {
+		ps, slot = NextSlot(ps)
+		if len(slot.Edges) != 0 {
+			t.Fatalf("slot %d came back with %d hops", i, len(slot.Edges))
+		}
+		if got := &slot.Edges[:1][0]; got != owned[i] {
+			t.Fatalf("slot %d lost its array", i)
+		}
 	}
 }
 

@@ -549,11 +549,18 @@ func TestMoreNodesReduceSimTime(t *testing.T) {
 		}
 		return res
 	}
-	small := run(1)
-	big := run(8)
-	if big.SimTime >= small.SimTime {
-		t.Errorf("8 nodes (%v) not faster than 1 node (%v)", big.SimTime, small.SimTime)
+	// SimTime is built from measured task durations, and one of the 8-node
+	// run's 16 concurrent tasks losing its core to a GC cycle or another
+	// goroutine is enough to invert the comparison (5-10 % of runs on a
+	// 2-core host), so the model gets three tries.
+	var small, big *Result
+	for try := 0; try < 3; try++ {
+		small, big = run(1), run(8)
+		if big.SimTime < small.SimTime {
+			return
+		}
 	}
+	t.Errorf("8 nodes (%v) not faster than 1 node (%v)", big.SimTime, small.SimTime)
 }
 
 func TestMaxRecordBytes(t *testing.T) {

@@ -3,7 +3,7 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ffmr/internal/dfs"
 	"ffmr/internal/spill"
@@ -220,6 +220,12 @@ func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span
 		}
 	}
 
+	// The output is sized up front where its size is known: a schimmy job
+	// rewrites its base partition (the shuffle only carries fragments that
+	// fold into it) and a map-only job copies the shuffled records. Any
+	// other reducer may write far less than it reads (round #0 writes
+	// 0.44-0.62 of it), so its output grows by appending.
+	var out dfs.RecordWriter
 	var base []rec
 	if t.SchimmyBase != "" {
 		data, err := env.ReadFile(PartName(t.SchimmyBase, t.Task))
@@ -229,6 +235,9 @@ func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span
 		if base, err = readBase(data); err != nil {
 			return fail(fmt.Errorf("schimmy base: %w", err))
 		}
+		out.Grow(len(data))
+	} else if env.NewReducer == nil {
+		out.Grow(int(res.Fetch))
 	}
 
 	it, mstats, err := spill.Merge(env.Store, t.Segments, spill.MergeOptions{
@@ -246,7 +255,6 @@ func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span
 	att.SetInt("merge_passes", mstats.Passes)
 	att.SetInt("merge_segments", mstats.Segments)
 
-	var out dfs.RecordWriter
 	if env.NewReducer == nil {
 		for {
 			key, value, ok, err := it.Next()
@@ -287,7 +295,7 @@ func readBase(data []byte) ([]rec, error) {
 		}
 		recs = append(recs, rec{key: key, value: value})
 	}
-	sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i].key, recs[j].key) < 0 })
+	slices.SortFunc(recs, func(a, b rec) int { return bytes.Compare(a.key, b.key) })
 	return recs, nil
 }
 
@@ -295,12 +303,15 @@ func readBase(data []byte) ([]rec, error) {
 // sorted base partition in a merge-join, invoking the reducer once per
 // key in the union. Keys present only in the base still reach the
 // reducer so master records survive rounds in which they receive no
-// fragments. Slices next returns must stay valid across calls. It
-// returns the byte size of the largest group processed.
+// fragments. Slices next returns must stay valid across calls. One Values
+// and one backing slice serve every group of the task (the Reducer
+// contract lets them). It returns the byte size of the largest group
+// processed.
 func reduceGroups(ctx *TaskContext, reducer Reducer, base []rec,
 	next func() (key, value []byte, ok bool, err error)) (int64, error) {
 
 	var maxGroup int64
+	var group Values
 	bi := 0
 	rkey, rval, rok, err := next()
 	if err != nil {
@@ -332,10 +343,10 @@ func reduceGroups(ctx *TaskContext, reducer Reducer, base []rec,
 			}
 		}
 
-		var vals [][]byte
+		group.vals, group.pos = group.vals[:0], 0
 		groupBytes := int64(len(master))
 		for rok && bytes.Equal(rkey, key) {
-			vals = append(vals, rval)
+			group.vals = append(group.vals, rval)
 			groupBytes += framedSize(rkey, rval)
 			rkey, rval, rok, err = next()
 			if err != nil {
@@ -345,7 +356,7 @@ func reduceGroups(ctx *TaskContext, reducer Reducer, base []rec,
 		if groupBytes > maxGroup {
 			maxGroup = groupBytes
 		}
-		if err := reducer.Reduce(ctx, key, master, &Values{vals: vals}); err != nil {
+		if err := reducer.Reduce(ctx, key, master, &group); err != nil {
 			return 0, err
 		}
 	}

@@ -364,3 +364,51 @@ func TestExecMapOnly(t *testing.T) {
 		prev = append(prev[:0], key...)
 	}
 }
+
+// TestReduceGroupsSteadyStateAllocs is the engine's share of the FF4
+// contract: walking the groups of a reduce task allocates per task (the
+// one Values and its backing slice), never per group. The cost of a task
+// with four times the groups must be the same.
+func TestReduceGroupsSteadyStateAllocs(t *testing.T) {
+	const perGroup = 3
+	walk := func(groups int) float64 {
+		var base []rec
+		var shuffled []rec
+		for g := 0; g < groups; g++ {
+			key := []byte(fmt.Sprintf("k%06d", g))
+			base = append(base, rec{key: key, value: []byte("master")})
+			for i := 0; i < perGroup; i++ {
+				shuffled = append(shuffled, rec{key: key, value: []byte("fragment")})
+			}
+		}
+		ctx := (&TaskEnv{}).context(0, 0, 0, NewCounters(), func(key, value []byte) {})
+		seen := 0
+		reducer := ReducerFunc(func(_ *TaskContext, _, master []byte, values *Values) error {
+			if master == nil || values.Len() != perGroup {
+				t.Fatalf("group %d: master %q, %d values", seen, master, values.Len())
+			}
+			seen++
+			return nil
+		})
+		return testing.AllocsPerRun(20, func() {
+			i := 0
+			next := func() (key, value []byte, ok bool, err error) {
+				if i == len(shuffled) {
+					return nil, nil, false, nil
+				}
+				i++
+				return shuffled[i-1].key, shuffled[i-1].value, true, nil
+			}
+			if _, err := reduceGroups(ctx, reducer, base, next); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := walk(100), walk(400)
+	if small != large {
+		t.Errorf("reduceGroups: %.0f allocs for 100 groups, %.0f for 400; want 0 per group", small, large)
+	}
+	if small > 8 {
+		t.Errorf("reduceGroups: %.0f allocs per task, want a handful", small)
+	}
+}

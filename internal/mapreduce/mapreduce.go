@@ -16,6 +16,15 @@
 // the segments stay in memory. Both must produce identical counters; the
 // spill differential tests enforce that.
 //
+// Record lifetime: what a task body hands to user code is valid only
+// during that call. A reduce task walks its groups with one Values and one
+// backing slice (reduceGroups), so a Reducer must not keep the Values, a
+// slice it yielded, the key or the master record past its return, and
+// TaskContext.Emit copies what it is given, so mappers and reducers may
+// encode every record into one reused buffer. That contract is what lets
+// FF4 run the whole vertex-record path — decode, merge, candidate
+// generation, encode, emit — without allocating per record.
+//
 // Execution has two backends behind the same Cluster API, both calling
 // those two bodies: the simulated engine runs tasks on goroutines
 // in-process, while Cluster.Distributed hands whole jobs to a distmr
@@ -92,14 +101,17 @@ type Mapper interface {
 }
 
 // Values iterates the shuffled values of one reduce group in
-// deterministic (sorted) order.
+// deterministic (sorted) order. The engine reuses one Values for every
+// group of a reduce task: it, and every slice it yields, is valid only
+// until the Reduce call it was passed to returns.
 type Values struct {
 	vals [][]byte
 	pos  int
 }
 
 // Next returns the next value in the group, or nil when exhausted. The
-// returned slice is owned by the engine; treat it as read-only.
+// returned slice is owned by the engine; treat it as read-only and copy
+// what must outlive the Reduce call.
 func (v *Values) Next() []byte {
 	if v.pos >= len(v.vals) {
 		return nil
@@ -115,6 +127,11 @@ func (v *Values) Len() int { return len(v.vals) }
 // Reducer processes one key group at a time. master is the
 // partition-aligned base record for the key when the job runs with the
 // schimmy pattern (nil otherwise, and nil for keys with no base record).
+// key, master, values and everything values yields belong to the engine
+// and are valid only during the call: the next group overwrites them. A
+// reducer that keeps any of it across calls copies it first. Reducers are
+// created per reduce task via Job.NewReducer, so state a reducer owns
+// (FF4's slabs and scratch) lives for one task attempt.
 type Reducer interface {
 	Reduce(ctx *TaskContext, key []byte, master []byte, values *Values) error
 }

@@ -3,11 +3,12 @@ package spill
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"container/heap"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"ffmr/internal/trace"
@@ -277,7 +278,7 @@ func Merge(store RunStore, segs []Segment, opts MergeOptions) (*Iterator, MergeS
 	work := append([]Segment(nil), segs...)
 	tmpIdx := 0
 	for len(work) > fanIn {
-		sort.Slice(work, func(i, j int) bool { return work[i].RawBytes < work[j].RawBytes })
+		slices.SortFunc(work, func(a, b Segment) int { return cmp.Compare(a.RawBytes, b.RawBytes) })
 		batch := work[:fanIn]
 		rest := append([]Segment(nil), work[fanIn:]...)
 		name := fmt.Sprintf("%smerge-%04d", opts.TmpPrefix, tmpIdx)

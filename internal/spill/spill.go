@@ -23,7 +23,7 @@ package spill
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ffmr/internal/trace"
@@ -166,11 +166,11 @@ func (a *arena) reset() {
 
 // sortRecs orders records by (key, value), the engine's shuffle order.
 func sortRecs(recs []rec) {
-	sort.Slice(recs, func(i, j int) bool {
-		if cmp := bytes.Compare(recs[i].key, recs[j].key); cmp != 0 {
-			return cmp < 0
+	slices.SortFunc(recs, func(a, b rec) int {
+		if cmp := bytes.Compare(a.key, b.key); cmp != 0 {
+			return cmp
 		}
-		return bytes.Compare(recs[i].value, recs[j].value) < 0
+		return bytes.Compare(a.value, b.value)
 	})
 }
 
