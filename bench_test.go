@@ -13,8 +13,6 @@ package ffmr_test
 
 import (
 	"fmt"
-	"net"
-	"net/rpc"
 	"testing"
 
 	"ffmr"
@@ -26,8 +24,6 @@ import (
 	"ffmr/internal/graphgen"
 	"ffmr/internal/mapreduce"
 	"ffmr/internal/maxflow"
-	"ffmr/internal/rpcutil"
-	"ffmr/internal/spill"
 )
 
 // benchScale sizes the macro-benchmarks: large enough that the FF1->FF5
@@ -553,169 +549,4 @@ func BenchmarkDynamic(b *testing.B) {
 			b.ReportMetric(coldMS/warmMS, "speedup-x")
 		})
 	}
-}
-
-// BenchmarkWire measures the distributed backend's wire hot path: the
-// hand-rolled frame encoders/decoders for task descriptors, results and
-// completion-bearing heartbeats (run with -benchmem; the append paths
-// into a reused buffer must report 0 allocs/op and 0 B/op), plus one
-// end-to-end RPC echo over the rpcutil frame codec to price the full
-// envelope including loopback TCP. BENCH_wire.json records the results.
-func BenchmarkWire(b *testing.B) {
-	segs := func(part, n int) []spill.Segment {
-		out := make([]spill.Segment, n)
-		for i := range out {
-			out[i] = spill.Segment{
-				Name: fmt.Sprintf("j9-m%d-a0-p%d-s%d", i, part, i), Partition: part,
-				Records: 120, RawBytes: 4096, StoredBytes: 2048, Compressed: true, Node: i % 4,
-			}
-		}
-		return out
-	}
-	task := &distmr.TaskDescriptor{
-		JobSeq: 9, JobName: "bfs round 3", Kind: "ffmr/bfs", Params: make([]byte, 64),
-		Phase: distmr.PhaseReduce, Task: 2, Attempt: 1, Assign: 5, Node: 2, Round: 3,
-		NumReducers: 4, MemoryBudget: 1 << 30, Compress: true, MergeFanIn: 8,
-		Sources: []distmr.MapSource{
-			{MapTask: 0, Worker: 1, Addr: "127.0.0.1:7401", Segments: segs(2, 2)},
-			{MapTask: 1, Worker: 2, Addr: "127.0.0.1:7402", Segments: segs(2, 2)},
-			{MapTask: 2, Worker: 3, Addr: "127.0.0.1:7403", Segments: segs(2, 2)},
-		},
-	}
-	res := &distmr.TaskResult{
-		InRecs: 1200, OutRecs: 3400, RawBytes: 1 << 16, MaxFrame: 180, Spills: 1,
-		Parts:    [][]spill.Segment{segs(0, 1), segs(1, 1), segs(2, 1), segs(3, 1)},
-		DurNanos: 1234567,
-	}
-	hb := &distmr.Heartbeat{
-		Worker: 2, Instance: 7, Seq: 40, Running: 2, StoreObjects: 12, StoreBytes: 1 << 20,
-		TasksDone: 33, Prefetched: 9,
-		Completions: []distmr.Completion{
-			{JobSeq: 9, Phase: distmr.PhaseMap, Task: 1, Assign: 3, Result: distmr.EncodeResult(res)},
-			{JobSeq: 9, Phase: distmr.PhaseMap, Task: 2, Assign: 4, Result: distmr.EncodeResult(res)},
-		},
-	}
-	encTask, encHB := distmr.EncodeTask(task), distmr.EncodeHeartbeat(hb)
-	encRes := distmr.EncodeResult(res)
-
-	b.Run("task-encode", func(b *testing.B) {
-		b.ReportAllocs()
-		buf := make([]byte, 0, len(encTask))
-		for i := 0; i < b.N; i++ {
-			buf = distmr.AppendTask(buf[:0], task)
-		}
-		b.ReportMetric(float64(len(encTask)), "wire-bytes")
-	})
-	b.Run("task-decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := distmr.DecodeTask(encTask); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("result-encode", func(b *testing.B) {
-		b.ReportAllocs()
-		buf := make([]byte, 0, len(encRes))
-		for i := 0; i < b.N; i++ {
-			buf = distmr.AppendResult(buf[:0], res)
-		}
-		b.ReportMetric(float64(len(encRes)), "wire-bytes")
-	})
-	b.Run("heartbeat-encode", func(b *testing.B) {
-		b.ReportAllocs()
-		buf := make([]byte, 0, len(encHB))
-		for i := 0; i < b.N; i++ {
-			buf = distmr.AppendHeartbeat(buf[:0], hb)
-		}
-		b.ReportMetric(float64(len(encHB)), "wire-bytes")
-	})
-	b.Run("heartbeat-decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := distmr.DecodeHeartbeat(encHB); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rpc-echo", func(b *testing.B) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer ln.Close()
-		srv := rpc.NewServer()
-		if err := srv.RegisterName("WireEcho", &wireEchoSvc{}); err != nil {
-			b.Fatal(err)
-		}
-		go func() {
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go srv.ServeCodec(rpcutil.NewServerCodec(conn))
-			}
-		}()
-		c, err := rpcutil.DialRPC(ln.Addr().String(), rpcutil.Policy{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		args := &distmr.StartTaskArgs{Desc: encTask}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var rep distmr.FetchSegmentReply
-			if err := c.Call("WireEcho.Echo", args, &rep); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The same echo over net/rpc's default gob codec: the before/after
-	// A/B for the envelope tax the frame codec removed.
-	b.Run("rpc-echo-gob", func(b *testing.B) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer ln.Close()
-		srv := rpc.NewServer()
-		if err := srv.RegisterName("WireEcho", &wireEchoSvc{}); err != nil {
-			b.Fatal(err)
-		}
-		go func() {
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go srv.ServeConn(conn)
-			}
-		}()
-		c, err := rpc.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		args := &distmr.StartTaskArgs{Desc: encTask}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var rep distmr.FetchSegmentReply
-			if err := c.Call("WireEcho.Echo", args, &rep); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// wireEchoSvc echoes a framed task descriptor back as a framed reply,
-// for BenchmarkWire's end-to-end envelope measurement.
-type wireEchoSvc struct{}
-
-// Echo copies the request payload into the reply.
-func (wireEchoSvc) Echo(args *distmr.StartTaskArgs, reply *distmr.FetchSegmentReply) error {
-	reply.Data = args.Desc
-	return nil
 }

@@ -37,7 +37,9 @@ const (
 // This file implements aug_proc, the FF2 "stateful extension for MR"
 // (paper Section IV-A): an external process, reachable from every reducer
 // over a persistent connection, that accepts candidate augmenting paths
-// as they are found. Candidates are enqueued and acknowledged
+// as they are found. It is the acceptance service of every variant: FF1,
+// whose sink reducer decides acceptance itself, publishes the outcome
+// here (Publish) instead of submitting candidates. Candidates are enqueued and acknowledged
 // immediately so reducers are never delayed; a small pool of consumer
 // goroutines drains the queue, decoding candidate batches in parallel
 // outside the accumulator lock and serializing only the acceptance
@@ -71,10 +73,8 @@ type SubmitArgs struct {
 // as the batch is enqueued.
 type SubmitReply struct{}
 
-// AppendFrame implements rpcutil.Message: Submit is the hot RPC of
-// every FF2+ round, so its envelope frames itself rather than riding
-// the codec's gob fallback. DecodeFrame copies the path payloads out of
-// the codec's pooled buffer.
+// AppendFrame implements rpcutil.Message. DecodeFrame copies the path
+// payloads out of the codec's pooled buffer.
 func (a *SubmitArgs) AppendFrame(b []byte) []byte {
 	b = binary.AppendVarint(b, int64(a.Round))
 	b = binary.AppendVarint(b, int64(a.Task))
@@ -85,72 +85,29 @@ func (a *SubmitArgs) AppendFrame(b []byte) []byte {
 	b = binary.AppendVarint(b, a.Ctx.Span)
 	b = binary.AppendUvarint(b, uint64(len(a.Paths)))
 	for _, p := range a.Paths {
-		b = binary.AppendUvarint(b, uint64(len(p)))
-		b = append(b, p...)
+		b = rpcutil.AppendBytes(b, p)
 	}
 	return b
 }
 
 // DecodeFrame implements rpcutil.Message.
 func (a *SubmitArgs) DecodeFrame(b []byte) error {
-	next := func(what string) (int64, error) {
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			return 0, fmt.Errorf("core: corrupt submit %s", what)
-		}
-		b = b[n:]
-		return v, nil
-	}
-	var err error
-	var v int64
-	if v, err = next("round"); err != nil {
-		return err
-	}
-	a.Round = int(v)
-	if v, err = next("task"); err != nil {
-		return err
-	}
-	a.Task = int(v)
-	if v, err = next("exec"); err != nil {
-		return err
-	}
-	a.Exec = int(v)
-	if a.Ctx.Run, err = next("ctx run"); err != nil {
-		return err
-	}
-	if a.Ctx.Job, err = next("ctx job"); err != nil {
-		return err
-	}
-	if a.Ctx.Round, err = next("ctx round"); err != nil {
-		return err
-	}
-	if a.Ctx.Span, err = next("ctx span"); err != nil {
-		return err
-	}
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)) {
-		return fmt.Errorf("core: corrupt submit path count")
-	}
-	b = b[w:]
+	d := rpcutil.NewReader(b)
+	a.Round = int(d.Varint("submit round"))
+	a.Task = int(d.Varint("submit task"))
+	a.Exec = int(d.Varint("submit exec"))
+	a.Ctx.Run = d.Varint("submit ctx run")
+	a.Ctx.Job = d.Varint("submit ctx job")
+	a.Ctx.Round = d.Varint("submit ctx round")
+	a.Ctx.Span = d.Varint("submit ctx span")
 	a.Paths = nil
-	if n > 0 {
+	if n := d.Count("submit path count"); n > 0 {
 		a.Paths = make([][]byte, n)
 		for i := range a.Paths {
-			m, w := binary.Uvarint(b)
-			if w <= 0 || m > uint64(len(b)-w) {
-				return fmt.Errorf("core: corrupt submit path %d", i)
-			}
-			b = b[w:]
-			if m > 0 {
-				a.Paths[i] = append([]byte(nil), b[:m]...)
-			}
-			b = b[m:]
+			a.Paths[i] = d.CopyBytes("submit path")
 		}
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("core: %d trailing bytes after submit args", len(b))
-	}
-	return nil
+	return d.Finish("submit args")
 }
 
 // AppendFrame implements rpcutil.Message.
@@ -158,10 +115,46 @@ func (*SubmitReply) AppendFrame(b []byte) []byte { return b }
 
 // DecodeFrame implements rpcutil.Message.
 func (*SubmitReply) DecodeFrame(b []byte) error {
-	if len(b) != 0 {
-		return fmt.Errorf("core: %d trailing bytes after submit reply", len(b))
+	return rpcutil.NewReader(b).Finish("submit reply")
+}
+
+// PublishArgs is the FF1 RPC request: the sink vertex's reducer performs
+// the round's final acceptance itself (Fig. 4 lines 12-14) and publishes
+// the outcome — the AugmentedEdges table and the acceptance counts — for
+// the driver to broadcast next round. Round fences it exactly as
+// SubmitArgs.Round fences a submission.
+type PublishArgs struct {
+	Round  int
+	Stats  AugProcStats
+	Deltas map[graph.EdgeID]int64
+}
+
+// AppendFrame implements rpcutil.Message. The table rides in its side
+// file encoding, which is sorted, so equal outcomes are equal bytes.
+func (a *PublishArgs) AppendFrame(b []byte) []byte {
+	b = binary.AppendVarint(b, int64(a.Round))
+	b = binary.AppendVarint(b, a.Stats.Submitted)
+	b = binary.AppendVarint(b, a.Stats.Accepted)
+	b = binary.AppendVarint(b, a.Stats.TotalDelta)
+	return rpcutil.AppendBytes(b, EncodeDeltas(a.Deltas))
+}
+
+// DecodeFrame implements rpcutil.Message.
+func (a *PublishArgs) DecodeFrame(b []byte) error {
+	d := rpcutil.NewReader(b)
+	a.Round = int(d.Varint("publish round"))
+	a.Stats = AugProcStats{
+		Submitted:  d.Varint("publish submitted"),
+		Accepted:   d.Varint("publish accepted"),
+		TotalDelta: d.Varint("publish total delta"),
 	}
-	return nil
+	table := d.Bytes("publish deltas")
+	if err := d.Finish("publish args"); err != nil {
+		return err
+	}
+	var err error
+	a.Deltas, err = DecodeDeltas(table)
+	return err
 }
 
 // AugProcStats reports one round of aug_proc activity: the columns
@@ -289,7 +282,8 @@ func (s *AugProcServer) logger() *slog.Logger {
 	return obsv.Nop()
 }
 
-// RPC service wrapper type so only Submit is exported over the wire.
+// RPC service wrapper type so only Submit and Publish are exported over
+// the wire.
 type augProcService struct{ s *AugProcServer }
 
 // Submit enqueues a batch of candidate augmenting paths and returns
@@ -317,6 +311,26 @@ func (svc *augProcService) Submit(args *SubmitArgs, _ *SubmitReply) error {
 	s.inFlight++
 	s.drainMu.Unlock()
 	s.queue <- augItem{task: args.Task, exec: args.Exec, paths: args.Paths}
+	return nil
+}
+
+// Publish installs the FF1 sink reducer's outcome as the round's result.
+// It bypasses the queue (there is nothing left to decide, and FF1's MaxQ
+// stays 0) and replaces rather than accumulates: exactly one reduce
+// group, the sink vertex's, ever publishes, so a second call is a
+// retried or speculated attempt of it carrying the same outcome.
+func (svc *augProcService) Publish(args *PublishArgs, _ *SubmitReply) error {
+	s := svc.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if args.Round != int(s.round.Load()) {
+		// Orphaned in an earlier round (see SubmitArgs.Round): its table
+		// describes an older residual graph. Acknowledge and drop.
+		s.stale.Add(args.Stats.Submitted)
+		return nil
+	}
+	s.stats = args.Stats
+	s.acc = Accumulator{pending: args.Deltas}
 	return nil
 }
 
@@ -602,6 +616,12 @@ func (c *AugProcClient) Submit(round, task, exec int, paths []graph.ExcessPath) 
 	}
 	sb.enc = enc
 	return c.c.Call("AugProc.Submit", args, &SubmitReply{})
+}
+
+// Publish sends the FF1 sink reducer's acceptance outcome for round to
+// aug_proc (see PublishArgs).
+func (c *AugProcClient) Publish(round int, deltas map[graph.EdgeID]int64, st AugProcStats) error {
+	return c.c.Call("AugProc.Publish", &PublishArgs{Round: round, Stats: st, Deltas: deltas}, &SubmitReply{})
 }
 
 // Close closes the connection.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -156,6 +157,49 @@ func TestAugProcEmptySubmit(t *testing.T) {
 	st, _ := s.EndRound()
 	if st.Submitted != 0 {
 		t.Fatalf("empty submit counted: %+v", st)
+	}
+}
+
+// TestAugProcPublishIsRoundFenced pins the FF1 acceptance path: the sink
+// reducer's Publish replaces (a retried attempt must not double-count),
+// never touches the queue, and — the hole the FF1 collector server had —
+// a publish orphaned in an earlier round is acknowledged, counted as
+// stale and otherwise ignored.
+func TestAugProcPublishIsRoundFenced(t *testing.T) {
+	s := newTestAugProc(t)
+	c, err := DialAugProc(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	s.BeginRound(4)
+	want := map[graph.EdgeID]int64{3: 2, 9: -1}
+	wantStats := AugProcStats{Submitted: 5, Accepted: 2, TotalDelta: 3}
+	for attempt := 0; attempt < 2; attempt++ {
+		if err := c.Publish(4, want, wantStats); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A sink reducer of round 3 that outlived its round.
+	if err := c.Publish(3, map[graph.EdgeID]int64{3: 100, 7: 100}, AugProcStats{Submitted: 6, Accepted: 6, TotalDelta: 200}); err != nil {
+		t.Fatalf("stale publish must be acknowledged, got %v", err)
+	}
+	if got := s.stale.Load(); got != 6 {
+		t.Errorf("stale = %d, want the orphan's 6 candidates", got)
+	}
+	st, deltas := s.EndRound()
+	if st != wantStats {
+		t.Errorf("stats = %+v, want %+v (MaxQueue 0: Publish bypasses the queue)", st, wantStats)
+	}
+	if !reflect.DeepEqual(deltas, want) {
+		t.Errorf("deltas = %v, want %v", deltas, want)
+	}
+
+	// The next round starts from nothing.
+	s.BeginRound(5)
+	if st, deltas := s.EndRound(); st != (AugProcStats{}) || len(deltas) != 0 {
+		t.Errorf("round 5 inherited %+v %v", st, deltas)
 	}
 }
 

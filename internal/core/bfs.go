@@ -225,7 +225,7 @@ func RunBFS(cluster *mapreduce.Cluster, in *graph.Input, reducers int, pathPrefi
 		NumReducers:  reducers,
 		NewMapper:    func() mapreduce.Mapper { return bfsConvertMapper{} },
 		NewReducer:   func() mapreduce.Reducer { return &bfsConvertReducer{source: in.Source} },
-		Spec:         &mapreduce.JobSpec{Kind: KindBFSConvert, Params: mustEncodeParams(&bfsConvertParams{Source: in.Source})},
+		Spec:         &mapreduce.JobSpec{Kind: KindBFSConvert, Params: (&bfsConvertParams{Source: in.Source}).append(nil)},
 	}
 	res0, err := cluster.Run(job0)
 	if err != nil {
@@ -245,7 +245,7 @@ func RunBFS(cluster *mapreduce.Cluster, in *graph.Input, reducers int, pathPrefi
 			NumReducers:  reducers,
 			NewMapper:    func() mapreduce.Mapper { return &bfsMapper{round: int64(r)} },
 			NewReducer:   func() mapreduce.Reducer { return bfsReducer{} },
-			Spec:         &mapreduce.JobSpec{Kind: KindBFSRound, Params: mustEncodeParams(&bfsRoundParams{Round: int64(r)})},
+			Spec:         &mapreduce.JobSpec{Kind: KindBFSRound, Params: (&bfsRoundParams{Round: int64(r)}).append(nil)},
 		}
 		res, err := cluster.Run(job)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ffmr/internal/dfs"
+	"ffmr/internal/rpcutil"
 )
 
 // Multi-round MR chains at the paper's scale run for hours; a failure in
@@ -34,11 +35,7 @@ func encodeCheckpoint(cp *checkpoint) []byte {
 	buf = binary.AppendVarint(buf, int64(cp.Reducers))
 	buf = binary.AppendVarint(buf, int64(cp.Round))
 	buf = binary.AppendVarint(buf, cp.MaxFlow)
-	if cp.Converged {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = rpcutil.AppendBool(buf, cp.Converged)
 	buf = binary.AppendUvarint(buf, uint64(len(cp.Stats)))
 	for _, s := range cp.Stats {
 		for _, v := range []int64{
@@ -53,89 +50,42 @@ func encodeCheckpoint(cp *checkpoint) []byte {
 	return buf
 }
 
-type cpDecoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *cpDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.err = fmt.Errorf("core: truncated checkpoint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *cpDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.err = fmt.Errorf("core: truncated checkpoint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *cpDecoder) boolByte() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.b) {
-		d.err = fmt.Errorf("core: truncated checkpoint at offset %d", d.off)
-		return false
-	}
-	v := d.b[d.off] != 0
-	d.off++
-	return v
-}
-
 func decodeCheckpoint(data []byte) (*checkpoint, error) {
-	d := cpDecoder{b: data}
-	if v := d.uvarint(); d.err == nil && v != checkpointVersion {
+	d := rpcutil.NewReader(data)
+	if v := d.Uvarint("version"); d.Err() == nil && v != checkpointVersion {
 		return nil, fmt.Errorf("core: checkpoint version %d, want %d", v, checkpointVersion)
 	}
 	cp := &checkpoint{
-		Variant:  Variant(d.varint()),
-		Reducers: int(d.varint()),
-		Round:    int(d.varint()),
-		MaxFlow:  d.varint(),
+		Variant:  Variant(d.Varint("variant")),
+		Reducers: int(d.Varint("reducers")),
+		Round:    int(d.Varint("round")),
+		MaxFlow:  d.Varint("max flow"),
 	}
-	cp.Converged = d.boolByte()
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(data)) {
-		return nil, fmt.Errorf("core: implausible checkpoint stat count %d", n)
+	cp.Converged = d.Bool("converged")
+	if n := d.Count("round stats"); n > 0 {
+		cp.Stats = make([]RoundStat, n)
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var s RoundStat
-		s.Round = int(d.varint())
-		s.APaths = d.varint()
-		s.Submitted = d.varint()
-		s.MaxQueue = d.varint()
-		s.FlowDelta = d.varint()
-		s.SourceMove = d.varint()
-		s.SinkMove = d.varint()
-		s.ActiveVertices = d.varint()
-		s.MapOutRecords = d.varint()
-		s.MapOutBytes = d.varint()
-		s.ShuffleBytes = d.varint()
-		s.MaxRecordBytes = d.varint()
-		s.MaxGroupBytes = d.varint()
-		s.OutputBytes = d.varint()
-		s.SimTime = time.Duration(d.varint())
-		s.WallTime = time.Duration(d.varint())
-		cp.Stats = append(cp.Stats, s)
+	for i := range cp.Stats {
+		s := &cp.Stats[i]
+		s.Round = int(d.Varint("stat round"))
+		s.APaths = d.Varint("stat a-paths")
+		s.Submitted = d.Varint("stat submitted")
+		s.MaxQueue = d.Varint("stat max queue")
+		s.FlowDelta = d.Varint("stat flow delta")
+		s.SourceMove = d.Varint("stat source move")
+		s.SinkMove = d.Varint("stat sink move")
+		s.ActiveVertices = d.Varint("stat active vertices")
+		s.MapOutRecords = d.Varint("stat map out records")
+		s.MapOutBytes = d.Varint("stat map out bytes")
+		s.ShuffleBytes = d.Varint("stat shuffle bytes")
+		s.MaxRecordBytes = d.Varint("stat max record bytes")
+		s.MaxGroupBytes = d.Varint("stat max group bytes")
+		s.OutputBytes = d.Varint("stat output bytes")
+		s.SimTime = time.Duration(d.Varint("stat sim time"))
+		s.WallTime = time.Duration(d.Varint("stat wall time"))
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Finish("checkpoint"); err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
 	return cp, nil
 }

@@ -1,12 +1,7 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"net"
-	"net/rpc"
-	"sync"
+	"encoding/binary"
 
 	"ffmr/internal/distmr"
 	"ffmr/internal/graph"
@@ -16,11 +11,13 @@ import (
 
 // This file makes the core jobs runnable on the distributed backend
 // (internal/distmr). Closures cannot cross a process boundary, so every
-// job carries a Spec: a registered kind name plus gob-encoded parameters
-// from which a worker — in this process or another — reconstructs the
-// job's mappers, reducers, combiner and service connection. Any binary
-// that links this package (the driver, cmd/ffmr-worker, tests) registers
-// the same kinds at init.
+// job carries a Spec: a registered kind name plus hand-framed parameters
+// (the rpcutil cursor every wire message uses) from which a worker — in
+// this process or another — reconstructs the job's mappers, reducers,
+// combiner and service connection. Any binary that links this package
+// (the driver, cmd/ffmr-worker, tests) registers the same kinds at init.
+// Params carry no version byte of their own: they travel inside a task
+// descriptor, which is versioned (DESIGN.md §13).
 
 // Job kind names registered with the distributed backend.
 const (
@@ -44,8 +41,8 @@ type ffRoundParams struct {
 	Sink        graph.VertexID
 	DeltasFile  string
 	UseCombiner bool
-	// ServiceAddr is the round's acceptance service: the aug_proc server
-	// for FF2+, the driver's FF1 collector server otherwise.
+	// ServiceAddr is the run's aug_proc server, the acceptance service of
+	// every variant.
 	ServiceAddr string
 }
 
@@ -57,27 +54,66 @@ type bfsRoundParams struct {
 	Round int64
 }
 
-// mustEncodeParams gob-encodes a params struct. Encoding our own concrete
-// structs with exported scalar fields cannot fail.
-func mustEncodeParams(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("core: encode job params: %v", err))
-	}
-	return buf.Bytes()
+func (p *ffConvertParams) append(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(p.Source))
+	b = binary.AppendUvarint(b, uint64(p.Sink))
+	b = rpcutil.AppendBool(b, p.Bidirectional)
+	return rpcutil.AppendBool(b, p.SentTracking)
 }
 
-func decodeParams(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("core: decode job params: %w", err)
-	}
-	return nil
+func (p *ffConvertParams) decode(data []byte) error {
+	d := rpcutil.NewReader(data)
+	p.Source = graph.VertexID(d.Uint32("convert source"))
+	p.Sink = graph.VertexID(d.Uint32("convert sink"))
+	p.Bidirectional = d.Bool("convert bidirectional")
+	p.SentTracking = d.Bool("convert sent tracking")
+	return d.Finish("ffmr/convert params")
+}
+
+func (p *ffRoundParams) append(b []byte) []byte {
+	b = binary.AppendVarint(b, int64(p.Variant))
+	b = binary.AppendVarint(b, int64(p.K))
+	b = binary.AppendUvarint(b, uint64(p.Source))
+	b = binary.AppendUvarint(b, uint64(p.Sink))
+	b = rpcutil.AppendString(b, p.DeltasFile)
+	b = rpcutil.AppendBool(b, p.UseCombiner)
+	return rpcutil.AppendString(b, p.ServiceAddr)
+}
+
+func (p *ffRoundParams) decode(data []byte) error {
+	d := rpcutil.NewReader(data)
+	p.Variant = Variant(d.Int("round variant"))
+	p.K = d.Int("round k")
+	p.Source = graph.VertexID(d.Uint32("round source"))
+	p.Sink = graph.VertexID(d.Uint32("round sink"))
+	p.DeltasFile = d.Str("round deltas file")
+	p.UseCombiner = d.Bool("round combiner")
+	p.ServiceAddr = d.Str("round aug_proc addr")
+	return d.Finish("ffmr/round params")
+}
+
+func (p *bfsConvertParams) append(b []byte) []byte {
+	return binary.AppendUvarint(b, uint64(p.Source))
+}
+
+func (p *bfsConvertParams) decode(data []byte) error {
+	d := rpcutil.NewReader(data)
+	p.Source = graph.VertexID(d.Uint32("bfs source"))
+	return d.Finish("bfs/convert params")
+}
+
+func (p *bfsRoundParams) append(b []byte) []byte { return binary.AppendVarint(b, p.Round) }
+
+func (p *bfsRoundParams) decode(data []byte) error {
+	d := rpcutil.NewReader(data)
+	p.Round = d.Varint("bfs round")
+	return d.Finish("bfs/round params")
 }
 
 func init() {
 	distmr.RegisterKind(KindFFConvert, func(params []byte) (*distmr.JobCode, error) {
 		var p ffConvertParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := p.decode(params); err != nil {
 			return nil, err
 		}
 		return &distmr.JobCode{
@@ -95,7 +131,7 @@ func init() {
 
 	distmr.RegisterKind(KindFFRound, func(params []byte) (*distmr.JobCode, error) {
 		var p ffRoundParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := p.decode(params); err != nil {
 			return nil, err
 		}
 		cfg := &runConfig{
@@ -112,27 +148,18 @@ func init() {
 		if p.UseCombiner {
 			code.NewCombiner = newFFCombiner
 		}
-		if cfg.feat.augProc {
-			client, err := DialAugProc(p.ServiceAddr)
-			if err != nil {
-				return nil, err
-			}
-			code.Service = client
-			code.Close = client.Close
-		} else {
-			sink, err := dialFF1Sink(p.ServiceAddr)
-			if err != nil {
-				return nil, err
-			}
-			code.Service = sink
-			code.Close = sink.Close
+		client, err := DialAugProc(p.ServiceAddr)
+		if err != nil {
+			return nil, err
 		}
+		code.Service = client
+		code.Close = client.Close
 		return code, nil
 	})
 
 	distmr.RegisterKind(KindBFSConvert, func(params []byte) (*distmr.JobCode, error) {
 		var p bfsConvertParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := p.decode(params); err != nil {
 			return nil, err
 		}
 		return &distmr.JobCode{
@@ -143,7 +170,7 @@ func init() {
 
 	distmr.RegisterKind(KindBFSRound, func(params []byte) (*distmr.JobCode, error) {
 		var p bfsRoundParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := p.decode(params); err != nil {
 			return nil, err
 		}
 		return &distmr.JobCode{
@@ -152,92 +179,3 @@ func init() {
 		}, nil
 	})
 }
-
-// FF1AddArgs carries the FF1 sink reducer's round outcome — the accepted
-// flow deltas and acceptance statistics — to the driver's collector.
-type FF1AddArgs struct {
-	Deltas map[graph.EdgeID]int64
-	Stats  AugProcStats
-}
-
-// FF1AddReply is the empty acknowledgement.
-type FF1AddReply struct{}
-
-// ff1CollectorServer exposes the driver's per-round ff1Collector over
-// TCP so FF1 sink reducers running on distributed workers can publish
-// their acceptance outcome, the way FF2+ reducers reach aug_proc. One
-// server lives for the whole run; the driver points it at each round's
-// fresh collector.
-type ff1CollectorServer struct {
-	ln net.Listener
-
-	mu  sync.Mutex
-	col *ff1Collector
-}
-
-type ff1SinkService struct{ s *ff1CollectorServer }
-
-// Add publishes a round outcome into the current collector. The
-// collector's replace semantics make the call idempotent, so retried or
-// speculated sink reducers cannot double-count.
-func (svc *ff1SinkService) Add(args *FF1AddArgs, _ *FF1AddReply) error {
-	svc.s.mu.Lock()
-	col := svc.s.col
-	svc.s.mu.Unlock()
-	if col == nil {
-		return fmt.Errorf("core: ff1 collector: no round is active")
-	}
-	return col.add(args.Deltas, args.Stats)
-}
-
-func newFF1CollectorServer() (*ff1CollectorServer, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("core: ff1 collector listen: %w", err)
-	}
-	s := &ff1CollectorServer{ln: ln}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("FF1Sink", &ff1SinkService{s: s}); err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("core: ff1 collector register: %w", err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			go srv.ServeCodec(rpcutil.NewServerCodec(conn))
-		}
-	}()
-	return s, nil
-}
-
-func (s *ff1CollectorServer) Addr() string { return s.ln.Addr().String() }
-
-func (s *ff1CollectorServer) setCollector(col *ff1Collector) {
-	s.mu.Lock()
-	s.col = col
-	s.mu.Unlock()
-}
-
-func (s *ff1CollectorServer) Close() error { return s.ln.Close() }
-
-// ff1RemoteSink is a worker's connection to the driver's collector
-// server; it satisfies ff1Sink so the FF1 reducer code is backend
-// agnostic.
-type ff1RemoteSink struct{ c *rpc.Client }
-
-func dialFF1Sink(addr string) (*ff1RemoteSink, error) {
-	c, err := rpcutil.DialRPC(addr, rpcutil.Policy{})
-	if err != nil {
-		return nil, fmt.Errorf("core: ff1 collector dial: %w", err)
-	}
-	return &ff1RemoteSink{c: c}, nil
-}
-
-func (s *ff1RemoteSink) add(deltas map[graph.EdgeID]int64, st AugProcStats) error {
-	return s.c.Call("FF1Sink.Add", &FF1AddArgs{Deltas: deltas, Stats: st}, &FF1AddReply{})
-}
-
-func (s *ff1RemoteSink) Close() error { return s.c.Close() }

@@ -189,12 +189,12 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 					sentTracking:  feat.sentTracking,
 				}
 			},
-			Spec: &mapreduce.JobSpec{Kind: KindFFConvert, Params: mustEncodeParams(&ffConvertParams{
+			Spec: &mapreduce.JobSpec{Kind: KindFFConvert, Params: (&ffConvertParams{
 				Source:        in.Source,
 				Sink:          in.Sink,
 				Bidirectional: !opts.DisableBidirectional,
 				SentTracking:  feat.sentTracking,
-			})},
+			}).append(nil)},
 		}
 		res0, err := cluster.Run(job0)
 		if err != nil {
@@ -274,31 +274,16 @@ func (l *ffLoop) run(startRound int) error {
 	// the run in flight (nil-safe when no tracer is configured).
 	reg := l.tr.Registry()
 
-	var aug *AugProcServer
-	if feat.augProc {
-		var err error
-		aug, err = NewAugProcServer()
-		if err != nil {
-			return err
-		}
-		aug.SetTracer(l.tr)
-		aug.SetLogger(opts.Log)
-		aug.SetDeterministic(opts.DeterministicAccept)
-		defer aug.Close() //nolint:errcheck // shutdown of a loopback listener
+	// aug_proc is the acceptance service of every variant: FF2+ reducers
+	// submit candidates to it, the FF1 sink reducer publishes its outcome.
+	aug, err := NewAugProcServer()
+	if err != nil {
+		return err
 	}
-
-	// On a distributed backend the FF1 sink reducer runs on a worker, so
-	// its acceptance outcome travels back over a collector server, the
-	// FF1 counterpart of aug_proc.
-	var ff1srv *ff1CollectorServer
-	if l.cluster.Distributed != nil && !feat.augProc {
-		var err error
-		ff1srv, err = newFF1CollectorServer()
-		if err != nil {
-			return err
-		}
-		defer ff1srv.Close() //nolint:errcheck // shutdown of a loopback listener
-	}
+	aug.SetTracer(l.tr)
+	aug.SetLogger(opts.Log)
+	aug.SetDeterministic(opts.DeterministicAccept)
+	defer aug.Close() //nolint:errcheck // shutdown of a loopback listener
 
 	for round := startRound; round <= opts.MaxRounds; round++ {
 		roundSpan := l.tr.Start(trace.CatRound, fmt.Sprintf("round-%05d", round), l.runSpan)
@@ -310,24 +295,11 @@ func (l *ffLoop) run(startRound int) error {
 			deltasFile: deltaName(prefix, round),
 		}
 
-		var service any
-		var collector *ff1Collector
-		var client *AugProcClient
-		if feat.augProc {
-			aug.BeginRound(round)
-			c, err := DialAugProc(aug.Addr())
-			if err != nil {
-				roundSpan.End()
-				return err
-			}
-			client = c
-			service = client
-		} else {
-			collector = newFF1Collector()
-			service = collector
-			if ff1srv != nil {
-				ff1srv.setCollector(collector)
-			}
+		aug.BeginRound(round)
+		client, err := DialAugProc(aug.Addr())
+		if err != nil {
+			roundSpan.End()
+			return err
 		}
 
 		basePrefix := roundPrefix(prefix, round-1)
@@ -343,7 +315,7 @@ func (l *ffLoop) run(startRound int) error {
 			SideFiles:    []string{cfg.deltasFile},
 			Schimmy:      feat.schimmy,
 			SchimmyBase:  basePrefix,
-			Service:      service,
+			Service:      client,
 			Parent:       roundSpan,
 			NewMapper:    func() mapreduce.Mapper { return newFFMapper(cfg) },
 			NewReducer:   func() mapreduce.Reducer { return newFFReducer(cfg) },
@@ -351,37 +323,23 @@ func (l *ffLoop) run(startRound int) error {
 		if opts.UseCombiner {
 			job.NewCombiner = newFFCombiner
 		}
-		svcAddr := ""
-		if feat.augProc {
-			svcAddr = aug.Addr()
-		} else if ff1srv != nil {
-			svcAddr = ff1srv.Addr()
-		}
-		job.Spec = &mapreduce.JobSpec{Kind: KindFFRound, Params: mustEncodeParams(&ffRoundParams{
+		job.Spec = &mapreduce.JobSpec{Kind: KindFFRound, Params: (&ffRoundParams{
 			Variant:     opts.Variant,
 			K:           opts.K,
 			Source:      l.in.Source,
 			Sink:        l.in.Sink,
 			DeltasFile:  cfg.deltasFile,
 			UseCombiner: opts.UseCombiner,
-			ServiceAddr: svcAddr,
-		})}
+			ServiceAddr: aug.Addr(),
+		}).append(nil)}
 		res, err := l.cluster.Run(job)
-		if client != nil {
-			client.Close() //nolint:errcheck // loopback connection teardown
-		}
+		client.Close() //nolint:errcheck // loopback connection teardown
 		if err != nil {
 			roundSpan.End()
 			return err
 		}
 
-		var st AugProcStats
-		var deltas map[graph.EdgeID]int64
-		if feat.augProc {
-			st, deltas = aug.EndRound()
-		} else {
-			st, deltas = collector.round()
-		}
+		st, deltas := aug.EndRound()
 		result.MaxFlow += st.TotalDelta
 		result.Rounds = round
 

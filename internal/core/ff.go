@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"ffmr/internal/graph"
 	"ffmr/internal/mapreduce"
@@ -34,51 +33,11 @@ func (c *runConfig) extendConfig() extendConfig {
 	return extendConfig{source: c.source, sink: c.sink, sentTracking: c.feat.sentTracking}
 }
 
-// ff1Sink receives the FF1 sink reducer's acceptance outcome. The
-// simulated engine hands the reducer the driver's collector directly; on
-// the distributed backend the worker holds an RPC connection to the
-// driver's collector server instead. Both satisfy this interface, so the
-// reducer code is backend agnostic.
-type ff1Sink interface {
-	add(deltas map[graph.EdgeID]int64, st AugProcStats) error
-}
-
 // candidateSink receives the candidate augmenting paths an FF2+ reducer
 // generates. *AugProcClient is the one production implementation; it has
 // encoded the paths by the time Submit returns.
 type candidateSink interface {
 	Submit(round, task, exec int, paths []graph.ExcessPath) error
-}
-
-// ff1Collector stands in for aug_proc in FF1: the sink vertex's reducer
-// performs the final acceptance itself and deposits the resulting
-// AugmentedEdges table here for the driver to broadcast next round.
-type ff1Collector struct {
-	mu     sync.Mutex
-	deltas map[graph.EdgeID]int64
-	stats  AugProcStats
-}
-
-func newFF1Collector() *ff1Collector {
-	return &ff1Collector{deltas: make(map[graph.EdgeID]int64)}
-}
-
-// add publishes the sink reducer's acceptance outcome. Exactly one
-// reduce group (the sink vertex's) ever calls it, so the semantics are
-// replace-not-accumulate: a retried reduce attempt (task fault
-// tolerance) must not double-count its deltas.
-func (c *ff1Collector) add(deltas map[graph.EdgeID]int64, st AugProcStats) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.deltas = deltas
-	c.stats = st
-	return nil
-}
-
-func (c *ff1Collector) round() (AugProcStats, map[graph.EdgeID]int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats, c.deltas
 }
 
 // deltaCache lazily parses the AugmentedEdges side file once per task.
@@ -433,11 +392,11 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 	} else if isSink {
 		// FF1: the sink reducer finalizes acceptance and publishes the
 		// round's AugmentedEdges table (Fig. 4 lines 12-14).
-		col, ok := ctx.Service().(ff1Sink)
+		client, ok := ctx.Service().(*AugProcClient)
 		if !ok {
-			return fmt.Errorf("core: job service is not an FF1 collector")
+			return fmt.Errorf("core: job service is not an aug_proc client")
 		}
-		if err := col.add(s.ap.Deltas(), ff1Stats); err != nil {
+		if err := client.Publish(ctx.Round(), s.ap.Deltas(), ff1Stats); err != nil {
 			return err
 		}
 	}

@@ -469,7 +469,7 @@ func (m *Master) stopMaster(graceful bool) {
 		for _, w := range workers {
 			if graceful {
 				// Best-effort: a dead worker's call just errors out.
-				call := w.client.Go("Worker.Shutdown", &ShutdownArgs{}, &ShutdownReply{}, make(chan *rpc.Call, 1))
+				call := w.client.Go("Worker.Shutdown", &Empty{}, &Empty{}, make(chan *rpc.Call, 1))
 				select {
 				case <-call.Done:
 				case <-time.After(500 * time.Millisecond):
@@ -836,12 +836,8 @@ type masterService struct{ m *Master }
 // before acknowledging, so a registered worker is always reachable. A
 // worker joining mid-job becomes eligible for pending leases on the
 // scheduler's next dispatch pass — no job-level coordination needed.
-func (s *masterService) Register(args *RegisterArgs, reply *RegisterReply) error {
+func (s *masterService) Register(join *JoinRequest, reply *RegisterReply) error {
 	m := s.m
-	join, err := DecodeJoin(args.Data)
-	if err != nil {
-		return err
-	}
 	if join.Addr == "" {
 		return fmt.Errorf("distmr: register without an address")
 	}
@@ -894,7 +890,7 @@ func (s *masterService) Register(args *RegisterArgs, reply *RegisterReply) error
 // waiting out the heartbeat grace period — the role the old blocking
 // per-task RunTask call used to play.
 func (m *Master) watchWorker(w *workerHandle) {
-	w.client.Call("Worker.Watch", &WatchArgs{}, &WatchReply{}) //nolint:errcheck // any return means the worker is gone
+	w.client.Call("Worker.Watch", &Empty{}, &Empty{}) //nolint:errcheck // any return means the worker is gone
 	m.mu.Lock()
 	shut := m.shut
 	m.mu.Unlock()
@@ -911,12 +907,8 @@ func (m *Master) watchWorker(w *workerHandle) {
 // when the worker's drain completed, Unknown when the master has no
 // live record of the id (expired entry or a restarted master) so the
 // worker re-registers.
-func (s *masterService) Heartbeat(args *HeartbeatArgs, reply *HeartbeatReply) error {
+func (s *masterService) Heartbeat(hb *Heartbeat, reply *HeartbeatReply) error {
 	m := s.m
-	hb, err := DecodeHeartbeat(args.Data)
-	if err != nil {
-		return err
-	}
 	recv := time.Now()
 	healthy := false
 	var gRunning, gStoreB *trace.Gauge
@@ -1034,11 +1026,7 @@ func (m *Master) importTelemetry(w *workerHandle, hb *Heartbeat, recv time.Time)
 
 // Retire starts a graceful drain for a worker (normally requested by the
 // worker itself on SIGTERM or by an autoscaler).
-func (s *masterService) Retire(args *RetireArgs, _ *RetireReply) error {
-	r, err := DecodeRetire(args.Data)
-	if err != nil {
-		return err
-	}
+func (s *masterService) Retire(r *Retire, _ *Empty) error {
 	return s.m.retireWorker(r.Worker, r.Reason)
 }
 
@@ -1138,6 +1126,6 @@ func (m *Master) cleanJob(seq uint64) {
 	}
 	m.mu.Unlock()
 	for _, w := range workers {
-		w.client.Go("Worker.CleanJob", &CleanJobArgs{JobSeq: seq}, &CleanJobReply{}, make(chan *rpc.Call, 1))
+		w.client.Go("Worker.CleanJob", &CleanJobArgs{JobSeq: seq}, &Empty{}, make(chan *rpc.Call, 1))
 	}
 }

@@ -2,19 +2,13 @@ package distmr
 
 import "ffmr/internal/spill"
 
-// This file defines the RPC envelopes exchanged between master and
-// workers. Every payload — task descriptors, heartbeats, task results,
-// prefetch hints — travels pre-encoded in the custom wire format
-// (wire.go, spec in DESIGN.md §13) inside these thin []byte envelopes,
-// and the envelopes themselves frame onto the wire via rpcutil's frame
-// codec (wire_rpc.go holds the Message implementations), so the codec
-// tax on the task hot path is the cost of the hand-rolled framing —
-// no reflection-driven gob anywhere on the steady-state path.
-
-// RegisterArgs carries one wire-encoded JoinRequest.
-type RegisterArgs struct {
-	Data []byte
-}
+// This file defines the RPC replies and the scalar requests exchanged
+// between master and workers. The structured requests — JoinRequest,
+// Heartbeat, Retire, HandoffDescriptor, TaskDescriptor,
+// PrefetchDescriptor (wire.go, spec in DESIGN.md §13) — are RPC
+// arguments themselves: every type here and there frames itself onto
+// the wire as an rpcutil.Message (wire_rpc.go), so a call encodes its
+// message exactly once.
 
 // RegisterReply assigns the worker its identity and cadence.
 type RegisterReply struct {
@@ -24,11 +18,6 @@ type RegisterReply struct {
 	// counter) can tell stale workers from re-registered ones.
 	Instance          uint64
 	HeartbeatInterval int64 // nanoseconds
-}
-
-// HeartbeatArgs carries one wire-encoded Heartbeat.
-type HeartbeatArgs struct {
-	Data []byte
 }
 
 // HeartbeatReply is the master's response; Shutdown tells the worker to
@@ -41,20 +30,6 @@ type HeartbeatReply struct {
 	Shutdown bool
 	Unknown  bool
 	Retired  bool
-}
-
-// RetireArgs carries one wire-encoded Retire request.
-type RetireArgs struct {
-	Data []byte
-}
-
-// RetireReply is empty.
-type RetireReply struct{}
-
-// HandoffArgs carries one wire-encoded HandoffDescriptor, asking a
-// draining worker for the stored bytes of the listed segments.
-type HandoffArgs struct {
-	Desc []byte
 }
 
 // HandoffReply returns the stored (possibly compressed) bytes of each
@@ -74,38 +49,11 @@ type ReadFileReply struct {
 	Data []byte
 }
 
-// StartTaskArgs carries one wire-encoded TaskDescriptor. The call
-// returns as soon as the worker has accepted (or crashed on) the task;
-// the result arrives later as a Completion riding a heartbeat, so one
-// worker can run many attempts without holding an RPC open per task.
-type StartTaskArgs struct {
-	Desc []byte
-}
-
-// StartTaskReply is empty: acceptance is the reply. An RPC-level error
-// means the worker died before accepting (the master reassigns without
-// consuming an attempt); task body failures travel in the eventual
-// completion's TaskResult.Err and consume Fault.MaxAttempts.
-type StartTaskReply struct{}
-
-// PrefetchArgs carries one wire-encoded PrefetchDescriptor, hinting a
-// worker to pull shuffle segments ahead of reduce dispatch.
-type PrefetchArgs struct {
-	Desc []byte
-}
-
-// PrefetchReply is empty; the hint is advisory and never fails.
-type PrefetchReply struct{}
-
-// WatchArgs subscribes the master to a worker's death: the call blocks
-// until the worker exits, so a crash surfaces to the master as the
-// pending call erroring out — the prompt-failure signal the old
-// blocking RunTask lease provided, without pinning a call per task.
-type WatchArgs struct{}
-
-// WatchReply is empty; Watch only ever returns when the worker dies or
-// shuts down.
-type WatchReply struct{}
+// Empty is the argument or reply of every call that carries nothing:
+// Worker.Watch and Worker.Shutdown take it, and Master.Retire,
+// Worker.StartTask, Worker.Prefetch, Worker.Watch, Worker.CleanJob and
+// Worker.Shutdown answer with it (acceptance is the reply).
+type Empty struct{}
 
 // TaskResult is what a completed task attempt reports. Only the winning
 // attempt's result is merged into the job's statistics, so retried and
@@ -166,12 +114,3 @@ type FetchSegmentReply struct {
 type CleanJobArgs struct {
 	JobSeq uint64
 }
-
-// CleanJobReply is empty.
-type CleanJobReply struct{}
-
-// ShutdownArgs asks a worker to exit.
-type ShutdownArgs struct{}
-
-// ShutdownReply is empty.
-type ShutdownReply struct{}

@@ -12,7 +12,7 @@ import (
 
 	"ffmr/internal/mapreduce"
 	"ffmr/internal/obsv"
-	"ffmr/internal/rpcutil"
+	"ffmr/internal/spill"
 	"ffmr/internal/trace"
 )
 
@@ -247,14 +247,8 @@ func (jr *jobRun) run() (*mapreduce.Result, error) {
 	for i := range jr.maps {
 		r := jr.maps[i].winner
 		mapDur[i] = jr.maps[i].dur
-		res.MapInputRecords += r.InRecs
-		res.MapOutputRecords += r.OutRecs
-		res.MapOutputBytes += r.RawBytes
-		if r.MaxFrame > res.MaxRecordBytes {
-			res.MaxRecordBytes = r.MaxFrame
-		}
-		res.Spills += r.Spills
-		res.SpilledBytes += r.RawBytes
+		res.AddMapWinner(&mapreduce.MapResult{InRecs: r.InRecs, OutRecs: r.OutRecs,
+			Out: &spill.Output{RawBytes: r.RawBytes, MaxFrame: r.MaxFrame, Spills: r.Spills}})
 	}
 	reduceDur := make([]time.Duration, len(jr.reduces))
 	reduceFetch := make([]int64, len(jr.reduces))
@@ -262,17 +256,9 @@ func (jr *jobRun) run() (*mapreduce.Result, error) {
 		r := jr.reduces[p].winner
 		reduceDur[p] = jr.reduces[p].dur
 		reduceFetch[p] = r.Fetch
-		res.ShuffleBytes += r.Fetch
-		res.InterNodeShuffleBytes += r.Inter
-		res.MergePasses += r.MergePasses
-		if r.MaxMergeFanIn > res.MaxMergeFanIn {
-			res.MaxMergeFanIn = r.MaxMergeFanIn
-		}
-		if r.MaxGroup > res.MaxGroupBytes {
-			res.MaxGroupBytes = r.MaxGroup
-		}
-		res.ReduceOutputRecords += r.OutRecords
-		res.OutputBytes += r.OutBytes
+		res.AddReduceWinner(&mapreduce.ReduceResult{Fetch: r.Fetch, Inter: r.Inter,
+			MergePasses: r.MergePasses, MaxMergeFanIn: r.MaxMergeFanIn, MaxGroup: r.MaxGroup,
+			Output: r.OutputData, OutRecords: r.OutRecords}, true)
 		if err := c.FS.WriteFile(mapreduce.PartName(job.OutputPrefix, p), r.OutputData); err != nil {
 			return nil, err
 		}
@@ -473,9 +459,7 @@ func (jr *jobRun) launch(ts *taskState, w *workerHandle, backup bool) {
 		jr.tracer.Registry().Histogram(HistQueueWaitNS).ObserveSince(ts.enqueuedAt)
 		ts.enqueuedAt = time.Time{}
 	}
-	buf := rpcutil.GetBuf()
-	*buf = AppendTask(*buf, jr.descriptor(ts, assign))
-	args := &StartTaskArgs{Desc: *buf}
+	desc := jr.descriptor(ts, assign)
 	ph, task := ts.ph, ts.task
 	// The dispatch RPC gets its own master-side span and round-trip
 	// histogram entry: against the worker-side task span it shows how
@@ -484,10 +468,9 @@ func (jr *jobRun) launch(ts *taskState, w *workerHandle, backup bool) {
 	rpcSpan.SetInt("to_worker", int64(w.id))
 	rpcStart := time.Now()
 	go func() {
-		call := w.client.Go("Worker.StartTask", args, &StartTaskReply{}, make(chan *rpc.Call, 1))
+		call := w.client.Go("Worker.StartTask", desc, &Empty{}, make(chan *rpc.Call, 1))
 		select {
 		case <-call.Done:
-			rpcutil.PutBuf(buf) // the transport wrote (or abandoned) the bytes
 			jr.tracer.Registry().Histogram(HistStartTaskNS).ObserveSince(rpcStart)
 			rpcSpan.End()
 			if call.Error == nil {
@@ -499,7 +482,6 @@ func (jr *jobRun) launch(ts *taskState, w *workerHandle, backup bool) {
 			case <-jr.cancel:
 			}
 		case <-jr.cancel:
-			// The codec may still reference buf; let the GC take it.
 			rpcSpan.End()
 		}
 	}()
@@ -841,17 +823,11 @@ func (jr *jobRun) pushPrefetch(mt *taskState) {
 		})
 	}
 	for w, srcs := range byWorker {
-		buf := rpcutil.GetBuf()
-		*buf = AppendPrefetch(*buf, &PrefetchDescriptor{JobSeq: jr.seq, Ctx: jr.ctx(), Sources: srcs})
+		desc := &PrefetchDescriptor{JobSeq: jr.seq, Ctx: jr.ctx(), Sources: srcs}
 		jr.m.registry().Counter(CounterPrefetchPushes).Add(1)
-		go func(w *workerHandle, buf *[]byte) {
-			call := w.client.Go("Worker.Prefetch", &PrefetchArgs{Desc: *buf}, &PrefetchReply{}, make(chan *rpc.Call, 1))
-			select {
-			case <-call.Done: // advisory: the error, if any, is ignored
-				rpcutil.PutBuf(buf)
-			case <-jr.cancel:
-			}
-		}(w, buf)
+		// Advisory, so nobody waits for the reply or reads its error; the
+		// goroutine only keeps the connection write off the scheduler loop.
+		go w.client.Go("Worker.Prefetch", desc, &Empty{}, make(chan *rpc.Call, 1))
 	}
 }
 
@@ -937,9 +913,8 @@ func (jr *jobRun) handoffWorker(w *workerHandle) bool {
 		}
 	}
 	if len(names) > 0 {
-		args := &HandoffArgs{Desc: EncodeHandoff(&HandoffDescriptor{JobSeq: jr.seq, Segments: names})}
 		reply := &HandoffReply{}
-		if err := w.client.Call("Worker.Handoff", args, reply); err != nil {
+		if err := w.client.Call("Worker.Handoff", &HandoffDescriptor{JobSeq: jr.seq, Segments: names}, reply); err != nil {
 			jr.log.Warn("drain hand-off failed; treating worker as dead", "worker", w.id, "err", err)
 			jr.m.markDead(w)
 			return false
@@ -984,7 +959,7 @@ func (jr *jobRun) persistWinner(ts *taskState) {
 			}
 		}
 		if len(names) > 0 {
-			args := &HandoffArgs{Desc: EncodeHandoff(&HandoffDescriptor{JobSeq: jr.seq, Segments: names})}
+			args := &HandoffDescriptor{JobSeq: jr.seq, Segments: names}
 			reply := &HandoffReply{}
 			if err := ts.winnerW.client.Call("Worker.Handoff", args, reply); err != nil || len(reply.Data) != len(names) {
 				jr.log.Warn("winner persist: segment pull failed", "phase", ts.ph.String(),

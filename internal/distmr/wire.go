@@ -19,9 +19,9 @@ package distmr
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
+	"ffmr/internal/rpcutil"
 	"ffmr/internal/spill"
 	"ffmr/internal/trace"
 )
@@ -66,11 +66,14 @@ type MapSource struct {
 	Segments []spill.Segment
 }
 
-// TaskDescriptor is the master-to-worker task assignment, carried inside
-// the RPC envelope in the custom wire format below (EncodeTask /
-// DecodeTask). One descriptor fully determines a task's execution, so a
-// reassigned or speculated attempt on another worker computes the
-// identical result.
+// TaskDescriptor is the master-to-worker task assignment, the argument
+// of Worker.StartTask, in the custom wire format below (EncodeTask /
+// DecodeTask). The call returns as soon as the worker has accepted (or
+// crashed on) the task; the result arrives later as a Completion riding
+// a heartbeat, so one worker can run many attempts without holding an
+// RPC open per task. One descriptor fully determines a task's
+// execution, so a reassigned or speculated attempt on another worker
+// computes the identical result.
 type TaskDescriptor struct {
 	// JobSeq namespaces the job's state on workers (code cache, side file
 	// cache, store prefixes); JobName feeds error text and injection
@@ -215,36 +218,23 @@ type PrefetchDescriptor struct {
 // frames.
 const wireVersion = 4
 
-// appendString appends a length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// appendBytes appends a length-prefixed byte slice.
-func appendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+// decodeNew adapts a payload's in-place decode method to the exported
+// DecodeX(data) (*X, error) form. The payload keeps slices of data.
+func decodeNew[T any](data []byte, decode func(*T, []byte) error) (*T, error) {
+	v := new(T)
+	if err := decode(v, data); err != nil {
+		return nil, err
 	}
-	return append(b, 0)
-}
-
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	return v, nil
 }
 
 func appendSegment(b []byte, s *spill.Segment) []byte {
-	b = appendString(b, s.Name)
+	b = rpcutil.AppendString(b, s.Name)
 	b = binary.AppendVarint(b, int64(s.Partition))
 	b = binary.AppendVarint(b, s.Records)
 	b = binary.AppendVarint(b, s.RawBytes)
 	b = binary.AppendVarint(b, s.StoredBytes)
-	b = appendBool(b, s.Compressed)
+	b = rpcutil.AppendBool(b, s.Compressed)
 	b = binary.AppendVarint(b, int64(s.Node))
 	return b
 }
@@ -252,8 +242,8 @@ func appendSegment(b []byte, s *spill.Segment) []byte {
 func appendSource(b []byte, src *MapSource) []byte {
 	b = binary.AppendVarint(b, int64(src.MapTask))
 	b = binary.AppendUvarint(b, src.Worker)
-	b = appendString(b, src.Addr)
-	b = appendString(b, src.Prefix)
+	b = rpcutil.AppendString(b, src.Addr)
+	b = rpcutil.AppendString(b, src.Prefix)
 	b = binary.AppendUvarint(b, uint64(len(src.Segments)))
 	for j := range src.Segments {
 		b = appendSegment(b, &src.Segments[j])
@@ -273,9 +263,9 @@ func EncodeTask(d *TaskDescriptor) []byte {
 func AppendTask(b []byte, d *TaskDescriptor) []byte {
 	b = append(b, wireVersion)
 	b = binary.AppendUvarint(b, d.JobSeq)
-	b = appendString(b, d.JobName)
-	b = appendString(b, d.Kind)
-	b = appendBytes(b, d.Params)
+	b = rpcutil.AppendString(b, d.JobName)
+	b = rpcutil.AppendString(b, d.Kind)
+	b = rpcutil.AppendBytes(b, d.Params)
 	b = append(b, byte(d.Phase))
 	b = binary.AppendVarint(b, int64(d.Task))
 	b = binary.AppendVarint(b, int64(d.Attempt))
@@ -284,18 +274,18 @@ func AppendTask(b []byte, d *TaskDescriptor) []byte {
 	b = binary.AppendVarint(b, int64(d.Round))
 	b = binary.AppendVarint(b, int64(d.NumReducers))
 	b = binary.AppendVarint(b, d.MemoryBudget)
-	b = appendBool(b, d.Compress)
+	b = rpcutil.AppendBool(b, d.Compress)
 	b = binary.AppendVarint(b, int64(d.MergeFanIn))
 	b = binary.AppendVarint(b, d.Seed)
-	b = appendF64(b, d.DiskFailureRate)
-	b = appendF64(b, d.CrashRate)
-	b = appendBool(b, d.Schimmy)
-	b = appendString(b, d.SchimmyBase)
+	b = rpcutil.AppendF64(b, d.DiskFailureRate)
+	b = rpcutil.AppendF64(b, d.CrashRate)
+	b = rpcutil.AppendBool(b, d.Schimmy)
+	b = rpcutil.AppendString(b, d.SchimmyBase)
 	b = binary.AppendUvarint(b, uint64(len(d.SideFiles)))
 	for _, s := range d.SideFiles {
-		b = appendString(b, s)
+		b = rpcutil.AppendString(b, s)
 	}
-	b = appendBytes(b, d.Split)
+	b = rpcutil.AppendBytes(b, d.Split)
 	b = binary.AppendUvarint(b, uint64(len(d.Sources)))
 	for i := range d.Sources {
 		b = appendSource(b, &d.Sources[i])
@@ -329,7 +319,7 @@ func AppendHeartbeat(b []byte, h *Heartbeat) []byte {
 		b = append(b, byte(c.Phase))
 		b = binary.AppendVarint(b, int64(c.Task))
 		b = binary.AppendVarint(b, int64(c.Assign))
-		b = appendBytes(b, c.Result)
+		b = rpcutil.AppendBytes(b, c.Result)
 	}
 	b = binary.AppendVarint(b, h.SentUnixNano)
 	b = binary.AppendVarint(b, h.RTTNanos)
@@ -339,13 +329,13 @@ func AppendHeartbeat(b []byte, h *Heartbeat) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(h.Counters)))
 	for i := range h.Counters {
-		b = appendString(b, h.Counters[i].Name)
+		b = rpcutil.AppendString(b, h.Counters[i].Name)
 		b = binary.AppendVarint(b, h.Counters[i].Value)
 	}
 	b = binary.AppendUvarint(b, uint64(len(h.Hists)))
 	for i := range h.Hists {
 		hs := &h.Hists[i]
-		b = appendString(b, hs.Name)
+		b = rpcutil.AppendString(b, hs.Name)
 		b = binary.AppendVarint(b, hs.Count)
 		b = binary.AppendVarint(b, hs.Sum)
 		b = binary.AppendUvarint(b, uint64(len(hs.Buckets)))
@@ -356,195 +346,85 @@ func AppendHeartbeat(b []byte, h *Heartbeat) []byte {
 	return b
 }
 
-// decoder is a bounds-checked cursor over an encoded message. Every read
-// after an error returns a zero value, so decode paths need one error
-// check at the end; no input can make it panic or allocate more than the
-// input's own length (all counts are validated against remaining bytes).
-type decoder struct {
-	b   []byte
-	off int
-	err error
+func readSegment(d *rpcutil.Reader, s *spill.Segment) {
+	s.Name = d.Str("segment name")
+	s.Partition = d.Int("segment partition")
+	s.Records = d.Varint("segment records")
+	s.RawBytes = d.Varint("segment raw bytes")
+	s.StoredBytes = d.Varint("segment stored bytes")
+	s.Compressed = d.Bool("segment compressed")
+	s.Node = int(d.Varint("segment node"))
 }
 
-func (d *decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("distmr: corrupt %s at offset %d", what, d.off)
+func readSource(d *rpcutil.Reader, src *MapSource) {
+	src.MapTask = d.Int("source map task")
+	src.Worker = d.Uvarint("source worker")
+	src.Addr = d.Str("source addr")
+	src.Prefix = d.Str("source prefix")
+	if m := d.Count("source segments"); m > 0 {
+		src.Segments = make([]spill.Segment, m)
+		for j := range src.Segments {
+			readSegment(d, &src.Segments[j])
+		}
 	}
-}
-
-func (d *decoder) byte(what string) byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail(what)
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint(what string) int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// intv decodes a varint that must fit a non-negative int.
-func (d *decoder) intv(what string) int {
-	v := d.varint(what)
-	if v < 0 || v > math.MaxInt32 {
-		d.fail(what)
-		return 0
-	}
-	return int(v)
-}
-
-func (d *decoder) bytes(what string) []byte {
-	n := d.uvarint(what)
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail(what)
-		return nil
-	}
-	v := d.b[d.off : d.off+int(n)]
-	d.off += int(n)
-	return v
-}
-
-func (d *decoder) str(what string) string { return string(d.bytes(what)) }
-
-func (d *decoder) boolean(what string) bool { return d.byte(what) != 0 }
-
-func (d *decoder) f64(what string) float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b)-d.off < 8 {
-		d.fail(what)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
-}
-
-// count decodes a collection length, bounded by the remaining input (each
-// element takes at least one byte), so corrupt input cannot force a huge
-// allocation.
-func (d *decoder) count(what string) int {
-	n := d.uvarint(what)
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail(what)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *decoder) segment(s *spill.Segment) {
-	s.Name = d.str("segment name")
-	s.Partition = d.intv("segment partition")
-	s.Records = d.varint("segment records")
-	s.RawBytes = d.varint("segment raw bytes")
-	s.StoredBytes = d.varint("segment stored bytes")
-	s.Compressed = d.boolean("segment compressed")
-	s.Node = int(d.varint("segment node"))
 }
 
 // DecodeTask parses an encoded task descriptor. It never panics on
 // malformed input.
 func DecodeTask(data []byte) (*TaskDescriptor, error) {
-	d := &decoder{b: data}
-	if v := d.byte("version"); d.err == nil && v != wireVersion {
-		return nil, fmt.Errorf("distmr: unknown task wire version %d", v)
-	}
-	t := &TaskDescriptor{}
-	t.JobSeq = d.uvarint("job seq")
-	t.JobName = d.str("job name")
-	t.Kind = d.str("kind")
-	t.Params = d.bytes("params")
-	phase := d.byte("phase")
-	if d.err == nil && phase > byte(PhaseReduce) {
-		return nil, fmt.Errorf("distmr: unknown phase %d", phase)
-	}
-	t.Phase = Phase(phase)
-	t.Task = d.intv("task")
-	t.Attempt = d.intv("attempt")
-	t.Assign = d.intv("assign")
-	t.Node = d.intv("node")
-	t.Round = d.intv("round")
-	t.NumReducers = d.intv("reducers")
-	t.MemoryBudget = d.varint("memory budget")
-	t.Compress = d.boolean("compress")
-	t.MergeFanIn = d.intv("merge fan-in")
-	t.Seed = d.varint("seed")
-	t.DiskFailureRate = d.f64("disk failure rate")
-	t.CrashRate = d.f64("crash rate")
-	t.Schimmy = d.boolean("schimmy")
-	t.SchimmyBase = d.str("schimmy base")
-	if n := d.count("side files"); n > 0 {
-		t.SideFiles = make([]string, n)
-		for i := range t.SideFiles {
-			t.SideFiles[i] = d.str("side file")
-		}
-	}
-	t.Split = d.bytes("split")
-	if n := d.count("sources"); n > 0 {
-		t.Sources = make([]MapSource, n)
-		for i := range t.Sources {
-			src := &t.Sources[i]
-			src.MapTask = d.intv("source map task")
-			src.Worker = d.uvarint("source worker")
-			src.Addr = d.str("source addr")
-			src.Prefix = d.str("source prefix")
-			if m := d.count("source segments"); m > 0 {
-				src.Segments = make([]spill.Segment, m)
-				for j := range src.Segments {
-					d.segment(&src.Segments[j])
-				}
-			}
-		}
-	}
-	d.ctx(&t.Ctx)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("distmr: %d trailing bytes after task descriptor", len(data)-d.off)
-	}
-	return t, nil
+	return decodeNew(data, (*TaskDescriptor).decode)
 }
 
-// JoinRequest is a worker's membership announcement, carried inside
-// RegisterArgs. A mid-job join makes the worker immediately eligible for
-// pending leases and shuffle serving: the scheduler's next dispatch pass
-// sees it in pickWorker.
+func (t *TaskDescriptor) decode(data []byte) error {
+	d := rpcutil.NewReader(data)
+	if v := d.Byte("version"); d.Err() == nil && v != wireVersion {
+		return fmt.Errorf("distmr: unknown task wire version %d", v)
+	}
+	*t = TaskDescriptor{}
+	t.JobSeq = d.Uvarint("job seq")
+	t.JobName = d.Str("job name")
+	t.Kind = d.Str("kind")
+	t.Params = d.Bytes("params")
+	phase := d.Byte("phase")
+	if d.Err() == nil && phase > byte(PhaseReduce) {
+		return fmt.Errorf("distmr: unknown phase %d", phase)
+	}
+	t.Phase = Phase(phase)
+	t.Task = d.Int("task")
+	t.Attempt = d.Int("attempt")
+	t.Assign = d.Int("assign")
+	t.Node = d.Int("node")
+	t.Round = d.Int("round")
+	t.NumReducers = d.Int("reducers")
+	t.MemoryBudget = d.Varint("memory budget")
+	t.Compress = d.Bool("compress")
+	t.MergeFanIn = d.Int("merge fan-in")
+	t.Seed = d.Varint("seed")
+	t.DiskFailureRate = d.F64("disk failure rate")
+	t.CrashRate = d.F64("crash rate")
+	t.Schimmy = d.Bool("schimmy")
+	t.SchimmyBase = d.Str("schimmy base")
+	if n := d.Count("side files"); n > 0 {
+		t.SideFiles = make([]string, n)
+		for i := range t.SideFiles {
+			t.SideFiles[i] = d.Str("side file")
+		}
+	}
+	t.Split = d.Bytes("split")
+	if n := d.Count("sources"); n > 0 {
+		t.Sources = make([]MapSource, n)
+		for i := range t.Sources {
+			readSource(d, &t.Sources[i])
+		}
+	}
+	readCtx(d, &t.Ctx)
+	return d.Finish("task descriptor")
+}
+
+// JoinRequest is a worker's membership announcement, the argument of
+// Master.Register. A mid-job join makes the worker immediately eligible
+// for pending leases and shuffle serving: the scheduler's next dispatch
+// pass sees it in pickWorker.
 type JoinRequest struct {
 	// Addr is the worker's own listen address, which the master dials
 	// back for task dispatch and which reducers dial for shuffle fetches.
@@ -580,7 +460,7 @@ type HandoffDescriptor struct {
 func EncodeJoin(j *JoinRequest) []byte {
 	b := make([]byte, 0, 32+len(j.Addr))
 	b = append(b, wireVersion)
-	b = appendString(b, j.Addr)
+	b = rpcutil.AppendString(b, j.Addr)
 	b = binary.AppendVarint(b, int64(j.Pid))
 	b = binary.AppendUvarint(b, j.PrevWorker)
 	return b
@@ -589,21 +469,19 @@ func EncodeJoin(j *JoinRequest) []byte {
 // DecodeJoin parses an encoded join request. It never panics on
 // malformed input.
 func DecodeJoin(data []byte) (*JoinRequest, error) {
-	d := &decoder{b: data}
-	if v := d.byte("version"); d.err == nil && v != wireVersion {
-		return nil, fmt.Errorf("distmr: unknown join wire version %d", v)
+	return decodeNew(data, (*JoinRequest).decode)
+}
+
+func (j *JoinRequest) decode(data []byte) error {
+	d := rpcutil.NewReader(data)
+	if v := d.Byte("version"); d.Err() == nil && v != wireVersion {
+		return fmt.Errorf("distmr: unknown join wire version %d", v)
 	}
-	j := &JoinRequest{}
-	j.Addr = d.str("join addr")
-	j.Pid = d.intv("join pid")
-	j.PrevWorker = d.uvarint("join prev worker")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("distmr: %d trailing bytes after join request", len(data)-d.off)
-	}
-	return j, nil
+	*j = JoinRequest{}
+	j.Addr = d.Str("join addr")
+	j.Pid = d.Int("join pid")
+	j.PrevWorker = d.Uvarint("join prev worker")
+	return d.Finish("join request")
 }
 
 // EncodeRetire serializes a retire request.
@@ -611,27 +489,25 @@ func EncodeRetire(r *Retire) []byte {
 	b := make([]byte, 0, 16+len(r.Reason))
 	b = append(b, wireVersion)
 	b = binary.AppendUvarint(b, r.Worker)
-	b = appendString(b, r.Reason)
+	b = rpcutil.AppendString(b, r.Reason)
 	return b
 }
 
 // DecodeRetire parses an encoded retire request. It never panics on
 // malformed input.
 func DecodeRetire(data []byte) (*Retire, error) {
-	d := &decoder{b: data}
-	if v := d.byte("version"); d.err == nil && v != wireVersion {
-		return nil, fmt.Errorf("distmr: unknown retire wire version %d", v)
+	return decodeNew(data, (*Retire).decode)
+}
+
+func (r *Retire) decode(data []byte) error {
+	d := rpcutil.NewReader(data)
+	if v := d.Byte("version"); d.Err() == nil && v != wireVersion {
+		return fmt.Errorf("distmr: unknown retire wire version %d", v)
 	}
-	r := &Retire{}
-	r.Worker = d.uvarint("retire worker")
-	r.Reason = d.str("retire reason")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("distmr: %d trailing bytes after retire request", len(data)-d.off)
-	}
-	return r, nil
+	*r = Retire{}
+	r.Worker = d.Uvarint("retire worker")
+	r.Reason = d.Str("retire reason")
+	return d.Finish("retire request")
 }
 
 // EncodeHandoff serializes a hand-off descriptor.
@@ -641,7 +517,7 @@ func EncodeHandoff(h *HandoffDescriptor) []byte {
 	b = binary.AppendUvarint(b, h.JobSeq)
 	b = binary.AppendUvarint(b, uint64(len(h.Segments)))
 	for _, s := range h.Segments {
-		b = appendString(b, s)
+		b = rpcutil.AppendString(b, s)
 	}
 	return b
 }
@@ -649,25 +525,23 @@ func EncodeHandoff(h *HandoffDescriptor) []byte {
 // DecodeHandoff parses an encoded hand-off descriptor. It never panics
 // on malformed input.
 func DecodeHandoff(data []byte) (*HandoffDescriptor, error) {
-	d := &decoder{b: data}
-	if v := d.byte("version"); d.err == nil && v != wireVersion {
-		return nil, fmt.Errorf("distmr: unknown handoff wire version %d", v)
+	return decodeNew(data, (*HandoffDescriptor).decode)
+}
+
+func (h *HandoffDescriptor) decode(data []byte) error {
+	d := rpcutil.NewReader(data)
+	if v := d.Byte("version"); d.Err() == nil && v != wireVersion {
+		return fmt.Errorf("distmr: unknown handoff wire version %d", v)
 	}
-	h := &HandoffDescriptor{}
-	h.JobSeq = d.uvarint("handoff job seq")
-	if n := d.count("handoff segments"); n > 0 {
+	*h = HandoffDescriptor{}
+	h.JobSeq = d.Uvarint("handoff job seq")
+	if n := d.Count("handoff segments"); n > 0 {
 		h.Segments = make([]string, n)
 		for i := range h.Segments {
-			h.Segments[i] = d.str("handoff segment")
+			h.Segments[i] = d.Str("handoff segment")
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("distmr: %d trailing bytes after handoff descriptor", len(data)-d.off)
-	}
-	return h, nil
+	return d.Finish("handoff descriptor")
 }
 
 // EncodeResult serializes a task result into a fresh buffer. Hot paths
@@ -682,7 +556,7 @@ func EncodeResult(r *TaskResult) []byte {
 // fuzz targets check, DESIGN.md §13).
 func AppendResult(b []byte, r *TaskResult) []byte {
 	b = append(b, wireVersion)
-	b = appendString(b, r.Err)
+	b = rpcutil.AppendString(b, r.Err)
 	b = binary.AppendVarint(b, r.InRecs)
 	b = binary.AppendVarint(b, r.OutRecs)
 	b = binary.AppendVarint(b, r.RawBytes)
@@ -695,7 +569,7 @@ func AppendResult(b []byte, r *TaskResult) []byte {
 			b = appendSegment(b, &part[j])
 		}
 	}
-	b = appendBytes(b, r.OutputData)
+	b = rpcutil.AppendBytes(b, r.OutputData)
 	b = binary.AppendVarint(b, r.OutBytes)
 	b = binary.AppendVarint(b, r.OutRecords)
 	b = binary.AppendVarint(b, r.Fetch)
@@ -719,7 +593,7 @@ func AppendResult(b []byte, r *TaskResult) []byte {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			b = appendString(b, k)
+			b = rpcutil.AppendString(b, k)
 			b = binary.AppendVarint(b, r.Counters[k])
 		}
 	}
@@ -731,63 +605,58 @@ func AppendResult(b []byte, r *TaskResult) []byte {
 // malformed input. Empty collections decode to nil (count 0 → nil map
 // and nil slices), so decode∘encode is a fixed point on decoded values.
 func DecodeResult(data []byte) (*TaskResult, error) {
-	d := &decoder{b: data}
-	if v := d.byte("version"); d.err == nil && v != wireVersion {
+	d := rpcutil.NewReader(data)
+	if v := d.Byte("version"); d.Err() == nil && v != wireVersion {
 		return nil, fmt.Errorf("distmr: unknown result wire version %d", v)
 	}
 	r := &TaskResult{}
-	r.Err = d.str("result err")
-	r.InRecs = d.varint("in recs")
-	r.OutRecs = d.varint("out recs")
-	r.RawBytes = d.varint("raw bytes")
-	r.MaxFrame = d.varint("max frame")
-	r.Spills = d.varint("spills")
-	if n := d.count("parts"); n > 0 {
+	r.Err = d.Str("result err")
+	r.InRecs = d.Varint("in recs")
+	r.OutRecs = d.Varint("out recs")
+	r.RawBytes = d.Varint("raw bytes")
+	r.MaxFrame = d.Varint("max frame")
+	r.Spills = d.Varint("spills")
+	if n := d.Count("parts"); n > 0 {
 		r.Parts = make([][]spill.Segment, n)
 		for i := range r.Parts {
-			if m := d.count("part segments"); m > 0 {
+			if m := d.Count("part segments"); m > 0 {
 				r.Parts[i] = make([]spill.Segment, m)
 				for j := range r.Parts[i] {
-					d.segment(&r.Parts[i][j])
+					readSegment(d, &r.Parts[i][j])
 				}
 			}
 		}
 	}
-	if out := d.bytes("output data"); len(out) > 0 {
-		r.OutputData = append([]byte(nil), out...)
-	}
-	r.OutBytes = d.varint("out bytes")
-	r.OutRecords = d.varint("out records")
-	r.Fetch = d.varint("fetch")
-	r.Inter = d.varint("inter")
-	r.MergePasses = d.varint("merge passes")
-	r.MaxMergeFanIn = d.varint("max merge fan-in")
-	r.MaxGroup = d.varint("max group")
-	if n := d.count("lost maps"); n > 0 {
+	r.OutputData = d.CopyBytes("output data")
+	r.OutBytes = d.Varint("out bytes")
+	r.OutRecords = d.Varint("out records")
+	r.Fetch = d.Varint("fetch")
+	r.Inter = d.Varint("inter")
+	r.MergePasses = d.Varint("merge passes")
+	r.MaxMergeFanIn = d.Varint("max merge fan-in")
+	r.MaxGroup = d.Varint("max group")
+	if n := d.Count("lost maps"); n > 0 {
 		r.LostMaps = make([]int, n)
 		for i := range r.LostMaps {
-			r.LostMaps[i] = d.intv("lost map")
+			r.LostMaps[i] = d.Int("lost map")
 		}
 	}
-	if n := d.count("lost from"); n > 0 {
+	if n := d.Count("lost from"); n > 0 {
 		r.LostFrom = make([]uint64, n)
 		for i := range r.LostFrom {
-			r.LostFrom[i] = d.uvarint("lost from worker")
+			r.LostFrom[i] = d.Uvarint("lost from worker")
 		}
 	}
-	if n := d.count("counters"); n > 0 {
+	if n := d.Count("counters"); n > 0 {
 		r.Counters = make(map[string]int64, n)
 		for i := 0; i < n; i++ {
-			k := d.str("counter key")
-			r.Counters[k] = d.varint("counter value")
+			k := d.Str("counter key")
+			r.Counters[k] = d.Varint("counter value")
 		}
 	}
-	r.DurNanos = d.varint("dur nanos")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("distmr: %d trailing bytes after task result", len(data)-d.off)
+	r.DurNanos = d.Varint("dur nanos")
+	if err := d.Finish("task result"); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -814,36 +683,24 @@ func AppendPrefetch(b []byte, p *PrefetchDescriptor) []byte {
 // DecodePrefetch parses an encoded prefetch descriptor. It never panics
 // on malformed input.
 func DecodePrefetch(data []byte) (*PrefetchDescriptor, error) {
-	d := &decoder{b: data}
-	if v := d.byte("version"); d.err == nil && v != wireVersion {
-		return nil, fmt.Errorf("distmr: unknown prefetch wire version %d", v)
+	return decodeNew(data, (*PrefetchDescriptor).decode)
+}
+
+func (p *PrefetchDescriptor) decode(data []byte) error {
+	d := rpcutil.NewReader(data)
+	if v := d.Byte("version"); d.Err() == nil && v != wireVersion {
+		return fmt.Errorf("distmr: unknown prefetch wire version %d", v)
 	}
-	p := &PrefetchDescriptor{}
-	p.JobSeq = d.uvarint("prefetch job seq")
-	if n := d.count("prefetch sources"); n > 0 {
+	*p = PrefetchDescriptor{}
+	p.JobSeq = d.Uvarint("prefetch job seq")
+	if n := d.Count("prefetch sources"); n > 0 {
 		p.Sources = make([]MapSource, n)
 		for i := range p.Sources {
-			src := &p.Sources[i]
-			src.MapTask = d.intv("prefetch map task")
-			src.Worker = d.uvarint("prefetch worker")
-			src.Addr = d.str("prefetch addr")
-			src.Prefix = d.str("prefetch prefix")
-			if m := d.count("prefetch segments"); m > 0 {
-				src.Segments = make([]spill.Segment, m)
-				for j := range src.Segments {
-					d.segment(&src.Segments[j])
-				}
-			}
+			readSource(d, &p.Sources[i])
 		}
 	}
-	d.ctx(&p.Ctx)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("distmr: %d trailing bytes after prefetch descriptor", len(data)-d.off)
-	}
-	return p, nil
+	readCtx(d, &p.Ctx)
+	return d.Finish("prefetch descriptor")
 }
 
 // encodeManifest serializes a winner manifest for the job's DFS recovery
@@ -855,31 +712,28 @@ func encodeManifest(m *taskManifest) []byte {
 	b = append(b, byte(m.Phase))
 	b = binary.AppendVarint(b, int64(m.Task))
 	b = binary.AppendVarint(b, int64(m.Attempt))
-	b = appendBytes(b, EncodeResult(&m.Result))
+	b = rpcutil.AppendBytes(b, EncodeResult(&m.Result))
 	return b
 }
 
 // decodeManifest parses an encoded winner manifest. It never panics on
 // malformed input.
 func decodeManifest(data []byte) (*taskManifest, error) {
-	d := &decoder{b: data}
-	if v := d.byte("version"); d.err == nil && v != wireVersion {
+	d := rpcutil.NewReader(data)
+	if v := d.Byte("version"); d.Err() == nil && v != wireVersion {
 		return nil, fmt.Errorf("distmr: unknown manifest wire version %d", v)
 	}
 	m := &taskManifest{}
-	phase := d.byte("manifest phase")
-	if d.err == nil && phase > byte(PhaseReduce) {
+	phase := d.Byte("manifest phase")
+	if d.Err() == nil && phase > byte(PhaseReduce) {
 		return nil, fmt.Errorf("distmr: unknown manifest phase %d", phase)
 	}
 	m.Phase = Phase(phase)
-	m.Task = d.intv("manifest task")
-	m.Attempt = d.intv("manifest attempt")
-	resBytes := d.bytes("manifest result")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("distmr: %d trailing bytes after manifest", len(data)-d.off)
+	m.Task = d.Int("manifest task")
+	m.Attempt = d.Int("manifest attempt")
+	resBytes := d.Bytes("manifest result")
+	if err := d.Finish("manifest"); err != nil {
+		return nil, err
 	}
 	res, err := DecodeResult(resBytes)
 	if err != nil {
@@ -892,69 +746,67 @@ func decodeManifest(data []byte) (*taskManifest, error) {
 // DecodeHeartbeat parses an encoded heartbeat. It never panics on
 // malformed input.
 func DecodeHeartbeat(data []byte) (*Heartbeat, error) {
-	d := &decoder{b: data}
-	if v := d.byte("version"); d.err == nil && v != wireVersion {
-		return nil, fmt.Errorf("distmr: unknown heartbeat wire version %d", v)
+	return decodeNew(data, (*Heartbeat).decode)
+}
+
+func (h *Heartbeat) decode(data []byte) error {
+	d := rpcutil.NewReader(data)
+	if v := d.Byte("version"); d.Err() == nil && v != wireVersion {
+		return fmt.Errorf("distmr: unknown heartbeat wire version %d", v)
 	}
-	h := &Heartbeat{}
-	h.Worker = d.uvarint("worker")
-	h.Instance = d.uvarint("instance")
-	h.Seq = d.uvarint("seq")
-	h.Running = d.varint("running")
-	h.StoreObjects = d.varint("store objects")
-	h.StoreBytes = d.varint("store bytes")
-	h.TasksDone = d.varint("tasks done")
-	h.Prefetched = d.varint("prefetched")
-	if n := d.count("completions"); n > 0 {
+	*h = Heartbeat{}
+	h.Worker = d.Uvarint("worker")
+	h.Instance = d.Uvarint("instance")
+	h.Seq = d.Uvarint("seq")
+	h.Running = d.Varint("running")
+	h.StoreObjects = d.Varint("store objects")
+	h.StoreBytes = d.Varint("store bytes")
+	h.TasksDone = d.Varint("tasks done")
+	h.Prefetched = d.Varint("prefetched")
+	if n := d.Count("completions"); n > 0 {
 		h.Completions = make([]Completion, n)
 		for i := range h.Completions {
 			c := &h.Completions[i]
-			c.JobSeq = d.uvarint("completion job seq")
-			phase := d.byte("completion phase")
-			if d.err == nil && phase > byte(PhaseReduce) {
-				return nil, fmt.Errorf("distmr: unknown completion phase %d", phase)
+			c.JobSeq = d.Uvarint("completion job seq")
+			phase := d.Byte("completion phase")
+			if d.Err() == nil && phase > byte(PhaseReduce) {
+				return fmt.Errorf("distmr: unknown completion phase %d", phase)
 			}
 			c.Phase = Phase(phase)
-			c.Task = d.intv("completion task")
-			c.Assign = d.intv("completion assign")
-			c.Result = d.bytes("completion result")
+			c.Task = d.Int("completion task")
+			c.Assign = d.Int("completion assign")
+			c.Result = d.Bytes("completion result")
 		}
 	}
-	h.SentUnixNano = d.varint("sent unix nano")
-	h.RTTNanos = d.varint("rtt nanos")
-	if n := d.count("span batches"); n > 0 {
+	h.SentUnixNano = d.Varint("sent unix nano")
+	h.RTTNanos = d.Varint("rtt nanos")
+	if n := d.Count("span batches"); n > 0 {
 		h.SpanBatches = make([]SpanBatch, n)
 		for i := range h.SpanBatches {
-			d.spanBatchBody(&h.SpanBatches[i])
+			readSpanBatchBody(d, &h.SpanBatches[i])
 		}
 	}
-	if n := d.count("metric samples"); n > 0 {
+	if n := d.Count("metric samples"); n > 0 {
 		h.Counters = make([]MetricSample, n)
 		for i := range h.Counters {
-			h.Counters[i].Name = d.str("metric name")
-			h.Counters[i].Value = d.varint("metric value")
+			h.Counters[i].Name = d.Str("metric name")
+			h.Counters[i].Value = d.Varint("metric value")
 		}
 	}
-	if n := d.count("hist samples"); n > 0 {
+	if n := d.Count("hist samples"); n > 0 {
 		h.Hists = make([]HistSample, n)
 		for i := range h.Hists {
 			hs := &h.Hists[i]
-			hs.Name = d.str("hist name")
-			hs.Count = d.varint("hist count")
-			hs.Sum = d.varint("hist sum")
-			if m := d.count("hist buckets"); m > 0 {
+			hs.Name = d.Str("hist name")
+			hs.Count = d.Varint("hist count")
+			hs.Sum = d.Varint("hist sum")
+			if m := d.Count("hist buckets"); m > 0 {
 				hs.Buckets = make([]int64, m)
 				for j := range hs.Buckets {
-					hs.Buckets[j] = d.varint("hist bucket")
+					hs.Buckets[j] = d.Varint("hist bucket")
 				}
 			}
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("distmr: %d trailing bytes after heartbeat", len(data)-d.off)
-	}
-	return h, nil
+	return d.Finish("heartbeat")
 }

@@ -1,80 +1,80 @@
 package distmr
 
 // Frame-codec implementations (rpcutil.Message) for every RPC arg and
-// reply type in proto.go, so no distmr call ever pays the gob fallback.
-// Most envelopes carry a single pre-encoded payload or a scalar or two;
-// the frames mirror the struct fields in order, with no per-message
-// version byte — the connection stream (rpcutil frame codec) and the
-// inner payloads (wireVersion) are versioned already, and an envelope
-// cannot change without one of those changing too.
+// reply type. The six structured requests frame as their own wire.go
+// encoding, version byte included; the replies and scalar requests of
+// proto.go mirror their struct fields in order, with no version byte of
+// their own — the connection stream (rpcutil frame codec) is versioned
+// already, and these cannot change without it changing too.
 //
 // DecodeFrame inputs are pooled codec buffers, recycled as soon as the
-// call returns: every retained byte slice is copied out.
+// call returns. Decoded requests keep slices of their input (Params,
+// Split, completion results), so they decode one copy of the frame;
+// every byte field a reply retains is copied out.
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"ffmr/internal/rpcutil"
 )
 
-// finish returns the decoder's error, rejecting trailing bytes, and is
-// shared by every envelope DecodeFrame.
-func (d *decoder) finish(what string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("distmr: %d trailing bytes after %s", len(d.b)-d.off, what)
-	}
-	return nil
-}
-
-// copyBytes decodes a length-prefixed byte field into a fresh slice
-// (nil for empty), detached from the codec's pooled buffer.
-func (d *decoder) copyBytes(what string) []byte {
-	p := d.bytes(what)
-	if len(p) == 0 {
-		return nil
-	}
-	return append([]byte(nil), p...)
-}
-
-// Compile-time check that every proto envelope speaks the frame codec.
+// Compile-time check that every arg and reply speaks the frame codec.
 var (
-	_ rpcutil.Message = (*RegisterArgs)(nil)
+	_ rpcutil.Message = (*JoinRequest)(nil)
 	_ rpcutil.Message = (*RegisterReply)(nil)
-	_ rpcutil.Message = (*HeartbeatArgs)(nil)
+	_ rpcutil.Message = (*Heartbeat)(nil)
 	_ rpcutil.Message = (*HeartbeatReply)(nil)
-	_ rpcutil.Message = (*RetireArgs)(nil)
-	_ rpcutil.Message = (*RetireReply)(nil)
-	_ rpcutil.Message = (*HandoffArgs)(nil)
+	_ rpcutil.Message = (*Retire)(nil)
+	_ rpcutil.Message = (*HandoffDescriptor)(nil)
 	_ rpcutil.Message = (*HandoffReply)(nil)
 	_ rpcutil.Message = (*ReadFileArgs)(nil)
 	_ rpcutil.Message = (*ReadFileReply)(nil)
-	_ rpcutil.Message = (*StartTaskArgs)(nil)
-	_ rpcutil.Message = (*StartTaskReply)(nil)
-	_ rpcutil.Message = (*PrefetchArgs)(nil)
-	_ rpcutil.Message = (*PrefetchReply)(nil)
-	_ rpcutil.Message = (*WatchArgs)(nil)
-	_ rpcutil.Message = (*WatchReply)(nil)
+	_ rpcutil.Message = (*TaskDescriptor)(nil)
+	_ rpcutil.Message = (*PrefetchDescriptor)(nil)
 	_ rpcutil.Message = (*FetchSegmentArgs)(nil)
 	_ rpcutil.Message = (*FetchSegmentReply)(nil)
 	_ rpcutil.Message = (*CleanJobArgs)(nil)
-	_ rpcutil.Message = (*CleanJobReply)(nil)
-	_ rpcutil.Message = (*ShutdownArgs)(nil)
-	_ rpcutil.Message = (*ShutdownReply)(nil)
+	_ rpcutil.Message = (*Empty)(nil)
 )
 
+// detach copies a pooled frame for a decoder that keeps slices of it.
+func detach(frame []byte) []byte { return append([]byte(nil), frame...) }
+
 // AppendFrame implements rpcutil.Message.
-func (a *RegisterArgs) AppendFrame(b []byte) []byte { return appendBytes(b, a.Data) }
+func (j *JoinRequest) AppendFrame(b []byte) []byte { return append(b, EncodeJoin(j)...) }
 
 // DecodeFrame implements rpcutil.Message.
-func (a *RegisterArgs) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	a.Data = d.copyBytes("register data")
-	return d.finish("register args")
-}
+func (j *JoinRequest) DecodeFrame(b []byte) error { return j.decode(detach(b)) }
+
+// AppendFrame implements rpcutil.Message.
+func (h *Heartbeat) AppendFrame(b []byte) []byte { return AppendHeartbeat(b, h) }
+
+// DecodeFrame implements rpcutil.Message.
+func (h *Heartbeat) DecodeFrame(b []byte) error { return h.decode(detach(b)) }
+
+// AppendFrame implements rpcutil.Message.
+func (r *Retire) AppendFrame(b []byte) []byte { return append(b, EncodeRetire(r)...) }
+
+// DecodeFrame implements rpcutil.Message.
+func (r *Retire) DecodeFrame(b []byte) error { return r.decode(detach(b)) }
+
+// AppendFrame implements rpcutil.Message.
+func (h *HandoffDescriptor) AppendFrame(b []byte) []byte { return append(b, EncodeHandoff(h)...) }
+
+// DecodeFrame implements rpcutil.Message.
+func (h *HandoffDescriptor) DecodeFrame(b []byte) error { return h.decode(detach(b)) }
+
+// AppendFrame implements rpcutil.Message.
+func (t *TaskDescriptor) AppendFrame(b []byte) []byte { return AppendTask(b, t) }
+
+// DecodeFrame implements rpcutil.Message.
+func (t *TaskDescriptor) DecodeFrame(b []byte) error { return t.decode(detach(b)) }
+
+// AppendFrame implements rpcutil.Message.
+func (p *PrefetchDescriptor) AppendFrame(b []byte) []byte { return AppendPrefetch(b, p) }
+
+// DecodeFrame implements rpcutil.Message.
+func (p *PrefetchDescriptor) DecodeFrame(b []byte) error { return p.decode(detach(b)) }
 
 // AppendFrame implements rpcutil.Message.
 func (r *RegisterReply) AppendFrame(b []byte) []byte {
@@ -85,138 +85,88 @@ func (r *RegisterReply) AppendFrame(b []byte) []byte {
 
 // DecodeFrame implements rpcutil.Message.
 func (r *RegisterReply) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	r.Worker = d.uvarint("register worker")
-	r.Instance = d.uvarint("register instance")
-	r.HeartbeatInterval = d.varint("register heartbeat interval")
-	return d.finish("register reply")
-}
-
-// AppendFrame implements rpcutil.Message.
-func (a *HeartbeatArgs) AppendFrame(b []byte) []byte { return appendBytes(b, a.Data) }
-
-// DecodeFrame implements rpcutil.Message.
-func (a *HeartbeatArgs) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	a.Data = d.copyBytes("heartbeat data")
-	return d.finish("heartbeat args")
+	d := rpcutil.NewReader(b)
+	r.Worker = d.Uvarint("register worker")
+	r.Instance = d.Uvarint("register instance")
+	r.HeartbeatInterval = d.Varint("register heartbeat interval")
+	return d.Finish("register reply")
 }
 
 // AppendFrame implements rpcutil.Message.
 func (r *HeartbeatReply) AppendFrame(b []byte) []byte {
-	b = appendBool(b, r.Shutdown)
-	b = appendBool(b, r.Unknown)
-	return appendBool(b, r.Retired)
+	b = rpcutil.AppendBool(b, r.Shutdown)
+	b = rpcutil.AppendBool(b, r.Unknown)
+	return rpcutil.AppendBool(b, r.Retired)
 }
 
 // DecodeFrame implements rpcutil.Message.
 func (r *HeartbeatReply) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	r.Shutdown = d.boolean("heartbeat shutdown")
-	r.Unknown = d.boolean("heartbeat unknown")
-	r.Retired = d.boolean("heartbeat retired")
-	return d.finish("heartbeat reply")
-}
-
-// AppendFrame implements rpcutil.Message.
-func (a *RetireArgs) AppendFrame(b []byte) []byte { return appendBytes(b, a.Data) }
-
-// DecodeFrame implements rpcutil.Message.
-func (a *RetireArgs) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	a.Data = d.copyBytes("retire data")
-	return d.finish("retire args")
-}
-
-// AppendFrame implements rpcutil.Message.
-func (a *HandoffArgs) AppendFrame(b []byte) []byte { return appendBytes(b, a.Desc) }
-
-// DecodeFrame implements rpcutil.Message.
-func (a *HandoffArgs) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	a.Desc = d.copyBytes("handoff desc")
-	return d.finish("handoff args")
+	d := rpcutil.NewReader(b)
+	r.Shutdown = d.Bool("heartbeat shutdown")
+	r.Unknown = d.Bool("heartbeat unknown")
+	r.Retired = d.Bool("heartbeat retired")
+	return d.Finish("heartbeat reply")
 }
 
 // AppendFrame implements rpcutil.Message.
 func (r *HandoffReply) AppendFrame(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(r.Data)))
 	for _, p := range r.Data {
-		b = appendBytes(b, p)
+		b = rpcutil.AppendBytes(b, p)
 	}
 	return b
 }
 
 // DecodeFrame implements rpcutil.Message.
 func (r *HandoffReply) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	if n := d.count("handoff segments"); n > 0 {
+	d := rpcutil.NewReader(b)
+	if n := d.Count("handoff segments"); n > 0 {
 		r.Data = make([][]byte, n)
 		for i := range r.Data {
-			r.Data[i] = d.copyBytes("handoff segment")
+			r.Data[i] = d.CopyBytes("handoff segment")
 		}
 	}
-	return d.finish("handoff reply")
+	return d.Finish("handoff reply")
 }
 
 // AppendFrame implements rpcutil.Message.
-func (a *ReadFileArgs) AppendFrame(b []byte) []byte { return appendString(b, a.Name) }
+func (a *ReadFileArgs) AppendFrame(b []byte) []byte { return rpcutil.AppendString(b, a.Name) }
 
 // DecodeFrame implements rpcutil.Message.
 func (a *ReadFileArgs) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	a.Name = d.str("read file name")
-	return d.finish("read file args")
+	d := rpcutil.NewReader(b)
+	a.Name = d.Str("read file name")
+	return d.Finish("read file args")
 }
 
 // AppendFrame implements rpcutil.Message.
-func (r *ReadFileReply) AppendFrame(b []byte) []byte { return appendBytes(b, r.Data) }
+func (r *ReadFileReply) AppendFrame(b []byte) []byte { return rpcutil.AppendBytes(b, r.Data) }
 
 // DecodeFrame implements rpcutil.Message.
 func (r *ReadFileReply) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	r.Data = d.copyBytes("read file data")
-	return d.finish("read file reply")
+	d := rpcutil.NewReader(b)
+	r.Data = d.CopyBytes("read file data")
+	return d.Finish("read file reply")
 }
 
 // AppendFrame implements rpcutil.Message.
-func (a *StartTaskArgs) AppendFrame(b []byte) []byte { return appendBytes(b, a.Desc) }
-
-// DecodeFrame implements rpcutil.Message.
-func (a *StartTaskArgs) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	a.Desc = d.copyBytes("start task desc")
-	return d.finish("start task args")
-}
-
-// AppendFrame implements rpcutil.Message.
-func (a *PrefetchArgs) AppendFrame(b []byte) []byte { return appendBytes(b, a.Desc) }
-
-// DecodeFrame implements rpcutil.Message.
-func (a *PrefetchArgs) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	a.Desc = d.copyBytes("prefetch desc")
-	return d.finish("prefetch args")
-}
-
-// AppendFrame implements rpcutil.Message.
-func (a *FetchSegmentArgs) AppendFrame(b []byte) []byte { return appendString(b, a.Name) }
+func (a *FetchSegmentArgs) AppendFrame(b []byte) []byte { return rpcutil.AppendString(b, a.Name) }
 
 // DecodeFrame implements rpcutil.Message.
 func (a *FetchSegmentArgs) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	a.Name = d.str("fetch segment name")
-	return d.finish("fetch segment args")
+	d := rpcutil.NewReader(b)
+	a.Name = d.Str("fetch segment name")
+	return d.Finish("fetch segment args")
 }
 
 // AppendFrame implements rpcutil.Message.
-func (r *FetchSegmentReply) AppendFrame(b []byte) []byte { return appendBytes(b, r.Data) }
+func (r *FetchSegmentReply) AppendFrame(b []byte) []byte { return rpcutil.AppendBytes(b, r.Data) }
 
 // DecodeFrame implements rpcutil.Message.
 func (r *FetchSegmentReply) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	r.Data = d.copyBytes("fetch segment data")
-	return d.finish("fetch segment reply")
+	d := rpcutil.NewReader(b)
+	r.Data = d.CopyBytes("fetch segment data")
+	return d.Finish("fetch segment reply")
 }
 
 // AppendFrame implements rpcutil.Message.
@@ -224,64 +174,13 @@ func (a *CleanJobArgs) AppendFrame(b []byte) []byte { return binary.AppendUvarin
 
 // DecodeFrame implements rpcutil.Message.
 func (a *CleanJobArgs) DecodeFrame(b []byte) error {
-	d := &decoder{b: b}
-	a.JobSeq = d.uvarint("clean job seq")
-	return d.finish("clean job args")
+	d := rpcutil.NewReader(b)
+	a.JobSeq = d.Uvarint("clean job seq")
+	return d.Finish("clean job args")
 }
 
-// emptyFrame is the shared implementation for the empty reply/arg
-// structs: a zero-byte body that must stay zero bytes.
-func emptyFrame(b []byte, what string) error {
-	if len(b) != 0 {
-		return fmt.Errorf("distmr: %d trailing bytes after %s", len(b), what)
-	}
-	return nil
-}
+// AppendFrame implements rpcutil.Message: a zero-byte body.
+func (*Empty) AppendFrame(b []byte) []byte { return b }
 
-// AppendFrame implements rpcutil.Message.
-func (*RetireReply) AppendFrame(b []byte) []byte { return b }
-
-// DecodeFrame implements rpcutil.Message.
-func (*RetireReply) DecodeFrame(b []byte) error { return emptyFrame(b, "retire reply") }
-
-// AppendFrame implements rpcutil.Message.
-func (*StartTaskReply) AppendFrame(b []byte) []byte { return b }
-
-// DecodeFrame implements rpcutil.Message.
-func (*StartTaskReply) DecodeFrame(b []byte) error { return emptyFrame(b, "start task reply") }
-
-// AppendFrame implements rpcutil.Message.
-func (*PrefetchReply) AppendFrame(b []byte) []byte { return b }
-
-// DecodeFrame implements rpcutil.Message.
-func (*PrefetchReply) DecodeFrame(b []byte) error { return emptyFrame(b, "prefetch reply") }
-
-// AppendFrame implements rpcutil.Message.
-func (*WatchArgs) AppendFrame(b []byte) []byte { return b }
-
-// DecodeFrame implements rpcutil.Message.
-func (*WatchArgs) DecodeFrame(b []byte) error { return emptyFrame(b, "watch args") }
-
-// AppendFrame implements rpcutil.Message.
-func (*WatchReply) AppendFrame(b []byte) []byte { return b }
-
-// DecodeFrame implements rpcutil.Message.
-func (*WatchReply) DecodeFrame(b []byte) error { return emptyFrame(b, "watch reply") }
-
-// AppendFrame implements rpcutil.Message.
-func (*CleanJobReply) AppendFrame(b []byte) []byte { return b }
-
-// DecodeFrame implements rpcutil.Message.
-func (*CleanJobReply) DecodeFrame(b []byte) error { return emptyFrame(b, "clean job reply") }
-
-// AppendFrame implements rpcutil.Message.
-func (*ShutdownArgs) AppendFrame(b []byte) []byte { return b }
-
-// DecodeFrame implements rpcutil.Message.
-func (*ShutdownArgs) DecodeFrame(b []byte) error { return emptyFrame(b, "shutdown args") }
-
-// AppendFrame implements rpcutil.Message.
-func (*ShutdownReply) AppendFrame(b []byte) []byte { return b }
-
-// DecodeFrame implements rpcutil.Message.
-func (*ShutdownReply) DecodeFrame(b []byte) error { return emptyFrame(b, "shutdown reply") }
+// DecodeFrame implements rpcutil.Message: the body must stay zero bytes.
+func (*Empty) DecodeFrame(b []byte) error { return rpcutil.NewReader(b).Finish("empty message") }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"ffmr/internal/rpcutil"
 	"ffmr/internal/trace"
 )
 
@@ -48,8 +49,8 @@ type HistSample struct {
 func appendShippedSpan(b []byte, s *trace.ShippedSpan) []byte {
 	b = binary.AppendVarint(b, s.ID)
 	b = binary.AppendVarint(b, s.Parent)
-	b = appendString(b, s.Cat)
-	b = appendString(b, s.Name)
+	b = rpcutil.AppendString(b, s.Cat)
+	b = rpcutil.AppendString(b, s.Name)
 	b = binary.AppendVarint(b, s.TID)
 	b = binary.AppendVarint(b, s.Start.UnixNano())
 	b = binary.AppendVarint(b, int64(s.Dur))
@@ -60,10 +61,10 @@ func appendShippedSpan(b []byte, s *trace.ShippedSpan) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s.Attrs)))
 	for i := range s.Attrs {
 		a := &s.Attrs[i]
-		b = appendString(b, a.Key)
-		b = appendBool(b, a.IsStr)
+		b = rpcutil.AppendString(b, a.Key)
+		b = rpcutil.AppendBool(b, a.IsStr)
 		if a.IsStr {
-			b = appendString(b, a.Str)
+			b = rpcutil.AppendString(b, a.Str)
 		} else {
 			b = binary.AppendVarint(b, a.Int)
 		}
@@ -71,28 +72,28 @@ func appendShippedSpan(b []byte, s *trace.ShippedSpan) []byte {
 	return b
 }
 
-func (d *decoder) shippedSpan(s *trace.ShippedSpan) {
-	s.ID = d.varint("span id")
-	s.Parent = d.varint("span parent")
-	s.Cat = d.str("span cat")
-	s.Name = d.str("span name")
-	s.TID = d.varint("span tid")
-	s.Start = time.Unix(0, d.varint("span start"))
-	s.Dur = time.Duration(d.varint("span dur"))
-	s.Remote.Run = d.varint("span ctx run")
-	s.Remote.Job = d.varint("span ctx job")
-	s.Remote.Round = d.varint("span ctx round")
-	s.Remote.Span = d.varint("span ctx span")
-	if n := d.count("span attrs"); n > 0 {
+func readShippedSpan(d *rpcutil.Reader, s *trace.ShippedSpan) {
+	s.ID = d.Varint("span id")
+	s.Parent = d.Varint("span parent")
+	s.Cat = d.Str("span cat")
+	s.Name = d.Str("span name")
+	s.TID = d.Varint("span tid")
+	s.Start = time.Unix(0, d.Varint("span start"))
+	s.Dur = time.Duration(d.Varint("span dur"))
+	s.Remote.Run = d.Varint("span ctx run")
+	s.Remote.Job = d.Varint("span ctx job")
+	s.Remote.Round = d.Varint("span ctx round")
+	s.Remote.Span = d.Varint("span ctx span")
+	if n := d.Count("span attrs"); n > 0 {
 		s.Attrs = make([]trace.Attr, n)
 		for i := range s.Attrs {
 			a := &s.Attrs[i]
-			a.Key = d.str("attr key")
-			a.IsStr = d.boolean("attr kind")
+			a.Key = d.Str("attr key")
+			a.IsStr = d.Bool("attr kind")
 			if a.IsStr {
-				a.Str = d.str("attr str")
+				a.Str = d.Str("attr str")
 			} else {
-				a.Int = d.varint("attr int")
+				a.Int = d.Varint("attr int")
 			}
 		}
 	}
@@ -107,12 +108,12 @@ func appendSpanBatchBody(b []byte, sb *SpanBatch) []byte {
 	return b
 }
 
-func (d *decoder) spanBatchBody(sb *SpanBatch) {
-	sb.Seq = d.uvarint("span batch seq")
-	if n := d.count("span batch spans"); n > 0 {
+func readSpanBatchBody(d *rpcutil.Reader, sb *SpanBatch) {
+	sb.Seq = d.Uvarint("span batch seq")
+	if n := d.Count("span batch spans"); n > 0 {
 		sb.Spans = make([]trace.ShippedSpan, n)
 		for i := range sb.Spans {
-			d.shippedSpan(&sb.Spans[i])
+			readShippedSpan(d, &sb.Spans[i])
 		}
 	}
 }
@@ -131,17 +132,14 @@ func EncodeSpanBatch(sb *SpanBatch) []byte {
 // DecodeSpanBatch parses a standalone encoded span batch. It never
 // panics on malformed input.
 func DecodeSpanBatch(data []byte) (*SpanBatch, error) {
-	d := &decoder{b: data}
-	if v := d.byte("version"); d.err == nil && v != wireVersion {
+	d := rpcutil.NewReader(data)
+	if v := d.Byte("version"); d.Err() == nil && v != wireVersion {
 		return nil, fmt.Errorf("distmr: unknown span batch wire version %d", v)
 	}
 	sb := &SpanBatch{}
-	d.spanBatchBody(sb)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("distmr: %d trailing bytes after span batch", len(data)-d.off)
+	readSpanBatchBody(d, sb)
+	if err := d.Finish("span batch"); err != nil {
+		return nil, err
 	}
 	return sb, nil
 }
@@ -155,11 +153,11 @@ func appendCtx(b []byte, c *trace.Context) []byte {
 	return b
 }
 
-func (d *decoder) ctx(c *trace.Context) {
-	c.Run = d.varint("ctx run")
-	c.Job = d.varint("ctx job")
-	c.Round = d.varint("ctx round")
-	c.Span = d.varint("ctx span")
+func readCtx(d *rpcutil.Reader, c *trace.Context) {
+	c.Run = d.Varint("ctx run")
+	c.Job = d.Varint("ctx job")
+	c.Round = d.Varint("ctx round")
+	c.Span = d.Varint("ctx span")
 }
 
 // AppendContext appends a standalone wire-encoded trace context frame.
@@ -171,17 +169,14 @@ func AppendContext(b []byte, c *trace.Context) []byte {
 // DecodeContext parses a standalone encoded trace context frame. It
 // never panics on malformed input.
 func DecodeContext(data []byte) (*trace.Context, error) {
-	d := &decoder{b: data}
-	if v := d.byte("version"); d.err == nil && v != wireVersion {
+	d := rpcutil.NewReader(data)
+	if v := d.Byte("version"); d.Err() == nil && v != wireVersion {
 		return nil, fmt.Errorf("distmr: unknown context wire version %d", v)
 	}
 	c := &trace.Context{}
-	d.ctx(c)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("distmr: %d trailing bytes after context", len(data)-d.off)
+	readCtx(d, c)
+	if err := d.Finish("context"); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

@@ -252,11 +252,11 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 // identity. prev is the worker's previous id when re-registering after
 // the master forgot it (expiry, or a master restart); 0 on first join.
 func (w *Worker) register(prev uint64) error {
-	args := &RegisterArgs{Data: EncodeJoin(&JoinRequest{
+	args := &JoinRequest{
 		Addr:       w.ln.Addr().String(),
 		Pid:        os.Getpid(),
 		PrevWorker: prev,
-	})}
+	}
 	var reply RegisterReply
 	if err := w.master.Load().Call("Master.Register", args, &reply); err != nil {
 		return fmt.Errorf("distmr: register with master: %w", err)
@@ -309,8 +309,8 @@ func (w *Worker) Drain() {
 		return
 	}
 	w.log.Info("drain requested")
-	args := &RetireArgs{Data: EncodeRetire(&Retire{Worker: w.id.Load(), Reason: "worker-requested"})}
-	if err := w.master.Load().Call("Master.Retire", args, &RetireReply{}); err != nil {
+	args := &Retire{Worker: w.id.Load(), Reason: "worker-requested"}
+	if err := w.master.Load().Call("Master.Retire", args, &Empty{}); err != nil {
 		w.log.Warn("drain request failed", "err", err)
 	}
 }
@@ -584,12 +584,9 @@ func (w *Worker) heartbeatLoop() {
 				Result: *pc.buf,
 			})
 		}
-		hbBuf := rpcutil.GetBuf()
-		*hbBuf = AppendHeartbeat(*hbBuf, &hb)
 		var reply HeartbeatReply
 		t0 := time.Now()
-		err := w.master.Load().Call("Master.Heartbeat", &HeartbeatArgs{Data: *hbBuf}, &reply)
-		rpcutil.PutBuf(hbBuf)
+		err := w.master.Load().Call("Master.Heartbeat", &hb, &reply)
 		if err == nil {
 			// The measured round-trip rides the NEXT beat: the master pairs
 			// it with that beat's send timestamp to estimate this worker's
@@ -801,14 +798,10 @@ func (w *Worker) dropFetchClient(addr string) {
 // heartbeat as a Completion. An RPC-level failure here (worker death on
 // the crash draw) still surfaces promptly to the master, which
 // reassigns without consuming an attempt.
-func (s *workerService) StartTask(args *StartTaskArgs, _ *StartTaskReply) error {
+func (s *workerService) StartTask(desc *TaskDescriptor, _ *Empty) error {
 	w := s.w
 	if w.dead.Load() {
 		return fmt.Errorf("distmr: worker %d is dead", w.id.Load())
-	}
-	desc, err := DecodeTask(args.Desc)
-	if err != nil {
-		return err
 	}
 	// Debug-level, but always captured by the flight recorder's tee: the
 	// crash dump below then ends with the task the worker was handed.
@@ -892,21 +885,17 @@ func (w *Worker) execute(desc *TaskDescriptor) {
 // Watch call pending per worker, so a crash surfaces as that call
 // erroring out — the prompt failure signal the old per-task blocking
 // lease provided, without holding an RPC open per running attempt.
-func (s *workerService) Watch(_ *WatchArgs, _ *WatchReply) error {
+func (s *workerService) Watch(_ *Empty, _ *Empty) error {
 	<-s.w.stop
 	return nil
 }
 
 // Prefetch receives an advisory shuffle-prefetch hint. It never fails:
 // under load the hint is dropped and the reduce path fetches on demand.
-func (s *workerService) Prefetch(args *PrefetchArgs, _ *PrefetchReply) error {
+func (s *workerService) Prefetch(p *PrefetchDescriptor, _ *Empty) error {
 	w := s.w
 	if w.dead.Load() || w.draining.Load() {
 		return nil
-	}
-	p, err := DecodePrefetch(args.Desc)
-	if err != nil {
-		return err
 	}
 	select {
 	case w.prefetchCh <- p:
@@ -1177,14 +1166,10 @@ func (s *workerService) FetchSegment(args *FetchSegmentArgs, reply *FetchSegment
 // Handoff serves the stored bytes of the listed segments to the master,
 // which copies them into the job's DFS so this worker's winning map
 // output survives its departure (graceful drain, winner persistence).
-func (s *workerService) Handoff(args *HandoffArgs, reply *HandoffReply) error {
+func (s *workerService) Handoff(desc *HandoffDescriptor, reply *HandoffReply) error {
 	w := s.w
 	if w.dead.Load() {
 		return fmt.Errorf("distmr: worker %d is dead", w.id.Load())
-	}
-	desc, err := DecodeHandoff(args.Desc)
-	if err != nil {
-		return err
 	}
 	reply.Data = make([][]byte, 0, len(desc.Segments))
 	for _, name := range desc.Segments {
@@ -1205,7 +1190,7 @@ func (s *workerService) Handoff(args *HandoffArgs, reply *HandoffReply) error {
 
 // CleanJob retires a job: close its service connections and delete its
 // spill segments (local map outputs and fetched shuffle data).
-func (s *workerService) CleanJob(args *CleanJobArgs, _ *CleanJobReply) error {
+func (s *workerService) CleanJob(args *CleanJobArgs, _ *Empty) error {
 	w := s.w
 	w.mu.Lock()
 	j := w.jobs[args.JobSeq]
@@ -1233,7 +1218,7 @@ func (s *workerService) CleanJob(args *CleanJobArgs, _ *CleanJobReply) error {
 
 // Shutdown asks the worker to exit (used by the master's teardown; the
 // heartbeat reply carries the same signal for workers mid-beat).
-func (s *workerService) Shutdown(_ *ShutdownArgs, _ *ShutdownReply) error {
+func (s *workerService) Shutdown(_ *Empty, _ *Empty) error {
 	w := s.w
 	go func() {
 		// Give the reply a moment to flush before the connection closes.

@@ -1,9 +1,9 @@
 package dynamic
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -11,6 +11,7 @@ import (
 	"ffmr/internal/distmr"
 	"ffmr/internal/graph"
 	"ffmr/internal/mapreduce"
+	"ffmr/internal/rpcutil"
 	"ffmr/internal/trace"
 )
 
@@ -53,25 +54,71 @@ type drainParams struct {
 	DeltasFile string
 }
 
-func encodeParams(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("dynamic: encode job params: %v", err))
+// append frames the params with the cursor every wire message uses
+// (rpcutil); Caps go out in edge-ID order, so equal params are equal
+// bytes.
+func (p *applyParams) append(b []byte) []byte {
+	b = rpcutil.AppendString(b, p.PendingFile)
+	ids := make([]graph.EdgeID, 0, len(p.Caps))
+	for id := range p.Caps {
+		ids = append(ids, id)
 	}
-	return buf.Bytes()
+	slices.Sort(ids)
+	b = binary.AppendUvarint(b, uint64(len(ids)))
+	for _, id := range ids {
+		b = binary.AppendUvarint(b, uint64(id))
+		b = binary.AppendVarint(b, p.Caps[id].Fwd)
+		b = binary.AppendVarint(b, p.Caps[id].Rev)
+	}
+	b = binary.AppendUvarint(b, uint64(len(p.Inserts)))
+	for i := range p.Inserts {
+		ins := &p.Inserts[i]
+		b = binary.AppendUvarint(b, uint64(ins.ID))
+		b = binary.AppendUvarint(b, uint64(ins.U))
+		b = binary.AppendUvarint(b, uint64(ins.V))
+		b = binary.AppendVarint(b, ins.Fwd)
+		b = binary.AppendVarint(b, ins.Rev)
+	}
+	return rpcutil.AppendBool(b, p.SentTracking)
 }
 
-func decodeParams(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("dynamic: decode job params: %w", err)
+func (p *applyParams) decode(data []byte) error {
+	d := rpcutil.NewReader(data)
+	p.PendingFile = d.Str("apply pending file")
+	n := d.Count("apply caps")
+	p.Caps = make(map[graph.EdgeID]capPair, n)
+	for i := 0; i < n; i++ {
+		id := graph.EdgeID(d.Uint32("apply cap edge"))
+		p.Caps[id] = capPair{Fwd: d.Varint("apply cap fwd"), Rev: d.Varint("apply cap rev")}
 	}
-	return nil
+	p.Inserts = nil
+	if n := d.Count("apply inserts"); n > 0 {
+		p.Inserts = make([]insertEdge, n)
+	}
+	for i := range p.Inserts {
+		ins := &p.Inserts[i]
+		ins.ID = graph.EdgeID(d.Uint32("apply insert edge"))
+		ins.U = graph.VertexID(d.Uint32("apply insert u"))
+		ins.V = graph.VertexID(d.Uint32("apply insert v"))
+		ins.Fwd = d.Varint("apply insert fwd")
+		ins.Rev = d.Varint("apply insert rev")
+	}
+	p.SentTracking = d.Bool("apply sent tracking")
+	return d.Finish("dynamic/apply params")
+}
+
+func (p *drainParams) append(b []byte) []byte { return rpcutil.AppendString(b, p.DeltasFile) }
+
+func (p *drainParams) decode(data []byte) error {
+	d := rpcutil.NewReader(data)
+	p.DeltasFile = d.Str("drain deltas file")
+	return d.Finish("dynamic/drain params")
 }
 
 func init() {
 	distmr.RegisterKind(KindApplyUpdates, func(params []byte) (*distmr.JobCode, error) {
 		var p applyParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := p.decode(params); err != nil {
 			return nil, err
 		}
 		return &distmr.JobCode{
@@ -81,7 +128,7 @@ func init() {
 	})
 	distmr.RegisterKind(KindDrain, func(params []byte) (*distmr.JobCode, error) {
 		var p drainParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := p.decode(params); err != nil {
 			return nil, err
 		}
 		return &distmr.JobCode{
@@ -151,7 +198,7 @@ func runApplyJob(cluster *mapreduce.Cluster, snap *Snapshot, batch []graph.Updat
 		Parent:       parent,
 		NewMapper:    func() mapreduce.Mapper { return &applyMapper{p: p} },
 		NewReducer:   func() mapreduce.Reducer { return passReducer{} },
-		Spec:         &mapreduce.JobSpec{Kind: KindApplyUpdates, Params: encodeParams(p)},
+		Spec:         &mapreduce.JobSpec{Kind: KindApplyUpdates, Params: p.append(nil)},
 	}
 	res, err := cluster.Run(job)
 	if err != nil {
@@ -180,7 +227,7 @@ func runDrainJob(cluster *mapreduce.Cluster, snap *Snapshot, deltas map[graph.Ed
 		Parent:       parent,
 		NewMapper:    func() mapreduce.Mapper { return &drainMapper{file: p.DeltasFile} },
 		NewReducer:   func() mapreduce.Reducer { return passReducer{} },
-		Spec:         &mapreduce.JobSpec{Kind: KindDrain, Params: encodeParams(p)},
+		Spec:         &mapreduce.JobSpec{Kind: KindDrain, Params: p.append(nil)},
 	}
 	res, err := cluster.Run(job)
 	if err != nil {

@@ -339,14 +339,7 @@ func (c *Cluster) runMapPhase(job *Job, env *TaskEnv, splits []Split,
 		return nil, nil, err
 	}
 	for _, r := range outs {
-		res.MapInputRecords += r.InRecs
-		res.MapOutputRecords += r.OutRecs
-		res.MapOutputBytes += r.Out.RawBytes
-		if r.Out.MaxFrame > res.MaxRecordBytes {
-			res.MaxRecordBytes = r.Out.MaxFrame
-		}
-		res.Spills += r.Out.Spills
-		res.SpilledBytes += r.Out.RawBytes
+		res.AddMapWinner(r)
 	}
 	return outs, taskDur, nil
 }
@@ -513,19 +506,9 @@ func (c *Cluster) runReducePhase(job *Job, env *TaskEnv, mapOut []*MapResult,
 
 	fetch := make([]int64, n)
 	for p, r := range outs {
-		res.ReduceOutputRecords += r.OutRecords
-		res.OutputBytes += int64(len(r.Output))
-		res.MergePasses += r.MergePasses
-		if r.MaxMergeFanIn > res.MaxMergeFanIn {
-			res.MaxMergeFanIn = r.MaxMergeFanIn
-		}
-		if r.MaxGroup > res.MaxGroupBytes {
-			res.MaxGroupBytes = r.MaxGroup
-		}
+		res.AddReduceWinner(r, job.NewReducer != nil)
 		if job.NewReducer != nil {
 			fetch[p] = r.Fetch
-			res.ShuffleBytes += r.Fetch
-			res.InterNodeShuffleBytes += r.Inter
 		}
 	}
 	return taskDur, fetch, nil

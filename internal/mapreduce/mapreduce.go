@@ -327,6 +327,35 @@ type Result struct {
 	SimTime  time.Duration
 }
 
+// AddMapWinner folds one map task's winning attempt into the job's
+// statistics. Both backends sum their winners here, in task order, so a
+// job's Result does not depend on where its tasks ran.
+func (r *Result) AddMapWinner(w *MapResult) {
+	r.MapInputRecords += w.InRecs
+	r.MapOutputRecords += w.OutRecs
+	r.MapOutputBytes += w.Out.RawBytes
+	r.MaxRecordBytes = max(r.MaxRecordBytes, w.Out.MaxFrame)
+	r.Spills += w.Out.Spills
+	// Every framed byte of map output reaches the reducers through a
+	// spill segment, so the two totals are one number.
+	r.SpilledBytes += w.Out.RawBytes
+}
+
+// AddReduceWinner is AddMapWinner for a reduce task. shuffled is false
+// for a map-only job, whose reduce tasks only concatenate map output:
+// what they read is not a shuffle.
+func (r *Result) AddReduceWinner(w *ReduceResult, shuffled bool) {
+	r.ReduceOutputRecords += w.OutRecords
+	r.OutputBytes += int64(len(w.Output))
+	r.MergePasses += w.MergePasses
+	r.MaxMergeFanIn = max(r.MaxMergeFanIn, w.MaxMergeFanIn)
+	r.MaxGroupBytes = max(r.MaxGroupBytes, w.MaxGroup)
+	if shuffled {
+		r.ShuffleBytes += w.Fetch
+		r.InterNodeShuffleBytes += w.Inter
+	}
+}
+
 // Counter returns a user counter by name (0 when absent), mirroring
 // job.getCounters().getValue() in Fig. 2 of the paper.
 func (r *Result) Counter(name string) int64 { return r.Counters[name] }

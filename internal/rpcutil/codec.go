@@ -1,22 +1,18 @@
 package rpcutil
 
-// The frame codec: a drop-in replacement for net/rpc's default gob
-// codec that moves the RPC envelope itself onto length-prefixed varint
-// frames (DESIGN.md §13). The payloads inside the envelopes were
-// already hand-framed bytes; profiling showed the remaining codec tax
-// was gob's reflection and per-connection type negotiation on the
-// envelope structs, paid twice per call on every dispatch, heartbeat
-// and shuffle fetch. Arg/reply types that implement Message encode
-// themselves; anything else falls back to a self-contained per-message
-// gob stream, so cold-path structs (drain handoffs, FF1 sink deltas)
-// need no hand-written framing.
+// The frame codec: a replacement for net/rpc's default codec that puts
+// the RPC envelope on length-prefixed varint frames (DESIGN.md §13).
+// Every arg and reply type implements Message and encodes itself; the
+// codec adds the call header and one length prefix, nothing else, so
+// the message a caller builds is the message on the wire. A body that
+// is not a Message fails the call with an error naming its type.
 //
 // Stream layout: each side writes one version byte before its first
 // message, then back-to-back messages.
 //
 //	request  = seq uvarint, method lenBytes, body
 //	response = seq uvarint, method lenBytes, error lenBytes, body
-//	body     = tag byte ('f' framed | 'g' gob), payload lenBytes
+//	body     = lenBytes(Message frame); empty on an error response
 //	lenBytes = len uvarint, len bytes
 //
 // Like the payload codecs, a decoder accepts exactly its own version:
@@ -26,18 +22,15 @@ package rpcutil
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net/rpc"
 )
 
-// Message is implemented by RPC arg/reply structs that frame themselves
-// on the wire instead of riding the gob fallback. DecodeFrame receives
-// exactly the encoded bytes produced by AppendFrame; the slice is a
-// pooled buffer that is recycled when the call returns, so
+// Message is implemented by every RPC arg and reply type. DecodeFrame
+// receives exactly the encoded bytes produced by AppendFrame; the slice
+// is a pooled buffer that is recycled when the call returns, so
 // implementations must copy anything they retain.
 type Message interface {
 	AppendFrame(b []byte) []byte
@@ -46,13 +39,9 @@ type Message interface {
 
 // frameCodecVersion is the connection-stream version. Bump it on any
 // change to the envelope layout above; payload formats version
-// themselves separately (distmr's wireVersion).
-const frameCodecVersion byte = 1
-
-const (
-	tagFramed byte = 'f'
-	tagGob    byte = 'g'
-)
+// themselves separately (distmr's wireVersion). Version 2 dropped the
+// per-body tag byte together with the gob fallback it selected.
+const frameCodecVersion byte = 2
 
 // maxFrameBytes bounds a single body or string read, so a corrupt or
 // hostile length prefix cannot force an arbitrary allocation.
@@ -83,38 +72,36 @@ func newFrameCodec(conn io.ReadWriteCloser) frameCodec {
 	}
 }
 
-// send writes one complete message — header, body tag, body — and
-// flushes. Responses carry an error string; requests do not (hasErr).
+// send writes one complete message — header, then the body's own frame
+// behind a length prefix — and flushes. Responses carry an error string;
+// requests do not (hasErr). An error response has an empty body (net/rpc
+// passes a placeholder struct there). Nothing is written before the body
+// is known to be a Message, so a refused request leaves the stream intact.
 func (c *frameCodec) send(seq uint64, method, errStr string, hasErr bool, body any) error {
-	buf := GetBuf()
-	defer PutBuf(buf)
-	b := (*buf)[:0]
-	b = binary.AppendUvarint(b, seq)
-	b = binary.AppendUvarint(b, uint64(len(method)))
-	b = append(b, method...)
-	if hasErr {
-		b = binary.AppendUvarint(b, uint64(len(errStr)))
-		b = append(b, errStr...)
-	}
-	switch m := body.(type) {
-	case Message:
-		bb := GetBuf()
-		enc := m.AppendFrame((*bb)[:0])
-		b = append(b, tagFramed)
-		b = binary.AppendUvarint(b, uint64(len(enc)))
-		b = append(b, enc...)
-		*bb = enc[:0]
-		PutBuf(bb)
-	default:
-		var gb bytes.Buffer
-		if err := gob.NewEncoder(&gb).Encode(body); err != nil {
-			return fmt.Errorf("rpcutil: encode %s body: %w", method, err)
+	m, ok := body.(Message)
+	if !ok && errStr == "" {
+		if !hasErr {
+			return fmt.Errorf("rpcutil: %s arg type %T does not implement Message", method, body)
 		}
-		b = append(b, tagGob)
-		b = binary.AppendUvarint(b, uint64(gb.Len()))
-		b = append(b, gb.Bytes()...)
+		// net/rpc only logs a WriteResponse error and leaves the caller
+		// waiting; answer the call with the error instead.
+		errStr = fmt.Sprintf("rpcutil: %s reply type %T does not implement Message", method, body)
 	}
-	*buf = b[:0]
+	hdr, enc := GetBuf(), GetBuf()
+	defer PutBuf(hdr)
+	defer PutBuf(enc)
+	b := binary.AppendUvarint((*hdr)[:0], seq)
+	b = AppendString(b, method)
+	if hasErr {
+		b = AppendString(b, errStr)
+	}
+	var frame []byte
+	if errStr == "" {
+		frame = m.AppendFrame((*enc)[:0])
+		*enc = frame[:0]
+	}
+	b = binary.AppendUvarint(b, uint64(len(frame)))
+	*hdr = b[:0]
 	if !c.sentVer {
 		if err := c.w.WriteByte(frameCodecVersion); err != nil {
 			return err
@@ -122,6 +109,9 @@ func (c *frameCodec) send(seq uint64, method, errStr string, hasErr bool, body a
 		c.sentVer = true
 	}
 	if _, err := c.w.Write(b); err != nil {
+		return err
+	}
+	if _, err := c.w.Write(frame); err != nil {
 		return err
 	}
 	return c.w.Flush()
@@ -182,20 +172,24 @@ func (c *frameCodec) readString(what string) (string, error) {
 	return s, nil
 }
 
-// readBody reads one tagged body and decodes it into body; a nil body
-// discards the frame (net/rpc's convention for unwanted bodies).
+// readBody reads one body frame and decodes it into body. A nil body
+// discards the frame (net/rpc's convention for unwanted bodies); so does
+// a body that is not a Message, which keeps the stream in step while the
+// call fails.
 func (c *frameCodec) readBody(body any) error {
-	tag, err := c.r.ReadByte()
-	if err != nil {
-		return err
-	}
 	n, err := c.readLen("body")
 	if err != nil {
 		return err
 	}
-	if body == nil {
-		_, err := c.r.Discard(n)
-		return err
+	m, ok := body.(Message)
+	if !ok {
+		if _, err := c.r.Discard(n); err != nil {
+			return err
+		}
+		if body == nil {
+			return nil
+		}
+		return fmt.Errorf("rpcutil: body type %T does not implement Message", body)
 	}
 	buf := GetBuf()
 	defer PutBuf(buf)
@@ -208,18 +202,7 @@ func (c *frameCodec) readBody(body any) error {
 	if _, err := io.ReadFull(c.r, p); err != nil {
 		return err
 	}
-	switch m := body.(type) {
-	case Message:
-		if tag != tagFramed {
-			return fmt.Errorf("rpcutil: %T expects a framed body, peer sent tag %q", body, tag)
-		}
-		return m.DecodeFrame(p)
-	default:
-		if tag != tagGob {
-			return fmt.Errorf("rpcutil: %T expects a gob body, peer sent tag %q", body, tag)
-		}
-		return gob.NewDecoder(bytes.NewReader(p)).Decode(body)
-	}
+	return m.DecodeFrame(p)
 }
 
 func (c *frameCodec) Close() error { return c.conn.Close() }

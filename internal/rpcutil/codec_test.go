@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // FramedPayload is a Message-implementing arg/reply for codec tests.
@@ -37,11 +38,10 @@ func (p *FramedPayload) DecodeFrame(b []byte) error {
 	return nil
 }
 
-// GobPayload has no Message implementation, so it rides the per-message
-// gob fallback.
-type GobPayload struct {
-	Name  string
-	Pairs map[string]int64
+// PlainPayload has no Message implementation, so the codec must refuse
+// it wherever it appears.
+type PlainPayload struct {
+	Name string
 }
 
 type codecSvc struct {
@@ -59,10 +59,12 @@ func (s *codecSvc) Echo(args *FramedPayload, reply *FramedPayload) error {
 	return nil
 }
 
-// Gob echoes a gob-fallback body.
-func (s *codecSvc) Gob(args *GobPayload, reply *GobPayload) error {
-	reply.Name = args.Name + "!"
-	reply.Pairs = args.Pairs
+// PlainArg declares an arg type the codec cannot decode.
+func (s *codecSvc) PlainArg(args *PlainPayload, reply *FramedPayload) error { return nil }
+
+// PlainReply declares a reply type the codec cannot encode.
+func (s *codecSvc) PlainReply(args *FramedPayload, reply *PlainPayload) error {
+	reply.Name = "unsendable"
 	return nil
 }
 
@@ -94,8 +96,8 @@ func startCodecServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestFrameCodecRoundTrip drives framed bodies, gob-fallback bodies and
-// error replies over one connection, interleaved and concurrently, the
+// TestFrameCodecRoundTrip drives framed bodies and error replies over
+// one connection, interleaved and concurrently, the
 // way a worker connection mixes heartbeats with fetches.
 func TestFrameCodecRoundTrip(t *testing.T) {
 	addr := startCodecServer(t)
@@ -123,14 +125,6 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 	}
 	wg.Wait()
 
-	var grep GobPayload
-	if err := c.Call("Codec.Gob", &GobPayload{Name: "fallback", Pairs: map[string]int64{"a": 1}}, &grep); err != nil {
-		t.Fatalf("Gob: %v", err)
-	}
-	if grep.Name != "fallback!" || grep.Pairs["a"] != 1 {
-		t.Errorf("Gob round trip: %+v", grep)
-	}
-
 	err = c.Call("Codec.Fail", &FramedPayload{N: 7}, &FramedPayload{})
 	if err == nil || !strings.Contains(err.Error(), "intentional failure for 7") {
 		t.Errorf("Fail: got %v, want the service error", err)
@@ -140,6 +134,55 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 	var rep FramedPayload
 	if err := c.Call("Codec.Echo", &FramedPayload{N: 5}, &rep); err != nil || rep.N != 10 {
 		t.Errorf("Echo after Fail: %d, %v", rep.N, err)
+	}
+}
+
+// TestFrameCodecRefusesNonMessage pins the one-layer rule: a body that
+// does not frame itself fails its call with an error naming the type —
+// as an arg or as a reply, on the sending and on the receiving side —
+// and no such call is left waiting.
+func TestFrameCodecRefusesNonMessage(t *testing.T) {
+	addr := startCodecServer(t)
+	c, err := DialRPC(addr, Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	call := func(method string, arg, reply any) error {
+		t.Helper()
+		done := c.Go(method, arg, reply, make(chan *rpc.Call, 1)).Done
+		select {
+		case res := <-done:
+			return res.Error
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: call never completed", method)
+			return nil
+		}
+	}
+	for _, tc := range []struct {
+		name, method string
+		arg, reply   any
+	}{
+		{"arg refused by the client", "Codec.Echo", &PlainPayload{Name: "x"}, &FramedPayload{}},
+		{"arg refused by the server", "Codec.PlainArg", &FramedPayload{N: 1}, &FramedPayload{}},
+		{"reply refused by the server", "Codec.PlainReply", &FramedPayload{N: 1}, &FramedPayload{}},
+	} {
+		err := call(tc.method, tc.arg, tc.reply)
+		if err == nil || !strings.Contains(err.Error(), "*rpcutil.PlainPayload") {
+			t.Errorf("%s: got %v, want an error naming *rpcutil.PlainPayload", tc.name, err)
+		}
+		// None of these may cost the connection or desynchronize it.
+		var rep FramedPayload
+		if err := call("Codec.Echo", &FramedPayload{N: 21, Data: []byte("ok")}, &rep); err != nil || rep.N != 42 {
+			t.Fatalf("Echo after %q: %d, %v", tc.name, rep.N, err)
+		}
+	}
+	// A reply the client cannot decode fails too; net/rpc then retires
+	// the client, as it does after any undecodable reply.
+	err = call("Codec.Echo", &FramedPayload{N: 1}, &PlainPayload{})
+	if err == nil || !strings.Contains(err.Error(), "*rpcutil.PlainPayload") {
+		t.Errorf("reply refused by the client: got %v, want an error naming *rpcutil.PlainPayload", err)
 	}
 }
 
@@ -183,7 +226,6 @@ func TestFrameCodecRejectsOversizedBody(t *testing.T) {
 		b = binary.AppendUvarint(b, 4)
 		b = append(b, "Bad."...)
 		b = binary.AppendUvarint(b, 0) // empty error
-		b = append(b, tagFramed)
 		b = binary.AppendUvarint(b, maxFrameBytes+1)
 		conn.Write(b)
 	}()

@@ -17,10 +17,12 @@
 // tracking and graceful shutdown in one place. RPC endpoints use
 // net/rpc directly; only the HTTP surfaces share this harness.
 //
-// Buffers (GetBuf, PutBuf): the message-buffer pool behind the
-// hand-rolled wire codecs (DESIGN.md §13). Encoders append into pooled
-// buffers and return them once the transport has consumed the bytes,
-// so the steady-state task hot path allocates nothing per message.
+// Wire (Message, NewClientCodec/NewServerCodec, Reader, Append*, GetBuf,
+// PutBuf): the frame codec every RPC connection speaks, the cursor
+// every hand-framed message is written and read with, and the
+// message-buffer pool behind both (DESIGN.md §13). Encoders append into
+// pooled buffers and return them once the transport has consumed the
+// bytes, so the steady-state task hot path allocates nothing per message.
 package rpcutil
 
 import (
