@@ -104,7 +104,10 @@ func BenchmarkFig6Variants(b *testing.B) {
 			var rounds, shuffle int64
 			for i := 0; i < b.N; i++ {
 				cluster := newBenchCluster(sc)
-				res, err := core.Run(cluster, in, core.Options{Variant: variant})
+				// Pinned acceptance order: first-come-first-served moves the
+				// round count by one between runs, which hides the variants'
+				// own differences.
+				res, err := core.Run(cluster, in, core.Options{Variant: variant, DeterministicAccept: true})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,7 +8,7 @@ import (
 	"net"
 	"net/rpc"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +32,12 @@ const (
 	// HistAugAcceptNS is the per-batch accept-latency histogram: the
 	// distribution behind the MetricAugAcceptNS/MetricAugBatches mean.
 	HistAugAcceptNS = "augproc accept latency ns"
+	// MetricAugDrainWaitNS accumulates the nanoseconds EndRound waited for
+	// the queue to empty after the round's last reducer had returned — the
+	// paper's "aug_proc finishes immediately after the last reducer",
+	// measured. A wait that is not small against the round is aug_proc
+	// holding the round up.
+	MetricAugDrainWaitNS = "augproc drain wait ns"
 )
 
 // This file implements aug_proc, the FF2 "stateful extension for MR"
@@ -39,14 +45,14 @@ const (
 // over a persistent connection, that accepts candidate augmenting paths
 // as they are found. It is the acceptance service of every variant: FF1,
 // whose sink reducer decides acceptance itself, publishes the outcome
-// here (Publish) instead of submitting candidates. Candidates are enqueued and acknowledged
-// immediately so reducers are never delayed; a small pool of consumer
-// goroutines drains the queue, decoding candidate batches in parallel
-// outside the accumulator lock and serializing only the acceptance
-// decision itself — the paper's single-consumer design kept FF2+ rounds
-// gated on one goroutine's decode throughput. The paper implements the
-// connection with Java RMI; this implementation uses net/rpc over TCP,
-// which has the same persistent-connection, request/response semantics.
+// here (Publish) instead of submitting candidates. A reduce task collects
+// the candidates of all its groups and submits them as one batch when it
+// closes (ffReducer.Close), or sooner once it holds submitFlushBytes of
+// them; a batch is enqueued and acknowledged immediately, and a small pool
+// of consumer goroutines drains the queue, so acceptance overlaps the
+// reduce phase task by task. The paper implements the connection with Java
+// RMI; this implementation uses net/rpc over TCP, which has the same
+// persistent-connection, request/response semantics.
 
 // SubmitArgs is the RPC request: a batch of wire-encoded candidate
 // augmenting paths (graph.EncodePath format), tagged with the reduce
@@ -61,11 +67,6 @@ type SubmitArgs struct {
 	Round int
 	Task  int
 	Exec  int
-	// Ctx is the submitting job's trace context (zero when the caller is
-	// untraced, e.g. the in-process simulated engine). It identifies the
-	// run/job/round that produced the batch for cross-process trace
-	// stitching; Round above stays the authoritative staleness fence.
-	Ctx   trace.Context
 	Paths [][]byte
 }
 
@@ -73,16 +74,11 @@ type SubmitArgs struct {
 // as the batch is enqueued.
 type SubmitReply struct{}
 
-// AppendFrame implements rpcutil.Message. DecodeFrame copies the path
-// payloads out of the codec's pooled buffer.
+// AppendFrame implements rpcutil.Message.
 func (a *SubmitArgs) AppendFrame(b []byte) []byte {
 	b = binary.AppendVarint(b, int64(a.Round))
 	b = binary.AppendVarint(b, int64(a.Task))
 	b = binary.AppendVarint(b, int64(a.Exec))
-	b = binary.AppendVarint(b, a.Ctx.Run)
-	b = binary.AppendVarint(b, a.Ctx.Job)
-	b = binary.AppendVarint(b, a.Ctx.Round)
-	b = binary.AppendVarint(b, a.Ctx.Span)
 	b = binary.AppendUvarint(b, uint64(len(a.Paths)))
 	for _, p := range a.Paths {
 		b = rpcutil.AppendBytes(b, p)
@@ -90,21 +86,20 @@ func (a *SubmitArgs) AppendFrame(b []byte) []byte {
 	return b
 }
 
-// DecodeFrame implements rpcutil.Message.
+// DecodeFrame implements rpcutil.Message. The paths outlive the codec's
+// pooled frame (they wait in the queue, and in deterministic mode until
+// EndRound), so the frame is copied once and every path is a slice of
+// that copy.
 func (a *SubmitArgs) DecodeFrame(b []byte) error {
-	d := rpcutil.NewReader(b)
+	d := rpcutil.NewReader(bytes.Clone(b))
 	a.Round = int(d.Varint("submit round"))
 	a.Task = int(d.Varint("submit task"))
 	a.Exec = int(d.Varint("submit exec"))
-	a.Ctx.Run = d.Varint("submit ctx run")
-	a.Ctx.Job = d.Varint("submit ctx job")
-	a.Ctx.Round = d.Varint("submit ctx round")
-	a.Ctx.Span = d.Varint("submit ctx span")
 	a.Paths = nil
 	if n := d.Count("submit path count"); n > 0 {
 		a.Paths = make([][]byte, n)
 		for i := range a.Paths {
-			a.Paths[i] = d.CopyBytes("submit path")
+			a.Paths[i] = d.Bytes("submit path")
 		}
 	}
 	return d.Finish("submit args")
@@ -170,21 +165,19 @@ type AugProcStats struct {
 	MaxQueue int64
 	// DecodeErrors counts malformed submissions (always 0 in practice).
 	DecodeErrors int64
+	// DrainWait is how long EndRound waited for the queue to empty (see
+	// MetricAugDrainWaitNS). Like MaxQueue it depends on scheduling.
+	DrainWait time.Duration
 }
 
-type augItem struct {
-	task  int
-	exec  int
-	paths [][]byte
-}
-
-// pendingSub is one buffered deterministic-mode submission. Batches are
-// kept apart per (task, exec) so EndRound can keep exactly one complete
-// execution per reduce task: a task re-executed after a worker death or
-// as a speculative backup submits its candidates again, and counting
-// both copies would skew Submitted/Accepted relative to the simulated
+// augBatch is one submission: what waits in the processing queue and, in
+// deterministic mode, in pending until EndRound. Batches stay apart per
+// (task, exec) so EndRound can keep exactly one complete execution per
+// reduce task: a task re-executed after a worker death or as a
+// speculative backup submits its candidates again, and counting both
+// copies would skew Submitted/Accepted relative to the simulated
 // engine's single-execution accounting.
-type pendingSub struct {
+type augBatch struct {
 	task  int
 	exec  int
 	paths [][]byte
@@ -195,7 +188,7 @@ type pendingSub struct {
 // when the computation finishes.
 type AugProcServer struct {
 	listener net.Listener
-	queue    chan augItem
+	queue    chan augBatch
 	done     chan struct{}
 
 	queued atomic.Int64 // paths currently enqueued
@@ -206,10 +199,11 @@ type AugProcServer struct {
 	// Trace instrumentation, installed by SetTracer (atomic pointers so
 	// RPC goroutines and the consumer need no extra locking; the nil
 	// defaults are valid no-op handles).
-	qGauge     atomic.Pointer[trace.Gauge]
-	acceptNS   atomic.Pointer[trace.Counter]
-	batches    atomic.Pointer[trace.Counter]
-	acceptHist atomic.Pointer[trace.Histogram]
+	qGauge      atomic.Pointer[trace.Gauge]
+	acceptNS    atomic.Pointer[trace.Counter]
+	batches     atomic.Pointer[trace.Counter]
+	acceptHist  atomic.Pointer[trace.Histogram]
+	drainWaitNS atomic.Pointer[trace.Counter]
 
 	// log, installed by SetLogger, receives per-round accept summaries
 	// (atomic for the same reason as the trace handles).
@@ -229,12 +223,15 @@ type AugProcServer struct {
 	acc     Accumulator
 	stats   AugProcStats
 	serving bool
+	// scratch is the one path every candidate is decoded into on its way
+	// to the accumulator, which keeps nothing of it.
+	scratch graph.ExcessPath
 
 	// Deterministic mode (SetDeterministic): candidates are collected
 	// here during the round and accepted in canonical byte order at
 	// EndRound, instead of first-come-first-served as they arrive.
 	deterministic bool
-	pending       []pendingSub
+	pending       []augBatch
 }
 
 // SetDeterministic toggles deterministic acceptance. The default (off)
@@ -266,6 +263,7 @@ func (s *AugProcServer) SetTracer(t *trace.Tracer) {
 	s.acceptNS.Store(reg.Counter(MetricAugAcceptNS))
 	s.batches.Store(reg.Counter(MetricAugBatches))
 	s.acceptHist.Store(reg.Histogram(HistAugAcceptNS))
+	s.drainWaitNS.Store(reg.Counter(MetricAugDrainWaitNS))
 }
 
 // SetLogger installs a structured logger that receives one summary
@@ -310,7 +308,7 @@ func (svc *augProcService) Submit(args *SubmitArgs, _ *SubmitReply) error {
 	s.drainMu.Lock()
 	s.inFlight++
 	s.drainMu.Unlock()
-	s.queue <- augItem{task: args.Task, exec: args.Exec, paths: args.Paths}
+	s.queue <- augBatch{task: args.Task, exec: args.Exec, paths: args.Paths}
 	return nil
 }
 
@@ -342,7 +340,7 @@ func NewAugProcServer() (*AugProcServer, error) {
 	}
 	s := &AugProcServer{
 		listener: ln,
-		queue:    make(chan augItem, 4096),
+		queue:    make(chan augBatch, 4096),
 		done:     make(chan struct{}),
 	}
 	s.drainCond = sync.NewCond(&s.drainMu)
@@ -371,8 +369,7 @@ func NewAugProcServer() (*AugProcServer, error) {
 func (s *AugProcServer) Addr() string { return s.listener.Addr().String() }
 
 // augConsumers sizes the consumer pool. More than a few goroutines buys
-// nothing: decode parallelizes, but acceptance itself is serialized on
-// the accumulator lock.
+// nothing: a batch is decided, decode included, under the accumulator lock.
 func augConsumers() int {
 	if n := runtime.GOMAXPROCS(0); n < 4 {
 		return n
@@ -380,46 +377,32 @@ func augConsumers() int {
 	return 4
 }
 
-// consume is one accumulator worker: it drains the processing queue,
-// decoding candidate batches outside the lock so consumers overlap, then
-// serializes only the acceptance decision on s.mu — there are still no
-// data races on the accumulator, but its lock hold time is the Accept
-// loop alone, not decode plus Accept (the paper's single-consumer design,
-// sharded). Acceptance remains first-come-first-served per batch; which
-// conflicting candidate wins already varied run to run with one consumer
-// (arrival order is scheduling-dependent), so sharding changes nothing
-// deterministic mode does not already fix.
+// consume is one accumulator worker: it takes batches off the processing
+// queue and decides each under s.mu, first come first served, or in
+// deterministic mode sets it aside for EndRound. Which conflicting
+// candidate wins in arrival order varies run to run (it is
+// scheduling-dependent, with one consumer as with several); deterministic
+// mode is what fixes it.
 func (s *AugProcServer) consume() {
 	for {
 		select {
-		case item := <-s.queue:
+		case b := <-s.queue:
 			t0 := time.Now()
 			s.mu.Lock()
+			// Mode flips mid-round are unsupported (SetDeterministic is
+			// pre-round configuration), so checking under the same lock
+			// the EndRound flush takes is sufficient.
 			if s.deterministic {
-				// Mode flips mid-round are unsupported (SetDeterministic is
-				// pre-round configuration), so checking under the same lock
-				// the EndRound flush takes is sufficient.
-				s.pending = append(s.pending, pendingSub{task: item.task, exec: item.exec, paths: item.paths})
-				s.mu.Unlock()
+				s.pending = append(s.pending, b)
 			} else {
-				s.mu.Unlock()
-				decoded, errs := decodeBatch(item.paths)
-				s.mu.Lock()
-				s.stats.DecodeErrors += errs
-				for i := range decoded {
-					s.stats.Submitted++
-					if d := s.acc.Accept(&decoded[i], graph.CapInf); d > 0 {
-						s.stats.Accepted++
-						s.stats.TotalDelta += d
-					}
-				}
-				s.mu.Unlock()
+				s.acceptLocked(b.paths)
 			}
+			s.mu.Unlock()
 			dt := time.Since(t0).Nanoseconds()
 			s.acceptNS.Load().Add(dt)
 			s.acceptHist.Load().Observe(dt)
 			s.batches.Load().Add(1)
-			s.qGauge.Load().Set(s.queued.Add(-int64(len(item.paths))))
+			s.qGauge.Load().Set(s.queued.Add(-int64(len(b.paths))))
 			s.drainMu.Lock()
 			s.inFlight--
 			if s.inFlight == 0 {
@@ -432,33 +415,17 @@ func (s *AugProcServer) consume() {
 	}
 }
 
-// decodeBatch decodes a batch of wire-encoded candidates, returning the
-// survivors and the malformed count. Runs outside the accumulator lock.
-func decodeBatch(paths [][]byte) ([]graph.ExcessPath, int64) {
-	decoded := make([]graph.ExcessPath, 0, len(paths))
-	var errs int64
-	for _, pb := range paths {
-		p, err := graph.DecodePath(pb)
-		if err != nil {
-			errs++
-			continue
-		}
-		decoded = append(decoded, p)
-	}
-	return decoded, errs
-}
-
-// acceptLocked decodes a batch of wire-encoded candidates and runs them
-// through the accumulator, updating round stats. Callers hold s.mu.
+// acceptLocked decodes wire-encoded candidates and runs them through the
+// accumulator, updating round stats. Callers hold s.mu.
 func (s *AugProcServer) acceptLocked(paths [][]byte) {
+	p := &s.scratch
 	for _, pb := range paths {
-		p, err := graph.DecodePath(pb)
-		if err != nil {
+		if err := graph.DecodePathInto(pb, p); err != nil {
 			s.stats.DecodeErrors++
 			continue
 		}
 		s.stats.Submitted++
-		if d := s.acc.Accept(&p, graph.CapInf); d > 0 {
+		if d := s.acc.Accept(p, graph.CapInf); d > 0 {
 			s.stats.Accepted++
 			s.stats.TotalDelta += d
 		}
@@ -492,7 +459,10 @@ func (s *AugProcServer) drain() {
 // after the last reducer") and returns the round's statistics and the
 // accepted flow deltas for the next round's AugmentedEdges side file.
 func (s *AugProcServer) EndRound() (AugProcStats, map[graph.EdgeID]int64) {
+	t0 := time.Now()
 	s.drain()
+	wait := time.Since(t0)
+	s.drainWaitNS.Load().Add(wait.Nanoseconds())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.deterministic {
@@ -501,10 +471,11 @@ func (s *AugProcServer) EndRound() (AugProcStats, map[graph.EdgeID]int64) {
 	}
 	st := s.stats
 	st.MaxQueue = s.maxQ.Load()
+	st.DrainWait = wait
 	s.logger().Debug("aug_proc round",
 		"submitted", st.Submitted, "accepted", st.Accepted,
 		"flow_delta", st.TotalDelta, "max_queue", st.MaxQueue,
-		"stale_dropped_total", s.stale.Load())
+		"drain_wait", wait, "stale_dropped_total", s.stale.Load())
 	return st, s.acc.Deltas()
 }
 
@@ -512,11 +483,12 @@ func (s *AugProcServer) EndRound() (AugProcStats, map[graph.EdgeID]int64) {
 // execution per reduce task and returns the surviving candidate paths
 // in canonical byte order. Every complete execution of a task submits
 // the identical candidate sequence (the reduce is deterministic in its
-// sorted input), while an execution interrupted mid-task submits a
-// prefix of it — so the execution with the most paths is complete
-// whenever any is, and ties are broken toward the lowest exec id for
-// reproducibility.
-func dedupePending(pending []pendingSub) [][]byte {
+// sorted input), in one batch or — past submitFlushBytes — in several,
+// while an execution interrupted mid-task submits nothing or, if it had
+// flushed early, a prefix — so the execution with the most paths is
+// complete whenever any is, and ties are broken toward the lowest exec
+// id for reproducibility.
+func dedupePending(pending []augBatch) [][]byte {
 	total := make(map[[2]int]int) // (task, exec) -> paths submitted
 	for _, sub := range pending {
 		total[[2]int{sub.task, sub.exec}] += len(sub.paths)
@@ -535,7 +507,7 @@ func dedupePending(pending []pendingSub) [][]byte {
 			out = append(out, sub.paths...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i], out[j]) < 0 })
+	slices.SortFunc(out, bytes.Compare)
 	return out
 }
 
@@ -554,19 +526,6 @@ func (s *AugProcServer) Close() error {
 // multiplexes calls over one connection).
 type AugProcClient struct {
 	c *rpc.Client
-
-	// ctx is the job-level trace context stamped onto every Submit
-	// (atomic: a distributed worker installs it via SetTraceContext from
-	// a task-lease goroutine while reducers submit concurrently).
-	ctx atomic.Pointer[trace.Context]
-}
-
-// SetTraceContext installs the trace context the client stamps onto
-// every subsequent Submit. The distmr worker calls it with the leasing
-// job's context when it builds the job's service; untraced callers (the
-// simulated engine, the FF2 driver's local dial) leave it zero.
-func (c *AugProcClient) SetTraceContext(ctx trace.Context) {
-	c.ctx.Store(&ctx)
 }
 
 // DialAugProc connects to an aug_proc server, retrying transient dial
@@ -579,11 +538,33 @@ func DialAugProc(addr string) (*AugProcClient, error) {
 	return &AugProcClient{c: c}, nil
 }
 
-// submitBuf is one Submit call's request: the envelope and the one buffer
-// all of the batch's paths are encoded into (Paths are slices of it).
+// submitFlushBytes bounds the encoded candidates a reduce task holds
+// before it sends them ahead of its Close: the paper's FB6 accepts 801 K
+// paths in a single round, so one batch per task is not a bound.
+const submitFlushBytes = 256 << 10
+
+// submitBuf is a batch of candidates being collected for one Submit call:
+// the request and the one buffer all of its paths are encoded into
+// (args.Paths are slices of it).
 type submitBuf struct {
 	args SubmitArgs
 	enc  []byte
+}
+
+// add encodes paths onto the end of the batch; the caller may reuse them.
+func (sb *submitBuf) add(paths []graph.ExcessPath) {
+	for i := range paths {
+		// A path encoded before enc had to grow stays behind in the old
+		// array, which its Paths entry keeps alive and valid.
+		start := len(sb.enc)
+		sb.enc = graph.AppendPath(sb.enc, &paths[i])
+		sb.args.Paths = append(sb.args.Paths, sb.enc[start:len(sb.enc):len(sb.enc)])
+	}
+}
+
+// reset empties the batch, keeping its storage.
+func (sb *submitBuf) reset() {
+	sb.args.Paths, sb.enc = sb.args.Paths[:0], sb.enc[:0]
 }
 
 // submitPool recycles requests across Submit calls and clients. Call has
@@ -597,25 +578,21 @@ var submitPool = sync.Pool{New: func() any { return new(submitBuf) }}
 // from executions orphaned in an earlier round. The paths are encoded
 // before Submit returns; the caller may reuse them.
 func (c *AugProcClient) Submit(round, task, exec int, paths []graph.ExcessPath) error {
-	if len(paths) == 0 {
-		return nil
-	}
 	sb := submitPool.Get().(*submitBuf)
 	defer submitPool.Put(sb)
-	args, enc := &sb.args, sb.enc[:0]
-	*args = SubmitArgs{Round: round, Task: task, Exec: exec, Paths: args.Paths[:0]}
-	if ctx := c.ctx.Load(); ctx != nil {
-		args.Ctx = *ctx
+	sb.reset()
+	sb.add(paths)
+	return c.send(round, task, exec, sb)
+}
+
+// send implements candidateSink: one Submit call carrying the batch. An
+// empty batch is not sent.
+func (c *AugProcClient) send(round, task, exec int, sb *submitBuf) error {
+	if len(sb.args.Paths) == 0 {
+		return nil
 	}
-	for i := range paths {
-		// A path encoded before enc had to grow stays behind in the old
-		// array, which its Paths entry keeps alive and valid.
-		start := len(enc)
-		enc = graph.AppendPath(enc, &paths[i])
-		args.Paths = append(args.Paths, enc[start:len(enc):len(enc)])
-	}
-	sb.enc = enc
-	return c.c.Call("AugProc.Submit", args, &SubmitReply{})
+	sb.args.Round, sb.args.Task, sb.args.Exec = round, task, exec
+	return c.c.Call("AugProc.Submit", &sb.args, &SubmitReply{})
 }
 
 // Publish sends the FF1 sink reducer's acceptance outcome for round to

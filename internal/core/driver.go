@@ -350,6 +350,9 @@ func (l *ffLoop) run(startRound int) error {
 
 		stat := jobStat(round, res, st)
 		annotateRoundSpan(roundSpan, stat)
+		// Not a RoundStat field: RoundStats are compared between runs, and
+		// this is a timing.
+		roundSpan.SetInt(trace.AttrAugDrainWaitUS, st.DrainWait.Microseconds())
 		roundSpan.End()
 		result.RoundStats = append(result.RoundStats, stat)
 		reg.Gauge(trace.GaugeFFRound).Set(int64(round))

@@ -33,11 +33,12 @@ func (c *runConfig) extendConfig() extendConfig {
 	return extendConfig{source: c.source, sink: c.sink, sentTracking: c.feat.sentTracking}
 }
 
-// candidateSink receives the candidate augmenting paths an FF2+ reducer
-// generates. *AugProcClient is the one production implementation; it has
-// encoded the paths by the time Submit returns.
+// candidateSink receives the candidate augmenting paths an FF2+ reduce task
+// generates, a batch at a time. *AugProcClient is the one production
+// implementation; it has written the batch to its connection by the time
+// send returns.
 type candidateSink interface {
-	Submit(round, task, exec int, paths []graph.ExcessPath) error
+	send(round, task, exec int, sb *submitBuf) error
 }
 
 // deltaCache lazily parses the AugmentedEdges side file once per task.
@@ -70,10 +71,10 @@ func (dc *deltaCache) get(ctx *mapreduce.TaskContext, file string) (map[graph.Ed
 // value, path and buffer per record, which is the churn FF4 removes.
 //
 // Nothing in the scratch is referenced by what a call leaves behind:
-// TaskContext.Emit and AugProcClient.Submit copy the bytes they are given
-// before returning. Inside the scratch every path slot owns its Edges
-// array exclusively (graph.NextSlot, removeSaturated), so filling one
-// slot can never disturb a path held in another.
+// TaskContext.Emit copies the bytes it is given and submitBuf.add encodes
+// the paths it is given before returning. Inside the scratch every path
+// slot owns its Edges array exclusively (graph.NextSlot, removeSaturated),
+// so filling one slot can never disturb a path held in another.
 
 // ffMapper implements the MAP function of Fig. 3 for all variants.
 type ffMapper struct {
@@ -165,6 +166,10 @@ type ffReducer struct {
 	extcfg extendConfig
 	dc     deltaCache
 	s      reduceScratch
+	// batch holds, encoded, the candidates of the task's groups so far that
+	// have not been sent to aug_proc (FF2+). It is the task's, not the
+	// group's: FF2 and FF3 drop s after every group and still keep it.
+	batch submitBuf
 }
 
 // reduceScratch is what Reduce builds one group's output in. It grows to
@@ -374,20 +379,19 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 	}
 
 	// FF2+: generate candidate augmenting paths here, from the post-merge
-	// state, and send them to aug_proc over the persistent connection as
-	// soon as they are found (Section IV-A). Submit has encoded them by
-	// the time it returns, so the next group may overwrite the slab.
+	// state (Section IV-A), and put them with the task's batch, which goes
+	// to aug_proc over the persistent connection when the task closes. The
+	// batch holds them encoded, so the next group may overwrite the slab.
 	if r.cfg.feat.augProc {
 		s.cands = generateCandidates(out, s.cands, &s.local)
 		if len(s.cands) > 0 {
-			client, ok := ctx.Service().(candidateSink)
-			if !ok {
-				return fmt.Errorf("core: job service is not an aug_proc client")
-			}
-			if err := client.Submit(ctx.Round(), ctx.Task(), ctx.Exec(), s.cands); err != nil {
-				return err
-			}
+			r.batch.add(s.cands)
 			ctx.Inc("candidates sent", int64(len(s.cands)))
+			if len(r.batch.enc) >= submitFlushBytes {
+				if err := r.flush(ctx); err != nil {
+					return err
+				}
+			}
 		}
 	} else if isSink {
 		// FF1: the sink reducer finalizes acceptance and publishes the
@@ -409,3 +413,22 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 	ctx.Emit(key, s.buf)
 	return nil
 }
+
+// flush sends the candidates collected since the last send as one batch
+// tagged (round, task, exec), the unit aug_proc fences and deduplicates on.
+func (r *ffReducer) flush(ctx *mapreduce.TaskContext) error {
+	if len(r.batch.args.Paths) == 0 {
+		return nil
+	}
+	sink, ok := ctx.Service().(candidateSink)
+	if !ok {
+		return fmt.Errorf("core: job service is not an aug_proc client")
+	}
+	err := sink.send(ctx.Round(), ctx.Task(), ctx.Exec(), &r.batch)
+	r.batch.reset()
+	return err
+}
+
+// Close implements mapreduce.TaskCloser. An attempt that fails never gets
+// here, so it submits at most what Reduce had already flushed.
+func (r *ffReducer) Close(ctx *mapreduce.TaskContext) error { return r.flush(ctx) }

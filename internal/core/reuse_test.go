@@ -93,6 +93,10 @@ func (w scribblingReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte
 	return err
 }
 
+// Close passes the task's batch on: it is what the calls left behind, not
+// scratch, so it is the one thing of the reducer nothing scribbles on.
+func (w scribblingReducer) Close(ctx *mapreduce.TaskContext) error { return w.r.Close(ctx) }
+
 // TestReuseDifferential replays every round of an FF4 and an FF5 run
 // twice from the reference run's own round files: once with
 // feat.reuseObjects forced off, once with it on and the pooled scratch
@@ -337,118 +341,110 @@ func TestFFMapperSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// reduceSubmitAllocs bounds what the synchronous aug_proc round trip adds
-// to a reduce group that submits one candidate: net/rpc's Call, reflected
-// argument and reply values on the server, the server's copy of the path
-// bytes and its decode of them. 11 as measured on go1.22; the rest is
-// headroom for net/rpc and reflect internals, which this repo does not own.
-const reduceSubmitAllocs = 16
+// countingSink is a candidateSink that allocates nothing.
+type countingSink struct{ paths int }
 
-// countingSink is a candidateSink that allocates nothing once warm. It
-// encodes what it is handed, as the aug_proc client does.
-type countingSink struct {
-	paths int
-	enc   []byte
-}
-
-func (c *countingSink) Submit(_, _, _ int, paths []graph.ExcessPath) error {
-	c.enc = c.enc[:0]
-	for i := range paths {
-		c.enc = graph.AppendPath(c.enc, &paths[i])
-	}
-	c.paths += len(paths)
+func (c *countingSink) send(_, _, _ int, sb *submitBuf) error {
+	c.paths += len(sb.args.Paths)
 	return nil
 }
 
-// TestFFReducerSteadyStateAllocs runs the FF5 reducer, in the real reduce
-// task body, over schimmy groups of one master record and eight one-path
-// fragments each, every group submitting one candidate. Into a sink that
-// does not allocate, a task with four times the groups costs nothing more
-// per group; into a live aug_proc it costs the Submit round trips.
-func TestFFReducerSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		// Under the race detector sync.Pool drops a share of what is put
-		// back, so the pooled Submit request is reallocated at random.
-		t.Skip("allocation counts of pooled objects are not meaningful under -race")
-	}
+// candidateTask builds one FF5 reduce task attempt of round 3 over schimmy
+// groups of one master record and eight one-path fragments each, every
+// group generating one candidate: eight source paths meet one unit-capacity
+// sink path. Vertex u has nine edges: one to the sink, carrying its one sink
+// excess path, and one to each neighbour that sends it a two-hop source
+// excess path this round.
+func candidateTask(t *testing.T, groups int, service any) (*mapreduce.TaskEnv, *mapreduce.ReduceTask) {
+	t.Helper()
 	const (
 		source, sink = 0, 1
 		fragments    = 8
 		round        = 3
 	)
+	opts := Options{Variant: FF5}.WithDefaults(1)
+	cfg := &runConfig{opts: opts, feat: FF5.features(), source: source, sink: sink, deltasFile: "deltas"}
+
+	var base, shuffled dfs.RecordWriter
+	edge := graph.EdgeID(0)
+	nextEdge := func() graph.EdgeID { edge++; return edge }
+	for g := 0; g < groups; g++ {
+		u := graph.VertexID(10 + g)
+		key := graph.KeyBytes(u)
+		toSink := nextEdge()
+		master := graph.VertexValue{
+			Eu: []graph.Edge{{To: sink, ID: toSink, Cap: 1, RevCap: 1, Fwd: true}},
+			Tu: []graph.ExcessPath{{Edges: []graph.PathEdge{{ID: toSink, From: u, To: sink, Cap: 1, Fwd: true}}}},
+		}
+		for f := 0; f < fragments; f++ {
+			nb := graph.VertexID(1_000_000 + g*fragments + f)
+			first, second := nextEdge(), nextEdge()
+			master.Eu = append(master.Eu, graph.Edge{To: nb, ID: second, Cap: 1, RevCap: 1})
+			frag := graph.VertexValue{Su: []graph.ExcessPath{{Edges: []graph.PathEdge{
+				{ID: first, From: source, To: nb, Cap: 1, Fwd: true},
+				{ID: second, From: nb, To: u, Cap: 1, Fwd: true},
+			}}}}
+			shuffled.Append(key, graph.EncodeValue(&frag))
+		}
+		master.SentS = make([]uint64, len(master.Eu))
+		master.SentT = make([]uint64, len(master.Eu))
+		base.Append(key, graph.EncodeValue(&master))
+	}
+
+	env := &mapreduce.TaskEnv{
+		Job: "candidates", Round: round,
+		NewMapper: func() mapreduce.Mapper {
+			return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, key, value []byte) error {
+				ctx.Emit(key, value)
+				return nil
+			})
+		},
+		NewReducer: func() mapreduce.Reducer { return newFFReducer(cfg) },
+		Side:       map[string][]byte{cfg.deltasFile: EncodeDeltas(nil)},
+		Service:    service,
+		Store:      spill.NewMemRunStore(),
+		ReadFile:   func(string) ([]byte, error) { return base.Bytes(), nil },
+	}
+	maps, err := mapreduce.ExecMap(env, &mapreduce.MapTask{Split: shuffled.Bytes(), Partitions: 1, Prefix: "m/"},
+		mapreduce.NewCounters(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, &mapreduce.ReduceTask{Segments: maps.Out.Parts[0], FanIn: 16, TmpPrefix: "r/", SchimmyBase: "base/"}
+}
+
+// TestFFReducerSteadyStateAllocs runs the FF5 reducer, in the real reduce
+// task body, over candidateTask's groups. A task with four times the groups
+// costs nothing more per group, whether its one batch goes to a sink that
+// does not allocate or to a live aug_proc.
+func TestFFReducerSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		// Under the race detector sync.Pool drops a share of what is put
+		// back, so the codec's pooled frame buffers are reallocated at random.
+		t.Skip("allocation counts of pooled objects are not meaningful under -race")
+	}
 	aug, err := NewAugProcServer()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer aug.Close() //nolint:errcheck // shutdown of a loopback listener
-	aug.BeginRound(round)
+	aug.BeginRound(3)
 	client, err := DialAugProc(aug.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close() //nolint:errcheck // loopback connection teardown
 
-	opts := Options{Variant: FF5}.WithDefaults(1)
-	cfg := &runConfig{opts: opts, feat: FF5.features(), source: source, sink: sink, deltasFile: "deltas"}
-
 	task := func(groups int, service any) float64 {
-		// Vertex u has fragments+1 edges: one to the sink, carrying its one
-		// sink excess path, and one to each neighbour that sends it a
-		// two-hop source excess path this round.
-		var base, shuffled dfs.RecordWriter
-		edge := graph.EdgeID(0)
-		nextEdge := func() graph.EdgeID { edge++; return edge }
-		for g := 0; g < groups; g++ {
-			u := graph.VertexID(10 + g)
-			key := graph.KeyBytes(u)
-			toSink := nextEdge()
-			master := graph.VertexValue{
-				Eu: []graph.Edge{{To: sink, ID: toSink, Cap: 1, RevCap: 1, Fwd: true}},
-				Tu: []graph.ExcessPath{{Edges: []graph.PathEdge{{ID: toSink, From: u, To: sink, Cap: 1, Fwd: true}}}},
-			}
-			for f := 0; f < fragments; f++ {
-				nb := graph.VertexID(1_000_000 + g*fragments + f)
-				first, second := nextEdge(), nextEdge()
-				master.Eu = append(master.Eu, graph.Edge{To: nb, ID: second, Cap: 1, RevCap: 1})
-				frag := graph.VertexValue{Su: []graph.ExcessPath{{Edges: []graph.PathEdge{
-					{ID: first, From: source, To: nb, Cap: 1, Fwd: true},
-					{ID: second, From: nb, To: u, Cap: 1, Fwd: true},
-				}}}}
-				shuffled.Append(key, graph.EncodeValue(&frag))
-			}
-			master.SentS = make([]uint64, len(master.Eu))
-			master.SentT = make([]uint64, len(master.Eu))
-			base.Append(key, graph.EncodeValue(&master))
-		}
-
-		store := spill.NewMemRunStore()
-		env := &mapreduce.TaskEnv{
-			Job: "reducer-allocs", Round: round,
-			NewMapper: func() mapreduce.Mapper {
-				return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, key, value []byte) error {
-					ctx.Emit(key, value)
-					return nil
-				})
-			},
-			NewReducer: func() mapreduce.Reducer { return newFFReducer(cfg) },
-			Side:       map[string][]byte{cfg.deltasFile: EncodeDeltas(nil)},
-			Service:    service,
-			Store:      store,
-			ReadFile:   func(string) ([]byte, error) { return base.Bytes(), nil },
-		}
+		env, reduce := candidateTask(t, groups, service)
 		counters := mapreduce.NewCounters()
-		maps, err := mapreduce.ExecMap(env, &mapreduce.MapTask{Split: shuffled.Bytes(), Partitions: 1, Prefix: "m/"}, counters, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reduce := &mapreduce.ReduceTask{Segments: maps.Out.Parts[0], FanIn: 16, TmpPrefix: "r/", SchimmyBase: "base/"}
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := mapreduce.ExecReduce(env, reduce, counters, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
-		// One candidate per group (eight source paths meet one unit-capacity
-		// sink path), over AllocsPerRun's warm-up run and 5 measured ones.
+		// One candidate per group, over AllocsPerRun's warm-up run and 5
+		// measured ones.
 		if sent, want := counters.Snapshot()["candidates sent"], int64(6*groups); sent != want {
 			t.Fatalf("reducers sent %d candidates, want %d (one per group)", sent, want)
 		}
@@ -456,26 +452,22 @@ func TestFFReducerSteadyStateAllocs(t *testing.T) {
 	}
 
 	const small, large = 200, 800
-	perGroup := func(service any) float64 {
-		return (task(large, service) - task(small, service)) / (large - small)
-	}
-
 	stub := &countingSink{}
-	own := perGroup(stub)
+	for _, sink := range []struct {
+		name    string
+		service any
+	}{{"a stub sink", stub}, {"a live aug_proc", client}} {
+		perGroup := (task(large, sink.service) - task(small, sink.service)) / (large - small)
+		t.Logf("ffReducer.Reduce (FF5, schimmy, 8 fragments) into %s: %.3f allocs per group", sink.name, perGroup)
+		// What is left is the task's own slices (base records, merge heap,
+		// output, candidate batch) doubling a few more times for four times
+		// the groups.
+		if perGroup >= 0.05 {
+			t.Errorf("ffReducer.Reduce into %s: %.3f allocs per group once warm, want under 0.05 (nothing per group)",
+				sink.name, perGroup)
+		}
+	}
 	if want := 6 * (small + large); stub.paths != want {
-		t.Fatalf("the sink saw %d candidates, want %d", stub.paths, want)
-	}
-	t.Logf("ffReducer.Reduce (FF5, schimmy, %d fragments): %.3f allocs per group", fragments, own)
-	// What is left is the task's own slices (base records, merge heap,
-	// output) doubling a few more times for four times the groups.
-	if own >= 0.05 {
-		t.Errorf("ffReducer.Reduce: %.3f allocs per group once warm, want under 0.05 (nothing per group)", own)
-	}
-
-	live := perGroup(client)
-	t.Logf("ffReducer.Reduce with a live aug_proc: %.2f allocs per group", live)
-	if live > reduceSubmitAllocs {
-		t.Errorf("ffReducer.Reduce: %.2f allocs per group with a live aug_proc, want at most %d (the Submit round trip)",
-			live, reduceSubmitAllocs)
+		t.Fatalf("the stub sink saw %d candidates, want %d", stub.paths, want)
 	}
 }

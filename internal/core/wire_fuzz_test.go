@@ -7,7 +7,6 @@ import (
 
 	"ffmr/internal/graph"
 	"ffmr/internal/rpcutil"
-	"ffmr/internal/trace"
 )
 
 // jobParams is what the four param structs of distkinds.go share.
@@ -65,8 +64,7 @@ func FuzzDecodeJobParams(f *testing.F) {
 // requests, whose frames arrive from other processes.
 func FuzzSubmitPublishFrame(f *testing.F) {
 	path := simplePath(3, 2)
-	f.Add((&SubmitArgs{Round: 2, Task: 1, Exec: 4, Ctx: trace.Context{Run: 1, Job: 2, Round: 2, Span: 9},
-		Paths: [][]byte{graph.EncodePath(&path), nil}}).AppendFrame(nil))
+	f.Add((&SubmitArgs{Round: 2, Task: 1, Exec: 4, Paths: [][]byte{graph.EncodePath(&path), nil}}).AppendFrame(nil))
 	f.Add((&SubmitArgs{}).AppendFrame(nil))
 	f.Add((&PublishArgs{Round: 3, Stats: AugProcStats{Submitted: 5, Accepted: 2, TotalDelta: 3},
 		Deltas: map[graph.EdgeID]int64{3: 2, 9: -1}}).AppendFrame(nil))

@@ -734,12 +734,6 @@ func (w *Worker) jobState(desc *TaskDescriptor) (*workerJob, error) {
 			}
 			side[name] = data
 		}
-		// A service that understands trace contexts (the aug_proc client)
-		// gets the job's context stamped on it so its RPCs carry the
-		// run/job/round identity for cross-process stitching.
-		if tc, ok := code.Service.(interface{ SetTraceContext(trace.Context) }); ok {
-			tc.SetTraceContext(desc.Ctx)
-		}
 		j.code = code
 		j.env = &mapreduce.TaskEnv{
 			Job:         desc.JobName,

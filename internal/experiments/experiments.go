@@ -364,7 +364,10 @@ func Fig7(sc Scale) ([]Fig7Variant, *stats.Figure, error) {
 	var out []Fig7Variant
 	for _, variant := range []core.Variant{core.FF1, core.FF2, core.FF3, core.FF5} {
 		cluster := sc.newCluster(sc.Nodes)
-		res, err := core.Run(cluster, in, core.Options{Variant: variant, Tracer: tr})
+		// Arrival order at aug_proc decides which of two conflicting
+		// candidates wins, and with it whether a run draws an extra round;
+		// the figure compares variants, so pin it.
+		res, err := core.Run(cluster, in, core.Options{Variant: variant, Tracer: tr, DeterministicAccept: true})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -278,14 +278,25 @@ func EncodePath(p *ExcessPath) []byte { return appendPath(nil, p) }
 
 // DecodePath decodes a standalone path produced by EncodePath.
 func DecodePath(data []byte) (ExcessPath, error) {
-	d := decoder{b: data}
 	var p ExcessPath
-	d.path(&p)
-	if d.err != nil {
-		return ExcessPath{}, d.err
-	}
-	if d.off != len(data) {
-		return ExcessPath{}, fmt.Errorf("graph: %d trailing bytes after path", len(data)-d.off)
+	if err := DecodePathInto(data, &p); err != nil {
+		return ExcessPath{}, err
 	}
 	return p, nil
+}
+
+// DecodePathInto is DecodePath into p, reusing p's Edges array when it is
+// large enough, so a consumer that does not keep the paths it decodes
+// (aug_proc's accept loop) needs one path for all of them. On error p is
+// left empty.
+func DecodePathInto(data []byte, p *ExcessPath) error {
+	d := decoder{b: data}
+	d.path(p)
+	if d.err == nil && d.off != len(data) {
+		d.err = fmt.Errorf("graph: %d trailing bytes after path", len(data)-d.off)
+	}
+	if d.err != nil {
+		p.Edges = p.Edges[:0]
+	}
+	return d.err
 }

@@ -145,6 +145,20 @@ func FuzzVertexCodec(f *testing.F) {
 			if enc2 := graph.EncodePath(&p2); !bytes.Equal(enc, enc2) {
 				t.Fatalf("path encoding not stable:\n first: %x\nsecond: %x\ninput: %x", enc, enc2, data)
 			}
+			// aug_proc decodes every candidate into one path: a decode into a
+			// path that last held a longer one must agree with the fresh one.
+			dirty := dirtyValue(t).Su[11]
+			if err := graph.DecodePathInto(data, &dirty); err != nil {
+				t.Fatalf("DecodePathInto a dirty path failed where DecodePath succeeded: %v\ninput: %x", err, data)
+			}
+			if !slices.Equal(dirty.Edges, p.Edges) {
+				t.Fatalf("DecodePathInto a dirty path disagrees with DecodePath:\n fresh: %+v\n dirty: %+v\ninput: %x", p, dirty, data)
+			}
+		} else {
+			dirty := dirtyValue(t).Su[11]
+			if graph.DecodePathInto(data, &dirty) == nil || len(dirty.Edges) != 0 {
+				t.Fatalf("DecodePathInto accepted, or kept %d stale hops of, what DecodePath rejected\ninput: %x", len(dirty.Edges), data)
+			}
 		}
 	})
 }

@@ -205,9 +205,10 @@ type ReduceResult struct {
 // ExecReduce runs one reduce attempt: a k-way merge over the task's
 // segments streams the sorted records, which are grouped by key (and, for
 // a schimmy job, merge-joined with the base partition) and handed to the
-// reducer. A map-only job has no reducer, and the merged stream is the
-// output. Shuffle accounting comes from segment metadata, so it does not
-// depend on how a segment reached the store.
+// reducer; a reducer that is a TaskCloser is closed after the last group. A
+// map-only job has no reducer, and the merged stream is the output. Shuffle
+// accounting comes from segment metadata, so it does not depend on how a
+// segment reached the store.
 func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span) (*ReduceResult, error) {
 	fail := func(err error) (*ReduceResult, error) {
 		return nil, fmt.Errorf("mapreduce: %s reduce task %d: %w", env.Job, t.Task, err)
@@ -268,8 +269,14 @@ func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span
 		}
 	} else {
 		ctx := env.context(t.Task, t.Exec, t.Node, counters, func(key, value []byte) { out.Append(key, value) })
-		if res.MaxGroup, err = reduceGroups(ctx, env.NewReducer(), base, it.Next); err != nil {
+		reducer := env.NewReducer()
+		if res.MaxGroup, err = reduceGroups(ctx, reducer, base, it.Next); err != nil {
 			return fail(err)
+		}
+		if c, ok := reducer.(TaskCloser); ok {
+			if err := c.Close(ctx); err != nil {
+				return fail(err)
+			}
 		}
 	}
 	res.Output = out.Bytes()

@@ -328,6 +328,109 @@ func TestFailedReduceAttemptLeavesRetryUnchanged(t *testing.T) {
 	}
 }
 
+// closingReducer is a Reducer with Hadoop's cleanup(): it counts the
+// groups it has reduced and records what it saw each time it was closed.
+type closingReducer struct {
+	inner     Reducer
+	reduceErr error // returned by the fourth Reduce call, if set
+	closeErr  error // returned by Close, if set
+
+	groups         int
+	ctx            *TaskContext // the context of the Reduce calls
+	closes         int
+	groupsAtClose  int
+	closeCtxIsSame bool
+}
+
+func (c *closingReducer) Reduce(ctx *TaskContext, key, master []byte, values *Values) error {
+	c.ctx = ctx
+	if c.groups++; c.groups > 3 && c.reduceErr != nil {
+		return c.reduceErr
+	}
+	return c.inner.Reduce(ctx, key, master, values)
+}
+
+func (c *closingReducer) Close(ctx *TaskContext) error {
+	c.closes++
+	c.groupsAtClose = c.groups
+	c.closeCtxIsSame = ctx == c.ctx
+	ctx.Inc("closed", 1)
+	return c.closeErr
+}
+
+// TestExecReduceClosesReducerOnce: a reducer that is a TaskCloser is closed
+// exactly once, after the last group and with the attempt's TaskContext;
+// not at all when a group or the merge fails; a Close error fails the
+// attempt like any other; and a reducer without Close is left alone.
+func TestExecReduceClosesReducerOnce(t *testing.T) {
+	splits := execSplits(2, 100)
+	boom := errors.New("boom")
+	for storeName, newStore := range execStores {
+		t.Run(storeName, func(t *testing.T) {
+			store := newStore(t)
+			env := sumEnv(store)
+			maps := execMaps(t, env, splits, 2048, false, NewCounters())
+			task := &ReduceTask{Task: 2, Exec: 5, Segments: partSegments(maps, 0), FanIn: 2, TmpPrefix: "reduce-00002/a5/"}
+			plain, err := ExecReduce(env, task, NewCounters(), nil) // sumEnv's ReducerFunc has no Close
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			run := func(cr *closingReducer, task *ReduceTask) (*ReduceResult, *Counters, error) {
+				cr.inner = env.NewReducer()
+				closing := *env
+				closing.NewReducer = func() Reducer { return cr }
+				counters := NewCounters()
+				res, err := ExecReduce(&closing, task, counters, nil)
+				return res, counters, err
+			}
+
+			ok := &closingReducer{}
+			res, counters, err := run(ok, task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok.closes != 1 || ok.groupsAtClose != int(plain.OutRecords) || !ok.closeCtxIsSame {
+				t.Errorf("closed %d times, after %d of %d groups, same context %v; want once, after all, true",
+					ok.closes, ok.groupsAtClose, plain.OutRecords, ok.closeCtxIsSame)
+			}
+			if ok.ctx.Task() != 2 || ok.ctx.Exec() != 5 || counters.Snapshot()["closed"] != 1 {
+				t.Errorf("Close saw task %d exec %d and left counters %v", ok.ctx.Task(), ok.ctx.Exec(), counters.Snapshot())
+			}
+			if !bytes.Equal(res.Output, plain.Output) {
+				t.Error("a reducer with Close produced different output from the same reducer without")
+			}
+
+			badGroup := &closingReducer{reduceErr: boom}
+			if _, _, err := run(badGroup, task); !errors.Is(err, boom) {
+				t.Fatalf("reducer error not reported: %v", err)
+			}
+			if badGroup.closes != 0 {
+				t.Errorf("closed %d times after a failed group, want 0", badGroup.closes)
+			}
+
+			badMerge := &closingReducer{}
+			missing := *task
+			missing.Segments = append([]spill.Segment{{Name: "no-such-segment", RawBytes: 1, StoredBytes: 1, Records: 1}}, task.Segments...)
+			if _, _, err := run(badMerge, &missing); err == nil {
+				t.Fatal("a missing segment did not fail the attempt")
+			}
+			if badMerge.closes != 0 {
+				t.Errorf("closed %d times after a failed merge, want 0", badMerge.closes)
+			}
+
+			badClose := &closingReducer{closeErr: boom}
+			_, _, err = run(badClose, task)
+			if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "mapreduce: exec reduce task 2: ") {
+				t.Errorf("Close error reported as %v, want boom behind the reduce task prefix", err)
+			}
+			if badClose.closes != 1 {
+				t.Errorf("closed %d times, want 1", badClose.closes)
+			}
+		})
+	}
+}
+
 // TestExecMapOnly runs a job with no reducer: one partition whatever the
 // key, no combiner, and a reduce body that copies the merged stream out.
 func TestExecMapOnly(t *testing.T) {

@@ -136,6 +136,17 @@ type Reducer interface {
 	Reduce(ctx *TaskContext, key []byte, master []byte, values *Values) error
 }
 
+// TaskCloser is Hadoop's cleanup(): a Reducer that also implements it has
+// Close called once per task attempt, after the last group's Reduce has
+// returned and before the attempt's result exists, with the TaskContext
+// every Reduce call of the attempt saw. It is how a reducer hands over what
+// it collected across groups (FF2+ send a task's candidate augmenting
+// paths to aug_proc in one batch). An attempt whose merge or whose Reduce
+// failed is never closed, and a Close error fails the attempt.
+type TaskCloser interface {
+	Close(ctx *TaskContext) error
+}
+
 // Combiner performs map-side pre-aggregation: after a map task finishes,
 // its output records are grouped by key per partition and each group is
 // replaced by the combiner's output, reducing shuffle volume at the cost

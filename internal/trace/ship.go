@@ -11,10 +11,10 @@ import "time"
 // only defines the span-side primitives it composes.
 
 // Context identifies a position in the master's trace hierarchy. It
-// rides every task-dispatch, prefetch and aug_proc RPC so spans recorded
-// on the remote side can be stitched back under the span that caused
-// them. The zero Context means "no tracing position" and imports under
-// it become root spans.
+// rides every task-dispatch and prefetch RPC so spans recorded on the
+// remote side can be stitched back under the span that caused them. The
+// zero Context means "no tracing position" and imports under it become
+// root spans.
 type Context struct {
 	// Run is the id of the enclosing round (or run) span on the master,
 	// for grouping; 0 when the master runs untraced.

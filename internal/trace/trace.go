@@ -65,6 +65,9 @@ const (
 	AttrMaxGroupBytes  = "max_group_bytes"
 	AttrOutputBytes    = "output_bytes"
 	AttrSimTimeUS      = "sim_time_us"
+	// AttrAugDrainWaitUS is how long the round's EndRound waited for the
+	// aug_proc queue to empty after the last reducer returned.
+	AttrAugDrainWaitUS = "aug_drain_wait_us"
 )
 
 // Dynamic-update (warm restart) attribute keys. RunWarm marks its run
