@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ffmr/internal/dfs"
@@ -75,22 +75,30 @@ func decodeBFS(data []byte, v *bfsValue) error {
 	return nil
 }
 
-// bfsConvertMapper emits each endpoint of every raw edge to the other.
-type bfsConvertMapper struct{}
+// The four BFS task bodies below get FF4's treatment: a mapper or reducer
+// is created per task (Job.NewMapper/NewReducer), so the decoded values,
+// keys and output buffers it owns serve every record of the task and the
+// record path allocates nothing once they have grown. Emit copies.
 
-func (bfsConvertMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
+// bfsConvertMapper emits each endpoint of every raw edge to the other.
+type bfsConvertMapper struct{ key, buf []byte }
+
+func (m *bfsConvertMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
 	e, err := decodeInputEdge(value)
 	if err != nil {
 		return err
 	}
-	var buf [10]byte
-	ctx.Emit(graph.KeyBytes(e.U), binary.AppendUvarint(buf[:0], uint64(e.V)))
-	ctx.Emit(graph.KeyBytes(e.V), binary.AppendUvarint(buf[:0], uint64(e.U)))
+	m.key, m.buf = graph.AppendKey(m.key[:0], e.U), binary.AppendUvarint(m.buf[:0], uint64(e.V))
+	ctx.Emit(m.key, m.buf)
+	m.key, m.buf = graph.AppendKey(m.key[:0], e.V), binary.AppendUvarint(m.buf[:0], uint64(e.U))
+	ctx.Emit(m.key, m.buf)
 	return nil
 }
 
 type bfsConvertReducer struct {
 	source graph.VertexID
+	v      bfsValue
+	out    []byte
 }
 
 func (r *bfsConvertReducer) Reduce(ctx *mapreduce.TaskContext, key, _ []byte, values *mapreduce.Values) error {
@@ -98,11 +106,11 @@ func (r *bfsConvertReducer) Reduce(ctx *mapreduce.TaskContext, key, _ []byte, va
 	if err != nil {
 		return err
 	}
-	v := bfsValue{master: true, dist: -1}
+	v := &r.v
+	v.master, v.dist, v.neighbors = true, -1, v.neighbors[:0]
 	if u == r.source {
 		v.dist = 0
 	}
-	seen := make(map[graph.VertexID]bool)
 	for {
 		vb := values.Next()
 		if vb == nil {
@@ -112,67 +120,75 @@ func (r *bfsConvertReducer) Reduce(ctx *mapreduce.TaskContext, key, _ []byte, va
 		if n <= 0 {
 			return fmt.Errorf("core: corrupt bfs neighbor fragment")
 		}
-		if !seen[graph.VertexID(nb)] {
-			seen[graph.VertexID(nb)] = true
-			v.neighbors = append(v.neighbors, graph.VertexID(nb))
-		}
+		v.neighbors = append(v.neighbors, graph.VertexID(nb))
 	}
-	sort.Slice(v.neighbors, func(i, j int) bool { return v.neighbors[i] < v.neighbors[j] })
-	ctx.Emit(key, encodeBFS(nil, &v))
+	// Sorted and distinct: parallel edges name a neighbour once.
+	slices.Sort(v.neighbors)
+	v.neighbors = slices.Compact(v.neighbors)
+	r.out = encodeBFS(r.out[:0], v)
+	ctx.Emit(key, r.out)
 	return nil
 }
 
 // bfsMapper expands the current frontier: vertices whose distance equals
 // round-1 propose distance round to every neighbour.
-type bfsMapper struct{ round int64 }
+type bfsMapper struct {
+	round int64
+	v     bfsValue
+	key   []byte
+	frag  []byte
+}
 
 func (m *bfsMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
-	var v bfsValue
-	if err := decodeBFS(value, &v); err != nil {
+	if err := decodeBFS(value, &m.v); err != nil {
 		return err
 	}
-	if v.dist == m.round-1 {
-		frag := bfsValue{dist: m.round}
-		enc := encodeBFS(nil, &frag)
-		for _, nb := range v.neighbors {
-			ctx.Emit(graph.KeyBytes(nb), enc)
+	if m.v.dist == m.round-1 {
+		m.frag = encodeBFS(m.frag[:0], &bfsValue{dist: m.round})
+		for _, nb := range m.v.neighbors {
+			m.key = graph.AppendKey(m.key[:0], nb)
+			ctx.Emit(m.key, m.frag)
 		}
 	}
 	ctx.Emit(key, value)
 	return nil
 }
 
-type bfsReducer struct{}
+// bfsReducer keeps the smallest proposed distance for an unvisited vertex.
+type bfsReducer struct {
+	master, v bfsValue
+	out       []byte
+}
 
-func (bfsReducer) Reduce(ctx *mapreduce.TaskContext, key, _ []byte, values *mapreduce.Values) error {
-	var master bfsValue
+func (r *bfsReducer) Reduce(ctx *mapreduce.TaskContext, key, _ []byte, values *mapreduce.Values) error {
 	var proposed int64 = -1
 	var haveMaster bool
-	var v bfsValue
 	for {
 		vb := values.Next()
 		if vb == nil {
 			break
 		}
-		if err := decodeBFS(vb, &v); err != nil {
+		if err := decodeBFS(vb, &r.v); err != nil {
 			return err
 		}
-		if v.master {
-			master = v
-			master.neighbors = append([]graph.VertexID(nil), v.neighbors...)
+		if r.v.master {
+			// Keep the decoded record by trading it for the spare one,
+			// neighbour array and all.
+			r.master, r.v = r.v, r.master
 			haveMaster = true
-		} else if proposed < 0 || v.dist < proposed {
-			proposed = v.dist
+		} else if proposed < 0 || r.v.dist < proposed {
+			proposed = r.v.dist
 		}
 	}
 	if !haveMaster {
 		return fmt.Errorf("core: bfs vertex lost its master record")
 	}
-	if master.dist < 0 && proposed >= 0 {
-		master.dist = proposed
+	if r.master.dist < 0 && proposed >= 0 {
+		r.master.dist = proposed
 		ctx.Inc("frontier", 1)
 	}
-	ctx.Emit(key, encodeBFS(nil, &master))
+	r.out = encodeBFS(r.out[:0], &r.master)
+	ctx.Emit(key, r.out)
 	return nil
 }
 
@@ -223,7 +239,7 @@ func RunBFS(cluster *mapreduce.Cluster, in *graph.Input, reducers int, pathPrefi
 		Inputs:       inputs,
 		OutputPrefix: roundPrefix(pathPrefix, 0),
 		NumReducers:  reducers,
-		NewMapper:    func() mapreduce.Mapper { return bfsConvertMapper{} },
+		NewMapper:    func() mapreduce.Mapper { return &bfsConvertMapper{} },
 		NewReducer:   func() mapreduce.Reducer { return &bfsConvertReducer{source: in.Source} },
 		Spec:         &mapreduce.JobSpec{Kind: KindBFSConvert, Params: (&bfsConvertParams{Source: in.Source}).append(nil)},
 	}
@@ -244,7 +260,7 @@ func RunBFS(cluster *mapreduce.Cluster, in *graph.Input, reducers int, pathPrefi
 			OutputPrefix: roundPrefix(pathPrefix, round),
 			NumReducers:  reducers,
 			NewMapper:    func() mapreduce.Mapper { return &bfsMapper{round: int64(r)} },
-			NewReducer:   func() mapreduce.Reducer { return bfsReducer{} },
+			NewReducer:   func() mapreduce.Reducer { return &bfsReducer{} },
 			Spec:         &mapreduce.JobSpec{Kind: KindBFSRound, Params: (&bfsRoundParams{Round: int64(r)}).append(nil)},
 		}
 		res, err := cluster.Run(job)
@@ -297,6 +313,7 @@ func BFSDistances(fsys interface {
 	ReadFile(name string) ([]byte, error)
 }, pathPrefix string, res *BFSResult) (map[graph.VertexID]int64, error) {
 	out := make(map[graph.VertexID]int64)
+	var bv bfsValue
 	for _, name := range fsys.List(roundPrefix(pathPrefix, res.Rounds)) {
 		data, err := fsys.ReadFile(name)
 		if err != nil {
@@ -315,7 +332,6 @@ func BFSDistances(fsys interface {
 			if err != nil {
 				return nil, err
 			}
-			var bv bfsValue
 			if err := decodeBFS(v, &bv); err != nil {
 				return nil, err
 			}

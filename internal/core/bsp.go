@@ -264,11 +264,38 @@ func RunBSP(in *graph.Input, opts BSPOptions) (*BSPResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	master := &bspMaster{bidirectional: !opts.DisableBidirectional}
+	runSpan := opts.Tracer.Start(trace.CatRun, "ffmr-bsp", nil)
+	runSpan.SetStr("variant", "BSP")
+	defer func() {
+		runSpan.SetInt("max_flow", master.maxFlow)
+		runSpan.End()
+	}()
+	engine, program, err := newBSPEngine(in, opts, master, runSpan)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := engine.Run(program)
+	if err != nil {
+		return nil, err
+	}
+	return &BSPResult{
+		MaxFlow:      master.maxFlow,
+		Supersteps:   stats.Supersteps,
+		Messages:     stats.Messages,
+		MessageBytes: stats.MessageBytes,
+		Steps:        master.perStep,
+		WallTime:     stats.WallTime,
+	}, nil
+}
+
+// newBSPEngine builds the vertex values directly (the BSP analogue of
+// round #0) and returns the engine over them, sequenced by master, with
+// the vertex program to run on it.
+func newBSPEngine(in *graph.Input, opts BSPOptions, master *bspMaster, runSpan *trace.Span) (*pregel.Engine, *bspProgram, error) {
 	if opts.K <= 0 {
 		opts.K = 4
 	}
-
-	// Build vertex values directly (the BSP analogue of round #0).
 	adj := make(map[graph.VertexID][]graph.Edge)
 	for i, e := range in.Edges {
 		revCap := e.Cap
@@ -294,14 +321,6 @@ func RunBSP(in *graph.Input, opts BSPOptions) (*BSPResult, error) {
 		}
 		vertices = append(vertices, &pregel.Vertex{ID: u, Value: graph.EncodeValue(val)})
 	}
-
-	master := &bspMaster{bidirectional: !opts.DisableBidirectional}
-	runSpan := opts.Tracer.Start(trace.CatRun, "ffmr-bsp", nil)
-	runSpan.SetStr("variant", "BSP")
-	defer func() {
-		runSpan.SetInt("max_flow", master.maxFlow)
-		runSpan.End()
-	}()
 	engine, err := pregel.NewEngine(pregel.Config{
 		Workers:       opts.Workers,
 		MaxSupersteps: opts.MaxSupersteps,
@@ -310,25 +329,13 @@ func RunBSP(in *graph.Input, opts BSPOptions) (*BSPResult, error) {
 		TraceParent:   runSpan,
 	}, vertices)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	program := &bspProgram{
+	return engine, &bspProgram{
 		source:        in.Source,
 		sink:          in.Sink,
 		k:             opts.K,
 		sentTracking:  !opts.DisableSentTracking,
 		bidirectional: !opts.DisableBidirectional,
-	}
-	stats, err := engine.Run(program)
-	if err != nil {
-		return nil, err
-	}
-	return &BSPResult{
-		MaxFlow:      master.maxFlow,
-		Supersteps:   stats.Supersteps,
-		Messages:     stats.Messages,
-		MessageBytes: stats.MessageBytes,
-		Steps:        master.perStep,
-		WallTime:     stats.WallTime,
 	}, nil
 }

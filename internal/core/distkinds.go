@@ -163,7 +163,7 @@ func init() {
 			return nil, err
 		}
 		return &distmr.JobCode{
-			NewMapper:  func() mapreduce.Mapper { return bfsConvertMapper{} },
+			NewMapper:  func() mapreduce.Mapper { return &bfsConvertMapper{} },
 			NewReducer: func() mapreduce.Reducer { return &bfsConvertReducer{source: p.Source} },
 		}, nil
 	})
@@ -175,7 +175,7 @@ func init() {
 		}
 		return &distmr.JobCode{
 			NewMapper:  func() mapreduce.Mapper { return &bfsMapper{round: p.Round} },
-			NewReducer: func() mapreduce.Reducer { return bfsReducer{} },
+			NewReducer: func() mapreduce.Reducer { return &bfsReducer{} },
 		}, nil
 	})
 }

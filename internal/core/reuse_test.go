@@ -274,6 +274,31 @@ func (p *allocProbeMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) er
 	return err
 }
 
+// oneSplit concatenates the records of every file under prefix into one
+// map split.
+func oneSplit(t *testing.T, fs *dfs.FS, prefix string) []byte {
+	t.Helper()
+	var split dfs.RecordWriter
+	for _, name := range fs.List(prefix) {
+		data, err := fs.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := dfs.NewRecordReader(data)
+		for {
+			key, value, ok, err := r.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			split.Append(key, value)
+		}
+	}
+	return split.Bytes()
+}
+
 // TestFFMapperSteadyStateAllocs runs the FF5 mapper over the round files
 // of a real run, inside the real map task body.
 func TestFFMapperSteadyStateAllocs(t *testing.T) {
@@ -301,24 +326,7 @@ func TestFFMapperSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var split dfs.RecordWriter
-	for _, name := range cluster.FS.List(roundPrefix(opts.PathPrefix, round-1)) {
-		data, err := cluster.FS.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := dfs.NewRecordReader(data)
-		for {
-			key, value, ok, err := r.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			split.Append(key, value)
-		}
-	}
+	split := oneSplit(t, cluster.FS, roundPrefix(opts.PathPrefix, round-1))
 
 	probe := &allocProbeMapper{m: newFFMapper(cfg)}
 	env := &mapreduce.TaskEnv{
@@ -327,7 +335,7 @@ func TestFFMapperSteadyStateAllocs(t *testing.T) {
 		Side:      map[string][]byte{cfg.deltasFile: side},
 		Store:     spill.NewMemRunStore(),
 	}
-	res, err := mapreduce.ExecMap(env, &mapreduce.MapTask{Split: split.Bytes(), Partitions: 1, Prefix: "m/"},
+	res, err := mapreduce.ExecMap(env, &mapreduce.MapTask{Split: split, Partitions: 1, Prefix: "m/"},
 		mapreduce.NewCounters(), nil)
 	if err != nil {
 		t.Fatal(err)

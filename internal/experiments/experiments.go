@@ -584,7 +584,9 @@ func AblationCombiner(sc Scale) ([]AblationRow, *stats.Table, error) {
 			name = "fragment combiner"
 		}
 		cluster := sc.newCluster(sc.Nodes)
-		res, err := core.Run(cluster, in, core.Options{Variant: core.FF2, UseCombiner: useCombiner})
+		// Pinned for the reason Fig7 pins it: arrival order at aug_proc can
+		// hand either side an extra round, which is a round's shuffle.
+		res, err := core.Run(cluster, in, core.Options{Variant: core.FF2, UseCombiner: useCombiner, DeterministicAccept: true})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -61,6 +61,7 @@ type master struct {
 
 	callback func(core.RoundStat)
 	reg      *trace.Registry
+	engine   *pregel.Engine // set once built; the master only wakes it
 }
 
 func (m *master) compute(superstep int, _ [][]byte, aggregates map[string]int64) ([]byte, error) {
@@ -96,7 +97,10 @@ func (m *master) compute(superstep int, _ [][]byte, aggregates map[string]int64)
 		next = phaseBFSWave
 	case phaseBFSWave:
 		if aggregates[aggLabeled] == 0 {
+			// The apply step is the one superstep every vertex takes
+			// part in, halted or not.
 			next = phaseBFSApply
+			m.engine.WakeAll()
 		} else {
 			next = phaseBFSWave
 		}
@@ -173,52 +177,7 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		return n
 	}
 
-	// Build vertex states. The source's out-edges are saturated up
-	// front (the classical preflow initialization), placing the excess
-	// directly at the neighbours.
-	adj := make(map[graph.VertexID][]graph.Edge)
-	excess := make(map[graph.VertexID]int64)
-	for i := range in.Edges {
-		e := &in.Edges[i]
-		revCap := e.Cap
-		if e.Directed {
-			revCap = 0
-		}
-		var f int64
-		switch in.Source {
-		case e.U:
-			f = e.Cap
-			excess[e.V] += e.Cap
-		case e.V:
-			f = -revCap
-			excess[e.U] += revCap
-		}
-		id := graph.EdgeID(i)
-		adj[e.U] = append(adj[e.U], graph.Edge{To: e.V, ID: id, Flow: f, Cap: e.Cap, RevCap: revCap, Fwd: true})
-		adj[e.V] = append(adj[e.V], graph.Edge{To: e.U, ID: id, Flow: -f, Cap: revCap, RevCap: e.Cap, Fwd: false})
-	}
-	vertices := make([]*pregel.Vertex, 0, len(adj))
-	for u, edges := range adj {
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].To != edges[j].To {
-				return edges[i].To < edges[j].To
-			}
-			return edges[i].ID < edges[j].ID
-		})
-		st := &state{
-			height: height(u),
-			dist:   -1,
-			edges:  edges,
-			nbrH:   make([]int64, len(edges)),
-		}
-		if u != in.Source && u != in.Sink {
-			st.excess = excess[u]
-		}
-		for i := range edges {
-			st.nbrH[i] = height(edges[i].To)
-		}
-		vertices = append(vertices, &pregel.Vertex{ID: u, Value: encodeState(nil, st)})
-	}
+	vertices := buildVertices(in, height)
 
 	maxSupersteps := 20000 + 200*in.NumVertices
 	m := &master{
@@ -236,6 +195,7 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		runSpan.End()
 		return nil, err
 	}
+	m.engine = engine
 	program := &program{n: n, source: in.Source, sink: in.Sink}
 	stats, err := engine.Run(program)
 	if err != nil {
@@ -247,36 +207,10 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		return nil, fmt.Errorf("prflow: no convergence within %d supersteps", maxSupersteps)
 	}
 
-	// Extract the canonical per-edge flows from the halted vertex
-	// states, verifying skew symmetry between the two halves.
-	flows := make([]int64, len(in.Edges))
-	halves := make([]int, len(in.Edges))
-	for u := range adj {
-		st, err := decodeState(engine.Vertex(u).Value)
-		if err != nil {
-			runSpan.End()
-			return nil, err
-		}
-		for i := range st.edges {
-			e := &st.edges[i]
-			canonical := e.Flow
-			if !e.Fwd {
-				canonical = -canonical
-			}
-			if halves[e.ID] > 0 && flows[e.ID] != canonical {
-				runSpan.End()
-				return nil, fmt.Errorf("prflow: edge %d violates skew symmetry: %d vs %d",
-					e.ID, flows[e.ID], canonical)
-			}
-			flows[e.ID] = canonical
-			halves[e.ID]++
-		}
-	}
-	for id, cnt := range halves {
-		if cnt != 2 {
-			runSpan.End()
-			return nil, fmt.Errorf("prflow: edge %d has %d halves", id, cnt)
-		}
+	flows, err := extractFlows(in, vertices)
+	if err != nil {
+		runSpan.End()
+		return nil, err
 	}
 	var value int64
 	for i := range in.Edges {
@@ -327,8 +261,103 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		"wall", time.Since(start))
 	runSpan.SetInt("max_flow", value)
 	runSpan.SetInt("supersteps", int64(stats.Supersteps))
+	runSpan.SetInt("pushes", m.pushes)
+	runSpan.SetInt("relabels", m.relabels)
+	runSpan.SetInt("messages", stats.Messages)
+	runSpan.SetInt("message_bytes", stats.MessageBytes)
 	runSpan.End()
 	return res, nil
+}
+
+// buildVertices encodes the initial preflow with every vertex at its
+// given height. The source's out-edges are saturated up front (the
+// classical preflow initialization), placing the excess directly at the
+// neighbours.
+func buildVertices(in *graph.Input, height func(graph.VertexID) int64) []*pregel.Vertex {
+	adj := make(map[graph.VertexID][]graph.Edge)
+	excess := make(map[graph.VertexID]int64)
+	for i := range in.Edges {
+		e := &in.Edges[i]
+		revCap := e.Cap
+		if e.Directed {
+			revCap = 0
+		}
+		var f int64
+		switch in.Source {
+		case e.U:
+			f = e.Cap
+			excess[e.V] += e.Cap
+		case e.V:
+			f = -revCap
+			excess[e.U] += revCap
+		}
+		id := graph.EdgeID(i)
+		adj[e.U] = append(adj[e.U], graph.Edge{To: e.V, ID: id, Flow: f, Cap: e.Cap, RevCap: revCap, Fwd: true})
+		adj[e.V] = append(adj[e.V], graph.Edge{To: e.U, ID: id, Flow: -f, Cap: revCap, RevCap: e.Cap, Fwd: false})
+	}
+	// s and t are vertices even when no edge touches them: they never
+	// halt before phaseDone, which is what keeps the engine stepping
+	// through supersteps in which every other vertex is idle.
+	for _, u := range []graph.VertexID{in.Source, in.Sink} {
+		if _, ok := adj[u]; !ok {
+			adj[u] = nil
+		}
+	}
+	vertices := make([]*pregel.Vertex, 0, len(adj))
+	for u, edges := range adj {
+		sort.Slice(edges, func(i, j int) bool {
+			if edges[i].To != edges[j].To {
+				return edges[i].To < edges[j].To
+			}
+			return edges[i].ID < edges[j].ID
+		})
+		st := &state{
+			height: height(u),
+			dist:   -1,
+			edges:  edges,
+			nbrH:   make([]int64, len(edges)),
+		}
+		if u != in.Source && u != in.Sink {
+			st.excess = excess[u]
+		}
+		for i := range edges {
+			st.nbrH[i] = height(edges[i].To)
+		}
+		vertices = append(vertices, &pregel.Vertex{ID: u, Value: encodeState(nil, st)})
+	}
+	return vertices
+}
+
+// extractFlows reads the canonical per-edge flows out of the halted
+// vertex states, verifying skew symmetry between the two halves.
+func extractFlows(in *graph.Input, vertices []*pregel.Vertex) ([]int64, error) {
+	flows := make([]int64, len(in.Edges))
+	halves := make([]int, len(in.Edges))
+	var st state
+	for _, v := range vertices {
+		if err := decodeState(v.Value, &st); err != nil {
+			return nil, err
+		}
+		for i := range st.edges {
+			e := &st.edges[i]
+			canonical := e.Flow
+			if !e.Fwd {
+				canonical = -canonical
+			}
+			if halves[e.ID] > 0 && flows[e.ID] != canonical {
+				return nil, fmt.Errorf("prflow: edge %d violates skew symmetry: %d vs %d",
+					e.ID, flows[e.ID], canonical)
+			}
+			flows[e.ID] = canonical
+			halves[e.ID]++
+		}
+	}
+	for id, cnt := range halves {
+		if cnt != 2 {
+			return nil, fmt.Errorf("prflow: edge %d has %d halves", id, cnt)
+		}
+	}
+	return flows, nil
 }
 
 // residualReachable reports whether the sink is reachable from the

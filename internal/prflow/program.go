@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"ffmr/internal/graph"
 	"ffmr/internal/pregel"
@@ -11,7 +12,7 @@ import (
 
 // The superstep protocol. Supersteps alternate between two roles, with
 // periodic global-relabeling interludes, all sequenced by the master
-// (see master.go):
+// (prflow.go):
 //
 //	push:     every active vertex (excess > 0, not s or t) pushes along
 //	          admissible edges (residual > 0, h(u) == h(neighbour)+1)
@@ -29,8 +30,28 @@ import (
 //	          backward BFS from the sink through residual edges, run as
 //	          message waves while flow is frozen; apply lifts every
 //	          height to max(h, d_t) (unreached vertices to max(h, n))
-//	          and re-announces all heights.
-//	done:     every vertex votes to halt.
+//	          and re-announces all heights, then resets the wave label
+//	          (dist = -1) so the next bfs-init finds every vertex
+//	          unlabelled without visiting it.
+//	done:     every vertex still awake votes to halt.
+//
+// Who is awake. The protocol follows Pregel's halting contract, so a
+// superstep costs its active vertices and its messages rather than the
+// graph (the work-list discipline of Baumstark-Blelloch-Shun): after
+// any step but done, a vertex without excess votes to halt, and it is
+// woken by the message that gives it work — flow landing on it, a
+// neighbour's new height, a BFS label. A vertex holding excess stays
+// awake from the update that found it to the push that spends it. The
+// apply step is the one every vertex takes part in whether or not it
+// has mail, so the master wakes the whole engine for exactly that
+// superstep (pregel.Engine.WakeAll); the heights it announces then wake
+// every vertex once more to record them. s and t never halt before
+// done: the sink opens each wave and reports its inflow, and an awake
+// vertex is what makes the engine run the next superstep when no
+// message is in flight — the final done superstep included. Halting
+// changes which vertices are visited, never what a visited vertex
+// does: an idle vertex's Compute was always a decode and an identical
+// re-encode (TestPrflowProtocolPinned holds the counts).
 //
 // The invariant carried across all of this is height validity:
 // h(u) <= h(v) + 1 for every residual edge (u,v), with h(s) = n pinned
@@ -137,8 +158,8 @@ func encodeState(dst []byte, st *state) []byte {
 	return dst
 }
 
-func decodeState(data []byte) (*state, error) {
-	st := &state{}
+// decodeState decodes into st, reusing its edge and height arrays.
+func decodeState(data []byte, st *state) error {
 	off := 0
 	next := func() (int64, error) {
 		v, n := binary.Varint(data[off:])
@@ -158,50 +179,55 @@ func decodeState(data []byte) (*state, error) {
 	}
 	var err error
 	if st.height, err = next(); err != nil {
-		return nil, err
+		return err
 	}
 	if st.excess, err = next(); err != nil {
-		return nil, err
+		return err
 	}
 	if st.dist, err = next(); err != nil {
-		return nil, err
+		return err
 	}
 	cnt, err := nextU()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	st.edges = make([]graph.Edge, cnt)
-	st.nbrH = make([]int64, cnt)
+	// Every edge takes at least seven bytes, so a count the record
+	// cannot hold is corrupt, not a reason to allocate.
+	if cnt > uint64(len(data)) {
+		return fmt.Errorf("prflow: corrupt vertex state")
+	}
+	st.edges = slices.Grow(st.edges[:0], int(cnt))[:cnt]
+	st.nbrH = slices.Grow(st.nbrH[:0], int(cnt))[:cnt]
 	for i := range st.edges {
 		e := &st.edges[i]
 		to, err := nextU()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		id, err := nextU()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.To, e.ID = graph.VertexID(to), graph.EdgeID(id)
 		if e.Flow, err = next(); err != nil {
-			return nil, err
+			return err
 		}
 		if e.Cap, err = next(); err != nil {
-			return nil, err
+			return err
 		}
 		if e.RevCap, err = next(); err != nil {
-			return nil, err
+			return err
 		}
 		if off >= len(data) {
-			return nil, fmt.Errorf("prflow: corrupt vertex state")
+			return fmt.Errorf("prflow: corrupt vertex state")
 		}
 		e.Fwd = data[off] != 0
 		off++
 		if st.nbrH[i], err = next(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // broadcast sends msg to every distinct neighbour. The adjacency is
@@ -232,16 +258,17 @@ func (p *program) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][]by
 		ctx.VoteToHalt()
 		return nil
 	}
-	st, err := decodeState(v.Value)
-	if err != nil {
+	st := new(state)
+	if err := decodeState(v.Value, st); err != nil {
 		return err
 	}
+	terminal := v.ID == p.source || v.ID == p.sink
+	var msgBuf [1 + 2*binary.MaxVarintLen64]byte
 
 	// Message application is phase-independent: height announcements can
 	// arrive in any phase (relabels announce into whatever superstep
 	// follows), flow messages only ever arrive in update supersteps, and
-	// BFS labels only during waves.
-	var waveMsgs [][2]int64 // (sender, dist)
+	// BFS labels only during waves, where the wave step reads them.
 	var sinkInflow int64
 	for _, m := range messages {
 		if len(m) < 1 {
@@ -285,7 +312,6 @@ func (p *program) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][]by
 				st.excess += amt
 			}
 		case tagBFS:
-			waveMsgs = append(waveMsgs, [2]int64{int64(a), b})
 		default:
 			return fmt.Errorf("prflow: unknown message tag %q", m[0])
 		}
@@ -293,8 +319,7 @@ func (p *program) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][]by
 
 	switch phase {
 	case phasePush:
-		if st.excess > 0 && v.ID != p.source && v.ID != p.sink {
-			var buf []byte
+		if st.excess > 0 && !terminal {
 			for i := range st.edges {
 				if st.excess == 0 {
 					break
@@ -313,14 +338,13 @@ func (p *program) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][]by
 				if !e.Fwd {
 					delta = -amt
 				}
-				buf = encodeFlowMsg(buf[:0], e.ID, delta)
-				ctx.SendTo(e.To, buf)
+				ctx.SendTo(e.To, encodeFlowMsg(msgBuf[:0], e.ID, delta))
 				ctx.Aggregate(aggPushes, 1)
 			}
 		}
 
 	case phaseUpdate:
-		if st.excess > 0 && v.ID != p.source && v.ID != p.sink {
+		if st.excess > 0 && !terminal {
 			admissible := false
 			minH := int64(math.MaxInt64)
 			for i := range st.edges {
@@ -338,7 +362,7 @@ func (p *program) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][]by
 			if !admissible && minH < int64(math.MaxInt64) {
 				st.height = minH + 1
 				ctx.Aggregate(aggRelabels, 1)
-				broadcast(ctx, st, encodeHeightMsg(nil, v.ID, st.height))
+				broadcast(ctx, st, encodeHeightMsg(msgBuf[:0], v.ID, st.height))
 			}
 			ctx.Aggregate(aggExcess, st.excess)
 			ctx.Aggregate(aggActive, 1)
@@ -348,17 +372,22 @@ func (p *program) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][]by
 		}
 
 	case phaseBFSInit:
-		st.dist = -1
+		// Every dist is -1 here: the initial state has it so and
+		// bfs-apply leaves it so.
 		if v.ID == p.sink {
 			st.dist = 0
-			broadcast(ctx, st, encodeBFSMsg(nil, v.ID, 0))
+			broadcast(ctx, st, encodeBFSMsg(msgBuf[:0], v.ID, 0))
 		}
 
 	case phaseBFSWave:
-		if st.dist < 0 && len(waveMsgs) > 0 {
+		if st.dist < 0 {
 			best := int64(-1)
-			for _, wm := range waveMsgs {
-				sender, d := graph.VertexID(wm[0]), wm[1]
+			for _, m := range messages {
+				if m[0] != tagBFS {
+					continue
+				}
+				a, d, _ := decodeMsgBody(m[1:]) // decoded without error above
+				sender := graph.VertexID(a)
 				for i := range st.edges {
 					if st.edges[i].To == sender && st.edges[i].Residual() > 0 {
 						if best < 0 || d < best {
@@ -371,12 +400,12 @@ func (p *program) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][]by
 			if best >= 0 {
 				st.dist = best + 1
 				ctx.Aggregate(aggLabeled, 1)
-				broadcast(ctx, st, encodeBFSMsg(nil, v.ID, st.dist))
+				broadcast(ctx, st, encodeBFSMsg(msgBuf[:0], v.ID, st.dist))
 			}
 		}
 
 	case phaseBFSApply:
-		if v.ID != p.source && v.ID != p.sink {
+		if !terminal {
 			d := st.dist
 			if d < 0 {
 				d = p.n
@@ -385,12 +414,18 @@ func (p *program) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][]by
 				st.height = d
 			}
 		}
-		broadcast(ctx, st, encodeHeightMsg(nil, v.ID, st.height))
+		broadcast(ctx, st, encodeHeightMsg(msgBuf[:0], v.ID, st.height))
+		st.dist = -1
 
 	default:
 		return fmt.Errorf("prflow: unknown phase %d", phase)
 	}
 
 	v.Value = encodeState(v.Value[:0], st)
+	// Nothing to do until a message (or the master's wake-up before
+	// bfs-apply) brings work; s and t stay awake until phaseDone.
+	if st.excess == 0 && !terminal {
+		ctx.VoteToHalt()
+	}
 	return nil
 }
