@@ -315,11 +315,12 @@ func run() error {
 		stats.FormatBytes(res.InputGraphBytes), stats.FormatBytes(res.MaxGraphBytes))
 	if *budget > 0 {
 		reg := tracer.Registry()
-		fmt.Printf("out-of-core shuffle: %s spills (%s), %s merge passes, max fan-in %d\n",
+		fmt.Printf("out-of-core shuffle: %s spills (%s), %s merge passes, max fan-in %d, %s store objects\n",
 			stats.FormatCount(reg.Counter(trace.CounterSpills).Value()),
 			stats.FormatBytes(reg.Counter(trace.CounterSpilledBytes).Value()),
 			stats.FormatCount(reg.Counter(trace.CounterMergePasses).Value()),
-			reg.Gauge(trace.GaugeMergeFanIn).Max())
+			reg.Gauge(trace.GaugeMergeFanIn).Max(),
+			stats.FormatCount(reg.Counter(trace.CounterSpillObjects).Value()))
 	}
 
 	if *rounds {
@@ -408,7 +409,7 @@ func run() error {
 			// Spill accounting must also agree: both backends publish
 			// their out-of-core stats into their tracer's registry.
 			sreg, dreg := simOpts.Tracer.Registry(), tracer.Registry()
-			for _, name := range []string{trace.CounterSpills, trace.CounterSpilledBytes, trace.CounterMergePasses} {
+			for _, name := range []string{trace.CounterSpills, trace.CounterSpilledBytes, trace.CounterMergePasses, trace.CounterSpillObjects} {
 				if s, d := sreg.Counter(name).Value(), dreg.Counter(name).Value(); s != d {
 					return fmt.Errorf("dist-verify: MISMATCH — %s: simulated %d, distributed %d", name, s, d)
 				}

@@ -33,8 +33,9 @@ const (
 	// GaugeWorkersDraining tracks workers currently draining.
 	GaugeWorkersDraining = "distmr workers draining"
 	// CounterDrains counts drains completed (worker deregistered after
-	// hand-off); CounterHandoffSegments counts spill segments handed off
-	// through DFS so completed map tasks were not re-executed.
+	// hand-off); CounterHandoffSegments counts spill objects (each
+	// holding a segment per partition) handed off through DFS so
+	// completed map tasks were not re-executed.
 	CounterDrains          = "distmr drains completed"
 	CounterHandoffSegments = "distmr handoff segments"
 	// CounterRestoredTasks counts task winners rehydrated from

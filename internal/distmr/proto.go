@@ -33,7 +33,7 @@ type HeartbeatReply struct {
 }
 
 // HandoffReply returns the stored (possibly compressed) bytes of each
-// requested segment, in descriptor order.
+// requested spill object, whole, in descriptor order.
 type HandoffReply struct {
 	Data [][]byte
 }
@@ -98,9 +98,12 @@ type TaskResult struct {
 	DurNanos int64
 }
 
-// FetchSegmentArgs asks a worker for one spill segment's stored bytes.
+// FetchSegmentArgs asks a worker for one spill segment's stored bytes:
+// the range [Offset, Offset+Length) of the named spill object.
 type FetchSegmentArgs struct {
-	Name string
+	Name   string
+	Offset int64
+	Length int64
 }
 
 // FetchSegmentReply returns the segment's stored (possibly compressed)

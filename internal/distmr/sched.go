@@ -889,6 +889,22 @@ func (jr *jobRun) checkDrains() {
 	}
 }
 
+// spillObjects lists the store objects that hold a map output's segments,
+// each once: the segments of one spill, a partition each, share one.
+func spillObjects(parts [][]spill.Segment) []string {
+	var names []string
+	seen := make(map[string]bool)
+	for _, segs := range parts {
+		for j := range segs {
+			if name := segs[j].Name; !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
+		}
+	}
+	return names
+}
+
 // handoffWorker pulls every winning map segment still living on w into
 // the job's DFS state prefix and flips those tasks to hand-off serving.
 // Returns false when the hand-off could not complete this tick (the
@@ -906,11 +922,7 @@ func (jr *jobRun) handoffWorker(w *workerHandle) bool {
 		if ts.persisted {
 			continue // segments already copied to DFS at completion
 		}
-		for _, segs := range ts.winner.Parts {
-			for j := range segs {
-				names = append(names, segs[j].Name)
-			}
-		}
+		names = append(names, spillObjects(ts.winner.Parts)...)
 	}
 	if len(names) > 0 {
 		reply := &HandoffReply{}
@@ -952,13 +964,7 @@ func (jr *jobRun) handoffWorker(w *workerHandle) bool {
 // restorable, and a restarted master re-executes it.
 func (jr *jobRun) persistWinner(ts *taskState) {
 	if ts.ph == PhaseMap {
-		var names []string
-		for _, segs := range ts.winner.Parts {
-			for j := range segs {
-				names = append(names, segs[j].Name)
-			}
-		}
-		if len(names) > 0 {
+		if names := spillObjects(ts.winner.Parts); len(names) > 0 {
 			args := &HandoffDescriptor{JobSeq: jr.seq, Segments: names}
 			reply := &HandoffReply{}
 			if err := ts.winnerW.client.Call("Worker.Handoff", args, reply); err != nil || len(reply.Data) != len(names) {

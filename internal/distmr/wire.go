@@ -58,9 +58,11 @@ type MapSource struct {
 	Addr   string
 	// Prefix, when non-empty, says the segments no longer live on a
 	// worker: they were handed off (drain) or rehydrated (master restart)
-	// into the master's DFS under Prefix+Segment.Name, and the reducer
-	// fetches them via Master.ReadFile. The segment metadata is unchanged
-	// by a hand-off, so shuffle and merge statistics stay identical.
+	// into the master's DFS, each spill object whole under
+	// Prefix+Segment.Name, and the reducer's worker copies the object via
+	// Master.ReadFile and reads its segment at Segment.Offset. The segment
+	// metadata is unchanged by a hand-off, so shuffle and merge statistics
+	// stay identical.
 	Prefix string
 	// Segments are this partition's segments from the winning attempt.
 	Segments []spill.Segment
@@ -212,11 +214,13 @@ type PrefetchDescriptor struct {
 // (TaskDescriptor.Ctx, PrefetchDescriptor.Ctx) and telemetry shipping
 // on heartbeats (SentUnixNano/RTTNanos clock samples, SpanBatches, and
 // absolute Counter/Hist snapshots — wire_span.go, DESIGN.md §14).
+// Version 5 added Segment.Offset: a spill is one object and a segment a
+// range of it.
 // Decoders accept exactly the current version: master and workers ship
 // from one binary (DESIGN.md §13's compatibility rule), so a mismatch
 // means a stale process, and refusing it beats silently misreading
 // frames.
-const wireVersion = 4
+const wireVersion = 5
 
 // decodeNew adapts a payload's in-place decode method to the exported
 // DecodeX(data) (*X, error) form. The payload keeps slices of data.
@@ -230,6 +234,7 @@ func decodeNew[T any](data []byte, decode func(*T, []byte) error) (*T, error) {
 
 func appendSegment(b []byte, s *spill.Segment) []byte {
 	b = rpcutil.AppendString(b, s.Name)
+	b = binary.AppendVarint(b, s.Offset)
 	b = binary.AppendVarint(b, int64(s.Partition))
 	b = binary.AppendVarint(b, s.Records)
 	b = binary.AppendVarint(b, s.RawBytes)
@@ -348,12 +353,19 @@ func AppendHeartbeat(b []byte, h *Heartbeat) []byte {
 
 func readSegment(d *rpcutil.Reader, s *spill.Segment) {
 	s.Name = d.Str("segment name")
+	s.Offset = d.Varint("segment offset")
 	s.Partition = d.Int("segment partition")
 	s.Records = d.Varint("segment records")
 	s.RawBytes = d.Varint("segment raw bytes")
 	s.StoredBytes = d.Varint("segment stored bytes")
 	s.Compressed = d.Bool("segment compressed")
 	s.Node = int(d.Varint("segment node"))
+	// No object holds a range that starts or ends before its first byte.
+	// Whether the range ends inside the object is checked where it is
+	// opened.
+	if s.Offset < 0 || s.StoredBytes < 0 || s.Offset+s.StoredBytes < 0 {
+		d.Fail("segment range")
+	}
 }
 
 func readSource(d *rpcutil.Reader, src *MapSource) {
@@ -448,7 +460,7 @@ type Retire struct {
 	Reason string
 }
 
-// HandoffDescriptor lists the spill segments a draining worker must
+// HandoffDescriptor lists the spill objects a draining worker must
 // surrender to the master before it may deregister, so its completed map
 // tasks are not re-executed.
 type HandoffDescriptor struct {

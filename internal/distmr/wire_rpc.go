@@ -150,12 +150,18 @@ func (r *ReadFileReply) DecodeFrame(b []byte) error {
 }
 
 // AppendFrame implements rpcutil.Message.
-func (a *FetchSegmentArgs) AppendFrame(b []byte) []byte { return rpcutil.AppendString(b, a.Name) }
+func (a *FetchSegmentArgs) AppendFrame(b []byte) []byte {
+	b = rpcutil.AppendString(b, a.Name)
+	b = binary.AppendVarint(b, a.Offset)
+	return binary.AppendVarint(b, a.Length)
+}
 
 // DecodeFrame implements rpcutil.Message.
 func (a *FetchSegmentArgs) DecodeFrame(b []byte) error {
 	d := rpcutil.NewReader(b)
 	a.Name = d.Str("fetch segment name")
+	a.Offset = d.Varint("fetch segment offset")
+	a.Length = d.Varint("fetch segment length")
 	return d.Finish("fetch segment args")
 }
 

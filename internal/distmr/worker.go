@@ -8,6 +8,7 @@ import (
 	"net/rpc"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -949,20 +950,35 @@ func (w *Worker) jobCleaned(jobSeq uint64) bool {
 	return false
 }
 
+// localSegment is where a source's segment is, or will be once fetched,
+// in this worker's store. A range fetched from another worker becomes an
+// object of its own, named after the range. A handed-off spill object is
+// copied whole under its own name — once, whichever of its segments asks
+// first — and the worker's own map output is where it was written, so
+// those segments keep their offsets.
+func (w *Worker) localSegment(src *MapSource, seg spill.Segment) spill.Segment {
+	if src.Prefix == "" && src.Worker != w.id.Load() {
+		seg.Name, seg.Offset = seg.Name+"@"+strconv.FormatInt(seg.Offset, 10), 0
+	}
+	return seg
+}
+
 // ensureSegment makes one shuffle segment present in the local store,
-// fetching it if needed. Concurrent callers for the same segment
-// coalesce onto one fetch (singleflight); a segment already stored is
-// never refetched, so prefetch and the reduce path stay idempotent.
-// ctx is the job's trace position, so the fetch span stitches under the
-// master's job span. Returns whether this call performed the fetch.
+// as localSegment names it, fetching it if needed. Concurrent callers
+// for the same object coalesce onto one fetch (singleflight); an object
+// already stored is never refetched, so prefetch and the reduce path stay
+// idempotent. ctx is the job's trace position, so the fetch span stitches
+// under the master's job span. Returns whether this call performed the
+// fetch.
 func (w *Worker) ensureSegment(src *MapSource, seg *spill.Segment, ctx trace.Context) (bool, error) {
+	local := w.localSegment(src, *seg).Name
 	for {
 		w.mu.Lock()
-		if w.cfg.Store.Has(seg.Name) {
+		if w.cfg.Store.Has(local) {
 			w.mu.Unlock()
 			return false, nil
 		}
-		if ch := w.segFlights[seg.Name]; ch != nil {
+		if ch := w.segFlights[local]; ch != nil {
 			w.mu.Unlock()
 			select {
 			case <-ch:
@@ -972,27 +988,28 @@ func (w *Worker) ensureSegment(src *MapSource, seg *spill.Segment, ctx trace.Con
 			continue // re-check: the other flight may have failed
 		}
 		ch := make(chan struct{})
-		w.segFlights[seg.Name] = ch
+		w.segFlights[local] = ch
 		w.mu.Unlock()
-		err := w.fetchSegmentData(src, seg, ctx)
+		err := w.fetchSegmentData(src, seg, local, ctx)
 		w.mu.Lock()
-		delete(w.segFlights, seg.Name)
+		delete(w.segFlights, local)
 		w.mu.Unlock()
 		close(ch)
 		return err == nil, err
 	}
 }
 
-// fetchSegmentData pulls one segment's stored bytes — from the owning
-// worker, or from the master's DFS for handed-off sources — into the
-// local store under its original name. Every fetch records a shuffle
-// span (stitched under the master's job span via ctx) and lands in the
-// shuffle-fetch latency histogram, error paths included.
-func (w *Worker) fetchSegmentData(src *MapSource, seg *spill.Segment, ctx trace.Context) error {
+// fetchSegmentData pulls one segment's stored bytes from the owning
+// worker — or, for a handed-off source, the segment's whole spill object
+// from the master's DFS — into the local store as the object local.
+// Every fetch records a shuffle span (stitched under the master's job
+// span via ctx) and lands in the shuffle-fetch latency histogram, error
+// paths included.
+func (w *Worker) fetchSegmentData(src *MapSource, seg *spill.Segment, local string, ctx trace.Context) error {
 	sp := w.tracer.Start(trace.CatShuffle, "shuffle-fetch", nil)
 	sp.SetRemote(ctx)
 	sp.SetInt("worker", int64(w.id.Load()))
-	sp.SetStr("segment", seg.Name)
+	sp.SetStr("segment", local)
 	sp.SetInt("bytes", seg.RawBytes)
 	t0 := time.Now()
 	defer func() {
@@ -1012,13 +1029,14 @@ func (w *Worker) fetchSegmentData(src *MapSource, seg *spill.Segment, ctx trace.
 			return err
 		}
 		var reply FetchSegmentReply
-		if err := client.Call("Worker.FetchSegment", &FetchSegmentArgs{Name: seg.Name}, &reply); err != nil {
+		args := &FetchSegmentArgs{Name: seg.Name, Offset: seg.Offset, Length: seg.StoredBytes}
+		if err := client.Call("Worker.FetchSegment", args, &reply); err != nil {
 			w.dropFetchClient(src.Addr)
 			return err
 		}
 		data = reply.Data
 	}
-	wc, err := w.cfg.Store.Create(seg.Name)
+	wc, err := w.cfg.Store.Create(local, int64(len(data)))
 	if err != nil {
 		return err
 	}
@@ -1104,7 +1122,9 @@ func (w *Worker) runReduce(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *
 			res.LostFrom = append(res.LostFrom, src.Worker)
 			continue
 		}
-		segs = append(segs, src.Segments...)
+		for _, seg := range src.Segments {
+			segs = append(segs, w.localSegment(src, seg))
+		}
 	}
 	if len(res.LostMaps) > 0 {
 		return res
@@ -1138,28 +1158,20 @@ func (w *Worker) runReduce(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *
 	return res
 }
 
-// FetchSegment serves one locally stored spill segment to a fetching
-// reducer (the network shuffle).
+// FetchSegment serves one locally stored spill segment — a range of a
+// spill object — to a fetching reducer (the network shuffle).
 func (s *workerService) FetchSegment(args *FetchSegmentArgs, reply *FetchSegmentReply) error {
 	if s.w.dead.Load() {
 		return fmt.Errorf("distmr: worker %d is dead", s.w.id.Load())
 	}
-	rc, err := s.w.cfg.Store.Open(args.Name)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	data, err := io.ReadAll(rc)
-	if err != nil {
-		return err
-	}
+	data, err := spill.ReadRange(s.w.cfg.Store, args.Name, args.Offset, args.Length)
 	reply.Data = data
-	return nil
+	return err
 }
 
-// Handoff serves the stored bytes of the listed segments to the master,
-// which copies them into the job's DFS so this worker's winning map
-// output survives its departure (graceful drain, winner persistence).
+// Handoff serves the stored bytes of the listed spill objects to the
+// master, which copies them into the job's DFS so this worker's winning
+// map output survives its departure (graceful drain, winner persistence).
 func (s *workerService) Handoff(desc *HandoffDescriptor, reply *HandoffReply) error {
 	w := s.w
 	if w.dead.Load() {
@@ -1167,18 +1179,19 @@ func (s *workerService) Handoff(desc *HandoffDescriptor, reply *HandoffReply) er
 	}
 	reply.Data = make([][]byte, 0, len(desc.Segments))
 	for _, name := range desc.Segments {
-		rc, err := w.cfg.Store.Open(name)
+		obj, err := w.cfg.Store.Open(name)
 		if err != nil {
 			return err
 		}
-		data, err := io.ReadAll(rc)
-		rc.Close()
+		data := make([]byte, obj.Size())
+		_, err = io.ReadFull(obj, data)
+		obj.Close()
 		if err != nil {
 			return err
 		}
 		reply.Data = append(reply.Data, data)
 	}
-	w.log.Debug("handed off segments", "job", desc.JobSeq, "segments", len(desc.Segments))
+	w.log.Debug("handed off spill objects", "job", desc.JobSeq, "objects", len(desc.Segments))
 	return nil
 }
 

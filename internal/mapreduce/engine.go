@@ -240,7 +240,7 @@ func (c *Cluster) Finish(job *Job, res *Result, start time.Time, jobSpan *trace.
 
 	if c.MemoryBudget <= 0 {
 		res.Spills, res.SpilledBytes = 0, 0
-		res.MergePasses, res.MaxMergeFanIn = 0, 0
+		res.MergePasses, res.MaxMergeFanIn, res.SpillObjects = 0, 0, 0
 	} else {
 		jobSpan.SetInt(trace.AttrSpills, res.Spills)
 		jobSpan.SetInt(trace.AttrSpilledBytes, res.SpilledBytes)
@@ -249,6 +249,7 @@ func (c *Cluster) Finish(job *Job, res *Result, start time.Time, jobSpan *trace.
 		reg.Counter(trace.CounterSpills).Add(res.Spills)
 		reg.Counter(trace.CounterSpilledBytes).Add(res.SpilledBytes)
 		reg.Counter(trace.CounterMergePasses).Add(res.MergePasses)
+		reg.Counter(trace.CounterSpillObjects).Add(res.SpillObjects)
 		reg.Gauge(trace.GaugeMergeFanIn).Set(res.MaxMergeFanIn)
 	}
 	res.WallTime = time.Since(start)

@@ -310,7 +310,10 @@ func readBase(data []byte) ([]rec, error) {
 // sorted base partition in a merge-join, invoking the reducer once per
 // key in the union. Keys present only in the base still reach the
 // reducer so master records survive rounds in which they receive no
-// fragments. Slices next returns must stay valid across calls. One Values
+// fragments. A slice next returns must stay valid until the call to next
+// that follows the first record with a greater key (spill.Iterator.Next's
+// rule): a group is held, together with the record that ended it, while
+// its reducer runs, and dropped before next is called again. One Values
 // and one backing slice serve every group of the task (the Reducer
 // contract lets them). It returns the byte size of the largest group
 // processed.

@@ -9,9 +9,10 @@
 //
 // There is one map task body and one reduce task body, ExecMap and
 // ExecReduce (exec.go), and one shuffle, built on package spill: a map
-// task sorts its output into segments in a spill.RunStore and a reduce
-// task consumes its partition through a k-way merge — Hadoop's external
-// sort, scaled down. Cluster.MemoryBudget bounds the map-side buffer and
+// task sorts its output into segments — one object per spill in a
+// spill.RunStore, a segment per partition — and a reduce task consumes
+// its partition through a k-way merge — Hadoop's external sort, scaled
+// down. Cluster.MemoryBudget bounds the map-side buffer and
 // puts the segments on disk; without one the buffer is written once and
 // the segments stay in memory. Both must produce identical counters; the
 // spill differential tests enforce that.
@@ -110,8 +111,9 @@ type Values struct {
 }
 
 // Next returns the next value in the group, or nil when exhausted. The
-// returned slice is owned by the engine; treat it as read-only and copy
-// what must outlive the Reduce call.
+// returned slice is owned by the engine: it aliases a stored shuffle
+// object or a window on one that the merge reuses once the group is
+// done. Treat it as read-only and copy what must outlive the Reduce call.
 func (v *Values) Next() []byte {
 	if v.pos >= len(v.vals) {
 		return nil
@@ -326,11 +328,14 @@ type Result struct {
 	// framed (uncompressed) bytes they wrote;
 	// MergePasses counts reduce-side merge passes (including each reduce
 	// task's final streaming pass); MaxMergeFanIn is the largest number
-	// of segments any single merge pass read.
+	// of segments any single merge pass read; SpillObjects counts the
+	// store objects (files, on disk) all of that created: one per spill
+	// and one per merge pass that is not a final one.
 	Spills        int64
 	SpilledBytes  int64
 	MergePasses   int64
 	MaxMergeFanIn int64
+	SpillObjects  int64
 
 	// WallTime is the measured host execution time of the job;
 	// SimTime is the modelled cluster time (see CostModel).
@@ -347,6 +352,7 @@ func (r *Result) AddMapWinner(w *MapResult) {
 	r.MapOutputBytes += w.Out.RawBytes
 	r.MaxRecordBytes = max(r.MaxRecordBytes, w.Out.MaxFrame)
 	r.Spills += w.Out.Spills
+	r.SpillObjects += w.Out.Spills
 	// Every framed byte of map output reaches the reducers through a
 	// spill segment, so the two totals are one number.
 	r.SpilledBytes += w.Out.RawBytes
@@ -359,6 +365,7 @@ func (r *Result) AddReduceWinner(w *ReduceResult, shuffled bool) {
 	r.ReduceOutputRecords += w.OutRecords
 	r.OutputBytes += int64(len(w.Output))
 	r.MergePasses += w.MergePasses
+	r.SpillObjects += max(w.MergePasses-1, 0)
 	r.MaxMergeFanIn = max(r.MaxMergeFanIn, w.MaxMergeFanIn)
 	r.MaxGroupBytes = max(r.MaxGroupBytes, w.MaxGroup)
 	if shuffled {

@@ -250,6 +250,12 @@ func TestSpillMetricsReachTracer(t *testing.T) {
 	if got := reg.Counter(trace.CounterMergePasses).Value(); got != res.MergePasses {
 		t.Errorf("registry merge passes = %d, result = %d", got, res.MergePasses)
 	}
+	// One object per spill, one more per merge pass that is not a reduce
+	// task's final one; the fan-in of 2 forces some.
+	if got := reg.Counter(trace.CounterSpillObjects).Value(); got != res.SpillObjects || got <= res.Spills || got >= res.Spills+res.MergePasses {
+		t.Errorf("registry spill store objects = %d, result = %d, for %d spills and %d merge passes",
+			got, res.SpillObjects, res.Spills, res.MergePasses)
+	}
 	if got := reg.Gauge(trace.GaugeMergeFanIn).Max(); got != res.MaxMergeFanIn {
 		t.Errorf("registry merge fan-in = %d, result = %d", got, res.MaxMergeFanIn)
 	}

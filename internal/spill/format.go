@@ -1,10 +1,9 @@
 package spill
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 )
 
 // This file is the single canonical implementation of the repo's record
@@ -49,57 +48,46 @@ func UvarintLen(x uint64) int {
 // ReadFrame decodes the frame starting at data[off:], returning the key
 // and value (aliasing data) plus the offset of the next frame.
 func ReadFrame(data []byte, off int) (key, value []byte, next int, err error) {
-	key, next, err = readChunk(data, off)
-	if err != nil {
-		return nil, nil, 0, err
+	key, value, size := parseFrame(data[off:])
+	switch {
+	case size == 0:
+		return nil, nil, 0, fmt.Errorf("corrupt record length at offset %d", off)
+	case size > len(data)-off:
+		return nil, nil, 0, fmt.Errorf("truncated record at offset %d (want at least %d bytes, have %d)",
+			off, size, len(data)-off)
 	}
-	value, next, err = readChunk(data, next)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return key, value, next, nil
+	return key, value, off + size, nil
 }
 
-func readChunk(data []byte, off int) ([]byte, int, error) {
+// parseFrame decodes the frame at the head of data without allocating,
+// errors included. size is the frame's encoded length when all of it is
+// present (size <= len(data)); a lower bound on that length, greater than
+// len(data), when data ends inside the frame; and 0 when a length prefix
+// is malformed.
+func parseFrame(data []byte) (key, value []byte, size int) {
+	key, off := parseChunk(data, 0)
+	if off <= 0 || off > len(data) {
+		return nil, nil, off
+	}
+	value, off = parseChunk(data, off)
+	return key, value, off
+}
+
+// parseChunk decodes one length-prefixed byte string at data[off:] and
+// returns it with the offset that follows it, under parseFrame's size
+// convention: past len(data) when the chunk is cut, 0 when malformed.
+func parseChunk(data []byte, off int) ([]byte, int) {
 	n, sz := binary.Uvarint(data[off:])
-	if sz <= 0 {
-		return nil, 0, fmt.Errorf("corrupt record length at offset %d", off)
+	if sz < 0 {
+		return nil, 0
+	}
+	if sz == 0 {
+		return nil, len(data) + 1
 	}
 	off += sz
-	if uint64(len(data)-off) < n {
-		return nil, 0, fmt.Errorf("truncated record at offset %d (want %d bytes, have %d)",
-			off, n, len(data)-off)
+	if n > uint64(len(data)-off) {
+		// A hostile prefix can promise more than an int holds; saturate.
+		return nil, off + int(min(n, uint64(math.MaxInt-off)))
 	}
-	return data[off : off+int(n)], off + int(n), nil
-}
-
-// ReadStreamFrame decodes one frame from a buffered stream. It returns
-// io.EOF (untouched) at a clean end of stream; a frame cut off mid-way
-// reports io.ErrUnexpectedEOF. The returned slices are freshly
-// allocated and remain valid after subsequent reads.
-func ReadStreamFrame(br *bufio.Reader) (key, value []byte, err error) {
-	key, err = readStreamChunk(br, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	value, err = readStreamChunk(br, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return key, value, nil
-}
-
-func readStreamChunk(br *bufio.Reader, first bool) ([]byte, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		if err == io.EOF && first {
-			return nil, io.EOF
-		}
-		return nil, io.ErrUnexpectedEOF
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, io.ErrUnexpectedEOF
-	}
-	return buf, nil
+	return data[off : off+int(n)], off + int(n)
 }

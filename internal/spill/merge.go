@@ -1,7 +1,6 @@
 package spill
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"compress/flate"
@@ -14,28 +13,29 @@ import (
 	"ffmr/internal/trace"
 )
 
-// segFlushBytes is how many framed bytes a segmentWriter gathers before
+// segFlushBytes is how many framed bytes an objectWriter gathers before
 // it writes them to the store object. The bound is fixed, not the
 // segment's size, so a merged segment larger than any memory budget
 // still streams out in pieces.
 const segFlushBytes = 64 << 10
 
-// frameBufPool recycles segmentWriter frame buffers across segments,
-// tasks and merge passes.
+// frameBufPool recycles objectWriter frame buffers across objects, tasks
+// and merge passes.
 var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// segmentWriter frames records into one store object through an
-// optional DEFLATE stage, tracking raw and stored byte counts. Frames
+// objectWriter frames records into one store object as a run of
+// segments laid back to back, each through its own DEFLATE stream when
+// compressing, so a reader needs nothing but its segment's range. Frames
 // gather in a pooled buffer and reach the object in writes of about
-// segFlushBytes, so a small segment is written exactly once.
-type segmentWriter struct {
+// segFlushBytes, so a small object is written exactly once.
+type objectWriter struct {
 	store RunStore
 	obj   io.WriteCloser
 	top   io.Writer // fw when compressing, else cw
 	cw    countWriter
 	fw    *flate.Writer
 	buf   *[]byte
-	seg   Segment
+	seg   Segment // the segment being written
 }
 
 // countWriter counts the bytes reaching the store object.
@@ -50,154 +50,228 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func newSegmentWriter(store RunStore, name string, partition, node int, compress bool) (*segmentWriter, error) {
-	obj, err := store.Create(name)
+// createObject starts a store object that will hold rawSize framed
+// bytes. That is its stored size too unless it is compressed, and then
+// the store is told nothing.
+func createObject(store RunStore, name string, rawSize int64, compress bool) (*objectWriter, error) {
+	if compress {
+		rawSize = 0
+	}
+	obj, err := store.Create(name, rawSize)
 	if err != nil {
 		return nil, err
 	}
-	sw := &segmentWriter{
+	ow := &objectWriter{
 		store: store,
 		obj:   obj,
 		cw:    countWriter{w: obj},
-		seg:   Segment{Name: name, Partition: partition, Node: node, Compressed: compress},
+		seg:   Segment{Name: name, Compressed: compress},
 	}
-	sw.top = &sw.cw
+	ow.top = &ow.cw
 	if compress {
-		fw, err := flate.NewWriter(&sw.cw, flate.BestSpeed)
+		fw, err := flate.NewWriter(&ow.cw, flate.BestSpeed)
 		if err != nil {
-			obj.Close()
+			ow.abort()
 			return nil, fmt.Errorf("spill: %w", err)
 		}
-		sw.fw = fw
-		sw.top = fw
+		ow.fw = fw
+		ow.top = fw
 	}
-	sw.buf = frameBufPool.Get().(*[]byte)
-	return sw, nil
+	ow.buf = frameBufPool.Get().(*[]byte)
+	return ow, nil
 }
 
-// append frames one record onto the segment.
-func (sw *segmentWriter) append(key, value []byte) error {
-	before := len(*sw.buf)
-	*sw.buf = AppendFrame(*sw.buf, key, value)
-	sw.seg.Records++
-	sw.seg.RawBytes += int64(len(*sw.buf) - before)
-	if len(*sw.buf) >= segFlushBytes {
-		return sw.flush()
+// begin starts a segment where the previous one ended.
+func (ow *objectWriter) begin(partition, node int) {
+	ow.seg = Segment{
+		Name: ow.seg.Name, Offset: ow.cw.n, Compressed: ow.seg.Compressed,
+		Partition: partition, Node: node,
+	}
+}
+
+// append frames one record onto the current segment.
+func (ow *objectWriter) append(key, value []byte) error {
+	before := len(*ow.buf)
+	*ow.buf = AppendFrame(*ow.buf, key, value)
+	ow.seg.Records++
+	ow.seg.RawBytes += int64(len(*ow.buf) - before)
+	if len(*ow.buf) >= segFlushBytes {
+		return ow.flush()
 	}
 	return nil
 }
 
 // flush writes the gathered frames to the object.
-func (sw *segmentWriter) flush() error {
-	_, err := sw.top.Write(*sw.buf)
-	*sw.buf = (*sw.buf)[:0]
+func (ow *objectWriter) flush() error {
+	_, err := ow.top.Write(*ow.buf)
+	*ow.buf = (*ow.buf)[:0]
 	if err != nil {
-		return fmt.Errorf("spill: write segment %q: %w", sw.seg.Name, err)
+		return fmt.Errorf("spill: write segment %q: %w", ow.seg.Name, err)
 	}
 	return nil
 }
 
-// release returns the frame buffer to the pool, unless one oversize
-// record grew it far past the flush threshold.
-func (sw *segmentWriter) release() {
-	if cap(*sw.buf) <= 4*segFlushBytes {
-		*sw.buf = (*sw.buf)[:0]
-		frameBufPool.Put(sw.buf)
-	}
-	sw.buf = nil
-}
-
-// close flushes all stages and returns the finished segment metadata.
-func (sw *segmentWriter) close() (Segment, error) {
-	err := sw.flush()
-	sw.release()
-	if err != nil {
-		sw.obj.Close()
+// end finishes the current segment and returns its metadata, which is
+// also its index entry: the range [Offset, Offset+StoredBytes).
+func (ow *objectWriter) end() (Segment, error) {
+	if err := ow.flush(); err != nil {
 		return Segment{}, err
 	}
-	if sw.fw != nil {
-		if err := sw.fw.Close(); err != nil {
-			sw.obj.Close()
-			return Segment{}, fmt.Errorf("spill: compress segment %q: %w", sw.seg.Name, err)
+	if ow.fw != nil {
+		if err := ow.fw.Close(); err != nil {
+			return Segment{}, fmt.Errorf("spill: compress segment %q: %w", ow.seg.Name, err)
 		}
+		ow.fw.Reset(&ow.cw)
 	}
-	if err := sw.obj.Close(); err != nil {
-		return Segment{}, fmt.Errorf("spill: close segment %q: %w", sw.seg.Name, err)
-	}
-	sw.seg.StoredBytes = sw.cw.n
-	return sw.seg, nil
+	ow.seg.StoredBytes = ow.cw.n - ow.seg.Offset
+	return ow.seg, nil
 }
 
-// abort closes the underlying object without finishing the segment.
-func (sw *segmentWriter) abort() {
-	sw.release()
-	sw.obj.Close()
-	sw.store.Remove(sw.seg.Name)
+// release returns the frame buffer to the pool, unless one oversize
+// record grew it far past the flush threshold.
+func (ow *objectWriter) release() {
+	if ow.buf != nil && cap(*ow.buf) <= 4*segFlushBytes {
+		*ow.buf = (*ow.buf)[:0]
+		frameBufPool.Put(ow.buf)
+	}
+	ow.buf = nil
 }
+
+// close commits the object: its segments become readable.
+func (ow *objectWriter) close() error {
+	ow.release()
+	if err := ow.obj.Close(); err != nil {
+		ow.store.Remove(ow.seg.Name)
+		return fmt.Errorf("spill: close run %q: %w", ow.seg.Name, err)
+	}
+	return nil
+}
+
+// abort closes the object and removes it from the store.
+func (ow *objectWriter) abort() {
+	ow.release()
+	ow.obj.Close()
+	ow.store.Remove(ow.seg.Name)
+}
+
+// windowBytes is the most of a segment a stream holds at a time, unless
+// a single frame is longer.
+const windowBytes = 64 << 10
+
+// poisonRecycled makes the iterator overwrite a window the moment it
+// recycles it, so a test sees at once a record used past its lifetime.
+// Only tests set it.
+var poisonRecycled bool
 
 // segStream reads one segment's sorted records, holding the head record
-// for the merge heap. A segment whose opened object can hand over its
-// bytes (MemRunStore's) and is not compressed is parsed in place: keys
-// and values alias the stored bytes and nothing is allocated per record.
-// Any other segment streams through bufio and copies each record out.
+// for the merge heap. It has one form: frames are parsed in place out of
+// a window onto the segment's framed bytes, and the head's key and value
+// alias that window. For an uncompressed segment in a MemRunStore the
+// window is the stored range itself, once and for good. Any other
+// segment is loaded a window at a time from the object's range, through
+// a DEFLATE stage when compressed, and a frame the end of a window cuts
+// is carried over to the head of the next.
 type segStream struct {
-	rc    io.ReadCloser
-	data  []byte        // in-place form: the whole stored object
-	off   int           // in-place form: offset of the next frame
-	fr    io.ReadCloser // streamed form: flate stage, nil when uncompressed
-	br    *bufio.Reader // streamed form; nil selects the in-place form
+	obj  Object
+	src  io.Reader     // what fills windows; nil when the window is the stored range
+	fr   io.ReadCloser // the DEFLATE stage of src, nil when uncompressed
+	left int64         // framed bytes of the segment no window has held yet
+	win  []byte
+	off  int  // win[off:] is unparsed
+	held bool // some record was parsed out of win, so a caller may hold it
+
 	key   []byte
 	value []byte
 	order int // stream index, tie-break for determinism
 }
 
 func openSegStream(store RunStore, seg Segment, order int) (*segStream, error) {
-	rc, err := store.Open(seg.Name)
+	obj, err := openRange(store, seg.Name, seg.Offset, seg.StoredBytes)
 	if err != nil {
 		return nil, err
 	}
-	st := &segStream{rc: rc, order: order}
-	switch b, inPlace := rc.(interface{ Bytes() []byte }); {
-	case seg.Compressed:
-		st.fr = flate.NewReader(bufio.NewReader(rc))
-		st.br = bufio.NewReader(st.fr)
-	case inPlace:
-		st.data = b.Bytes()
-	default:
-		st.br = bufio.NewReader(rc)
+	st := &segStream{obj: obj, order: order}
+	if m, inMemory := obj.(*memObject); inMemory && !seg.Compressed {
+		st.win = m.data[seg.Offset : seg.Offset+seg.StoredBytes]
+		return st, nil
+	}
+	st.src, st.left = io.NewSectionReader(obj, seg.Offset, seg.StoredBytes), seg.StoredBytes
+	if seg.Compressed {
+		if seg.RawBytes < 0 {
+			obj.Close()
+			return nil, fmt.Errorf("spill: segment of run %q claims %d framed bytes", seg.Name, seg.RawBytes)
+		}
+		st.fr = flate.NewReader(st.src)
+		st.src, st.left = st.fr, seg.RawBytes
 	}
 	return st, nil
 }
 
 // advance loads the next record into the stream head. ok is false at
 // end of segment.
-func (st *segStream) advance() (ok bool, err error) {
-	if st.br == nil {
-		if st.off >= len(st.data) {
-			return false, nil
+func (st *segStream) advance(it *Iterator) (ok bool, err error) {
+	for {
+		key, value, size := parseFrame(st.win[st.off:])
+		have := len(st.win) - st.off
+		switch {
+		case size == 0:
+			return false, fmt.Errorf("spill: read segment: corrupt record length")
+		case size <= have:
+			st.key, st.value, st.off, st.held = key, value, st.off+size, true
+			return true, nil
+		case int64(size-have) > st.left:
+			if have == 0 {
+				return false, nil
+			}
+			return false, fmt.Errorf("spill: read segment: record of at least %d bytes with %d left in its segment",
+				size, int64(have)+st.left)
 		}
-		st.key, st.value, st.off, err = ReadFrame(st.data, st.off)
-		if err != nil {
-			return false, fmt.Errorf("spill: read segment: %w", err)
+		if err := st.slide(it, size); err != nil {
+			return false, err
 		}
-		return true, nil
 	}
-	key, value, err := ReadStreamFrame(st.br)
-	if err == io.EOF {
-		return false, nil
+}
+
+// slide moves the stream to a fresh window that starts with the frame
+// the current one cuts and holds at least need bytes. A frame is never
+// longer than what is left of its segment (advance checked), so neither
+// is a window.
+func (st *segStream) slide(it *Iterator, need int) error {
+	tail := st.win[st.off:]
+	size := int(min(int64(max(need, it.win)), int64(len(tail))+st.left))
+	next := it.window(size)
+	copy(next, tail)
+	if _, err := io.ReadFull(st.src, next[len(tail):]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("spill: read segment: %w", err)
 	}
-	if err != nil {
-		return false, fmt.Errorf("spill: read segment: %w", err)
+	st.left -= int64(size - len(tail))
+	st.retire(it)
+	st.win, st.off = next, 0
+	return nil
+}
+
+// retire hands the stream's window back to the iterator: to wait for the
+// merge to move past its last key if a record came out of it, else
+// straight to reuse.
+func (st *segStream) retire(it *Iterator) {
+	switch {
+	case st.src == nil || st.win == nil:
+	case st.held:
+		it.retired = append(it.retired, window{buf: st.win, lastKey: st.key})
+	default:
+		it.recycle(st.win)
 	}
-	st.key, st.value = key, value
-	return true, nil
+	st.win, st.off, st.held = nil, 0, false
 }
 
 func (st *segStream) close() error {
 	if st.fr != nil {
 		st.fr.Close()
 	}
-	return st.rc.Close()
+	return st.obj.Close()
 }
 
 // mergeHeap orders streams by their head record (key, value), ties by
@@ -240,6 +314,9 @@ type MergeOptions struct {
 	// the reduce task attempt's span.
 	Tracer *trace.Tracer
 	Parent *trace.Span
+
+	// window is windowBytes unless a test of this package shrinks it.
+	window int
 }
 
 // MergeStats describes the work a merge performed.
@@ -253,10 +330,48 @@ type MergeStats struct {
 }
 
 // Iterator streams the merged, sorted record sequence of one partition.
+// It owns the windows its streams read through, and reuses one as soon
+// as the rule on Next says no caller can still hold a record in it.
 type Iterator struct {
 	store RunStore
 	h     mergeHeap
 	tmp   []string
+
+	win     int      // window size
+	last    []byte   // key of the record Next returned last
+	retired []window // used-up windows in the order their streams left them
+	free    [][]byte
+}
+
+// window is a buffer some stream has finished with. Every record in it
+// has been returned, the last of them with lastKey; since the merge
+// returns keys in order, retired windows are in lastKey order too.
+type window struct {
+	buf     []byte
+	lastKey []byte
+}
+
+// window returns a buffer of n bytes, a reused one if any is big enough.
+func (it *Iterator) window(n int) []byte {
+	for i, buf := range it.free {
+		if cap(buf) >= n {
+			last := len(it.free) - 1
+			it.free[i] = it.free[last]
+			it.free = it.free[:last]
+			return buf[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+func (it *Iterator) recycle(buf []byte) {
+	if poisonRecycled {
+		buf = buf[:cap(buf)]
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	}
+	it.free = append(it.free, buf)
 }
 
 // Merge prepares a sorted stream over segs (each internally sorted).
@@ -271,7 +386,10 @@ func Merge(store RunStore, segs []Segment, opts MergeOptions) (*Iterator, MergeS
 		fanIn = 2
 	}
 	var stats MergeStats
-	it := &Iterator{store: store}
+	it := &Iterator{store: store, win: opts.window}
+	if it.win <= 0 {
+		it.win = windowBytes
+	}
 
 	// Intermediate passes: repeatedly merge the FanIn smallest segments
 	// into one until a single streaming pass can take the rest.
@@ -311,7 +429,7 @@ func Merge(store RunStore, segs []Segment, opts MergeOptions) (*Iterator, MergeS
 			it.Close()
 			return nil, stats, err
 		}
-		ok, err := st.advance()
+		ok, err := st.advance(it)
 		if err != nil {
 			st.close()
 			it.Close()
@@ -327,39 +445,49 @@ func Merge(store RunStore, segs []Segment, opts MergeOptions) (*Iterator, MergeS
 	return it, stats, nil
 }
 
-// mergePass merges a batch of segments into one new segment.
+// mergePass merges a batch of segments into one new segment, an object
+// of its own.
 func mergePass(store RunStore, batch []Segment, name string, opts MergeOptions) (Segment, error) {
 	sp := opts.Tracer.Start(trace.CatMerge, fmt.Sprintf("merge-pass-%d", len(batch)), opts.Parent)
 	defer sp.End()
-	part, node := -1, -1
+	part := -1
+	var raw int64
 	if len(batch) > 0 {
 		part = batch[0].Partition
 	}
-	sub, _, err := Merge(store, batch, MergeOptions{FanIn: len(batch)})
+	for i := range batch {
+		raw += batch[i].RawBytes
+	}
+	sub, _, err := Merge(store, batch, MergeOptions{FanIn: len(batch), window: opts.window})
 	if err != nil {
 		return Segment{}, err
 	}
 	defer sub.Close()
-	sw, err := newSegmentWriter(store, name, part, node, opts.Compress)
+	ow, err := createObject(store, name, raw, opts.Compress)
 	if err != nil {
 		return Segment{}, err
 	}
+	ow.begin(part, -1)
 	for {
 		key, value, ok, err := sub.Next()
 		if err != nil {
-			sw.abort()
+			ow.abort()
 			return Segment{}, err
 		}
 		if !ok {
 			break
 		}
-		if err := sw.append(key, value); err != nil {
-			sw.abort()
+		if err := ow.append(key, value); err != nil {
+			ow.abort()
 			return Segment{}, err
 		}
 	}
-	seg, err := sw.close()
+	seg, err := ow.end()
 	if err != nil {
+		ow.abort()
+		return Segment{}, err
+	}
+	if err := ow.close(); err != nil {
 		return Segment{}, err
 	}
 	sp.SetInt("segments", int64(len(batch)))
@@ -368,16 +496,29 @@ func mergePass(store RunStore, batch []Segment, name string, opts MergeOptions) 
 	return seg, nil
 }
 
-// Next returns the next record in (key, value) order. The returned
-// slices remain valid after subsequent calls and are read-only: they may
-// alias a stored object. ok is false when the stream is exhausted.
+// Next returns the next record in (key, value) order; ok is false when
+// the stream is exhausted. The returned slices are read-only — they
+// alias a stored object or a window on one — and stay valid until the
+// call to Next that follows the first record with a greater key: a
+// caller may hold a whole key group and the record that ends it, which
+// is what grouping by key needs, and nothing older. Copy what must live
+// longer.
 func (it *Iterator) Next() (key, value []byte, ok bool, err error) {
+	// Nobody may still hold a record whose key the merge has moved past.
+	n := 0
+	for n < len(it.retired) && bytes.Compare(it.retired[n].lastKey, it.last) < 0 {
+		it.recycle(it.retired[n].buf)
+		n++
+	}
+	if n > 0 {
+		it.retired = it.retired[:copy(it.retired, it.retired[n:])]
+	}
 	if len(it.h) == 0 {
 		return nil, nil, false, nil
 	}
 	st := it.h[0]
 	key, value = st.key, st.value
-	more, err := st.advance()
+	more, err := st.advance(it)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -385,10 +526,12 @@ func (it *Iterator) Next() (key, value []byte, ok bool, err error) {
 		heap.Fix(&it.h, 0)
 	} else {
 		heap.Pop(&it.h)
+		st.retire(it)
 		if err := st.close(); err != nil {
 			return nil, nil, false, err
 		}
 	}
+	it.last = key
 	return key, value, true, nil
 }
 
@@ -400,7 +543,7 @@ func (it *Iterator) Close() error {
 			firstErr = err
 		}
 	}
-	it.h = nil
+	it.h, it.retired, it.free = nil, nil, nil
 	for _, name := range it.tmp {
 		if err := it.store.Remove(name); err != nil && firstErr == nil {
 			firstErr = err

@@ -5,15 +5,18 @@
 //
 // A map task emits into a Writer with a bounded memory budget. When the
 // buffered framed bytes reach the budget, the buffer is sorted per
-// partition, the job's combiner (if any) is applied, and each
-// partition's records are written as one framed, optionally
-// DEFLATE-compressed spill segment to a RunStore — the tasktracker's
-// local disk in Hadoop, a temp dir (DiskRunStore) or memory
-// (MemRunStore) here. Reducers stream their partition through a k-way
-// merge Iterator over all tasks' segments instead of materializing the
-// partition in memory; when the segment count exceeds the merge fan-in,
-// intermediate merge passes combine segments first, exactly as Hadoop's
-// reduce-side merger bounds its open-file count.
+// partition, the job's combiner (if any) is applied, and the spill is
+// written as one object to a RunStore — the tasktracker's local disk in
+// Hadoop, a temp dir (DiskRunStore) or memory (MemRunStore) here. The
+// object is Hadoop's spill file: each partition's records are one
+// framed, optionally DEFLATE-compressed segment, the segments lie back to
+// back, and a Segment's Offset and StoredBytes are its entry in the
+// spill's index. Reducers stream their partition through a k-way merge
+// Iterator over all tasks' segments, a window of each at a time, instead
+// of materializing the partition in memory; when the segment count
+// exceeds the merge fan-in, intermediate merge passes combine segments
+// first, exactly as Hadoop's reduce-side merger bounds its open-file
+// count.
 //
 // Record framing (format.go) is the canonical implementation shared
 // with the DFS SequenceFile emulation, so on-disk bytes and shuffle
@@ -34,10 +37,14 @@ import (
 const DefaultMergeFanIn = 16
 
 // Segment is one sorted run of framed records for a single partition,
-// stored in a RunStore.
+// stored in a RunStore as the range [Offset, Offset+StoredBytes) of an
+// object.
 type Segment struct {
-	// Name is the store object holding the segment.
+	// Name is the store object holding the segment. The segments of one
+	// spill, a partition each, share an object.
 	Name string
+	// Offset is where the segment starts in the object.
+	Offset int64
 	// Partition is the reduce partition the records hash to.
 	Partition int
 	// Records is the number of framed records in the segment.
@@ -45,9 +52,10 @@ type Segment struct {
 	// RawBytes is the framed (uncompressed) payload size — the bytes the
 	// shuffle accounts for.
 	RawBytes int64
-	// StoredBytes is the size in the store (smaller when compressed).
+	// StoredBytes is the length of the segment's range in the object
+	// (smaller than RawBytes when compressed).
 	StoredBytes int64
-	// Compressed reports whether the stored bytes are DEFLATE-compressed.
+	// Compressed reports whether the range is a DEFLATE stream of its own.
 	Compressed bool
 	// Node is the simulated cluster node of the producing map task, used
 	// for inter-node shuffle accounting (-1 for merged segments, which
@@ -180,6 +188,7 @@ func sortRecs(recs []rec) {
 type Writer struct {
 	cfg      Config
 	parts    [][]rec
+	sorted   [][]rec // per partition, what the spill in progress writes
 	buf      arena
 	buffered int64
 	spillIdx int
@@ -200,9 +209,10 @@ func NewWriter(cfg Config) (*Writer, error) {
 		return nil, fmt.Errorf("spill: writer needs a run store")
 	}
 	return &Writer{
-		cfg:   cfg,
-		parts: make([][]rec, cfg.Partitions),
-		out:   Output{Node: cfg.Node, Parts: make([][]Segment, cfg.Partitions)},
+		cfg:    cfg,
+		parts:  make([][]rec, cfg.Partitions),
+		sorted: make([][]rec, cfg.Partitions),
+		out:    Output{Node: cfg.Node, Parts: make([][]Segment, cfg.Partitions)},
 	}, nil
 }
 
@@ -236,8 +246,8 @@ func (w *Writer) fail(err error) error {
 	return w.err
 }
 
-// spill sorts, combines and writes the current buffer as one segment
-// per non-empty partition.
+// spill sorts, combines and writes the current buffer as one store
+// object holding a segment per non-empty partition.
 func (w *Writer) spill() error {
 	idx := w.spillIdx
 	w.spillIdx++
@@ -247,9 +257,12 @@ func (w *Writer) spill() error {
 		}
 	}
 	sp := w.cfg.Tracer.Start(trace.CatSpill, fmt.Sprintf("spill-%03d", idx), w.cfg.Parent)
-	var spillRecs, spillRaw int64
-	for p := range w.parts {
-		recs := w.parts[p]
+	defer sp.End()
+
+	// Sort and combine first: only then is the object's size known, and a
+	// MemRunStore allocates it once.
+	var raw int64
+	for p, recs := range w.parts {
 		if len(recs) == 0 {
 			continue
 		}
@@ -257,30 +270,51 @@ func (w *Writer) spill() error {
 		if w.cfg.Combine != nil {
 			combined, err := w.combine(recs)
 			if err != nil {
-				sp.End()
 				return w.fail(err)
 			}
 			recs = combined
 		}
-		name := fmt.Sprintf("%sspill-%05d/p-%05d", w.cfg.NamePrefix, idx, p)
-		seg, err := writeSegment(w.cfg.Store, name, p, w.cfg.Node, w.cfg.Compress, recs)
+		for i := range recs {
+			sz := FramedSize(recs[i].key, recs[i].value)
+			raw += sz
+			w.out.MaxFrame = max(w.out.MaxFrame, sz)
+		}
+		w.sorted[p] = recs
+	}
+
+	ow, err := createObject(w.cfg.Store, fmt.Sprintf("%sspill-%05d", w.cfg.NamePrefix, idx), raw, w.cfg.Compress)
+	if err != nil {
+		return w.fail(err)
+	}
+	var spillRecs, partitions int64
+	for p, recs := range w.sorted {
+		if len(w.parts[p]) == 0 {
+			continue
+		}
+		ow.begin(p, w.cfg.Node)
+		for i := range recs {
+			if err := ow.append(recs[i].key, recs[i].value); err != nil {
+				ow.abort()
+				return w.fail(err)
+			}
+		}
+		seg, err := ow.end()
 		if err != nil {
-			sp.End()
+			ow.abort()
 			return w.fail(err)
 		}
 		w.out.Parts[p] = append(w.out.Parts[p], seg)
-		w.out.RawBytes += seg.RawBytes
 		w.out.StoredBytes += seg.StoredBytes
-		w.out.Records += seg.Records
 		spillRecs += seg.Records
-		spillRaw += seg.RawBytes
-		for i := range recs {
-			if sz := FramedSize(recs[i].key, recs[i].value); sz > w.out.MaxFrame {
-				w.out.MaxFrame = sz
-			}
-		}
+		partitions++
+		w.sorted[p] = nil
 		w.parts[p] = w.parts[p][:0]
 	}
+	if err := ow.close(); err != nil {
+		return w.fail(err)
+	}
+	w.out.RawBytes += raw
+	w.out.Records += spillRecs
 	w.buffered = 0
 	// Every buffered record has been written out (or combined away), so
 	// nothing aliases arena memory anymore; recycle the chunks. Failure
@@ -288,8 +322,9 @@ func (w *Writer) spill() error {
 	w.buf.reset()
 	w.out.Spills++
 	sp.SetInt("records", spillRecs)
-	sp.SetInt("raw_bytes", spillRaw)
-	sp.End()
+	sp.SetInt("raw_bytes", raw)
+	sp.SetInt("objects", 1)
+	sp.SetInt("partitions", partitions)
 	return nil
 }
 
@@ -350,20 +385,4 @@ func (w *Writer) Close() (*Output, error) {
 // retrying the task).
 func (w *Writer) Abort() {
 	w.cfg.Store.RemovePrefix(w.cfg.NamePrefix)
-}
-
-// writeSegment encodes sorted records as one framed (optionally
-// compressed) store object and returns its metadata.
-func writeSegment(store RunStore, name string, partition, node int, compress bool, recs []rec) (Segment, error) {
-	sw, err := newSegmentWriter(store, name, partition, node, compress)
-	if err != nil {
-		return Segment{}, err
-	}
-	for i := range recs {
-		if err := sw.append(recs[i].key, recs[i].value); err != nil {
-			sw.abort()
-			return Segment{}, err
-		}
-	}
-	return sw.close()
 }

@@ -3,7 +3,6 @@ package spill
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sort"
 	"testing"
 )
@@ -421,21 +420,22 @@ func TestArenaIsolatesRecords(t *testing.T) {
 	a.reset()
 }
 
-// streamOnlyStore hides the Bytes method of MemRunStore's reader, so a
-// merge over it takes the streamed form of segStream.
+// streamOnlyStore hides that a MemRunStore's objects are in memory, so a
+// merge over it loads windows with ReadAt as a merge over files does.
 type streamOnlyStore struct{ *MemRunStore }
 
-func (s streamOnlyStore) Open(name string) (io.ReadCloser, error) {
-	rc, err := s.MemRunStore.Open(name)
+func (s streamOnlyStore) Open(name string) (Object, error) {
+	obj, err := s.MemRunStore.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	return io.NopCloser(rc), nil
+	return struct{ Object }{obj}, nil
 }
 
 // TestInPlaceStreamMatchesStreamed reads the same uncompressed segments
-// once parsed in place and once streamed through bufio. The records are
-// large enough that the segment writer flushes several times per segment.
+// once with the stored range as the one window and once a loaded window
+// at a time. The records are large enough that the object writer flushes,
+// and the reader slides, several times per segment.
 func TestInPlaceStreamMatchesStreamed(t *testing.T) {
 	store := NewMemRunStore()
 	var recs [][2][]byte
@@ -470,7 +470,7 @@ func TestInPlaceStreamMatchesStreamed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := st.br == nil; got != c.inPlace {
+		if got := st.src == nil; got != c.inPlace {
 			t.Errorf("%T: stream parses in place = %v, want %v", c.store, got, c.inPlace)
 		}
 		st.close()
@@ -493,14 +493,31 @@ func TestInPlaceStreamMatchesStreamed(t *testing.T) {
 }
 
 // TestCorruptMemObjectIsAnError damages a stored segment in ways the
-// in-place parser must report rather than index past: a cut mid-frame, a
-// length that promises more bytes than remain, and a varint that never
+// in-place parser must report rather than index past: a cut mid-frame
+// (the range no longer fits the object), and a last frame replaced by a
+// length that promises more bytes than remain or by a varint that never
 // terminates.
 func TestCorruptMemObjectIsAnError(t *testing.T) {
+	lastFrame := func(obj []byte) []byte {
+		off := 0
+		for {
+			_, _, next, err := ReadFrame(obj, off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next == len(obj) {
+				return obj[off:]
+			}
+			off = next
+		}
+	}
 	for name, damage := range map[string]func(obj []byte) []byte{
 		"truncated":       func(obj []byte) []byte { return obj[:len(obj)-3] },
-		"overlong length": func(obj []byte) []byte { return append(obj, 0x7f, 'x') },
-		"endless varint":  func(obj []byte) []byte { return append(obj, bytes.Repeat([]byte{0xff}, 12)...) },
+		"overlong length": func(obj []byte) []byte { lastFrame(obj)[0] = 0x7f; return obj },
+		"endless varint": func(obj []byte) []byte {
+			copy(lastFrame(obj), bytes.Repeat([]byte{0xff}, 12))
+			return obj
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			store := NewMemRunStore()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,15 +19,19 @@ import (
 // a temp dir.
 //
 // Names are slash-separated paths, unique per task attempt, so a failed
-// attempt's partial state can be discarded with RemovePrefix. All
+// attempt's partial state can be discarded with RemovePrefix. The
+// namespace is flat: a slash is part of the name, not a directory. All
 // methods are safe for concurrent use; Create/Open of distinct names
 // may proceed in parallel (map tasks spill concurrently).
 type RunStore interface {
 	// Create opens a named object for writing. The object becomes
-	// readable once the returned writer is closed.
-	Create(name string) (io.WriteCloser, error)
-	// Open streams a previously created object.
-	Open(name string) (io.ReadCloser, error)
+	// readable once the returned writer is closed. size is the number of
+	// bytes the caller will write when it knows, 0 when it does not; a
+	// store that holds objects in memory allocates them once from it.
+	Create(name string, size int64) (io.WriteCloser, error)
+	// Open opens a previously created object. Any number of readers may
+	// have one object open, each at its own ranges.
+	Open(name string) (Object, error)
 	// Has reports whether a named object exists (created and committed).
 	// The distributed shuffle uses it to skip refetching segments that a
 	// prefetch already landed.
@@ -42,6 +47,49 @@ type RunStore interface {
 	Objects() int
 	// Close releases the store, deleting everything it holds.
 	Close() error
+}
+
+// Object is an open store object: readable front to back, and at any
+// range (a spill object holds one segment per partition, back to back,
+// and every reader wants only its own).
+type Object interface {
+	io.ReadCloser
+	io.ReaderAt
+	// Size is the object's length in bytes.
+	Size() int64
+}
+
+// openRange opens a stored object after checking that [off, off+n) lies
+// inside it. Both numbers may come off the wire.
+func openRange(store RunStore, name string, off, n int64) (Object, error) {
+	obj, err := store.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	if off < 0 || n < 0 || off > obj.Size()-n {
+		obj.Close()
+		return nil, fmt.Errorf("spill: range [%d,+%d) lies outside run %q of %d bytes", off, n, name, obj.Size())
+	}
+	return obj, nil
+}
+
+// ReadRange returns bytes [off, off+n) of a stored object: for a
+// MemRunStore the stored bytes themselves, which the caller must not
+// write to, otherwise a copy of exactly n bytes.
+func ReadRange(store RunStore, name string, off, n int64) ([]byte, error) {
+	obj, err := openRange(store, name, off, n)
+	if err != nil {
+		return nil, err
+	}
+	defer obj.Close()
+	if m, ok := obj.(*memObject); ok {
+		return m.data[off : off+n : off+n], nil
+	}
+	buf := make([]byte, n)
+	if got, err := obj.ReadAt(buf, off); got < len(buf) {
+		return nil, fmt.Errorf("spill: read run %q: %w", name, err)
+	}
+	return buf, nil
 }
 
 // MemRunStore is an in-memory RunStore for tests and for exercising the
@@ -77,35 +125,34 @@ func (w *memWriter) Close() error {
 }
 
 // Create implements RunStore.
-func (s *MemRunStore) Create(name string) (io.WriteCloser, error) {
+func (s *MemRunStore) Create(name string, size int64) (io.WriteCloser, error) {
 	if name == "" {
 		return nil, fmt.Errorf("spill: empty run name")
 	}
-	return &memWriter{store: s, name: name}, nil
+	return &memWriter{store: s, name: name, data: make([]byte, 0, max(size, 0))}, nil
 }
 
-// memReader streams a stored object. Bytes hands the whole object over
-// instead, which lets the merge parse frames in place; stored objects
-// are immutable, so callers must treat the slice as read-only.
-type memReader struct {
+// memObject is an open MemRunStore object. Inside the package its bytes
+// are read where they lie (openSegStream, ReadRange); stored objects are
+// immutable.
+type memObject struct {
 	bytes.Reader
 	data []byte
 }
 
-func (r *memReader) Bytes() []byte { return r.data }
-func (r *memReader) Close() error  { return nil }
+func (*memObject) Close() error { return nil }
 
 // Open implements RunStore.
-func (s *MemRunStore) Open(name string) (io.ReadCloser, error) {
+func (s *MemRunStore) Open(name string) (Object, error) {
 	s.mu.Lock()
 	data, ok := s.objs[name]
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("spill: run %q does not exist", name)
 	}
-	r := &memReader{data: data}
-	r.Reset(data)
-	return r, nil
+	o := &memObject{data: data}
+	o.Reset(data)
+	return o, nil
 }
 
 // Has implements RunStore.
@@ -176,9 +223,11 @@ func (s *MemRunStore) Close() error {
 	return nil
 }
 
-// DiskRunStore writes runs as real files under a private directory,
-// which Close removes. It is the production store: spilled bytes leave
-// process memory.
+// DiskRunStore writes runs as real files in a private directory, which
+// Close removes. It is the production store: spilled bytes leave process
+// memory. Every object is one file directly under the root, its name
+// escaped, so creating one costs a single openat and removing the last
+// leaves the root empty.
 type DiskRunStore struct {
 	root string
 
@@ -206,7 +255,7 @@ func NewDiskRunStore(dir string) (*DiskRunStore, error) {
 func (s *DiskRunStore) Root() string { return s.root }
 
 func (s *DiskRunStore) path(name string) string {
-	return filepath.Join(s.root, filepath.FromSlash(name))
+	return filepath.Join(s.root, url.PathEscape(name))
 }
 
 // diskWriter counts bytes and registers the object's size on Close.
@@ -231,29 +280,41 @@ func (w *diskWriter) Close() error {
 	return err
 }
 
-// Create implements RunStore.
-func (s *DiskRunStore) Create(name string) (io.WriteCloser, error) {
+// Create implements RunStore. A file grows as it is written, so the size
+// is not needed.
+func (s *DiskRunStore) Create(name string, _ int64) (io.WriteCloser, error) {
 	if name == "" {
 		return nil, fmt.Errorf("spill: empty run name")
 	}
-	p := s.path(name)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, fmt.Errorf("spill: %w", err)
-	}
-	f, err := os.Create(p)
+	f, err := os.Create(s.path(name))
 	if err != nil {
 		return nil, fmt.Errorf("spill: %w", err)
 	}
 	return &diskWriter{f: f, store: s, name: name}, nil
 }
 
-// Open implements RunStore.
-func (s *DiskRunStore) Open(name string) (io.ReadCloser, error) {
+// diskObject is an open DiskRunStore file with its committed size.
+type diskObject struct {
+	*os.File
+	size int64
+}
+
+func (o *diskObject) Size() int64 { return o.size }
+
+// Open implements RunStore. Only committed names reach the file system,
+// so a name off the wire cannot address a file the store did not write.
+func (s *DiskRunStore) Open(name string) (Object, error) {
+	s.mu.Lock()
+	size, ok := s.sizes[name]
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("spill: run %q does not exist", name)
+	}
 	f, err := os.Open(s.path(name))
 	if err != nil {
 		return nil, fmt.Errorf("spill: run %q: %w", name, err)
 	}
-	return f, nil
+	return &diskObject{File: f, size: size}, nil
 }
 
 // Has implements RunStore. The sizes index is authoritative: a file

@@ -94,6 +94,7 @@ const (
 	CounterSpills       = "spills"
 	CounterSpilledBytes = "spilled bytes"
 	CounterMergePasses  = "merge passes"
+	CounterSpillObjects = "spill store objects"
 	GaugeMergeFanIn     = "merge fan-in"
 )
 
