@@ -21,7 +21,6 @@ import (
 
 	"ffmr/internal/distmr"
 	"ffmr/internal/experiments"
-	"ffmr/internal/obsv"
 	"ffmr/internal/trace"
 )
 
@@ -50,7 +49,6 @@ func run(args []string, stdout io.Writer) error {
 		comp     = fs.Bool("compress", false, "DEFLATE-compress spill segments")
 		dist     = fs.Bool("distributed", false, "run every job on an in-process distributed master/worker cluster")
 		distWork = fs.Int("dist-workers", 3, "workers in the distributed cluster (with -distributed)")
-		watch    = fs.Bool("watch", false, "render a live dashboard (to stderr) of counters and cluster state")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -99,7 +97,7 @@ func run(args []string, stdout io.Writer) error {
 	sc.SpillDir = *spillTo
 	sc.SpillCompress = *comp
 	var tracer *trace.Tracer
-	if *traceOut != "" || *watch {
+	if *traceOut != "" {
 		tracer = trace.New()
 		sc.Tracer = tracer
 	}
@@ -114,35 +112,16 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "trace written to %s\n", *traceOut)
 		}()
 	}
-	var master *distmr.Master
 	if *dist {
 		h, err := distmr.StartHarness(distmr.HarnessConfig{Workers: *distWork, Tracer: tracer})
 		if err != nil {
 			return err
 		}
 		defer h.Close()
-		master = h.Master
 		sc.Distributed = h.Master
 		fmt.Fprintf(stdout, "distributed: %d workers registered with master %s\n\n",
 			h.Master.LiveWorkers(), h.Master.Addr())
 	}
-	if *watch {
-		// The dashboard repaints on stderr so the experiment tables on
-		// stdout stay clean (and redirectable).
-		var statusFn func() *obsv.ClusterStatus
-		if master != nil {
-			statusFn = master.Status
-		}
-		dash := obsv.StartDashboard(obsv.DashConfig{
-			Out:     os.Stderr,
-			Metrics: tracer.Registry,
-			Status:  statusFn,
-			Title:   fmt.Sprintf("experiments -exp %s -scale %s", *exp, *scale),
-			ANSI:    true,
-		})
-		defer dash.Close()
-	}
-
 	run := func(name string, f func() error) error {
 		if *exp != "all" && *exp != name {
 			return nil

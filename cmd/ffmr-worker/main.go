@@ -39,8 +39,8 @@ func main() {
 		dir       = flag.String("dir", "", "directory for map-output segments (default: hold segments in memory)")
 		logFmt    = flag.String("log", "", "emit structured logs to stderr: text|json (default: off)")
 		logLevel  = flag.String("log-level", "info", "log level for -log: debug|info|warn|error")
-		admin     = flag.String("admin", "", "serve /metrics, /healthz, /status and /debug/pprof on this HTTP address")
-		flightDir = flag.String("flight-dir", "", "arm the flight recorder; an injected crash dumps recent events here")
+		admin     = flag.String("admin", "", "serve /metrics, /healthz, /status, /flight and /debug/pprof on this HTTP address")
+		flightDir = flag.String("flight-dir", "", "directory an injected crash dumps the worker's trace into (read with ffmr -analyze)")
 		drain     = flag.Bool("drain", false, "on SIGINT/SIGTERM, drain gracefully: finish running attempts, hand completed map outputs off through the master, then deregister and exit (a second signal forces immediate shutdown)")
 		prefetch  = flag.Int("prefetch-depth", 0, "concurrent shuffle-segment fetches per reduce and background prefetch workers (default 4)")
 	)

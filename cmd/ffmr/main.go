@@ -26,18 +26,15 @@
 //	ffmr -gen ws -n 2000 -distributed -dist-workers 0 \
 //	     -dist-listen 127.0.0.1:7350 -dist-wait 3
 //
-//	# Watch a distributed run live: structured logs, a dashboard, an
-//	# admin server (/metrics, /healthz, /status, /debug/pprof) and crash
-//	# flight recorders.
-//	ffmr -gen ws -n 5000 -distributed -worker-crash 0.05 \
-//	     -watch -log json -admin 127.0.0.1:8080 -flight-dir ./flight
-//
-//	# Render the merged crash timeline afterwards.
-//	ffmr -postmortem ./flight
+//	# Watch a distributed run live: structured logs and an admin server
+//	# (/metrics, /healthz, /status, /flight, /debug/pprof).
+//	ffmr -gen ws -n 5000 -distributed -log json -admin 127.0.0.1:8080
 //
 //	# Analyze a recorded trace: per-round critical path, wall-time
-//	# attribution (map/shuffle/reduce/rpc/idle) and straggler report.
-//	ffmr -gen ws -n 5000 -distributed -trace run.json
+//	# attribution (map/shuffle/reduce/rpc/idle), stragglers, and the
+//	# decision events. Crashed workers dump their tracers into
+//	# run.json.d/, which -analyze merges onto the same timeline.
+//	ffmr -gen ws -n 5000 -distributed -worker-crash 0.05 -trace run.json
 //	ffmr -analyze run.json
 package main
 
@@ -47,6 +44,8 @@ import (
 	"log"
 	"log/slog"
 	"os"
+	"path/filepath"
+	"sort"
 	"time"
 
 	"ffmr/internal/core"
@@ -118,45 +117,31 @@ func run() error {
 		priority = flag.Int("priority", 0, "job priority for -submit (higher dispatches first within the tenant)")
 		handle   = flag.String("handle", "graph", "resident snapshot handle for -submit")
 
-		logFmt    = flag.String("log", "", "emit structured logs to stderr: text|json (default: off)")
-		logLevel  = flag.String("log-level", "info", "log level for -log: debug|info|warn|error")
-		admin     = flag.String("admin", "", "serve /metrics, /healthz, /status and /debug/pprof on this HTTP address")
-		watch     = flag.Bool("watch", false, "render a live dashboard of round progress, counters and worker state")
-		flightDir = flag.String("flight-dir", "", "arm flight recorders; crashed workers dump their recent events here")
-		postmort  = flag.String("postmortem", "", "render a merged timeline from the flight dumps in this directory and exit")
-		analyze   = flag.String("analyze", "", "analyze a Chrome trace file written with -trace: per-round critical path, wall-time attribution and stragglers; then exit")
+		logFmt   = flag.String("log", "", "emit structured logs to stderr: text|json (default: off)")
+		logLevel = flag.String("log-level", "info", "log level for -log: debug|info|warn|error")
+		admin    = flag.String("admin", "", "serve /metrics, /healthz, /status, /flight and /debug/pprof on this HTTP address")
+		analyze  = flag.String("analyze", "", "analyze a Chrome trace file written with -trace, merged with its crash dumps (<file>.d/ and any dump files or directories given as arguments): per-round critical path, wall-time attribution, stragglers and events; then exit")
 	)
 	flag.Parse()
 
-	if *postmort != "" {
-		dumps, err := obsv.ReadDumpDir(*postmort)
-		if err != nil {
-			return err
-		}
-		return obsv.RenderPostmortem(os.Stdout, dumps)
-	}
 	if *analyze != "" {
-		data, err := os.ReadFile(*analyze)
-		if err != nil {
-			return err
-		}
-		events, err := trace.ParseChromeTrace(data)
-		if err != nil {
-			return fmt.Errorf("parse %s: %w", *analyze, err)
-		}
-		rep, err := trace.Analyze(events)
-		if err != nil {
-			return err
-		}
-		rep.Format(os.Stdout)
-		return nil
+		return analyzeTrace(*analyze, flag.Args())
 	}
 
 	var logger *slog.Logger
 	if *logFmt != "" {
 		logger = obsv.NewLogger(os.Stderr, *logFmt, obsv.ParseLevel(*logLevel))
 	}
-	obsvOpts := obsv.Options{Logger: logger, AdminAddr: *admin, FlightDir: *flightDir}
+	// A traced run's crash dumps go beside its trace, where -analyze
+	// looks for them.
+	obsvOpts := obsv.Options{Logger: logger, AdminAddr: *admin}
+	if *trOut != "" {
+		obsvOpts.FlightDir = *trOut + ".d"
+		stale, _ := filepath.Glob(filepath.Join(obsvOpts.FlightDir, "dump-*.json"))
+		for _, f := range stale {
+			os.Remove(f)
+		}
+	}
 
 	in, err := buildGraph(*gen, *input, *n, *m, *k, *beta, *scale, *seed)
 	if err != nil {
@@ -201,7 +186,7 @@ func run() error {
 				Replace:    *crash > 0,
 				Master:     distmr.Config{Addr: *distListen, Obsv: obsvOpts, DisablePrefetch: *distNoPre},
 				Tracer:     tracer,
-				WorkerObsv: obsv.Options{Logger: logger, FlightDir: *flightDir},
+				WorkerObsv: obsv.Options{Logger: logger, FlightDir: obsvOpts.FlightDir},
 			})
 			if err != nil {
 				return err
@@ -232,9 +217,9 @@ func run() error {
 		// Simulated mode still gets the admin surface: /metrics serves the
 		// tracer's live registry, pprof the in-process engine.
 		a, err := obsv.StartAdmin(obsv.AdminConfig{
-			Addr:    *admin,
-			Metrics: tracer.Registry,
-			Logger:  logger,
+			Addr:   *admin,
+			Tracer: func() *trace.Tracer { return tracer },
+			Logger: logger,
 		})
 		if err != nil {
 			return err
@@ -268,28 +253,6 @@ func run() error {
 		}
 	}
 
-	var dash *obsv.Dashboard
-	stopDash := func() {
-		if dash != nil {
-			dash.Close()
-			dash = nil
-		}
-	}
-	if *watch {
-		var statusFn func() *obsv.ClusterStatus
-		if master != nil {
-			statusFn = master.Status
-		}
-		dash = obsv.StartDashboard(obsv.DashConfig{
-			Out:     os.Stdout,
-			Metrics: tracer.Registry,
-			Status:  statusFn,
-			Title:   fmt.Sprintf("ffmr %s on %d vertices", opts.Variant, in.NumVertices),
-			ANSI:    true,
-		})
-		defer stopDash()
-	}
-
 	// With -updates the base solve goes through dynamic.Solve, which keeps
 	// the final records in the DFS so batches can warm-restart from them.
 	var res *core.Result
@@ -306,7 +269,6 @@ func run() error {
 			return err
 		}
 	}
-	stopDash()
 
 	fmt.Printf("\n%s max-flow: %d in %d rounds (sim %s, wall %s)\n",
 		res.Variant, res.MaxFlow, res.Rounds,
@@ -457,6 +419,49 @@ func run() error {
 			return fmt.Errorf("BSP and MR flows disagree (BSP %d, MR %d)", bres.MaxFlow, res.MaxFlow)
 		}
 	}
+	return nil
+}
+
+// analyzeTrace renders `-analyze`: the trace at path merged with every
+// dump in path+".d" and in the extra files or directories, each file
+// in its own span-id space on the trace's timeline.
+func analyzeTrace(path string, extra []string) error {
+	files := []string{path}
+	for _, p := range append([]string{path + ".d"}, extra...) {
+		fi, err := os.Stat(p)
+		switch {
+		case err != nil && p == path+".d":
+			continue // a run without crashes leaves no dump directory
+		case err != nil:
+			return err
+		case fi.IsDir():
+			dumps, err := filepath.Glob(filepath.Join(p, "*.json"))
+			if err != nil {
+				return err
+			}
+			sort.Strings(dumps)
+			files = append(files, dumps...)
+		default:
+			files = append(files, p)
+		}
+	}
+	docs := make([][]byte, len(files))
+	for i, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			return err
+		}
+		docs[i] = data
+	}
+	events, err := trace.ParseChromeTraces(docs...)
+	if err != nil {
+		return fmt.Errorf("analyze %s: %w", path, err)
+	}
+	rep, err := trace.Analyze(events)
+	if err != nil {
+		return err
+	}
+	rep.Format(os.Stdout)
 	return nil
 }
 

@@ -270,7 +270,7 @@ func (l *ffLoop) run(startRound int) error {
 	result := l.result
 	log := obsv.Or(opts.Log).With("run", fmt.Sprintf("ffmr-%s", opts.Variant))
 	// Live progress gauges/counters: published to the tracer's registry
-	// as each round completes, so /metrics and the watch dashboard track
+	// as each round completes, so /metrics scrapes track
 	// the run in flight (nil-safe when no tracer is configured).
 	reg := l.tr.Registry()
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -190,5 +191,45 @@ func TestDistributedMetricsEndpointParity(t *testing.T) {
 	}
 	if got := parsed[obsv.MetricName(trace.GaugeFFMaxFlow)]; got != res.MaxFlow {
 		t.Errorf("max-flow gauge = %d, want %d", got, res.MaxFlow)
+	}
+}
+
+// TestFaultFreeDistributedRunRecordsNoEvents: decisions are events, and
+// a fault-free FF5 run on the distributed backend makes none — routine
+// progress stays slog-only, so a clean run's trace carries exactly the
+// spans it did before events existed.
+func TestFaultFreeDistributedRunRecordsNoEvents(t *testing.T) {
+	defer leakcheck.Check(t)()
+
+	in, err := graphgen.WattsStrogatz(160, 6, 0.1, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Source, in.Sink = graphgen.PickEndpoints(in)
+	graphgen.RandomCapacities(in, 5, 42)
+
+	tr := trace.New()
+	h, err := distmr.StartHarness(distmr.HarnessConfig{Workers: 3, Tracer: tr})
+	if err != nil {
+		t.Fatalf("StartHarness: %v", err)
+	}
+	defer h.Close()
+	distC := testCluster(3)
+	distC.Distributed = h.Master
+	if _, err := Run(distC, in, Options{Variant: FF5, Tracer: tr}); err != nil {
+		t.Fatalf("distributed run: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	events, err := trace.ParseChromeTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if e.Cat == trace.CatEvent {
+			t.Errorf("fault-free run recorded event %q %v", e.Name, e.Args)
+		}
 	}
 }

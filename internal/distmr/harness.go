@@ -26,7 +26,7 @@ type HarnessConfig struct {
 	// worker processes on a known address.
 	Master Config
 	// Tracer is handed to the master. Workers own private tracers whose
-	// spans and histograms ship back on heartbeats (DESIGN.md §14), so
+	// spans and histograms ship back on heartbeats (DESIGN.md §9), so
 	// the master's trace ends up showing both sides either way.
 	Tracer *trace.Tracer
 	// NewStore builds each worker's segment store (default in-memory).

@@ -49,7 +49,7 @@ const (
 	// how well the batching amortizes the per-completion RPC tax.
 	CounterCompletionBatches = "distmr completion batches"
 
-	// Latency histogram names (nanoseconds, DESIGN.md §14). The worker-
+	// Latency histogram names (nanoseconds, DESIGN.md §9). The worker-
 	// side ones are recorded on each worker's private registry and merged
 	// into the cluster registry — under the same names — as absolute
 	// snapshots shipped on heartbeats; the master-side ones are recorded
@@ -97,9 +97,9 @@ type Config struct {
 	// failing (default 30s).
 	WorkerWait time.Duration
 	// DeadRetention is how long a dead or drained worker's registry entry
-	// survives for /status and the dashboard before the janitor expires
-	// it (default 10 heartbeat intervals). Without expiry the snapshot
-	// would list dead workers until job end.
+	// survives for /status before the janitor expires it (default 10
+	// heartbeat intervals). Without expiry the snapshot would list dead
+	// workers until job end.
 	DeadRetention time.Duration
 	// DisablePrefetch turns off the pipelined shuffle: no prefetch hints
 	// are pushed as map winners complete, and reduces fetch all their
@@ -120,8 +120,8 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Obsv configures the master's observability surface: structured
 	// logging, the admin HTTP server (/metrics, /healthz, /status,
-	// /debug/pprof) and the flight recorder. The zero value disables all
-	// of it at no cost.
+	// /flight, /debug/pprof) and where an injected crash dumps the
+	// master's tracer. The zero value disables all of it at no cost.
 	Obsv obsv.Options
 }
 
@@ -164,8 +164,8 @@ func (c *Config) applyDefaults() {
 // handle exists, so a registered worker is always reachable). Only live
 // workers are schedulable; a draining worker finishes its running
 // attempts and serves fetches but receives no new leases. Dead and
-// drained handles linger for DeadRetention so /status and the dashboard
-// can show the transition, then the janitor expires them.
+// drained handles linger for DeadRetention so /status can show the
+// transition, then the janitor expires them.
 type workerState uint8
 
 const (
@@ -216,7 +216,7 @@ type workerHandle struct {
 	gRunning *trace.Gauge
 	gStoreB  *trace.Gauge
 
-	// Telemetry-shipping state (§14). Worker beats are synchronous (one
+	// Telemetry-shipping state (§9). Worker beats are synchronous (one
 	// in flight per worker), but telMu still guards this block: a
 	// re-registration hands the maps to the successor handle while a last
 	// stale beat may be in the handler. lastSpanSeq dedups at-least-once
@@ -242,11 +242,10 @@ func (w *workerHandle) alive() bool {
 // mapreduce.Backend, so assigning it to Cluster.Distributed routes every
 // Cluster.Run through it.
 type Master struct {
-	cfg    Config
-	ln     net.Listener
-	log    *slog.Logger
-	admin  *obsv.Admin
-	flight *obsv.FlightRecorder
+	cfg   Config
+	ln    net.Listener
+	log   *slog.Logger
+	admin *obsv.Admin
 	// instance is this master instance's nonce, handed to workers at
 	// registration and echoed in every heartbeat. Worker ids restart at 1
 	// per instance, so after a master restart a stale worker's old id can
@@ -261,7 +260,7 @@ type Master struct {
 	jobSeq    uint64
 	conns     map[net.Conn]struct{}
 	fs        *dfs.FS
-	reg       *trace.Registry
+	tracer    *trace.Tracer // the cluster's once a job has run, the config's before
 	shut      bool
 	jobActive bool // a jobRun owns drain completion while true
 
@@ -307,14 +306,6 @@ func NewMaster(cfg Config) (*Master, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distmr: master listen: %w", err)
 	}
-	var flight *obsv.FlightRecorder
-	if cfg.Obsv.FlightDir != "" {
-		flight = obsv.NewFlightRecorder("master", cfg.Obsv.FlightSize)
-	}
-	var next slog.Handler
-	if cfg.Obsv.Logger != nil {
-		next = cfg.Obsv.Logger.Handler()
-	}
 	// The instance nonce distinguishes master generations: heartbeats
 	// carrying another generation's nonce are answered Unknown (so workers
 	// re-register), and seeding jobSeq from it keeps job sequence numbers
@@ -327,13 +318,12 @@ func NewMaster(cfg Config) (*Master, error) {
 	m := &Master{
 		cfg:      cfg,
 		ln:       ln,
-		log:      slog.New(flight.Handler(next)).With("role", "master"),
-		flight:   flight,
+		log:      obsv.Or(cfg.Obsv.Logger).With("role", "master"),
 		instance: nonce,
 		jobSeq:   nonce,
 		workers:  make(map[uint64]*workerHandle),
 		conns:    make(map[net.Conn]struct{}),
-		reg:      cfg.Tracer.Registry(),
+		tracer:   cfg.Tracer,
 		shutCh:   make(chan struct{}),
 	}
 	srv := rpc.NewServer()
@@ -343,11 +333,10 @@ func NewMaster(cfg Config) (*Master, error) {
 	}
 	if cfg.Obsv.AdminAddr != "" {
 		admin, err := obsv.StartAdmin(obsv.AdminConfig{
-			Addr:    cfg.Obsv.AdminAddr,
-			Metrics: m.registry,
-			Status:  m.Status,
-			Flight:  flight,
-			Logger:  m.log,
+			Addr:   cfg.Obsv.AdminAddr,
+			Tracer: m.currentTracer,
+			Status: m.Status,
+			Logger: m.log,
 		})
 		if err != nil {
 			ln.Close()
@@ -440,19 +429,18 @@ func (m *Master) Crash() {
 // workers.
 func (m *Master) stopMaster(graceful bool) {
 	m.shutOnce.Do(func() {
-		reason := "shutdown"
-		if !graceful {
-			reason = "crash"
-			m.log.Error("master crashing (injected)")
-		} else {
+		if graceful {
 			m.log.Info("master shutting down")
-		}
-		m.admin.Close()
-		if m.flight != nil && m.cfg.Obsv.FlightDir != "" {
-			if _, err := m.flight.Dump(m.cfg.Obsv.FlightDir, reason); err != nil {
-				m.log.Warn("flight dump failed", "err", err)
+		} else {
+			tr := m.currentTracer()
+			decide(m.log, tr, nil, slog.LevelError, "injected master crash")
+			if dir := m.cfg.Obsv.FlightDir; dir != "" && tr != nil {
+				if _, err := writeDump(tr, dir, "master", "crash"); err != nil {
+					m.log.Warn("trace dump failed", "err", err)
+				}
 			}
 		}
+		m.admin.Close()
 		m.mu.Lock()
 		m.shut = true
 		workers := make([]*workerHandle, 0, len(m.workers))
@@ -485,13 +473,16 @@ func (m *Master) stopMaster(graceful bool) {
 	})
 }
 
-// registry returns the current trace registry (the cluster's once a job
-// has run, the config's before). All registry methods are nil-safe.
-func (m *Master) registry() *trace.Registry {
+// currentTracer returns the current tracer (the cluster's once a job has
+// run, the config's before; possibly nil). All its methods are nil-safe.
+func (m *Master) currentTracer() *trace.Tracer {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.reg
+	return m.tracer
 }
+
+// registry returns the current tracer's registry.
+func (m *Master) registry() *trace.Registry { return m.currentTracer().Registry() }
 
 // setJobStatus publishes (or, with nil, retires) the running job's status
 // snapshot for the admin server, along with the scheduler's live idle-
@@ -539,7 +530,7 @@ func (m *Master) Status() *obsv.ClusterStatus {
 			State:      w.state.String(),
 		})
 	}
-	reg := m.reg
+	reg := m.tracer.Registry()
 	m.mu.Unlock()
 	m.statusMu.Lock()
 	st.Job = m.jobStatus
@@ -616,7 +607,11 @@ func (m *Master) markDead(w *workerHandle) {
 	reg := m.registry()
 	reg.Counter(CounterWorkerDeaths).Add(1)
 	reg.Gauge(GaugeWorkersAlive).Set(int64(m.LiveWorkers()))
-	m.log.Warn("worker declared dead", "worker", w.id, "addr", w.addr,
+	tr, parent := m.currentTracer(), (*trace.Span)(nil)
+	if jr := m.getSink(); jr != nil {
+		tr, parent = jr.tracer, jr.jobSpan
+	}
+	decide(m.log, tr, parent, slog.LevelWarn, "worker declared dead", "worker", w.id, "addr", w.addr,
 		"alive", m.LiveWorkers())
 }
 
@@ -729,7 +724,7 @@ func (m *Master) completeIdleDrains() {
 }
 
 // expireDead removes dead and drained workers from the registry after
-// DeadRetention, so /status and the dashboard stop listing them. The
+// DeadRetention, so /status stops listing them. The
 // scheduler holds its own handle pointers, so expiry never invalidates
 // an in-flight lease's bookkeeping.
 func (m *Master) expireDead() {
@@ -927,15 +922,15 @@ func (s *masterService) Heartbeat(hb *Heartbeat, reply *HeartbeatReply) error {
 		w.hbTasksDone = hb.TasksDone
 		w.hbStoreBytes = hb.StoreBytes
 		w.hbPrefetched = hb.Prefetched
-		if w.gaugeReg != m.reg {
-			w.gaugeReg = m.reg
-			w.gRunning = m.reg.Gauge(fmt.Sprintf("distmr worker %d running", w.id))
-			w.gStoreB = m.reg.Gauge(fmt.Sprintf("distmr worker %d store bytes", w.id))
+		if reg := m.tracer.Registry(); w.gaugeReg != reg {
+			w.gaugeReg = reg
+			w.gRunning = reg.Gauge(fmt.Sprintf("distmr worker %d running", w.id))
+			w.gStoreB = reg.Gauge(fmt.Sprintf("distmr worker %d store bytes", w.id))
 		}
 		gRunning, gStoreB = w.gRunning, w.gStoreB
 	}
 	shut := m.shut
-	reg := m.reg
+	reg := m.tracer.Registry()
 	m.mu.Unlock()
 	reply.Shutdown = shut
 	if !healthy {
@@ -966,7 +961,7 @@ func (s *masterService) Heartbeat(hb *Heartbeat, reply *HeartbeatReply) error {
 	return nil
 }
 
-// importTelemetry merges one beat's shipped telemetry (§14): the clock
+// importTelemetry merges one beat's shipped telemetry (§9): the clock
 // offset estimate is refreshed from the lowest-RTT sample, counter and
 // histogram snapshots are diffed against the worker's last-seen values
 // and the deltas merged into the current registry, and span batches —
@@ -1071,8 +1066,8 @@ func (m *Master) RunJob(c *mapreduce.Cluster, job *mapreduce.Job) (*mapreduce.Re
 	m.jobSeq++
 	seq := m.jobSeq
 	m.jobActive = true
-	if reg := c.Tracer.Registry(); reg != nil {
-		m.reg = reg
+	if c.Tracer != nil {
+		m.tracer = c.Tracer
 	}
 	m.mu.Unlock()
 

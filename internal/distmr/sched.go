@@ -451,7 +451,7 @@ func (jr *jobRun) launch(ts *taskState, w *workerHandle, backup bool) {
 	if backup {
 		ts.specDone = true
 		jr.m.registry().Counter(CounterBackups).Add(1)
-		jr.log.Info("speculative backup launched",
+		jr.decide(slog.LevelInfo, "speculative backup launched",
 			"phase", ts.ph.String(), "task", ts.task, "assign", assign, "worker", w.id)
 	} else if !ts.enqueuedAt.IsZero() {
 		// Queue wait: enqueue to dispatch. Backups never queued, and a
@@ -565,7 +565,13 @@ func (jr *jobRun) descriptor(ts *taskState, assign int) *TaskDescriptor {
 	return d
 }
 
-// ctx is the trace position every descriptor of this job carries (§14):
+// decide reports a job-level decision to slog and as an event on the job
+// span (see decide).
+func (jr *jobRun) decide(level slog.Level, msg string, kv ...any) {
+	decide(jr.log, jr.tracer, jr.jobSpan, level, msg, kv...)
+}
+
+// ctx is the trace position every descriptor of this job carries (§9):
 // worker-recorded root spans stitch under the job span named here.
 func (jr *jobRun) ctx() trace.Context {
 	return trace.Context{
@@ -674,7 +680,7 @@ func (jr *jobRun) handle(ev event) error {
 		}
 		jr.counters.Add("task failures", 1)
 		ts.lastErr = errors.New(res.Err)
-		jr.log.Warn("task attempt failed",
+		jr.decide(slog.LevelWarn, "task attempt failed",
 			"phase", ts.ph.String(), "task", ts.task, "attempt", ts.attempt,
 			"worker", ev.w.id, "err", res.Err)
 		ts.attempt++
@@ -686,7 +692,7 @@ func (jr *jobRun) handle(ev event) error {
 		// The shuffle fetch failed: those map outputs died with their
 		// worker. Park the reduce, re-run the maps, re-dispatch when the
 		// outputs exist again.
-		jr.log.Warn("shuffle fetch lost map outputs",
+		jr.decide(slog.LevelWarn, "shuffle fetch lost map outputs",
 			"reduce", ts.task, "worker", ev.w.id, "lost_maps", len(res.LostMaps))
 		ts.parked = true
 		for i, mt := range res.LostMaps {
@@ -744,7 +750,7 @@ func (jr *jobRun) leaseFailed(ts *taskState, d *dispatch, assign int, err error)
 		return
 	}
 	jr.m.registry().Counter(CounterReassigns).Add(1)
-	jr.log.Warn("lease failed, reassigning",
+	jr.decide(slog.LevelWarn, "lease failed, reassigning",
 		"phase", ts.ph.String(), "task", ts.task, "assign", assign,
 		"worker", d.w.id, "err", err)
 	jr.enqueue(ts)
@@ -855,7 +861,7 @@ func (jr *jobRun) invalidateMap(mt int, from uint64) {
 		// re-executing the map — the drain invariant, applied to a crash.
 		ts.handoff = true
 		jr.m.registry().Counter(CounterHandoffSegments).Add(1)
-		jr.log.Info("lost map served from persisted state", "map", mt, "worker", from)
+		jr.decide(slog.LevelInfo, "lost map served from persisted state", "map", mt, "worker", from)
 		return
 	}
 	if ts.winnerW != nil && ts.winnerW.id != from {
@@ -866,7 +872,7 @@ func (jr *jobRun) invalidateMap(mt int, from uint64) {
 	ts.winnerW = nil
 	jr.mapsDone--
 	jr.m.registry().Counter(CounterLostMapRecoveries).Add(1)
-	jr.log.Warn("re-running map with lost outputs", "map", mt, "worker", from)
+	jr.decide(slog.LevelWarn, "re-running map with lost outputs", "map", mt, "worker", from)
 	jr.enqueue(ts)
 }
 
@@ -927,19 +933,19 @@ func (jr *jobRun) handoffWorker(w *workerHandle) bool {
 	if len(names) > 0 {
 		reply := &HandoffReply{}
 		if err := w.client.Call("Worker.Handoff", &HandoffDescriptor{JobSeq: jr.seq, Segments: names}, reply); err != nil {
-			jr.log.Warn("drain hand-off failed; treating worker as dead", "worker", w.id, "err", err)
+			jr.decide(slog.LevelWarn, "drain hand-off failed; treating worker as dead", "worker", w.id, "err", err)
 			jr.m.markDead(w)
 			return false
 		}
 		if len(reply.Data) != len(names) {
-			jr.log.Warn("drain hand-off returned short data; treating worker as dead",
+			jr.decide(slog.LevelWarn, "drain hand-off returned short data; treating worker as dead",
 				"worker", w.id, "want", len(names), "got", len(reply.Data))
 			jr.m.markDead(w)
 			return false
 		}
 		for i, name := range names {
 			if err := jr.c.FS.WriteFile(jr.segPrefix+name, reply.Data[i]); err != nil {
-				jr.log.Warn("drain hand-off DFS write failed; will retry", "worker", w.id, "err", err)
+				jr.decide(slog.LevelWarn, "drain hand-off DFS write failed; will retry", "worker", w.id, "err", err)
 				return false
 			}
 		}
@@ -949,7 +955,7 @@ func (jr *jobRun) handoffWorker(w *workerHandle) bool {
 		ts.handoff = true
 	}
 	if len(tasks) > 0 {
-		jr.log.Info("drain hand-off complete", "worker", w.id,
+		jr.decide(slog.LevelInfo, "drain hand-off complete", "worker", w.id,
 			"maps", len(tasks), "segments", len(names))
 	}
 	return true

@@ -12,7 +12,7 @@ import (
 // TestSpanShippingStitchesWorkerSpans runs a job through the harness and
 // asserts the master's trace ends up holding worker-recorded task and
 // shuffle-fetch spans stitched under the master's job span — the whole
-// DESIGN.md §14 pipeline over the real wire: worker tracer drain →
+// DESIGN.md §9 pipeline over the real wire: worker tracer drain →
 // at-least-once heartbeat batches → master dedup → clock-offset import.
 // Worker registry histograms must land in the master registry the same
 // way. Runs under -race in CI; leakcheck pins goroutine hygiene.

@@ -164,7 +164,7 @@ type Heartbeat struct {
 	// Together they give the master one clock-offset sample per beat
 	// (offset = recv - (sent + rtt/2)); the master keeps the sample with
 	// the smallest RTT, whose midpoint error is tightest, and uses it to
-	// place shipped span timestamps on its own clock (DESIGN.md §14).
+	// place shipped span timestamps on its own clock (DESIGN.md §9).
 	SentUnixNano int64
 	RTTNanos     int64
 	// SpanBatches carry drained trace spans under the same at-least-once
@@ -213,7 +213,7 @@ type PrefetchDescriptor struct {
 // added PrefetchDescriptor. Version 4 added trace-context propagation
 // (TaskDescriptor.Ctx, PrefetchDescriptor.Ctx) and telemetry shipping
 // on heartbeats (SentUnixNano/RTTNanos clock samples, SpanBatches, and
-// absolute Counter/Hist snapshots — wire_span.go, DESIGN.md §14).
+// absolute Counter/Hist snapshots — wire_span.go, DESIGN.md §9).
 // Version 5 added Segment.Offset: a spill is one object and a segment a
 // range of it.
 // Decoders accept exactly the current version: master and workers ship

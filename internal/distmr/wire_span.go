@@ -11,7 +11,7 @@ import (
 
 // Wire encoding for the telemetry-shipping payloads that ride heartbeats
 // since wire version 4: drained trace spans (SpanBatch), and absolute
-// counter/histogram snapshots of the worker's registry. DESIGN.md §14
+// counter/histogram snapshots of the worker's registry. DESIGN.md §9
 // specifies the protocol; the framing follows the §13 conventions
 // (version byte on standalone frames, uvarint counts bounded by the
 // remaining input, canonical field order).
@@ -144,7 +144,7 @@ func DecodeSpanBatch(data []byte) (*SpanBatch, error) {
 	return sb, nil
 }
 
-// appendCtx appends a trace context (four varints, §14 frame order).
+// appendCtx appends a trace context (four varints, §9 frame order).
 func appendCtx(b []byte, c *trace.Context) []byte {
 	b = binary.AppendVarint(b, c.Run)
 	b = binary.AppendVarint(b, c.Job)

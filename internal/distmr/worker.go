@@ -7,8 +7,9 @@ import (
 	"net"
 	"net/rpc"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,11 +48,11 @@ type WorkerConfig struct {
 	PrefetchDepth int
 	// DialPolicy configures all of the worker's outbound dials.
 	DialPolicy rpcutil.Policy
-	// Obsv configures the worker's observability surface. FlightDir arms
-	// the per-worker flight recorder: a bounded ring of recent log events
-	// that is flushed there when the worker dies from an injected crash,
-	// for cmd/ffmr -postmortem to render. AdminAddr starts a per-worker
-	// admin HTTP server. The zero value disables all of it at no cost.
+	// Obsv configures the worker's observability surface. FlightDir is
+	// where a worker that dies from an injected crash writes its tracer's
+	// dump, for `ffmr -analyze` to merge with the run's trace. AdminAddr
+	// starts a per-worker admin HTTP server. The zero value disables all
+	// of it at no cost.
 	Obsv obsv.Options
 }
 
@@ -71,12 +72,11 @@ type Worker struct {
 	master  atomic.Pointer[rpc.Client]
 	hbEvery time.Duration
 	log     *slog.Logger
-	flight  *obsv.FlightRecorder
 	admin   *obsv.Admin
 	// tracer is the worker's private tracer: task, spill and shuffle
 	// spans are recorded here with their remote trace.Context attached,
 	// drained in complete subtrees, and shipped to the master on
-	// heartbeats (DESIGN.md §14). Its registry also backs the worker
+	// heartbeats (DESIGN.md §9). Its registry also backs the worker
 	// admin server's /metrics and carries the worker-side histograms.
 	tracer *trace.Tracer
 
@@ -176,19 +176,10 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distmr: worker listen: %w", err)
 	}
-	var flight *obsv.FlightRecorder
-	if cfg.Obsv.FlightDir != "" {
-		flight = obsv.NewFlightRecorder("worker", cfg.Obsv.FlightSize)
-	}
-	var next slog.Handler
-	if cfg.Obsv.Logger != nil {
-		next = cfg.Obsv.Logger.Handler()
-	}
 	w := &Worker{
 		cfg:        cfg,
 		ln:         ln,
-		log:        slog.New(flight.Handler(next)).With("role", "worker"),
-		flight:     flight,
+		log:        obsv.Or(cfg.Obsv.Logger).With("role", "worker"),
 		tracer:     trace.New(),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -219,14 +210,12 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		w.hbEvery = 100 * time.Millisecond
 	}
 	w.log = w.log.With("worker", w.id.Load())
-	w.flight.SetSource(fmt.Sprintf("worker-%d", w.id.Load()))
 	if cfg.Obsv.AdminAddr != "" {
 		admin, err := obsv.StartAdmin(obsv.AdminConfig{
-			Addr:    cfg.Obsv.AdminAddr,
-			Metrics: func() *trace.Registry { return w.tracer.Registry() },
-			Status:  w.Status,
-			Flight:  flight,
-			Logger:  w.log,
+			Addr:   cfg.Obsv.AdminAddr,
+			Tracer: func() *trace.Tracer { return w.tracer },
+			Status: w.Status,
+			Logger: w.log,
 		})
 		if err != nil {
 			w.die(false)
@@ -296,9 +285,9 @@ func (w *Worker) Draining() bool { return w.draining.Load() }
 // changing any task outcome. Zero removes the delay.
 func (w *Worker) SetTaskDelay(d time.Duration) { w.taskDelay.Store(int64(d)) }
 
-// Kill terminates the worker the way an injected crash does: flight
-// recorder dumped, OnDeath fired, no goodbye to the master. Chaos
-// schedules use it to fell a specific worker at a specific moment.
+// Kill terminates the worker the way an injected crash does: trace
+// dumped, OnDeath fired, no goodbye to the master. Chaos schedules use
+// it to fell a specific worker at a specific moment.
 func (w *Worker) Kill() { w.die(true) }
 
 // Drain asks the master to retire this worker gracefully: no new leases
@@ -370,22 +359,29 @@ func (w *Worker) Close() error {
 }
 
 // die is the single teardown path. crash marks an injected death, which
-// additionally fires OnDeath; in both cases every held resource closes
-// so leak checks stay clean.
-func (w *Worker) die(crash bool) {
+// additionally records the crash (kv names the task it struck) and fires
+// OnDeath; in both cases every held resource closes so leak checks stay
+// clean.
+func (w *Worker) die(crash bool, kv ...any) {
 	w.closeOnce.Do(func() {
 		w.dead.Store(true)
+		w.spanMu.Lock()
+		lost := len(w.spanBatches)
+		w.spanMu.Unlock()
+		if lost > 0 {
+			w.tracer.Registry().Counter(CounterSpanBatchesLost).Add(int64(lost))
+		}
 		if crash {
 			w.crashed.Store(true)
-			// The crash note lands in the ring before the dump, so the
-			// rendered timeline ends with the cause of death.
-			w.log.Error("injected worker crash",
-				"running", w.running.Load(), "tasks_done", w.tasksDone.Load())
-			if w.flight != nil && w.cfg.Obsv.FlightDir != "" {
-				if path, err := w.flight.Dump(w.cfg.Obsv.FlightDir, "crash"); err != nil {
-					w.log.Warn("flight dump failed", "err", err)
+			// The crash event is recorded before the dump, so the dump's
+			// timeline ends with the cause of death.
+			kv = append(kv, "running", w.running.Load(), "tasks_done", w.tasksDone.Load())
+			decide(w.log, w.tracer, nil, slog.LevelError, "injected worker crash", kv...)
+			if dir := w.cfg.Obsv.FlightDir; dir != "" {
+				if path, err := writeDump(w.tracer, dir, fmt.Sprintf("worker-%d", w.id.Load()), "crash"); err != nil {
+					w.log.Warn("trace dump failed", "err", err)
 				} else {
-					w.log.Info("flight recorder dumped", "path", path)
+					w.log.Info("trace dumped", "path", path)
 				}
 			}
 		} else {
@@ -493,30 +489,21 @@ func (w *Worker) drainSpans() {
 }
 
 // telemetrySamples snapshots the worker registry's counters and
-// histograms as absolute values for one beat. The master diffs each
+// histograms as absolute values for one beat, appending to counters and
+// hists (the previous beat's slices, reused). The master diffs each
 // against its last-seen snapshot for this worker before merging, so a
 // beat resent after a lost acknowledgement merges nothing twice
-// (DESIGN.md §14). Sorted for deterministic wire bytes.
-func (w *Worker) telemetrySamples() ([]MetricSample, []HistSample) {
+// (DESIGN.md §9). Sorted for deterministic wire bytes.
+func (w *Worker) telemetrySamples(counters []MetricSample, hists []HistSample) ([]MetricSample, []HistSample) {
 	reg := w.tracer.Registry()
-	cs := reg.CounterSnapshot()
-	var counters []MetricSample
-	if len(cs) > 0 {
-		counters = make([]MetricSample, 0, len(cs))
-		for name, v := range cs {
-			counters = append(counters, MetricSample{Name: name, Value: v})
-		}
-		sort.Slice(counters, func(i, j int) bool { return counters[i].Name < counters[j].Name })
+	for name, v := range reg.CounterSnapshot() {
+		counters = append(counters, MetricSample{Name: name, Value: v})
 	}
-	hs := reg.HistogramSnapshot()
-	var hists []HistSample
-	if len(hs) > 0 {
-		hists = make([]HistSample, 0, len(hs))
-		for name, hv := range hs {
-			hists = append(hists, HistSample{Name: name, Count: hv.Count, Sum: hv.Sum, Buckets: hv.Buckets})
-		}
-		sort.Slice(hists, func(i, j int) bool { return hists[i].Name < hists[j].Name })
+	slices.SortFunc(counters, func(a, b MetricSample) int { return strings.Compare(a.Name, b.Name) })
+	for name, hv := range reg.HistogramSnapshot() {
+		hists = append(hists, HistSample{Name: name, Count: hv.Count, Sum: hv.Sum, Buckets: hv.Buckets})
 	}
+	slices.SortFunc(hists, func(a, b HistSample) int { return strings.Compare(a.Name, b.Name) })
 	return counters, hists
 }
 
@@ -558,7 +545,7 @@ func (w *Worker) heartbeatLoop() {
 		w.spanMu.Lock()
 		batches := w.spanBatches[:len(w.spanBatches):len(w.spanBatches)]
 		w.spanMu.Unlock()
-		counters, hists := w.telemetrySamples()
+		counters, hists := w.telemetrySamples(hb.Counters[:0], hb.Hists[:0])
 		hb = Heartbeat{
 			Worker:       w.id.Load(),
 			Instance:     w.instance.Load(),
@@ -591,7 +578,7 @@ func (w *Worker) heartbeatLoop() {
 		if err == nil {
 			// The measured round-trip rides the NEXT beat: the master pairs
 			// it with that beat's send timestamp to estimate this worker's
-			// clock offset (midpoint model, DESIGN.md §14).
+			// clock offset (midpoint model, DESIGN.md §9).
 			lastRTT = time.Since(t0).Nanoseconds()
 			rttHist.Observe(lastRTT)
 		}
@@ -798,8 +785,6 @@ func (s *workerService) StartTask(desc *TaskDescriptor, _ *Empty) error {
 	if w.dead.Load() {
 		return fmt.Errorf("distmr: worker %d is dead", w.id.Load())
 	}
-	// Debug-level, but always captured by the flight recorder's tee: the
-	// crash dump below then ends with the task the worker was handed.
 	w.log.Debug("task received",
 		"job", desc.JobName, "phase", desc.Phase.String(),
 		"task", desc.Task, "attempt", desc.Attempt, "assign", desc.Assign)
@@ -811,7 +796,8 @@ func (s *workerService) StartTask(desc *TaskDescriptor, _ *Empty) error {
 	// transport error on this very call.
 	if desc.CrashRate > 0 &&
 		mapreduce.InjectHash(desc.Seed, desc.JobName, desc.Phase.String()+"-crash", desc.Task, desc.Assign) < desc.CrashRate {
-		w.die(true)
+		w.die(true, "job", desc.JobName, "phase", desc.Phase.String(),
+			"task", desc.Task, "attempt", desc.Attempt)
 		return fmt.Errorf("distmr: worker %d crashed", w.id.Load())
 	}
 	w.running.Add(1)
@@ -861,7 +847,7 @@ func (w *Worker) execute(desc *TaskDescriptor) {
 	w.tracer.Registry().Histogram(HistTaskServiceNS).Observe(res.DurNanos)
 	if res.Err != "" {
 		sp.SetStr("error", res.Err)
-		w.log.Warn("task failed",
+		decide(w.log, w.tracer, sp, slog.LevelWarn, "task failed",
 			"job", desc.JobName, "phase", desc.Phase.String(),
 			"task", desc.Task, "attempt", desc.Attempt, "err", res.Err)
 	} else if len(res.LostMaps) == 0 {
@@ -895,6 +881,7 @@ func (s *workerService) Prefetch(p *PrefetchDescriptor, _ *Empty) error {
 	select {
 	case w.prefetchCh <- p:
 	default:
+		w.tracer.Registry().Counter(CounterPrefetchShed).Add(1)
 		w.log.Debug("prefetch hint dropped, queue full", "job", p.JobSeq)
 	}
 	return nil

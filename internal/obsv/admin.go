@@ -15,16 +15,14 @@ import (
 type AdminConfig struct {
 	// Addr is the listen address (default 127.0.0.1:0).
 	Addr string
-	// Metrics supplies the registry /metrics is rendered from on every
-	// scrape. A func rather than a value because the distributed master
-	// swaps registries when a job installs the cluster's tracer. Nil (or
-	// returning nil) serves an empty exposition.
-	Metrics func() *trace.Registry
+	// Tracer supplies the tracer whose registry /metrics renders on every
+	// scrape and whose dump /flight serves — the live view of what a
+	// crash dump would contain. A func rather than a value because the
+	// distributed master swaps tracers when a job installs the cluster's.
+	// Nil (or returning nil) serves an empty exposition and dump.
+	Tracer func() *trace.Tracer
 	// Status supplies the /status payload (nil: an empty object).
 	Status func() *ClusterStatus
-	// Flight, when non-nil, is served on /flight as the current ring
-	// contents — the live view of what a crash dump would contain.
-	Flight *FlightRecorder
 	// Logger logs serve errors (nil: silent).
 	Logger *slog.Logger
 }
@@ -41,6 +39,20 @@ type Admin struct {
 // drain then hard close) is the shared rpcutil HTTP harness.
 func StartAdmin(cfg AdminConfig) (*Admin, error) {
 	log := Or(cfg.Logger)
+	tracer := func() *trace.Tracer {
+		if cfg.Tracer == nil {
+			return nil
+		}
+		return cfg.Tracer()
+	}
+	status := func() *ClusterStatus {
+		if cfg.Status != nil {
+			if s := cfg.Status(); s != nil {
+				return s
+			}
+		}
+		return &ClusterStatus{}
+	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -49,31 +61,21 @@ func StartAdmin(cfg AdminConfig) (*Admin, error) {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		var reg *trace.Registry
-		if cfg.Metrics != nil {
-			reg = cfg.Metrics()
-		}
-		if err := WriteMetrics(w, reg); err != nil {
+		if err := WriteMetrics(w, tracer().Registry()); err != nil {
 			log.Warn("metrics write failed", "err", err)
 		}
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
-		st := &ClusterStatus{}
-		if cfg.Status != nil {
-			if s := cfg.Status(); s != nil {
-				st = s
-			}
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(st); err != nil {
+		if err := enc.Encode(status()); err != nil {
 			log.Warn("status write failed", "err", err)
 		}
 	})
 	mux.HandleFunc("/flight", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/jsonl")
-		if err := cfg.Flight.WriteDump(w); err != nil {
+		w.Header().Set("Content-Type", "application/json")
+		if err := tracer().WriteDump(w, status().Role, "live"); err != nil {
 			log.Warn("flight write failed", "err", err)
 		}
 	})

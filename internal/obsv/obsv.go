@@ -1,28 +1,25 @@
 // Package obsv is the live observability layer of the FFMR repo: where
-// internal/trace records what a run *did* (spans and counters exported
-// after completion), obsv shows what the system is doing *right now*,
-// the role Hadoop's live counters and job UI played for the paper's
-// measurements.
+// internal/trace records what a run *did* — spans, decision events and
+// crash dumps, the one authoritative record — obsv shows what the
+// system is doing *right now*, the role Hadoop's live counters and job
+// UI played for the paper's measurements.
 //
-// It provides four pieces, all optional and all off in the zero state:
+// It provides two pieces, both optional and both off in the zero state:
 //
-//   - structured logging: log/slog loggers with contextual fields
-//     (run/round/job/task/worker/exec) threaded through the engines, with
-//     a shared no-op logger so instrumented code never nil-checks;
+//   - structured logging for humans: log/slog loggers with contextual
+//     fields (run/round/job/task/worker/exec) threaded through the
+//     engines, with a shared no-op logger so instrumented code never
+//     nil-checks;
 //   - an admin HTTP server exposing /metrics (Prometheus text exposition
 //     backed by the live trace.Registry), /healthz, /status (JSON view
-//     of workers, leases and job progress) and /debug/pprof;
-//   - a terminal dashboard (the -watch flag) rendering round progress,
-//     counters and scheduler decisions as they happen;
-//   - a flight recorder: a bounded ring of recent events per worker,
-//     flushed to disk on a crash and rendered into a merged post-mortem
-//     timeline by RenderPostmortem (cmd/ffmr -postmortem).
+//     of workers, leases and job progress), /flight (a live trace dump)
+//     and /debug/pprof.
 //
-// The package depends only on the standard library and internal/trace.
-// Every entry point tolerates its zero value: a nil *slog.Logger becomes
-// the no-op logger via Or, a nil *FlightRecorder records nothing, and an
-// empty Options starts no servers, so the instrumented hot paths cost
-// one predictable branch when observability is disabled.
+// The package depends only on the standard library, internal/rpcutil and
+// internal/trace. Every entry point tolerates its zero value: a nil
+// *slog.Logger becomes the no-op logger via Or, and an empty Options
+// starts no servers, so the instrumented hot paths cost one predictable
+// branch when observability is disabled.
 package obsv
 
 import (
@@ -41,16 +38,9 @@ type Options struct {
 	// AdminAddr, when non-empty, serves /metrics, /healthz, /status and
 	// /debug/pprof on that address ("127.0.0.1:0" for an ephemeral port).
 	AdminAddr string
-	// FlightDir, when non-empty, arms a flight recorder whose ring is
-	// flushed into this directory when the component crashes.
+	// FlightDir, when non-empty, is where a component that dies from an
+	// injected crash writes its tracer's dump (trace.Tracer.WriteDump).
 	FlightDir string
-	// FlightSize bounds the flight recorder ring (default 256 events).
-	FlightSize int
-}
-
-// Enabled reports whether any observability feature is configured.
-func (o *Options) Enabled() bool {
-	return o.Logger != nil || o.AdminAddr != "" || o.FlightDir != ""
 }
 
 // nopHandler is a slog.Handler that drops everything. Enabled returns
@@ -80,8 +70,7 @@ func Or(l *slog.Logger) *slog.Logger {
 
 // NewLogger builds a logger writing to w in the given format ("text" or
 // "json") at the given minimum level. An unknown format falls back to
-// text. Timestamps are kept: live logs are for operators, and the
-// post-mortem timeline needs them to merge sources.
+// text. Timestamps are kept: live logs are for operators.
 func NewLogger(w io.Writer, format string, level slog.Level) *slog.Logger {
 	opts := &slog.HandlerOptions{Level: level}
 	var h slog.Handler

@@ -6,12 +6,9 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ffmr/internal/leakcheck"
 	"ffmr/internal/trace"
@@ -122,182 +119,21 @@ func TestParseLevel(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderRing(t *testing.T) {
-	f := NewFlightRecorder("w1", 4)
-	for i := 0; i < 10; i++ {
-		f.Note(slog.LevelInfo, fmt.Sprintf("event %d", i), "i", i)
-	}
-	if f.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", f.Len())
-	}
-	if f.Seen() != 10 {
-		t.Fatalf("Seen = %d, want 10", f.Seen())
-	}
-	evs := f.Events()
-	for i, ev := range evs {
-		want := fmt.Sprintf("event %d", 6+i)
-		if ev.Msg != want {
-			t.Errorf("event[%d].Msg = %q, want %q", i, ev.Msg, want)
-		}
-	}
-}
-
-func TestFlightRecorderNil(t *testing.T) {
-	var f *FlightRecorder
-	f.Note(slog.LevelInfo, "dropped")
-	f.SetSource("x")
-	if f.Len() != 0 || f.Seen() != 0 || f.Events() != nil || f.Source() != "" {
-		t.Fatal("nil recorder not inert")
-	}
-	if path, err := f.Dump(t.TempDir(), "crash"); err != nil || path != "" {
-		t.Fatalf("nil Dump = (%q, %v), want empty no-op", path, err)
-	}
-	var buf bytes.Buffer
-	if err := f.WriteDump(&buf); err != nil {
-		t.Fatalf("nil WriteDump: %v", err)
-	}
-	// Logging through a nil recorder's handler must still reach next.
-	var out bytes.Buffer
-	l := slog.New(f.Handler(slog.NewTextHandler(&out, nil)))
-	l.Info("hello")
-	if !strings.Contains(out.String(), "hello") {
-		t.Fatal("nil recorder handler dropped the record")
-	}
-}
-
-func TestFlightHandlerTee(t *testing.T) {
-	f := NewFlightRecorder("master", 16)
-	var out bytes.Buffer
-	// Forwarding handler filters at WARN; the ring must still see INFO.
-	next := slog.NewTextHandler(&out, &slog.HandlerOptions{Level: slog.LevelWarn})
-	l := slog.New(f.Handler(next)).With("worker", 3)
-	l.Info("assign", "task", 7)
-	l.WithGroup("lease").Warn("expired", "deadline", "t0")
-
-	if strings.Contains(out.String(), "assign") {
-		t.Fatal("filtered INFO record reached the forwarding handler")
-	}
-	if !strings.Contains(out.String(), "expired") {
-		t.Fatal("WARN record did not reach the forwarding handler")
-	}
-	evs := f.Events()
-	if len(evs) != 2 {
-		t.Fatalf("ring holds %d events, want 2", len(evs))
-	}
-	if evs[0].Msg != "assign" || evs[0].Attrs["worker"] != int64(3) || evs[0].Attrs["task"] != int64(7) {
-		t.Errorf("first event = %+v", evs[0])
-	}
-	if evs[1].Msg != "expired" || evs[1].Attrs["lease.deadline"] != "t0" {
-		t.Errorf("second event = %+v", evs[1])
-	}
-}
-
-func TestFlightRecorderConcurrent(t *testing.T) {
-	f := NewFlightRecorder("w", 32)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				f.Note(slog.LevelInfo, "e", "g", g, "i", i)
-				if i%50 == 0 {
-					f.Events()
-					f.Len()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if f.Seen() != 8*200 {
-		t.Fatalf("Seen = %d, want %d", f.Seen(), 8*200)
-	}
-}
-
-func TestDumpAndPostmortem(t *testing.T) {
-	dir := t.TempDir()
-	base := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-
-	w1 := NewFlightRecorder("worker-1", 8)
-	w1.record(FlightEvent{T: base, Level: "INFO", Msg: "task start", Attrs: map[string]any{"task": 1}})
-	w1.record(FlightEvent{T: base.Add(3 * time.Second), Level: "ERROR", Msg: "injected crash"})
-	w2 := NewFlightRecorder("worker-2", 8)
-	w2.record(FlightEvent{T: base.Add(time.Second), Level: "INFO", Msg: "task start", Attrs: map[string]any{"task": 2}})
-
-	if _, err := w1.Dump(dir, "crash"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w2.Dump(dir, "shutdown"); err != nil {
-		t.Fatal(err)
-	}
-
-	dumps, err := ReadDumpDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dumps) != 2 {
-		t.Fatalf("read %d dumps, want 2", len(dumps))
-	}
-	var buf bytes.Buffer
-	if err := RenderPostmortem(&buf, dumps); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"2 flight dump(s)", "worker-1", "worker-2", "reason=crash",
-		"merged timeline:", "injected crash", "task=2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("post-mortem missing %q:\n%s", want, out)
-		}
-	}
-	// The merged timeline must interleave by time: worker-2's event at
-	// +1s lands between worker-1's events at +0s and +3s.
-	i1 := strings.Index(out, "task=1")
-	i2 := strings.Index(out, "task=2")
-	ic := strings.Index(out, "injected crash")
-	if !(i1 < i2 && i2 < ic) {
-		t.Errorf("timeline not time-ordered: task=1@%d task=2@%d crash@%d", i1, i2, ic)
-	}
-}
-
-func TestReadDumpRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "flight-bad-1.jsonl")
-	if err := os.WriteFile(path, []byte("not json\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadDump(path); err == nil {
-		t.Fatal("ReadDump accepted garbage")
-	}
-}
-
-func TestRenderPostmortemEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RenderPostmortem(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "no flight dumps") {
-		t.Fatalf("empty render = %q", buf.String())
-	}
-}
-
 func TestAdminEndpoints(t *testing.T) {
 	defer leakcheck.Check(t)()
 
-	reg := trace.NewRegistry()
+	tr := trace.New()
+	reg := tr.Registry()
 	reg.Counter("map tasks").Add(7)
-	flight := NewFlightRecorder("master", 8)
-	flight.Note(slog.LevelInfo, "round start", "round", 1)
+	tr.Event(nil, "round start", "round", 1)
 	status := &ClusterStatus{
 		Role: "master", WorkersAlive: 2,
 		Workers: []WorkerStatus{{ID: 1, Addr: "w1", Running: 1}, {ID: 2, Addr: "w2"}},
 		Job:     &JobStatus{Name: "ff5", Round: 3, Maps: 8, MapsDone: 5, Reduces: 4, InFlight: 3},
 	}
 	a, err := StartAdmin(AdminConfig{
-		Metrics: func() *trace.Registry { return reg },
-		Status:  func() *ClusterStatus { return status },
-		Flight:  flight,
+		Tracer: func() *trace.Tracer { return tr },
+		Status: func() *ClusterStatus { return status },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -367,74 +203,6 @@ func TestAdminCloseIdempotentAndLeakFree(t *testing.T) {
 		t.Fatal("nil Admin not inert")
 	}
 }
-
-func TestDashboardRender(t *testing.T) {
-	snap := DashSnapshot{
-		Title:   "ff5 on fb3",
-		Elapsed: 2500 * time.Millisecond,
-		Counters: map[string]int64{
-			"map tasks":                  40,
-			"distmr worker deaths":       1,
-			"distmr reassignments":       2,
-			"distmr speculative backups": 1,
-		},
-		Gauges: map[string]trace.GaugeValue{"distmr workers alive": {Last: 2, Max: 3}},
-		Status: &ClusterStatus{
-			Role: "master", WorkersAlive: 2,
-			Workers: []WorkerStatus{
-				{ID: 2, Addr: "127.0.0.1:9002", TasksDone: 11},
-				{ID: 1, Addr: "127.0.0.1:9001", Dead: true},
-			},
-			Job: &JobStatus{Name: "ffmr-round", Round: 4, Maps: 10, MapsDone: 5, Reduces: 4, ReducesDone: 0, InFlight: 5},
-		},
-	}
-	var buf bytes.Buffer
-	RenderDash(&buf, snap)
-	out := buf.String()
-	for _, want := range []string{
-		"ff5 on fb3", "round 4", "5/10 [#####.....]", "workers alive 2/2",
-		"[x] w1", "faults: deaths 1  reassigns 2  backups 1",
-		"distmr workers alive", "(max 3)", "map tasks",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dashboard frame missing %q:\n%s", want, out)
-		}
-	}
-	// Workers sorted by ID regardless of input order.
-	if i1, i2 := strings.Index(out, "w1"), strings.Index(out, "w2"); i1 > i2 {
-		t.Error("workers not sorted by ID")
-	}
-}
-
-func TestDashboardLoop(t *testing.T) {
-	defer leakcheck.Check(t)()
-	reg := trace.NewRegistry()
-	reg.Counter("rounds").Add(1)
-	var mu sync.Mutex
-	var buf bytes.Buffer
-	d := StartDashboard(DashConfig{
-		Out:      writerFunc(func(p []byte) (int, error) { mu.Lock(); defer mu.Unlock(); return buf.Write(p) }),
-		Interval: 5 * time.Millisecond,
-		Metrics:  func() *trace.Registry { return reg },
-		Title:    "loop test",
-	})
-	time.Sleep(30 * time.Millisecond)
-	d.Close()
-	d.Close() // idempotent
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	if !strings.Contains(out, "loop test") || !strings.Contains(out, "rounds") {
-		t.Fatalf("dashboard loop produced no frames:\n%s", out)
-	}
-	if !strings.Contains(out, "[done,") {
-		t.Fatalf("final frame not marked done:\n%s", out)
-	}
-}
-
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestWriteMetricsWhileRegistryMutates scrapes the Prometheus rendering
 // concurrently with counter and gauge writes — exactly what an admin

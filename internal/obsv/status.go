@@ -1,11 +1,11 @@
 package obsv
 
-// The /status JSON schema. obsv owns these types so the admin server,
-// the dashboard and the distributed master (which produces them) agree
-// without an import cycle: distmr imports obsv, never the reverse.
+// The /status JSON schema. obsv owns these types so the admin server
+// and the distributed master (which produces them) agree without an
+// import cycle: distmr imports obsv, never the reverse.
 
 // ClusterStatus is a point-in-time view of a master and its workers,
-// served as JSON on /status and rendered by the watch dashboard.
+// served as JSON on /status.
 type ClusterStatus struct {
 	// Role is "master" or "worker"; Addr is the component's RPC address.
 	Role string `json:"role"`

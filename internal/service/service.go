@@ -131,10 +131,10 @@ func Start(cfg Config) (*Service, error) {
 	s.api = api
 	if cfg.AdminAddr != "" {
 		admin, err := obsv.StartAdmin(obsv.AdminConfig{
-			Addr:    cfg.AdminAddr,
-			Metrics: tracer.Registry,
-			Status:  s.Status,
-			Logger:  cfg.Logger,
+			Addr:   cfg.AdminAddr,
+			Tracer: func() *trace.Tracer { return tracer },
+			Status: s.Status,
+			Logger: cfg.Logger,
 		})
 		if err != nil {
 			api.Close()

@@ -12,8 +12,9 @@ import (
 // exported Chrome trace (now containing both master spans and
 // worker-shipped spans stitched under them), Analyze rebuilds the span
 // DAG, walks the critical path of every round, attributes each round's
-// wall time to map/reduce/shuffle/rpc/idle buckets, and scores
-// stragglers. `ffmr -analyze <trace>` renders the result.
+// wall time to map/reduce/shuffle/rpc/idle buckets, scores stragglers
+// and lists the recorded events and crash dumps on one timeline.
+// `ffmr -analyze <trace> [dumps...]` renders the result.
 
 // Bucket names used by the round attribution.
 const (
@@ -31,7 +32,8 @@ type aspan struct {
 	name, cat  string
 	start, end int64 // µs, trace timebase
 	dur        int64
-	worker     bool // recorded worker-side (shipped): has a "worker" arg
+	pid        int64 // which merged file the span came from
+	worker     bool  // recorded worker-side (shipped): has a "worker" arg
 	args       map[string]any
 	children   []*aspan
 }
@@ -68,6 +70,21 @@ type RoundReport struct {
 	TaskSpans  int
 }
 
+// Event is one CatEvent span: a scheduler decision or a crash.
+type Event struct {
+	TsUS int64 // trace timebase
+	// Source is the worker that recorded the event ("worker-N") when its
+	// parent span says so, else the process that wrote the file.
+	Source string
+	Msg    string
+	Args   map[string]any
+}
+
+// Dump is one crash or live dump among the analyzed files.
+type Dump struct {
+	Source, Reason string
+}
+
 // Report is the whole trace's analysis.
 type Report struct {
 	Spans       int
@@ -75,6 +92,10 @@ type Report struct {
 	Rounds      []RoundReport
 	// BucketUS sums the per-round attributions.
 	BucketUS map[string]int64
+	// Dumps lists the dump files merged in; Events lists every event
+	// span in time order.
+	Dumps  []Dump
+	Events []Event
 }
 
 // Analyze rebuilds the span DAG from a parsed trace export and produces
@@ -82,10 +103,20 @@ type Report struct {
 // needs the span ids exported in the "span" arg, so traces written by
 // older builds analyze as empty.
 func Analyze(events []ParsedEvent) (*Report, error) {
+	rep := &Report{BucketUS: map[string]int64{}}
 	byID := make(map[int64]*aspan)
-	var spans []*aspan
+	procs := make(map[int64]string)
+	var spans, evs []*aspan
 	for i := range events {
 		e := &events[i]
+		if e.Ph == "M" {
+			name, _ := e.Args["name"].(string)
+			procs[e.Pid] = name
+			if reason, ok := e.Args[argReason].(string); ok {
+				rep.Dumps = append(rep.Dumps, Dump{Source: name, Reason: reason})
+			}
+			continue
+		}
 		id, ok := e.Int("span")
 		if !ok {
 			continue // counter/gauge rows, or a pre-span-id trace
@@ -93,22 +124,38 @@ func Analyze(events []ParsedEvent) (*Report, error) {
 		s := &aspan{
 			id: id, name: e.Name, cat: e.Cat,
 			start: e.Ts, end: e.Ts + e.Dur, dur: e.Dur,
-			args: e.Args,
+			pid: e.Pid, args: e.Args,
 		}
 		s.parent, _ = e.Int("parent_span")
 		_, s.worker = e.Int("worker")
 		byID[s.id] = s
 		spans = append(spans, s)
 	}
-	rep := &Report{Spans: len(spans), BucketUS: map[string]int64{}}
+	rep.Spans = len(spans)
 	for _, s := range spans {
 		if s.worker {
 			rep.WorkerSpans++
+		}
+		if s.cat == CatEvent {
+			// Events stay out of the DAG: a zero-length decision is
+			// neither work to attribute nor a step of a critical path.
+			evs = append(evs, s)
+			continue
 		}
 		if p := byID[s.parent]; p != nil && p != s {
 			p.children = append(p.children, s)
 		}
 	}
+	for _, s := range evs {
+		ev := Event{TsUS: s.start, Source: procs[s.pid], Msg: s.name, Args: s.args}
+		if p := byID[s.parent]; p != nil {
+			if w, ok := intArg(p.args, "worker"); ok {
+				ev.Source = fmt.Sprintf("worker-%d", w)
+			}
+		}
+		rep.Events = append(rep.Events, ev)
+	}
+	sort.SliceStable(rep.Events, func(i, j int) bool { return rep.Events[i].TsUS < rep.Events[j].TsUS })
 	for _, s := range spans {
 		sort.Slice(s.children, func(i, j int) bool { return s.children[i].start < s.children[j].start })
 	}
@@ -140,17 +187,21 @@ func analyzeRound(round *aspan) RoundReport {
 	// that finishes last — the span the parent was waiting on when it
 	// ended. The path's length is the round's wall time; the steps show
 	// which spans carried it.
+	// seen (and walked, below) guard the walks against parent_span
+	// cycles, which a corrupt or carelessly merged file can contain.
+	seen := map[*aspan]bool{round: true}
 	for s := round; ; {
 		rr.CriticalPath = append(rr.CriticalPath, PathStep{Cat: s.cat, Name: s.name, DurUS: s.dur, Worker: s.worker})
 		var next *aspan
 		for _, c := range s.children {
-			if next == nil || c.end > next.end {
+			if !seen[c] && (next == nil || c.end > next.end) {
 				next = c
 			}
 		}
 		if next == nil {
 			break
 		}
+		seen[next] = true
 		s = next
 	}
 	rr.CriticalUS = round.dur
@@ -166,8 +217,13 @@ func analyzeRound(round *aspan) RoundReport {
 	var ivs []interval
 	var mapDur, redDur []*aspan
 	var walk func(s *aspan)
+	walked := map[*aspan]bool{round: true}
 	walk = func(s *aspan) {
 		for _, c := range s.children {
+			if walked[c] {
+				continue
+			}
+			walked[c] = true
 			if b, prio := classify(c); b != "" {
 				st, en := clamp(c.start, round.start, round.end), clamp(c.end, round.start, round.end)
 				if en > st {
@@ -288,6 +344,7 @@ func stragglers(phase string, tasks []*aspan) []Straggler {
 func (r *Report) Format(w io.Writer) {
 	fmt.Fprintf(w, "trace analysis: %d spans (%d worker-side), %d rounds\n",
 		r.Spans, r.WorkerSpans, len(r.Rounds))
+	defer r.formatEvents(w)
 	if len(r.Rounds) == 0 {
 		fmt.Fprintln(w, "no round spans found (trace too old, or run had no rounds)")
 		return
@@ -334,6 +391,35 @@ func (r *Report) Format(w io.Writer) {
 	if total > 0 {
 		fmt.Fprintf(w, "\noverall: %s in rounds, idle fraction %.1f%%\n",
 			usStr(total), 100*float64(idle)/float64(total))
+	}
+}
+
+// formatEvents prints the dumps and the event timeline, each event as
+// its time, source, message and sorted args.
+func (r *Report) formatEvents(w io.Writer) {
+	if len(r.Dumps) > 0 {
+		fmt.Fprintln(w)
+	}
+	for _, d := range r.Dumps {
+		fmt.Fprintf(w, "dump: %s reason=%s\n", d.Source, d.Reason)
+	}
+	if len(r.Events) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "\nevents (%d):\n", len(r.Events))
+	for _, e := range r.Events {
+		keys := make([]string, 0, len(e.Args))
+		for k := range e.Args {
+			if k != "span" && k != "parent_span" {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		fmt.Fprintf(w, "  %10s %-10s %s", usStr(e.TsUS), e.Source, e.Msg)
+		for _, k := range keys {
+			fmt.Fprintf(w, " %s=%v", k, e.Args[k])
+		}
+		fmt.Fprintln(w)
 	}
 }
 

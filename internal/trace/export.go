@@ -11,8 +11,9 @@ import (
 
 // chromeEvent is one entry of the Chrome trace_event format
 // (chrome://tracing / Perfetto "JSON Array" flavour). Spans export as
-// complete events (ph "X"); registry metrics export as counter events
-// (ph "C") stamped at the end of the trace.
+// complete events (ph "X"), event spans as instant events (ph "i"),
+// registry metrics as counter events (ph "C") stamped at the end of the
+// trace, and one process metadata event (ph "M") leads the document.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat"`
@@ -21,6 +22,7 @@ type chromeEvent struct {
 	Dur  *int64         `json:"dur,omitempty"`
 	Pid  int64          `json:"pid"`
 	Tid  int64          `json:"tid"`
+	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -29,13 +31,33 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
+// Process metadata arg keys: the wall-clock start the trace's
+// timestamps count from, and why a dump was written.
+const (
+	argStartUnixUS = "start_unix_us"
+	argReason      = "reason"
+)
+
 // WriteChromeTrace exports the recorded spans and registry metrics as a
 // Chrome trace_event JSON document, loadable in chrome://tracing or
 // Perfetto. Unended spans are exported with their duration so far.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	doc := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
+	return t.writeChrome(w, "main", "", false)
+}
+
+func (t *Tracer) writeChrome(w io.Writer, source, reason string, withRing bool) error {
+	meta := map[string]any{"name": source}
+	if t != nil {
+		meta[argStartUnixUS] = t.start.UnixMicro()
+	}
+	if reason != "" {
+		meta[argReason] = reason
+	}
+	doc := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{
+		{Name: "process_name", Ph: "M", Pid: 1, Tid: 1, Args: meta},
+	}}
 	var endTS int64
-	for _, sn := range t.snapshots() {
+	for _, sn := range t.snapshots(withRing) {
 		args := make(map[string]any, len(sn.attrs)+2)
 		for i := range sn.attrs {
 			args[sn.attrs[i].Key] = sn.attrs[i].Value()
@@ -47,11 +69,14 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		if sn.parent != 0 {
 			args["parent_span"] = sn.parent
 		}
-		dur := sn.durUS
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: sn.name, Cat: sn.cat, Ph: "X",
-			Ts: sn.startUS, Dur: &dur, Pid: 1, Tid: sn.tid, Args: args,
-		})
+		ev := chromeEvent{Name: sn.name, Cat: sn.cat, Ph: "X", Ts: sn.startUS, Pid: 1, Tid: sn.tid, Args: args}
+		if sn.cat == CatEvent {
+			ev.Ph, ev.S = "i", "t"
+		} else {
+			dur := sn.durUS
+			ev.Dur = &dur
+		}
+		doc.TraceEvents = append(doc.TraceEvents, ev)
 		if e := sn.startUS + sn.durUS; e > endTS {
 			endTS = e
 		}
@@ -85,7 +110,7 @@ func (t *Tracer) WriteCSV(w io.Writer) error {
 	if err := cw.Write([]string{"id", "parent", "cat", "name", "tid", "start_us", "dur_us", "attrs"}); err != nil {
 		return err
 	}
-	for _, sn := range t.snapshots() {
+	for _, sn := range t.snapshots(false) {
 		parts := make([]string, 0, len(sn.attrs))
 		for i := range sn.attrs {
 			parts = append(parts, fmt.Sprintf("%s=%v", sn.attrs[i].Key, sn.attrs[i].Value()))
@@ -123,6 +148,8 @@ func (t *Tracer) WriteCSV(w io.Writer) error {
 type ParsedEvent struct {
 	Name string
 	Cat  string
+	Ph   string
+	Pid  int64
 	Ts   int64
 	Dur  int64
 	Tid  int64
@@ -151,6 +178,8 @@ func ParseChromeTrace(data []byte) ([]ParsedEvent, error) {
 		TraceEvents []struct {
 			Name string         `json:"name"`
 			Cat  string         `json:"cat"`
+			Ph   string         `json:"ph"`
+			Pid  int64          `json:"pid"`
 			Ts   int64          `json:"ts"`
 			Dur  int64          `json:"dur"`
 			Tid  int64          `json:"tid"`
@@ -162,7 +191,7 @@ func ParseChromeTrace(data []byte) ([]ParsedEvent, error) {
 	}
 	out := make([]ParsedEvent, 0, len(doc.TraceEvents))
 	for _, e := range doc.TraceEvents {
-		out = append(out, ParsedEvent{Name: e.Name, Cat: e.Cat, Ts: e.Ts, Dur: e.Dur, Tid: e.Tid, Args: e.Args})
+		out = append(out, ParsedEvent{Name: e.Name, Cat: e.Cat, Ph: e.Ph, Pid: e.Pid, Ts: e.Ts, Dur: e.Dur, Tid: e.Tid, Args: e.Args})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Ts < out[j].Ts })
 	return out, nil

@@ -71,7 +71,8 @@ type ShippedSpan struct {
 // — parents before children, since ids are assigned at Start — so an
 // importer can remap Parent references in one forward pass. Draining
 // complete subtrees only is what guarantees a batch never references a
-// parent the importer hasn't seen.
+// parent the importer hasn't seen. The last DumpRing drained spans stay
+// in the tracer's dump ring for WriteDump.
 func (t *Tracer) Drain() []ShippedSpan {
 	if t == nil {
 		return nil
@@ -104,6 +105,7 @@ func (t *Tracer) Drain() []ShippedSpan {
 		}
 	}
 	var out []ShippedSpan
+	var evicted int64
 	keep := t.spans[:0]
 	for _, s := range t.spans {
 		if !complete(s) {
@@ -115,6 +117,10 @@ func (t *Tracer) Drain() []ShippedSpan {
 			Start: s.start, Dur: s.dur, Remote: s.remote,
 			Attrs: append([]Attr(nil), s.attrs...),
 		})
+		evicted += t.keepLocked(s)
+	}
+	if evicted > 0 {
+		t.reg.Counter(CounterDumpRingEvictions).Add(evicted)
 	}
 	for i := len(keep); i < len(t.spans); i++ {
 		t.spans[i] = nil

@@ -78,7 +78,7 @@ func (t *Tracer) RoundSummaries() []RoundSummary {
 		return nil
 	}
 	var out []RoundSummary
-	for _, sn := range t.snapshots() {
+	for _, sn := range t.snapshots(false) {
 		if sn.cat == CatRound {
 			out = append(out, summaryFromSnapshot(sn))
 		}

@@ -44,6 +44,10 @@ const (
 	// one span per update batch, parenting the apply and drain job spans
 	// and annotated with batch size, violation count and cancelled flow.
 	CatRepair = "repair"
+
+	// CatEvent marks a zero-duration event span recorded by Tracer.Event:
+	// a scheduler decision or a crash, kept out of attribution.
+	CatEvent = "event"
 )
 
 // Round-span attribute keys. The driver annotates each round span with
@@ -99,9 +103,9 @@ const (
 )
 
 // Live driver metric names. The FF driver publishes these to the
-// tracer's registry as rounds complete, so /metrics scrapes and the
-// watch dashboard see run progress while the run is still going (the
-// per-round trace spans only surface at export time).
+// tracer's registry as rounds complete, so /metrics scrapes see run
+// progress while the run is still going (the per-round trace spans only
+// surface at export time).
 const (
 	GaugeFFRound       = "ff round"
 	GaugeFFMaxFlow     = "ff max flow"
@@ -154,6 +158,10 @@ type Tracer struct {
 	spans  []*Span
 	nextID int64
 	reg    *Registry
+	// ring holds the last DumpRing spans Drain removed, so a dump still
+	// shows what a worker already shipped (see dump.go).
+	ring     []*Span
+	ringNext int
 }
 
 // New creates an empty tracer whose clock starts now.
@@ -305,14 +313,26 @@ type snapshot struct {
 	attrs      []Attr
 }
 
-func (t *Tracer) snapshots() []snapshot {
+// snapshots copies out every span the tracer holds, preceded, when
+// withRing is set, by the drained spans in the dump ring (oldest first).
+func (t *Tracer) snapshots(withRing bool) []snapshot {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]snapshot, 0, len(t.spans))
-	for _, s := range t.spans {
+	spans := t.spans
+	if withRing && t.ring != nil {
+		spans = make([]*Span, 0, len(t.ring)+len(t.spans))
+		for i := range t.ring {
+			if s := t.ring[(t.ringNext+i)%len(t.ring)]; s != nil {
+				spans = append(spans, s)
+			}
+		}
+		spans = append(spans, t.spans...)
+	}
+	out := make([]snapshot, 0, len(spans))
+	for _, s := range spans {
 		out = append(out, snapshot{
 			id: s.id, parent: s.parent, name: s.name, cat: s.cat, tid: s.tid,
 			startUS: s.start.Sub(t.start).Microseconds(),
@@ -330,7 +350,7 @@ func (t *Tracer) childrenOf(parent *Span, cat string) []snapshot {
 		return nil
 	}
 	var out []snapshot
-	for _, sn := range t.snapshots() {
+	for _, sn := range t.snapshots(false) {
 		if sn.cat == cat && (parent == nil || sn.parent == parent.id) {
 			out = append(out, sn)
 		}

@@ -20,11 +20,12 @@ import (
 // adds structured logging at the CLI's default info level on the
 // driver, master, and every worker (to io.Discard, so the cost measured
 // is instrumentation, not the terminal); "full" additionally arms the
-// admin HTTP servers on
-// master and workers, a live metrics registry, and per-worker flight
-// recorders. BENCH_obsv.json records the measured deltas; the full
-// stack must stay within a few percent of off (the observability layer
-// is sold as safe to leave on in production).
+// admin HTTP servers on master and workers, a live metrics registry
+// with cross-process span stitching, and crash-dump directories (which
+// cost nothing until a crash: there is no log tee, so records below
+// the logger's level are never formatted). BENCH_obsv.json records the
+// measured deltas; the full stack must stay within a few percent of off
+// (the observability layer is sold as safe to leave on in production).
 func BenchmarkObsvOverhead(b *testing.B) {
 	sc := benchScale()
 	sc.Chain = sc.Chain[:3] // through FB3
@@ -104,7 +105,7 @@ func BenchmarkObsvOverhead(b *testing.B) {
 }
 
 // BenchmarkTraceShipping isolates the cross-process tracing pipeline
-// (DESIGN.md §14) from the rest of the observability stack: the same
+// (DESIGN.md §9) from the rest of the observability stack: the same
 // distributed FF5 run with no tracer anywhere ("off") versus a master
 // tracer ("on") — which arms worker-side span recording, heartbeat
 // span batches, counter/histogram snapshot diffs, clock-offset
