@@ -11,6 +11,15 @@
 // DiskStore writes each block under a private temp dir so graph state
 // larger than RAM can flow through the same placement and accounting
 // machinery.
+//
+// Stored bytes move by ownership, not by copy, so a MapReduce round does
+// not copy the graph state on its way through the file system. WriteFile
+// takes ownership of the buffer it is given: a MemStore's blocks are
+// sub-slices of it, and the caller must not modify it afterwards.
+// ReadFile returns a read-only view: for a one-block file the stored
+// block itself, which the caller must not modify. Only a file of several
+// blocks is stitched into a fresh copy. Package dfstest checks both rules
+// in tests.
 package dfs
 
 import (
@@ -50,10 +59,9 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Block is one block of a file together with its replica placement, as
-// returned by Blocks (payload materialized from the block store).
+// Block is the replica placement of one block of a file, as returned by
+// Blocks.
 type Block struct {
-	Data []byte
 	// Nodes lists the node IDs that hold a replica, primary first.
 	Nodes []int
 }
@@ -137,6 +145,9 @@ func (fs *FS) placement() []int {
 
 // WriteFile stores data as a new file, replacing any existing file with
 // the same name (MapReduce output paths are overwritten between rounds).
+// It takes ownership of data: the blocks are data[off:end:end], not
+// copies, so the caller must not modify data after the call. (This is
+// the converse of TaskContext.Emit, which copies what it is given.)
 func (fs *FS) WriteFile(name string, data []byte) error {
 	if name == "" {
 		return fmt.Errorf("dfs: empty file name")
@@ -157,7 +168,7 @@ func (fs *FS) WriteFile(name string, data []byte) error {
 			size:  end - off,
 			nodes: fs.placement(),
 		}
-		if err := fs.store.Put(ref.key, append([]byte(nil), data[off:end]...)); err != nil {
+		if err := fs.store.Put(ref.key, name, data[off:end:end]); err != nil {
 			// Roll back blocks already stored so a failed write leaves
 			// no orphans.
 			for _, b := range fd.blocks {
@@ -180,13 +191,24 @@ func (fs *FS) WriteFile(name string, data []byte) error {
 	return nil
 }
 
-// ReadFile returns the full contents of a file.
+// ReadFile returns the full contents of a file as a read-only view: the
+// caller must not modify it. A one-block file is returned as the stored
+// block itself (its capacity clipped, so an append copies); a file of
+// several blocks is stitched into a fresh copy.
 func (fs *FS) ReadFile(name string) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fd, ok := fs.files[name]
 	if !ok {
 		return nil, fmt.Errorf("dfs: file %q does not exist", name)
+	}
+	if len(fd.blocks) == 1 {
+		data, err := fs.store.Get(fd.blocks[0].key)
+		if err != nil {
+			return nil, fmt.Errorf("dfs: file %q: %w", name, err)
+		}
+		fs.stats.BytesRead += fd.size
+		return data[:len(data):len(data)], nil
 	}
 	out := make([]byte, 0, fd.size)
 	for _, ref := range fd.blocks {
@@ -200,9 +222,9 @@ func (fs *FS) ReadFile(name string) ([]byte, error) {
 	return out, nil
 }
 
-// Blocks returns the block layout of a file with payloads materialized
-// from the block store. The MapReduce engine uses block placement for
-// locality-aware scheduling.
+// Blocks returns the replica placement of each block of a file, without
+// reading any payload. The MapReduce engine uses it for locality-aware
+// scheduling.
 func (fs *FS) Blocks(name string) ([]Block, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -212,11 +234,7 @@ func (fs *FS) Blocks(name string) ([]Block, error) {
 	}
 	out := make([]Block, 0, len(fd.blocks))
 	for _, ref := range fd.blocks {
-		data, err := fs.store.Get(ref.key)
-		if err != nil {
-			return nil, fmt.Errorf("dfs: file %q: %w", name, err)
-		}
-		out = append(out, Block{Data: data, Nodes: ref.nodes})
+		out = append(out, Block{Nodes: ref.nodes})
 	}
 	return out, nil
 }

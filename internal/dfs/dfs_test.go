@@ -82,6 +82,60 @@ func TestBlockingAndPlacement(t *testing.T) {
 	}
 }
 
+// TestWriteFileTakesOwnership pins the ownership contract on a MemStore:
+// a one-block file is read back as the very buffer WriteFile was given,
+// capacity clipped so an append copies; a file of several blocks is read
+// back as a fresh copy.
+func TestWriteFileTakesOwnership(t *testing.T) {
+	fs := New(Config{Nodes: 2, BlockSize: 16, Replication: 2})
+	one := make([]byte, 10, 64)
+	copy(one, "one block!")
+	if err := fs.WriteFile("one", one); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.ReadFile("one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &one[0] || cap(got) != len(one) {
+		t.Errorf("one-block ReadFile: aliases the written buffer %v, cap %d; want true, %d",
+			&got[0] == &one[0], cap(got), len(one))
+	}
+
+	multi := bytes.Repeat([]byte("0123456789"), 4)
+	if err := fs.WriteFile("multi", multi); err != nil {
+		t.Fatal(err)
+	}
+	got, err = fs.ReadFile("multi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, multi) || &got[0] == &multi[0] {
+		t.Errorf("multi-block ReadFile: equal %v, aliases the written buffer %v; want a copy",
+			bytes.Equal(got, multi), &got[0] == &multi[0])
+	}
+	if st := fs.Stats(); st.BytesWritten != 50 || st.BytesRead != 50 {
+		t.Errorf("stats = %+v, want 50 bytes written and read", st)
+	}
+}
+
+// TestReadFileOneBlockAllocs is the allocation gate of the read path: a
+// one-block file is handed out as the stored block, with no copy.
+func TestReadFileOneBlockAllocs(t *testing.T) {
+	fs := New(Config{Nodes: 3, BlockSize: 1 << 10, Replication: 2})
+	if err := fs.WriteFile("round-00001/part-00000", make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := fs.ReadFile("round-00001/part-00000"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ReadFile of a one-block file: %.1f allocs, want 0", allocs)
+	}
+}
+
 func TestReplicationCappedAtNodes(t *testing.T) {
 	fs := New(Config{Nodes: 2, Replication: 5})
 	if got := fs.Config().Replication; got != 2 {

@@ -15,11 +15,17 @@ import (
 // sibling of the shuffle's spill store. Placement and replication
 // accounting are identical across stores because the FS computes them
 // from block sizes, never from store internals.
+//
+// Blocks are immutable once stored. Put takes ownership of data and may
+// keep it as the block itself (MemStore does), so the caller must not
+// modify it afterwards; Get may return the stored block itself, so its
+// caller must treat the result as read-only.
 type BlockStore interface {
-	// Put stores one block's payload under a FS-chosen key.
-	Put(key string, data []byte) error
-	// Get returns a block's payload. The caller must not modify it for
-	// a MemStore; DiskStore returns a fresh slice.
+	// Put stores one block's payload under a FS-chosen key; file names the
+	// file the block belongs to, for diagnostics.
+	Put(key, file string, data []byte) error
+	// Get returns a block's payload, read-only: a MemStore returns the
+	// slice Put was given, a DiskStore a fresh one.
 	Get(key string) ([]byte, error)
 	// Delete removes a block (unknown keys are ignored).
 	Delete(key string)
@@ -38,8 +44,8 @@ func NewMemStore() *MemStore {
 	return &MemStore{m: make(map[string][]byte)}
 }
 
-// Put implements BlockStore.
-func (s *MemStore) Put(key string, data []byte) error {
+// Put implements BlockStore, keeping data itself as the block.
+func (s *MemStore) Put(key, _ string, data []byte) error {
 	s.mu.Lock()
 	s.m[key] = data
 	s.mu.Unlock()
@@ -100,7 +106,7 @@ func (s *DiskStore) Root() string { return s.root }
 func (s *DiskStore) path(key string) string { return filepath.Join(s.root, key) }
 
 // Put implements BlockStore.
-func (s *DiskStore) Put(key string, data []byte) error {
+func (s *DiskStore) Put(key, _ string, data []byte) error {
 	if err := os.WriteFile(s.path(key), data, 0o644); err != nil {
 		return fmt.Errorf("dfs: write block %q: %w", key, err)
 	}

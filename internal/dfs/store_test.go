@@ -89,8 +89,8 @@ func TestStoreZeroLengthFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(blocks) != 1 || len(blocks[0].Data) != 0 {
-			t.Fatalf("empty file blocks = %+v, want one zero-length block", blocks)
+		if len(blocks) != 1 || len(blocks[0].Nodes) != 2 {
+			t.Fatalf("empty file blocks = %+v, want one block on two nodes", blocks)
 		}
 		if sz, _ := fs.Size("empty"); sz != 0 {
 			t.Fatalf("Size = %d, want 0", sz)

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
-	"slices"
 
 	"ffmr/internal/dfs"
 	"ffmr/internal/spill"
@@ -221,23 +220,21 @@ func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span
 		}
 	}
 
-	// The output is sized up front where its size is known: a schimmy job
-	// rewrites its base partition (the shuffle only carries fragments that
-	// fold into it) and a map-only job copies the shuffled records. Any
-	// other reducer may write far less than it reads (round #0 writes
-	// 0.44-0.62 of it), so its output grows by appending.
+	// The output is sized once, for the most it can hold: the shuffled
+	// records plus, for a schimmy job, the base partition they fold into.
+	// The buffer becomes the output file as it is (the DFS takes ownership,
+	// it does not copy), so a reservation larger than what is written costs
+	// capacity, not a second copy.
 	var out dfs.RecordWriter
-	var base []rec
+	base := dfs.NewRecordReader(nil)
 	if t.SchimmyBase != "" {
 		data, err := env.ReadFile(PartName(t.SchimmyBase, t.Task))
 		if err != nil {
 			return fail(fmt.Errorf("schimmy base: %w", err))
 		}
-		if base, err = readBase(data); err != nil {
-			return fail(fmt.Errorf("schimmy base: %w", err))
-		}
-		out.Grow(len(data))
-	} else if env.NewReducer == nil {
+		base = dfs.NewRecordReader(data)
+		out.Grow(len(data) + int(res.Fetch))
+	} else {
 		out.Grow(int(res.Fetch))
 	}
 
@@ -284,31 +281,12 @@ func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span
 	return res, nil
 }
 
-// rec is one record of a schimmy base partition.
-type rec struct{ key, value []byte }
-
-// readBase parses a schimmy base partition and returns its records
-// sorted by key for the merge-join.
-func readBase(data []byte) ([]rec, error) {
-	var recs []rec
-	r := dfs.NewRecordReader(data)
-	for {
-		key, value, ok, err := r.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		recs = append(recs, rec{key: key, value: value})
-	}
-	slices.SortFunc(recs, func(a, b rec) int { return bytes.Compare(a.key, b.key) })
-	return recs, nil
-}
-
 // reduceGroups walks the sorted shuffle stream and (for schimmy jobs) the
-// sorted base partition in a merge-join, invoking the reducer once per
-// key in the union. Keys present only in the base still reach the
+// base partition in a merge-join, invoking the reducer once per key in the
+// union. The base partition is the previous round's reduce output, so it
+// is already in key order: it is read through a cursor, not sorted, and a
+// key out of order or repeated in it is an error. An empty base reader is
+// a job without one. Keys present only in the base still reach the
 // reducer so master records survive rounds in which they receive no
 // fragments. A slice next returns must stay valid until the call to next
 // that follows the first record with a greater key (spill.Iterator.Next's
@@ -317,39 +295,34 @@ func readBase(data []byte) ([]rec, error) {
 // and one backing slice serve every group of the task (the Reducer
 // contract lets them). It returns the byte size of the largest group
 // processed.
-func reduceGroups(ctx *TaskContext, reducer Reducer, base []rec,
+func reduceGroups(ctx *TaskContext, reducer Reducer, base *dfs.RecordReader,
 	next func() (key, value []byte, ok bool, err error)) (int64, error) {
 
 	var maxGroup int64
 	var group Values
-	bi := 0
+	bkey, bval, bok, err := base.Next()
+	if err != nil {
+		return 0, fmt.Errorf("schimmy base: %w", err)
+	}
 	rkey, rval, rok, err := next()
 	if err != nil {
 		return 0, err
 	}
-	for bi < len(base) || rok {
-		var key []byte
-		switch {
-		case bi >= len(base):
-			key = rkey
-		case !rok:
-			key = base[bi].key
-		default:
-			if bytes.Compare(base[bi].key, rkey) <= 0 {
-				key = base[bi].key
-			} else {
-				key = rkey
-			}
+	for bok || rok {
+		key := rkey
+		if bok && (!rok || bytes.Compare(bkey, rkey) <= 0) {
+			key = bkey
 		}
 
 		var master []byte
-		if bi < len(base) && bytes.Equal(base[bi].key, key) {
-			master = base[bi].value
-			bi++
-			// Duplicate keys in a base partition would indicate a broken
-			// previous round; consume defensively.
-			for bi < len(base) && bytes.Equal(base[bi].key, key) {
-				bi++
+		if bok && bytes.Equal(bkey, key) {
+			master = bval
+			bkey, bval, bok, err = base.Next()
+			if err != nil {
+				return 0, fmt.Errorf("schimmy base: %w", err)
+			}
+			if bok && bytes.Compare(bkey, key) <= 0 {
+				return 0, fmt.Errorf("schimmy base: key %q after %q: not in increasing order", bkey, key)
 			}
 		}
 

@@ -475,13 +475,13 @@ func TestExecMapOnly(t *testing.T) {
 func TestReduceGroupsSteadyStateAllocs(t *testing.T) {
 	const perGroup = 3
 	walk := func(groups int) float64 {
-		var base []rec
-		var shuffled []rec
+		var base dfs.RecordWriter
+		var shuffled [][2][]byte
 		for g := 0; g < groups; g++ {
 			key := []byte(fmt.Sprintf("k%06d", g))
-			base = append(base, rec{key: key, value: []byte("master")})
+			base.Append(key, []byte("master"))
 			for i := 0; i < perGroup; i++ {
-				shuffled = append(shuffled, rec{key: key, value: []byte("fragment")})
+				shuffled = append(shuffled, [2][]byte{key, []byte("fragment")})
 			}
 		}
 		ctx := (&TaskEnv{}).context(0, 0, 0, NewCounters(), func(key, value []byte) {})
@@ -500,9 +500,9 @@ func TestReduceGroupsSteadyStateAllocs(t *testing.T) {
 					return nil, nil, false, nil
 				}
 				i++
-				return shuffled[i-1].key, shuffled[i-1].value, true, nil
+				return shuffled[i-1][0], shuffled[i-1][1], true, nil
 			}
-			if _, err := reduceGroups(ctx, reducer, base, next); err != nil {
+			if _, err := reduceGroups(ctx, reducer, dfs.NewRecordReader(base.Bytes()), next); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -513,5 +513,38 @@ func TestReduceGroupsSteadyStateAllocs(t *testing.T) {
 	}
 	if small > 8 {
 		t.Errorf("reduceGroups: %.0f allocs per task, want a handful", small)
+	}
+}
+
+// TestExecReduceRejectsDisorderedBase: the schimmy base partition is read
+// in file order, not sorted, so a base whose keys are out of order or
+// repeated fails the attempt with an error naming the job and the task.
+func TestExecReduceRejectsDisorderedBase(t *testing.T) {
+	for name, keys := range map[string][]string{
+		"unsorted":  {"alpha", "charlie", "bravo"},
+		"duplicate": {"alpha", "bravo", "bravo", "charlie"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var base dfs.RecordWriter
+			for _, k := range keys {
+				base.Append([]byte(k), []byte("1"))
+			}
+			env := sumEnv(spill.NewMemRunStore())
+			env.ReadFile = func(name string) ([]byte, error) {
+				if name != PartName("prev/", 1) {
+					return nil, fmt.Errorf("unexpected base %q", name)
+				}
+				return base.Bytes(), nil
+			}
+			maps := execMaps(t, env, execSplits(1, 20), 0, false, NewCounters())
+			_, err := ExecReduce(env, &ReduceTask{
+				Task: 1, Segments: partSegments(maps, 1), FanIn: 2,
+				TmpPrefix: "reduce-00001/a0/", SchimmyBase: "prev/",
+			}, NewCounters(), nil)
+			if err == nil || !strings.HasPrefix(err.Error(), "mapreduce: exec reduce task 1: schimmy base: ") ||
+				!strings.Contains(err.Error(), "not in increasing order") {
+				t.Fatalf("ExecReduce over a %s base: %v, want an ordering error naming job and task", name, err)
+			}
+		})
 	}
 }

@@ -96,7 +96,9 @@ func (c *TaskContext) Service() any { return c.service }
 
 // Mapper processes one input record at a time. Implementations are
 // created per map task via Job.NewMapper, so per-task state (e.g. FF4's
-// preallocated buffers) is safe without synchronization.
+// preallocated buffers) is safe without synchronization. key and value
+// alias the task's split, which is a read-only view of a stored DFS file:
+// a mapper must not modify them.
 type Mapper interface {
 	Map(ctx *TaskContext, key, value []byte) error
 }

@@ -17,6 +17,12 @@ import (
 // Every query answer carries the handle's generation tag, so a client
 // interleaving reads with updates can tell exactly which state answered.
 
+// MaxSubmitBytes bounds a POST /v1/submit body. A larger body is refused
+// with 413 Request Entity Too Large before it is decoded in full, so one
+// client cannot make the service buffer an unbounded graph. 16 MiB holds
+// a solve of about 600 k edges in the GraphSpec row form.
+const MaxSubmitBytes = 16 << 20
+
 // Job kinds accepted by /v1/submit.
 const (
 	KindSolve  = "solve"
@@ -231,7 +237,13 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("service: submit body exceeds %d bytes", MaxSubmitBytes))
+			return
+		}
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: bad submit body: %w", err))
 		return
 	}

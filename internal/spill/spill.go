@@ -114,8 +114,10 @@ type Config struct {
 	Parent *trace.Span
 }
 
-// rec is one buffered record.
-type rec struct{ key, value []byte }
+// rec is one buffered record's index entry, Hadoop's kvmeta: its key and
+// value lie back to back at off in arena chunk chunk. It is sixteen bytes
+// and holds no pointers, so the GC does not scan the index.
+type rec struct{ chunk, off, klen, vlen uint32 }
 
 // arenaChunkSize is the bump allocator's chunk granularity. 64KiB keeps
 // chunks comfortably reusable through sync.Pool while amortizing the
@@ -127,41 +129,55 @@ var arenaPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// arena is a bump allocator for buffered record bytes. Every Add used to
-// copy its key and value into two fresh heap slices — two allocations
-// per record on the map hot path; the arena copies them into pooled
-// chunks instead, so a steady-state Add allocates nothing. Record slices
-// alias arena memory and die together at reset, which is only called
-// once nothing references them (after a spill consumed the buffer).
+// arena is a bump allocator for buffered record bytes (Hadoop's kvbuffer):
+// put copies a record's key and value into pooled chunks with one copy
+// each, so a steady-state Add allocates nothing, and hands back the rec
+// that locates them. A chunk never grows past its capacity, so the bytes
+// of a record stay where put left them until reset, which is only called
+// once no rec is in use (after a spill consumed the buffer).
 type arena struct {
 	chunks []*[]byte
 }
 
-// copyIn copies b into the arena and returns the full-capacity-clamped
-// copy, so later appends to the returned slice can never clobber a
-// neighboring record.
-func (a *arena) copyIn(b []byte) []byte {
-	n := len(a.chunks)
-	if n == 0 || cap(*a.chunks[n-1])-len(*a.chunks[n-1]) < len(b) {
+// put copies key and value back to back into the arena. A record that does
+// not fit in the current chunk starts a new one, so no record straddles
+// two; one larger than a chunk gets a dedicated chunk of its own size.
+func (a *arena) put(key, value []byte) rec {
+	n := len(key) + len(value)
+	last := len(a.chunks) - 1
+	if last < 0 || cap(*a.chunks[last])-len(*a.chunks[last]) < n {
 		var c *[]byte
-		if len(b) > arenaChunkSize {
+		if n > arenaChunkSize {
 			// Oversize record: a dedicated exact-cap chunk, never pooled.
-			nc := make([]byte, 0, len(b))
+			nc := make([]byte, 0, n)
 			c = &nc
 		} else {
 			c = arenaPool.Get().(*[]byte)
 		}
 		a.chunks = append(a.chunks, c)
-		n = len(a.chunks)
+		last++
 	}
-	c := a.chunks[n-1]
-	start := len(*c)
-	*c = append(*c, b...)
-	return (*c)[start:len(*c):len(*c)]
+	c := a.chunks[last]
+	off := len(*c)
+	*c = append(append(*c, key...), value...)
+	return rec{chunk: uint32(last), off: uint32(off), klen: uint32(len(key)), vlen: uint32(len(value))}
+}
+
+// key and value return r's bytes, capacity clipped so an append through
+// them can never clobber a neighbouring record.
+func (a *arena) key(r rec) []byte {
+	end := r.off + r.klen
+	return (*a.chunks[r.chunk])[r.off:end:end]
+}
+
+func (a *arena) value(r rec) []byte {
+	start := r.off + r.klen
+	end := start + r.vlen
+	return (*a.chunks[r.chunk])[start:end:end]
 }
 
 // reset returns regular chunks to the pool and drops oversize ones. The
-// caller must have dropped every slice copyIn handed out.
+// caller must have dropped every rec put handed out.
 func (a *arena) reset() {
 	for _, c := range a.chunks {
 		if cap(*c) == arenaChunkSize {
@@ -173,12 +189,12 @@ func (a *arena) reset() {
 }
 
 // sortRecs orders records by (key, value), the engine's shuffle order.
-func sortRecs(recs []rec) {
-	slices.SortFunc(recs, func(a, b rec) int {
-		if cmp := bytes.Compare(a.key, b.key); cmp != 0 {
+func (a *arena) sortRecs(recs []rec) {
+	slices.SortFunc(recs, func(x, y rec) int {
+		if cmp := bytes.Compare(a.key(x), a.key(y)); cmp != 0 {
 			return cmp
 		}
-		return bytes.Compare(a.value, b.value)
+		return bytes.Compare(a.value(x), a.value(y))
 	})
 }
 
@@ -228,10 +244,8 @@ func (w *Writer) Add(partition int, key, value []byte) error {
 	if partition < 0 || partition >= len(w.parts) {
 		return w.fail(fmt.Errorf("spill: partition %d out of range [0,%d)", partition, len(w.parts)))
 	}
-	k := w.buf.copyIn(key)
-	v := w.buf.copyIn(value)
-	w.parts[partition] = append(w.parts[partition], rec{key: k, value: v})
-	w.buffered += FramedSize(k, v)
+	w.parts[partition] = append(w.parts[partition], w.buf.put(key, value))
+	w.buffered += FramedSize(key, value)
 	if w.buffered >= w.cfg.MemoryBudget {
 		return w.spill()
 	}
@@ -266,7 +280,7 @@ func (w *Writer) spill() error {
 		if len(recs) == 0 {
 			continue
 		}
-		sortRecs(recs)
+		w.buf.sortRecs(recs)
 		if w.cfg.Combine != nil {
 			combined, err := w.combine(recs)
 			if err != nil {
@@ -274,8 +288,8 @@ func (w *Writer) spill() error {
 			}
 			recs = combined
 		}
-		for i := range recs {
-			sz := FramedSize(recs[i].key, recs[i].value)
+		for _, r := range recs {
+			sz := FramedSize(w.buf.key(r), w.buf.value(r))
 			raw += sz
 			w.out.MaxFrame = max(w.out.MaxFrame, sz)
 		}
@@ -292,8 +306,8 @@ func (w *Writer) spill() error {
 			continue
 		}
 		ow.begin(p, w.cfg.Node)
-		for i := range recs {
-			if err := ow.append(recs[i].key, recs[i].value); err != nil {
+		for _, r := range recs {
+			if err := ow.append(w.buf.key(r), w.buf.value(r)); err != nil {
 				ow.abort()
 				return w.fail(err)
 			}
@@ -329,33 +343,34 @@ func (w *Writer) spill() error {
 }
 
 // combine applies the configured combiner to each key group of a sorted
-// buffer, returning the replacement records.
+// buffer, returning the replacement records. The combiner's output is put
+// in the arena like any added record; the records it replaces stay there,
+// unused, until the spill resets the arena.
 func (w *Writer) combine(recs []rec) ([]rec, error) {
 	combined := make([]rec, 0, len(recs))
+	var group [][]byte
 	var inRecs, outRecs int64
 	for i := 0; i < len(recs); {
+		key := w.buf.key(recs[i])
 		j := i
-		for j < len(recs) && bytes.Equal(recs[j].key, recs[i].key) {
-			j++
-		}
-		group := make([][]byte, 0, j-i)
-		for k := i; k < j; k++ {
-			group = append(group, recs[k].value)
+		group = group[:0]
+		for ; j < len(recs) && bytes.Equal(w.buf.key(recs[j]), key); j++ {
+			group = append(group, w.buf.value(recs[j]))
 		}
 		inRecs += int64(len(group))
-		out, err := w.cfg.Combine(recs[i].key, group)
+		out, err := w.cfg.Combine(key, group)
 		if err != nil {
 			return nil, err
 		}
 		outRecs += int64(len(out))
 		for _, v := range out {
-			combined = append(combined, rec{key: recs[i].key, value: v})
+			combined = append(combined, w.buf.put(key, v))
 		}
 		i = j
 	}
 	// Combiner output order within a key is implementation-defined;
 	// restore shuffle order so segments stay internally sorted.
-	sortRecs(combined)
+	w.buf.sortRecs(combined)
 	if w.cfg.OnCombine != nil {
 		w.cfg.OnCombine(inRecs, outRecs)
 	}

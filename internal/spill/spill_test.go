@@ -3,6 +3,7 @@ package spill
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -402,22 +403,98 @@ func TestAddSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestArenaIsolatesRecords pins the arena's no-clobber contract: slices
-// handed out by copyIn must tolerate appends without corrupting their
-// neighbors, and spilled output must match what was added.
+// TestArenaIsolatesRecords pins the arena's no-clobber contract: the key
+// and value views of a record must tolerate appends without corrupting
+// their neighbours. A record larger than a chunk gets a chunk of its own,
+// and one that does not fit in what is left of a chunk starts the next
+// one instead of straddling the two.
 func TestArenaIsolatesRecords(t *testing.T) {
 	var a arena
-	first := a.copyIn([]byte("alpha"))
-	second := a.copyIn([]byte("beta"))
-	_ = append(first, 'X') // must reallocate, not overwrite "beta"
-	if string(second) != "beta" {
-		t.Fatalf("append through an arena slice clobbered the next record: %q", second)
+	first := a.put([]byte("alpha"), []byte("1"))
+	second := a.put([]byte("beta"), []byte("2"))
+	_ = append(a.key(first), 'X')   // must reallocate, not overwrite "1"
+	_ = append(a.value(first), 'X') // must reallocate, not overwrite "beta"
+	if string(a.value(first)) != "1" || string(a.key(second)) != "beta" {
+		t.Fatalf("append through an arena view clobbered a record: %q, %q", a.value(first), a.key(second))
 	}
-	big := a.copyIn(make([]byte, arenaChunkSize+1))
-	if len(big) != arenaChunkSize+1 {
-		t.Fatalf("oversize copyIn returned %d bytes", len(big))
+
+	big := bytes.Repeat([]byte{'v'}, arenaChunkSize+1)
+	r := a.put([]byte("big"), big)
+	if !bytes.Equal(a.value(r), big) || string(a.key(r)) != "big" {
+		t.Fatalf("oversize record read back as %d-byte key %q, %d-byte value", r.klen, a.key(r), r.vlen)
+	}
+
+	// Fill a fresh chunk to 10 bytes short of its end, then put a record
+	// of 20 bytes.
+	a.reset()
+	fill := a.put(nil, make([]byte, arenaChunkSize-10))
+	edge := a.put([]byte("0123456789"), []byte("abcdefghij"))
+	if edge.chunk == fill.chunk || edge.off != 0 {
+		t.Errorf("a record that does not fit went to chunk %d offset %d, want a new chunk at 0", edge.chunk, edge.off)
+	}
+	if string(a.key(edge)) != "0123456789" || string(a.value(edge)) != "abcdefghij" {
+		t.Errorf("record at a chunk end read back as (%q, %q)", a.key(edge), a.value(edge))
 	}
 	a.reset()
+}
+
+// TestOversizeRecordsSpill pushes records bigger than an arena chunk, and
+// records that fall at a chunk end, through a spill and a merge.
+func TestOversizeRecordsSpill(t *testing.T) {
+	var recs [][2][]byte
+	for i := 0; i < 6; i++ {
+		recs = append(recs, [2][]byte{
+			[]byte(fmt.Sprintf("key-%d", i%4)),
+			bytes.Repeat([]byte{byte('a' + i)}, arenaChunkSize/3+i*arenaChunkSize/5),
+		})
+	}
+	merged, out, _ := runSpillMerge(t, NewMemRunStore(), 3*arenaChunkSize, 4, false, recs)
+	if out.Spills < 2 || out.MaxFrame <= arenaChunkSize {
+		t.Errorf("%d spills, largest frame %d; want several spills and a frame over %d", out.Spills, out.MaxFrame, arenaChunkSize)
+	}
+	if !equalRecs(merged, sortedCopy(recs)) {
+		t.Error("merged stream does not equal the sorted input record set")
+	}
+}
+
+// TestCombinerOutputInArena: what a combiner returns is copied into the
+// writer's arena, so the combiner may hand back a buffer it reuses (were
+// the records to alias it, every one would read as the last key's).
+func TestCombinerOutputInArena(t *testing.T) {
+	var scratch []byte
+	w, err := NewWriter(Config{
+		Partitions:   1,
+		MemoryBudget: 1 << 30,
+		Store:        NewMemRunStore(),
+		NamePrefix:   "t/",
+		Combine: func(key []byte, values [][]byte) ([][]byte, error) {
+			scratch = append(scratch[:0], fmt.Sprintf("%s=%d", key, len(values))...)
+			return [][]byte{scratch}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if err := w.Add(0, []byte(fmt.Sprintf("k%d", i%3)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.buf.sortRecs(w.parts[0])
+	combined, err := w.combine(w.parts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range combined {
+		if int(r.chunk) >= len(w.buf.chunks) {
+			t.Fatalf("combined record in chunk %d of %d", r.chunk, len(w.buf.chunks))
+		}
+		got = append(got, string(w.buf.key(r))+":"+string(w.buf.value(r)))
+	}
+	if want := []string{"k0:k0=10", "k1:k1=10", "k2:k2=10"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("combined records %q, want %q", got, want)
+	}
 }
 
 // streamOnlyStore hides that a MemRunStore's objects are in memory, so a
