@@ -42,7 +42,6 @@ func main() {
 		admin     = flag.String("admin", "", "serve /metrics, /healthz, /status, /flight and /debug/pprof on this HTTP address")
 		flightDir = flag.String("flight-dir", "", "directory an injected crash dumps the worker's trace into (read with ffmr -analyze)")
 		drain     = flag.Bool("drain", false, "on SIGINT/SIGTERM, drain gracefully: finish running attempts, hand completed map outputs off through the master, then deregister and exit (a second signal forces immediate shutdown)")
-		prefetch  = flag.Int("prefetch-depth", 0, "concurrent shuffle-segment fetches per reduce and background prefetch workers (default 4)")
 	)
 	flag.Parse()
 	if *master == "" {
@@ -57,10 +56,9 @@ func main() {
 	// ship to the master on heartbeats, and the -admin /metrics endpoint
 	// (when enabled) scrapes the same registry.
 	cfg := distmr.WorkerConfig{
-		MasterAddr:    *master,
-		ListenAddr:    *listen,
-		PrefetchDepth: *prefetch,
-		Obsv:          obsv.Options{Logger: logger, AdminAddr: *admin, FlightDir: *flightDir},
+		MasterAddr: *master,
+		ListenAddr: *listen,
+		Obsv:       obsv.Options{Logger: logger, AdminAddr: *admin, FlightDir: *flightDir},
 	}
 	if *dir != "" {
 		store, err := spill.NewDiskRunStore(*dir)

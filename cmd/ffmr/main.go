@@ -109,7 +109,6 @@ func run() error {
 		distListen = flag.String("dist-listen", "", "master listen address for external workers (default: ephemeral loopback port)")
 		distWait   = flag.Int("dist-wait", 0, "wait for this many registered workers before starting (counts in-process and external)")
 		distVerify = flag.Bool("dist-verify", false, "also run the simulated engine and require identical per-round counters")
-		distNoPre  = flag.Bool("dist-no-prefetch", false, "disable pipelined shuffle prefetch (A/B knob; counters are identical either way)")
 		crash      = flag.Float64("worker-crash", 0, "injected probability a worker dies at task start (distributed only)")
 
 		submitTo = flag.String("submit", "", "submit the job to a running ffmr-service at this address instead of solving locally")
@@ -184,7 +183,7 @@ func run() error {
 			h, err := distmr.StartHarness(distmr.HarnessConfig{
 				Workers:    *distWork,
 				Replace:    *crash > 0,
-				Master:     distmr.Config{Addr: *distListen, Obsv: obsvOpts, DisablePrefetch: *distNoPre},
+				Master:     distmr.Config{Addr: *distListen, Obsv: obsvOpts},
 				Tracer:     tracer,
 				WorkerObsv: obsv.Options{Logger: logger, FlightDir: obsvOpts.FlightDir},
 			})
@@ -194,7 +193,7 @@ func run() error {
 			defer h.Close()
 			master = h.Master
 		} else {
-			m, err := distmr.NewMaster(distmr.Config{Addr: *distListen, Tracer: tracer, Obsv: obsvOpts, DisablePrefetch: *distNoPre})
+			m, err := distmr.NewMaster(distmr.Config{Addr: *distListen, Tracer: tracer, Obsv: obsvOpts})
 			if err != nil {
 				return err
 			}

@@ -16,9 +16,6 @@ const (
 	// CounterSpanBatchesLost counts drained span batches a worker still
 	// held, unshipped, when it died.
 	CounterSpanBatchesLost = "distmr span batches lost"
-	// CounterPrefetchShed counts prefetch hints a worker dropped because
-	// its prefetch queue was full.
-	CounterPrefetchShed = "distmr prefetch hints shed"
 )
 
 // decide reports one scheduling or fault decision (a reassignment, a

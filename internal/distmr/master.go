@@ -41,9 +41,6 @@ const (
 	// CounterRestoredTasks counts task winners rehydrated from
 	// DFS-persisted job state after a master restart.
 	CounterRestoredTasks = "distmr restored tasks"
-	// CounterPrefetchPushes counts shuffle-prefetch hints pushed to
-	// workers as map winners complete (the pipelined shuffle).
-	CounterPrefetchPushes = "distmr prefetch pushes"
 	// CounterCompletionBatches counts heartbeats that carried at least
 	// one task completion; comparing it against total completions shows
 	// how well the batching amortizes the per-completion RPC tax.
@@ -56,10 +53,11 @@ const (
 	// directly.
 	//
 	// HistTaskServiceNS is worker task service time (receipt to result);
-	// HistShuffleFetchNS is one shuffle segment fetch (prefetch or reduce
-	// path); HistHeartbeatRTTNS is the worker-measured heartbeat round
-	// trip; HistStartTaskNS is the master-measured Worker.StartTask round
-	// trip; HistQueueWaitNS is scheduler queue wait (enqueue to launch).
+	// HistShuffleFetchNS is one shuffle fetch call of a reduce attempt
+	// (one per source worker, or per handed-off object);
+	// HistHeartbeatRTTNS is the worker-measured heartbeat round trip;
+	// HistStartTaskNS is the master-measured Worker.StartTask round trip;
+	// HistQueueWaitNS is scheduler queue wait (enqueue to launch).
 	HistTaskServiceNS  = "distmr task service ns"
 	HistShuffleFetchNS = "distmr shuffle fetch ns"
 	HistHeartbeatRTTNS = "distmr heartbeat rtt ns"
@@ -88,10 +86,11 @@ type Config struct {
 	// completed duration (defaults 0.75 and 2.0).
 	SpeculativeFraction float64
 	SpeculativeFactor   float64
-	// MaxAssigns caps how many times one task may be (re)assigned across
-	// worker deaths before the job fails (default 10). Body failures are
-	// capped separately by Faults.MaxAttempts, matching the simulated
-	// engine.
+	// MaxAssigns caps how many leases one task may lose by its own doing
+	// — a StartTask that killed its worker, or an expired lease — before
+	// the job fails (default 10). A lease that dies with a worker another
+	// task felled is not counted. Body failures are capped separately by
+	// Faults.MaxAttempts, matching the simulated engine.
 	MaxAssigns int
 	// WorkerWait is how long a job waits for a live worker before
 	// failing (default 30s).
@@ -101,12 +100,6 @@ type Config struct {
 	// heartbeat intervals). Without expiry the snapshot would list dead
 	// workers until job end.
 	DeadRetention time.Duration
-	// DisablePrefetch turns off the pipelined shuffle: no prefetch hints
-	// are pushed as map winners complete, and reduces fetch all their
-	// segments on dispatch. Counters are identical either way (prefetch
-	// only changes wall-clock overlap, DESIGN.md §13); the knob exists
-	// for A/B measurement and as an escape hatch.
-	DisablePrefetch bool
 	// PersistState makes every job persist its task winners (manifests
 	// plus map output segments) to the cluster DFS as they complete, and
 	// rehydrate them at job start. A restarted master pointed at the same
@@ -205,7 +198,6 @@ type workerHandle struct {
 	hbRunning    int64
 	hbTasksDone  int64
 	hbStoreBytes int64
-	hbPrefetched int64
 
 	// Cached per-worker gauges, interned once per registry instead of a
 	// fmt.Sprintf + registry lookup on every beat (the beat is the
@@ -523,7 +515,6 @@ func (m *Master) Status() *obsv.ClusterStatus {
 			Addr:       w.addr,
 			Running:    w.hbRunning,
 			TasksDone:  w.hbTasksDone,
-			Prefetched: w.hbPrefetched,
 			StoreBytes: w.hbStoreBytes,
 			LastBeatMS: time.Since(w.lastBeat).Milliseconds(),
 			Dead:       w.state == stateDead || w.state == stateDrained,
@@ -771,60 +762,6 @@ func (m *Master) release(w *workerHandle) {
 	m.mu.Unlock()
 }
 
-// pickWorkerPreferring is pickWorker with a placement hint: among the
-// least-loaded eligible workers, the preferred one wins the tie, so
-// reduce tasks land where their prefetched shuffle segments already
-// sit. The hint never overrides load balance — a strictly less-loaded
-// worker (a late joiner, say) still gets the task, which keeps elastic
-// membership behavior identical with prefetch on or off.
-func (m *Master) pickWorkerPreferring(slots int, exclude, prefer *workerHandle) *workerHandle {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var best *workerHandle
-	ids := make([]uint64, 0, len(m.workers))
-	for id := range m.workers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		w := m.workers[id]
-		if w.state != stateLive || w == exclude || w.running >= slots {
-			continue
-		}
-		if best == nil || w.running < best.running {
-			best = w
-		}
-	}
-	if prefer != nil && prefer != exclude && prefer.state == stateLive &&
-		prefer.running < slots && best != nil && prefer.running <= best.running {
-		best = prefer
-	}
-	if best != nil {
-		best.running++
-	}
-	return best
-}
-
-// nthLiveWorker deterministically maps an index onto the live worker set
-// (sorted by id, wrapped modulo its size). The prefetch planner uses it
-// to predict reduce placement: the mapping is stable while membership
-// holds, and a wrong guess only costs the prefetched bytes.
-func (m *Master) nthLiveWorker(n int) *workerHandle {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := make([]uint64, 0, len(m.workers))
-	for id, w := range m.workers {
-		if w.state == stateLive {
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
-		return nil
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return m.workers[ids[n%len(ids)]]
-}
-
 // masterService is the RPC wrapper exposing the worker-facing API.
 type masterService struct{ m *Master }
 
@@ -921,7 +858,6 @@ func (s *masterService) Heartbeat(hb *Heartbeat, reply *HeartbeatReply) error {
 		w.hbRunning = hb.Running
 		w.hbTasksDone = hb.TasksDone
 		w.hbStoreBytes = hb.StoreBytes
-		w.hbPrefetched = hb.Prefetched
 		if reg := m.tracer.Registry(); w.gaugeReg != reg {
 			w.gaugeReg = reg
 			w.gRunning = reg.Gauge(fmt.Sprintf("distmr worker %d running", w.id))

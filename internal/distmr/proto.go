@@ -4,11 +4,10 @@ import "ffmr/internal/spill"
 
 // This file defines the RPC replies and the scalar requests exchanged
 // between master and workers. The structured requests — JoinRequest,
-// Heartbeat, Retire, HandoffDescriptor, TaskDescriptor,
-// PrefetchDescriptor (wire.go, spec in DESIGN.md §13) — are RPC
-// arguments themselves: every type here and there frames itself onto
-// the wire as an rpcutil.Message (wire_rpc.go), so a call encodes its
-// message exactly once.
+// Heartbeat, Retire, HandoffDescriptor, TaskDescriptor (wire.go, spec in
+// DESIGN.md §13) — are RPC arguments themselves: every type here and
+// there frames itself onto the wire as an rpcutil.Message (wire_rpc.go),
+// so a call encodes its message exactly once.
 
 // RegisterReply assigns the worker its identity and cadence.
 type RegisterReply struct {
@@ -51,8 +50,8 @@ type ReadFileReply struct {
 
 // Empty is the argument or reply of every call that carries nothing:
 // Worker.Watch and Worker.Shutdown take it, and Master.Retire,
-// Worker.StartTask, Worker.Prefetch, Worker.Watch, Worker.CleanJob and
-// Worker.Shutdown answer with it (acceptance is the reply).
+// Worker.StartTask, Worker.Watch, Worker.CleanJob and Worker.Shutdown
+// answer with it (acceptance is the reply).
 type Empty struct{}
 
 // TaskResult is what a completed task attempt reports. Only the winning
@@ -98,18 +97,28 @@ type TaskResult struct {
 	DurNanos int64
 }
 
-// FetchSegmentArgs asks a worker for one spill segment's stored bytes:
-// the range [Offset, Offset+Length) of the named spill object.
-type FetchSegmentArgs struct {
+// FetchRange is one shuffle segment's stored bytes: the range
+// [Offset, Offset+Length) of the named spill object.
+type FetchRange struct {
 	Name   string
 	Offset int64
 	Length int64
 }
 
-// FetchSegmentReply returns the segment's stored (possibly compressed)
-// bytes.
-type FetchSegmentReply struct {
-	Data []byte
+// FetchSegmentsArgs asks a worker for stored ranges of its spill
+// objects: every segment it holds for one reduce partition, or, under a
+// memory budget, a share of them.
+type FetchSegmentsArgs struct {
+	Ranges []FetchRange
+}
+
+// FetchSegmentsReply returns the ranges' stored (possibly compressed)
+// bytes back to back, in request order. A decoded reply holds them in
+// Data; a serving worker lists them in parts, which the codec writes
+// from the worker's store.
+type FetchSegmentsReply struct {
+	Data  []byte
+	parts [][]byte
 }
 
 // CleanJobArgs retires a job on a worker: its code is closed and its

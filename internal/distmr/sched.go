@@ -41,9 +41,12 @@ type dispatch struct {
 // taskState is the scheduler's view of one task. The two failure axes are
 // kept apart exactly as the engine's semantics require: body failures
 // (TaskResult.Err, injected FailureRate draws) advance attempt and count
-// "task failures", capped by Faults.MaxAttempts; worker deaths (transport
-// errors, expired leases) advance only the assignment sequence, capped by
-// Config.MaxAssigns, and leave the counters untouched.
+// "task failures", capped by Faults.MaxAttempts; lost leases advance only
+// the assignment sequence and leave the counters untouched. Only the
+// leases the task itself lost — a StartTask that killed its worker, an
+// expired lease — count against Config.MaxAssigns: a lease that died with
+// a worker felled by another task is not charged, as Hadoop does not
+// count an attempt killed by node loss.
 type taskState struct {
 	ph   Phase
 	task int
@@ -52,6 +55,7 @@ type taskState struct {
 	attempt  int  // body-attempt number: the simulated engine's coordinate
 	admitted bool // current attempt survived the injected-failure draws
 	assigns  int  // dispatches so far, reassignments and backups included
+	charged  int  // lost leases that count against MaxAssigns
 	lastErr  error
 
 	queued bool
@@ -117,14 +121,14 @@ type jobRun struct {
 	// segPrefix is where handed-off and persisted segments live in DFS.
 	segPrefix string
 
-	// prefetchPlan predicts, per reduce partition, the worker that will
-	// likely run it, so map winners' segments can be pushed there while
-	// the map phase is still running. A miss costs nothing but the
-	// prefetched bytes: the reduce's own fetch path is authoritative.
-	prefetchPlan []*workerHandle
-
 	lastLive time.Time
 }
+
+// epochAssigns is how many assignments of a task one master generation
+// may make before its Assign values would run into the next generation's.
+// Leases lost to other tasks' worker deaths are not capped by MaxAssigns,
+// so the stride is far above any real count.
+const epochAssigns = 1 << 16
 
 // statePrefix is where a job persists its recovery state in the DFS:
 // an epoch counter, per-task winner manifests, and the winners' map
@@ -392,19 +396,11 @@ func (jr *jobRun) dispatchReady() error {
 				return err
 			}
 		}
-		if ts.assigns >= jr.m.cfg.MaxAssigns {
-			return fmt.Errorf("distmr: %s %s task %d abandoned after %d assignments (worker deaths): %v",
-				jr.job.Name, ts.ph, ts.task, ts.assigns, ts.lastErr)
+		if ts.charged >= jr.m.cfg.MaxAssigns {
+			return fmt.Errorf("distmr: %s %s task %d abandoned after %d lost leases: %v",
+				jr.job.Name, ts.ph, ts.task, ts.charged, ts.lastErr)
 		}
-		var w *workerHandle
-		if ts.ph == PhaseReduce && !jr.m.cfg.DisablePrefetch {
-			// Prefer the prefetch-planned worker: its store likely already
-			// holds this partition's segments, turning the fetch into a
-			// local Has() hit instead of a cross-worker pull.
-			w = jr.m.pickWorkerPreferring(jr.slots(), nil, jr.planWorker(ts.task))
-		} else {
-			w = jr.m.pickWorker(jr.slots(), nil)
-		}
+		w := jr.m.pickWorker(jr.slots(), nil)
 		if w == nil {
 			jr.enqueue(ts)
 			return nil // no capacity; the ticker retries
@@ -490,10 +486,10 @@ func (jr *jobRun) launch(ts *taskState, w *workerHandle, backup bool) {
 // acceptCompletions routes a heartbeat's completion batch into the
 // scheduler's event loop. It runs on the heartbeat handler's goroutine
 // (after the master's registry lock is released): stale entries — wrong
-// job, out-of-range task, undecodable result — are dropped here, and
-// already-settled assignments die in handle's outstanding lookup, so
-// the at-least-once resend discipline worker-side needs no master-side
-// acknowledgement protocol.
+// job, out-of-range task — are dropped here, and already-settled
+// assignments die in handle's outstanding lookup, so the at-least-once
+// resend discipline worker-side needs no master-side acknowledgement
+// protocol.
 func (jr *jobRun) acceptCompletions(w *workerHandle, comps []Completion) {
 	for i := range comps {
 		c := &comps[i]
@@ -512,15 +508,7 @@ func (jr *jobRun) acceptCompletions(w *workerHandle, comps []Completion) {
 		default:
 			continue
 		}
-		res, err := DecodeResult(c.Result)
-		if err != nil {
-			// Same-binary framing should never corrupt; drop the entry and
-			// let the lease scan reassign if the worker really is wedged.
-			jr.log.Warn("undecodable completion dropped",
-				"worker", w.id, "phase", c.Phase.String(), "task", c.Task, "err", err)
-			continue
-		}
-		ev := event{ph: c.Phase, task: c.Task, assign: c.Assign - jr.assignBase, w: w, res: res}
+		ev := event{ph: c.Phase, task: c.Task, assign: c.Assign - jr.assignBase, w: w, res: c.Result}
 		select {
 		case jr.events <- ev:
 		case <-jr.cancel:
@@ -663,7 +651,7 @@ func (jr *jobRun) handle(ev event) error {
 		// reassigned on a fresh assignment without consuming a body
 		// attempt — a worker death is not a task failure.
 		jr.m.markDead(ev.w)
-		jr.leaseFailed(ts, d, ev.assign, ev.err)
+		jr.leaseFailed(ts, d, ev.assign, ev.err, jr.ownCrash(ts, ev.assign))
 		return nil
 	}
 
@@ -721,7 +709,6 @@ func (jr *jobRun) handle(ev event) error {
 	}
 	if ev.ph == PhaseMap {
 		jr.mapsDone++
-		jr.pushPrefetch(ts)
 		if jr.mapsDone == len(jr.maps) {
 			if !jr.reducesOn {
 				jr.openReduce()
@@ -740,11 +727,15 @@ func (jr *jobRun) handle(ev event) error {
 // The dispatch has already been removed and its slot released; this
 // handles the task-level consequences: backups just clear the
 // speculation latch, primaries reassign without consuming an attempt.
-func (jr *jobRun) leaseFailed(ts *taskState, d *dispatch, assign int, err error) {
+// charge says the lease was lost to the task itself (see taskState).
+func (jr *jobRun) leaseFailed(ts *taskState, d *dispatch, assign int, err error, charge bool) {
 	if ts.done {
 		return
 	}
 	ts.lastErr = err
+	if charge {
+		ts.charged++
+	}
 	if d.backup {
 		ts.specDone = false
 		return
@@ -754,6 +745,17 @@ func (jr *jobRun) leaseFailed(ts *taskState, d *dispatch, assign int, err error)
 		"phase", ts.ph.String(), "task", ts.task, "assign", assign,
 		"worker", d.w.id, "err", err)
 	jr.enqueue(ts)
+}
+
+// ownCrash reports whether a failed StartTask was the task's own doing.
+// Under crash injection a worker dies at StartTask only on the draw of
+// the task it is handed, which the master can replay: a failure without
+// that draw met a worker another task's draw had felled. Without
+// injection every StartTask failure counts.
+func (jr *jobRun) ownCrash(ts *taskState, assign int) bool {
+	f := jr.c.Fault
+	return f.WorkerCrashRate <= 0 || mapreduce.InjectHash(f.Seed, jr.job.Name,
+		ts.ph.String()+"-crash", ts.task, jr.assignBase+assign) < f.WorkerCrashRate
 }
 
 // checkLeases reclaims outstanding dispatches whose worker has died (the
@@ -782,59 +784,12 @@ func (jr *jobRun) checkLeases() {
 					err = fmt.Errorf("distmr: lease expired after %v", jr.m.cfg.LeaseTimeout)
 					jr.m.markDead(d.w)
 				}
-				jr.leaseFailed(ts, d, assign, err)
+				jr.leaseFailed(ts, d, assign, err, alive)
 			}
 		}
 	}
 	scan(jr.maps)
 	scan(jr.reduces)
-}
-
-// planWorker predicts (and pins) the worker that will run reduce p, for
-// prefetch targeting. The pin is revisited when the planned worker dies.
-func (jr *jobRun) planWorker(p int) *workerHandle {
-	if jr.prefetchPlan == nil {
-		jr.prefetchPlan = make([]*workerHandle, len(jr.reduces))
-	}
-	if w := jr.prefetchPlan[p]; w != nil && jr.m.workerAlive(w) {
-		return w
-	}
-	jr.prefetchPlan[p] = jr.m.nthLiveWorker(p)
-	return jr.prefetchPlan[p]
-}
-
-// pushPrefetch hints the planned reducer workers about a freshly won map
-// task's segments, so they pull shuffle data while the map phase is
-// still running. Purely advisory: errors and drops are ignored, and the
-// reduce fetch path re-verifies every segment — counters cannot change.
-func (jr *jobRun) pushPrefetch(mt *taskState) {
-	if jr.m.cfg.DisablePrefetch || mt.handoff || mt.winnerW == nil {
-		return
-	}
-	byWorker := make(map[*workerHandle][]MapSource)
-	for p := range jr.reduces {
-		if jr.reduces[p].done || p >= len(mt.winner.Parts) {
-			continue
-		}
-		segs := mt.winner.Parts[p]
-		if len(segs) == 0 {
-			continue
-		}
-		w := jr.planWorker(p)
-		if w == nil || w == mt.winnerW {
-			continue // no live target, or the data is already local there
-		}
-		byWorker[w] = append(byWorker[w], MapSource{
-			MapTask: mt.task, Worker: mt.winnerW.id, Addr: mt.winnerW.addr, Segments: segs,
-		})
-	}
-	for w, srcs := range byWorker {
-		desc := &PrefetchDescriptor{JobSeq: jr.seq, Ctx: jr.ctx(), Sources: srcs}
-		jr.m.registry().Counter(CounterPrefetchPushes).Add(1)
-		// Advisory, so nobody waits for the reply or reads its error; the
-		// goroutine only keeps the connection write off the scheduler loop.
-		go w.client.Go("Worker.Prefetch", desc, &Empty{}, make(chan *rpc.Call, 1))
-	}
 }
 
 // invalidateMap returns a completed map task to the queue because its
@@ -1013,7 +968,7 @@ func (jr *jobRun) restoreState() {
 			epoch = n
 		}
 	}
-	jr.assignBase = epoch * jr.m.cfg.MaxAssigns
+	jr.assignBase = epoch * epochAssigns
 	if err := fs.WriteFile(prefix+"epoch", []byte(strconv.Itoa(epoch+1))); err != nil {
 		jr.log.Warn("state restore: epoch write failed", "err", err)
 	}
@@ -1125,7 +1080,7 @@ func (jr *jobRun) spec(tasks []taskState, done int) {
 		if cur.backup || time.Since(cur.start) <= threshold {
 			continue
 		}
-		if ts.assigns >= jr.m.cfg.MaxAssigns {
+		if ts.charged >= jr.m.cfg.MaxAssigns {
 			continue
 		}
 		w := jr.m.pickWorker(jr.slots(), cur.w)

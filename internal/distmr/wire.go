@@ -119,8 +119,6 @@ type TaskDescriptor struct {
 	// SideFiles are fetched from the master once per job and cached.
 	SideFiles []string
 
-	// Split is the map task's input data (record-aligned, master-planned).
-	Split []byte
 	// Sources are the reduce task's shuffle inputs, in map-task order.
 	Sources []MapSource
 
@@ -128,6 +126,11 @@ type TaskDescriptor struct {
 	// task spans are tagged with it and stitched under Ctx.Span (the job
 	// span) when shipped back. Zero when the master runs untraced.
 	Ctx trace.Context
+
+	// Split is the map task's input data (record-aligned, master-planned).
+	// It ends the frame: the codec writes it from the DFS's buffer, and a
+	// decoded descriptor aliases the frame it arrived in.
+	Split []byte
 }
 
 // Heartbeat is the periodic worker-to-master liveness report, carried in
@@ -136,7 +139,9 @@ type TaskDescriptor struct {
 // piggybacks per-task progress on the beat, so the master's live status
 // needs no extra RPC traffic. Since wire version 3 the beat is also the
 // task-completion channel: finished attempts ride in Completions instead
-// of each holding its own RPC open for the whole execution.
+// of each holding its own RPC open for the whole execution. Completions
+// end the frame, each result with its reduce output last, and a decoded
+// beat's results alias the frame it arrived in.
 type Heartbeat struct {
 	Worker uint64
 	// Instance echoes the master-instance nonce the worker registered
@@ -150,9 +155,6 @@ type Heartbeat struct {
 	StoreObjects int64
 	StoreBytes   int64
 	TasksDone    int64
-	// Prefetched is the cumulative count of shuffle segments this
-	// worker's prefetcher has pulled ahead of reduce dispatch.
-	Prefetched int64
 	// Completions are task results finished since the last acknowledged
 	// beat. The worker retains them across failed beats and resends, so
 	// the master must treat them as at-least-once: stale entries (wrong
@@ -178,49 +180,45 @@ type Heartbeat struct {
 	Hists    []HistSample
 }
 
-// Completion is one finished task attempt riding on a heartbeat. Result
-// holds the wire-encoded TaskResult (EncodeResult); keeping it encoded
-// inside the heartbeat lets the master discard stale completions on the
-// JobSeq/assignment check without paying for a decode.
+// Completion is one finished task attempt riding on a heartbeat. The
+// worker keeps Result as it came out of the attempt until a beat carries
+// it, so a reduce output is encoded once, at send.
 type Completion struct {
 	JobSeq uint64
 	Phase  Phase
 	Task   int
 	// Assign echoes TaskDescriptor.Assign, master-epoch offset included.
 	Assign int
-	Result []byte
-}
-
-// PrefetchDescriptor asks a worker to pull shuffle segments into its
-// local store ahead of reduce dispatch, while the map phase is still
-// running. It is advisory: the worker may drop it under load, and the
-// reduce task's own fetch path skips segments that already arrived —
-// so prefetch changes wall-clock overlap, never bytes or counters.
-type PrefetchDescriptor struct {
-	JobSeq uint64
-	// Sources name the segments to pull, in the same MapSource shape a
-	// reduce descriptor carries.
-	Sources []MapSource
-	// Ctx is the master-trace position (job span) background prefetch
-	// spans are stitched under.
-	Ctx trace.Context
+	Result *TaskResult
 }
 
 // wireVersion 2 added MapSource.Prefix and the membership messages
 // (JoinRequest, Retire, HandoffDescriptor). Version 3 moved task
-// results and winner manifests off gob (EncodeResult / DecodeResult),
-// added heartbeat completion piggybacks and the Prefetched gauge, and
-// added PrefetchDescriptor. Version 4 added trace-context propagation
-// (TaskDescriptor.Ctx, PrefetchDescriptor.Ctx) and telemetry shipping
+// results and winner manifests off gob (EncodeResult / DecodeResult)
+// and added heartbeat completion piggybacks. Version 4 added
+// trace-context propagation (TaskDescriptor.Ctx) and telemetry shipping
 // on heartbeats (SentUnixNano/RTTNanos clock samples, SpanBatches, and
 // absolute Counter/Hist snapshots — wire_span.go, DESIGN.md §9).
 // Version 5 added Segment.Offset: a spill is one object and a segment a
-// range of it.
+// range of it. Version 6 moved every bulk field to the end of its frame
+// (the split, the reduce output, the completions that carry it), decoded
+// heartbeat completions in place, replaced the per-segment fetch with
+// FetchSegments and dropped shuffle prefetch.
 // Decoders accept exactly the current version: master and workers ship
 // from one binary (DESIGN.md §13's compatibility rule), so a mismatch
 // means a stale process, and refusing it beats silently misreading
 // frames.
-const wireVersion = 5
+const wireVersion = 6
+
+// inline is the put of an AppendBulk (rpcutil.Bulky) that wants the
+// whole frame in b.
+func inline(b, p []byte) []byte { return append(b, p...) }
+
+// putBytes is rpcutil.AppendBytes for a bulk field: the length is
+// appended to b, the bytes go to put.
+func putBytes(b, p []byte, put func(b, p []byte) []byte) []byte {
+	return put(binary.AppendUvarint(b, uint64(len(p))), p)
+}
 
 // decodeNew adapts a payload's in-place decode method to the exported
 // DecodeX(data) (*X, error) form. The payload keeps slices of data.
@@ -265,7 +263,10 @@ func EncodeTask(d *TaskDescriptor) []byte {
 // AppendTask appends a wire-encoded task descriptor to b and returns the
 // extended buffer (the binary.AppendUvarint convention, so callers can
 // encode into pooled buffers without an allocation per message).
-func AppendTask(b []byte, d *TaskDescriptor) []byte {
+func AppendTask(b []byte, d *TaskDescriptor) []byte { return d.AppendBulk(b, inline) }
+
+// AppendBulk implements rpcutil.Bulky; the split is the bulk field.
+func (d *TaskDescriptor) AppendBulk(b []byte, put func(b, p []byte) []byte) []byte {
 	b = append(b, wireVersion)
 	b = binary.AppendUvarint(b, d.JobSeq)
 	b = rpcutil.AppendString(b, d.JobName)
@@ -290,13 +291,12 @@ func AppendTask(b []byte, d *TaskDescriptor) []byte {
 	for _, s := range d.SideFiles {
 		b = rpcutil.AppendString(b, s)
 	}
-	b = rpcutil.AppendBytes(b, d.Split)
 	b = binary.AppendUvarint(b, uint64(len(d.Sources)))
 	for i := range d.Sources {
 		b = appendSource(b, &d.Sources[i])
 	}
 	b = appendCtx(b, &d.Ctx)
-	return b
+	return putBytes(b, d.Split, put)
 }
 
 // EncodeHeartbeat serializes a heartbeat into a fresh buffer. Hot paths
@@ -307,7 +307,11 @@ func EncodeHeartbeat(h *Heartbeat) []byte {
 
 // AppendHeartbeat appends a wire-encoded heartbeat, completion
 // piggybacks included, to b and returns the extended buffer.
-func AppendHeartbeat(b []byte, h *Heartbeat) []byte {
+func AppendHeartbeat(b []byte, h *Heartbeat) []byte { return h.AppendBulk(b, inline) }
+
+// AppendBulk implements rpcutil.Bulky; the completions' reduce outputs
+// are the bulk fields.
+func (h *Heartbeat) AppendBulk(b []byte, put func(b, p []byte) []byte) []byte {
 	b = append(b, wireVersion)
 	b = binary.AppendUvarint(b, h.Worker)
 	b = binary.AppendUvarint(b, h.Instance)
@@ -316,16 +320,6 @@ func AppendHeartbeat(b []byte, h *Heartbeat) []byte {
 	b = binary.AppendVarint(b, h.StoreObjects)
 	b = binary.AppendVarint(b, h.StoreBytes)
 	b = binary.AppendVarint(b, h.TasksDone)
-	b = binary.AppendVarint(b, h.Prefetched)
-	b = binary.AppendUvarint(b, uint64(len(h.Completions)))
-	for i := range h.Completions {
-		c := &h.Completions[i]
-		b = binary.AppendUvarint(b, c.JobSeq)
-		b = append(b, byte(c.Phase))
-		b = binary.AppendVarint(b, int64(c.Task))
-		b = binary.AppendVarint(b, int64(c.Assign))
-		b = rpcutil.AppendBytes(b, c.Result)
-	}
 	b = binary.AppendVarint(b, h.SentUnixNano)
 	b = binary.AppendVarint(b, h.RTTNanos)
 	b = binary.AppendUvarint(b, uint64(len(h.SpanBatches)))
@@ -347,6 +341,15 @@ func AppendHeartbeat(b []byte, h *Heartbeat) []byte {
 		for _, n := range hs.Buckets {
 			b = binary.AppendVarint(b, n)
 		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(h.Completions)))
+	for i := range h.Completions {
+		c := &h.Completions[i]
+		b = binary.AppendUvarint(b, c.JobSeq)
+		b = append(b, byte(c.Phase))
+		b = binary.AppendVarint(b, int64(c.Task))
+		b = binary.AppendVarint(b, int64(c.Assign))
+		b = appendResultBody(b, c.Result, put)
 	}
 	return b
 }
@@ -381,8 +384,8 @@ func readSource(d *rpcutil.Reader, src *MapSource) {
 	}
 }
 
-// DecodeTask parses an encoded task descriptor. It never panics on
-// malformed input.
+// DecodeTask parses an encoded task descriptor, whose Params and Split
+// alias data. It never panics on malformed input.
 func DecodeTask(data []byte) (*TaskDescriptor, error) {
 	return decodeNew(data, (*TaskDescriptor).decode)
 }
@@ -422,7 +425,6 @@ func (t *TaskDescriptor) decode(data []byte) error {
 			t.SideFiles[i] = d.Str("side file")
 		}
 	}
-	t.Split = d.Bytes("split")
 	if n := d.Count("sources"); n > 0 {
 		t.Sources = make([]MapSource, n)
 		for i := range t.Sources {
@@ -430,6 +432,7 @@ func (t *TaskDescriptor) decode(data []byte) error {
 		}
 	}
 	readCtx(d, &t.Ctx)
+	t.Split = d.Bytes("split")
 	return d.Finish("task descriptor")
 }
 
@@ -567,7 +570,13 @@ func EncodeResult(r *TaskResult) []byte {
 // results encode to identical bytes (the canonical-form invariant the
 // fuzz targets check, DESIGN.md §13).
 func AppendResult(b []byte, r *TaskResult) []byte {
-	b = append(b, wireVersion)
+	return appendResultBody(append(b, wireVersion), r, inline)
+}
+
+// appendResultBody appends a task result without a version byte, as a
+// heartbeat completion carries it; the output partition ends it and goes
+// to put.
+func appendResultBody(b []byte, r *TaskResult, put func(b, p []byte) []byte) []byte {
 	b = rpcutil.AppendString(b, r.Err)
 	b = binary.AppendVarint(b, r.InRecs)
 	b = binary.AppendVarint(b, r.OutRecs)
@@ -581,7 +590,6 @@ func AppendResult(b []byte, r *TaskResult) []byte {
 			b = appendSegment(b, &part[j])
 		}
 	}
-	b = rpcutil.AppendBytes(b, r.OutputData)
 	b = binary.AppendVarint(b, r.OutBytes)
 	b = binary.AppendVarint(b, r.OutRecords)
 	b = binary.AppendVarint(b, r.Fetch)
@@ -610,18 +618,28 @@ func AppendResult(b []byte, r *TaskResult) []byte {
 		}
 	}
 	b = binary.AppendVarint(b, r.DurNanos)
-	return b
+	return putBytes(b, r.OutputData, put)
 }
 
-// DecodeResult parses an encoded task result. It never panics on
-// malformed input. Empty collections decode to nil (count 0 → nil map
-// and nil slices), so decode∘encode is a fixed point on decoded values.
+// DecodeResult parses an encoded task result, whose OutputData aliases
+// data. It never panics on malformed input. Empty collections decode to
+// nil (count 0 → nil map and nil slices), so decode∘encode is a fixed
+// point on decoded values.
 func DecodeResult(data []byte) (*TaskResult, error) {
 	d := rpcutil.NewReader(data)
 	if v := d.Byte("version"); d.Err() == nil && v != wireVersion {
 		return nil, fmt.Errorf("distmr: unknown result wire version %d", v)
 	}
 	r := &TaskResult{}
+	readResultBody(d, r)
+	if err := d.Finish("task result"); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// readResultBody reads what appendResultBody wrote.
+func readResultBody(d *rpcutil.Reader, r *TaskResult) {
 	r.Err = d.Str("result err")
 	r.InRecs = d.Varint("in recs")
 	r.OutRecs = d.Varint("out recs")
@@ -639,7 +657,6 @@ func DecodeResult(data []byte) (*TaskResult, error) {
 			}
 		}
 	}
-	r.OutputData = d.CopyBytes("output data")
 	r.OutBytes = d.Varint("out bytes")
 	r.OutRecords = d.Varint("out records")
 	r.Fetch = d.Varint("fetch")
@@ -667,52 +684,9 @@ func DecodeResult(data []byte) (*TaskResult, error) {
 		}
 	}
 	r.DurNanos = d.Varint("dur nanos")
-	if err := d.Finish("task result"); err != nil {
-		return nil, err
+	if p := d.Bytes("output data"); len(p) > 0 {
+		r.OutputData = p
 	}
-	return r, nil
-}
-
-// EncodePrefetch serializes a prefetch descriptor into a fresh buffer.
-// Hot paths use AppendPrefetch with a pooled buffer instead.
-func EncodePrefetch(p *PrefetchDescriptor) []byte {
-	return AppendPrefetch(make([]byte, 0, 64), p)
-}
-
-// AppendPrefetch appends a wire-encoded prefetch descriptor to b and
-// returns the extended buffer.
-func AppendPrefetch(b []byte, p *PrefetchDescriptor) []byte {
-	b = append(b, wireVersion)
-	b = binary.AppendUvarint(b, p.JobSeq)
-	b = binary.AppendUvarint(b, uint64(len(p.Sources)))
-	for i := range p.Sources {
-		b = appendSource(b, &p.Sources[i])
-	}
-	b = appendCtx(b, &p.Ctx)
-	return b
-}
-
-// DecodePrefetch parses an encoded prefetch descriptor. It never panics
-// on malformed input.
-func DecodePrefetch(data []byte) (*PrefetchDescriptor, error) {
-	return decodeNew(data, (*PrefetchDescriptor).decode)
-}
-
-func (p *PrefetchDescriptor) decode(data []byte) error {
-	d := rpcutil.NewReader(data)
-	if v := d.Byte("version"); d.Err() == nil && v != wireVersion {
-		return fmt.Errorf("distmr: unknown prefetch wire version %d", v)
-	}
-	*p = PrefetchDescriptor{}
-	p.JobSeq = d.Uvarint("prefetch job seq")
-	if n := d.Count("prefetch sources"); n > 0 {
-		p.Sources = make([]MapSource, n)
-		for i := range p.Sources {
-			readSource(d, &p.Sources[i])
-		}
-	}
-	readCtx(d, &p.Ctx)
-	return d.Finish("prefetch descriptor")
 }
 
 // encodeManifest serializes a winner manifest for the job's DFS recovery
@@ -755,8 +729,8 @@ func decodeManifest(data []byte) (*taskManifest, error) {
 	return m, nil
 }
 
-// DecodeHeartbeat parses an encoded heartbeat. It never panics on
-// malformed input.
+// DecodeHeartbeat parses an encoded heartbeat, whose completions' output
+// partitions alias data. It never panics on malformed input.
 func DecodeHeartbeat(data []byte) (*Heartbeat, error) {
 	return decodeNew(data, (*Heartbeat).decode)
 }
@@ -774,22 +748,6 @@ func (h *Heartbeat) decode(data []byte) error {
 	h.StoreObjects = d.Varint("store objects")
 	h.StoreBytes = d.Varint("store bytes")
 	h.TasksDone = d.Varint("tasks done")
-	h.Prefetched = d.Varint("prefetched")
-	if n := d.Count("completions"); n > 0 {
-		h.Completions = make([]Completion, n)
-		for i := range h.Completions {
-			c := &h.Completions[i]
-			c.JobSeq = d.Uvarint("completion job seq")
-			phase := d.Byte("completion phase")
-			if d.Err() == nil && phase > byte(PhaseReduce) {
-				return fmt.Errorf("distmr: unknown completion phase %d", phase)
-			}
-			c.Phase = Phase(phase)
-			c.Task = d.Int("completion task")
-			c.Assign = d.Int("completion assign")
-			c.Result = d.Bytes("completion result")
-		}
-	}
 	h.SentUnixNano = d.Varint("sent unix nano")
 	h.RTTNanos = d.Varint("rtt nanos")
 	if n := d.Count("span batches"); n > 0 {
@@ -818,6 +776,22 @@ func (h *Heartbeat) decode(data []byte) error {
 					hs.Buckets[j] = d.Varint("hist bucket")
 				}
 			}
+		}
+	}
+	if n := d.Count("completions"); n > 0 {
+		h.Completions = make([]Completion, n)
+		for i := range h.Completions {
+			c := &h.Completions[i]
+			c.JobSeq = d.Uvarint("completion job seq")
+			phase := d.Byte("completion phase")
+			if d.Err() == nil && phase > byte(PhaseReduce) {
+				return fmt.Errorf("distmr: unknown completion phase %d", phase)
+			}
+			c.Phase = Phase(phase)
+			c.Task = d.Int("completion task")
+			c.Assign = d.Int("completion assign")
+			c.Result = &TaskResult{}
+			readResultBody(d, c.Result)
 		}
 	}
 	return d.Finish("heartbeat")

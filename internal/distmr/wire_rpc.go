@@ -1,19 +1,24 @@
 package distmr
 
 // Frame-codec implementations (rpcutil.Message) for every RPC arg and
-// reply type. The six structured requests frame as their own wire.go
+// reply type. The five structured requests frame as their own wire.go
 // encoding, version byte included; the replies and scalar requests of
 // proto.go mirror their struct fields in order, with no version byte of
 // their own — the connection stream (rpcutil frame codec) is versioned
 // already, and these cannot change without it changing too.
 //
-// DecodeFrame inputs are pooled codec buffers, recycled as soon as the
-// call returns. Decoded requests keep slices of their input (Params,
-// Split, completion results), so they decode one copy of the frame;
-// every byte field a reply retains is copied out.
+// Bulk bytes are copied once per hop. The four messages that carry them
+// — TaskDescriptor (the split), Heartbeat (reduce outputs), ReadFileReply
+// (a schimmy base or side file) and FetchSegmentsReply (shuffle ranges)
+// — are rpcutil.Bulky, so the codec writes those bytes from their
+// owners' buffers, and rpcutil.Owner, so a decoded one keeps the frame it
+// arrived in and aliases it. Every other decoder reads a pooled buffer
+// and keeps none of it: the Reader copies strings out, and HandoffReply
+// copies its drain-path bytes.
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"ffmr/internal/rpcutil"
 )
@@ -30,51 +35,56 @@ var (
 	_ rpcutil.Message = (*ReadFileArgs)(nil)
 	_ rpcutil.Message = (*ReadFileReply)(nil)
 	_ rpcutil.Message = (*TaskDescriptor)(nil)
-	_ rpcutil.Message = (*PrefetchDescriptor)(nil)
-	_ rpcutil.Message = (*FetchSegmentArgs)(nil)
-	_ rpcutil.Message = (*FetchSegmentReply)(nil)
+	_ rpcutil.Message = (*FetchSegmentsArgs)(nil)
+	_ rpcutil.Message = (*FetchSegmentsReply)(nil)
 	_ rpcutil.Message = (*CleanJobArgs)(nil)
 	_ rpcutil.Message = (*Empty)(nil)
-)
 
-// detach copies a pooled frame for a decoder that keeps slices of it.
-func detach(frame []byte) []byte { return append([]byte(nil), frame...) }
+	_ rpcutil.Bulky = (*TaskDescriptor)(nil)
+	_ rpcutil.Owner = (*TaskDescriptor)(nil)
+	_ rpcutil.Bulky = (*Heartbeat)(nil)
+	_ rpcutil.Owner = (*Heartbeat)(nil)
+	_ rpcutil.Bulky = (*ReadFileReply)(nil)
+	_ rpcutil.Owner = (*ReadFileReply)(nil)
+	_ rpcutil.Bulky = (*FetchSegmentsReply)(nil)
+	_ rpcutil.Owner = (*FetchSegmentsReply)(nil)
+)
 
 // AppendFrame implements rpcutil.Message.
 func (j *JoinRequest) AppendFrame(b []byte) []byte { return append(b, EncodeJoin(j)...) }
 
 // DecodeFrame implements rpcutil.Message.
-func (j *JoinRequest) DecodeFrame(b []byte) error { return j.decode(detach(b)) }
+func (j *JoinRequest) DecodeFrame(b []byte) error { return j.decode(b) }
 
 // AppendFrame implements rpcutil.Message.
 func (h *Heartbeat) AppendFrame(b []byte) []byte { return AppendHeartbeat(b, h) }
 
+// OwnsFrame implements rpcutil.Owner.
+func (*Heartbeat) OwnsFrame() {}
+
 // DecodeFrame implements rpcutil.Message.
-func (h *Heartbeat) DecodeFrame(b []byte) error { return h.decode(detach(b)) }
+func (h *Heartbeat) DecodeFrame(b []byte) error { return h.decode(b) }
 
 // AppendFrame implements rpcutil.Message.
 func (r *Retire) AppendFrame(b []byte) []byte { return append(b, EncodeRetire(r)...) }
 
 // DecodeFrame implements rpcutil.Message.
-func (r *Retire) DecodeFrame(b []byte) error { return r.decode(detach(b)) }
+func (r *Retire) DecodeFrame(b []byte) error { return r.decode(b) }
 
 // AppendFrame implements rpcutil.Message.
 func (h *HandoffDescriptor) AppendFrame(b []byte) []byte { return append(b, EncodeHandoff(h)...) }
 
 // DecodeFrame implements rpcutil.Message.
-func (h *HandoffDescriptor) DecodeFrame(b []byte) error { return h.decode(detach(b)) }
+func (h *HandoffDescriptor) DecodeFrame(b []byte) error { return h.decode(b) }
 
 // AppendFrame implements rpcutil.Message.
 func (t *TaskDescriptor) AppendFrame(b []byte) []byte { return AppendTask(b, t) }
 
-// DecodeFrame implements rpcutil.Message.
-func (t *TaskDescriptor) DecodeFrame(b []byte) error { return t.decode(detach(b)) }
-
-// AppendFrame implements rpcutil.Message.
-func (p *PrefetchDescriptor) AppendFrame(b []byte) []byte { return AppendPrefetch(b, p) }
+// OwnsFrame implements rpcutil.Owner.
+func (*TaskDescriptor) OwnsFrame() {}
 
 // DecodeFrame implements rpcutil.Message.
-func (p *PrefetchDescriptor) DecodeFrame(b []byte) error { return p.decode(detach(b)) }
+func (t *TaskDescriptor) DecodeFrame(b []byte) error { return t.decode(b) }
 
 // AppendFrame implements rpcutil.Message.
 func (r *RegisterReply) AppendFrame(b []byte) []byte {
@@ -140,39 +150,92 @@ func (a *ReadFileArgs) DecodeFrame(b []byte) error {
 }
 
 // AppendFrame implements rpcutil.Message.
-func (r *ReadFileReply) AppendFrame(b []byte) []byte { return rpcutil.AppendBytes(b, r.Data) }
+func (r *ReadFileReply) AppendFrame(b []byte) []byte { return r.AppendBulk(b, inline) }
+
+// AppendBulk implements rpcutil.Bulky.
+func (r *ReadFileReply) AppendBulk(b []byte, put func(b, p []byte) []byte) []byte {
+	return putBytes(b, r.Data, put)
+}
+
+// OwnsFrame implements rpcutil.Owner.
+func (*ReadFileReply) OwnsFrame() {}
 
 // DecodeFrame implements rpcutil.Message.
 func (r *ReadFileReply) DecodeFrame(b []byte) error {
 	d := rpcutil.NewReader(b)
-	r.Data = d.CopyBytes("read file data")
+	r.Data = d.Bytes("read file data")
 	return d.Finish("read file reply")
 }
 
 // AppendFrame implements rpcutil.Message.
-func (a *FetchSegmentArgs) AppendFrame(b []byte) []byte {
-	b = rpcutil.AppendString(b, a.Name)
-	b = binary.AppendVarint(b, a.Offset)
-	return binary.AppendVarint(b, a.Length)
+func (a *FetchSegmentsArgs) AppendFrame(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(a.Ranges)))
+	for _, r := range a.Ranges {
+		b = rpcutil.AppendString(b, r.Name)
+		b = binary.AppendVarint(b, r.Offset)
+		b = binary.AppendVarint(b, r.Length)
+	}
+	return b
 }
 
-// DecodeFrame implements rpcutil.Message.
-func (a *FetchSegmentArgs) DecodeFrame(b []byte) error {
+// DecodeFrame implements rpcutil.Message. A range that starts before its
+// object, has a negative length or overflows is refused here; whether it
+// ends inside the object is checked where it is read.
+func (a *FetchSegmentsArgs) DecodeFrame(b []byte) error {
 	d := rpcutil.NewReader(b)
-	a.Name = d.Str("fetch segment name")
-	a.Offset = d.Varint("fetch segment offset")
-	a.Length = d.Varint("fetch segment length")
-	return d.Finish("fetch segment args")
+	a.Ranges = nil
+	if n := d.Count("fetch ranges"); n > 0 {
+		a.Ranges = make([]FetchRange, n)
+		for i := range a.Ranges {
+			r := &a.Ranges[i]
+			r.Name = d.Str("fetch range name")
+			r.Offset = d.Varint("fetch range offset")
+			r.Length = d.Varint("fetch range length")
+			if r.Offset < 0 || r.Length < 0 || r.Offset+r.Length < 0 {
+				d.Fail("fetch range")
+			}
+		}
+	}
+	return d.Finish("fetch segments args")
+}
+
+// check fails a reply that does not hold exactly the requested bytes; the
+// fetch then fails like a transport error.
+func (a *FetchSegmentsArgs) check(r *FetchSegmentsReply) error {
+	var want int64
+	for _, rg := range a.Ranges {
+		want += rg.Length
+	}
+	if int64(len(r.Data)) != want {
+		return fmt.Errorf("distmr: fetch reply holds %d bytes for %d requested", len(r.Data), want)
+	}
+	return nil
 }
 
 // AppendFrame implements rpcutil.Message.
-func (r *FetchSegmentReply) AppendFrame(b []byte) []byte { return rpcutil.AppendBytes(b, r.Data) }
+func (r *FetchSegmentsReply) AppendFrame(b []byte) []byte { return r.AppendBulk(b, inline) }
+
+// AppendBulk implements rpcutil.Bulky: Data and then parts, as one field.
+func (r *FetchSegmentsReply) AppendBulk(b []byte, put func(b, p []byte) []byte) []byte {
+	n := len(r.Data)
+	for _, p := range r.parts {
+		n += len(p)
+	}
+	b = put(binary.AppendUvarint(b, uint64(n)), r.Data)
+	for _, p := range r.parts {
+		b = put(b, p)
+	}
+	return b
+}
+
+// OwnsFrame implements rpcutil.Owner.
+func (*FetchSegmentsReply) OwnsFrame() {}
 
 // DecodeFrame implements rpcutil.Message.
-func (r *FetchSegmentReply) DecodeFrame(b []byte) error {
+func (r *FetchSegmentsReply) DecodeFrame(b []byte) error {
 	d := rpcutil.NewReader(b)
-	r.Data = d.CopyBytes("fetch segment data")
-	return d.Finish("fetch segment reply")
+	r.Data, r.parts = d.Bytes("fetch segments data"), nil
+	return d.Finish("fetch segments reply")
 }
 
 // AppendFrame implements rpcutil.Message.

@@ -20,11 +20,18 @@ func (payloadEcho) Heartbeat(a *Heartbeat, r *Heartbeat) error               { *
 func (payloadEcho) Retire(a *Retire, r *Retire) error                        { *r = *a; return nil }
 func (payloadEcho) Handoff(a *HandoffDescriptor, r *HandoffDescriptor) error { *r = *a; return nil }
 func (payloadEcho) Task(a *TaskDescriptor, r *TaskDescriptor) error          { *r = *a; return nil }
-func (payloadEcho) Prefetch(a *PrefetchDescriptor, r *PrefetchDescriptor) error {
-	*r = *a
+func (payloadEcho) File(a *ReadFileReply, r *ReadFileReply) error            { *r = *a; return nil }
+func (payloadEcho) Fetch(a *FetchSegmentsArgs, r *FetchSegmentsArgs) error   { *r = *a; return nil }
+func (payloadEcho) Nothing(_ *Empty, _ *Empty) error                         { return nil }
+
+// Serve answers a fetch the way a worker does, with the ranges listed
+// uncopied, so the reply's bulk path runs over the codec.
+func (payloadEcho) Serve(a *FetchSegmentsArgs, r *FetchSegmentsReply) error {
+	for _, rg := range a.Ranges {
+		r.parts = append(r.parts, []byte(rg.Name))
+	}
 	return nil
 }
-func (payloadEcho) Nothing(_ *Empty, _ *Empty) error { return nil }
 
 // TestPayloadsRoundTripOverCodec sends each payload type as an RPC
 // argument over a live rpcutil client/server pair: the payloads are the
@@ -67,8 +74,9 @@ func TestPayloadsRoundTripOverCodec(t *testing.T) {
 		{"Echo.Heartbeat", &Heartbeat{
 			Worker: 3, Instance: 12345, Seq: 88, Running: 1, TasksDone: 17,
 			Completions: []Completion{
-				{JobSeq: 42, Phase: PhaseMap, Task: 3, Assign: 4, Result: EncodeResult(sampleResult())},
-				{JobSeq: 42, Phase: PhaseReduce, Task: 0, Assign: 9, Result: EncodeResult(&TaskResult{Err: "boom"})},
+				{JobSeq: 42, Phase: PhaseMap, Task: 3, Assign: 4, Result: sampleResult()},
+				{JobSeq: 42, Phase: PhaseReduce, Task: 0, Assign: 9, Result: &TaskResult{Err: "boom"}},
+				{JobSeq: 42, Phase: PhaseReduce, Task: 1, Assign: 2, Result: &TaskResult{OutputData: []byte("second output")}},
 			},
 			SentUnixNano: 1700000000987654321, RTTNanos: 250_000,
 			SpanBatches: []SpanBatch{*sampleSpanBatch()},
@@ -78,7 +86,8 @@ func TestPayloadsRoundTripOverCodec(t *testing.T) {
 		{"Echo.Retire", &Retire{Worker: 9, Reason: "scale-down"}, &Retire{}},
 		{"Echo.Handoff", &HandoffDescriptor{JobSeq: 42, Segments: []string{"j42-m0-a0-p1-s0", "j42-m0-a0-p2-s0"}}, &HandoffDescriptor{}},
 		{"Echo.Task", task, &TaskDescriptor{}},
-		{"Echo.Prefetch", &PrefetchDescriptor{JobSeq: 42, Ctx: task.Ctx, Sources: task.Sources}, &PrefetchDescriptor{}},
+		{"Echo.File", &ReadFileReply{Data: []byte("schimmy base partition")}, &ReadFileReply{}},
+		{"Echo.Fetch", &FetchSegmentsArgs{Ranges: []FetchRange{{"j1/map-0/a0/spill-0", 811, 300}, {"x", 0, 0}}}, &FetchSegmentsArgs{}},
 		{"Echo.Nothing", &Empty{}, &Empty{}},
 	}
 	for _, tc := range cases {
@@ -88,5 +97,12 @@ func TestPayloadsRoundTripOverCodec(t *testing.T) {
 		if !reflect.DeepEqual(tc.got, tc.want) {
 			t.Errorf("%s round trip mismatch:\n got  %+v\n want %+v", tc.method, tc.got, tc.want)
 		}
+	}
+	// A fetch answered the way a worker answers one: the ranges go out
+	// uncopied, one after another, and arrive as one Data.
+	var reply FetchSegmentsReply
+	args := &FetchSegmentsArgs{Ranges: []FetchRange{{Name: "abc"}, {Name: ""}, {Name: "defg"}}}
+	if err := c.Call("Echo.Serve", args, &reply); err != nil || string(reply.Data) != "abcdefg" {
+		t.Errorf("Echo.Serve: %q, %v; want the ranges back to back", reply.Data, err)
 	}
 }

@@ -225,6 +225,7 @@ func FuzzDecodeTask(f *testing.F) {
 // FuzzDecodeHeartbeat is the heartbeat-side counterpart.
 func FuzzDecodeHeartbeat(f *testing.F) {
 	f.Add(EncodeHeartbeat(&Heartbeat{Worker: 3, Seq: 8, Running: 1, StoreObjects: 2, StoreBytes: 99}))
+	f.Add(EncodeHeartbeat(&Heartbeat{Worker: 3, Completions: []Completion{{JobSeq: 42, Task: 1, Result: sampleResult()}}}))
 	f.Add([]byte{wireVersion})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -8,7 +8,6 @@ import (
 	"net/rpc"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,13 +38,6 @@ type WorkerConfig struct {
 	// worker tolerates before concluding the master is gone and exiting
 	// (default 20).
 	HeartbeatMisses int
-	// PrefetchDepth is how many shuffle segments the worker pulls
-	// concurrently when the master hints upcoming reduce inputs
-	// (Worker.Prefetch), and also bounds the reduce path's own parallel
-	// fetch fan-out. Default 4. Prefetch overlaps shuffle I/O with the
-	// still-running map phase; it never changes bytes or counters
-	// (DESIGN.md §13).
-	PrefetchDepth int
 	// DialPolicy configures all of the worker's outbound dials.
 	DialPolicy rpcutil.Policy
 	// Obsv configures the worker's observability surface. FlightDir is
@@ -80,12 +72,11 @@ type Worker struct {
 	// admin server's /metrics and carries the worker-side histograms.
 	tracer *trace.Tracer
 
-	running    atomic.Int64
-	tasksDone  atomic.Int64
-	prefetched atomic.Int64
-	dead       atomic.Bool
-	crashed    atomic.Bool
-	draining   atomic.Bool
+	running   atomic.Int64
+	tasksDone atomic.Int64
+	dead      atomic.Bool
+	crashed   atomic.Bool
+	draining  atomic.Bool
 	// taskDelay is injected slow-node latency (nanoseconds) applied to
 	// every task attempt before it executes; chaos schedules use it to
 	// manufacture stragglers for the speculation machinery.
@@ -96,11 +87,11 @@ type Worker struct {
 	done      chan struct{} // closed when the worker is fully down
 
 	// compMu guards the completion queue. Finished attempts park their
-	// wire-encoded result here and kick the heartbeat loop; the queue is
-	// drained only after a beat the master acknowledged, so completions
-	// survive failed beats (at-least-once, deduplicated master-side).
+	// result here and kick the heartbeat loop; the queue is drained only
+	// after a beat the master acknowledged, so completions survive failed
+	// beats (at-least-once, deduplicated master-side).
 	compMu   sync.Mutex
-	comps    []pendingComp
+	comps    []Completion
 	compKick chan struct{} // cap 1; wakes the heartbeat loop early
 
 	// spanMu guards the drained-but-unacknowledged span batches. Each
@@ -112,33 +103,10 @@ type Worker struct {
 	spanBatches  []SpanBatch
 	spanBatchSeq uint64
 
-	// prefetchCh feeds the prefetch workers. Hints are advisory: the
-	// channel is bounded and enqueue drops on overflow rather than
-	// blocking the RPC handler.
-	prefetchCh chan *PrefetchDescriptor
-
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
 	jobs    map[uint64]*workerJob
 	fetchCl map[string]*rpc.Client
-	// segFlights is the in-flight segment fetch singleflight: prefetch
-	// and the reduce fetch path never pull the same segment twice
-	// concurrently, and a segment already in the store is never refetched.
-	segFlights map[string]chan struct{}
-	// cleaned remembers recently retired job seqs so a slow prefetch hint
-	// cannot recreate segments CleanJob just removed.
-	cleaned []uint64
-}
-
-// pendingComp is one finished attempt waiting to ride a heartbeat. buf
-// is the pooled wire-encoded TaskResult; it is returned to the pool only
-// after a successful beat (the master has the bytes).
-type pendingComp struct {
-	jobSeq uint64
-	ph     Phase
-	task   int
-	assign int
-	buf    *[]byte
 }
 
 // workerJob is a worker's cached per-job state: the reconstructed code
@@ -169,26 +137,21 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.HeartbeatMisses <= 0 {
 		cfg.HeartbeatMisses = 20
 	}
-	if cfg.PrefetchDepth <= 0 {
-		cfg.PrefetchDepth = 4
-	}
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("distmr: worker listen: %w", err)
 	}
 	w := &Worker{
-		cfg:        cfg,
-		ln:         ln,
-		log:        obsv.Or(cfg.Obsv.Logger).With("role", "worker"),
-		tracer:     trace.New(),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-		compKick:   make(chan struct{}, 1),
-		prefetchCh: make(chan *PrefetchDescriptor, 256),
-		conns:      make(map[net.Conn]struct{}),
-		jobs:       make(map[uint64]*workerJob),
-		fetchCl:    make(map[string]*rpc.Client),
-		segFlights: make(map[string]chan struct{}),
+		cfg:      cfg,
+		ln:       ln,
+		log:      obsv.Or(cfg.Obsv.Logger).With("role", "worker"),
+		tracer:   trace.New(),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
+		compKick: make(chan struct{}, 1),
+		conns:    make(map[net.Conn]struct{}),
+		jobs:     make(map[uint64]*workerJob),
+		fetchCl:  make(map[string]*rpc.Client),
 	}
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Worker", &workerService{w: w}); err != nil {
@@ -232,9 +195,6 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	// accept loop, so the ordering is safe.
 	go w.accept(srv)
 	go w.heartbeatLoop()
-	for i := 0; i < cfg.PrefetchDepth; i++ {
-		go w.prefetchLoop()
-	}
 	return w, nil
 }
 
@@ -328,7 +288,6 @@ func (w *Worker) Status() *obsv.ClusterStatus {
 		Addr:       w.Addr(),
 		Running:    w.running.Load(),
 		TasksDone:  w.tasksDone.Load(),
-		Prefetched: w.prefetched.Load(),
 		StoreBytes: w.cfg.Store.Bytes(),
 		Dead:       w.dead.Load(),
 	}
@@ -450,19 +409,17 @@ func (w *Worker) accept(srv *rpc.Server) {
 	}
 }
 
-// queueCompletion parks a finished attempt's wire-encoded result on the
-// completion queue and wakes the heartbeat loop, which batches every
-// completion accumulated by then onto one beat.
+// queueCompletion parks a finished attempt's result on the completion
+// queue and wakes the heartbeat loop, which batches every completion
+// accumulated by then onto one beat and encodes it there.
 func (w *Worker) queueCompletion(desc *TaskDescriptor, res *TaskResult) {
-	buf := rpcutil.GetBuf()
-	*buf = AppendResult(*buf, res)
 	w.compMu.Lock()
-	w.comps = append(w.comps, pendingComp{
-		jobSeq: desc.JobSeq,
-		ph:     desc.Phase,
-		task:   desc.Task,
-		assign: desc.Assign,
-		buf:    buf,
+	w.comps = append(w.comps, Completion{
+		JobSeq: desc.JobSeq,
+		Phase:  desc.Phase,
+		Task:   desc.Task,
+		Assign: desc.Assign,
+		Result: res,
 	})
 	w.compMu.Unlock()
 	select {
@@ -475,8 +432,7 @@ func (w *Worker) queueCompletion(desc *TaskDescriptor, res *TaskResult) {
 // tracer into a sequenced batch on the shipping queue. Called when a
 // task attempt concludes — before its completion is queued, so the
 // attempt's spans ride the same (or an earlier) beat — and on every
-// beat, to pick up spans that end outside task attempts, like prefetch
-// fetches.
+// beat, to pick up spans that end outside task attempts.
 func (w *Worker) drainSpans() {
 	spans := w.tracer.Drain()
 	if len(spans) == 0 {
@@ -531,6 +487,9 @@ func (w *Worker) heartbeatLoop() {
 				}
 			}
 		}
+		if w.dead.Load() {
+			return // select does not prefer stop over a ready kick
+		}
 		seq++
 		// Snapshot the pending completions; they stay queued until the
 		// master acknowledges the beat, so a lost beat resends them
@@ -554,23 +513,12 @@ func (w *Worker) heartbeatLoop() {
 			StoreObjects: int64(w.cfg.Store.Objects()),
 			StoreBytes:   w.cfg.Store.Bytes(),
 			TasksDone:    w.tasksDone.Load(),
-			Prefetched:   w.prefetched.Load(),
-			Completions:  hb.Completions[:0],
+			Completions:  pending,
 			SentUnixNano: time.Now().UnixNano(),
 			RTTNanos:     lastRTT,
 			SpanBatches:  batches,
 			Counters:     counters,
 			Hists:        hists,
-		}
-		for i := range pending {
-			pc := &pending[i]
-			hb.Completions = append(hb.Completions, Completion{
-				JobSeq: pc.jobSeq,
-				Phase:  pc.ph,
-				Task:   pc.task,
-				Assign: pc.assign,
-				Result: *pc.buf,
-			})
 		}
 		var reply HeartbeatReply
 		t0 := time.Now()
@@ -588,11 +536,9 @@ func (w *Worker) heartbeatLoop() {
 			// Drop the sent prefix; later completions queued during the
 			// call stay for the next beat.
 			w.compMu.Lock()
+			clear(w.comps[:len(pending)]) // the queue must not pin sent outputs
 			w.comps = w.comps[len(pending):]
 			w.compMu.Unlock()
-			for i := range pending {
-				rpcutil.PutBuf(pending[i].buf)
-			}
 		}
 		if err == nil && len(batches) > 0 {
 			// Same ack discipline for span batches: the sent prefix is done,
@@ -859,6 +805,12 @@ func (w *Worker) execute(desc *TaskDescriptor) {
 	// by the time RunJob returns, every winner's spans are stitched.
 	sp.End()
 	w.drainSpans()
+	if w.dead.Load() {
+		// The worker died under the attempt, so whatever failed it was
+		// the death (closed connections, a wiped store), not the task; the
+		// master reassigns the lease without this result.
+		return
+	}
 	w.queueCompletion(desc, res)
 }
 
@@ -869,169 +821,6 @@ func (w *Worker) execute(desc *TaskDescriptor) {
 func (s *workerService) Watch(_ *Empty, _ *Empty) error {
 	<-s.w.stop
 	return nil
-}
-
-// Prefetch receives an advisory shuffle-prefetch hint. It never fails:
-// under load the hint is dropped and the reduce path fetches on demand.
-func (s *workerService) Prefetch(p *PrefetchDescriptor, _ *Empty) error {
-	w := s.w
-	if w.dead.Load() || w.draining.Load() {
-		return nil
-	}
-	select {
-	case w.prefetchCh <- p:
-	default:
-		w.tracer.Registry().Counter(CounterPrefetchShed).Add(1)
-		w.log.Debug("prefetch hint dropped, queue full", "job", p.JobSeq)
-	}
-	return nil
-}
-
-// prefetchLoop pulls hinted shuffle segments into the local store ahead
-// of reduce dispatch. PrefetchDepth loops run concurrently; the
-// singleflight in ensureSegment keeps them (and the reduce fetch path)
-// from duplicating work. Failures are silently dropped — the reduce
-// task's own fetch retries and reports lost maps authoritatively.
-func (w *Worker) prefetchLoop() {
-	for {
-		var p *PrefetchDescriptor
-		select {
-		case <-w.stop:
-			return
-		case p = <-w.prefetchCh:
-		}
-		if w.jobCleaned(p.JobSeq) {
-			continue
-		}
-		for i := range p.Sources {
-			src := &p.Sources[i]
-			if src.Prefix == "" && src.Worker == w.id.Load() {
-				continue // local map output: already in the store
-			}
-			for s := range src.Segments {
-				if w.dead.Load() || w.jobCleaned(p.JobSeq) {
-					break
-				}
-				fetched, err := w.ensureSegment(src, &src.Segments[s], p.Ctx)
-				if err != nil {
-					break // source unreachable; stop hammering it
-				}
-				if fetched {
-					w.prefetched.Add(1)
-				}
-			}
-		}
-	}
-}
-
-// jobCleaned reports whether CleanJob already retired this job, so late
-// prefetch hints cannot recreate removed segments.
-func (w *Worker) jobCleaned(jobSeq uint64) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, seq := range w.cleaned {
-		if seq == jobSeq {
-			return true
-		}
-	}
-	return false
-}
-
-// localSegment is where a source's segment is, or will be once fetched,
-// in this worker's store. A range fetched from another worker becomes an
-// object of its own, named after the range. A handed-off spill object is
-// copied whole under its own name — once, whichever of its segments asks
-// first — and the worker's own map output is where it was written, so
-// those segments keep their offsets.
-func (w *Worker) localSegment(src *MapSource, seg spill.Segment) spill.Segment {
-	if src.Prefix == "" && src.Worker != w.id.Load() {
-		seg.Name, seg.Offset = seg.Name+"@"+strconv.FormatInt(seg.Offset, 10), 0
-	}
-	return seg
-}
-
-// ensureSegment makes one shuffle segment present in the local store,
-// as localSegment names it, fetching it if needed. Concurrent callers
-// for the same object coalesce onto one fetch (singleflight); an object
-// already stored is never refetched, so prefetch and the reduce path stay
-// idempotent. ctx is the job's trace position, so the fetch span stitches
-// under the master's job span. Returns whether this call performed the
-// fetch.
-func (w *Worker) ensureSegment(src *MapSource, seg *spill.Segment, ctx trace.Context) (bool, error) {
-	local := w.localSegment(src, *seg).Name
-	for {
-		w.mu.Lock()
-		if w.cfg.Store.Has(local) {
-			w.mu.Unlock()
-			return false, nil
-		}
-		if ch := w.segFlights[local]; ch != nil {
-			w.mu.Unlock()
-			select {
-			case <-ch:
-			case <-w.stop:
-				return false, fmt.Errorf("distmr: worker %d is dead", w.id.Load())
-			}
-			continue // re-check: the other flight may have failed
-		}
-		ch := make(chan struct{})
-		w.segFlights[local] = ch
-		w.mu.Unlock()
-		err := w.fetchSegmentData(src, seg, local, ctx)
-		w.mu.Lock()
-		delete(w.segFlights, local)
-		w.mu.Unlock()
-		close(ch)
-		return err == nil, err
-	}
-}
-
-// fetchSegmentData pulls one segment's stored bytes from the owning
-// worker — or, for a handed-off source, the segment's whole spill object
-// from the master's DFS — into the local store as the object local.
-// Every fetch records a shuffle span (stitched under the master's job
-// span via ctx) and lands in the shuffle-fetch latency histogram, error
-// paths included.
-func (w *Worker) fetchSegmentData(src *MapSource, seg *spill.Segment, local string, ctx trace.Context) error {
-	sp := w.tracer.Start(trace.CatShuffle, "shuffle-fetch", nil)
-	sp.SetRemote(ctx)
-	sp.SetInt("worker", int64(w.id.Load()))
-	sp.SetStr("segment", local)
-	sp.SetInt("bytes", seg.RawBytes)
-	t0 := time.Now()
-	defer func() {
-		w.tracer.Registry().Histogram(HistShuffleFetchNS).ObserveSince(t0)
-		sp.End()
-	}()
-	var data []byte
-	if src.Prefix != "" {
-		d, err := w.readMasterFile(src.Prefix + seg.Name)
-		if err != nil {
-			return err
-		}
-		data = d
-	} else {
-		client, err := w.fetchClient(src.Addr)
-		if err != nil {
-			return err
-		}
-		var reply FetchSegmentReply
-		args := &FetchSegmentArgs{Name: seg.Name, Offset: seg.Offset, Length: seg.StoredBytes}
-		if err := client.Call("Worker.FetchSegment", args, &reply); err != nil {
-			w.dropFetchClient(src.Addr)
-			return err
-		}
-		data = reply.Data
-	}
-	wc, err := w.cfg.Store.Create(local, int64(len(data)))
-	if err != nil {
-		return err
-	}
-	if _, err := wc.Write(data); err != nil {
-		wc.Close()
-		return err
-	}
-	return wc.Close()
 }
 
 // runMap executes one map attempt: mapreduce.ExecMap over the split,
@@ -1066,51 +855,21 @@ func (w *Worker) runMap(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *Tas
 	}
 }
 
-// runReduce executes one reduce attempt: make this partition's segments
-// present in the local store (fetched in parallel, coalescing with any
-// prefetch already in flight or complete), then mapreduce.ExecReduce
-// over them. Unfetchable segments abort before the reducer runs (so job
-// services see no partial submissions) and are reported as lost map
-// outputs for the master to recover.
+// runReduce executes one reduce attempt: shuffle this partition's
+// segments into the local store, then mapreduce.ExecReduce over them.
+// Unfetchable segments abort before the reducer runs (so job services
+// see no partial submissions) and are reported as lost map outputs for
+// the master to recover. The attempt's fetched objects and merge passes
+// live under its own prefix and go when it ends.
 func (w *Worker) runReduce(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *TaskResult {
 	res := &TaskResult{}
-	// Fetch sources concurrently (bounded by PrefetchDepth) but assemble
-	// results in source order below, so segment order — and with it merge
-	// statistics — is independent of fetch timing.
-	errs := make([]error, len(desc.Sources))
-	sem := make(chan struct{}, w.cfg.PrefetchDepth)
-	var wg sync.WaitGroup
+	prefix := fmt.Sprintf("j%05d/reduce-%05d/a%d/", desc.JobSeq, desc.Task, desc.Assign)
+	defer w.cfg.Store.RemovePrefix(prefix)
+	segs, failed := w.shuffle(desc, prefix)
 	for i := range desc.Sources {
-		src := &desc.Sources[i]
-		if len(src.Segments) == 0 || (src.Prefix == "" && src.Worker == w.id.Load()) {
-			continue // nothing to fetch: empty, or local map output
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, src *MapSource) {
-			defer func() { <-sem; wg.Done() }()
-			for s := range src.Segments {
-				if _, err := w.ensureSegment(src, &src.Segments[s], desc.Ctx); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i, src)
-	}
-	wg.Wait()
-	var segs []spill.Segment
-	for i := range desc.Sources {
-		src := &desc.Sources[i]
-		if len(src.Segments) == 0 {
-			continue
-		}
-		if errs[i] != nil {
-			res.LostMaps = append(res.LostMaps, src.MapTask)
-			res.LostFrom = append(res.LostFrom, src.Worker)
-			continue
-		}
-		for _, seg := range src.Segments {
-			segs = append(segs, w.localSegment(src, seg))
+		if failed[i] {
+			res.LostMaps = append(res.LostMaps, desc.Sources[i].MapTask)
+			res.LostFrom = append(res.LostFrom, desc.Sources[i].Worker)
 		}
 	}
 	if len(res.LostMaps) > 0 {
@@ -1124,7 +883,7 @@ func (w *Worker) runReduce(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *
 		Segments:  segs,
 		FanIn:     desc.MergeFanIn,
 		Compress:  desc.Compress,
-		TmpPrefix: fmt.Sprintf("j%05d/reduce-%05d/a%d/", desc.JobSeq, desc.Task, desc.Assign),
+		TmpPrefix: prefix,
 	}
 	if desc.Schimmy {
 		t.SchimmyBase = desc.SchimmyBase
@@ -1145,15 +904,167 @@ func (w *Worker) runReduce(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *
 	return res
 }
 
-// FetchSegment serves one locally stored spill segment — a range of a
-// spill object — to a fetching reducer (the network shuffle).
-func (s *workerService) FetchSegment(args *FetchSegmentArgs, reply *FetchSegmentReply) error {
+// fetchCall is one shuffle fetch of a reduce attempt: segments it reads
+// from the worker at addr, or the handed-off spill object file it reads
+// whole from the master's DFS. Either lands as one store object, and the
+// segments are repointed at it.
+type fetchCall struct {
+	addr, file string
+	segs       []*spill.Segment
+	srcs       []int // the source each segment belongs to
+	bytes      int64
+	err        error
+}
+
+// shuffle makes a reduce attempt's segments readable in the local store
+// and returns them in source order, the simulated engine's merge order,
+// with the sources it could not fetch flagged. Local map output is read
+// where it lies. Another worker's segments come in one FetchSegments call
+// per worker; under a memory budget the calls are cut so that no reply
+// exceeds max(budget, largest segment). A handed-off spill object is read
+// whole from the master's DFS. Each reply is stored uncopied, as one
+// object under prefix.
+func (w *Worker) shuffle(desc *TaskDescriptor, prefix string) ([]spill.Segment, []bool) {
+	self := w.id.Load()
+	bySrc := make([][]spill.Segment, len(desc.Sources))
+	var calls []*fetchCall
+	open := make(map[string]*fetchCall) // the call a worker's or an object's next segment joins
+	for i := range desc.Sources {
+		src := &desc.Sources[i]
+		bySrc[i] = slices.Clone(src.Segments)
+		if src.Prefix == "" && src.Worker == self {
+			continue
+		}
+		for j := range bySrc[i] {
+			seg := &bySrc[i][j]
+			key := src.Addr
+			if src.Prefix != "" {
+				key = src.Prefix + seg.Name
+			}
+			c := open[key]
+			if c == nil || (src.Prefix == "" && desc.MemoryBudget > 0 &&
+				c.bytes > 0 && c.bytes+seg.StoredBytes > desc.MemoryBudget) {
+				c = &fetchCall{addr: src.Addr}
+				if src.Prefix != "" {
+					c.addr, c.file = "", key
+				}
+				open[key] = c
+				calls = append(calls, c)
+			}
+			c.segs = append(c.segs, seg)
+			c.srcs = append(c.srcs, i)
+			c.bytes += seg.StoredBytes
+		}
+	}
+	// One goroutine per source worker (and one for the DFS) runs its calls
+	// in order; once one fails, the rest of its calls fail with it.
+	runs := make(map[string][]int)
+	for k, c := range calls {
+		runs[c.addr] = append(runs[c.addr], k)
+	}
+	var wg sync.WaitGroup
+	for _, run := range runs {
+		wg.Add(1)
+		go func(run []int) {
+			defer wg.Done()
+			var err error
+			for _, k := range run {
+				if err == nil {
+					err = w.fetch(calls[k], fmt.Sprintf("%sfetch-%d", prefix, k), desc.Ctx)
+				}
+				calls[k].err = err
+			}
+		}(run)
+	}
+	wg.Wait()
+	failed := make([]bool, len(desc.Sources))
+	for _, c := range calls {
+		if c.err != nil {
+			for _, i := range c.srcs {
+				failed[i] = true
+			}
+		}
+	}
+	var segs []spill.Segment
+	for i := range bySrc {
+		if !failed[i] {
+			segs = append(segs, bySrc[i]...)
+		}
+	}
+	return segs, failed
+}
+
+// fetch runs one fetch call and puts its reply into the store as the
+// object name. A reply that is not exactly the requested bytes fails the
+// call like a transport error. Every call records a shuffle span
+// (stitched under the master's job span via ctx) and lands in the
+// shuffle-fetch latency histogram, error paths included.
+func (w *Worker) fetch(c *fetchCall, name string, ctx trace.Context) error {
+	sp := w.tracer.Start(trace.CatShuffle, "shuffle-fetch", nil)
+	sp.SetRemote(ctx)
+	sp.SetInt("worker", int64(w.id.Load()))
+	sp.SetInt("segments", int64(len(c.segs)))
+	sp.SetInt("bytes", c.bytes)
+	t0 := time.Now()
+	defer func() {
+		w.tracer.Registry().Histogram(HistShuffleFetchNS).ObserveSince(t0)
+		sp.End()
+	}()
+	var data []byte
+	if c.file != "" {
+		d, err := w.readMasterFile(c.file)
+		if err != nil {
+			return err
+		}
+		data = d
+	} else {
+		args := &FetchSegmentsArgs{Ranges: make([]FetchRange, len(c.segs))}
+		for k, s := range c.segs {
+			args.Ranges[k] = FetchRange{Name: s.Name, Offset: s.Offset, Length: s.StoredBytes}
+		}
+		client, err := w.fetchClient(c.addr)
+		if err != nil {
+			return err
+		}
+		var reply FetchSegmentsReply
+		if err := client.Call("Worker.FetchSegments", args, &reply); err != nil {
+			w.dropFetchClient(c.addr)
+			return err
+		}
+		if err := args.check(&reply); err != nil {
+			return err
+		}
+		data = reply.Data
+		var off int64
+		for _, s := range c.segs {
+			s.Offset, off = off, off+s.StoredBytes
+		}
+	}
+	if err := w.cfg.Store.Put(name, data); err != nil {
+		return err
+	}
+	for _, s := range c.segs {
+		s.Name = name
+	}
+	return nil
+}
+
+// FetchSegments serves stored ranges of local spill objects to a
+// fetching reducer (the network shuffle). Each range is checked against
+// its object; the reply lists them uncopied where the store allows.
+func (s *workerService) FetchSegments(args *FetchSegmentsArgs, reply *FetchSegmentsReply) error {
 	if s.w.dead.Load() {
 		return fmt.Errorf("distmr: worker %d is dead", s.w.id.Load())
 	}
-	data, err := spill.ReadRange(s.w.cfg.Store, args.Name, args.Offset, args.Length)
-	reply.Data = data
-	return err
+	reply.parts = make([][]byte, len(args.Ranges))
+	for i, r := range args.Ranges {
+		data, err := spill.ReadRange(s.w.cfg.Store, r.Name, r.Offset, r.Length)
+		if err != nil {
+			return err
+		}
+		reply.parts[i] = data
+	}
+	return nil
 }
 
 // Handoff serves the stored bytes of the listed spill objects to the
@@ -1183,18 +1094,12 @@ func (s *workerService) Handoff(desc *HandoffDescriptor, reply *HandoffReply) er
 }
 
 // CleanJob retires a job: close its service connections and delete its
-// spill segments (local map outputs and fetched shuffle data).
+// store objects (local map outputs and any attempt's leftovers).
 func (s *workerService) CleanJob(args *CleanJobArgs, _ *Empty) error {
 	w := s.w
 	w.mu.Lock()
 	j := w.jobs[args.JobSeq]
 	delete(w.jobs, args.JobSeq)
-	// Remember the retirement (bounded ring) so a straggling prefetch
-	// hint cannot recreate segments the RemovePrefix below deletes.
-	w.cleaned = append(w.cleaned, args.JobSeq)
-	if len(w.cleaned) > 8 {
-		w.cleaned = w.cleaned[len(w.cleaned)-8:]
-	}
 	w.mu.Unlock()
 	if j != nil {
 		// An attempt the master abandoned (reassigned lease, late backup)

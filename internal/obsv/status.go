@@ -124,9 +124,6 @@ type WorkerStatus struct {
 	TasksDone int64 `json:"tasks_done"`
 	// StoreBytes is the worker's local segment store footprint.
 	StoreBytes int64 `json:"store_bytes"`
-	// Prefetched counts shuffle segments this worker pulled ahead of
-	// reduce dispatch (pipelined shuffle), piggybacked on heartbeats.
-	Prefetched int64 `json:"prefetched,omitempty"`
 	// LastBeatMS is milliseconds since the last heartbeat arrived.
 	LastBeatMS int64 `json:"last_beat_ms"`
 	// State is the membership state: "live", "draining", "drained" or

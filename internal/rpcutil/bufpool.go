@@ -1,6 +1,9 @@
 package rpcutil
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // This file is the shared message-buffer pool behind every hand-rolled
 // wire codec in the repo (DESIGN.md §13). Encoding a task descriptor,
@@ -38,8 +41,20 @@ func GetBuf() *[]byte {
 // are dropped instead of pooled so one huge reduce output does not pin
 // its footprint forever.
 func PutBuf(b *[]byte) {
+	if b != nil && poison.Load() {
+		p := (*b)[:cap(*b)]
+		for i := range p {
+			p[i] = 0xDB
+		}
+	}
 	if b == nil || cap(*b) > 1<<20 {
 		return
 	}
 	bufPool.Put(b)
 }
+
+var poison atomic.Bool
+
+// PoisonPooled is a test hook: on, PutBuf overwrites every buffer it
+// takes back with 0xDB, so a decoder that kept a pooled slice fails fast.
+func PoisonPooled(on bool) { poison.Store(on) }

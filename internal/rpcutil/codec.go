@@ -5,7 +5,9 @@ package rpcutil
 // Every arg and reply type implements Message and encodes itself; the
 // codec adds the call header and one length prefix, nothing else, so
 // the message a caller builds is the message on the wire. A body that
-// is not a Message fails the call with an error naming its type.
+// is not a Message fails the call with an error naming its type. Bulk
+// bytes are copied once per hop: a Bulky message's are written from their
+// owners' buffers, and an Owner's frame is read into a buffer it keeps.
 //
 // Stream layout: each side writes one version byte before its first
 // message, then back-to-back messages.
@@ -29,12 +31,32 @@ import (
 )
 
 // Message is implemented by every RPC arg and reply type. DecodeFrame
-// receives exactly the encoded bytes produced by AppendFrame; the slice
-// is a pooled buffer that is recycled when the call returns, so
-// implementations must copy anything they retain.
+// receives exactly the encoded bytes produced by AppendFrame. Unless the
+// message is an Owner, the slice is a pooled buffer that is recycled when
+// the call returns, so DecodeFrame must copy anything it retains.
 type Message interface {
 	AppendFrame(b []byte) []byte
 	DecodeFrame(b []byte) error
+}
+
+// Owner marks a Message whose DecodeFrame keeps slices of its input: the
+// codec reads its frame into a fresh buffer of exactly its length, which
+// the decoded message may alias for as long as it lives.
+type Owner interface{ OwnsFrame() }
+
+// Bulky is a Message whose bulk byte fields (a split, a file, a reduce
+// output) the codec writes from their owners' buffers. AppendBulk appends
+// the frame as AppendFrame does, but hands each bulk field p to put with
+// the frame so far and goes on appending to what put returns; with a put
+// that appends p, AppendBulk is the whole frame.
+type Bulky interface {
+	AppendBulk(b []byte, put func(b, p []byte) []byte) []byte
+}
+
+// bulkField is a bulk field p to send after the encode buffer's first at bytes.
+type bulkField struct {
+	at int
+	p  []byte
 }
 
 // frameCodecVersion is the connection-stream version. Bump it on any
@@ -61,6 +83,10 @@ type frameCodec struct {
 	// distinct methods over thousands of messages, so decoding each
 	// occurrence to a fresh string would be pure garbage.
 	names map[string]string
+	// bulk holds the bulk fields of the frame being sent; put is putBulk.
+	bulk    []bulkField
+	bulkLen int
+	put     func(b, p []byte) []byte
 }
 
 func newFrameCodec(conn io.ReadWriteCloser) frameCodec {
@@ -96,25 +122,40 @@ func (c *frameCodec) send(seq uint64, method, errStr string, hasErr bool, body a
 		b = AppendString(b, errStr)
 	}
 	var frame []byte
-	if errStr == "" {
-		frame = m.AppendFrame((*enc)[:0])
-		*enc = frame[:0]
-	}
-	b = binary.AppendUvarint(b, uint64(len(frame)))
-	*hdr = b[:0]
-	if !c.sentVer {
-		if err := c.w.WriteByte(frameCodecVersion); err != nil {
-			return err
+	if bm, ok := m.(Bulky); ok && errStr == "" {
+		if c.put == nil {
+			c.put = c.putBulk
 		}
+		frame = bm.AppendBulk((*enc)[:0], c.put)
+	} else if errStr == "" {
+		frame = m.AppendFrame((*enc)[:0])
+	}
+	*enc = frame[:0]
+	b = binary.AppendUvarint(b, uint64(len(frame)+c.bulkLen))
+	*hdr = b[:0]
+	// bufio.Writer errors are sticky, so Flush reports the first one.
+	if !c.sentVer {
+		c.w.WriteByte(frameCodecVersion)
 		c.sentVer = true
 	}
-	if _, err := c.w.Write(b); err != nil {
-		return err
+	c.w.Write(b)
+	at := 0
+	for _, f := range c.bulk {
+		c.w.Write(frame[at:f.at])
+		c.w.Write(f.p)
+		at = f.at
 	}
-	if _, err := c.w.Write(frame); err != nil {
-		return err
-	}
+	c.w.Write(frame[at:])
+	clear(c.bulk)
+	c.bulk, c.bulkLen = c.bulk[:0], 0
 	return c.w.Flush()
+}
+
+// putBulk is the codec's put: it notes where p goes in the frame.
+func (c *frameCodec) putBulk(b, p []byte) []byte {
+	c.bulk = append(c.bulk, bulkField{at: len(b), p: p})
+	c.bulkLen += len(p)
+	return b
 }
 
 // checkVersion consumes the peer's version byte before the first read.
@@ -172,7 +213,8 @@ func (c *frameCodec) readString(what string) (string, error) {
 	return s, nil
 }
 
-// readBody reads one body frame and decodes it into body. A nil body
+// readBody reads one body frame and decodes it into body (an Owner's out
+// of a fresh buffer, any other's out of a pooled one). A nil body
 // discards the frame (net/rpc's convention for unwanted bodies); so does
 // a body that is not a Message, which keeps the stream in step while the
 // call fails.
@@ -191,14 +233,15 @@ func (c *frameCodec) readBody(body any) error {
 		}
 		return fmt.Errorf("rpcutil: body type %T does not implement Message", body)
 	}
-	buf := GetBuf()
-	defer PutBuf(buf)
-	p := *buf
-	if cap(p) < n {
+	var p []byte
+	if _, own := m.(Owner); own {
 		p = make([]byte, n)
+	} else {
+		buf := GetBuf()
+		defer PutBuf(buf)
+		p = append((*buf)[:0], make([]byte, n)...)
 		*buf = p[:0]
 	}
-	p = p[:n]
 	if _, err := io.ReadFull(c.r, p); err != nil {
 		return err
 	}

@@ -38,6 +38,34 @@ func (p *FramedPayload) DecodeFrame(b []byte) error {
 	return nil
 }
 
+// BulkPayload carries two bulk fields around a head field, so the codec
+// has to splice both into the frame it writes; it owns the frames it is
+// decoded from and keeps slices of them.
+type BulkPayload struct {
+	A    []byte
+	N    int64
+	B    []byte
+	Kept []byte // the frame DecodeFrame was handed
+}
+
+func (p *BulkPayload) AppendFrame(b []byte) []byte {
+	return p.AppendBulk(b, func(b, q []byte) []byte { return append(b, q...) })
+}
+
+func (p *BulkPayload) AppendBulk(b []byte, put func(b, q []byte) []byte) []byte {
+	b = put(binary.AppendUvarint(b, uint64(len(p.A))), p.A)
+	b = binary.AppendVarint(b, p.N)
+	return put(binary.AppendUvarint(b, uint64(len(p.B))), p.B)
+}
+
+func (*BulkPayload) OwnsFrame() {}
+
+func (p *BulkPayload) DecodeFrame(b []byte) error {
+	r := NewReader(b)
+	p.A, p.N, p.B, p.Kept = r.Bytes("a"), r.Varint("n"), r.Bytes("b"), b
+	return r.Finish("bulk payload")
+}
+
 // PlainPayload has no Message implementation, so the codec must refuse
 // it wherever it appears.
 type PlainPayload struct {
@@ -56,6 +84,12 @@ func (s *codecSvc) Echo(args *FramedPayload, reply *FramedPayload) error {
 	s.mu.Unlock()
 	reply.N = args.N * 2
 	reply.Data = args.Data
+	return nil
+}
+
+// Bulk echoes a BulkPayload, its bulk fields aliasing the request frame.
+func (s *codecSvc) Bulk(args *BulkPayload, reply *BulkPayload) error {
+	*reply = *args
 	return nil
 }
 
@@ -241,5 +275,49 @@ func TestFrameCodecRejectsOversizedBody(t *testing.T) {
 	}
 	if err := codec.ReadResponseBody(nil); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized body: got %v, want length-limit error", err)
+	}
+}
+
+// TestFrameCodecBulkAndOwnedFrames drives a Bulky, Owner payload both
+// ways: its bulk fields are written from their own buffers around the
+// head bytes, and a decoded one is handed a frame of its own that no
+// later call overwrites, while PoisonPooled overwrites every pooled
+// buffer as it is returned.
+func TestFrameCodecBulkAndOwnedFrames(t *testing.T) {
+	PoisonPooled(true)
+	defer PoisonPooled(false)
+	buf := GetBuf()
+	*buf = append(*buf, "pooled"...)
+	p := *buf
+	PutBuf(buf)
+	if string(p) != "\xdb\xdb\xdb\xdb\xdb\xdb" {
+		t.Errorf("PoisonPooled left a returned buffer reading %q", p)
+	}
+
+	addr := startCodecServer(t)
+	c, err := DialRPC(addr, Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var replies []*BulkPayload
+	for i := 0; i < 4; i++ {
+		arg := &BulkPayload{A: []byte(strings.Repeat("a", 1<<i)), N: int64(-i), B: []byte(strings.Repeat("b", 40<<10))}
+		var rep BulkPayload
+		if err := c.Call("Codec.Bulk", arg, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if string(rep.A) != string(arg.A) || rep.N != arg.N || string(rep.B) != string(arg.B) {
+			t.Fatalf("call %d: got (%d, %d, %d bytes)", i, len(rep.A), rep.N, len(rep.B))
+		}
+		if len(rep.Kept) != cap(rep.Kept) || &rep.B[len(rep.B)-1] != &rep.Kept[len(rep.Kept)-1] {
+			t.Fatalf("call %d: the reply is not decoded from an exactly sized frame of its own", i)
+		}
+		replies = append(replies, &rep)
+	}
+	for i, rep := range replies {
+		if string(rep.A) != strings.Repeat("a", 1<<i) || string(rep.B) != strings.Repeat("b", 40<<10) {
+			t.Errorf("reply %d changed after later calls", i)
+		}
 	}
 }

@@ -17,12 +17,13 @@
 // tracking and graceful shutdown in one place. RPC endpoints use
 // net/rpc directly; only the HTTP surfaces share this harness.
 //
-// Wire (Message, NewClientCodec/NewServerCodec, Reader, Append*, GetBuf,
-// PutBuf): the frame codec every RPC connection speaks, the cursor
-// every hand-framed message is written and read with, and the
-// message-buffer pool behind both (DESIGN.md §13). Encoders append into
-// pooled buffers and return them once the transport has consumed the
-// bytes, so the steady-state task hot path allocates nothing per message.
+// Wire (Message, Owner, Bulky, NewClientCodec/NewServerCodec, Reader,
+// Append*, GetBuf, PutBuf): the frame codec every RPC connection speaks,
+// the cursor every hand-framed message is written and read with, and the
+// message-buffer pool behind both (DESIGN.md §13). Message heads are
+// encoded into and decoded out of pooled buffers; bulk fields are copied
+// once per hop, written from their owner's buffer and read into a buffer
+// the decoded message keeps.
 package rpcutil
 
 import (

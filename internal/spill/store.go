@@ -29,13 +29,14 @@ type RunStore interface {
 	// bytes the caller will write when it knows, 0 when it does not; a
 	// store that holds objects in memory allocates them once from it.
 	Create(name string, size int64) (io.WriteCloser, error)
+	// Put stores data whole as the committed object name. A store that
+	// holds objects in memory adopts data, which the caller must not write
+	// to afterwards; others write it out. The distributed shuffle stores
+	// each fetch reply this way.
+	Put(name string, data []byte) error
 	// Open opens a previously created object. Any number of readers may
 	// have one object open, each at its own ranges.
 	Open(name string) (Object, error)
-	// Has reports whether a named object exists (created and committed).
-	// The distributed shuffle uses it to skip refetching segments that a
-	// prefetch already landed.
-	Has(name string) bool
 	// Remove deletes one object (missing names are not an error).
 	Remove(name string) error
 	// RemovePrefix deletes every object whose name starts with prefix
@@ -132,6 +133,17 @@ func (s *MemRunStore) Create(name string, size int64) (io.WriteCloser, error) {
 	return &memWriter{store: s, name: name, data: make([]byte, 0, max(size, 0))}, nil
 }
 
+// Put implements RunStore: the object is data itself.
+func (s *MemRunStore) Put(name string, data []byte) error {
+	if name == "" {
+		return fmt.Errorf("spill: empty run name")
+	}
+	s.mu.Lock()
+	s.objs[name] = data
+	s.mu.Unlock()
+	return nil
+}
+
 // memObject is an open MemRunStore object. Inside the package its bytes
 // are read where they lie (openSegStream, ReadRange); stored objects are
 // immutable.
@@ -153,14 +165,6 @@ func (s *MemRunStore) Open(name string) (Object, error) {
 	o := &memObject{data: data}
 	o.Reset(data)
 	return o, nil
-}
-
-// Has implements RunStore.
-func (s *MemRunStore) Has(name string) bool {
-	s.mu.Lock()
-	_, ok := s.objs[name]
-	s.mu.Unlock()
-	return ok
 }
 
 // Remove implements RunStore.
@@ -317,14 +321,17 @@ func (s *DiskRunStore) Open(name string) (Object, error) {
 	return &diskObject{File: f, size: size}, nil
 }
 
-// Has implements RunStore. The sizes index is authoritative: a file
-// still being written has no entry yet, so Has only reports committed
-// objects, matching MemRunStore's close-to-commit semantics.
-func (s *DiskRunStore) Has(name string) bool {
-	s.mu.Lock()
-	_, ok := s.sizes[name]
-	s.mu.Unlock()
-	return ok
+// Put implements RunStore by writing data to a new file.
+func (s *DiskRunStore) Put(name string, data []byte) error {
+	w, err := s.Create(name, int64(len(data)))
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(data); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
 }
 
 // Remove implements RunStore.
