@@ -302,45 +302,6 @@ func RunBFS(cluster *mapreduce.Cluster, in *graph.Input, reducers int, pathPrefi
 	return result, nil
 }
 
-// BFSDistances reads the per-vertex hop distances a completed RunBFS
-// left under pathPrefix (res must be that run's result). Vertices the
-// search never reached carry -1; vertices absent from the input edge
-// list have no record and are absent from the map. Consumers: the
-// prflow engine seeds push-relabel heights from a sink-rooted MR-BFS,
-// and the portfolio prober runs the double-sweep diameter estimate.
-func BFSDistances(fsys interface {
-	List(prefix string) []string
-	ReadFile(name string) ([]byte, error)
-}, pathPrefix string, res *BFSResult) (map[graph.VertexID]int64, error) {
-	out := make(map[graph.VertexID]int64)
-	var bv bfsValue
-	for _, name := range fsys.List(roundPrefix(pathPrefix, res.Rounds)) {
-		data, err := fsys.ReadFile(name)
-		if err != nil {
-			return nil, err
-		}
-		r := dfs.NewRecordReader(data)
-		for {
-			k, v, ok, err := r.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			u, err := graph.DecodeKey(k)
-			if err != nil {
-				return nil, err
-			}
-			if err := decodeBFS(v, &bv); err != nil {
-				return nil, err
-			}
-			out[u] = bv.dist
-		}
-	}
-	return out, nil
-}
-
 func findBFSDist(fileData, key []byte) (int64, bool, error) {
 	r := dfs.NewRecordReader(fileData)
 	for {

@@ -334,3 +334,51 @@ func (in *Input) Validate() error {
 	}
 	return nil
 }
+
+// Adjacency returns every vertex's neighbours in the undirected graph
+// underlying in, sorted and distinct: capacity and direction are
+// ignored and parallel edges name a neighbour once. It is the adjacency
+// the MR-BFS conversion job builds (core.RunBFS). in must be valid.
+func Adjacency(in *Input) [][]VertexID {
+	deg := make([]int, in.NumVertices)
+	for i := range in.Edges {
+		deg[in.Edges[i].U]++
+		deg[in.Edges[i].V]++
+	}
+	adj := make([][]VertexID, in.NumVertices)
+	flat := make([]VertexID, 2*len(in.Edges))
+	for v, d := range deg {
+		adj[v], flat = flat[:0:d], flat[d:]
+	}
+	for i := range in.Edges {
+		e := &in.Edges[i]
+		adj[e.U] = append(adj[e.U], e.V)
+		adj[e.V] = append(adj[e.V], e.U)
+	}
+	for v, ns := range adj {
+		slices.Sort(ns)
+		adj[v] = slices.Compact(ns)
+	}
+	return adj
+}
+
+// HopDistances runs a breadth-first search over adj from src and returns
+// every vertex's hop distance, -1 for vertices it does not reach.
+func HopDistances(adj [][]VertexID, src VertexID) []int32 {
+	dist := make([]int32, len(adj))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := append(make([]VertexID, 0, len(adj)), src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range adj[u] {
+			if dist[v] < 0 {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
+}

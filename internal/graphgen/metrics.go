@@ -36,49 +36,6 @@ type Metrics struct {
 	LargestComponent float64
 }
 
-// adjacency builds an adjacency list, deduplicating parallel edges.
-func adjacency(in *graph.Input) [][]graph.VertexID {
-	adj := make([][]graph.VertexID, in.NumVertices)
-	for i := range in.Edges {
-		e := &in.Edges[i]
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	}
-	for v := range adj {
-		ns := adj[v]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		dedup := ns[:0]
-		for i, n := range ns {
-			if i == 0 || n != ns[i-1] {
-				dedup = append(dedup, n)
-			}
-		}
-		adj[v] = dedup
-	}
-	return adj
-}
-
-// bfsFrom computes hop distances from src; unreached vertices get -1.
-func bfsFrom(adj [][]graph.VertexID, src graph.VertexID) []int32 {
-	dist := make([]int32, len(adj))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []graph.VertexID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
 // Measure computes small-world metrics, sampling the expensive parts
 // (BFS eccentricities and local clustering) at the given sample count.
 func Measure(in *graph.Input, samples int, seed int64) Metrics {
@@ -86,7 +43,7 @@ func Measure(in *graph.Input, samples int, seed int64) Metrics {
 		samples = 16
 	}
 	rng := rand.New(rand.NewSource(seed))
-	adj := adjacency(in)
+	adj := graph.Adjacency(in)
 	deg := Degrees(in)
 
 	m := Metrics{Vertices: in.NumVertices, Edges: len(in.Edges)}
@@ -104,7 +61,7 @@ func Measure(in *graph.Input, samples int, seed int64) Metrics {
 	}
 
 	// Component coverage from the biggest hub.
-	dist := bfsFrom(adj, graph.VertexID(maxDegV))
+	dist := graph.HopDistances(adj, graph.VertexID(maxDegV))
 	reached := 0
 	for _, d := range dist {
 		if d >= 0 {
@@ -119,7 +76,7 @@ func Measure(in *graph.Input, samples int, seed int64) Metrics {
 	var pathSum, pathCnt float64
 	for s := 0; s < samples; s++ {
 		src := graph.VertexID(rng.Intn(in.NumVertices))
-		d := bfsFrom(adj, src)
+		d := graph.HopDistances(adj, src)
 		for _, x := range d {
 			if x > 0 {
 				pathSum += float64(x)

@@ -8,9 +8,10 @@
 // that inflates every round's shuffle for no flow. This package probes
 // an instance cheaply, then composes the right pipeline:
 //
-//   - a double-sweep MR-BFS diameter estimate (two RunBFS runs: one
-//     from the source, one from the farthest vertex found) and a
-//     degree-distribution fit (graphgen.PowerLawFit);
+//   - a double-sweep diameter estimate (two host-side BFS runs over the
+//     in-memory input, graph.HopDistances: one from the source, one
+//     from the farthest vertex found) and a degree-distribution fit
+//     (graphgen.PowerLawFit); neither runs a MapReduce job;
 //   - Choose turns the probe into a Decision: solve with FFMR or the
 //     synchronous push-relabel engine (internal/prflow), optionally
 //     after the scale-free core reduction (internal/prep);
@@ -49,15 +50,15 @@ type Probe struct {
 	Vertices int
 	Edges    int
 	// DiameterEstimate is the double-sweep BFS lower bound on the
-	// graph's diameter (exactly the MR-BFS the paper uses to estimate
-	// D, run twice).
+	// graph's diameter: the larger eccentricity of the source and of the
+	// vertex farthest from it, which two runs of the paper's MR-BFS
+	// would report.
 	DiameterEstimate int
 	// SinkDistance is the source-sink hop distance (-1 if unreachable).
 	SinkDistance int
 	// Fit summarizes the degree distribution.
 	Fit graphgen.DegreeFit
-	// BFSSimTime and BFSWallTime are the probe's own cost.
-	BFSSimTime  time.Duration
+	// BFSWallTime is the host time of the two sweeps.
 	BFSWallTime time.Duration
 }
 
@@ -86,64 +87,40 @@ const (
 	PRFlowMinDiameter    = 12
 )
 
-// ProbeInstance measures the instance with two MR-BFS sweeps plus an
-// in-memory degree fit. The sweeps run under pathPrefix and are cleaned
-// up unless keep is set.
-func ProbeInstance(cluster *mapreduce.Cluster, in *graph.Input, reducers int, pathPrefix string, keep bool) (*Probe, error) {
-	fs := cluster.FS
+// ProbeInstance measures the instance with a double-sweep BFS and a
+// degree fit, both over the in-memory input. The sweeps are host-side
+// because a probe must cost less than the rounds it saves: run as
+// MapReduce jobs they would be O(diameter) rounds themselves, which is
+// what a high-diameter verdict exists to avoid. cluster, reducers,
+// pathPrefix and keep are unused.
+func ProbeInstance(_ *mapreduce.Cluster, in *graph.Input, _ int, _ string, _ bool) (*Probe, error) {
+	if err := in.Validate(); err != nil {
+		return nil, fmt.Errorf("portfolio: probe: %w", err)
+	}
 	p := &Probe{
 		Vertices: in.NumVertices,
 		Edges:    len(in.Edges),
 		Fit:      graphgen.PowerLawFit(in),
 	}
-
-	sweep1 := pathPrefix + "sweep1/"
-	res1, err := core.RunBFS(cluster, in, reducers, sweep1)
-	if err != nil {
-		return nil, fmt.Errorf("portfolio: probe sweep 1: %w", err)
-	}
-	p.SinkDistance = res1.SinkDist
-	p.BFSSimTime += res1.TotalSimTime
-	p.BFSWallTime += res1.TotalWallTime
-	dist, err := core.BFSDistances(fs, sweep1, res1)
-	if err != nil {
-		return nil, err
-	}
-	if !keep {
-		fs.DeletePrefix(sweep1)
-	}
+	start := time.Now()
+	adj := graph.Adjacency(in)
+	dist := graph.HopDistances(adj, in.Source)
+	p.SinkDistance = int(dist[in.Sink])
+	// The far vertex is the smallest ID at the largest distance.
 	far := in.Source
-	var farDist int64
 	for u, d := range dist {
-		if d > farDist || (d == farDist && u < far) {
-			far, farDist = u, d
+		if d > dist[far] {
+			far = graph.VertexID(u)
 		}
 	}
-	p.DiameterEstimate = int(farDist)
-
+	p.DiameterEstimate = int(dist[far])
 	// Second sweep from the eccentric vertex of the first.
 	if far != in.Source {
-		sweep2 := pathPrefix + "sweep2/"
-		in2 := &graph.Input{NumVertices: in.NumVertices, Edges: in.Edges, Source: far, Sink: in.Source}
-		res2, err := core.RunBFS(cluster, in2, reducers, sweep2)
-		if err != nil {
-			return nil, fmt.Errorf("portfolio: probe sweep 2: %w", err)
-		}
-		p.BFSSimTime += res2.TotalSimTime
-		p.BFSWallTime += res2.TotalWallTime
-		dist2, err := core.BFSDistances(fs, sweep2, res2)
-		if err != nil {
-			return nil, err
-		}
-		if !keep {
-			fs.DeletePrefix(sweep2)
-		}
-		for _, d := range dist2 {
-			if int(d) > p.DiameterEstimate {
-				p.DiameterEstimate = int(d)
-			}
+		for _, d := range graph.HopDistances(adj, far) {
+			p.DiameterEstimate = max(p.DiameterEstimate, int(d))
 		}
 	}
+	p.BFSWallTime = time.Since(start)
 	return p, nil
 }
 
@@ -178,8 +155,7 @@ func run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 	log := obsv.Or(opts.Log).With("run", EngineName)
 	start := time.Now()
 
-	probePrefix := opts.PathPrefix + "probe/"
-	probe, err := ProbeInstance(cluster, in, opts.Reducers, probePrefix, opts.KeepIntermediate)
+	probe, err := ProbeInstance(cluster, in, 0, "", false)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +198,6 @@ func run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		if err != nil {
 			return nil, err
 		}
-		res.TotalSimTime += probe.BFSSimTime
 		res.TotalWallTime = time.Since(start)
 		return res, nil
 	}
@@ -265,7 +240,7 @@ func run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		Rounds:          coreRes.Rounds,
 		Converged:       coreRes.Converged,
 		RoundStats:      coreRes.RoundStats,
-		TotalSimTime:    coreRes.TotalSimTime + probe.BFSSimTime,
+		TotalSimTime:    coreRes.TotalSimTime,
 		TotalWallTime:   time.Since(start),
 		InputGraphBytes: coreRes.InputGraphBytes,
 		MaxGraphBytes:   coreRes.MaxGraphBytes,

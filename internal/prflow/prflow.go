@@ -15,10 +15,12 @@
 // program.go for the protocol and its height-validity argument.
 //
 // The engine registers itself with the core driver under the name
-// "prflow" (core.Options.Engine), seeds initial heights with the
-// MR-BFS of internal/core, and persists the same final residual state
-// as the FFMR driver via core.WriteEngineState, so validation, dynamic
-// snapshots and the service query API are engine-agnostic.
+// "prflow" (core.Options.Engine), seeds initial heights with a
+// host-side BFS from the sink over the in-memory input
+// (graph.HopDistances; no MapReduce job runs), and persists the same
+// final residual state as the FFMR driver via core.WriteEngineState, so
+// validation, dynamic snapshots and the service query API are
+// engine-agnostic.
 package prflow
 
 import (
@@ -126,11 +128,15 @@ func (m *master) compute(superstep int, _ [][]byte, aggregates map[string]int64)
 
 // Run executes the push-relabel engine as a core.EngineFunc: same
 // cluster, same input, same resolved Options, same Result shape and
-// persisted final state as the FFMR driver. Only the initial-height
-// BFS runs as MapReduce jobs; the main loop runs on the in-process
-// Pregel engine (deterministic for a given input, so results are
-// identical on the local and distributed backends).
+// persisted final state as the FFMR driver. No MapReduce job runs: the
+// initial heights come from a host BFS and the main loop runs on the
+// in-process Pregel engine (deterministic for a given input, so results
+// are identical on the local and distributed backends). Supersteps have
+// no modelled cluster cost, so Result.TotalSimTime is 0.
 func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.Result, error) {
+	if err := in.Validate(); err != nil {
+		return nil, fmt.Errorf("prflow: %w", err)
+	}
 	fs := cluster.FS
 	tr := opts.Tracer
 	log := obsv.Or(opts.Log).With("run", EngineName)
@@ -143,27 +149,12 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 
 	n := int64(in.NumVertices)
 
-	// Initial heights: hop distance to the sink via the MR-BFS baseline
-	// (run with source and sink swapped; the BFS ignores direction).
+	// Initial heights: hop distance to the sink, direction ignored.
 	// Undirected hop distances satisfy |d(u)-d(v)| <= 1 across every
 	// edge, hence every residual arc, so d_t is a valid labeling no
 	// matter which arcs are currently residual. Unreached vertices can
 	// never route flow to t and start at height n.
-	bfsPrefix := opts.PathPrefix + "bfs-init/"
-	bfsIn := &graph.Input{NumVertices: in.NumVertices, Edges: in.Edges, Source: in.Sink, Sink: in.Source}
-	bres, err := core.RunBFS(cluster, bfsIn, opts.Reducers, bfsPrefix)
-	if err != nil {
-		runSpan.End()
-		return nil, fmt.Errorf("prflow: initial-height bfs: %w", err)
-	}
-	dist, err := core.BFSDistances(fs, bfsPrefix, bres)
-	if err != nil {
-		runSpan.End()
-		return nil, err
-	}
-	if !opts.KeepIntermediate {
-		fs.DeletePrefix(bfsPrefix)
-	}
+	dist := graph.HopDistances(graph.Adjacency(in), in.Sink)
 	height := func(u graph.VertexID) int64 {
 		switch u {
 		case in.Source:
@@ -171,8 +162,8 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		case in.Sink:
 			return 0
 		}
-		if d, ok := dist[u]; ok && d >= 0 {
-			return d
+		if d := dist[u]; d >= 0 {
+			return int64(d)
 		}
 		return n
 	}
@@ -245,7 +236,6 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		Rounds:        stats.Supersteps,
 		Converged:     true,
 		RoundStats:    m.stats,
-		TotalSimTime:  bres.TotalSimTime,
 		TotalWallTime: time.Since(start),
 		RunSpan:       runSpan,
 	}

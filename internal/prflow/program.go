@@ -158,7 +158,8 @@ func encodeState(dst []byte, st *state) []byte {
 	return dst
 }
 
-// decodeState decodes into st, reusing its edge and height arrays.
+// decodeState decodes into st, reusing its edge and height arrays. A
+// record that is truncated or has bytes after its last edge is an error.
 func decodeState(data []byte, st *state) error {
 	off := 0
 	next := func() (int64, error) {
@@ -226,6 +227,9 @@ func decodeState(data []byte, st *state) error {
 		if st.nbrH[i], err = next(); err != nil {
 			return err
 		}
+	}
+	if off != len(data) {
+		return fmt.Errorf("prflow: %d trailing bytes after vertex state", len(data)-off)
 	}
 	return nil
 }

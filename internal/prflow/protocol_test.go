@@ -162,19 +162,28 @@ func TestMessageLifetimeDifferential(t *testing.T) {
 	}
 }
 
-// TestDecodeStateIntoDirtyState: a state that last held a larger vertex
-// decodes a smaller one with nothing left over.
-func TestDecodeStateIntoDirtyState(t *testing.T) {
+// dirtyState returns a state decoded from a three-edge vertex: what a
+// reused state holds after a larger vertex than the next one.
+func dirtyState(tb testing.TB) state {
+	tb.Helper()
 	large := &state{height: 9, excess: 4, dist: 2, nbrH: []int64{5, 6, 7}, edges: []graph.Edge{
 		{To: 1, ID: 10, Flow: 3, Cap: 4, RevCap: 4, Fwd: true},
 		{To: 2, ID: 11, Flow: -1, Cap: 0, RevCap: 2},
 		{To: 3, ID: 12, Cap: 8, RevCap: 8, Fwd: true},
 	}}
-	small := &state{height: 1, dist: -1, nbrH: []int64{2}, edges: []graph.Edge{{To: 7, ID: 3, Cap: 1, RevCap: 1}}}
 	var dirty state
 	if err := decodeState(encodeState(nil, large), &dirty); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return dirty
+}
+
+// TestDecodeStateIntoDirtyState: a state that last held a larger vertex
+// decodes a smaller one with nothing left over, and corrupt records are
+// errors.
+func TestDecodeStateIntoDirtyState(t *testing.T) {
+	small := &state{height: 1, dist: -1, nbrH: []int64{2}, edges: []graph.Edge{{To: 7, ID: 3, Cap: 1, RevCap: 1}}}
+	dirty := dirtyState(t)
 	for _, st := range []*state{small, {dist: -1}} {
 		enc := encodeState(nil, st)
 		if err := decodeState(enc, &dirty); err != nil {
@@ -184,9 +193,43 @@ func TestDecodeStateIntoDirtyState(t *testing.T) {
 			t.Errorf("dirty decode of %+v gave %+v", st, dirty)
 		}
 	}
-	if err := decodeState([]byte{2, 0, 1, 200}, &dirty); err == nil {
-		t.Error("an edge count the record cannot hold was accepted")
+	for name, data := range map[string][]byte{
+		"truncated varint":             {2, 0, 1, 1, 0x80},
+		"edge count beyond the record": {2, 0, 1, 200},
+		"missing Fwd byte":             {2, 0, 1, 1, 7, 3, 0, 2, 2},
+		"trailing bytes":               append(encodeState(nil, small), 0),
+	} {
+		if err := decodeState(data, &dirty); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
+}
+
+// FuzzDecodeState: hostile bytes never make decodeState panic, and a
+// record it accepts re-encodes to one that decodes, into a dirty state,
+// back to the same bytes.
+func FuzzDecodeState(f *testing.F) {
+	in, err := graphgen.Grid(3, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, v := range buildVertices(in, func(graph.VertexID) int64 { return 1 }) {
+		f.Add(v.Value)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st state
+		if decodeState(data, &st) != nil {
+			return
+		}
+		enc := encodeState(nil, &st)
+		dirty := dirtyState(t)
+		if err := decodeState(enc, &dirty); err != nil {
+			t.Fatalf("re-decode of %x failed: %v\ninput: %x", enc, err, data)
+		}
+		if got := encodeState(nil, &dirty); !bytes.Equal(got, enc) {
+			t.Fatalf("round trip moved the record:\n first: %x\nsecond: %x\ninput: %x", enc, got, data)
+		}
+	})
 }
 
 // TestIsolatedTerminals: with no edge at s or t the flow is 0, and the
