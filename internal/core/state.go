@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"ffmr/internal/dfs"
 	"ffmr/internal/graph"
@@ -36,50 +35,41 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 		return fmt.Errorf("core: WriteEngineState: %d flows for %d edges", len(flows), len(in.Edges))
 	}
 	feat := opts.Variant.features()
-
-	adj := make(map[graph.VertexID][]graph.Edge)
-	for i := range in.Edges {
-		e := &in.Edges[i]
-		revCap := e.Cap
-		if e.Directed {
-			revCap = 0
-		}
-		id := graph.EdgeID(i)
-		f := flows[i]
-		adj[e.U] = append(adj[e.U], graph.Edge{To: e.V, ID: id, Flow: f, Cap: e.Cap, RevCap: revCap, Fwd: true})
-		adj[e.V] = append(adj[e.V], graph.Edge{To: e.U, ID: id, Flow: -f, Cap: revCap, RevCap: e.Cap, Fwd: false})
-	}
+	start, edges := graph.HalfEdges(in, flows)
 
 	// One writer per partition; vertices appended in key order so each
-	// file is sorted like a reducer's output.
-	ids := make([]graph.VertexID, 0, len(adj))
-	for u := range adj {
-		ids = append(ids, u)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	writers := make([]dfs.RecordWriter, opts.Reducers)
-	for _, u := range ids {
-		edges := adj[u]
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].To != edges[j].To {
-				return edges[i].To < edges[j].To
-			}
-			return edges[i].ID < edges[j].ID
-		})
-		val := &graph.VertexValue{Eu: edges}
-		if u == in.Source {
-			val.Su = []graph.ExcessPath{{}}
+	// file is sorted like a reducer's output. A vertex no edge touches
+	// has no record. The seed paths and the zeroed sent flags are only
+	// read, so every record shares them.
+	seed := []graph.ExcessPath{{}}
+	var unsent []uint64
+	if feat.sentTracking {
+		maxDegree := 0
+		for u := 0; u < in.NumVertices; u++ {
+			maxDegree = max(maxDegree, start[u+1]-start[u])
 		}
-		if u == in.Sink && !opts.DisableBidirectional {
-			val.Tu = []graph.ExcessPath{{}}
+		unsent = make([]uint64, maxDegree)
+	}
+	writers := make([]dfs.RecordWriter, opts.Reducers)
+	var key, value []byte
+	for u := 0; u < in.NumVertices; u++ {
+		eu := edges[start[u]:start[u+1]]
+		if len(eu) == 0 {
+			continue
+		}
+		val := graph.VertexValue{Eu: eu}
+		if graph.VertexID(u) == in.Source {
+			val.Su = seed
+		}
+		if graph.VertexID(u) == in.Sink && !opts.DisableBidirectional {
+			val.Tu = seed
 		}
 		if feat.sentTracking {
-			val.SentS = make([]uint64, len(edges))
-			val.SentT = make([]uint64, len(edges))
+			val.SentS, val.SentT = unsent[:len(eu)], unsent[:len(eu)]
 		}
-		key := graph.KeyBytes(u)
-		writers[mapreduce.Partition(key, opts.Reducers)].Append(key, graph.EncodeValue(val))
+		key = graph.AppendKey(key[:0], graph.VertexID(u))
+		value = graph.AppendValue(value[:0], &val)
+		writers[mapreduce.Partition(key, opts.Reducers)].Append(key, value)
 	}
 
 	prefix := roundPrefix(opts.PathPrefix, rounds)

@@ -29,9 +29,9 @@ type PortfolioRow struct {
 	Vertices int
 	Edges    int
 	MaxFlow  int64
-	// Rounds counts MR rounds for FFMR-family rows and Pregel supersteps
-	// for prflow rows (each superstep is one BSP barrier, the analogue of
-	// an MR round's synchronization).
+	// Rounds counts MR rounds for FFMR-family rows and push+update pairs
+	// for prflow rows (each pair is two in-memory barriers, the analogue
+	// of an MR round's synchronization).
 	Rounds       int
 	SimTime      time.Duration
 	WallTime     time.Duration
@@ -165,7 +165,7 @@ func Portfolio(sc Scale) ([]PortfolioRow, *stats.Table, error) {
 		return nil, nil, fmt.Errorf("experiments: prflow flow %d != FFMR flow %d on grid",
 			gridPR.MaxFlow, gridFF.MaxFlow)
 	}
-	addRow("grid", "prflow", grid, gridPR, "rounds are Pregel supersteps")
+	addRow("grid", "prflow", grid, gridPR, "rounds are push+update pairs")
 
 	gridAuto, err := solve(grid, portfolio.EngineName)
 	if err != nil {

@@ -12,6 +12,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -360,6 +361,46 @@ func Adjacency(in *Input) [][]VertexID {
 		adj[v] = slices.Compact(ns)
 	}
 	return adj
+}
+
+// HalfEdges returns both halves of every edge of in, grouped by owning
+// vertex in one backing array: the halves stored at u are
+// edges[start[u]:start[u+1]], sorted by (To, ID) as a vertex record
+// keeps them. flows[i] is the flow on in.Edges[i] in canonical (U -> V)
+// orientation; nil means no flow. in must be valid.
+func HalfEdges(in *Input, flows []int64) (start []int, edges []Edge) {
+	start = make([]int, in.NumVertices+1)
+	for i := range in.Edges {
+		start[in.Edges[i].U+1]++
+		start[in.Edges[i].V+1]++
+	}
+	for u := 1; u < len(start); u++ {
+		start[u] += start[u-1]
+	}
+	next := slices.Clone(start)
+	edges = make([]Edge, 2*len(in.Edges))
+	for i := range in.Edges {
+		e := &in.Edges[i]
+		rev := e.Cap
+		if e.Directed {
+			rev = 0
+		}
+		var f int64
+		if flows != nil {
+			f = flows[i]
+		}
+		id := EdgeID(i)
+		edges[next[e.U]] = Edge{To: e.V, ID: id, Flow: f, Cap: e.Cap, RevCap: rev, Fwd: true}
+		edges[next[e.V]] = Edge{To: e.U, ID: id, Flow: -f, Cap: rev, RevCap: e.Cap}
+		next[e.U]++
+		next[e.V]++
+	}
+	for u := 0; u < in.NumVertices; u++ {
+		slices.SortFunc(edges[start[u]:start[u+1]], func(a, b Edge) int {
+			return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.ID, b.ID))
+		})
+	}
+	return start, edges
 }
 
 // HopDistances runs a breadth-first search over adj from src and returns

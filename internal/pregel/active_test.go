@@ -101,66 +101,6 @@ func TestSuperstepCostTracksActiveSet(t *testing.T) {
 	}
 }
 
-// TestWakeAll: the master hook wakes every halted vertex for exactly the
-// next superstep; without mail they halt again.
-func TestWakeAll(t *testing.T) {
-	const n, wakeAfter = 100, 3
-	var engine *Engine
-	master := func(superstep int, _ [][]byte, _ map[string]int64) ([]byte, error) {
-		if superstep == wakeAfter {
-			engine.WakeAll()
-		}
-		return nil, nil
-	}
-	// Vertex 0 keeps the run alive until superstep 6; everyone else halts
-	// at once.
-	prog := programFunc(func(ctx *Context, v *Vertex, messages [][]byte) error {
-		if v.ID != 0 || ctx.Superstep() >= 6 {
-			ctx.VoteToHalt()
-		}
-		return nil
-	})
-	engine, err := NewEngine(Config{Workers: 3, Master: master}, plainVertices(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := engine.Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{n, 1, 1, 1, n, 1, 1}
-	if fmt.Sprint(stats.ActiveVertices) != fmt.Sprint(want) {
-		t.Errorf("active vertices per superstep = %v, want %v", stats.ActiveVertices, want)
-	}
-}
-
-// TestWakeAllRestartsQuiescentEngine: a wake-up call counts as pending
-// work, so an engine whose vertices have all halted runs once more.
-func TestWakeAllRestartsQuiescentEngine(t *testing.T) {
-	var engine *Engine
-	master := func(superstep int, _ [][]byte, _ map[string]int64) ([]byte, error) {
-		if superstep == 0 {
-			engine.WakeAll()
-		}
-		return nil, nil
-	}
-	prog := programFunc(func(ctx *Context, v *Vertex, messages [][]byte) error {
-		ctx.VoteToHalt()
-		return nil
-	})
-	engine, err := NewEngine(Config{Master: master}, plainVertices(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := engine.Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(stats.ActiveVertices) != "[10 10]" {
-		t.Errorf("active vertices per superstep = %v, want [10 10]", stats.ActiveVertices)
-	}
-}
-
 // TestMessageToUnknownVertexIsDropped: mail for an ID the engine has no
 // vertex for is counted and dropped — below, between and above the IDs a
 // worker owns — and never lands on a neighbouring vertex.

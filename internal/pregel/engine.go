@@ -40,8 +40,7 @@ func (c *Context) SendTo(dst graph.VertexID, msg []byte) {
 	c.worker.send(dst, msg)
 }
 
-// VoteToHalt deactivates the vertex until a message arrives for it (or
-// the master calls Engine.WakeAll).
+// VoteToHalt deactivates the vertex until a message arrives for it.
 func (c *Context) VoteToHalt() { c.halt = true }
 
 // Aggregate adds delta to a named int64 sum aggregator; the aggregated
@@ -151,13 +150,6 @@ func (w *worker) send(dst graph.VertexID, data []byte) {
 	w.msgBytes += int64(len(data))
 }
 
-func (w *worker) wakeAll() {
-	w.active = w.active[:0]
-	for i := range w.vertices {
-		w.active = append(w.active, i)
-	}
-}
-
 // Engine executes a Program over a vertex set.
 type Engine struct {
 	cfg     Config
@@ -166,7 +158,6 @@ type Engine struct {
 
 	prevAggregates map[string]int64
 	global         []byte
-	wakeAll        bool
 }
 
 // NewEngine creates an engine over the given vertices. Vertex IDs must
@@ -202,7 +193,9 @@ func NewEngine(cfg Config, vertices []*Vertex) (*Engine, error) {
 	}
 	for _, w := range e.workers {
 		slices.SortFunc(w.vertices, func(a, b *Vertex) int { return cmp.Compare(a.ID, b.ID) })
-		w.wakeAll() // every vertex starts active
+		for i := range w.vertices {
+			w.active = append(w.active, i) // every vertex starts active
+		}
 	}
 	return e, nil
 }
@@ -210,13 +203,6 @@ func NewEngine(cfg Config, vertices []*Vertex) (*Engine, error) {
 // Vertex returns a vertex by ID (nil if absent). Intended for reading
 // results after Run.
 func (e *Engine) Vertex(id graph.VertexID) *Vertex { return e.index[id] }
-
-// WakeAll makes every vertex active in the next superstep, whether or
-// not it voted to halt or has mail; a woken vertex that votes to halt
-// again is halted again. It is for the MasterCompute hook — the only
-// code that runs between supersteps — when the step it is about to
-// publish is one every vertex takes part in.
-func (e *Engine) WakeAll() { e.wakeAll = true }
 
 // step runs worker wi's share of one superstep: gather and sort the
 // mail its peers left for it, pair it with its vertices, and call
@@ -316,17 +302,12 @@ func (e *Engine) Run(program Program) (*Stats, error) {
 			stepSpan = e.cfg.Tracer.Start(trace.CatRound, fmt.Sprintf("superstep-%05d", superstep), e.cfg.TraceParent)
 			stepSpan.SetInt(trace.AttrRound, int64(superstep))
 		}
-		wake := e.wakeAll
-		e.wakeAll = false
 		var wg sync.WaitGroup
 		for wi, w := range e.workers {
 			w.ctx.superstep = superstep
 			wg.Add(1)
 			go func(wi int, w *worker) {
 				defer wg.Done()
-				if wake {
-					w.wakeAll()
-				}
 				errs[wi] = e.step(wi, program)
 			}(wi, w)
 		}
@@ -382,8 +363,8 @@ func (e *Engine) Run(program Program) (*Stats, error) {
 		stepSpan.SetInt("pending", stepMsgs)
 		stepSpan.End()
 
-		// Quiescence: nothing in flight, nobody awake, no wake-up call.
-		if stepMsgs == 0 && awake == 0 && !e.wakeAll {
+		// Quiescence: nothing in flight, nobody awake.
+		if stepMsgs == 0 && awake == 0 {
 			stats.WallTime = time.Since(start)
 			return stats, nil
 		}

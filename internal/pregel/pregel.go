@@ -3,8 +3,7 @@
 // the paper cites as the emerging alternative to MapReduce for graphs,
 // conjecturing that "the ideas presented in this paper also translate to
 // Pregel"). The core package uses it to host the BSP translation of the
-// FFMR algorithm so that conjecture can be tested empirically, and the
-// prflow package runs its push-relabel engine on it.
+// FFMR algorithm so that conjecture can be tested empirically.
 //
 // The model: computation proceeds in supersteps. In each superstep every
 // active vertex receives the messages sent to it in the previous
@@ -34,18 +33,14 @@
 // still counts in Stats.Messages and still keeps the run alive for the
 // superstep it was in flight.
 //
-// Three extensions mirror what the flow algorithms need:
+// Two extensions mirror what the flow algorithms need:
 //
 //   - int64 sum aggregators (Pregel's aggregators), readable by all
 //     vertices in the next superstep — used for movement counters;
 //   - a master collector: vertices submit opaque byte items during a
 //     superstep and a MasterCompute hook runs between supersteps over
 //     the collected items, publishing global side data for the next
-//     superstep — the BSP analogue of the paper's aug_proc process;
-//   - Engine.WakeAll, which the master hook calls to make every vertex
-//     active in the next superstep whether or not it has mail — for the
-//     rare step that is inherently all-vertex (prflow's global
-//     relabelling applies a new height at every vertex).
+//     superstep — the BSP analogue of the paper's aug_proc process.
 package pregel
 
 // Program is the vertex-centric computation executed each superstep.

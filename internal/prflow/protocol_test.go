@@ -1,41 +1,38 @@
 package prflow
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
-	"reflect"
-	"sort"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"ffmr/internal/core"
 	"ffmr/internal/graph"
 	"ffmr/internal/graphgen"
-	"ffmr/internal/pregel"
 	"ffmr/internal/trace"
 )
 
-// TestPrflowProtocolPinned holds the superstep protocol to the numbers it
-// produced before vertices began voting to halt (recorded at a114ead, when
-// every vertex computed in every superstep): who halts when must change no
-// push, relabel, wave or message.
+// TestPrflowProtocolPinned holds the engine to the flows, pushes and
+// relabels the byte-encoded Pregel vertex program produced before the
+// loop moved to flat arrays: the same two-phase protocol on another
+// substrate must move no push and no relabel. rounds and roundStats were
+// derived from that program's supersteps, one round per push+update pair.
 func TestPrflowProtocolPinned(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func() (*graph.Input, error)
 
-		maxFlow                                  int64
-		rounds                                   int
-		pushes, relabels, messages, messageBytes int64
-		// roundStats is the FNV-1a hash of every RoundStat's
-		// "Submitted FlowDelta ActiveVertices\n" line, in round order.
-		roundStats uint64
+		maxFlow           int64
+		rounds            int
+		pushes, relabels  int64
+		flows, roundStats uint64 // FNV-1a hashes, see below
 	}{
 		{
 			name:    "grid-15x15",
 			build:   func() (*graph.Input, error) { return graphgen.Grid(15, 15) },
-			maxFlow: 2, rounds: 139, pushes: 80, relabels: 13, messages: 1796, messageBytes: 6164,
-			roundStats: 0x52ddced5a98dee45,
+			maxFlow: 2, rounds: 54, pushes: 80, relabels: 13,
+			flows: 0x171d6aeafb292b25, roundStats: 0xa5aacac54d6ec44b,
 		},
 		{
 			name: "ba-1",
@@ -51,8 +48,14 @@ func TestPrflowProtocolPinned(t *testing.T) {
 				graphgen.RandomCapacities(in, 20, 1)
 				return in, nil
 			},
-			maxFlow: 28, rounds: 170, pushes: 320, relabels: 208, messages: 1600, messageBytes: 5011,
-			roundStats: 0xbbc37f7170094596,
+			maxFlow: 28, rounds: 83, pushes: 320, relabels: 208,
+			flows: 0xea746b5822264b22, roundStats: 0x860f851d64712448,
+		},
+		{
+			name:    "grid-63x63",
+			build:   func() (*graph.Input, error) { return graphgen.Grid(63, 63) },
+			maxFlow: 2, rounds: 166, pushes: 288, relabels: 21,
+			flows: 0x3e417bc192ed2c25, roundStats: 0x20fad7706dd635cb,
 		},
 	}
 	for _, tc := range cases {
@@ -61,9 +64,23 @@ func TestPrflowProtocolPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.Run(testCluster(3), in, core.Options{Engine: EngineName, Tracer: trace.New()})
+			cluster := testCluster(3)
+			opts := core.Options{Engine: EngineName, Tracer: trace.New(), KeepIntermediate: true}
+			res, err := core.Run(cluster, in, opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The flows are read back from the persisted records, one
+			// "flow\n" line per edge; the round stats hash every
+			// RoundStat's "Submitted FlowDelta ActiveVertices\n" line, in
+			// round order.
+			flows, err := core.ExtractFlows(cluster.FS, in, opts.WithDefaults(cluster.Nodes*cluster.SlotsPerNode), res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fh := fnv.New64a()
+			for _, f := range flows {
+				fmt.Fprintf(fh, "%d\n", f)
 			}
 			h := fnv.New64a()
 			for _, st := range res.RoundStats {
@@ -76,10 +93,9 @@ func TestPrflowProtocolPinned(t *testing.T) {
 				}
 				return v
 			}
-			got := fmt.Sprintf("maxFlow %d rounds %d pushes %d relabels %d messages %d messageBytes %d roundStats %#x",
-				res.MaxFlow, res.Rounds, attr("pushes"), attr("relabels"), attr("messages"), attr("message_bytes"), h.Sum64())
-			want := fmt.Sprintf("maxFlow %d rounds %d pushes %d relabels %d messages %d messageBytes %d roundStats %#x",
-				tc.maxFlow, tc.rounds, tc.pushes, tc.relabels, tc.messages, tc.messageBytes, tc.roundStats)
+			const format = "maxFlow %d rounds %d pushes %d relabels %d flows %#x roundStats %#x"
+			got := fmt.Sprintf(format, res.MaxFlow, res.Rounds, attr("pushes"), attr("relabels"), fh.Sum64(), h.Sum64())
+			want := fmt.Sprintf(format, tc.maxFlow, tc.rounds, tc.pushes, tc.relabels, tc.flows, tc.roundStats)
 			if got != want {
 				t.Errorf("protocol moved:\n got %s\nwant %s", got, want)
 			}
@@ -87,154 +103,95 @@ func TestPrflowProtocolPinned(t *testing.T) {
 	}
 }
 
-// scribblingProgram overwrites every message it was handed once Compute
-// has returned: pregel's messages are windows of an arena the engine
-// reuses, valid only during the call.
-type scribblingProgram struct{ pregel.Program }
-
-func (s scribblingProgram) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][]byte) error {
-	err := s.Program.Compute(ctx, v, messages)
-	for _, m := range messages {
-		for i := range m {
-			m[i] = 0xff
-		}
+// TestPrflowLoopAllocs: once the network is built, the loop allocates
+// nothing that grows with the graph or with the number of rounds.
+func TestPrflowLoopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
 	}
-	return err
+	loopAllocs := func(side int) (allocs uint64, rounds int) {
+		in, err := graphgen.Grid(side, side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw := newNetwork(in)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rounds, err = nw.run(1_000_000, func(core.RoundStat) {})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.Mallocs - m0.Mallocs, rounds
+	}
+	loopAllocs(15) // warm-up: the first run pays one-time runtime costs
+	small, smallRounds := loopAllocs(31)
+	large, largeRounds := loopAllocs(63)
+	t.Logf("loop allocations: %d over %d rounds on 31x31, %d over %d rounds on 63x63",
+		small, smallRounds, large, largeRounds)
+	if small != large {
+		t.Errorf("the loop allocates %d objects on 31x31 and %d on 63x63, want the same", small, large)
+	}
 }
 
-// TestMessageLifetimeDifferential runs the superstep protocol twice from
-// the classical initial labelling (h(s) = n, 0 elsewhere), plainly and
-// with every message scribbled over after the Compute call it was
-// delivered to. Flows, final vertex states and message counts must agree
-// byte for byte.
-func TestMessageLifetimeDifferential(t *testing.T) {
-	in, err := graphgen.Grid(15, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type outcome struct {
-		stats  pregel.Stats
-		flows  []int64
-		values [][]byte
-	}
-	run := func(scribble bool) outcome {
-		n := int64(in.NumVertices)
-		vertices := buildVertices(in, func(u graph.VertexID) int64 {
-			if u == in.Source {
-				return n
+// TestDinicDifferential: on small random graphs with directed, parallel
+// and zero-capacity edges, the engine's flow is Dinic's and its persisted
+// state is valid.
+func TestDinicDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(20)
+		in, err := graphgen.ErdosRenyi(n, n+rng.Intn(2*n), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Source, in.Sink = 0, graph.VertexID(n-1)
+		for i := range in.Edges {
+			e := &in.Edges[i]
+			e.Cap = rng.Int63n(8) // zero one time in eight
+			e.Directed = rng.Intn(3) == 0
+			if rng.Intn(2) == 0 {
+				e.U, e.V = e.V, e.U
 			}
-			return 0
-		})
-		m := &master{next: phasePush}
-		engine, err := pregel.NewEngine(pregel.Config{MaxSupersteps: 100_000, Master: m.compute}, vertices)
-		if err != nil {
-			t.Fatal(err)
 		}
-		m.engine = engine
-		var p pregel.Program = &program{n: n, source: in.Source, sink: in.Sink}
-		if scribble {
-			p = scribblingProgram{p}
+		for k := rng.Intn(4); k > 0; k-- {
+			e := in.Edges[rng.Intn(len(in.Edges))]
+			e.Cap, e.Directed = rng.Int63n(8), rng.Intn(2) == 0
+			if rng.Intn(2) == 0 {
+				e.U, e.V = e.V, e.U
+			}
+			in.Edges = append(in.Edges, e)
 		}
-		stats, err := engine.Run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.next != phaseDone {
-			t.Fatalf("stopped in phase %d after %d supersteps", m.next, stats.Supersteps)
-		}
-		out := outcome{stats: *stats}
-		out.stats.WallTime = 0
-		if out.flows, err = extractFlows(in, vertices); err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(vertices, func(i, j int) bool { return vertices[i].ID < vertices[j].ID })
-		for _, v := range vertices {
-			out.values = append(out.values, v.Value)
-		}
-		return out
-	}
-	plain, scribbled := run(false), run(true)
-	if plain.stats.Messages == 0 {
-		t.Fatalf("reference run moved nothing: %+v", plain.stats)
-	}
-	if !reflect.DeepEqual(plain, scribbled) {
-		t.Errorf("scribbling over delivered messages changed the run:\n plain:     %+v\n scribbled: %+v", plain.stats, scribbled.stats)
+		t.Run(fmt.Sprintf("er-%d", seed), func(t *testing.T) { runBoth(t, in) })
 	}
 }
 
-// dirtyState returns a state decoded from a three-edge vertex: what a
-// reused state holds after a larger vertex than the next one.
-func dirtyState(tb testing.TB) state {
-	tb.Helper()
-	large := &state{height: 9, excess: 4, dist: 2, nbrH: []int64{5, 6, 7}, edges: []graph.Edge{
-		{To: 1, ID: 10, Flow: 3, Cap: 4, RevCap: 4, Fwd: true},
-		{To: 2, ID: 11, Flow: -1, Cap: 0, RevCap: 2},
-		{To: 3, ID: 12, Cap: 8, RevCap: 8, Fwd: true},
+// TestResidualReachable: the independent maximality check finds an s-t
+// path exactly when the flows leave one, through forward residuals and
+// through the reverse residual that flow on a directed edge creates.
+func TestResidualReachable(t *testing.T) {
+	in := &graph.Input{NumVertices: 4, Source: 0, Sink: 3, Edges: []graph.InputEdge{
+		{U: 0, V: 1, Cap: 2},
+		{U: 1, V: 3, Cap: 1, Directed: true},
+		{U: 0, V: 2, Cap: 5},
+		{U: 3, V: 2, Cap: 5, Directed: true},
 	}}
-	var dirty state
-	if err := decodeState(encodeState(nil, large), &dirty); err != nil {
-		tb.Fatal(err)
-	}
-	return dirty
-}
-
-// TestDecodeStateIntoDirtyState: a state that last held a larger vertex
-// decodes a smaller one with nothing left over, and corrupt records are
-// errors.
-func TestDecodeStateIntoDirtyState(t *testing.T) {
-	small := &state{height: 1, dist: -1, nbrH: []int64{2}, edges: []graph.Edge{{To: 7, ID: 3, Cap: 1, RevCap: 1}}}
-	dirty := dirtyState(t)
-	for _, st := range []*state{small, {dist: -1}} {
-		enc := encodeState(nil, st)
-		if err := decodeState(enc, &dirty); err != nil {
-			t.Fatal(err)
-		}
-		if got := encodeState(nil, &dirty); !bytes.Equal(got, enc) || len(dirty.edges) != len(st.edges) || len(dirty.nbrH) != len(st.edges) {
-			t.Errorf("dirty decode of %+v gave %+v", st, dirty)
-		}
-	}
-	for name, data := range map[string][]byte{
-		"truncated varint":             {2, 0, 1, 1, 0x80},
-		"edge count beyond the record": {2, 0, 1, 200},
-		"missing Fwd byte":             {2, 0, 1, 1, 7, 3, 0, 2, 2},
-		"trailing bytes":               append(encodeState(nil, small), 0),
+	for _, tc := range []struct {
+		flows []int64
+		want  bool
+	}{
+		{[]int64{0, 0, 0, 0}, true},  // 0-1-3
+		{[]int64{1, 1, 0, 0}, false}, // 1->3 full, 3->2 points away from t
+		{[]int64{1, 1, 0, 1}, true},  // flow on 3->2 opens 2->3
 	} {
-		if err := decodeState(data, &dirty); err == nil {
-			t.Errorf("%s: accepted", name)
+		if got := residualReachable(in, tc.flows); got != tc.want {
+			t.Errorf("flows %v: reachable %v, want %v", tc.flows, got, tc.want)
 		}
 	}
 }
 
-// FuzzDecodeState: hostile bytes never make decodeState panic, and a
-// record it accepts re-encodes to one that decodes, into a dirty state,
-// back to the same bytes.
-func FuzzDecodeState(f *testing.F) {
-	in, err := graphgen.Grid(3, 3)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, v := range buildVertices(in, func(graph.VertexID) int64 { return 1 }) {
-		f.Add(v.Value)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var st state
-		if decodeState(data, &st) != nil {
-			return
-		}
-		enc := encodeState(nil, &st)
-		dirty := dirtyState(t)
-		if err := decodeState(enc, &dirty); err != nil {
-			t.Fatalf("re-decode of %x failed: %v\ninput: %x", enc, err, data)
-		}
-		if got := encodeState(nil, &dirty); !bytes.Equal(got, enc) {
-			t.Fatalf("round trip moved the record:\n first: %x\nsecond: %x\ninput: %x", enc, got, data)
-		}
-	})
-}
-
-// TestIsolatedTerminals: with no edge at s or t the flow is 0, and the
-// run still takes its three supersteps (push, update, done) because s and
-// t are vertices of the engine regardless.
+// TestIsolatedTerminals: with no edge at s or t the flow is 0, found in
+// one round: the first update finds no excess anywhere.
 func TestIsolatedTerminals(t *testing.T) {
 	for _, edges := range [][]graph.InputEdge{nil, {{U: 1, V: 2, Cap: 5}}} {
 		in := &graph.Input{NumVertices: 4, Source: 0, Sink: 3, Edges: edges}
@@ -242,8 +199,8 @@ func TestIsolatedTerminals(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d edges: %v", len(edges), err)
 		}
-		if res.MaxFlow != 0 || res.Rounds != 3 {
-			t.Errorf("%d edges: flow %d in %d supersteps, want 0 in 3", len(edges), res.MaxFlow, res.Rounds)
+		if res.MaxFlow != 0 || res.Rounds != 1 {
+			t.Errorf("%d edges: flow %d in %d rounds, want 0 in 1", len(edges), res.MaxFlow, res.Rounds)
 		}
 	}
 }
