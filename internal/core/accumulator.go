@@ -137,9 +137,13 @@ func (a *Accumulator) Deltas() map[graph.EdgeID]int64 {
 	return out
 }
 
-// Reset clears all grants.
+// Reset clears all grants. An empty map is left alone: clearing one costs
+// its capacity, and a reducer's filters keep the capacity of the largest
+// group they saw.
 func (a *Accumulator) Reset() {
-	clear(a.pending)
+	if len(a.pending) > 0 {
+		clear(a.pending)
+	}
 }
 
 // EncodeDeltas serializes an AugmentedEdges table deterministically

@@ -127,10 +127,11 @@ type bspProgram struct {
 // MR formulation: apply global deltas, merge incoming path fragments,
 // report movement, submit candidates, extend paths.
 func (p *bspProgram) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][]byte) error {
-	stop, deltas, err := decodeBSPGlobal(ctx.Global())
+	stop, table, err := decodeBSPGlobal(ctx.Global())
 	if err != nil {
 		return err
 	}
+	deltas := &deltaSet{m: table}
 	if stop {
 		ctx.VoteToHalt()
 		return nil

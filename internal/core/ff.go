@@ -41,24 +41,22 @@ type candidateSink interface {
 	send(round, task, exec int, sb *submitBuf) error
 }
 
-// deltaCache lazily parses the AugmentedEdges side file once per task.
+// deltaCache lazily parses the AugmentedEdges side file, and builds its
+// filter, once per task.
 type deltaCache struct {
-	loaded bool
-	deltas map[graph.EdgeID]int64
+	deltas *deltaSet
 }
 
-func (dc *deltaCache) get(ctx *mapreduce.TaskContext, file string) (map[graph.EdgeID]int64, error) {
-	if dc.loaded {
+func (dc *deltaCache) get(ctx *mapreduce.TaskContext, file string) (*deltaSet, error) {
+	if dc.deltas != nil {
 		return dc.deltas, nil
 	}
-	data := ctx.SideFile(file)
-	m, err := DecodeDeltas(data)
+	m, err := DecodeDeltas(ctx.SideFile(file))
 	if err != nil {
 		return nil, err
 	}
-	dc.deltas = m
-	dc.loaded = true
-	return m, nil
+	dc.deltas = newDeltaSet(m)
+	return dc.deltas, nil
 }
 
 // FF4 (Section IV-C) eliminates object instantiations: a mapper or reducer
@@ -116,6 +114,15 @@ func (m *ffMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
 	u, err := graph.DecodeKey(key)
 	if err != nil {
 		return err
+	}
+	// A master holding no excess path emits nothing under schimmy: it has
+	// nothing to extend, candidates are the reducer's from FF2 on, and the
+	// reducer, not the shuffle, brings it to its group. Its bytes are this
+	// round's schimmy base, which the reducer decodes in full, so skipping
+	// them here skips no check. A record without edges takes the full path
+	// and fails below.
+	if m.cfg.feat.schimmy && graph.IsQuietMaster(value) {
+		return nil
 	}
 	if !m.cfg.feat.reuseObjects {
 		m.s = mapScratch{}
@@ -202,8 +209,14 @@ func (s *reduceScratch) value() *graph.VertexValue {
 func (s *reduceScratch) reset() {
 	s.used = 0
 	s.out.Reset()
-	clear(s.seenS)
-	clear(s.seenT)
+	// Clearing a map costs its capacity even when it is empty, and a hub's
+	// group leaves the maps large for the rest of the task.
+	if len(s.seenS) > 0 {
+		clear(s.seenS)
+	}
+	if len(s.seenT) > 0 {
+		clear(s.seenT)
+	}
 	s.as.Reset()
 	s.at.Reset()
 	s.ap.Reset()
@@ -258,35 +271,48 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 		if err := graph.DecodeValueInto(master, masterVal); err != nil {
 			return err
 		}
-		// Recompute the mapper's master-side state transition: apply the
-		// round's deltas, drop saturated paths, and replay the extension
-		// pass to reproduce the FF5 sent-flag updates. extendVertex is
-		// deterministic in (value, deltas), so this reproduces exactly
-		// what the mapper computed and did not ship.
-		deltas, err := r.dc.get(ctx, r.cfg.deltasFile)
-		if err != nil {
-			return err
-		}
-		updateVertex(masterVal, deltas)
-		extendVertex(u, masterVal, &r.extcfg, nil, nil)
 	}
 	if masterVal == nil {
 		return fmt.Errorf("core: vertex %d received fragments but no master record", u)
 	}
-
-	out.Eu = append(out.Eu, masterVal.Eu...)
-	out.SentS = append(out.SentS, masterVal.SentS...)
-	out.SentT = append(out.SentT, masterVal.SentT...)
-
 	k := r.cfg.pathLimit(masterVal)
-	sm, tm := len(masterVal.Su), len(masterVal.Tu)
-
 	if s.seenS == nil {
 		s.seenS = make(map[uint64]bool, k)
 	}
 	if s.seenT == nil {
 		s.seenT = make(map[uint64]bool, k)
 	}
+
+	if r.cfg.feat.schimmy {
+		deltas, err := r.dc.get(ctx, r.cfg.deltasFile)
+		if err != nil {
+			return err
+		}
+		if values.Len() == 0 && unchanged(masterVal, deltas) {
+			// Nothing below would move a byte of this record or a counter:
+			// it holds no path to update, extend, merge or pair, no sent
+			// flag to clear and no edge with a delta, and it received no
+			// fragment. Stored records are canonical (graph.AppendValue
+			// writes every one: round #0's convert, this reducer,
+			// WriteEngineState and the dynamic-update jobs), so re-encoding
+			// it would reproduce master exactly.
+			ctx.Emit(key, master)
+			return nil
+		}
+		// Recompute the mapper's master-side state transition: apply the
+		// round's deltas, drop saturated paths, and replay the extension
+		// pass to reproduce the FF5 sent-flag updates. extendVertex is
+		// deterministic in (value, deltas), so this reproduces exactly
+		// what the mapper computed and did not ship.
+		updateVertex(masterVal, deltas)
+		extendVertex(u, masterVal, &r.extcfg, nil, nil)
+	}
+
+	out.Eu = append(out.Eu, masterVal.Eu...)
+	out.SentS = append(out.SentS, masterVal.SentS...)
+	out.SentT = append(out.SentT, masterVal.SentT...)
+
+	sm, tm := len(masterVal.Su), len(masterVal.Tu)
 	var ff1Stats AugProcStats
 
 	// keep appends a copy of p to paths in the next slot of their array.

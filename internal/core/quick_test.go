@@ -163,9 +163,9 @@ func TestQuickUpdateVertexIdempotent(t *testing.T) {
 			}
 			v.Su = append(v.Su, p)
 		}
-		updateVertex(v, nil)
+		updateVertex(v, &deltaSet{})
 		before := graph.EncodeValue(v)
-		updateVertex(v, nil)
+		updateVertex(v, &deltaSet{})
 		after := graph.EncodeValue(v)
 		return string(before) == string(after)
 	}

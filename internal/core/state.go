@@ -104,10 +104,11 @@ func ExtractFlows(fs *dfs.FS, in *graph.Input, opts Options, res *Result) ([]int
 		if err != nil {
 			return nil, err
 		}
-		deltas, err := DecodeDeltas(data)
+		table, err := DecodeDeltas(data)
 		if err != nil {
 			return nil, err
 		}
+		deltas := newDeltaSet(table)
 		for _, v := range verts {
 			updateVertex(v, deltas)
 		}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/bits"
+	"slices"
+
 	"ffmr/internal/graph"
 )
 
@@ -11,15 +14,61 @@ import (
 // shuffle. All functions are deterministic in (value, deltas), which is
 // what makes that recomputation sound.
 
+// deltaSet is an AugmentedEdges table as updateVertex consults it. Almost
+// every edge a vertex holds is absent from a round's table, so a lookup
+// first asks filter, a one-hash Bloom filter over the table's edge IDs,
+// and goes to the map only when the edge's bit is set. A deltaSet without
+// a filter (the zero value, or one wrapping a map directly) asks the map
+// every time. sigs is updateVertex's scratch, so one goroutine at a time
+// uses a deltaSet.
+type deltaSet struct {
+	m      map[graph.EdgeID]int64
+	filter []uint64
+	shift  uint8
+	sigs   []uint64
+}
+
+// newDeltaSet wraps m with a filter of at least 16 bits per edge, which
+// lets through about one absent edge in sixteen.
+func newDeltaSet(m map[graph.EdgeID]int64) *deltaSet {
+	s := &deltaSet{m: m}
+	if len(m) == 0 {
+		return s
+	}
+	logBits := min(max(bits.Len(uint(len(m)))+4, 6), 32)
+	s.filter = make([]uint64, 1<<(logBits-6))
+	s.shift = uint8(32 - logBits)
+	for id := range m {
+		h := s.slot(id)
+		s.filter[h>>6] |= 1 << (h & 63)
+	}
+	return s
+}
+
+// slot is id's filter bit: Fibonacci hashing, the top bits of a
+// multiplicative hash.
+func (s *deltaSet) slot(id graph.EdgeID) uint32 { return uint32(id) * 0x9e3779b1 >> s.shift }
+
+// lookup returns the delta of edge id and whether the table holds one.
+func (s *deltaSet) lookup(id graph.EdgeID) (int64, bool) {
+	if s.filter != nil {
+		if h := s.slot(id); s.filter[h>>6]&(1<<(h&63)) == 0 {
+			return 0, false
+		}
+	}
+	d, ok := s.m[id]
+	return d, ok
+}
+
 // updateVertex applies the previous round's AugmentedEdges deltas to
 // every edge held by the vertex (adjacency plus every hop of every
 // stored excess path, MAP lines 1-3), then removes saturated excess
 // paths (line 4) and clears FF5 sent flags whose recorded path no longer
 // exists. It returns the number of paths dropped.
-func updateVertex(v *graph.VertexValue, deltas map[graph.EdgeID]int64) int {
-	if len(deltas) > 0 {
+func updateVertex(v *graph.VertexValue, deltas *deltaSet) int {
+	if len(deltas.m) > 0 {
 		for i := range v.Eu {
-			if d, ok := deltas[v.Eu[i].ID]; ok {
+			if d, ok := deltas.lookup(v.Eu[i].ID); ok {
 				v.Eu[i].ApplyDelta(d)
 			}
 		}
@@ -27,7 +76,7 @@ func updateVertex(v *graph.VertexValue, deltas map[graph.EdgeID]int64) int {
 			for pi := range paths {
 				for ei := range paths[pi].Edges {
 					pe := &paths[pi].Edges[ei]
-					if d, ok := deltas[pe.ID]; ok {
+					if d, ok := deltas.lookup(pe.ID); ok {
 						pe.ApplyDelta(d)
 					}
 				}
@@ -43,12 +92,36 @@ func updateVertex(v *graph.VertexValue, deltas map[graph.EdgeID]int64) int {
 	// that path is gone the extension it backed is dead, so the slot
 	// reopens and the path can be replaced next extension pass.
 	if len(v.SentS) > 0 {
-		clearStaleSent(v.SentS, v.Su)
+		deltas.sigs = clearStaleSent(v.SentS, v.Su, deltas.sigs)
 	}
 	if len(v.SentT) > 0 {
-		clearStaleSent(v.SentT, v.Tu)
+		deltas.sigs = clearStaleSent(v.SentT, v.Tu, deltas.sigs)
 	}
 	return dropped
+}
+
+// unchanged reports whether updateVertex and extendVertex would leave v as
+// it is: v holds no excess path, no set sent flag and no edge with a
+// delta in the table.
+func unchanged(v *graph.VertexValue, deltas *deltaSet) bool {
+	if len(v.Su) > 0 || len(v.Tu) > 0 {
+		return false
+	}
+	for _, sent := range [][]uint64{v.SentS, v.SentT} {
+		for _, sig := range sent {
+			if sig != 0 {
+				return false
+			}
+		}
+	}
+	if len(deltas.m) > 0 {
+		for i := range v.Eu {
+			if _, ok := deltas.lookup(v.Eu[i].ID); ok {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func removeSaturated(paths []graph.ExcessPath, dropped int) ([]graph.ExcessPath, int) {
@@ -71,22 +144,27 @@ func removeSaturated(paths []graph.ExcessPath, dropped int) ([]graph.ExcessPath,
 	return paths[:k], dropped
 }
 
-func clearStaleSent(sent []uint64, live []graph.ExcessPath) {
+// clearStaleSent zeroes every sent flag that names none of the live paths.
+// It signs each live path once, at the first set flag, into sigs (returned
+// for reuse), not once per flag.
+func clearStaleSent(sent []uint64, live []graph.ExcessPath, sigs []uint64) []uint64 {
+	signed := false
 	for i, sig := range sent {
 		if sig == 0 {
 			continue
 		}
-		found := false
-		for pi := range live {
-			if live[pi].Signature() == sig {
-				found = true
-				break
+		if !signed {
+			sigs = sigs[:0]
+			for pi := range live {
+				sigs = append(sigs, live[pi].Signature())
 			}
+			signed = true
 		}
-		if !found {
+		if !slices.Contains(sigs, sig) {
 			sent[i] = 0
 		}
 	}
+	return sigs
 }
 
 // extendConfig carries the knobs extension depends on.

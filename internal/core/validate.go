@@ -45,10 +45,11 @@ func Validate(fs *dfs.FS, in *graph.Input, opts Options, res *Result) error {
 		if err != nil {
 			return err
 		}
-		deltas, err := DecodeDeltas(data)
+		table, err := DecodeDeltas(data)
 		if err != nil {
 			return err
 		}
+		deltas := newDeltaSet(table)
 		for _, v := range verts {
 			updateVertex(v, deltas)
 		}

@@ -123,5 +123,5 @@ func PendingDeltasFile(opts Options, rounds int) string {
 // dynamic-update drain job uses it to fold flow-cancellation deltas into
 // persisted records between runs.
 func ApplyAugmentedEdges(v *graph.VertexValue, deltas map[graph.EdgeID]int64) int {
-	return updateVertex(v, deltas)
+	return updateVertex(v, &deltaSet{m: deltas})
 }

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -209,6 +212,85 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	// Trailing garbage must be rejected.
 	if _, err := DecodeValue(append(append([]byte(nil), enc...), 0xFF)); err == nil {
 		t.Error("trailing garbage accepted")
+	}
+}
+
+// TestDecoderVarintsMatchBinary holds the decoder's varint reads, one-byte
+// fast path included, to encoding/binary's on every one-byte input and on
+// multi-byte, overlong, truncated and overflowing ones, each read at
+// several offsets and with and without a byte after it: the same value and
+// the same offset after it, or, where binary reads nothing, an error
+// naming the offset the read started at.
+func TestDecoderVarintsMatchBinary(t *testing.T) {
+	var inputs [][]byte
+	for b := 0; b < 256; b++ {
+		inputs = append(inputs, []byte{byte(b)})
+	}
+	for _, x := range []uint64{128, 300, 16383, 16384, 1<<21 - 1, 1 << 35, 1<<63 + 5, math.MaxUint64} {
+		inputs = append(inputs, binary.AppendUvarint(nil, x))
+	}
+	for _, x := range []int64{64, -65, 1 << 40, -(1 << 40), math.MaxInt64, math.MinInt64} {
+		inputs = append(inputs, binary.AppendVarint(nil, x))
+	}
+	inputs = append(inputs,
+		[]byte{0x80, 0x00},                           // overlong zero
+		[]byte{0xff, 0x80, 0x00},                     // overlong 127
+		[]byte{0x80},                                 // truncated
+		[]byte{0xff, 0xff},                           // truncated
+		append(bytes.Repeat([]byte{0xff}, 9), 0x02),  // overflow: a tenth byte above 1
+		append(bytes.Repeat([]byte{0x80}, 10), 0x00), // overflow: eleven bytes
+		nil, // nothing left to read
+	)
+	for _, in := range inputs {
+		for _, lead := range [][]byte{nil, {0x05}, {0x81, 0x01}} {
+			for _, tail := range [][]byte{nil, {0x01}} {
+				buf := append(append(append([]byte(nil), lead...), in...), tail...)
+				off := len(lead)
+				check := func(kind string, got, want uint64, d *decoder, n int) {
+					t.Helper()
+					if n > 0 {
+						if d.err != nil || got != want || d.off != off+n {
+							t.Errorf("%s % x at %d: %d, offset %d, err %v; binary reads %d, %d bytes",
+								kind, buf, off, got, d.off, d.err, want, n)
+						}
+						return
+					}
+					wantErr := fmt.Sprintf("graph: truncated %s at offset %d", kind, off)
+					if d.err == nil || d.err.Error() != wantErr || d.off != off {
+						t.Errorf("%s % x at %d: %d, offset %d, err %v; want error %q", kind, buf, off, got, d.off, d.err, wantErr)
+					}
+				}
+				d := decoder{b: buf, off: off}
+				ux, n := binary.Uvarint(buf[off:])
+				check("uvarint", d.uvarint(), ux, &d, n)
+				d = decoder{b: buf, off: off}
+				x, n := binary.Varint(buf[off:])
+				check("varint", uint64(d.varint()), uint64(x), &d, n)
+			}
+		}
+	}
+}
+
+func TestIsQuietMaster(t *testing.T) {
+	edges := []Edge{{To: 1, ID: 200, Cap: 1, RevCap: 1, Fwd: true}}
+	path := []ExcessPath{{Edges: []PathEdge{{ID: 200, From: 0, To: 1, Cap: 1, Fwd: true}}}}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want bool
+	}{
+		{"edges only", EncodeValue(&VertexValue{Eu: edges}), true},
+		{"edges and sent flags", EncodeValue(&VertexValue{Eu: edges, SentS: []uint64{7}, SentT: []uint64{0}}), true},
+		{"a source path", EncodeValue(&VertexValue{Eu: edges, Su: path}), false},
+		{"a sink path", EncodeValue(&VertexValue{Eu: edges, Tu: path}), false},
+		{"no edges", EncodeValue(&VertexValue{}), false},
+		{"overlong zero edge count", []byte{0, 0, 0x80, 0x00, 0, 0}, false},
+		{"truncated edge count", []byte{0, 0, 0x80}, false},
+		{"two bytes", []byte{0, 0}, false},
+	} {
+		if got := IsQuietMaster(tc.data); got != tc.want {
+			t.Errorf("%s (% x): %v, want %v", tc.name, tc.data, got, tc.want)
+		}
 	}
 }
 

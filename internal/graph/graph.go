@@ -332,6 +332,9 @@ func (in *Input) Validate() error {
 		if e.Cap < 0 {
 			return fmt.Errorf("graph: edge %d has negative capacity %d", i, e.Cap)
 		}
+		if e.Cap > CapInf {
+			return fmt.Errorf("graph: edge %d has capacity %d, above CapInf (%d)", i, e.Cap, CapInf)
+		}
 	}
 	return nil
 }

@@ -273,7 +273,7 @@ func TestVertexValueMasterAndReset(t *testing.T) {
 
 func TestInputValidate(t *testing.T) {
 	valid := Input{NumVertices: 3, Source: 0, Sink: 2,
-		Edges: []InputEdge{{U: 0, V: 1, Cap: 1}, {U: 1, V: 2, Cap: 1}}}
+		Edges: []InputEdge{{U: 0, V: 1, Cap: 1}, {U: 1, V: 2, Cap: 1}, {U: 0, V: 2, Cap: CapInf, Directed: true}}}
 	if err := valid.Validate(); err != nil {
 		t.Errorf("valid graph rejected: %v", err)
 	}
@@ -292,6 +292,8 @@ func TestInputValidate(t *testing.T) {
 			Edges: []InputEdge{{U: 0, V: 0, Cap: 1}}}},
 		{"negative capacity", Input{NumVertices: 2, Source: 0, Sink: 1,
 			Edges: []InputEdge{{U: 0, V: 1, Cap: -1}}}},
+		{"capacity above CapInf", Input{NumVertices: 2, Source: 0, Sink: 1,
+			Edges: []InputEdge{{U: 0, V: 1, Cap: CapInf + 1}}}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

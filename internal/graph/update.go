@@ -96,16 +96,16 @@ func ApplyUpdates(in *Input, batch []Update) (*Input, error) {
 			if e.U == e.V {
 				return nil, fmt.Errorf("graph: update %d inserts a self-loop at %d", i, e.U)
 			}
-			if e.Cap < 0 {
-				return nil, fmt.Errorf("graph: update %d inserts negative capacity %d", i, e.Cap)
+			if e.Cap < 0 || e.Cap > CapInf {
+				return nil, fmt.Errorf("graph: update %d inserts capacity %d outside [0, CapInf]", i, e.Cap)
 			}
 			out.Edges = append(out.Edges, e)
 		case UpdateSetCap:
 			if int(u.ID) >= len(out.Edges) {
 				return nil, fmt.Errorf("graph: update %d targets unknown edge %d", i, u.ID)
 			}
-			if u.Cap < 0 {
-				return nil, fmt.Errorf("graph: update %d sets negative capacity %d", i, u.Cap)
+			if u.Cap < 0 || u.Cap > CapInf {
+				return nil, fmt.Errorf("graph: update %d sets capacity %d outside [0, CapInf]", i, u.Cap)
 			}
 			out.Edges[u.ID].Cap = u.Cap
 			out.Edges[u.ID].Directed = u.Directed

@@ -85,11 +85,17 @@ func TestApplyUpdatesValidation(t *testing.T) {
 		{"insert negative cap", []Update{InsertEdge(0, 2, -1, false)}},
 		{"setcap unknown edge", []Update{SetCapacity(42, 1, false)}},
 		{"setcap negative", []Update{SetCapacity(0, -3, false)}},
+		{"insert cap above CapInf", []Update{InsertEdge(0, 2, CapInf+1, false)}},
+		{"setcap above CapInf", []Update{SetCapacity(0, CapInf+1, true)}},
 		{"unknown op", []Update{{Op: 99}}},
 	}
 	for _, tc := range cases {
 		if _, err := ApplyUpdates(updateBase(), tc.batch); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
+	}
+	// CapInf itself is a capacity: super source and sink edges carry it.
+	if _, err := ApplyUpdates(updateBase(), []Update{InsertEdge(0, 2, CapInf, true), SetCapacity(0, CapInf, true)}); err != nil {
+		t.Errorf("capacity CapInf rejected: %v", err)
 	}
 }

@@ -139,6 +139,7 @@ func ExecMap(env *TaskEnv, t *MapTask, counters *Counters, att *trace.Span) (*Ma
 			res.OutRecs++
 		}
 	})
+	defer ctx.flush()
 	mapper := env.NewMapper()
 	r := dfs.NewRecordReader(t.Split)
 	for emitErr == nil {
@@ -266,6 +267,7 @@ func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span
 		}
 	} else {
 		ctx := env.context(t.Task, t.Exec, t.Node, counters, func(key, value []byte) { out.Append(key, value) })
+		defer ctx.flush()
 		reducer := env.NewReducer()
 		if res.MaxGroup, err = reduceGroups(ctx, reducer, base, it.Next); err != nil {
 			return fail(err)

@@ -548,3 +548,51 @@ func TestExecReduceRejectsDisorderedBase(t *testing.T) {
 		})
 	}
 }
+
+// TestTaskContextIncAllocs: once an attempt has incremented a counter,
+// incrementing it again allocates nothing, and what every attempt adds,
+// failed attempts included, reaches the job's counters exactly.
+func TestTaskContextIncAllocs(t *testing.T) {
+	ctx := (&TaskEnv{}).context(0, 0, 0, NewCounters(), func(key, value []byte) {})
+	ctx.Inc("records", 1)
+	ctx.Inc("bytes", 0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		ctx.Inc("records", 1)
+		ctx.Inc("bytes", 3)
+	}); allocs != 0 {
+		t.Errorf("Inc on counters the attempt has seen: %.1f allocs, want 0", allocs)
+	}
+
+	// Two map attempts of one task over ten records, each adding per
+	// record; the first fails on its sixth record after adding for it.
+	var split dfs.RecordWriter
+	for i := 0; i < 10; i++ {
+		split.Append([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
+	}
+	counters := NewCounters()
+	for attempt := 0; attempt < 2; attempt++ {
+		seen := 0
+		env := &TaskEnv{
+			Job: "inc", Store: spill.NewMemRunStore(),
+			NewMapper: func() Mapper {
+				return MapperFunc(func(ctx *TaskContext, key, value []byte) error {
+					seen++
+					ctx.Inc("records", 1)
+					ctx.Inc("bytes", int64(len(key)+len(value)))
+					if attempt == 0 && seen == 6 {
+						return errors.New("boom")
+					}
+					return nil
+				})
+			},
+		}
+		_, err := ExecMap(env, &MapTask{Attempt: attempt, Exec: attempt, Split: split.Bytes(), Partitions: 1,
+			Prefix: fmt.Sprintf("a%d/", attempt)}, counters, nil)
+		if (err != nil) != (attempt == 0) {
+			t.Fatalf("attempt %d: %v", attempt, err)
+		}
+	}
+	if got, want := counters.Snapshot(), map[string]int64{"records": 16, "bytes": 16 * 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("counters after a failed and a complete attempt: %v, want %v", got, want)
+	}
+}

@@ -60,6 +60,16 @@ type TaskContext struct {
 	side     map[string][]byte
 	service  any
 	emit     func(key, value []byte)
+	// tallies is what this attempt's Inc calls added, per name, until
+	// flush publishes it to counters, so that the record loop takes
+	// neither the registry's lock nor a cache line the job's other tasks
+	// write.
+	tallies []tally
+}
+
+type tally struct {
+	name string
+	n    int64
 }
 
 // Round returns the driver-assigned round number of the running job.
@@ -82,8 +92,27 @@ func (c *TaskContext) Node() int { return c.node }
 // (from a reducer). Key and value are copied; callers may reuse buffers.
 func (c *TaskContext) Emit(key, value []byte) { c.emit(key, value) }
 
-// Inc adds delta to the named counter (Hadoop's custom counters).
-func (c *TaskContext) Inc(name string, delta int64) { c.counters.Add(name, delta) }
+// Inc adds delta to the named counter (Hadoop's custom counters). The job's
+// counters see it when the attempt ends, whether or not it succeeds.
+func (c *TaskContext) Inc(name string, delta int64) {
+	for i := range c.tallies {
+		if c.tallies[i].name == name {
+			c.tallies[i].n += delta
+			return
+		}
+	}
+	c.tallies = append(c.tallies, tally{name, delta})
+}
+
+// flush adds the attempt's tallies to the job's counters. ExecMap and
+// ExecReduce call it once the attempt's last Map, Reduce or Close call has
+// returned.
+func (c *TaskContext) flush() {
+	for _, t := range c.tallies {
+		c.counters.Add(t.name, t.n)
+	}
+	c.tallies = c.tallies[:0]
+}
 
 // SideFile returns the contents of a broadcast side file loaded for this
 // job, or nil if the job has no such file. Side data is shared across all

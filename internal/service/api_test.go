@@ -1,12 +1,15 @@
 package service
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"ffmr/internal/graph"
 )
 
 // TestSubmitBodyTooLarge: a submit body over MaxSubmitBytes is answered
@@ -34,6 +37,28 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 	}
 	if res, err := c.Wait(ji.ID, time.Minute); err != nil || res.Flow != oracle(t, in) {
 		t.Fatalf("job after an oversized submit: %+v, %v", res, err)
+	}
+}
+
+// TestSubmitCapacityAboveCapInf: a capacity above graph.CapInf, past which
+// summing capacities could overflow, is answered with 400; CapInf itself
+// is a capacity (super source and sink edges carry it).
+func TestSubmitCapacityAboveCapInf(t *testing.T) {
+	svc := startService(t, testCluster(2), Quotas{MaxConcurrent: 1})
+	defer svc.Close()
+
+	submit := func(capacity int64) *httptest.ResponseRecorder {
+		body := fmt.Sprintf(`{"tenant":"acme","handle":"h%d","graph":{"num_vertices":3,"source":0,"sink":2,`+
+			`"edges":[[0,1,%d,1],[1,2,1]]}}`, capacity, capacity)
+		rec := httptest.NewRecorder()
+		svc.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/v1/submit", strings.NewReader(body)))
+		return rec
+	}
+	if rec := submit(graph.CapInf + 1); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "CapInf") {
+		t.Fatalf("capacity CapInf+1: %d %s, want 400 naming CapInf", rec.Code, rec.Body)
+	}
+	if rec := submit(graph.CapInf); rec.Code != http.StatusAccepted {
+		t.Fatalf("capacity CapInf: %d %s, want 202", rec.Code, rec.Body)
 	}
 }
 
