@@ -20,7 +20,7 @@ const (
 	// JoinWorker adds a fresh worker mid-run.
 	JoinWorker EventKind = "join-worker"
 	// SlowWorker injects per-task latency on a worker for a while,
-	// manufacturing a straggler for the speculation machinery.
+	// making it a straggler the scheduler must wait out.
 	SlowWorker EventKind = "slow-worker"
 	// PartitionWorker blackholes traffic toward a worker for a while:
 	// leases to it error, shuffle fetches from it report lost maps.

@@ -173,8 +173,8 @@ type AugProcStats struct {
 // augBatch is one submission: what waits in the processing queue and, in
 // deterministic mode, in pending until EndRound. Batches stay apart per
 // (task, exec) so EndRound can keep exactly one complete execution per
-// reduce task: a task re-executed after a worker death or as a
-// speculative backup submits its candidates again, and counting both
+// reduce task: a task re-executed after a failure or a worker death
+// submits its candidates again, and counting both
 // copies would skew Submitted/Accepted relative to the simulated
 // engine's single-execution accounting.
 type augBatch struct {
@@ -316,7 +316,7 @@ func (svc *augProcService) Submit(args *SubmitArgs, _ *SubmitReply) error {
 // It bypasses the queue (there is nothing left to decide, and FF1's MaxQ
 // stays 0) and replaces rather than accumulates: exactly one reduce
 // group, the sink vertex's, ever publishes, so a second call is a
-// retried or speculated attempt of it carrying the same outcome.
+// retried or reassigned attempt of it carrying the same outcome.
 func (svc *augProcService) Publish(args *PublishArgs, _ *SubmitReply) error {
 	s := svc.s
 	s.mu.Lock()

@@ -17,16 +17,17 @@ import (
 )
 
 // This file pins the distributed shuffle and the frame-ownership rule
-// from the outside: the part files a distributed run leaves behind, how
+// from the outside: the DFS files a distributed run leaves behind, how
 // many fetches it makes and what they leave in worker stores, and that a
 // run under heavy worker crashes finishes.
 
 // TestDistributedPartFilesMatchUnderPoisonedPool is the ownership guard's
 // differential. With every pooled frame buffer poisoned as it is returned
-// (TestMain), FF1-FF5 on the distributed backend must leave part files
+// (TestMain), FF1-FF5 on the distributed backend must leave every DFS
+// file — part files, AugmentedEdges tables and input splits —
 // byte-identical to the simulated engine's: a decoder that kept a pooled
 // slice, or an owned frame written after it was handed over, would show
-// in some part file.
+// in some file.
 func TestDistributedPartFilesMatchUnderPoisonedPool(t *testing.T) {
 	in, err := graphgen.WattsStrogatz(160, 6, 0.1, 41)
 	if err != nil {
@@ -47,18 +48,9 @@ func TestDistributedPartFilesMatchUnderPoisonedPool(t *testing.T) {
 			if _, err := Run(distC, in, Options{Variant: variant, DeterministicAccept: true}); err != nil {
 				t.Fatalf("distributed run: %v", err)
 			}
-			// The checkpoint beside them holds measured times, which differ.
-			parts := func(fs *dfs.FS) (names []string) {
-				for _, name := range fs.List("") {
-					if strings.Contains(name, "/part-") {
-						names = append(names, name)
-					}
-				}
-				return names
-			}
-			names := parts(simC.FS)
-			if got := parts(distC.FS); len(names) == 0 || !reflect.DeepEqual(got, names) {
-				t.Fatalf("part files: simulated %v, distributed %v", names, got)
+			names := simC.FS.List("")
+			if got := distC.FS.List(""); len(names) == 0 || !reflect.DeepEqual(got, names) {
+				t.Fatalf("DFS files: simulated %v, distributed %v", names, got)
 			}
 			for _, name := range names {
 				want, err1 := simC.FS.ReadFile(name)
@@ -105,8 +97,8 @@ func TestShuffleFetchCountAndFootprint(t *testing.T) {
 			t.Fatalf("max flow %d, Dinic says %d", res.MaxFlow, want)
 		}
 		counters := tr.Registry().CounterSnapshot()
-		if n := counters[distmr.CounterReassigns] + counters[distmr.CounterBackups]; n != 0 {
-			t.Fatalf("a fault-free run made %d reassignments and backups", n)
+		if n := counters[distmr.CounterReassigns]; n != 0 {
+			t.Fatalf("a fault-free run made %d reassignments", n)
 		}
 		var buf bytes.Buffer
 		if err := tr.WriteChromeTrace(&buf); err != nil {

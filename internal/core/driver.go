@@ -75,9 +75,7 @@ type Result struct {
 
 	// RunSpan is the run's trace span when Options.Tracer was set (nil
 	// otherwise). trace.RoundSummariesUnder(RunSpan) yields the same
-	// per-round metrics as RoundStats — for rounds executed by this
-	// invocation; rounds replayed from a resume checkpoint predate the
-	// tracer and appear only in RoundStats.
+	// per-round metrics as RoundStats.
 	RunSpan *trace.Span
 }
 
@@ -129,102 +127,60 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 		runSpan.End()
 	}()
 
-	startRound := 1
+	fs.DeletePrefix(prefix)
 
-	if opts.Resume && fs.Exists(checkpointName(prefix)) {
-		cp, err := readCheckpoint(fs, prefix)
-		if err != nil {
-			return nil, fmt.Errorf("core: resume: %w", err)
-		}
-		if cp.Variant != opts.Variant || cp.Reducers != opts.Reducers {
-			return nil, fmt.Errorf("core: resume: checkpoint is %s with %d reducers, run is %s with %d",
-				cp.Variant, cp.Reducers, opts.Variant, opts.Reducers)
-		}
-		result.MaxFlow = cp.MaxFlow
-		result.Rounds = cp.Round
-		result.RoundStats = cp.Stats
-		result.Converged = cp.Converged
-		for _, s := range cp.Stats {
-			if s.Round == 0 {
-				result.InputGraphBytes = s.OutputBytes
-			}
-			if s.OutputBytes > result.MaxGraphBytes {
-				result.MaxGraphBytes = s.OutputBytes
-			}
-		}
-		if cp.Converged {
-			for i := range result.RoundStats {
-				result.TotalSimTime += result.RoundStats[i].SimTime
-				result.TotalWallTime += result.RoundStats[i].WallTime
-			}
-			return result, nil
-		}
-		startRound = cp.Round + 1
-		if !fs.Exists(deltaName(prefix, startRound)) {
-			return nil, fmt.Errorf("core: resume: AugmentedEdges file for round %d is missing", startRound)
-		}
-	} else {
-		fs.DeletePrefix(prefix)
+	inputs, err := WriteInput(fs, prefix, in, cluster.Nodes*2)
+	if err != nil {
+		return nil, err
+	}
 
-		inputs, err := WriteInput(fs, prefix, in, cluster.Nodes*2)
-		if err != nil {
-			return nil, err
-		}
-
-		// Round #0: convert the edge list into vertex records.
-		round0Span := tr.Start(trace.CatRound, "round-00000", runSpan)
-		job0 := &mapreduce.Job{
-			Name:         "ffmr-round-0-convert",
-			Round:        0,
-			Inputs:       inputs,
-			OutputPrefix: roundPrefix(prefix, 0),
-			NumReducers:  opts.Reducers,
-			Parent:       round0Span,
-			NewMapper:    newConvertMapper,
-			NewReducer: func() mapreduce.Reducer {
-				return &convertReducer{
-					source:        in.Source,
-					sink:          in.Sink,
-					bidirectional: !opts.DisableBidirectional,
-					sentTracking:  feat.sentTracking,
-				}
-			},
-			Spec: &mapreduce.JobSpec{Kind: KindFFConvert, Params: (&ffConvertParams{
-				Source:        in.Source,
-				Sink:          in.Sink,
-				Bidirectional: !opts.DisableBidirectional,
-				SentTracking:  feat.sentTracking,
-			}).append(nil)},
-		}
-		res0, err := cluster.Run(job0)
-		if err != nil {
-			round0Span.End()
-			return nil, err
-		}
-		stat0 := jobStat(0, res0, AugProcStats{})
-		annotateRoundSpan(round0Span, stat0)
+	// Round #0: convert the edge list into vertex records.
+	round0Span := tr.Start(trace.CatRound, "round-00000", runSpan)
+	job0 := &mapreduce.Job{
+		Name:         "ffmr-round-0-convert",
+		Round:        0,
+		Inputs:       inputs,
+		OutputPrefix: roundPrefix(prefix, 0),
+		NumReducers:  opts.Reducers,
+		Parent:       round0Span,
+		NewMapper:    newConvertMapper,
+		NewReducer: func() mapreduce.Reducer {
+			return &convertReducer{
+				source:        in.Source,
+				sink:          in.Sink,
+				bidirectional: !opts.DisableBidirectional,
+				sentTracking:  feat.sentTracking,
+			}
+		},
+		Spec: &mapreduce.JobSpec{Kind: KindFFConvert, Params: (&ffConvertParams{
+			Source:        in.Source,
+			Sink:          in.Sink,
+			Bidirectional: !opts.DisableBidirectional,
+			SentTracking:  feat.sentTracking,
+		}).append(nil)},
+	}
+	res0, err := cluster.Run(job0)
+	if err != nil {
 		round0Span.End()
-		result.RoundStats = append(result.RoundStats, stat0)
-		result.InputGraphBytes = res0.OutputBytes
-		result.MaxGraphBytes = res0.OutputBytes
+		return nil, err
+	}
+	stat0 := jobStat(0, res0, AugProcStats{})
+	annotateRoundSpan(round0Span, stat0)
+	round0Span.End()
+	result.RoundStats = append(result.RoundStats, stat0)
+	result.InputGraphBytes = res0.OutputBytes
+	result.MaxGraphBytes = res0.OutputBytes
 
-		// The first max-flow round sees an empty AugmentedEdges table.
-		if err := fs.WriteFile(deltaName(prefix, 1), EncodeDeltas(nil)); err != nil {
-			return nil, err
-		}
-		if err := writeCheckpoint(fs, prefix, &checkpoint{
-			Variant: opts.Variant, Reducers: opts.Reducers, Round: 0,
-			Stats: result.RoundStats,
-		}); err != nil {
-			return nil, err
-		}
+	// The first max-flow round sees an empty AugmentedEdges table.
+	if err := fs.WriteFile(deltaName(prefix, 1), EncodeDeltas(nil)); err != nil {
+		return nil, err
 	}
 
 	loop := &ffLoop{
 		cluster: cluster, in: in, opts: opts, feat: feat,
 		prefix: prefix, tr: tr, runSpan: runSpan, result: result,
 	}
-	if err := loop.run(startRound); err != nil {
+	if err := loop.run(); err != nil {
 		return nil, err
 	}
 
@@ -240,8 +196,8 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 
 // ffLoop is the multi-round max-flow loop shared by the cold driver (Run)
 // and the warm-restart driver (RunWarm). It owns the per-round job
-// construction, acceptance collection, delta broadcasting, checkpointing
-// and the termination rule; the two entry points differ only in how the
+// construction, acceptance collection, delta broadcasting and the
+// termination rule; the two entry points differ only in how the
 // round-0 state comes to exist and in which termination signal is sound.
 type ffLoop struct {
 	cluster *mapreduce.Cluster
@@ -254,9 +210,9 @@ type ffLoop struct {
 	result  *Result
 
 	// warmBase, when non-empty, is the DFS prefix of the records consumed
-	// by the first executed round instead of roundPrefix(prefix,
-	// startRound-1): warm restarts read state produced outside the
-	// round-NNNNN chain (by the dynamic-update apply/drain jobs).
+	// by round 1 instead of roundPrefix(prefix, 0): warm restarts read
+	// state produced outside the round-NNNNN chain (by the dynamic-update
+	// apply/drain jobs).
 	warmBase string
 	// warm switches the termination rule to the warm-restart one; see
 	// run. Cold runs must keep the paper's source/sink-move rule
@@ -264,7 +220,7 @@ type ffLoop struct {
 	warm bool
 }
 
-func (l *ffLoop) run(startRound int) error {
+func (l *ffLoop) run() error {
 	opts, feat, prefix := l.opts, l.feat, l.prefix
 	fs := l.cluster.FS
 	result := l.result
@@ -285,7 +241,7 @@ func (l *ffLoop) run(startRound int) error {
 	aug.SetDeterministic(opts.DeterministicAccept)
 	defer aug.Close() //nolint:errcheck // shutdown of a loopback listener
 
-	for round := startRound; round <= opts.MaxRounds; round++ {
+	for round := 1; round <= opts.MaxRounds; round++ {
 		roundSpan := l.tr.Start(trace.CatRound, fmt.Sprintf("round-%05d", round), l.runSpan)
 		cfg := &runConfig{
 			opts:       opts,
@@ -303,7 +259,7 @@ func (l *ffLoop) run(startRound int) error {
 		}
 
 		basePrefix := roundPrefix(prefix, round-1)
-		if round == startRound && l.warmBase != "" {
+		if round == 1 && l.warmBase != "" {
 			basePrefix = l.warmBase
 		}
 		job := &mapreduce.Job{
@@ -414,13 +370,6 @@ func (l *ffLoop) run(startRound int) error {
 					result.Converged = true
 				}
 			}
-		}
-		if err := writeCheckpoint(fs, prefix, &checkpoint{
-			Variant: opts.Variant, Reducers: opts.Reducers, Round: round,
-			MaxFlow: result.MaxFlow, Converged: result.Converged,
-			Stats: result.RoundStats,
-		}); err != nil {
-			return err
 		}
 		if result.Converged {
 			break

@@ -80,9 +80,6 @@ func dispatchEngine(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (
 		return nil, true, fmt.Errorf("core: unknown engine %q (registered: %v; import ffmr/internal/portfolio to register prflow and auto)",
 			opts.Engine, EngineNames())
 	}
-	if opts.Resume {
-		return nil, true, fmt.Errorf("core: engine %q does not support Resume", opts.Engine)
-	}
 	res, err := fn(cluster, in, opts)
 	return res, true, err
 }

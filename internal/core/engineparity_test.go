@@ -170,8 +170,8 @@ func TestEngineParityDistributed(t *testing.T) {
 }
 
 // TestEngineRegistry covers the dispatch seams: unknown engines are
-// rejected with the registered list, Resume is FFMR-only, and the
-// registry reports what the imports registered.
+// rejected with the registered list, and the registry reports what the
+// imports registered.
 func TestEngineRegistry(t *testing.T) {
 	names := core.EngineNames()
 	got := map[string]bool{}
@@ -191,8 +191,5 @@ func TestEngineRegistry(t *testing.T) {
 	}
 	if _, err := core.Run(cluster, in, core.Options{Engine: "no-such-engine"}); err == nil {
 		t.Fatal("expected error for unknown engine")
-	}
-	if _, err := core.Run(cluster, in, core.Options{Engine: "prflow", Resume: true}); err == nil {
-		t.Fatal("expected error for Resume with a non-FFMR engine")
 	}
 }

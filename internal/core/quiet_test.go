@@ -40,8 +40,7 @@ func pinnedCrawl(t *testing.T) *graph.Input {
 // vertices: a round's work may shrink, but no byte it writes and no
 // counter it reports may move. files hashes (FNV-1a) the name and bytes of
 // every DFS file the run kept — round partitions, AugmentedEdges tables and
-// input — except the checkpoint, which records wall times; stats hashes
-// every RoundStat's exact fields, in round order.
+// input; stats hashes every RoundStat's exact fields, in round order.
 func TestStoredStatePinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all five variants; skipped with -short")
@@ -74,9 +73,6 @@ func TestStoredStatePinned(t *testing.T) {
 			opts = opts.WithDefaults(cluster.Nodes * cluster.SlotsPerNode)
 			files := fnv.New64a()
 			for _, name := range cluster.FS.List(opts.PathPrefix) {
-				if name == checkpointName(opts.PathPrefix) {
-					continue
-				}
 				data, err := cluster.FS.ReadFile(name)
 				if err != nil {
 					t.Fatal(err)

@@ -109,7 +109,6 @@ type Options struct {
 	// register them). Every engine persists the same final residual state
 	// (round-NNNNN vertex records plus a pending-deltas file), so
 	// Validate, dynamic snapshots and the service work with any of them.
-	// Resume and checkpointing are FFMR-only.
 	Engine string
 	// Variant selects FF1..FF5 (default FF5).
 	Variant Variant
@@ -140,10 +139,6 @@ type Options struct {
 	// ("we do not use any combiners as we found worse performance");
 	// this knob exists to reproduce that ablation.
 	UseCombiner bool
-	// Resume continues an interrupted run from the checkpoint the driver
-	// writes to the DFS after every round, instead of starting over.
-	// Variant and Reducers must match the checkpointed run.
-	Resume bool
 	// RoundCallback, if non-nil, is invoked after every completed round
 	// with that round's statistics — live progress for long runs.
 	RoundCallback func(RoundStat)

@@ -36,10 +36,10 @@ type WarmStart struct {
 // Unlike Run, the caller must pass the same explicit Reducers count the
 // state was produced with (a zero value is resolved from the cluster,
 // which is only correct when the state came from the same cluster
-// shape), and Resume is not supported. Options.Engine is ignored: a
-// warm restart always re-augments with FFMR, which is valid from any
-// engine's persisted state because every engine writes the same
-// partition-aligned residual records (see WriteEngineState).
+// shape). Options.Engine is ignored: a warm restart always re-augments
+// with FFMR, which is valid from any engine's persisted state because
+// every engine writes the same partition-aligned residual records (see
+// WriteEngineState).
 func RunWarm(cluster *mapreduce.Cluster, in *graph.Input, opts Options, warm WarmStart) (*Result, error) {
 	opts.applyDefaults(cluster.Nodes * cluster.SlotsPerNode)
 	if err := opts.validate(); err != nil {
@@ -47,9 +47,6 @@ func RunWarm(cluster *mapreduce.Cluster, in *graph.Input, opts Options, warm War
 	}
 	if err := in.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.Resume {
-		return nil, fmt.Errorf("core: warm restart cannot resume from a checkpoint")
 	}
 	if warm.StatePrefix == "" {
 		return nil, fmt.Errorf("core: warm restart needs a state prefix")
@@ -87,7 +84,7 @@ func RunWarm(cluster *mapreduce.Cluster, in *graph.Input, opts Options, warm War
 		prefix: prefix, tr: tr, runSpan: runSpan, result: result,
 		warmBase: warm.StatePrefix, warm: true,
 	}
-	if err := loop.run(1); err != nil {
+	if err := loop.run(); err != nil {
 		return nil, err
 	}
 

@@ -288,10 +288,6 @@ func TestRecordWriterReader(t *testing.T) {
 	if _, _, ok, err := r.Next(); ok || err != nil {
 		t.Errorf("expected clean EOF, got ok=%v err=%v", ok, err)
 	}
-
-	if n, err := CountRecords(w.Bytes()); err != nil || n != len(records) {
-		t.Errorf("CountRecords = %d,%v", n, err)
-	}
 }
 
 func TestRecordReaderCorruption(t *testing.T) {

@@ -78,19 +78,3 @@ func (r *RecordReader) Next() (key, value []byte, ok bool, err error) {
 	r.off = next
 	return key, value, true, nil
 }
-
-// CountRecords returns the number of records in encoded file contents.
-func CountRecords(data []byte) (int, error) {
-	r := NewRecordReader(data)
-	n := 0
-	for {
-		_, _, ok, err := r.Next()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			return n, nil
-		}
-		n++
-	}
-}

@@ -19,7 +19,7 @@ const (
 )
 
 // decide reports one scheduling or fault decision (a reassignment, a
-// backup, a failed attempt, a lost map, a hand-off, a death, a crash)
+// failed attempt, a lost map, a hand-off, a death, a crash)
 // to both streams: slog for humans, and, when tr is non-nil, an event
 // span under parent (nil: a root event) for the trace, which is the
 // record crash dumps and `ffmr -analyze` read. Routine progress lines

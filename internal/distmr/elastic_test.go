@@ -12,8 +12,9 @@ import (
 // The tests in this file pin the elastic-membership behavior: a worker
 // joining mid-job takes work immediately, a graceful drain hands its
 // winning map output off through the DFS and re-executes nothing, while
-// a crash at the same point forces re-execution, and the autoscaler
-// grows and shrinks the fleet from the master's published hints.
+// a crash at the same point forces re-execution, and the master's
+// published scaling hints track the queue an external supervisor would
+// act on.
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
@@ -267,49 +268,37 @@ func TestDeadWorkerExpiresFromStatus(t *testing.T) {
 	})
 }
 
-// TestAutoscalerGrowsAndShrinks runs a deep queue through a one-worker
-// cluster with the autoscaler on: it must add workers from the
-// queue-depth hint, then drain back to Min once the cluster idles.
-func TestAutoscalerGrowsAndShrinks(t *testing.T) {
+// TestStatusScalingHints reads the /status scaling hints an external
+// supervisor polls. A one-worker cluster under a queue deeper than its
+// slots must report queued and leased tasks on its one live worker while
+// the job runs, and an empty queue with a recorded queue-wait p95 after.
+func TestStatusScalingHints(t *testing.T) {
 	defer leakcheck.Check(t)()
-
-	const files, perFile = 12, 60
-	simC := sumCluster(t, files, perFile)
-	if _, err := simC.Run(sumJob(simC.FS)); err != nil {
-		t.Fatalf("simulated run: %v", err)
-	}
 
 	h, err := StartHarness(HarnessConfig{Workers: 1, Tracer: trace.New()})
 	if err != nil {
 		t.Fatalf("StartHarness: %v", err)
 	}
 	defer h.Close()
-	h.Workers()[0].SetTaskDelay(10 * time.Millisecond)
+	h.Workers()[0].SetTaskDelay(50 * time.Millisecond)
 
-	as := h.StartAutoscaler(AutoscaleConfig{
-		Min:            1,
-		Max:            3,
-		Interval:       15 * time.Millisecond,
-		QueuePerWorker: 1,
-	})
-	defer as.Stop()
-
-	distC := sumCluster(t, files, perFile)
+	// 12 map tasks on one worker's 4 slots: three waves of 50 ms each.
+	distC := sumCluster(t, 12, 60)
 	distC.Distributed = h.Master
-	if out := <-runSumAsync(distC); out.err != nil {
-		t.Fatalf("distributed run under autoscaler: %v", out.err)
-	}
-
-	if as.ScaleUps() == 0 {
-		t.Error("autoscaler never scaled up despite a deep queue")
-	}
-	// Idle now: the autoscaler drains back to Min.
-	waitFor(t, 10*time.Second, "scale-down to Min", func() bool {
-		return as.ScaleDowns() >= 1 && h.Master.LiveWorkers() == 1
+	done := runSumAsync(distC)
+	waitFor(t, 5*time.Second, "a queued, leased job on one live worker", func() bool {
+		hints := h.Master.Status().Hints
+		return hints.QueueDepth > 0 && hints.InFlight > 0 && hints.WorkersLive == 1
 	})
-	as.Stop()
+	if out := <-done; out.err != nil {
+		t.Fatalf("distributed run: %v", out.err)
+	}
 
-	if !equalTotals(readTotals(t, simC.FS), readTotals(t, distC.FS)) {
-		t.Error("output diverges from the simulated engine under autoscaling")
+	hints := h.Master.Status().Hints
+	if hints.QueueDepth != 0 || hints.InFlight != 0 {
+		t.Errorf("after the job: queue_depth %d, in_flight %d, want 0 and 0", hints.QueueDepth, hints.InFlight)
+	}
+	if hints.QueueWaitP95NS <= 0 {
+		t.Errorf("after the job: queue_wait_p95_ns %d, want > 0", hints.QueueWaitP95NS)
 	}
 }

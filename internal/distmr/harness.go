@@ -130,19 +130,6 @@ func (h *Harness) Workers() []*Worker {
 	return append([]*Worker(nil), h.workers...)
 }
 
-// liveWorkers returns tracked workers that are neither dead nor draining.
-func (h *Harness) liveWorkers() []*Worker {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var live []*Worker
-	for _, w := range h.workers {
-		if !w.dead.Load() && !w.draining.Load() {
-			live = append(live, w)
-		}
-	}
-	return live
-}
-
 // Close shuts the cluster down: master first (so workers stop receiving
 // work), then every worker, waiting for each to fully exit so leak checks
 // are clean.

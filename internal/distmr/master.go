@@ -25,7 +25,10 @@ const (
 	CounterWorkerDeaths = "distmr worker deaths"
 	// CounterReassigns counts task reassignments after a worker death.
 	CounterReassigns = "distmr reassignments"
-	// CounterBackups counts speculative backup attempts launched.
+	// CounterBackups is no longer incremented: the scheduler launches no
+	// backup attempts. It stays exported because the benchmark's
+	// distmr.backups row reads it; the next change to the benchmark drops
+	// that row and this name together.
 	CounterBackups = "distmr speculative backups"
 	// CounterLostMapRecoveries counts map tasks re-executed because their
 	// outputs became unreachable.
@@ -80,12 +83,6 @@ type Config struct {
 	// SlotsPerWorker caps concurrent tasks per worker (default: the
 	// cluster's SlotsPerNode).
 	SlotsPerWorker int
-	// SpeculativeFraction and SpeculativeFactor gate backup attempts: a
-	// backup launches when at least Fraction of the phase's tasks are
-	// done and a task has run longer than Factor times the median
-	// completed duration (defaults 0.75 and 2.0).
-	SpeculativeFraction float64
-	SpeculativeFactor   float64
 	// MaxAssigns caps how many leases one task may lose by its own doing
 	// — a StartTask that killed its worker, or an expired lease — before
 	// the job fails (default 10). A lease that dies with a worker another
@@ -130,12 +127,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = 2 * time.Minute
-	}
-	if c.SpeculativeFraction <= 0 {
-		c.SpeculativeFraction = 0.75
-	}
-	if c.SpeculativeFactor <= 1 {
-		c.SpeculativeFactor = 2.0
 	}
 	if c.MaxAssigns <= 0 {
 		c.MaxAssigns = 10
@@ -498,7 +489,6 @@ func (m *Master) Status() *obsv.ClusterStatus {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	hints := &obsv.ScalingHints{}
-	var tasksDone int64
 	for _, id := range ids {
 		w := m.workers[id]
 		switch w.state {
@@ -509,7 +499,6 @@ func (m *Master) Status() *obsv.ClusterStatus {
 			st.WorkersAlive++
 			hints.WorkersDraining++
 		}
-		tasksDone += w.hbTasksDone
 		st.Workers = append(st.Workers, obsv.WorkerStatus{
 			ID:         w.id,
 			Addr:       w.addr,
@@ -535,12 +524,6 @@ func (m *Master) Status() *obsv.ClusterStatus {
 	// (a deep queue AND growing waits mean the cluster wants workers).
 	if hv, ok := reg.HistogramSnapshot()[HistQueueWaitNS]; ok && hv.Count > 0 {
 		hints.QueueWaitP95NS = hv.Quantile(0.95)
-	}
-	// Straggler ratio: speculative backups launched per completed task, a
-	// scale-up signal (stragglers mean the fleet is unevenly loaded). The
-	// denominator is heartbeat-reported, so it slightly lags the registry.
-	if backups := reg.Counter(CounterBackups).Value(); backups > 0 && tasksDone > 0 {
-		hints.StragglerRatio = float64(backups) / float64(tasksDone)
 	}
 	st.Hints = hints
 	return st
@@ -732,7 +715,7 @@ func (m *Master) expireDead() {
 
 // pickWorker returns the live worker with the most free slots, or nil.
 // Draining, dead and drained workers are never picked.
-func (m *Master) pickWorker(slots int, exclude *workerHandle) *workerHandle {
+func (m *Master) pickWorker(slots int) *workerHandle {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var best *workerHandle
@@ -743,7 +726,7 @@ func (m *Master) pickWorker(slots int, exclude *workerHandle) *workerHandle {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		w := m.workers[id]
-		if w.state != stateLive || w == exclude || w.running >= slots {
+		if w.state != stateLive || w.running >= slots {
 			continue
 		}
 		if best == nil || w.running < best.running {
@@ -957,7 +940,7 @@ func (m *Master) importTelemetry(w *workerHandle, hb *Heartbeat, recv time.Time)
 }
 
 // Retire starts a graceful drain for a worker (normally requested by the
-// worker itself on SIGTERM or by an autoscaler).
+// worker itself on SIGTERM or by an external supervisor).
 func (s *masterService) Retire(r *Retire, _ *Empty) error {
 	return s.m.retireWorker(r.Worker, r.Reason)
 }

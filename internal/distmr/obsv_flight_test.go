@@ -124,7 +124,7 @@ func TestCrashedWorkerLeavesFlightDump(t *testing.T) {
 
 // TestDecisionEventsReconcileWithCounters holds the trace's decision
 // events to the registry counters of the same seeded crash run: every
-// reassignment, backup and lost-map re-run is one event, exactly.
+// reassignment and lost-map re-run is one event, exactly.
 func TestDecisionEventsReconcileWithCounters(t *testing.T) {
 	defer leakcheck.Check(t)()
 
@@ -148,7 +148,6 @@ func TestDecisionEventsReconcileWithCounters(t *testing.T) {
 	counters := tr.Registry().CounterSnapshot()
 	for msg, counter := range map[string]string{
 		"lease failed, reassigning":        CounterReassigns,
-		"speculative backup launched":      CounterBackups,
 		"re-running map with lost outputs": CounterLostMapRecoveries,
 	} {
 		if byMsg[msg] != counters[counter] {

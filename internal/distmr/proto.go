@@ -56,7 +56,7 @@ type Empty struct{}
 
 // TaskResult is what a completed task attempt reports. Only the winning
 // attempt's result is merged into the job's statistics, so retried and
-// speculated attempts leave no trace.
+// reassigned attempts leave no trace.
 type TaskResult struct {
 	// Err is a task body failure (consumes an attempt); empty on success.
 	Err string

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/rpc"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -33,9 +32,8 @@ type event struct {
 // The lease is bounded by the lease timeout and by the worker's life
 // (checkLeases reclaims dispatches on dead workers).
 type dispatch struct {
-	w      *workerHandle
-	backup bool
-	start  time.Time
+	w     *workerHandle
+	start time.Time
 }
 
 // taskState is the scheduler's view of one task. The two failure axes are
@@ -54,7 +52,7 @@ type taskState struct {
 
 	attempt  int  // body-attempt number: the simulated engine's coordinate
 	admitted bool // current attempt survived the injected-failure draws
-	assigns  int  // dispatches so far, reassignments and backups included
+	assigns  int  // dispatches so far, reassignments included
 	charged  int  // lost leases that count against MaxAssigns
 	lastErr  error
 
@@ -78,7 +76,6 @@ type taskState struct {
 	persisted bool
 
 	outstanding map[int]*dispatch // assign -> in-flight lease
-	specDone    bool              // a backup attempt has been launched
 }
 
 // jobRun executes one job. A single goroutine (run) owns all task state;
@@ -147,9 +144,9 @@ type taskManifest struct {
 
 // close ends the job run: every dispatch goroutine still in flight is
 // released, and worker slots held by dispatches whose completions will
-// never be consumed (the job failed, or finished with a late backup
-// still out) are returned so the next job starts with clean slot
-// accounting. The caller must have retired the completion sink first.
+// never be consumed (the job failed with leases still out) are returned
+// so the next job starts with clean slot accounting. The caller must
+// have retired the completion sink first.
 func (jr *jobRun) close() {
 	close(jr.cancel)
 	reclaim := func(tasks []taskState) {
@@ -234,7 +231,6 @@ func (jr *jobRun) run() (*mapreduce.Result, error) {
 			jr.m.checkHeartbeats()
 			jr.checkLeases()
 			jr.checkDrains()
-			jr.checkSpeculation()
 			if err := jr.checkLiveness(); err != nil {
 				return nil, err
 			}
@@ -246,7 +242,7 @@ func (jr *jobRun) run() (*mapreduce.Result, error) {
 
 	// Assemble the Result from winning attempts only, in task order, so
 	// every statistic matches the simulated engine's single-execution
-	// accounting regardless of retries, crashes or backups along the way.
+	// accounting regardless of retries or crashes along the way.
 	mapDur := make([]time.Duration, len(jr.maps))
 	for i := range jr.maps {
 		r := jr.maps[i].winner
@@ -400,12 +396,12 @@ func (jr *jobRun) dispatchReady() error {
 			return fmt.Errorf("distmr: %s %s task %d abandoned after %d lost leases: %v",
 				jr.job.Name, ts.ph, ts.task, ts.charged, ts.lastErr)
 		}
-		w := jr.m.pickWorker(jr.slots(), nil)
+		w := jr.m.pickWorker(jr.slots())
 		if w == nil {
 			jr.enqueue(ts)
 			return nil // no capacity; the ticker retries
 		}
-		jr.launch(ts, w, false)
+		jr.launch(ts, w)
 	}
 }
 
@@ -440,18 +436,13 @@ func (jr *jobRun) admit(ts *taskState) error {
 // signal (the injected crash draw happens inside the accepting handler).
 // The worker slot is held by the dispatch and released wherever the
 // dispatch is consumed: handle, checkLeases, or close.
-func (jr *jobRun) launch(ts *taskState, w *workerHandle, backup bool) {
+func (jr *jobRun) launch(ts *taskState, w *workerHandle) {
 	assign := ts.assigns
 	ts.assigns++
-	ts.outstanding[assign] = &dispatch{w: w, backup: backup, start: time.Now()}
-	if backup {
-		ts.specDone = true
-		jr.m.registry().Counter(CounterBackups).Add(1)
-		jr.decide(slog.LevelInfo, "speculative backup launched",
-			"phase", ts.ph.String(), "task", ts.task, "assign", assign, "worker", w.id)
-	} else if !ts.enqueuedAt.IsZero() {
-		// Queue wait: enqueue to dispatch. Backups never queued, and a
-		// re-enqueue restamps, so each observation is one queue pass.
+	ts.outstanding[assign] = &dispatch{w: w, start: time.Now()}
+	if !ts.enqueuedAt.IsZero() {
+		// Queue wait: enqueue to dispatch. A re-enqueue restamps, so each
+		// observation is one queue pass.
 		jr.tracer.Registry().Histogram(HistQueueWaitNS).ObserveSince(ts.enqueuedAt)
 		ts.enqueuedAt = time.Time{}
 	}
@@ -657,15 +648,9 @@ func (jr *jobRun) handle(ev event) error {
 
 	res := ev.res
 	if ts.done {
-		return nil // a late backup lost the race; its result is discarded
+		return nil // the task already concluded; this result is discarded
 	}
 	if res.Err != "" {
-		if d.backup {
-			// Only the primary chain consumes attempts and counters, so
-			// duplicated deterministic failures are not double-counted.
-			ts.specDone = false
-			return nil
-		}
 		jr.counters.Add("task failures", 1)
 		ts.lastErr = errors.New(res.Err)
 		jr.decide(slog.LevelWarn, "task attempt failed",
@@ -725,8 +710,8 @@ func (jr *jobRun) handle(ev event) error {
 // leaseFailed concludes a dispatch that died with its worker (StartTask
 // transport error, lease expiry, or the worker dying mid-execution).
 // The dispatch has already been removed and its slot released; this
-// handles the task-level consequences: backups just clear the
-// speculation latch, primaries reassign without consuming an attempt.
+// handles the task-level consequence: the task is reassigned without
+// consuming an attempt.
 // charge says the lease was lost to the task itself (see taskState).
 func (jr *jobRun) leaseFailed(ts *taskState, d *dispatch, assign int, err error, charge bool) {
 	if ts.done {
@@ -735,10 +720,6 @@ func (jr *jobRun) leaseFailed(ts *taskState, d *dispatch, assign int, err error,
 	ts.lastErr = err
 	if charge {
 		ts.charged++
-	}
-	if d.backup {
-		ts.specDone = false
-		return
 	}
 	jr.m.registry().Counter(CounterReassigns).Add(1)
 	jr.decide(slog.LevelWarn, "lease failed, reassigning",
@@ -1031,63 +1012,6 @@ func (jr *jobRun) unpark() {
 			ts.parked = false
 			jr.enqueue(ts)
 		}
-	}
-}
-
-// checkSpeculation launches cross-worker backup attempts for stragglers.
-// Map tasks are always eligible when the job opted in; reduce tasks only
-// when re-execution is side-effect free (no job service to double-submit
-// to, no schimmy partition alignment to double-write).
-func (jr *jobRun) checkSpeculation() {
-	if !jr.job.Speculative {
-		return
-	}
-	jr.spec(jr.maps, jr.mapsDone)
-	// Reduce backups additionally wait for every map to be done: a
-	// backup's descriptor snapshots map winners, so launching one while a
-	// lost map re-runs would merge an incomplete segment set.
-	if jr.job.Service == nil && !jr.job.Schimmy && jr.mapsDone == len(jr.maps) {
-		jr.spec(jr.reduces, jr.reducesDone)
-	}
-}
-
-func (jr *jobRun) spec(tasks []taskState, done int) {
-	n := len(tasks)
-	if n == 0 || done == 0 || float64(done) < jr.m.cfg.SpeculativeFraction*float64(n) {
-		return
-	}
-	durs := make([]time.Duration, 0, done)
-	for i := range tasks {
-		if tasks[i].done {
-			durs = append(durs, tasks[i].dur)
-		}
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	median := durs[len(durs)/2]
-	threshold := time.Duration(jr.m.cfg.SpeculativeFactor * float64(median))
-	if threshold <= 0 {
-		return
-	}
-	for i := range tasks {
-		ts := &tasks[i]
-		if ts.done || ts.parked || ts.specDone || len(ts.outstanding) != 1 {
-			continue
-		}
-		var cur *dispatch
-		for _, d := range ts.outstanding {
-			cur = d
-		}
-		if cur.backup || time.Since(cur.start) <= threshold {
-			continue
-		}
-		if ts.charged >= jr.m.cfg.MaxAssigns {
-			continue
-		}
-		w := jr.m.pickWorker(jr.slots(), cur.w)
-		if w == nil {
-			return // no spare capacity for backups right now
-		}
-		jr.launch(ts, w, true)
 	}
 }
 

@@ -4,16 +4,15 @@
 // the way the paper's Hadoop deployment schedules map and reduce tasks
 // onto tasktrackers. It provides worker registration with periodic
 // heartbeats, task leases with timeout-based reassignment when a worker
-// dies or goes silent, cross-worker speculative backup attempts for
-// stragglers, and a network shuffle in which each worker serves its map
-// output spill segments to reducers over the wire.
+// dies or goes silent, and a network shuffle in which each worker serves
+// its map output spill segments to reducers over the wire.
 //
 // The backend plugs in behind the engine via mapreduce.Cluster.Distributed
 // and must reproduce the simulated engine's per-round statistics exactly:
 // task placement (Split.Node, partition % Nodes), partitioning, spill
 // segmentation and merge order all mirror the simulated paths, and
 // counters are merged from winning attempts only, so crashes, retries
-// and backup attempts leave no trace in the job's Result.
+// and reassigned attempts leave no trace in the job's Result.
 package distmr
 
 import (
@@ -74,8 +73,8 @@ type MapSource struct {
 // crashed on) the task; the result arrives later as a Completion riding
 // a heartbeat, so one worker can run many attempts without holding an
 // RPC open per task. One descriptor fully determines a task's
-// execution, so a reassigned or speculated attempt on another worker
-// computes the identical result.
+// execution, so a reassigned attempt on another worker computes the
+// identical result.
 type TaskDescriptor struct {
 	// JobSeq namespaces the job's state on workers (code cache, side file
 	// cache, store prefixes); JobName feeds error text and injection
@@ -91,7 +90,7 @@ type TaskDescriptor struct {
 	// Task is the task index; Attempt is the body-failure attempt number
 	// (the simulated engine's coordinate, so injected failures replay
 	// identically); Assign is the assignment sequence number, advancing on
-	// every dispatch including reassignments and backups, which keys
+	// every dispatch including reassignments, which keys
 	// store prefixes and worker-crash draws.
 	Task    int
 	Attempt int
@@ -459,7 +458,7 @@ type JoinRequest struct {
 // heartbeat).
 type Retire struct {
 	Worker uint64
-	// Reason is free-form ("sigterm", "autoscaler", ...), for the log.
+	// Reason is free-form ("sigterm", "supervisor", ...), for the log.
 	Reason string
 }
 

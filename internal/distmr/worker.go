@@ -78,8 +78,8 @@ type Worker struct {
 	crashed   atomic.Bool
 	draining  atomic.Bool
 	// taskDelay is injected slow-node latency (nanoseconds) applied to
-	// every task attempt before it executes; chaos schedules use it to
-	// manufacture stragglers for the speculation machinery.
+	// every task attempt before it executes; chaos schedules and the
+	// elastic tests use it to manufacture stragglers.
 	taskDelay atomic.Int64
 
 	closeOnce sync.Once
@@ -1102,7 +1102,7 @@ func (s *workerService) CleanJob(args *CleanJobArgs, _ *Empty) error {
 	delete(w.jobs, args.JobSeq)
 	w.mu.Unlock()
 	if j != nil {
-		// An attempt the master abandoned (reassigned lease, late backup)
+		// An attempt the master abandoned (a reassigned lease)
 		// can still be building this entry. Once.Do blocks until any
 		// in-flight build finishes — and marks a never-built entry retired
 		// — so reading j.code below is ordered after the build.

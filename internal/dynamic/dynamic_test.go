@@ -235,8 +235,4 @@ func TestRunWarmValidation(t *testing.T) {
 	if _, err := core.RunWarm(cluster, in, core.Options{}, core.WarmStart{}); err == nil {
 		t.Error("empty StatePrefix must be rejected")
 	}
-	if _, err := core.RunWarm(cluster, in, core.Options{Resume: true},
-		core.WarmStart{StatePrefix: "x/"}); err == nil {
-		t.Error("Resume + warm start must be rejected")
-	}
 }

@@ -35,17 +35,6 @@ func DecodeKey(b []byte) (VertexID, error) {
 	return VertexID(binary.BigEndian.Uint32(b)), nil
 }
 
-// MustDecodeKey decodes a 4-byte vertex key produced by KeyBytes. It is
-// used on engine-internal paths where the key was produced by this
-// package; malformed input indicates a bug, not bad user data.
-func MustDecodeKey(b []byte) VertexID {
-	v, err := DecodeKey(b)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 func appendPathEdge(dst []byte, pe *PathEdge) []byte {
 	dst = binary.AppendUvarint(dst, uint64(pe.ID))
 	dst = binary.AppendUvarint(dst, uint64(pe.From))

@@ -1,10 +1,8 @@
 package mapreduce
 
 import (
-	"encoding/binary"
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 	"time"
 
@@ -519,10 +517,7 @@ func (c *Cluster) runReducePhase(job *Job, env *TaskEnv, mapOut []*MapResult,
 // onto the cluster's worker slots (greedy longest-queue-avoidance, which
 // is how Hadoop's scheduler behaves with uniform tasks), and phase
 // makespans plus fixed overhead give the simulated round time. The
-// straggler model multiplies each task's cost by a deterministic draw;
-// speculative execution charges the better of two attempts' draws, which
-// is exactly the mechanism by which Hadoop's backup tasks shorten the
-// tail of a phase.
+// straggler model multiplies each task's cost by a deterministic draw.
 func (c *Cluster) modelSimTime(job *Job, res *Result, splits []Split, mapDur, reduceDur []time.Duration, reduceFetch []int64) time.Duration {
 	cm := c.Cost
 	xfer := func(bytes int64, bytesPerSec float64) time.Duration {
@@ -535,19 +530,10 @@ func (c *Cluster) modelSimTime(job *Job, res *Result, splits []Split, mapDur, re
 		if cm.StragglerProb <= 0 || cm.StragglerFactor <= 1 {
 			return 1
 		}
-		factor := func(attempt int) float64 {
-			if injectHash(c.Fault.Seed+1, job.Name, phase, task, attempt) < cm.StragglerProb {
-				return cm.StragglerFactor
-			}
-			return 1
+		if injectHash(c.Fault.Seed+1, job.Name, phase, task, 0) < cm.StragglerProb {
+			return cm.StragglerFactor
 		}
-		f := factor(0)
-		if job.Speculative && f > 1 {
-			if f2 := factor(1); f2 < f {
-				f = f2
-			}
-		}
-		return f
+		return 1
 	}
 
 	var mapCosts []time.Duration
@@ -612,43 +598,4 @@ func makespan(costs []time.Duration, n int) time.Duration {
 		}
 	}
 	return max
-}
-
-// EncodeCounterFile serializes a counter snapshot for persistence in the
-// DFS (used by the driver to checkpoint per-round statistics).
-func EncodeCounterFile(counters map[string]int64) []byte {
-	names := make([]string, 0, len(counters))
-	for name := range counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var buf []byte
-	for _, name := range names {
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		buf = binary.AppendVarint(buf, counters[name])
-	}
-	return buf
-}
-
-// DecodeCounterFile parses a file produced by EncodeCounterFile.
-func DecodeCounterFile(data []byte) (map[string]int64, error) {
-	out := make(map[string]int64)
-	off := 0
-	for off < len(data) {
-		n, sz := binary.Uvarint(data[off:])
-		if sz <= 0 || uint64(len(data)-off-sz) < n {
-			return nil, fmt.Errorf("mapreduce: corrupt counter file at offset %d", off)
-		}
-		off += sz
-		name := string(data[off : off+int(n)])
-		off += int(n)
-		v, sz := binary.Varint(data[off:])
-		if sz <= 0 {
-			return nil, fmt.Errorf("mapreduce: corrupt counter value at offset %d", off)
-		}
-		off += sz
-		out[name] = v
-	}
-	return out, nil
 }

@@ -630,25 +630,6 @@ func TestPartitionStability(t *testing.T) {
 	}
 }
 
-func TestCounterFileRoundTrip(t *testing.T) {
-	in := map[string]int64{"source move": 42, "sink move": 0, "neg": -17}
-	out, err := DecodeCounterFile(EncodeCounterFile(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("got %d counters, want %d", len(out), len(in))
-	}
-	for k, v := range in {
-		if out[k] != v {
-			t.Errorf("counter %s = %d, want %d", k, out[k], v)
-		}
-	}
-	if _, err := DecodeCounterFile([]byte{0xFF}); err == nil {
-		t.Error("corrupt counter file accepted")
-	}
-}
-
 func TestEmptyInputRunsCleanly(t *testing.T) {
 	c := newTestCluster(2, 2, 64)
 	if err := c.FS.WriteFile("in/empty", nil); err != nil {

@@ -240,12 +240,15 @@ func TestCombinerPreservesResults(t *testing.T) {
 	}
 }
 
-func TestSpeculativeExecutionShortensTail(t *testing.T) {
-	run := func(speculative bool) *Result {
+// TestStragglersLengthenSimTime: the straggler draws multiply task costs,
+// so a cost model with stragglers charges a longer phase tail than the
+// same model without them.
+func TestStragglersLengthenSimTime(t *testing.T) {
+	run := func(prob float64) *Result {
 		c := newTestCluster(2, 2, 16)
 		cm := ZeroCostModel()
 		cm.TaskOverhead = 100 * 1e6 // 100ms per task, so stragglers matter
-		cm.StragglerProb = 0.3
+		cm.StragglerProb = prob
 		cm.StragglerFactor = 10
 		c.Cost = cm
 		var kvs [][2]string
@@ -253,31 +256,14 @@ func TestSpeculativeExecutionShortensTail(t *testing.T) {
 			kvs = append(kvs, [2]string{fmt.Sprintf("k%03d", i), "payload-payload"})
 		}
 		writeRecords(t, c, "in/0", kvs)
-		job := identityJob([]string{"in/0"}, "out/")
-		job.Speculative = speculative
-		res, err := c.Run(job)
+		res, err := c.Run(identityJob([]string{"in/0"}, "out/"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	plain := run(false)
-	spec := run(true)
-	if spec.SimTime >= plain.SimTime {
-		t.Errorf("speculative execution did not shorten the tail: %v vs %v",
-			spec.SimTime, plain.SimTime)
-	}
-}
-
-func TestSpeculativeRejectedWithSchimmy(t *testing.T) {
-	c := newTestCluster(1, 1, 64)
-	writeRecords(t, c, "in/0", [][2]string{{"a", "x"}})
-	job := identityJob([]string{"in/0"}, "out/")
-	job.Schimmy = true
-	job.SchimmyBase = "base/"
-	job.Speculative = true
-	if _, err := c.Run(job); err == nil {
-		t.Fatal("schimmy + speculative accepted (the paper disables speculation for schimmy)")
+	if plain, slow := run(0), run(0.3); slow.SimTime <= plain.SimTime {
+		t.Errorf("stragglers did not lengthen the simulated time: %v vs %v", slow.SimTime, plain.SimTime)
 	}
 }
 

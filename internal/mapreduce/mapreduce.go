@@ -82,7 +82,7 @@ func (c *TaskContext) Task() int { return c.task }
 // number on the simulated engine, the assignment number on a
 // distributed backend. Stateful job services use (Task, Exec) to
 // recognize — and discard — submissions duplicated by task re-execution
-// (retries, reassignments after worker deaths, speculative backups).
+// (retries, reassignments after worker deaths).
 func (c *TaskContext) Exec() int { return c.exec }
 
 // Node returns the simulated cluster node the task runs on.
@@ -240,12 +240,6 @@ type Job struct {
 	// NewCombiner, if non-nil, pre-aggregates each map task's output per
 	// key before the shuffle.
 	NewCombiner func() Combiner
-	// Speculative enables backup attempts for straggling tasks, which
-	// Hadoop runs by default. It is incompatible with Schimmy (a backup
-	// reduce attempt could double-write the partition-aligned output,
-	// which is why the paper's deployment disables it); the engine
-	// rejects the combination.
-	Speculative bool
 	// SideFiles are DFS files loaded once and broadcast read-only to all
 	// tasks (the paper's AugmentedEdges list is distributed this way).
 	SideFiles []string
@@ -311,10 +305,6 @@ func (j *Job) validate() error {
 	}
 	if j.Schimmy && j.NewReducer == nil {
 		return fmt.Errorf("mapreduce: job %q enables schimmy without a reducer", j.Name)
-	}
-	if j.Schimmy && j.Speculative {
-		return fmt.Errorf("mapreduce: job %q combines schimmy with speculative execution "+
-			"(backup reduce attempts would double-write partition-aligned output)", j.Name)
 	}
 	return nil
 }
@@ -456,11 +446,9 @@ type CostModel struct {
 	// CPUFactor scales measured task CPU time into simulated time
 	// (1.0 = host speed).
 	CPUFactor float64
-	// StragglerProb is the probability that a task attempt runs slow
-	// (a common cluster pathology Hadoop's speculative execution exists
-	// to mask); StragglerFactor is the slowdown multiplier applied to a
-	// straggling attempt's simulated cost. With Job.Speculative the
-	// model charges the better of two attempt draws per task.
+	// StragglerProb is the probability that a task attempt runs slow (a
+	// common cluster pathology); StragglerFactor is the slowdown
+	// multiplier applied to a straggling attempt's simulated cost.
 	StragglerProb   float64
 	StragglerFactor float64
 }

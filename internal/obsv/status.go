@@ -97,9 +97,6 @@ type ScalingHints struct {
 	// workers finishing up before retirement.
 	WorkersLive     int `json:"workers_live"`
 	WorkersDraining int `json:"workers_draining"`
-	// StragglerRatio is speculative backups launched per completed task —
-	// a high ratio means slow nodes are dragging rounds out.
-	StragglerRatio float64 `json:"straggler_ratio"`
 	// QueueWaitP95NS is the 95th-percentile scheduler queue wait
 	// (enqueue to dispatch) in nanoseconds, from the master's queue-wait
 	// histogram. A growing p95 with live workers means the cluster is

@@ -57,8 +57,8 @@ func orLog(l *slog.Logger) *slog.Logger {
 	return l
 }
 
-// Policy bounds a retried dial. The zero value is completed by
-// applyDefaults; DefaultPolicy returns the completed defaults.
+// Policy bounds a retried dial. Zero fields take the defaults noted
+// beside each.
 type Policy struct {
 	// Attempts is the maximum number of dial attempts (default 5).
 	Attempts int
@@ -87,13 +87,6 @@ func (p *Policy) applyDefaults() {
 	if p.DialTimeout <= 0 {
 		p.DialTimeout = 2 * time.Second
 	}
-}
-
-// DefaultPolicy returns the defaults used when no policy is given.
-func DefaultPolicy() Policy {
-	var p Policy
-	p.applyDefaults()
-	return p
 }
 
 // jitter is the shared randomness behind backoff jitter. Determinism is
