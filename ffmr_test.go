@@ -67,7 +67,7 @@ func TestComputeOptions(t *testing.T) {
 		ffmr.WithReducers(3),
 		ffmr.WithMaxRounds(50),
 		ffmr.WithBlockSize(1024),
-		ffmr.WithTermination(ffmr.TerminationStrict),
+		ffmr.WithTermination(ffmr.TerminationMaximal),
 	)
 	if err != nil {
 		t.Fatal(err)

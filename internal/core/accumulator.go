@@ -2,7 +2,8 @@
 // MapReduce-based Ford-Fulkerson maximum-flow algorithms (FF1 through
 // FF5), the external stateful accumulator process aug_proc, the
 // AugmentedEdges broadcast mechanism, the movement-counter termination
-// rule, and the MR-BFS baseline.
+// rule and the maximality check that stops a run by default, and the
+// MR-BFS baseline.
 package core
 
 import (

@@ -221,7 +221,9 @@ func TestAugProcDialFailure(t *testing.T) {
 // when it closes, so a run registers at most one batch per reduce task and
 // round where it used to register one per submitting group — and the
 // candidates aug_proc sees and accepts each round are the ones it saw
-// before, recorded here from a run at the per-group commit.
+// before, recorded here from a run at the per-group commit under the
+// quiescent stopping rule (the default rule stops one round earlier; see
+// TestStopAtMaximumIsPrefix).
 func TestOneBatchPerReduceTask(t *testing.T) {
 	tc := diffCases()[5] // ba-n120-super-st
 	in, err := tc.build(tc.seed)
@@ -230,7 +232,8 @@ func TestOneBatchPerReduceTask(t *testing.T) {
 	}
 	const reducers = 12
 	tr := trace.New()
-	res, err := Run(testCluster(3), in, Options{Variant: FF5, Reducers: reducers, DeterministicAccept: true, Tracer: tr})
+	res, err := Run(testCluster(3), in, Options{Variant: FF5, Reducers: reducers, DeterministicAccept: true, Tracer: tr,
+		Termination: TerminationQuiescent})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func (m *bspMaster) compute(superstep int, collected [][]byte, aggregates map[st
 		Accepted: accepted, FlowDelta: delta, SourceMove: som, SinkMove: sim,
 	})
 
-	// Termination: the movement-counter rule (strict form), with a
+	// Termination: the movement-counter rule (quiescent form), with a
 	// two-superstep quiet streak because BSP message delivery lags one
 	// superstep behind the send (a freshly sent extension can still
 	// create movement after a quiet superstep).

@@ -166,20 +166,30 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 	}
 	stat0 := jobStat(0, res0, AugProcStats{})
 	annotateRoundSpan(round0Span, stat0)
-	round0Span.End()
 	result.RoundStats = append(result.RoundStats, stat0)
 	result.InputGraphBytes = res0.OutputBytes
 	result.MaxGraphBytes = res0.OutputBytes
+
+	loop := &ffLoop{
+		cluster: cluster, in: in, opts: opts, feat: feat,
+		prefix: prefix, tr: tr, runSpan: runSpan, result: result,
+	}
+	if opts.Termination == TerminationMaximal {
+		// The zero flow is already maximum when no s-t path exists; the
+		// run then ends after round #0.
+		loop.cert, loop.flows = newResidualGraph(in), make([]int64, len(in.Edges))
+		if result.Converged, err = loop.certify(round0Span); err != nil {
+			round0Span.End()
+			return nil, err
+		}
+	}
+	round0Span.End()
 
 	// The first max-flow round sees an empty AugmentedEdges table.
 	if err := fs.WriteFile(deltaName(prefix, 1), EncodeDeltas(nil)); err != nil {
 		return nil, err
 	}
 
-	loop := &ffLoop{
-		cluster: cluster, in: in, opts: opts, feat: feat,
-		prefix: prefix, tr: tr, runSpan: runSpan, result: result,
-	}
 	if err := loop.run(); err != nil {
 		return nil, err
 	}
@@ -198,7 +208,7 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 // and the warm-restart driver (RunWarm). It owns the per-round job
 // construction, acceptance collection, delta broadcasting and the
 // termination rule; the two entry points differ only in how the
-// round-0 state comes to exist and in which termination signal is sound.
+// round-0 state comes to exist and in which termination rule they run.
 type ffLoop struct {
 	cluster *mapreduce.Cluster
 	in      *graph.Input
@@ -218,6 +228,32 @@ type ffLoop struct {
 	// run. Cold runs must keep the paper's source/sink-move rule
 	// byte-identical, so this is never inferred.
 	warm bool
+
+	// cert and flows serve TerminationMaximal (nil otherwise): flows is
+	// the sum of every accepted delta, indexed by EdgeID (the input edge's
+	// index), and cert the residual graph the maximality check searches.
+	cert  *residualGraph
+	flows []int64
+}
+
+// certify runs the maximality check on the flow accepted so far and
+// records its duration on the round span sp. It reports whether the flow
+// is maximum; a maximum flow whose minimum cut does not have the run's
+// flow value means the flow vector and the accepted deltas disagree,
+// which is an internal error.
+func (l *ffLoop) certify(sp *trace.Span) (bool, error) {
+	t0 := time.Now()
+	reachable := l.cert.sinkReachable(l.flows)
+	var cut int64
+	if !reachable {
+		cut = l.cert.cutCapacity()
+	}
+	sp.SetInt(trace.AttrCertifyUS, time.Since(t0).Microseconds())
+	if !reachable && cut != l.result.MaxFlow {
+		return false, fmt.Errorf("core: internal error: no residual augmenting path remains, but the minimum cut has capacity %d, not the flow value %d",
+			cut, l.result.MaxFlow)
+	}
+	return !reachable, nil
 }
 
 func (l *ffLoop) run() error {
@@ -241,7 +277,7 @@ func (l *ffLoop) run() error {
 	aug.SetDeterministic(opts.DeterministicAccept)
 	defer aug.Close() //nolint:errcheck // shutdown of a loopback listener
 
-	for round := 1; round <= opts.MaxRounds; round++ {
+	for round := 1; round <= opts.MaxRounds && !result.Converged; round++ {
 		roundSpan := l.tr.Start(trace.CatRound, fmt.Sprintf("round-%05d", round), l.runSpan)
 		cfg := &runConfig{
 			opts:       opts,
@@ -309,6 +345,15 @@ func (l *ffLoop) run() error {
 		// Not a RoundStat field: RoundStats are compared between runs, and
 		// this is a timing.
 		roundSpan.SetInt(trace.AttrAugDrainWaitUS, st.DrainWait.Microseconds())
+		if l.cert != nil && st.Accepted > 0 {
+			for id, d := range deltas {
+				l.flows[id] += d
+			}
+			if result.Converged, err = l.certify(roundSpan); err != nil {
+				roundSpan.End()
+				return err
+			}
+		}
 		roundSpan.End()
 		result.RoundStats = append(result.RoundStats, stat)
 		reg.Gauge(trace.GaugeFFRound).Set(int64(round))
@@ -350,7 +395,7 @@ func (l *ffLoop) run() error {
 			}
 		} else {
 			// Termination (Fig. 2 line 10): stop once either search is
-			// quiescent. The strict rule also requires the round to have
+			// quiescent. The quiescent rule also requires the round to have
 			// accepted nothing, so it never stops mid-progress and leaves no
 			// unapplied flow deltas. With bi-directional search disabled the
 			// sink never moves, so only the source counter is consulted.
@@ -362,21 +407,30 @@ func (l *ffLoop) run() error {
 			}
 			switch opts.Termination {
 			case TerminationPaper:
-				if quiescent {
-					result.Converged = true
-				}
-			case TerminationStrict:
+				result.Converged = quiescent
+			case TerminationQuiescent:
+				result.Converged = quiescent && st.Accepted == 0
+			case TerminationMaximal:
+				// The quiescent rule would stop here, yet the check after the
+				// last accepting round found a residual s-t path: the searches
+				// lost a path or the flow vector lost a delta.
 				if quiescent && st.Accepted == 0 {
-					result.Converged = true
+					return fmt.Errorf("core: internal error: round %d is quiescent and accepted nothing, but a residual augmenting path remains at flow value %d",
+						round, result.MaxFlow)
 				}
 			}
 		}
-		if result.Converged {
-			break
-		}
 	}
+	stop := opts.Termination.String()
+	switch {
+	case !result.Converged:
+		stop = "max-rounds"
+	case l.warm:
+		stop = "warm-fixpoint"
+	}
+	l.runSpan.SetStr(trace.AttrStop, stop)
 	log.Info("run done", "max_flow", result.MaxFlow,
-		"rounds", result.Rounds, "converged", result.Converged)
+		"rounds", result.Rounds, "converged", result.Converged, "stop", stop)
 	return nil
 }
 

@@ -40,7 +40,10 @@ func pinnedCrawl(t *testing.T) *graph.Input {
 // vertices: a round's work may shrink, but no byte it writes and no
 // counter it reports may move. files hashes (FNV-1a) the name and bytes of
 // every DFS file the run kept — round partitions, AugmentedEdges tables and
-// input; stats hashes every RoundStat's exact fields, in round order.
+// input; stats hashes every RoundStat's exact fields, in round order. It
+// pins the record path, not the stopping rule, so it runs the quiescent
+// rule the hashes were recorded under; TestStopAtMaximumIsPrefix carries
+// them over to the default rule, whose run is a prefix of this one.
 func TestStoredStatePinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all five variants; skipped with -short")
@@ -62,7 +65,8 @@ func TestStoredStatePinned(t *testing.T) {
 		t.Run(variant.String(), func(t *testing.T) {
 			t.Parallel()
 			cluster := testCluster(3)
-			opts := Options{Variant: variant, KeepIntermediate: true, DeterministicAccept: true}
+			opts := Options{Variant: variant, KeepIntermediate: true, DeterministicAccept: true,
+				Termination: TerminationQuiescent}
 			res, err := Run(cluster, in, opts)
 			if err != nil {
 				t.Fatal(err)

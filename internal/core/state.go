@@ -19,7 +19,7 @@ import (
 // state of a completed run: partition-aligned vertex record files under
 // roundPrefix(opts.PathPrefix, rounds) and an empty pending-deltas file
 // at PendingDeltasFile(opts, rounds) — exactly what the FFMR driver
-// leaves behind after a strict-termination run. flows[i] is the flow on
+// leaves behind after a quiescent-termination run. flows[i] is the flow on
 // in.Edges[i] in canonical (U -> V) orientation.
 //
 // opts must have defaults resolved (Run resolves them before engine
@@ -84,7 +84,7 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 
 // ExtractFlows reads a completed run's persisted residual state and
 // returns the canonical per-edge flow assignment, applying the pending
-// AugmentedEdges file first if one exists (it is empty after a strict
+// AugmentedEdges file first if one exists (it is empty after a quiescent
 // run). It verifies that every input edge appears with exactly two
 // skew-symmetric halves, so the result is trustworthy enough to feed
 // prep.Uncontract or CheckAssignment.

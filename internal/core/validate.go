@@ -22,8 +22,7 @@ import (
 //   - flow conservation: net flow out of every vertex other than the
 //     source and sink is zero;
 //   - flow value: net flow out of the source equals res.MaxFlow (only
-//     when the run terminated strictly, so no accepted deltas are left
-//     unapplied).
+//     when the run converged).
 func Validate(fs *dfs.FS, in *graph.Input, opts Options, res *Result) error {
 	opts.applyDefaults(1)
 	prefix := roundPrefix(opts.PathPrefix, res.Rounds)
@@ -36,9 +35,8 @@ func Validate(fs *dfs.FS, in *graph.Input, opts Options, res *Result) error {
 	}
 
 	// The final round's records predate the application of that round's
-	// accepted deltas. Under strict termination the final round accepts
-	// nothing, so the records are the fixed point; still apply the
-	// outstanding delta file defensively if it exists.
+	// accepted deltas, which wait in the pending delta file (empty under
+	// the quiescent rule, whose final round accepts nothing).
 	deltaFile := deltaName(opts.PathPrefix, res.Rounds+1)
 	if fs.Exists(deltaFile) {
 		data, err := fs.ReadFile(deltaFile)

@@ -76,23 +76,38 @@ func (v Variant) features() features {
 type TerminationMode int
 
 const (
-	// TerminationStrict stops when a round sees no source-move, or no
-	// sink-move, and additionally accepted no augmenting path. This is
-	// the conservative extension of the paper's rule; it never stops in a
-	// round that still made progress. It is the default.
-	TerminationStrict TerminationMode = iota
+	// TerminationMaximal stops exactly when the flow accepted so far is
+	// maximum: the driver keeps every accepted delta in a flow vector and,
+	// before round 1 and after every round that accepted a path, runs one
+	// host BFS over the input's residual arcs. When the sink is no longer
+	// reachable the run ends, after checking that the cut the BFS leaves
+	// has the flow's value. The last round's deltas stay pending (see
+	// PendingDeltasFile). It is the default.
+	TerminationMaximal TerminationMode = iota
 	// TerminationPaper stops exactly per Fig. 2 of the paper: as soon as
 	// the source-move or sink-move counter of a round is zero.
 	TerminationPaper
+	// TerminationQuiescent stops when a round sees no source-move, or no
+	// sink-move, and additionally accepted no augmenting path: the paper's
+	// rule made conservative, so it never stops in a round that still made
+	// progress and leaves no accepted delta pending. It pays for one round
+	// past the maximum, whose searches spread the excess-path frontier to
+	// quiescence; dynamic.Solve selects it so that the warm restarts that
+	// follow start from that frontier, and the experiments select it
+	// because the paper's per-round figures include that round.
+	TerminationQuiescent
 )
 
-// String describes the termination mode.
+// String describes the termination mode; it is also the stop reason a
+// run span and the driver's "run done" log line carry.
 func (m TerminationMode) String() string {
 	switch m {
-	case TerminationStrict:
-		return "strict"
+	case TerminationMaximal:
+		return "maximal"
 	case TerminationPaper:
 		return "paper"
+	case TerminationQuiescent:
+		return "quiescent"
 	default:
 		return fmt.Sprintf("TerminationMode(%d)", int(m))
 	}
@@ -123,7 +138,7 @@ type Options struct {
 	// DisableMultiPaths forces K to 1, turning off the multiple
 	// excess-path optimization of Section III-B3 (ablation knob).
 	DisableMultiPaths bool
-	// Termination selects the stopping rule (default TerminationStrict).
+	// Termination selects the stopping rule (default TerminationMaximal).
 	Termination TerminationMode
 	// MaxRounds aborts runs that fail to converge (default 1000).
 	MaxRounds int
@@ -206,7 +221,7 @@ func (o *Options) validate() error {
 	if o.Variant < FF1 || o.Variant > FF5 {
 		return fmt.Errorf("core: unknown variant %d", o.Variant)
 	}
-	if o.Termination != TerminationStrict && o.Termination != TerminationPaper {
+	if o.Termination < TerminationMaximal || o.Termination > TerminationQuiescent {
 		return fmt.Errorf("core: unknown termination mode %d", o.Termination)
 	}
 	return nil

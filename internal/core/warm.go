@@ -100,10 +100,13 @@ func RunWarm(cluster *mapreduce.Cluster, in *graph.Input, opts Options, warm War
 
 // PendingDeltasFile names the AugmentedEdges file a completed run left
 // unapplied: the deltas of round `rounds` were written for round
-// rounds+1, which never executed. Under TerminationStrict the file
-// encodes an empty table; under TerminationPaper it can hold the final
-// round's accepted flow, which any consumer of the persisted records
-// (dynamic updates, validation tooling) must fold in.
+// rounds+1, which never executed. Under the default TerminationMaximal
+// the last round is the one whose accepted flow made the flow maximum,
+// so the file holds that round's deltas; TerminationPaper can likewise
+// stop in a round that accepted paths. Any consumer of the persisted
+// records (dynamic updates, validation tooling) must fold the file in.
+// Under TerminationQuiescent and after a warm restart it encodes an
+// empty table.
 func PendingDeltasFile(opts Options, rounds int) string {
 	prefix := opts.PathPrefix
 	if prefix == "" {

@@ -68,8 +68,11 @@ type Snapshot struct {
 	// Result is the run that produced the state.
 	Result *core.Result
 	// StatePrefix locates the final vertex records; PendingDeltas names
-	// the AugmentedEdges file the run left unapplied (non-empty only
-	// under TerminationPaper).
+	// the AugmentedEdges file the run left unapplied. It is non-empty
+	// only under TerminationPaper, the one rule a snapshot runs that can
+	// stop in a round that accepted paths: Solve turns the default
+	// maximality rule into the quiescent one, and warm runs stop at a
+	// fixpoint that accepted nothing.
 	StatePrefix   string
 	PendingDeltas string
 	// Root is the original run's DFS prefix; Gen counts applied batches
@@ -84,6 +87,13 @@ type Snapshot struct {
 func Solve(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*Snapshot, error) {
 	opts = opts.WithDefaults(cluster.Nodes * cluster.SlotsPerNode)
 	opts.KeepIntermediate = true
+	if opts.Termination == core.TerminationMaximal {
+		// A run stopped at the maximum leaves the excess-path frontier
+		// where the last accepting round left it; the quiescent rule's
+		// extra round spreads it, and the first warm restart starts from
+		// there. Snapshots keep that rule so warm restarts stay cheap.
+		opts.Termination = core.TerminationQuiescent
+	}
 	res, err := core.Run(cluster, in, opts)
 	if err != nil {
 		return nil, err

@@ -59,7 +59,8 @@ type EdgeView struct {
 }
 
 // BuildView reads the snapshot's persisted records (plus its pending
-// delta table, non-empty only under TerminationPaper) and materializes
+// delta table, non-empty only when the run stopped under TerminationPaper
+// in a round that accepted paths; see Snapshot) and materializes
 // the query view. The snapshot must have been produced with
 // KeepIntermediate, which Solve forces.
 func BuildView(fsys interface {

@@ -28,7 +28,7 @@ type WarmColdRow struct {
 	CancelledFlow int64
 	// Warm numbers come from dynamic.Apply; WarmSim charges the full
 	// incremental pipeline (apply + drain jobs + warm rounds). Cold
-	// numbers come from core.Run on the same updated graph.
+	// numbers come from runQuiescent on the same updated graph.
 	WarmRounds int
 	ColdRounds int
 	WarmSim    time.Duration
@@ -73,7 +73,7 @@ func WarmVsCold(sc Scale, batchSizes []int, gens int) ([]WarmColdRow, *stats.Tab
 			if err != nil {
 				return nil, nil, err
 			}
-			coldRes, err := core.Run(sc.newCluster(sc.Nodes), out.Snapshot.Input,
+			coldRes, err := runQuiescent(sc.newCluster(sc.Nodes), out.Snapshot.Input,
 				core.Options{Variant: core.FF5})
 			if err != nil {
 				return nil, nil, err

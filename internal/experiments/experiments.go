@@ -119,6 +119,17 @@ func (sc *Scale) newCluster(nodes int) *mapreduce.Cluster {
 	return c
 }
 
+// runQuiescent is core.Run under the quiescent stopping rule, which every
+// experiment pins. The paper's driver stops only after a round in which
+// a search goes quiescent, and its figures measure that round too: it
+// is where the sink frontier floods the graph, so it sets the Max Size
+// column and Table I's last row. The default rule stops a round earlier,
+// at the maximum.
+func runQuiescent(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.Result, error) {
+	opts.Termination = core.TerminationQuiescent
+	return core.Run(cluster, in, opts)
+}
+
 // BuildChain generates the nested graph chain.
 func (sc *Scale) BuildChain() ([]*graph.Input, error) {
 	return graphgen.CrawlChain(sc.Chain, sc.Attach, sc.Seed)
@@ -161,7 +172,7 @@ func GraphsTable(sc Scale) ([]GraphRow, *stats.Table, error) {
 			return nil, nil, err
 		}
 		cluster := sc.newCluster(sc.Nodes)
-		res, err := core.Run(cluster, in, core.Options{Variant: core.FF5})
+		res, err := runQuiescent(cluster, in, core.Options{Variant: core.FF5})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -216,7 +227,7 @@ func Fig5(sc Scale, ws []int) ([]Fig5Point, *stats.Figure, error) {
 			return nil, nil, err
 		}
 		cluster := sc.newCluster(sc.Nodes)
-		res, err := core.Run(cluster, in, core.Options{Variant: core.FF5})
+		res, err := runQuiescent(cluster, in, core.Options{Variant: core.FF5})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -269,7 +280,7 @@ func Fig6(sc Scale) ([]Fig6Row, *stats.Table, error) {
 		}
 		for _, variant := range []core.Variant{core.FF1, core.FF2, core.FF3, core.FF4, core.FF5} {
 			cluster := sc.newCluster(sc.Nodes)
-			res, err := core.Run(cluster, in, core.Options{Variant: variant})
+			res, err := runQuiescent(cluster, in, core.Options{Variant: variant})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -327,7 +338,7 @@ func Table1(sc Scale, w int) (*core.Result, *stats.Table, error) {
 		tr = trace.New()
 	}
 	cluster := sc.newCluster(sc.Nodes)
-	res, err := core.Run(cluster, in, core.Options{Variant: core.FF5, Tracer: tr})
+	res, err := runQuiescent(cluster, in, core.Options{Variant: core.FF5, Tracer: tr})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -367,7 +378,7 @@ func Fig7(sc Scale) ([]Fig7Variant, *stats.Figure, error) {
 		// Arrival order at aug_proc decides which of two conflicting
 		// candidates wins, and with it whether a run draws an extra round;
 		// the figure compares variants, so pin it.
-		res, err := core.Run(cluster, in, core.Options{Variant: variant, Tracer: tr, DeterministicAccept: true})
+		res, err := runQuiescent(cluster, in, core.Options{Variant: variant, Tracer: tr, DeterministicAccept: true})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -421,7 +432,7 @@ func Fig8(sc Scale, nodeCounts []int) ([]Fig8Point, *stats.Figure, error) {
 		}
 		for _, nodes := range nodeCounts {
 			cluster := sc.newCluster(nodes)
-			res, err := core.Run(cluster, in, core.Options{Variant: core.FF5})
+			res, err := runQuiescent(cluster, in, core.Options{Variant: core.FF5})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -485,7 +496,7 @@ func AblationTechniques(sc Scale) ([]AblationRow, *stats.Table, error) {
 		"Config", "Rounds", "|f*|", "SimTime", "Shuffle")
 	for _, cfg := range configs {
 		cluster := sc.newCluster(sc.Nodes)
-		res, err := core.Run(cluster, in, cfg.opts)
+		res, err := runQuiescent(cluster, in, cfg.opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -530,7 +541,7 @@ func CompareMRBSP(sc Scale) ([]MRBSPRow, *stats.Table, error) {
 	var rows []MRBSPRow
 	for _, variant := range []core.Variant{core.FF1, core.FF5} {
 		cluster := sc.newCluster(sc.Nodes)
-		res, err := core.Run(cluster, in, core.Options{Variant: variant})
+		res, err := runQuiescent(cluster, in, core.Options{Variant: variant})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -586,7 +597,7 @@ func AblationCombiner(sc Scale) ([]AblationRow, *stats.Table, error) {
 		cluster := sc.newCluster(sc.Nodes)
 		// Pinned for the reason Fig7 pins it: arrival order at aug_proc can
 		// hand either side an extra round, which is a round's shuffle.
-		res, err := core.Run(cluster, in, core.Options{Variant: core.FF2, UseCombiner: useCombiner, DeterministicAccept: true})
+		res, err := runQuiescent(cluster, in, core.Options{Variant: core.FF2, UseCombiner: useCombiner, DeterministicAccept: true})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -621,7 +632,7 @@ func AblationK(sc Scale, ks []int) ([]AblationRow, *stats.Table, error) {
 	t := stats.NewTable("Ablation: excess-path limit k", "k", "Rounds", "|f*|", "SimTime", "Shuffle")
 	for _, k := range ks {
 		cluster := sc.newCluster(sc.Nodes)
-		res, err := core.Run(cluster, in, core.Options{Variant: core.FF2, K: k})
+		res, err := runQuiescent(cluster, in, core.Options{Variant: core.FF2, K: k})
 		if err != nil {
 			return nil, nil, err
 		}

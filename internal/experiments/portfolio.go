@@ -70,7 +70,7 @@ func Portfolio(sc Scale) ([]PortfolioRow, *stats.Table, error) {
 		// Pinned acceptance order, as in Fig7: the rows compare
 		// configurations, and first-come-first-served can hand any one of
 		// them an extra round.
-		return core.Run(sc.newCluster(sc.Nodes), in, core.Options{
+		return runQuiescent(sc.newCluster(sc.Nodes), in, core.Options{
 			Variant: core.FF5, Engine: engine, Tracer: sc.Tracer, DeterministicAccept: true,
 		})
 	}

@@ -98,7 +98,7 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 	if err := core.CheckAssignment(in, flows, value); err != nil {
 		return nil, fmt.Errorf("prflow: %w", err)
 	}
-	if residualReachable(in, flows) {
+	if core.ResidualReachable(in, flows) {
 		return nil, fmt.Errorf("prflow: internal error: residual augmenting path remains at value %d", value)
 	}
 
@@ -121,59 +121,4 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		TotalWallTime: time.Since(start),
 		RunSpan:       runSpan,
 	}, nil
-}
-
-// residualReachable reports whether the sink is reachable from the
-// source in the residual graph induced by flows — true means the
-// assignment is not maximum. It builds its own adjacency from in.Edges,
-// apart from the solver's arcs, so that it stays an independent check.
-func residualReachable(in *graph.Input, flows []int64) bool {
-	tails := make([]graph.VertexID, 0, 2*len(in.Edges))
-	heads := make([]graph.VertexID, 0, 2*len(in.Edges))
-	for i := range in.Edges {
-		e := &in.Edges[i]
-		rev := e.Cap
-		if e.Directed {
-			rev = 0
-		}
-		if e.Cap-flows[i] > 0 {
-			tails, heads = append(tails, e.U), append(heads, e.V)
-		}
-		if rev+flows[i] > 0 {
-			tails, heads = append(tails, e.V), append(heads, e.U)
-		}
-	}
-	// Counting sort by tail: after the running sums start[u] is the end
-	// of u's run, and placing each arc by decrementing it leaves start[u]
-	// at the run's beginning.
-	n := in.NumVertices
-	start := make([]int, n+1)
-	for _, u := range tails {
-		start[u]++
-	}
-	for u := 1; u <= n; u++ {
-		start[u] += start[u-1]
-	}
-	adj := make([]graph.VertexID, len(heads))
-	for k, u := range tails {
-		start[u]--
-		adj[start[u]] = heads[k]
-	}
-
-	seen := make([]bool, n)
-	seen[in.Source] = true
-	queue := append(make([]graph.VertexID, 0, n), in.Source)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		if u == in.Sink {
-			return true
-		}
-		for _, v := range adj[start[u]:start[u+1]] {
-			if !seen[v] {
-				seen[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return false
 }

@@ -177,30 +177,6 @@ func TestDinicDifferential(t *testing.T) {
 	}
 }
 
-// TestResidualReachable: the independent maximality check finds an s-t
-// path exactly when the flows leave one, through forward residuals and
-// through the reverse residual that flow on a directed edge creates.
-func TestResidualReachable(t *testing.T) {
-	in := &graph.Input{NumVertices: 4, Source: 0, Sink: 3, Edges: []graph.InputEdge{
-		{U: 0, V: 1, Cap: 2},
-		{U: 1, V: 3, Cap: 1, Directed: true},
-		{U: 0, V: 2, Cap: 5},
-		{U: 3, V: 2, Cap: 5, Directed: true},
-	}}
-	for _, tc := range []struct {
-		flows []int64
-		want  bool
-	}{
-		{[]int64{0, 0, 0, 0}, true},  // 0-1-3
-		{[]int64{1, 1, 0, 0}, false}, // 1->3 full, 3->2 points away from t
-		{[]int64{1, 1, 0, 1}, true},  // flow on 3->2 opens 2->3
-	} {
-		if got := residualReachable(in, tc.flows); got != tc.want {
-			t.Errorf("flows %v: reachable %v, want %v", tc.flows, got, tc.want)
-		}
-	}
-}
-
 // TestIsolatedTerminals: with no edge at s or t the flow is 0, found in
 // one round: the first update finds no excess anywhere.
 func TestIsolatedTerminals(t *testing.T) {

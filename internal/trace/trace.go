@@ -72,6 +72,13 @@ const (
 	// AttrAugDrainWaitUS is how long the round's EndRound waited for the
 	// aug_proc queue to empty after the last reducer returned.
 	AttrAugDrainWaitUS = "aug_drain_wait_us"
+	// AttrCertifyUS is how long the driver's maximality check took after
+	// the round (TerminationMaximal; only rounds that accepted a path, and
+	// round #0, run it).
+	AttrCertifyUS = "certify_us"
+	// AttrStop, on a run span, names the rule that ended the run:
+	// "maximal", "quiescent", "paper", "warm-fixpoint" or "max-rounds".
+	AttrStop = "stop"
 )
 
 // Dynamic-update (warm restart) attribute keys. RunWarm marks its run

@@ -11,10 +11,10 @@ import (
 type TerminationMode int
 
 const (
-	// TerminationStrict stops only in a quiescent round that also
-	// accepted no augmenting path (default; always yields a true maximum
-	// flow in our validation).
-	TerminationStrict TerminationMode = iota
+	// TerminationMaximal stops as soon as the flow accepted so far is
+	// maximum, proven after each accepting round by one breadth-first
+	// search over the residual arcs of the in-memory input (default).
+	TerminationMaximal TerminationMode = iota
 	// TerminationPaper stops exactly per Fig. 2 of the paper, as soon as
 	// the source-move or sink-move counter reaches zero.
 	TerminationPaper
@@ -78,7 +78,7 @@ func WithMaxRounds(n int) Option {
 	return func(c *config) { c.opts.MaxRounds = n }
 }
 
-// WithTermination selects the stopping rule (default TerminationStrict).
+// WithTermination selects the stopping rule (default TerminationMaximal).
 func WithTermination(m TerminationMode) Option {
 	return func(c *config) { c.opts.Termination = core.TerminationMode(m) }
 }
