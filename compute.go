@@ -32,8 +32,8 @@ type Result struct {
 	MaxFlow int64
 	// Variant is the algorithm version that ran.
 	Variant Variant
-	// Rounds is the number of max-flow rounds (excluding the round #0
-	// graph conversion), the paper's primary complexity measure.
+	// Rounds is the number of max-flow rounds (excluding round #0, which
+	// writes the vertex records), the paper's primary complexity measure.
 	Rounds int
 	// RoundStats has one entry per round; index 0 is round #0.
 	RoundStats []RoundStat
@@ -41,7 +41,7 @@ type Result struct {
 	// WallTime is the measured host time.
 	SimTime  time.Duration
 	WallTime time.Duration
-	// GraphBytes is the converted graph's size in the simulated DFS; the
+	// GraphBytes is the size of the vertex records in the simulated DFS; the
 	// paper's "Size" column. MaxGraphBytes is the largest per-round size
 	// ("Max Size"), which grows as excess paths accumulate.
 	GraphBytes    int64

@@ -18,9 +18,9 @@
 //	g.SetSink(3)
 //	res, err := ffmr.Compute(g, ffmr.WithVariant(ffmr.FF5), ffmr.WithNodes(4))
 //
-// Compute runs the full multi-round MapReduce pipeline: round #0 converts
-// the edge list into vertex records, then max-flow rounds run until the
-// movement-counter termination rule fires. The result carries the flow
+// Compute runs the full multi-round MapReduce pipeline: round #0 writes
+// the edge list's vertex records to the DFS from the host, then max-flow
+// rounds run until the flow is maximum. The result carries the flow
 // value plus the per-round statistics the paper reports (accepted
 // augmenting paths, shuffle bytes, simulated cluster runtime).
 package ffmr
@@ -80,8 +80,8 @@ func maxInt(a, b int) int {
 }
 
 // AddEdge adds an undirected edge with the given capacity in both
-// directions, the form the paper's experiments use (round #0 "makes the
-// edges bi-directional").
+// directions, the form the paper's experiments use (the paper's round #0
+// "makes the edges bi-directional").
 func (g *Graph) AddEdge(u, v int, capacity int64) {
 	g.in.Edges = append(g.in.Edges, graph.InputEdge{
 		U: graph.VertexID(u), V: graph.VertexID(v), Cap: capacity,

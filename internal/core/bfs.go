@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"time"
 
 	"ffmr/internal/dfs"
@@ -75,60 +74,10 @@ func decodeBFS(data []byte, v *bfsValue) error {
 	return nil
 }
 
-// The four BFS task bodies below get FF4's treatment: a mapper or reducer
+// The two BFS task bodies below get FF4's treatment: a mapper or reducer
 // is created per task (Job.NewMapper/NewReducer), so the decoded values,
 // keys and output buffers it owns serve every record of the task and the
 // record path allocates nothing once they have grown. Emit copies.
-
-// bfsConvertMapper emits each endpoint of every raw edge to the other.
-type bfsConvertMapper struct{ key, buf []byte }
-
-func (m *bfsConvertMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
-	e, err := decodeInputEdge(value)
-	if err != nil {
-		return err
-	}
-	m.key, m.buf = graph.AppendKey(m.key[:0], e.U), binary.AppendUvarint(m.buf[:0], uint64(e.V))
-	ctx.Emit(m.key, m.buf)
-	m.key, m.buf = graph.AppendKey(m.key[:0], e.V), binary.AppendUvarint(m.buf[:0], uint64(e.U))
-	ctx.Emit(m.key, m.buf)
-	return nil
-}
-
-type bfsConvertReducer struct {
-	source graph.VertexID
-	v      bfsValue
-	out    []byte
-}
-
-func (r *bfsConvertReducer) Reduce(ctx *mapreduce.TaskContext, key, _ []byte, values *mapreduce.Values) error {
-	u, err := graph.DecodeKey(key)
-	if err != nil {
-		return err
-	}
-	v := &r.v
-	v.master, v.dist, v.neighbors = true, -1, v.neighbors[:0]
-	if u == r.source {
-		v.dist = 0
-	}
-	for {
-		vb := values.Next()
-		if vb == nil {
-			break
-		}
-		nb, n := binary.Uvarint(vb)
-		if n <= 0 {
-			return fmt.Errorf("core: corrupt bfs neighbor fragment")
-		}
-		v.neighbors = append(v.neighbors, graph.VertexID(nb))
-	}
-	// Sorted and distinct: parallel edges name a neighbour once.
-	slices.Sort(v.neighbors)
-	v.neighbors = slices.Compact(v.neighbors)
-	r.out = encodeBFS(r.out[:0], v)
-	ctx.Emit(key, r.out)
-	return nil
-}
 
 // bfsMapper expands the current frontier: vertices whose distance equals
 // round-1 propose distance round to every neighbour.
@@ -194,10 +143,10 @@ func (r *bfsReducer) Reduce(ctx *mapreduce.TaskContext, key, _ []byte, values *m
 
 // BFSResult reports a multi-round MR BFS run.
 type BFSResult struct {
-	// Rounds is the number of expansion rounds executed (excluding the
-	// conversion round #0); it equals the eccentricity of the source
-	// within its component, plus one final empty round that detects
-	// termination.
+	// Rounds is the number of expansion rounds executed (excluding round
+	// #0, which writes the vertex records); it equals the eccentricity of
+	// the source within its component, plus one final empty round that
+	// detects termination.
 	Rounds int
 	// SinkDist is the source-to-sink distance, or -1 if unreachable.
 	SinkDist int
@@ -227,28 +176,29 @@ func RunBFS(cluster *mapreduce.Cluster, in *graph.Input, reducers int, pathPrefi
 	}
 	fs := cluster.FS
 	fs.DeletePrefix(pathPrefix)
-	inputs, err := WriteInput(fs, pathPrefix, in, cluster.Nodes*2)
-	if err != nil {
-		return nil, err
-	}
 
-	result := &BFSResult{SinkDist: -1}
-	job0 := &mapreduce.Job{
-		Name:         "bfs-round-0-convert",
-		Round:        0,
-		Inputs:       inputs,
-		OutputPrefix: roundPrefix(pathPrefix, 0),
-		NumReducers:  reducers,
-		NewMapper:    func() mapreduce.Mapper { return &bfsConvertMapper{} },
-		NewReducer:   func() mapreduce.Reducer { return &bfsConvertReducer{source: in.Source} },
-		Spec:         &mapreduce.JobSpec{Kind: KindBFSConvert, Params: (&bfsConvertParams{Source: in.Source}).append(nil)},
+	// Round #0: the driver writes one master record per vertex that has
+	// edges, its neighbours sorted and distinct.
+	result := &BFSResult{SinkDist: -1, Visited: 1}
+	t0 := time.Now()
+	parts := make(partitions, reducers)
+	var key, value []byte
+	for u, neighbors := range graph.Adjacency(in) {
+		if len(neighbors) == 0 {
+			continue
+		}
+		v := bfsValue{master: true, dist: -1, neighbors: neighbors}
+		if graph.VertexID(u) == in.Source {
+			v.dist = 0
+		}
+		key, value = graph.AppendKey(key[:0], graph.VertexID(u)), encodeBFS(value[:0], &v)
+		parts.add(key, value)
 	}
-	res0, err := cluster.Run(job0)
+	written, err := parts.write(fs, roundPrefix(pathPrefix, 0))
 	if err != nil {
 		return nil, err
 	}
-	result.RoundStats = append(result.RoundStats, jobStat(0, res0, AugProcStats{}))
-	result.Visited = 1
+	result.RoundStats = append(result.RoundStats, hostRoundStat(cluster, written, time.Since(t0)))
 
 	maxRounds := in.NumVertices + 1
 	for round := 1; round <= maxRounds; round++ {

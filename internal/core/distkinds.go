@@ -21,18 +21,9 @@ import (
 
 // Job kind names registered with the distributed backend.
 const (
-	KindFFConvert  = "ffmr/convert"
-	KindFFRound    = "ffmr/round"
-	KindBFSConvert = "bfs/convert"
-	KindBFSRound   = "bfs/round"
+	KindFFRound  = "ffmr/round"
+	KindBFSRound = "bfs/round"
 )
-
-type ffConvertParams struct {
-	Source        graph.VertexID
-	Sink          graph.VertexID
-	Bidirectional bool
-	SentTracking  bool
-}
 
 type ffRoundParams struct {
 	Variant     Variant
@@ -46,28 +37,8 @@ type ffRoundParams struct {
 	ServiceAddr string
 }
 
-type bfsConvertParams struct {
-	Source graph.VertexID
-}
-
 type bfsRoundParams struct {
 	Round int64
-}
-
-func (p *ffConvertParams) append(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(p.Source))
-	b = binary.AppendUvarint(b, uint64(p.Sink))
-	b = rpcutil.AppendBool(b, p.Bidirectional)
-	return rpcutil.AppendBool(b, p.SentTracking)
-}
-
-func (p *ffConvertParams) decode(data []byte) error {
-	d := rpcutil.NewReader(data)
-	p.Source = graph.VertexID(d.Uint32("convert source"))
-	p.Sink = graph.VertexID(d.Uint32("convert sink"))
-	p.Bidirectional = d.Bool("convert bidirectional")
-	p.SentTracking = d.Bool("convert sent tracking")
-	return d.Finish("ffmr/convert params")
 }
 
 func (p *ffRoundParams) append(b []byte) []byte {
@@ -92,16 +63,6 @@ func (p *ffRoundParams) decode(data []byte) error {
 	return d.Finish("ffmr/round params")
 }
 
-func (p *bfsConvertParams) append(b []byte) []byte {
-	return binary.AppendUvarint(b, uint64(p.Source))
-}
-
-func (p *bfsConvertParams) decode(data []byte) error {
-	d := rpcutil.NewReader(data)
-	p.Source = graph.VertexID(d.Uint32("bfs source"))
-	return d.Finish("bfs/convert params")
-}
-
 func (p *bfsRoundParams) append(b []byte) []byte { return binary.AppendVarint(b, p.Round) }
 
 func (p *bfsRoundParams) decode(data []byte) error {
@@ -111,24 +72,6 @@ func (p *bfsRoundParams) decode(data []byte) error {
 }
 
 func init() {
-	distmr.RegisterKind(KindFFConvert, func(params []byte) (*distmr.JobCode, error) {
-		var p ffConvertParams
-		if err := p.decode(params); err != nil {
-			return nil, err
-		}
-		return &distmr.JobCode{
-			NewMapper: newConvertMapper,
-			NewReducer: func() mapreduce.Reducer {
-				return &convertReducer{
-					source:        p.Source,
-					sink:          p.Sink,
-					bidirectional: p.Bidirectional,
-					sentTracking:  p.SentTracking,
-				}
-			},
-		}, nil
-	})
-
 	distmr.RegisterKind(KindFFRound, func(params []byte) (*distmr.JobCode, error) {
 		var p ffRoundParams
 		if err := p.decode(params); err != nil {
@@ -155,17 +98,6 @@ func init() {
 		code.Service = client
 		code.Close = client.Close
 		return code, nil
-	})
-
-	distmr.RegisterKind(KindBFSConvert, func(params []byte) (*distmr.JobCode, error) {
-		var p bfsConvertParams
-		if err := p.decode(params); err != nil {
-			return nil, err
-		}
-		return &distmr.JobCode{
-			NewMapper:  func() mapreduce.Mapper { return &bfsConvertMapper{} },
-			NewReducer: func() mapreduce.Reducer { return &bfsConvertReducer{source: p.Source} },
-		}, nil
 	})
 
 	distmr.RegisterKind(KindBFSRound, func(params []byte) (*distmr.JobCode, error) {

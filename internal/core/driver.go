@@ -15,7 +15,9 @@ import (
 // the columns of the paper's Table I: accepted augmenting paths
 // (A-Paths), the maximum aug_proc queue length (MaxQ), the number of
 // intermediate records emitted by mappers (Map Out), the bytes shuffled
-// between map and reduce (Shuffle), and the round's runtime.
+// between map and reduce (Shuffle), and the round's runtime. Round 0 runs
+// no job: the driver writes its records, so its stat holds only
+// OutputBytes, the DFS write's modelled SimTime and the write's WallTime.
 type RoundStat struct {
 	Round int
 
@@ -54,8 +56,9 @@ type Result struct {
 	Variant Variant
 	// MaxFlow is the computed maximum flow value.
 	MaxFlow int64
-	// Rounds is the number of max-flow rounds executed, excluding the
-	// round #0 graph conversion (matching how the paper counts rounds).
+	// Rounds is the number of max-flow rounds executed, excluding round #0,
+	// which writes the first vertex records (matching how the paper counts
+	// rounds).
 	Rounds int
 	// Converged reports whether the termination rule fired before
 	// Options.MaxRounds.
@@ -66,8 +69,8 @@ type Result struct {
 	TotalSimTime  time.Duration
 	TotalWallTime time.Duration
 
-	// InputGraphBytes is the converted graph's size in the DFS after
-	// round #0 (the paper's "Size" column); MaxGraphBytes is the largest
+	// InputGraphBytes is the size of the vertex records round #0 writes
+	// (the paper's "Size" column); MaxGraphBytes is the largest
 	// per-round graph size observed (the "Max Size" column), which grows
 	// as vertices accumulate excess paths.
 	InputGraphBytes int64
@@ -88,9 +91,11 @@ func deltaName(prefix string, round int) string {
 }
 
 // Run executes the FFMR algorithm selected by opts on the given cluster,
-// implementing the multi-round main program of Fig. 2. The input graph
-// is written to the DFS, converted by round #0, and processed by
-// max-flow rounds until the termination rule fires.
+// implementing the multi-round main program of Fig. 2. Round #0 is the
+// driver writing the input's vertex records to the DFS itself: the paper
+// runs a conversion job there because Hadoop's input lives in HDFS, but
+// here the input is already in memory. Max-flow rounds then run until the
+// termination rule fires.
 func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, error) {
 	opts.applyDefaults(cluster.Nodes * cluster.SlotsPerNode)
 	if err := opts.validate(); err != nil {
@@ -129,46 +134,20 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 
 	fs.DeletePrefix(prefix)
 
-	inputs, err := WriteInput(fs, prefix, in, cluster.Nodes*2)
-	if err != nil {
-		return nil, err
-	}
-
-	// Round #0: convert the edge list into vertex records.
+	// Round #0: the driver writes the first vertex records and the empty
+	// AugmentedEdges table the first max-flow round reads.
 	round0Span := tr.Start(trace.CatRound, "round-00000", runSpan)
-	job0 := &mapreduce.Job{
-		Name:         "ffmr-round-0-convert",
-		Round:        0,
-		Inputs:       inputs,
-		OutputPrefix: roundPrefix(prefix, 0),
-		NumReducers:  opts.Reducers,
-		Parent:       round0Span,
-		NewMapper:    newConvertMapper,
-		NewReducer: func() mapreduce.Reducer {
-			return &convertReducer{
-				source:        in.Source,
-				sink:          in.Sink,
-				bidirectional: !opts.DisableBidirectional,
-				sentTracking:  feat.sentTracking,
-			}
-		},
-		Spec: &mapreduce.JobSpec{Kind: KindFFConvert, Params: (&ffConvertParams{
-			Source:        in.Source,
-			Sink:          in.Sink,
-			Bidirectional: !opts.DisableBidirectional,
-			SentTracking:  feat.sentTracking,
-		}).append(nil)},
-	}
-	res0, err := cluster.Run(job0)
+	t0 := time.Now()
+	err := WriteEngineState(fs, in, opts, 0, nil)
 	if err != nil {
 		round0Span.End()
 		return nil, err
 	}
-	stat0 := jobStat(0, res0, AugProcStats{})
+	stat0 := hostRoundStat(cluster, fs.TotalSize(roundPrefix(prefix, 0)), time.Since(t0))
 	annotateRoundSpan(round0Span, stat0)
 	result.RoundStats = append(result.RoundStats, stat0)
-	result.InputGraphBytes = res0.OutputBytes
-	result.MaxGraphBytes = res0.OutputBytes
+	result.InputGraphBytes = stat0.OutputBytes
+	result.MaxGraphBytes = stat0.OutputBytes
 
 	loop := &ffLoop{
 		cluster: cluster, in: in, opts: opts, feat: feat,
@@ -184,11 +163,6 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 		}
 	}
 	round0Span.End()
-
-	// The first max-flow round sees an empty AugmentedEdges table.
-	if err := fs.WriteFile(deltaName(prefix, 1), EncodeDeltas(nil)); err != nil {
-		return nil, err
-	}
 
 	if err := loop.run(); err != nil {
 		return nil, err
@@ -453,6 +427,13 @@ func annotateRoundSpan(sp *trace.Span, rs RoundStat) {
 	sp.SetInt(trace.AttrMaxGroupBytes, rs.MaxGroupBytes)
 	sp.SetInt(trace.AttrOutputBytes, rs.OutputBytes)
 	sp.SetInt(trace.AttrSimTimeUS, rs.SimTime.Microseconds())
+}
+
+// hostRoundStat is the stat of a round the driver writes itself, as it
+// does round #0: no job runs, so every record and shuffle count is 0 and
+// the only modelled charge is writing the round's bytes to the DFS.
+func hostRoundStat(cluster *mapreduce.Cluster, bytes int64, wall time.Duration) RoundStat {
+	return RoundStat{OutputBytes: bytes, SimTime: cluster.DFSWriteTime(bytes), WallTime: wall}
 }
 
 func jobStat(round int, res *mapreduce.Result, st AugProcStats) RoundStat {

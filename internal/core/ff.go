@@ -293,8 +293,8 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 			// it holds no path to update, extend, merge or pair, no sent
 			// flag to clear and no edge with a delta, and it received no
 			// fragment. Stored records are canonical (graph.AppendValue
-			// writes every one: round #0's convert, this reducer,
-			// WriteEngineState and the dynamic-update jobs), so re-encoding
+			// writes every one: this reducer, WriteEngineState, which
+			// writes round #0, and the dynamic-update jobs), so re-encoding
 			// it would reproduce master exactly.
 			ctx.Emit(key, master)
 			return nil

@@ -39,11 +39,14 @@ func pinnedCrawl(t *testing.T) *graph.Input {
 // record path produced before the schimmy rounds learned to skip quiet
 // vertices: a round's work may shrink, but no byte it writes and no
 // counter it reports may move. files hashes (FNV-1a) the name and bytes of
-// every DFS file the run kept — round partitions, AugmentedEdges tables and
-// input; stats hashes every RoundStat's exact fields, in round order. It
-// pins the record path, not the stopping rule, so it runs the quiescent
-// rule the hashes were recorded under; TestStopAtMaximumIsPrefix carries
-// them over to the default rule, whose run is a prefix of this one.
+// every DFS file the run kept: round partitions and AugmentedEdges tables
+// (the driver writes no edge-list input). stats hashes the exact fields
+// of every max-flow round's RoundStat, in round order. Round 0 runs no
+// job: its stat is pinned on its own, all zero but the bytes the driver
+// wrote. The test pins the record path, not the stopping rule, so it runs
+// the quiescent rule the hashes were recorded under;
+// TestStopAtMaximumIsPrefix carries them over to the default rule, whose
+// run is a prefix of this one.
 func TestStoredStatePinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all five variants; skipped with -short")
@@ -52,13 +55,14 @@ func TestStoredStatePinned(t *testing.T) {
 	want := dinicValue(t, in)
 	pins := map[Variant]struct {
 		rounds       int
+		round0Bytes  int64
 		files, stats uint64
 	}{
-		FF1: {5, 0x7b8b50235d4e43cc, 0xd2a399f7ce8df8d8},
-		FF2: {4, 0xe41b1d83bdc526f3, 0xd143cd818ee5e2b6},
-		FF3: {4, 0xe41b1d83bdc526f3, 0x8c317c11026b1c32},
-		FF4: {4, 0xe41b1d83bdc526f3, 0x8c317c11026b1c32},
-		FF5: {4, 0xde3e909e3441d70b, 0x50103e3205d695ad},
+		FF1: {5, 34000, 0xbd9d030a53943453, 0x2ec0644a4b59e5c1},
+		FF2: {4, 34000, 0x802af125ed27484a, 0x37e85848e282d73d},
+		FF3: {4, 34000, 0x802af125ed27484a, 0x7bf0acfde33f59a5},
+		FF4: {4, 34000, 0x802af125ed27484a, 0x7bf0acfde33f59a5},
+		FF5: {4, 41225, 0x999e9a1d23c1ac4e, 0x8f524a88270bece3},
 	}
 	for _, variant := range allVariants() {
 		variant := variant
@@ -85,7 +89,7 @@ func TestStoredStatePinned(t *testing.T) {
 				files.Write(data)
 			}
 			stats := fnv.New64a()
-			for _, st := range res.RoundStats {
+			for _, st := range res.RoundStats[1:] {
 				fmt.Fprintf(stats, "%d %d %d %d %d %d %d %d %d %d %d %d %d\n",
 					st.Round, st.APaths, st.Submitted, st.FlowDelta, st.SourceMove, st.SinkMove,
 					st.ActiveVertices, st.MapOutRecords, st.MapOutBytes, st.ShuffleBytes,
@@ -96,6 +100,13 @@ func TestStoredStatePinned(t *testing.T) {
 			got := fmt.Sprintf(format, res.Rounds, files.Sum64(), stats.Sum64())
 			if exp := fmt.Sprintf(format, pin.rounds, pin.files, pin.stats); got != exp {
 				t.Errorf("stored state moved:\n got %s\nwant %s", got, exp)
+			}
+			// The zero cost model charges the DFS write nothing.
+			st0 := res.RoundStats[0]
+			st0.WallTime = 0
+			if exp := (RoundStat{OutputBytes: pin.round0Bytes}); st0 != exp || res.InputGraphBytes != pin.round0Bytes {
+				t.Errorf("round 0 stat %+v and %d graph bytes, want %+v and %d",
+					st0, res.InputGraphBytes, exp, pin.round0Bytes)
 			}
 		})
 	}

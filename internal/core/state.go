@@ -8,19 +8,43 @@ import (
 	"ffmr/internal/mapreduce"
 )
 
-// This file lets alternative engines (internal/prflow, the portfolio's
-// core-reduced runs) persist and read back the same on-DFS state the
-// FFMR driver produces: canonical vertex records under a round-NNNNN
+// This file writes vertex records from the host. The FFMR driver writes
+// its round #0 with WriteEngineState and zero flows, and alternative
+// engines (internal/prflow, the portfolio's core-reduced runs) persist
+// their final state with it: canonical vertex records under a round-NNNNN
 // prefix plus an AugmentedEdges pending-deltas file. Keeping the state
 // shape identical is what makes Validate, dynamic.Solve/Apply snapshots
 // and the service's query views engine-agnostic.
 
-// WriteEngineState persists a per-edge flow assignment as the final
-// state of a completed run: partition-aligned vertex record files under
+// partitions holds one record writer per reduce partition. Records added
+// in key order leave each partition sorted like a reducer's output.
+type partitions []dfs.RecordWriter
+
+func (p partitions) add(key, value []byte) {
+	p[mapreduce.Partition(key, len(p))].Append(key, value)
+}
+
+// write stores partition i as prefix+"part-%05d" and returns the bytes
+// written.
+func (p partitions) write(fs *dfs.FS, prefix string) (int64, error) {
+	var n int64
+	for i := range p {
+		data := p[i].Bytes()
+		if err := fs.WriteFile(fmt.Sprintf("%spart-%05d", prefix, i), data); err != nil {
+			return n, err
+		}
+		n += int64(len(data))
+	}
+	return n, nil
+}
+
+// WriteEngineState persists a per-edge flow assignment as the state after
+// round rounds: partition-aligned vertex record files under
 // roundPrefix(opts.PathPrefix, rounds) and an empty pending-deltas file
 // at PendingDeltasFile(opts, rounds) — exactly what the FFMR driver
-// leaves behind after a quiescent-termination run. flows[i] is the flow on
-// in.Edges[i] in canonical (U -> V) orientation.
+// leaves behind after a quiescent-termination run, and, with rounds 0
+// and nil flows, the records the driver starts from. flows[i] is the flow
+// on in.Edges[i] in canonical (U -> V) orientation; nil means no flow.
 //
 // opts must have defaults resolved (Run resolves them before engine
 // dispatch): Reducers fixes the partition alignment of the output files,
@@ -31,16 +55,15 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 	if opts.Reducers <= 0 {
 		return fmt.Errorf("core: WriteEngineState needs resolved options (Reducers=%d)", opts.Reducers)
 	}
-	if len(flows) != len(in.Edges) {
+	if flows != nil && len(flows) != len(in.Edges) {
 		return fmt.Errorf("core: WriteEngineState: %d flows for %d edges", len(flows), len(in.Edges))
 	}
 	feat := opts.Variant.features()
 	start, edges := graph.HalfEdges(in, flows)
 
-	// One writer per partition; vertices appended in key order so each
-	// file is sorted like a reducer's output. A vertex no edge touches
-	// has no record. The seed paths and the zeroed sent flags are only
-	// read, so every record shares them.
+	// Vertices are added in key order. A vertex no edge touches has no
+	// record. The seed paths and the zeroed sent flags are only read, so
+	// every record shares them.
 	seed := []graph.ExcessPath{{}}
 	var unsent []uint64
 	if feat.sentTracking {
@@ -50,7 +73,7 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 		}
 		unsent = make([]uint64, maxDegree)
 	}
-	writers := make([]dfs.RecordWriter, opts.Reducers)
+	parts := make(partitions, opts.Reducers)
 	var key, value []byte
 	for u := 0; u < in.NumVertices; u++ {
 		eu := edges[start[u]:start[u+1]]
@@ -69,15 +92,11 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 		}
 		key = graph.AppendKey(key[:0], graph.VertexID(u))
 		value = graph.AppendValue(value[:0], &val)
-		writers[mapreduce.Partition(key, opts.Reducers)].Append(key, value)
+		parts.add(key, value)
 	}
 
-	prefix := roundPrefix(opts.PathPrefix, rounds)
-	for p := range writers {
-		name := fmt.Sprintf("%spart-%05d", prefix, p)
-		if err := fs.WriteFile(name, writers[p].Bytes()); err != nil {
-			return err
-		}
+	if _, err := parts.write(fs, roundPrefix(opts.PathPrefix, rounds)); err != nil {
+		return err
 	}
 	return fs.WriteFile(deltaName(opts.PathPrefix, rounds+1), EncodeDeltas(nil))
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the warm-restart entry point of the driver, used by
-// internal/dynamic: instead of writing the input graph and converting it
+// internal/dynamic: instead of writing the input graph's vertex records
 // in round #0, the run starts from partition-aligned vertex records that
 // already hold flow, residual capacities and excess paths — the output of
 // a previous run after the dynamic-update apply/drain jobs rewrote it.
@@ -27,8 +27,9 @@ type WarmStart struct {
 }
 
 // RunWarm resumes FFMR from pre-existing warm state rather than from the
-// input graph. The records under warm.StatePrefix play the role of round
-// #0 output; the first max-flow round reads them with an empty
+// input graph. The records under warm.StatePrefix play the role of the
+// records Run writes in round #0, and the result has no round-0 stat; the
+// first max-flow round reads them with an empty
 // AugmentedEdges table and augmentation continues until the warm
 // fixpoint rule fires (see ffLoop.run). The input graph is used only for
 // its source/sink designation and is not re-written to the DFS.

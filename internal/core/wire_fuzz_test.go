@@ -9,7 +9,7 @@ import (
 	"ffmr/internal/rpcutil"
 )
 
-// jobParams is what the four param structs of distkinds.go share.
+// jobParams is what the two param structs of distkinds.go share.
 type jobParams interface {
 	append(b []byte) []byte
 	decode(data []byte) error
@@ -19,10 +19,8 @@ type jobParams interface {
 // the fuzz target below only knows bytes.
 func TestJobParamsRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ want, got jobParams }{
-		{&ffConvertParams{Source: 7, Sink: 1 << 31, Bidirectional: true}, &ffConvertParams{}},
 		{&ffRoundParams{Variant: FF5, K: 4, Source: 3, Sink: 9, DeltasFile: "ffmr/deltas-00002",
 			UseCombiner: true, ServiceAddr: "127.0.0.1:4100"}, &ffRoundParams{}},
-		{&bfsConvertParams{Source: 12}, &bfsConvertParams{}},
 		{&bfsRoundParams{Round: 31}, &bfsRoundParams{}},
 	} {
 		if err := tc.got.decode(tc.want.append(nil)); err != nil {
@@ -34,18 +32,16 @@ func TestJobParamsRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeJobParams feeds every input to all four param decoders: none
+// FuzzDecodeJobParams feeds every input to both param decoders: neither
 // may panic, and whatever one accepts must re-encode to a fixed point
 // (decode∘encode is the identity on encoded params, so a job's params
 // are byte-deterministic).
 func FuzzDecodeJobParams(f *testing.F) {
-	f.Add((&ffConvertParams{Source: 7, Sink: 9, Bidirectional: true, SentTracking: true}).append(nil))
 	f.Add((&ffRoundParams{Variant: FF3, K: 2, Source: 1, Sink: 2, DeltasFile: "d", ServiceAddr: "a:1"}).append(nil))
-	f.Add((&bfsConvertParams{Source: 1 << 20}).append(nil))
 	f.Add((&bfsRoundParams{Round: -3}).append(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, p := range []jobParams{&ffConvertParams{}, &ffRoundParams{}, &bfsConvertParams{}, &bfsRoundParams{}} {
+		for _, p := range []jobParams{&ffRoundParams{}, &bfsRoundParams{}} {
 			if p.decode(data) != nil {
 				continue
 			}

@@ -145,7 +145,7 @@ type GraphRow struct {
 	Name     string
 	Vertices int
 	Edges    int
-	// SizeBytes is the converted graph's DFS footprint ("Size"),
+	// SizeBytes is the round-0 vertex records' DFS footprint ("Size"),
 	// MaxSizeBytes the largest per-round footprint ("Max Size").
 	SizeBytes    int64
 	MaxSizeBytes int64

@@ -289,10 +289,10 @@ func (v *VertexValue) Reset() {
 	v.SentT = v.SentT[:0]
 }
 
-// InputEdge is one edge of a raw input graph, before round #0 converts the
-// edge list into vertex records. Undirected edges get capacity Cap in both
-// directions (the paper's round #0 "makes the edges bi-directional");
-// directed edges get Cap forward and 0 backward.
+// InputEdge is one edge of a raw input graph, before round #0 writes the
+// edge list as vertex records (HalfEdges). Undirected edges get capacity
+// Cap in both directions (the paper's round #0 "makes the edges
+// bi-directional"); directed edges get Cap forward and 0 backward.
 type InputEdge struct {
 	U, V     VertexID
 	Cap      int64
@@ -341,8 +341,8 @@ func (in *Input) Validate() error {
 
 // Adjacency returns every vertex's neighbours in the undirected graph
 // underlying in, sorted and distinct: capacity and direction are
-// ignored and parallel edges name a neighbour once. It is the adjacency
-// the MR-BFS conversion job builds (core.RunBFS). in must be valid.
+// ignored and parallel edges name a neighbour once. The MR-BFS baseline
+// (core.RunBFS) writes its round #0 records from it. in must be valid.
 func Adjacency(in *Input) [][]VertexID {
 	deg := make([]int, in.NumVertices)
 	for i := range in.Edges {

@@ -75,7 +75,7 @@ func DeleteEdge(id EdgeID) Update {
 // with the batch folded in; in itself is not modified. Updates apply in
 // order, so later updates see earlier inserts. Inserted edges are
 // appended, making EdgeID == index hold for the updated list exactly as
-// WriteInput establishes it for a cold run.
+// HalfEdges establishes it for a cold run.
 func ApplyUpdates(in *Input, batch []Update) (*Input, error) {
 	out := &Input{
 		NumVertices: in.NumVertices,

@@ -520,12 +520,6 @@ func (c *Cluster) runReducePhase(job *Job, env *TaskEnv, mapOut []*MapResult,
 // straggler model multiplies each task's cost by a deterministic draw.
 func (c *Cluster) modelSimTime(job *Job, res *Result, splits []Split, mapDur, reduceDur []time.Duration, reduceFetch []int64) time.Duration {
 	cm := c.Cost
-	xfer := func(bytes int64, bytesPerSec float64) time.Duration {
-		if bytesPerSec <= 0 || bytes <= 0 {
-			return 0
-		}
-		return time.Duration(float64(bytes) / bytesPerSec * float64(time.Second))
-	}
 	straggle := func(phase string, task int) float64 {
 		if cm.StragglerProb <= 0 || cm.StragglerFactor <= 1 {
 			return 1
@@ -569,10 +563,24 @@ func (c *Cluster) modelSimTime(job *Job, res *Result, splits []Split, mapDur, re
 			time.Duration(float64(reduceDur[i])*cm.CPUFactor)
 		reduceCosts = append(reduceCosts, time.Duration(float64(cost)*straggle("reduce", i)))
 	}
-	outWrite := xfer(res.OutputBytes/int64(c.Nodes), cm.DiskBytesPerSec)
-
 	return cm.RoundOverhead + makespan(mapCosts, c.slots()) + spillCost +
-		makespan(reduceCosts, c.slots()) + outWrite
+		makespan(reduceCosts, c.slots()) + c.DFSWriteTime(res.OutputBytes)
+}
+
+// DFSWriteTime is the cost model's charge for writing bytes to the DFS,
+// spread evenly over the nodes' disks: the output term of every job's
+// SimTime, and the whole charge for files the driver writes itself.
+func (c *Cluster) DFSWriteTime(bytes int64) time.Duration {
+	return xfer(bytes/int64(c.Nodes), c.Cost.DiskBytesPerSec)
+}
+
+// xfer is the time to move bytes at bytesPerSec (0 when either is not
+// positive).
+func xfer(bytes int64, bytesPerSec float64) time.Duration {
+	if bytesPerSec <= 0 || bytes <= 0 {
+		return 0
+	}
+	return time.Duration(float64(bytes) / bytesPerSec * float64(time.Second))
 }
 
 // makespan packs task costs onto n slots greedily (each task goes to the

@@ -36,9 +36,9 @@ func NewNetwork(n int) *Network {
 }
 
 // FromInput builds a residual network from a raw input graph, applying
-// the same bi-directionalization as the paper's round #0: undirected
-// edges get capacity c in both directions; directed edges get c forward
-// and 0 backward.
+// the same bi-directionalization as the vertex records FFMR's round #0
+// writes (graph.HalfEdges): undirected edges get capacity c in both
+// directions; directed edges get c forward and 0 backward.
 func FromInput(in *graph.Input) (*Network, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err

@@ -74,7 +74,7 @@ const (
 	AttrAugDrainWaitUS = "aug_drain_wait_us"
 	// AttrCertifyUS is how long the driver's maximality check took after
 	// the round (TerminationMaximal; only rounds that accepted a path, and
-	// round #0, run it).
+	// round #0, which the driver writes without a job, run it).
 	AttrCertifyUS = "certify_us"
 	// AttrStop, on a run span, names the rule that ended the run:
 	// "maximal", "quiescent", "paper", "warm-fixpoint" or "max-rounds".
