@@ -221,9 +221,7 @@ func RunBFS(cluster *mapreduce.Cluster, in *graph.Input, reducers int, pathPrefi
 		result.Rounds = round
 		frontier := res.Counter("frontier")
 		result.Visited += frontier
-		if round >= 2 {
-			fs.DeletePrefix(roundPrefix(pathPrefix, round-2))
-		}
+		fs.DeletePrefix(roundPrefix(pathPrefix, round-1))
 		if frontier == 0 {
 			break
 		}

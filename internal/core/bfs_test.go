@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"ffmr/internal/dfs"
 	"ffmr/internal/graph"
 	"ffmr/internal/mapreduce"
 	"ffmr/internal/spill"
@@ -24,7 +25,9 @@ func wheelRoundTask(t *testing.T, n int) []byte {
 			graph.InputEdge{U: 0, V: graph.VertexID(v), Cap: 1},
 			graph.InputEdge{U: graph.VertexID(v), V: graph.VertexID(next), Cap: 1})
 	}
-	cluster := testCluster(3)
+	// Round 2 deletes round 1's files when it returns; the store keeps a
+	// copy.
+	cluster, kept := round0Cluster(roundPrefix("bfs/", 1))
 	res, err := RunBFS(cluster, in, 2, "bfs/")
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +35,13 @@ func wheelRoundTask(t *testing.T, n int) []byte {
 	if res.Rounds != 2 || res.Visited != int64(n) {
 		t.Fatalf("wheel BFS took %d rounds and visited %d, want 2 rounds and all %d", res.Rounds, res.Visited, n)
 	}
-	return oneSplit(t, cluster.FS, roundPrefix("bfs/", 1))
+	fs := dfs.New(dfs.Config{})
+	for name, data := range kept.files {
+		if err := fs.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return oneSplit(t, fs, roundPrefix("bfs/", 1))
 }
 
 // TestBFSRecordPathSteadyStateAllocs runs bfsMapper in the real map task

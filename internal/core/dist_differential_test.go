@@ -72,21 +72,31 @@ func TestDistributedDifferentialAllVariants(t *testing.T) {
 	graphgen.RandomCapacities(in, 5, tc.seed+1)
 	want := oracleValue(t, tc, in)
 
-	h := distHarness(t, distmr.HarnessConfig{Workers: 3, Tracer: trace.New()})
+	tr := trace.New()
+	h := distHarness(t, distmr.HarnessConfig{Workers: 3, Tracer: tr})
 	for _, variant := range allVariants() {
 		variant := variant
 		t.Run(variant.String(), func(t *testing.T) {
-			simRes, err := Run(testCluster(3), in, Options{Variant: variant, DeterministicAccept: true})
+			opts := Options{Variant: variant, DeterministicAccept: true, KeepIntermediate: true}
+			simC := testCluster(3)
+			simRes, err := Run(simC, in, opts)
 			if err != nil {
 				t.Fatalf("simulated run: %v", err)
 			}
 			distC := testCluster(3)
 			distC.Distributed = h.Master
-			distRes, err := Run(distC, in, Options{Variant: variant, DeterministicAccept: true})
+			local := tr.Registry().Counter(distmr.CounterInputReadsLocal).Value()
+			distRes, err := Run(distC, in, opts)
 			if err != nil {
 				t.Fatalf("distributed run: %v", err)
 			}
 			checkBackendParity(t, want, simRes, distRes)
+			// Rounds >= 2 read their inputs where the previous round wrote
+			// them, and every round's files are the simulated engine's.
+			sameFiles(t, simC.FS, distC.FS, "ffmr/")
+			if tr.Registry().Counter(distmr.CounterInputReadsLocal).Value() == local {
+				t.Errorf("no input was read where it was written in %d rounds", distRes.Rounds)
+			}
 		})
 	}
 }

@@ -347,9 +347,14 @@ func (l *ffLoop) run() error {
 			result.MaxGraphBytes = res.OutputBytes
 		}
 
-		if !opts.KeepIntermediate && round >= 2 {
-			fs.DeletePrefix(roundPrefix(prefix, round-2))
-			fs.Delete(deltaName(prefix, round-1))
+		if !opts.KeepIntermediate {
+			// The next round reads only this round's records and the deltas
+			// just written, so this round's inputs go now. A warm restart's
+			// base records are not the run's to delete.
+			if basePrefix != l.warmBase {
+				fs.DeletePrefix(basePrefix)
+			}
+			fs.Delete(cfg.deltasFile)
 		}
 
 		if l.warm {

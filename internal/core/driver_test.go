@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ffmr/internal/dfs"
@@ -431,4 +432,47 @@ func TestRunBFSBaseline(t *testing.T) {
 	if res.Visited != 6 {
 		t.Fatalf("visited = %d, want 6", res.Visited)
 	}
+}
+
+// TestRunLeavesOnlyFinalState: a run without KeepIntermediate deletes
+// each round's inputs — the previous round's records and the deltas file
+// the round consumed — as soon as the round returns, so it ends holding
+// only the final round's part files and its pending-deltas file. MR-BFS
+// ends holding only its final round.
+func TestRunLeavesOnlyFinalState(t *testing.T) {
+	in, err := graphgen.WattsStrogatz(120, 6, 0.1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Source, in.Sink = graphgen.PickEndpoints(in)
+	for _, variant := range []Variant{FF1, FF5} {
+		t.Run(variant.String(), func(t *testing.T) {
+			c := testCluster(3)
+			opts := Options{Variant: variant}
+			res, err := Run(c, in, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rounds < 2 {
+				t.Fatalf("the run took %d rounds; the test needs a round that deletes another", res.Rounds)
+			}
+			final := FinalGraphPrefix(opts, res.Rounds)
+			want := append([]string{PendingDeltasFile(opts, res.Rounds)}, c.FS.List(final)...)
+			if got := c.FS.List(""); !slices.Equal(got, want) || len(want) < 2 {
+				t.Errorf("after %d rounds the DFS holds %q, want the final round's parts and pending deltas %q",
+					res.Rounds, got, want)
+			}
+		})
+	}
+	t.Run("MR-BFS", func(t *testing.T) {
+		c := testCluster(3)
+		res, err := RunBFS(c, in, 4, "bfs/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := c.FS.List(roundPrefix("bfs/", res.Rounds))
+		if got := c.FS.List(""); !slices.Equal(got, want) || len(want) != 4 {
+			t.Errorf("after %d rounds the DFS holds %q, want the final round's 4 parts", res.Rounds, got)
+		}
+	})
 }

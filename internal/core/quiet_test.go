@@ -125,7 +125,6 @@ func quietRound(t *testing.T, base []byte, deltas map[graph.EdgeID]int64) (emitt
 		NewReducer: func() mapreduce.Reducer { return newFFReducer(cfg) },
 		Side:       map[string][]byte{cfg.deltasFile: EncodeDeltas(deltas)},
 		Store:      spill.NewMemRunStore(),
-		ReadFile:   func(string) ([]byte, error) { return base, nil },
 	}
 	maps, mapErr := mapreduce.ExecMap(env, &mapreduce.MapTask{Split: base, Partitions: 1, Prefix: "m/"},
 		mapreduce.NewCounters(), nil)
@@ -133,7 +132,7 @@ func quietRound(t *testing.T, base []byte, deltas map[graph.EdgeID]int64) (emitt
 		return 0, nil, mapErr, nil
 	}
 	res, reduceErr := mapreduce.ExecReduce(env, &mapreduce.ReduceTask{
-		Segments: maps.Out.Parts[0], FanIn: 16, TmpPrefix: "r/", SchimmyBase: "base/",
+		Segments: maps.Out.Parts[0], FanIn: 16, TmpPrefix: "r/", Base: base,
 	}, mapreduce.NewCounters(), nil)
 	if reduceErr != nil {
 		return maps.OutRecs, nil, nil, reduceErr

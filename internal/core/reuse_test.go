@@ -411,14 +411,13 @@ func candidateTask(t *testing.T, groups int, service any) (*mapreduce.TaskEnv, *
 		Side:       map[string][]byte{cfg.deltasFile: EncodeDeltas(nil)},
 		Service:    service,
 		Store:      spill.NewMemRunStore(),
-		ReadFile:   func(string) ([]byte, error) { return base.Bytes(), nil },
 	}
 	maps, err := mapreduce.ExecMap(env, &mapreduce.MapTask{Split: shuffled.Bytes(), Partitions: 1, Prefix: "m/"},
 		mapreduce.NewCounters(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env, &mapreduce.ReduceTask{Segments: maps.Out.Parts[0], FanIn: 16, TmpPrefix: "r/", SchimmyBase: "base/"}
+	return env, &mapreduce.ReduceTask{Segments: maps.Out.Parts[0], FanIn: 16, TmpPrefix: "r/", Base: base.Bytes()}
 }
 
 // TestFFReducerSteadyStateAllocs runs the FF5 reducer, in the real reduce

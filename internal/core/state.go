@@ -6,6 +6,7 @@ import (
 	"ffmr/internal/dfs"
 	"ffmr/internal/graph"
 	"ffmr/internal/mapreduce"
+	"ffmr/internal/spill"
 )
 
 // This file writes vertex records from the host. The FFMR driver writes
@@ -73,13 +74,8 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 		}
 		unsent = make([]uint64, maxDegree)
 	}
-	parts := make(partitions, opts.Reducers)
-	var key, value []byte
-	for u := 0; u < in.NumVertices; u++ {
+	record := func(u int) (graph.VertexValue, bool) {
 		eu := edges[start[u]:start[u+1]]
-		if len(eu) == 0 {
-			continue
-		}
 		val := graph.VertexValue{Eu: eu}
 		if graph.VertexID(u) == in.Source {
 			val.Su = seed
@@ -90,9 +86,27 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 		if feat.sentTracking {
 			val.SentS, val.SentT = unsent[:len(eu)], unsent[:len(eu)]
 		}
-		key = graph.AppendKey(key[:0], graph.VertexID(u))
-		value = graph.AppendValue(value[:0], &val)
-		parts.add(key, value)
+		return val, len(eu) > 0
+	}
+	// The partitions are sized first, so each buffer is allocated once.
+	parts := make(partitions, opts.Reducers)
+	sizes := make([]int, len(parts))
+	var key, value []byte
+	for u := 0; u < in.NumVertices; u++ {
+		if val, ok := record(u); ok {
+			key = graph.AppendKey(key[:0], graph.VertexID(u))
+			sizes[mapreduce.Partition(key, len(parts))] += spill.FrameLen(len(key), graph.ValueSize(&val))
+		}
+	}
+	for p, n := range sizes {
+		parts[p].Grow(n)
+	}
+	for u := 0; u < in.NumVertices; u++ {
+		if val, ok := record(u); ok {
+			key = graph.AppendKey(key[:0], graph.VertexID(u))
+			value = graph.AppendValue(value[:0], &val)
+			parts.add(key, value)
+		}
 	}
 
 	if _, err := parts.write(fs, roundPrefix(opts.PathPrefix, rounds)); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ffmr/internal/dfs"
@@ -77,6 +78,45 @@ func TestWriteEngineStateBytesPinned(t *testing.T) {
 			if got := h.Sum64(); got != tc.want[v] {
 				t.Errorf("%s FF%d: part files hash to %#x, want %#x", tc.name, v, got, tc.want[v])
 			}
+		}
+	}
+}
+
+// TestWriteEngineStateAllocs: round 0 sizes each partition before it
+// writes it, so what WriteEngineState allocates is its output plus the
+// half-edge arrays it builds, within 10 %. Growing the partitions by
+// append instead costs up to twice the output.
+func TestWriteEngineStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	in, err := graphgen.BarabasiAlbert(20000, 4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Source, in.Sink = 0, 19999
+	graphgen.RandomCapacities(in, 20, 11)
+	allocated := func(f func()) int64 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return int64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	half := allocated(func() { graph.HalfEdges(in, nil) })
+	for _, v := range []Variant{FF1, FF5} {
+		opts := Options{Variant: v}.WithDefaults(16)
+		fs := dfs.New(dfs.Config{Nodes: 4, BlockSize: 1 << 20, Replication: 2})
+		total := allocated(func() {
+			if err := WriteEngineState(fs, in, opts, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		out := fs.TotalSize(opts.PathPrefix)
+		if limit := (out + half) * 11 / 10; total > limit {
+			t.Errorf("%s: WriteEngineState allocated %d bytes for %d bytes of output and %d of half-edges; want at most %d",
+				v, total, out, half, limit)
 		}
 	}
 }

@@ -78,6 +78,7 @@ type blockRef struct {
 type fileData struct {
 	blocks []blockRef
 	size   int64
+	tag    any // see SetTag
 }
 
 // Stats is a snapshot of cumulative I/O counters.
@@ -195,7 +196,28 @@ func (fs *FS) WriteFile(name string, data []byte) error {
 // caller must not modify it. A one-block file is returned as the stored
 // block itself (its capacity clipped, so an append copies); a file of
 // several blocks is stitched into a fresh copy.
-func (fs *FS) ReadFile(name string) ([]byte, error) {
+func (fs *FS) ReadFile(name string) ([]byte, error) { return fs.read(name, true) }
+
+// PeekFile is ReadFile without the read charge, for a read whose charge
+// was already taken with ChargeRead.
+func (fs *FS) PeekFile(name string) ([]byte, error) { return fs.read(name, false) }
+
+// ChargeRead charges a whole-file read of name to the read counters
+// without reading it: the bytes are read from a copy outside the file
+// system (a worker's own copy of a partition it wrote), but the read
+// still counts as a DFS read.
+func (fs *FS) ChargeRead(name string) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fd, ok := fs.files[name]
+	if !ok {
+		return fmt.Errorf("dfs: file %q does not exist", name)
+	}
+	fs.stats.BytesRead += fd.size
+	return nil
+}
+
+func (fs *FS) read(name string, charge bool) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fd, ok := fs.files[name]
@@ -207,7 +229,9 @@ func (fs *FS) ReadFile(name string) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dfs: file %q: %w", name, err)
 		}
-		fs.stats.BytesRead += fd.size
+		if charge {
+			fs.stats.BytesRead += fd.size
+		}
 		return data[:len(data):len(data)], nil
 	}
 	out := make([]byte, 0, fd.size)
@@ -218,8 +242,35 @@ func (fs *FS) ReadFile(name string) ([]byte, error) {
 		}
 		out = append(out, data...)
 	}
-	fs.stats.BytesRead += fd.size
+	if charge {
+		fs.stats.BytesRead += fd.size
+	}
 	return out, nil
+}
+
+// SetTag attaches an opaque value to the file's current contents and
+// reports whether the file exists. The tag lives and dies with those
+// contents: rewriting or deleting the file drops it, so a tag can say
+// where else the same bytes live without anyone having to forget it.
+func (fs *FS) SetTag(name string, tag any) bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fd, ok := fs.files[name]
+	if ok {
+		fd.tag = tag
+	}
+	return ok
+}
+
+// Tag returns the value SetTag attached to the file's current contents,
+// or nil.
+func (fs *FS) Tag(name string) any {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	if fd, ok := fs.files[name]; ok {
+		return fd.tag
+	}
+	return nil
 }
 
 // Blocks returns the replica placement of each block of a file, without

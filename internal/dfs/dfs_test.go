@@ -221,6 +221,67 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestPeekAndChargeRead: PeekFile reads without charging and ChargeRead
+// charges without reading, so a peek paired with a charge costs exactly
+// one ReadFile.
+func TestPeekAndChargeRead(t *testing.T) {
+	fs := New(Config{Nodes: 3, BlockSize: 8, Replication: 2})
+	if err := fs.WriteFile("a", []byte("twenty bytes of data")); err != nil {
+		t.Fatal(err)
+	}
+	data, err := fs.PeekFile("a")
+	if err != nil || string(data) != "twenty bytes of data" {
+		t.Fatalf("PeekFile = %q, %v", data, err)
+	}
+	if got := fs.Stats().BytesRead; got != 0 {
+		t.Errorf("PeekFile charged %d bytes, want 0", got)
+	}
+	if err := fs.ChargeRead("a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.Stats().BytesRead; got != 20 {
+		t.Errorf("ChargeRead charged %d bytes, want 20", got)
+	}
+	if err := fs.ChargeRead("missing"); err == nil {
+		t.Error("ChargeRead of a missing file succeeded")
+	}
+	if _, err := fs.PeekFile("missing"); err == nil {
+		t.Error("PeekFile of a missing file succeeded")
+	}
+}
+
+// TestTagDiesWithContents: a tag belongs to the contents it was set on;
+// rewriting or deleting the file drops it.
+func TestTagDiesWithContents(t *testing.T) {
+	fs := New(Config{Nodes: 2, BlockSize: 64})
+	if fs.SetTag("a", 1) {
+		t.Error("SetTag on a missing file reported success")
+	}
+	if err := fs.WriteFile("a", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Tag("a") != nil {
+		t.Errorf("fresh file has tag %v", fs.Tag("a"))
+	}
+	if !fs.SetTag("a", "holder") || fs.Tag("a") != "holder" {
+		t.Fatalf("tag = %v, want holder", fs.Tag("a"))
+	}
+	if err := fs.WriteFile("a", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Tag("a") != nil {
+		t.Errorf("rewritten file kept tag %v", fs.Tag("a"))
+	}
+	fs.SetTag("a", "holder")
+	fs.Delete("a")
+	if err := fs.WriteFile("a", []byte("v3")); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Tag("a") != nil {
+		t.Errorf("file recreated after delete has tag %v", fs.Tag("a"))
+	}
+}
+
 func TestNodeBytesBalance(t *testing.T) {
 	fs := New(Config{Nodes: 4, BlockSize: 10, Replication: 1})
 	if err := fs.WriteFile("f", make([]byte, 400)); err != nil {

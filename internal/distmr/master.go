@@ -48,6 +48,18 @@ const (
 	// one task completion; comparing it against total completions shows
 	// how well the batching amortizes the per-completion RPC tax.
 	CounterCompletionBatches = "distmr completion batches"
+	// CounterInputReadsLocal and CounterInputReadsMaster split the input
+	// reads of winning attempts — a map task's split, a schimmy reduce
+	// task's base partition — by where the bytes came from: a partition
+	// the worker kept from the previous job (TaskDescriptor.Held), or the
+	// master (shipped in the descriptor, or read through Master.ReadFile).
+	// CounterMasterBytes is the payload bytes that crossed master RPCs:
+	// shipped splits, ReadFile replies, reduce outputs on heartbeats and
+	// drain hand-offs. All three are per-job counters in Result.Counters
+	// and are added to the cluster registry when the job ends.
+	CounterInputReadsLocal  = "distmr input reads local"
+	CounterInputReadsMaster = "distmr input reads master"
+	CounterMasterBytes      = "distmr master bytes"
 
 	// Latency histogram names (nanoseconds, DESIGN.md §9). The worker-
 	// side ones are recorded on each worker's private registry and merged
@@ -713,30 +725,34 @@ func (m *Master) expireDead() {
 	m.mu.Unlock()
 }
 
-// pickWorker returns the live worker with the most free slots, or nil.
-// Draining, dead and drained workers are never picked.
-func (m *Master) pickWorker(slots int) *workerHandle {
+// freeWorkers appends to free the live workers with a free slot, most
+// free slots first and by id among equals. Draining, dead and drained
+// workers are never listed.
+func (m *Master) freeWorkers(free []*workerHandle, slots int) []*workerHandle {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var best *workerHandle
-	ids := make([]uint64, 0, len(m.workers))
-	for id := range m.workers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		w := m.workers[id]
-		if w.state != stateLive || w.running >= slots {
-			continue
-		}
-		if best == nil || w.running < best.running {
-			best = w
+	for _, w := range m.workers {
+		if w.state == stateLive && w.running < slots {
+			free = append(free, w)
 		}
 	}
-	if best != nil {
-		best.running++
+	sort.Slice(free, func(i, j int) bool {
+		a, b := free[i], free[j]
+		return a.running < b.running || a.running == b.running && a.id < b.id
+	})
+	return free
+}
+
+// claim takes one of w's slots for a dispatch, unless w has left the
+// live state or filled up since freeWorkers listed it.
+func (m *Master) claim(w *workerHandle, slots int) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if w.state != stateLive || w.running >= slots {
+		return false
 	}
-	return best
+	w.running++
+	return true
 }
 
 func (m *Master) release(w *workerHandle) {
@@ -870,7 +886,7 @@ func (s *masterService) Heartbeat(hb *Heartbeat, reply *HeartbeatReply) error {
 	m.importTelemetry(w, hb, recv)
 	if len(hb.Completions) > 0 {
 		reg.Counter(CounterCompletionBatches).Add(1)
-		// Deliver outside m.mu: the scheduler takes m.mu (pickWorker,
+		// Deliver outside m.mu: the scheduler takes m.mu (claim,
 		// release) while draining events, so holding it here could
 		// deadlock against a full events channel.
 		if jr := m.getSink(); jr != nil {
@@ -946,7 +962,8 @@ func (s *masterService) Retire(r *Retire, _ *Empty) error {
 }
 
 // ReadFile serves a file from the running job's DFS to workers (side
-// files, schimmy base partitions).
+// files, schimmy base partitions, held partitions a worker no longer
+// has). A read the master charged at dispatch is served uncharged.
 func (s *masterService) ReadFile(args *ReadFileArgs, reply *ReadFileReply) error {
 	s.m.mu.Lock()
 	fs := s.m.fs
@@ -954,9 +971,16 @@ func (s *masterService) ReadFile(args *ReadFileArgs, reply *ReadFileReply) error
 	if fs == nil {
 		return fmt.Errorf("distmr: no job is running")
 	}
-	data, err := fs.ReadFile(args.Name)
+	read := fs.ReadFile
+	if args.Charged {
+		read = fs.PeekFile
+	}
+	data, err := read(args.Name)
 	if err != nil {
 		return err
+	}
+	if jr := s.m.getSink(); jr != nil {
+		jr.counters.Add(CounterMasterBytes, int64(len(data)))
 	}
 	reply.Data = data
 	return nil

@@ -38,9 +38,14 @@ type HandoffReply struct {
 }
 
 // ReadFileArgs asks the master for a file from the job's DFS (side
-// files, schimmy base partitions).
+// files, schimmy base partitions, held partitions a worker no longer
+// has).
 type ReadFileArgs struct {
 	Name string
+	// Charged says the master already charged this read to the DFS when
+	// it dispatched the file as a held partition (TaskDescriptor.Held), so
+	// serving it must not charge it again.
+	Charged bool
 }
 
 // ReadFileReply returns the file contents.
@@ -95,6 +100,10 @@ type TaskResult struct {
 	// DurNanos is the attempt's measured execution time, feeding the
 	// cost model exactly as the simulated engine's measured durations do.
 	DurNanos int64
+	// InputLocal says the attempt read its input — the split, or the
+	// schimmy base — from a partition its worker kept, not through the
+	// master.
+	InputLocal bool
 }
 
 // FetchRange is one shuffle segment's stored bytes: the range

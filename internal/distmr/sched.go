@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net/rpc"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"ffmr/internal/dfs"
 	"ffmr/internal/mapreduce"
 	"ffmr/internal/obsv"
 	"ffmr/internal/spill"
@@ -65,7 +67,14 @@ type taskState struct {
 
 	winner  *TaskResult
 	winnerW *workerHandle
+	winnerA int // the winning attempt's wire Assign
 	dur     time.Duration
+
+	// held is where the task's input — a map task's whole-file split, a
+	// schimmy reduce task's base — is also kept: the worker whose reduce
+	// attempt wrote it in the previous job. nil for inputs the host or
+	// another master wrote, and for split pieces of larger files.
+	held *heldPart
 
 	// handoff: the winning output lives in the master's DFS (drain
 	// hand-off or restart rehydration), not on a worker. Reducers fetch
@@ -105,6 +114,7 @@ type jobRun struct {
 	maps    []taskState
 	reduces []taskState
 	queue   []*taskState
+	free    []*workerHandle // next's scratch
 
 	mapsDone    int
 	reducesDone int
@@ -142,6 +152,24 @@ type taskManifest struct {
 	Result  TaskResult
 }
 
+// heldPart is the DFS tag on an output partition the master wrote from a
+// winning reduce attempt: the worker that ran it keeps the same bytes
+// under ref. The tag dies with the file's contents (dfs.FS.SetTag), and
+// a handle belongs to one master, so a tag can only send a task to the
+// worker that kept exactly those bytes; that worker may still have
+// dropped them, and then reads the file through Master.ReadFile.
+type heldPart struct {
+	w   *workerHandle
+	ref PartRef
+}
+
+// heldBy returns the tag a file carries from a winning reduce attempt,
+// or nil.
+func heldBy(fs *dfs.FS, name string) *heldPart {
+	h, _ := fs.Tag(name).(*heldPart)
+	return h
+}
+
 // close ends the job run: every dispatch goroutine still in flight is
 // released, and worker slots held by dispatches whose completions will
 // never be consumed (the job failed with leases still out) are returned
@@ -177,10 +205,18 @@ func (jr *jobRun) run() (*mapreduce.Result, error) {
 	}
 
 	res := &mapreduce.Result{}
+	var held []*heldPart // per split
 	for _, in := range job.Inputs {
 		ss, sz, err := c.PlanSplits(in)
 		if err != nil {
 			return nil, err
+		}
+		var h *heldPart
+		if len(ss) == 1 && int64(len(ss[0].Data)) == sz {
+			h = heldBy(c.FS, in) // a whole-file split can be read where it was written
+		}
+		for range ss {
+			held = append(held, h)
 		}
 		jr.splits = append(jr.splits, ss...)
 		res.InputBytes += sz
@@ -191,11 +227,14 @@ func (jr *jobRun) run() (*mapreduce.Result, error) {
 	jr.segPrefix = statePrefix(job.Name) + "seg/"
 	jr.maps = make([]taskState, len(jr.splits))
 	for i := range jr.maps {
-		jr.maps[i] = taskState{ph: PhaseMap, task: i, node: jr.splits[i].Node, outstanding: map[int]*dispatch{}}
+		jr.maps[i] = taskState{ph: PhaseMap, task: i, node: jr.splits[i].Node, held: held[i], outstanding: map[int]*dispatch{}}
 	}
 	jr.reduces = make([]taskState, job.NumReducers)
 	for p := range jr.reduces {
 		jr.reduces[p] = taskState{ph: PhaseReduce, task: p, node: p % c.Nodes, outstanding: map[int]*dispatch{}}
+		if job.Schimmy {
+			jr.reduces[p].held = heldBy(c.FS, mapreduce.PartName(job.SchimmyBase, p))
+		}
 	}
 	if jr.m.cfg.PersistState {
 		jr.restoreState()
@@ -259,8 +298,12 @@ func (jr *jobRun) run() (*mapreduce.Result, error) {
 		res.AddReduceWinner(&mapreduce.ReduceResult{Fetch: r.Fetch, Inter: r.Inter,
 			MergePasses: r.MergePasses, MaxMergeFanIn: r.MaxMergeFanIn, MaxGroup: r.MaxGroup,
 			Output: r.OutputData, OutRecords: r.OutRecords}, true)
-		if err := c.FS.WriteFile(mapreduce.PartName(job.OutputPrefix, p), r.OutputData); err != nil {
+		name := mapreduce.PartName(job.OutputPrefix, p)
+		if err := c.FS.WriteFile(name, r.OutputData); err != nil {
 			return nil, err
+		}
+		if w := jr.reduces[p].winnerW; w != nil {
+			c.FS.SetTag(name, &heldPart{w: w, ref: PartRef{JobSeq: jr.seq, Task: p, Assign: jr.reduces[p].winnerA, Name: name}})
 		}
 	}
 
@@ -276,8 +319,26 @@ func (jr *jobRun) run() (*mapreduce.Result, error) {
 	for p := range jr.reduces {
 		addAll(jr.reduces[p].winner.Counters)
 	}
+	// Each map task read a split and each schimmy reduce a base; the
+	// winners say where from.
+	for _, tasks := range [][]taskState{jr.maps, jr.reduces} {
+		for i := range tasks {
+			if ts := &tasks[i]; ts.ph == PhaseMap || job.Schimmy {
+				name := CounterInputReadsMaster
+				if ts.winner.InputLocal {
+					name = CounterInputReadsLocal
+				}
+				jr.counters.Add(name, 1)
+			}
+		}
+	}
 	addAll(jr.counters.Snapshot())
 	res.Counters = all
+	reg := jr.tracer.Registry()
+	for _, name := range []string{CounterInputReadsLocal, CounterInputReadsMaster, CounterMasterBytes} {
+		reg.Counter(name).Add(all[name])
+		jobSpan.SetInt(name, all[name])
+	}
 	c.Finish(job, res, start, jobSpan, jr.log, jr.splits, mapDur, reduceDur, reduceFetch)
 	return res, nil
 }
@@ -366,42 +427,63 @@ func (jr *jobRun) slots() int {
 // would silently merge without that map's output.
 func (jr *jobRun) dispatchReady() error {
 	for {
-		var ts *taskState
-		keep := jr.queue[:0]
-		for i, t := range jr.queue {
-			switch {
-			case t.done:
-				t.queued = false
-			case ts == nil && (t.ph == PhaseMap || jr.mapsDone == len(jr.maps)):
-				ts = t
-			default:
-				keep = append(keep, t)
-			}
-			if ts == t {
-				keep = append(keep, jr.queue[i+1:]...)
-				break
-			}
-		}
-		jr.queue = keep
+		ts, w := jr.next()
 		if ts == nil {
-			return nil
+			return nil // nothing eligible, or no capacity; the ticker retries
 		}
-		ts.queued = false
 		if !ts.admitted {
 			if err := jr.admit(ts); err != nil {
+				jr.m.release(w)
 				return err
 			}
 		}
 		if ts.charged >= jr.m.cfg.MaxAssigns {
+			jr.m.release(w)
 			return fmt.Errorf("distmr: %s %s task %d abandoned after %d lost leases: %v",
 				jr.job.Name, ts.ph, ts.task, ts.charged, ts.lastErr)
 		}
-		w := jr.m.pickWorker(jr.slots())
-		if w == nil {
-			jr.enqueue(ts)
-			return nil // no capacity; the ticker retries
-		}
 		jr.launch(ts, w)
+	}
+}
+
+// next takes the next lease off the queue and claims its worker slot.
+// Free workers are scanned, most free slots first, for a queued task
+// whose input they hold; failing that, the first eligible task goes to
+// the freest worker, so no slot idles while a task waits.
+func (jr *jobRun) next() (*taskState, *workerHandle) {
+	eligible := func(t *taskState) bool { return t.ph == PhaseMap || jr.mapsDone == len(jr.maps) }
+	for {
+		jr.queue = slices.DeleteFunc(jr.queue, func(t *taskState) bool {
+			if t.done {
+				t.queued = false
+			}
+			return t.done
+		})
+		first := slices.IndexFunc(jr.queue, eligible)
+		if first < 0 {
+			return nil, nil
+		}
+		jr.free = jr.m.freeWorkers(jr.free[:0], jr.slots())
+		if len(jr.free) == 0 {
+			return nil, nil
+		}
+		at, w := first, jr.free[0]
+	scan:
+		for _, fw := range jr.free {
+			for i, t := range jr.queue {
+				if t.held != nil && t.held.w == fw && eligible(t) {
+					at, w = i, fw
+					break scan
+				}
+			}
+		}
+		if !jr.m.claim(w, jr.slots()) {
+			continue // w died or filled up since it was listed
+		}
+		ts := jr.queue[at]
+		jr.queue = slices.Delete(jr.queue, at, at+1)
+		ts.queued = false
+		return ts, w
 	}
 }
 
@@ -446,7 +528,8 @@ func (jr *jobRun) launch(ts *taskState, w *workerHandle) {
 		jr.tracer.Registry().Histogram(HistQueueWaitNS).ObserveSince(ts.enqueuedAt)
 		ts.enqueuedAt = time.Time{}
 	}
-	desc := jr.descriptor(ts, assign)
+	desc := jr.descriptor(ts, assign, w)
+	jr.counters.Add(CounterMasterBytes, int64(len(desc.Split)))
 	ph, task := ts.ph, ts.task
 	// The dispatch RPC gets its own master-side span and round-trip
 	// histogram entry: against the worker-side task span it shows how
@@ -499,6 +582,7 @@ func (jr *jobRun) acceptCompletions(w *workerHandle, comps []Completion) {
 		default:
 			continue
 		}
+		jr.counters.Add(CounterMasterBytes, int64(len(c.Result.OutputData)))
 		ev := event{ph: c.Phase, task: c.Task, assign: c.Assign - jr.assignBase, w: w, res: c.Result}
 		select {
 		case jr.events <- ev:
@@ -508,10 +592,12 @@ func (jr *jobRun) acceptCompletions(w *workerHandle, comps []Completion) {
 	}
 }
 
-// descriptor builds the wire task for one assignment. Everything a worker
-// needs travels here, so any worker can execute any assignment of the
-// task and produce the identical result.
-func (jr *jobRun) descriptor(ts *taskState, assign int) *TaskDescriptor {
+// descriptor builds the wire task for one assignment to w. Everything a
+// worker needs travels here, so any worker can execute any assignment of
+// the task and produce the identical result. An input w holds is named
+// instead of shipped; the base read it replaces is charged to the DFS
+// here (a split's was charged when the job planned its splits).
+func (jr *jobRun) descriptor(ts *taskState, assign int, w *workerHandle) *TaskDescriptor {
 	c, job := jr.c, jr.job
 	d := &TaskDescriptor{
 		JobSeq:          jr.seq,
@@ -534,12 +620,21 @@ func (jr *jobRun) descriptor(ts *taskState, assign int) *TaskDescriptor {
 		SideFiles:       job.SideFiles,
 		Ctx:             jr.ctx(),
 	}
+	local := ts.held != nil && ts.held.w == w
+	if local {
+		d.Held = ts.held.ref
+	}
 	if ts.ph == PhaseMap {
-		d.Split = jr.splits[ts.task].Data
+		if !local {
+			d.Split = jr.splits[ts.task].Data
+		}
 	} else {
 		d.Schimmy = job.Schimmy
 		d.SchimmyBase = job.SchimmyBase
 		d.Sources = jr.sources(ts.task)
+		if local {
+			c.FS.ChargeRead(d.Held.Name) //nolint:errcheck // the base exists: the job tagged it at start
+		}
 	}
 	return d
 }
@@ -687,6 +782,7 @@ func (jr *jobRun) handle(ev event) error {
 	ts.parked = false
 	ts.winner = res
 	ts.winnerW = ev.w
+	ts.winnerA = jr.assignBase + ev.assign
 	ts.dur = time.Duration(res.DurNanos)
 	jr.busyNS += res.DurNanos
 	if jr.m.cfg.PersistState {
@@ -813,7 +909,7 @@ func (jr *jobRun) invalidateMap(mt int, from uint64) {
 }
 
 // checkDrains completes graceful drains while the job runs. A draining
-// worker receives no new leases (pickWorker skips it); once its running
+// worker receives no new leases (freeWorkers skips it); once its running
 // attempts have finished, every winning map output still living on it is
 // handed off through DFS, its tasks' sources are repointed, and only
 // then is the worker deregistered. Completed map tasks are never
@@ -880,6 +976,7 @@ func (jr *jobRun) handoffWorker(w *workerHandle) bool {
 			return false
 		}
 		for i, name := range names {
+			jr.counters.Add(CounterMasterBytes, int64(len(reply.Data[i])))
 			if err := jr.c.FS.WriteFile(jr.segPrefix+name, reply.Data[i]); err != nil {
 				jr.decide(slog.LevelWarn, "drain hand-off DFS write failed; will retry", "worker", w.id, "err", err)
 				return false
@@ -915,6 +1012,7 @@ func (jr *jobRun) persistWinner(ts *taskState) {
 				return
 			}
 			for i, name := range names {
+				jr.counters.Add(CounterMasterBytes, int64(len(reply.Data[i])))
 				if err := jr.c.FS.WriteFile(jr.segPrefix+name, reply.Data[i]); err != nil {
 					jr.log.Warn("winner persist: DFS write failed", "task", ts.task, "err", err)
 					return

@@ -110,8 +110,8 @@ type TaskDescriptor struct {
 	DiskFailureRate float64
 	CrashRate       float64
 
-	// Reduce-side schimmy configuration; the worker fetches the base
-	// partition from the master's file system.
+	// Reduce-side schimmy configuration; the worker reads the base
+	// partition from the master's file system unless Held names it.
 	Schimmy     bool
 	SchimmyBase string
 
@@ -126,10 +126,28 @@ type TaskDescriptor struct {
 	// span) when shipped back. Zero when the master runs untraced.
 	Ctx trace.Context
 
+	// Held, when its Name is set, is the task's input — a map task's split
+	// or a reduce task's schimmy base — as a partition the receiving worker
+	// kept from a reduce attempt of the previous job; Split is then empty.
+	Held PartRef
+
 	// Split is the map task's input data (record-aligned, master-planned).
 	// It ends the frame: the codec writes it from the DFS's buffer, and a
 	// decoded descriptor aliases the frame it arrived in.
 	Split []byte
+}
+
+// PartRef names a reduce output partition by the attempt that wrote it.
+// A worker keeps the output of every reduce attempt it completes under
+// that identity; the master tags the DFS file it writes from a winning
+// attempt with it, and hands it back to the same worker as the next
+// job's input. Name is the DFS file, which the worker reads through
+// Master.ReadFile if it no longer holds the partition.
+type PartRef struct {
+	JobSeq uint64
+	Task   int
+	Assign int
+	Name   string
 }
 
 // Heartbeat is the periodic worker-to-master liveness report, carried in
@@ -202,12 +220,15 @@ type Completion struct {
 // range of it. Version 6 moved every bulk field to the end of its frame
 // (the split, the reduce output, the completions that carry it), decoded
 // heartbeat completions in place, replaced the per-segment fetch with
-// FetchSegments and dropped shuffle prefetch.
+// FetchSegments and dropped shuffle prefetch. Version 7 added
+// TaskDescriptor.Held, ReadFileArgs.Charged and TaskResult.InputLocal:
+// a map split or schimmy base the receiving worker kept from the
+// previous job is named, not shipped.
 // Decoders accept exactly the current version: master and workers ship
 // from one binary (DESIGN.md §13's compatibility rule), so a mismatch
 // means a stale process, and refusing it beats silently misreading
 // frames.
-const wireVersion = 6
+const wireVersion = 7
 
 // inline is the put of an AppendBulk (rpcutil.Bulky) that wants the
 // whole frame in b.
@@ -295,6 +316,10 @@ func (d *TaskDescriptor) AppendBulk(b []byte, put func(b, p []byte) []byte) []by
 		b = appendSource(b, &d.Sources[i])
 	}
 	b = appendCtx(b, &d.Ctx)
+	b = binary.AppendUvarint(b, d.Held.JobSeq)
+	b = binary.AppendVarint(b, int64(d.Held.Task))
+	b = binary.AppendVarint(b, int64(d.Held.Assign))
+	b = rpcutil.AppendString(b, d.Held.Name)
 	return putBytes(b, d.Split, put)
 }
 
@@ -431,6 +456,10 @@ func (t *TaskDescriptor) decode(data []byte) error {
 		}
 	}
 	readCtx(d, &t.Ctx)
+	t.Held.JobSeq = d.Uvarint("held job seq")
+	t.Held.Task = d.Int("held task")
+	t.Held.Assign = d.Int("held assign")
+	t.Held.Name = d.Str("held name")
 	t.Split = d.Bytes("split")
 	return d.Finish("task descriptor")
 }
@@ -438,7 +467,7 @@ func (t *TaskDescriptor) decode(data []byte) error {
 // JoinRequest is a worker's membership announcement, the argument of
 // Master.Register. A mid-job join makes the worker immediately eligible
 // for pending leases and shuffle serving: the scheduler's next dispatch
-// pass sees it in pickWorker.
+// pass sees it in freeWorkers.
 type JoinRequest struct {
 	// Addr is the worker's own listen address, which the master dials
 	// back for task dispatch and which reducers dial for shuffle fetches.
@@ -617,6 +646,7 @@ func appendResultBody(b []byte, r *TaskResult, put func(b, p []byte) []byte) []b
 		}
 	}
 	b = binary.AppendVarint(b, r.DurNanos)
+	b = rpcutil.AppendBool(b, r.InputLocal)
 	return putBytes(b, r.OutputData, put)
 }
 
@@ -683,6 +713,7 @@ func readResultBody(d *rpcutil.Reader, r *TaskResult) {
 		}
 	}
 	r.DurNanos = d.Varint("dur nanos")
+	r.InputLocal = d.Bool("input local")
 	if p := d.Bytes("output data"); len(p) > 0 {
 		r.OutputData = p
 	}

@@ -42,6 +42,7 @@ func sampleResult() *TaskResult {
 		LostFrom:      []uint64{9, 12},
 		Counters:      map[string]int64{"mapped": 100, "groups": 40, "a-paths": 7},
 		DurNanos:      123456789,
+		InputLocal:    true,
 	}
 }
 
@@ -115,7 +116,7 @@ func TestOwnedFramesAreAliasedPooledOnesAreNot(t *testing.T) {
 		&Retire{Worker: 9, Reason: "scale-down"},
 		&HandoffDescriptor{JobSeq: 42, Segments: []string{"j42/map-0/a0/spill-0"}},
 		&HandoffReply{Data: [][]byte{[]byte("spill object")}},
-		&ReadFileArgs{Name: "ff/round-2/part-00001"},
+		&ReadFileArgs{Name: "ff/round-2/part-00001", Charged: true},
 		&FetchSegmentsArgs{Ranges: []FetchRange{{"j1/map-0/a0/spill-0", 811, 300}}},
 		&CleanJobArgs{JobSeq: 42},
 		&Empty{},

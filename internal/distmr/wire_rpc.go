@@ -140,12 +140,15 @@ func (r *HandoffReply) DecodeFrame(b []byte) error {
 }
 
 // AppendFrame implements rpcutil.Message.
-func (a *ReadFileArgs) AppendFrame(b []byte) []byte { return rpcutil.AppendString(b, a.Name) }
+func (a *ReadFileArgs) AppendFrame(b []byte) []byte {
+	return rpcutil.AppendBool(rpcutil.AppendString(b, a.Name), a.Charged)
+}
 
 // DecodeFrame implements rpcutil.Message.
 func (a *ReadFileArgs) DecodeFrame(b []byte) error {
 	d := rpcutil.NewReader(b)
 	a.Name = d.Str("read file name")
+	a.Charged = d.Bool("read file charged")
 	return d.Finish("read file args")
 }
 

@@ -47,9 +47,28 @@ func sampleTask() *TaskDescriptor {
 	}
 }
 
+// heldTask is a map descriptor whose split the receiving worker kept:
+// it names the partition and carries no split bytes.
+func heldTask() *TaskDescriptor {
+	return &TaskDescriptor{
+		JobSeq:      43,
+		JobName:     "ff-round-4",
+		Kind:        "core/ff-round",
+		Params:      []byte{0x05},
+		Phase:       PhaseMap,
+		Task:        5,
+		Assign:      1,
+		Round:       4,
+		NumReducers: 6,
+		Held:        PartRef{JobSeq: 42, Task: 5, Assign: 2, Name: "ff/round-3/part-00005"},
+		Split:       []byte{}, // a decoded empty split aliases its frame
+	}
+}
+
 func TestTaskDescriptorRoundTrip(t *testing.T) {
 	cases := []*TaskDescriptor{
 		sampleTask(),
+		heldTask(),
 		{JobName: "minimal", Kind: "k", Phase: PhaseMap}, // all-zero optionals
 	}
 	for _, want := range cases {
@@ -203,6 +222,7 @@ func TestMembershipMessagesRejectCorruptInput(t *testing.T) {
 // encoder's own form is a fixed point.)
 func FuzzDecodeTask(f *testing.F) {
 	f.Add(EncodeTask(sampleTask()))
+	f.Add(EncodeTask(heldTask()))
 	f.Add(EncodeTask(&TaskDescriptor{JobName: "m", Kind: "k"}))
 	f.Add([]byte{wireVersion})
 	f.Add([]byte{})

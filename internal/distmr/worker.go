@@ -2,12 +2,12 @@ package distmr
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/rpc"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -107,6 +107,15 @@ type Worker struct {
 	conns   map[net.Conn]struct{}
 	jobs    map[uint64]*workerJob
 	fetchCl map[string]*rpc.Client
+
+	// heldMu guards the partitions kept from completed reduce attempts
+	// (keepOutput): heldJobs lists the jobs that have some in the store,
+	// and heldFloor is the oldest job whose partitions may stay. Keeping
+	// a job's outputs through the next job only is what bounds the store:
+	// the next job is the one that reads them.
+	heldMu    sync.Mutex
+	heldJobs  map[uint64]struct{}
+	heldFloor uint64
 }
 
 // workerJob is a worker's cached per-job state: the reconstructed code
@@ -152,6 +161,7 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		conns:    make(map[net.Conn]struct{}),
 		jobs:     make(map[uint64]*workerJob),
 		fetchCl:  make(map[string]*rpc.Client),
+		heldJobs: make(map[uint64]struct{}),
 	}
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Worker", &workerService{w: w}); err != nil {
@@ -221,6 +231,13 @@ func (w *Worker) register(prev uint64) error {
 		w.mu.Lock()
 		w.jobs = make(map[uint64]*workerJob)
 		w.mu.Unlock()
+		// Kept partitions are tagged with the dead generation's handles,
+		// which the new master never dispatches against.
+		w.heldMu.Lock()
+		w.cfg.Store.RemovePrefix(heldRoot)
+		clear(w.heldJobs)
+		w.heldFloor = 0
+		w.heldMu.Unlock()
 	}
 	if hb := time.Duration(reply.HeartbeatInterval); hb > 0 {
 		w.hbEvery = hb
@@ -606,12 +623,13 @@ func (w *Worker) heartbeatLoop() {
 // idempotent, so call failures are retried with a fresh dial for a
 // bounded window: the cached master client goes stale when the master
 // restarts, and waiting for the heartbeat loop's redial would burn the
-// running attempt on what is only a transient gap.
-func (w *Worker) readMasterFile(name string) ([]byte, error) {
+// running attempt on what is only a transient gap. charged says the
+// master already charged the read (ReadFileArgs.Charged).
+func (w *Worker) readMasterFile(name string, charged bool) ([]byte, error) {
 	var lastErr error
 	for deadline := time.Now().Add(3 * time.Second); ; {
 		var reply ReadFileReply
-		err := w.master.Load().Call("Master.ReadFile", &ReadFileArgs{Name: name}, &reply)
+		err := w.master.Load().Call("Master.ReadFile", &ReadFileArgs{Name: name, Charged: charged}, &reply)
 		if err == nil {
 			return reply.Data, nil
 		}
@@ -633,6 +651,79 @@ func (w *Worker) readMasterFile(name string) ([]byte, error) {
 		}
 	}
 	return nil, fmt.Errorf("distmr: read %q from master: %w", name, lastErr)
+}
+
+// heldRoot prefixes the store objects that hold kept partitions.
+const heldRoot = "held/"
+
+func heldJobPrefix(job uint64) string { return heldRoot + strconv.FormatUint(job, 10) + "/" }
+
+// heldName is where the partition ref names is kept.
+func heldName(ref *PartRef) string {
+	return heldJobPrefix(ref.JobSeq) + strconv.Itoa(ref.Task) + "/" + strconv.Itoa(ref.Assign)
+}
+
+// keepOutput keeps a completed reduce attempt's output partition in the
+// store under the attempt's identity, for the next job to read here
+// instead of through the master. The store adopts the buffer the
+// completion also carries; neither writes to it. A job already pruned
+// keeps nothing.
+func (w *Worker) keepOutput(desc *TaskDescriptor, out []byte) {
+	w.heldMu.Lock()
+	defer w.heldMu.Unlock()
+	if desc.JobSeq < w.heldFloor {
+		return
+	}
+	ref := PartRef{JobSeq: desc.JobSeq, Task: desc.Task, Assign: desc.Assign}
+	if err := w.cfg.Store.Put(heldName(&ref), out); err != nil {
+		w.log.Warn("keeping reduce output failed", "job", desc.JobName, "task", desc.Task, "err", err)
+		return
+	}
+	w.heldJobs[desc.JobSeq] = struct{}{}
+}
+
+// pruneHeld drops the partitions of every job before floor.
+func (w *Worker) pruneHeld(floor uint64) {
+	w.heldMu.Lock()
+	defer w.heldMu.Unlock()
+	if floor <= w.heldFloor {
+		return
+	}
+	w.heldFloor = floor
+	for job := range w.heldJobs {
+		if job < floor {
+			w.cfg.Store.RemovePrefix(heldJobPrefix(job))
+			delete(w.heldJobs, job)
+		}
+	}
+}
+
+// HeldJobs lists, in no particular order, the jobs whose reduce outputs
+// the worker still keeps for the next job to read.
+func (w *Worker) HeldJobs() []uint64 {
+	w.heldMu.Lock()
+	defer w.heldMu.Unlock()
+	jobs := make([]uint64, 0, len(w.heldJobs))
+	for job := range w.heldJobs {
+		jobs = append(jobs, job)
+	}
+	return jobs
+}
+
+// readInput returns a task input the master sent as a reference: the kept
+// partition when the worker still has it, the DFS file through the master
+// otherwise (its read charge was taken at dispatch). consume drops the
+// kept copy once read. local reports which it was.
+func (w *Worker) readInput(ref *PartRef, consume bool) (data []byte, local bool, err error) {
+	name := heldName(ref)
+	if data, err := spill.ReadObject(w.cfg.Store, name); err == nil {
+		if consume {
+			w.cfg.Store.Remove(name) //nolint:errcheck // the bytes read stay valid either way
+		}
+		return data, true, nil
+	}
+	data, err = w.readMasterFile(ref.Name, true)
+	return data, false, err
 }
 
 // jobState returns the cached per-job code and side files, building them
@@ -658,7 +749,7 @@ func (w *Worker) jobState(desc *TaskDescriptor) (*workerJob, error) {
 		}
 		side := make(map[string][]byte, len(desc.SideFiles))
 		for _, name := range desc.SideFiles {
-			data, err := w.readMasterFile(name)
+			data, err := w.readMasterFile(name, false)
 			if err != nil {
 				if code.Close != nil {
 					code.Close() //nolint:errcheck // factory teardown on error
@@ -679,7 +770,6 @@ func (w *Worker) jobState(desc *TaskDescriptor) (*workerJob, error) {
 			Service:     code.Service,
 			Store:       w.cfg.Store,
 			Tracer:      w.tracer,
-			ReadFile:    w.readMasterFile,
 		}
 	})
 	return j, j.err
@@ -746,6 +836,8 @@ func (s *workerService) StartTask(desc *TaskDescriptor, _ *Empty) error {
 			"task", desc.Task, "attempt", desc.Attempt)
 		return fmt.Errorf("distmr: worker %d crashed", w.id.Load())
 	}
+	// This job reads what the previous one left; anything older is dead.
+	w.pruneHeld(desc.JobSeq - 1)
 	w.running.Add(1)
 	go w.execute(desc)
 	return nil
@@ -827,13 +919,20 @@ func (s *workerService) Watch(_ *Empty, _ *Empty) error {
 // writing its sorted segments to the local store, where they wait to be
 // served to reducers.
 func (w *Worker) runMap(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *TaskResult {
+	split, local := desc.Split, false
+	if desc.Held.Name != "" {
+		var err error
+		if split, local, err = w.readInput(&desc.Held, false); err != nil {
+			return &TaskResult{Err: fmt.Sprintf("mapreduce: %s map task %d: split: %v", desc.JobName, desc.Task, err)}
+		}
+	}
 	counters := mapreduce.NewCounters()
 	r, err := mapreduce.ExecMap(j.env, &mapreduce.MapTask{
 		Task:            desc.Task,
 		Attempt:         desc.Attempt,
 		Exec:            desc.Assign,
 		Node:            desc.Node,
-		Split:           desc.Split,
+		Split:           split,
 		Partitions:      desc.NumReducers,
 		Budget:          desc.MemoryBudget,
 		Compress:        desc.Compress,
@@ -845,13 +944,14 @@ func (w *Worker) runMap(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *Tas
 		return &TaskResult{Err: err.Error()}
 	}
 	return &TaskResult{
-		InRecs:   r.InRecs,
-		OutRecs:  r.OutRecs,
-		RawBytes: r.Out.RawBytes,
-		MaxFrame: r.Out.MaxFrame,
-		Spills:   r.Out.Spills,
-		Parts:    r.Out.Parts,
-		Counters: counters.Snapshot(),
+		InRecs:     r.InRecs,
+		OutRecs:    r.OutRecs,
+		RawBytes:   r.Out.RawBytes,
+		MaxFrame:   r.Out.MaxFrame,
+		Spills:     r.Out.Spills,
+		Parts:      r.Out.Parts,
+		Counters:   counters.Snapshot(),
+		InputLocal: local,
 	}
 }
 
@@ -876,7 +976,22 @@ func (w *Worker) runReduce(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *
 		return res
 	}
 
-	t := &mapreduce.ReduceTask{
+	var base []byte
+	var err error
+	switch {
+	case desc.Held.Name != "":
+		// A reduce is its base's last reader in the job: the map task over
+		// the same partition read it first.
+		base, res.InputLocal, err = w.readInput(&desc.Held, true)
+	case desc.Schimmy:
+		base, err = w.readMasterFile(mapreduce.PartName(desc.SchimmyBase, desc.Task), false)
+	}
+	if err != nil {
+		res.Err = fmt.Sprintf("mapreduce: %s reduce task %d: schimmy base: %v", desc.JobName, desc.Task, err)
+		return res
+	}
+	counters := mapreduce.NewCounters()
+	r, err := mapreduce.ExecReduce(j.env, &mapreduce.ReduceTask{
 		Task:      desc.Task,
 		Exec:      desc.Assign,
 		Node:      desc.Node,
@@ -884,16 +999,13 @@ func (w *Worker) runReduce(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *
 		FanIn:     desc.MergeFanIn,
 		Compress:  desc.Compress,
 		TmpPrefix: prefix,
-	}
-	if desc.Schimmy {
-		t.SchimmyBase = desc.SchimmyBase
-	}
-	counters := mapreduce.NewCounters()
-	r, err := mapreduce.ExecReduce(j.env, t, counters, sp)
+		Base:      base,
+	}, counters, sp)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
+	w.keepOutput(desc, r.Output)
 	res.Fetch, res.Inter = r.Fetch, r.Inter
 	res.MergePasses, res.MaxMergeFanIn = r.MergePasses, r.MaxMergeFanIn
 	res.MaxGroup = r.MaxGroup
@@ -1012,7 +1124,7 @@ func (w *Worker) fetch(c *fetchCall, name string, ctx trace.Context) error {
 	}()
 	var data []byte
 	if c.file != "" {
-		d, err := w.readMasterFile(c.file)
+		d, err := w.readMasterFile(c.file, false)
 		if err != nil {
 			return err
 		}
@@ -1077,13 +1189,7 @@ func (s *workerService) Handoff(desc *HandoffDescriptor, reply *HandoffReply) er
 	}
 	reply.Data = make([][]byte, 0, len(desc.Segments))
 	for _, name := range desc.Segments {
-		obj, err := w.cfg.Store.Open(name)
-		if err != nil {
-			return err
-		}
-		data := make([]byte, obj.Size())
-		_, err = io.ReadFull(obj, data)
-		obj.Close()
+		data, err := spill.ReadObject(w.cfg.Store, name)
 		if err != nil {
 			return err
 		}
@@ -1112,6 +1218,8 @@ func (s *workerService) CleanJob(args *CleanJobArgs, _ *Empty) error {
 		}
 	}
 	w.cfg.Store.RemovePrefix(fmt.Sprintf("j%05d/", args.JobSeq))
+	// The job's own outputs stay for the next job; older ones go.
+	w.pruneHeld(args.JobSeq)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // The binary codec gives vertex records a compact, deterministic wire
@@ -98,6 +99,43 @@ func AppendValue(dst []byte, v *VertexValue) []byte {
 	}
 	return dst
 }
+
+// ValueSize returns the length of v's wire encoding, len(AppendValue(nil,
+// v)), without encoding it, so a writer can size its buffer first.
+func ValueSize(v *VertexValue) int {
+	n := pathsSize(v.Su) + pathsSize(v.Tu) + uvarintSize(uint64(len(v.Eu)))
+	for i := range v.Eu {
+		e := &v.Eu[i]
+		n += uvarintSize(uint64(e.To)) + uvarintSize(uint64(e.ID)) +
+			varintSize(e.Flow) + varintSize(e.Cap) + varintSize(e.RevCap) + 1
+	}
+	for _, sent := range [][]uint64{v.SentS, v.SentT} {
+		n += uvarintSize(uint64(len(sent)))
+		for _, s := range sent {
+			n += uvarintSize(s)
+		}
+	}
+	return n
+}
+
+func pathsSize(ps []ExcessPath) int {
+	n := uvarintSize(uint64(len(ps)))
+	for i := range ps {
+		n += uvarintSize(uint64(len(ps[i].Edges)))
+		for j := range ps[i].Edges {
+			pe := &ps[i].Edges[j]
+			n += uvarintSize(uint64(pe.ID)) + uvarintSize(uint64(pe.From)) + uvarintSize(uint64(pe.To)) +
+				varintSize(pe.Flow) + varintSize(pe.Cap) + 1
+		}
+	}
+	return n
+}
+
+// uvarintSize is the length of binary.AppendUvarint's encoding of x.
+func uvarintSize(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintSize is the length of binary.AppendVarint's encoding of x.
+func varintSize(x int64) int { return uvarintSize(uint64(x<<1) ^ uint64(x>>63)) }
 
 // EncodeValue returns the wire encoding of v in a fresh buffer.
 func EncodeValue(v *VertexValue) []byte {

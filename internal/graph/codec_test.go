@@ -371,3 +371,29 @@ func TestQuickValueRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuickValueSize: ValueSize is the length AppendValue writes, for
+// generated values and for every varint width at the fields' extremes.
+func TestQuickValueSize(t *testing.T) {
+	f := func(seed int64) bool {
+		v := randomValue(rand.New(rand.NewSource(seed)))
+		return ValueSize(v) == len(EncodeValue(v))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []int64{0, 1, -1, 63, -64, 64, -65, 1 << 20, math.MaxInt64, math.MinInt64} {
+		id := EdgeID(uint32(x))
+		pe := PathEdge{ID: id, From: VertexID(uint32(x)), To: VertexID(uint32(x >> 7)), Flow: x, Cap: -x, Fwd: x > 0}
+		v := &VertexValue{
+			Su:    []ExcessPath{{Edges: []PathEdge{pe, pe}}},
+			Tu:    []ExcessPath{{}, {Edges: []PathEdge{pe}}},
+			Eu:    []Edge{{To: VertexID(uint32(x)), ID: id, Flow: x, Cap: x, RevCap: -x, Fwd: true}},
+			SentS: []uint64{uint64(x)},
+			SentT: []uint64{uint64(x) >> 1, 0},
+		}
+		if got, want := ValueSize(v), len(EncodeValue(v)); got != want {
+			t.Errorf("x=%d: ValueSize = %d, AppendValue wrote %d", x, got, want)
+		}
+	}
+}

@@ -111,6 +111,9 @@ func FuzzVertexCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if v, err := graph.DecodeValue(data); err == nil {
 			enc := graph.EncodeValue(v)
+			if n := graph.ValueSize(v); n != len(enc) {
+				t.Fatalf("ValueSize = %d, the encoding is %d bytes\ninput: %x", n, len(enc), data)
+			}
 			v2, err := graph.DecodeValue(enc)
 			if err != nil {
 				t.Fatalf("re-decode of canonical value encoding failed: %v\ninput: %x", err, data)

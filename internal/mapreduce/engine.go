@@ -193,7 +193,6 @@ func (c *Cluster) Run(job *Job) (*Result, error) {
 		Service:     job.Service,
 		Store:       store,
 		Tracer:      c.Tracer,
-		ReadFile:    c.FS.ReadFile,
 	}
 
 	mapSpan := c.Tracer.Start(trace.CatPhase, "map", jobSpan)
@@ -469,25 +468,26 @@ func (c *Cluster) runReducePhase(job *Job, env *TaskEnv, mapOut []*MapResult,
 	} else {
 		res.ReduceTasks = n
 	}
-	schimmyBase := ""
-	if job.Schimmy {
-		schimmyBase = job.SchimmyBase
-	}
-
 	outs := make([]*ReduceResult, n)
 	taskDur, err := c.runTasks(n, func(p int) error {
 		node := p % c.Nodes
 		segs := segments(p)
 		body := func(att *trace.Span, attempt int) (err error) {
+			var base []byte
+			if job.Schimmy {
+				if base, err = c.FS.ReadFile(PartName(job.SchimmyBase, p)); err != nil {
+					return fmt.Errorf("mapreduce: %s reduce task %d: schimmy base: %w", job.Name, p, err)
+				}
+			}
 			outs[p], err = ExecReduce(env, &ReduceTask{
-				Task:        p,
-				Exec:        attempt,
-				Node:        node,
-				Segments:    segs,
-				FanIn:       c.MergeFanIn,
-				Compress:    c.SpillCompress,
-				TmpPrefix:   fmt.Sprintf("reduce-%05d/a%d/", p, attempt),
-				SchimmyBase: schimmyBase,
+				Task:      p,
+				Exec:      attempt,
+				Node:      node,
+				Segments:  segs,
+				FanIn:     c.MergeFanIn,
+				Compress:  c.SpillCompress,
+				TmpPrefix: fmt.Sprintf("reduce-%05d/a%d/", p, attempt),
+				Base:      base,
 			}, counters, att)
 			if err != nil {
 				return err

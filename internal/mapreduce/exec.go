@@ -36,8 +36,6 @@ type TaskEnv struct {
 	Store spill.RunStore
 	// Tracer records spill and merge spans under the attempt's span.
 	Tracer *trace.Tracer
-	// ReadFile reads a DFS file (a reduce task's schimmy base partition).
-	ReadFile func(name string) ([]byte, error)
 }
 
 // context builds the TaskContext handed to one attempt's mapper or reducer.
@@ -182,9 +180,10 @@ type ReduceTask struct {
 	FanIn     int
 	Compress  bool
 	TmpPrefix string
-	// SchimmyBase, when set, is the output prefix whose partition Task is
-	// merge-joined with the shuffled stream.
-	SchimmyBase string
+	// Base is a schimmy job's base partition: the previous round's output
+	// partition Task, merge-joined with the shuffled stream. The caller
+	// reads it, as it reads a map task's Split; nil without one.
+	Base []byte
 }
 
 // ReduceResult is what a successful reduce attempt produced.
@@ -227,17 +226,8 @@ func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span
 	// it does not copy), so a reservation larger than what is written costs
 	// capacity, not a second copy.
 	var out dfs.RecordWriter
-	base := dfs.NewRecordReader(nil)
-	if t.SchimmyBase != "" {
-		data, err := env.ReadFile(PartName(t.SchimmyBase, t.Task))
-		if err != nil {
-			return fail(fmt.Errorf("schimmy base: %w", err))
-		}
-		base = dfs.NewRecordReader(data)
-		out.Grow(len(data) + int(res.Fetch))
-	} else {
-		out.Grow(int(res.Fetch))
-	}
+	base := dfs.NewRecordReader(t.Base)
+	out.Grow(len(t.Base) + int(res.Fetch))
 
 	it, mstats, err := spill.Merge(env.Store, t.Segments, spill.MergeOptions{
 		FanIn:     t.FanIn,

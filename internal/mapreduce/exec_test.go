@@ -530,16 +530,10 @@ func TestExecReduceRejectsDisorderedBase(t *testing.T) {
 				base.Append([]byte(k), []byte("1"))
 			}
 			env := sumEnv(spill.NewMemRunStore())
-			env.ReadFile = func(name string) ([]byte, error) {
-				if name != PartName("prev/", 1) {
-					return nil, fmt.Errorf("unexpected base %q", name)
-				}
-				return base.Bytes(), nil
-			}
 			maps := execMaps(t, env, execSplits(1, 20), 0, false, NewCounters())
 			_, err := ExecReduce(env, &ReduceTask{
 				Task: 1, Segments: partSegments(maps, 1), FanIn: 2,
-				TmpPrefix: "reduce-00001/a0/", SchimmyBase: "prev/",
+				TmpPrefix: "reduce-00001/a0/", Base: base.Bytes(),
 			}, NewCounters(), nil)
 			if err == nil || !strings.HasPrefix(err.Error(), "mapreduce: exec reduce task 1: schimmy base: ") ||
 				!strings.Contains(err.Error(), "not in increasing order") {

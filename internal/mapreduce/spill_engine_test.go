@@ -300,7 +300,7 @@ func TestWriteMapOnlyOutputModelsTaskTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := spill.NewMemRunStore()
-	env := &TaskEnv{Job: job.Name, NewMapper: job.NewMapper, Store: store, ReadFile: c.FS.ReadFile}
+	env := &TaskEnv{Job: job.Name, NewMapper: job.NewMapper, Store: store}
 	mapOut, _, err := c.runMapPhase(job, env, splits, NewCounters(), &Result{}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -31,8 +31,12 @@ func AppendFrame(buf, key, value []byte) []byte {
 
 // FramedSize is the exact encoded size of one record's frame — the
 // number of bytes AppendFrame would add.
-func FramedSize(key, value []byte) int64 {
-	return int64(UvarintLen(uint64(len(key))) + len(key) + UvarintLen(uint64(len(value))) + len(value))
+func FramedSize(key, value []byte) int64 { return int64(FrameLen(len(key), len(value))) }
+
+// FrameLen is FramedSize for a record of the given key and value
+// lengths.
+func FrameLen(keyLen, valueLen int) int {
+	return UvarintLen(uint64(keyLen)) + keyLen + UvarintLen(uint64(valueLen)) + valueLen
 }
 
 // UvarintLen is the encoded size of x as a uvarint.

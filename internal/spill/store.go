@@ -83,6 +83,20 @@ func ReadRange(store RunStore, name string, off, n int64) ([]byte, error) {
 		return nil, err
 	}
 	defer obj.Close()
+	return readRange(obj, name, off, n)
+}
+
+// ReadObject returns a stored object whole, as ReadRange returns a range.
+func ReadObject(store RunStore, name string) ([]byte, error) {
+	obj, err := store.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer obj.Close()
+	return readRange(obj, name, 0, obj.Size())
+}
+
+func readRange(obj Object, name string, off, n int64) ([]byte, error) {
 	if m, ok := obj.(*memObject); ok {
 		return m.data[off : off+n : off+n], nil
 	}
