@@ -104,10 +104,7 @@ func BenchmarkFig6Variants(b *testing.B) {
 			var rounds, shuffle int64
 			for i := 0; i < b.N; i++ {
 				cluster := newBenchCluster(sc)
-				// Pinned acceptance order: first-come-first-served moves the
-				// round count by one between runs, which hides the variants'
-				// own differences.
-				res, err := core.Run(cluster, in, core.Options{Variant: variant, DeterministicAccept: true})
+				res, err := core.Run(cluster, in, core.Options{Variant: variant})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -16,11 +16,12 @@ import (
 	"ffmr/internal/graph"
 )
 
-// Accumulator greedily accepts non-conflicting excess/augmenting paths on
-// a first-come-first-served basis (paper Section III-C). It tracks, per
-// edge, the net canonical-orientation flow it has tentatively granted to
-// accepted paths this round, and rejects any path whose acceptance would
-// violate a capacity constraint given those grants.
+// Accumulator greedily accepts non-conflicting excess/augmenting paths in
+// the order they are offered (paper Section III-C); aug_proc offers a
+// round's candidates in canonical byte order. It tracks, per edge, the
+// net canonical-orientation flow it has tentatively granted to accepted
+// paths this round, and rejects any path whose acceptance would violate a
+// capacity constraint given those grants.
 //
 // The zero value is an empty accumulator ready for use. An accumulator
 // keeps its grant table and Feasible's scratch across Reset, so one that

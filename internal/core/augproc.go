@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net"
 	"net/rpc"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -21,43 +20,41 @@ import (
 
 // Metric names the aug_proc server registers on a tracer's registry.
 const (
-	// MetricAugQueueDepth is the queue-depth gauge; its high-water mark
-	// is the paper's MaxQ.
-	MetricAugQueueDepth = "augproc queue depth"
-	// MetricAugAcceptNS accumulates nanoseconds the consumer spent
-	// deciding acceptance, and MetricAugBatches the number of submitted
-	// batches — their ratio is the mean accept latency per batch.
-	MetricAugAcceptNS = "augproc accept ns"
-	MetricAugBatches  = "augproc batches"
-	// HistAugAcceptNS is the per-batch accept-latency histogram: the
-	// distribution behind the MetricAugAcceptNS/MetricAugBatches mean.
+	// MetricAugBatches counts the batches held for a round-end decision.
+	MetricAugBatches = "augproc batches"
+	// HistAugAcceptNS observes, once per round, how long EndRound took to
+	// decide the round: the distribution behind MetricAugDrainWaitNS.
 	HistAugAcceptNS = "augproc accept latency ns"
-	// MetricAugDrainWaitNS accumulates the nanoseconds EndRound waited for
-	// the queue to empty after the round's last reducer had returned — the
-	// paper's "aug_proc finishes immediately after the last reducer",
-	// measured. A wait that is not small against the round is aug_proc
-	// holding the round up.
+	// MetricAugDrainWaitNS accumulates the nanoseconds EndRound spent
+	// deciding the round after its last reducer had returned (dedupe, sort,
+	// decode and accept): the time aug_proc holds the round. The paper's
+	// aug_proc "finishes immediately after the last reducer"; this is how
+	// far from immediately.
 	MetricAugDrainWaitNS = "augproc drain wait ns"
 )
 
 // This file implements aug_proc, the FF2 "stateful extension for MR"
 // (paper Section IV-A): an external process, reachable from every reducer
-// over a persistent connection, that accepts candidate augmenting paths
-// as they are found. It is the acceptance service of every variant: FF1,
+// over a persistent connection, that collects candidate augmenting paths
+// as they are found and accepts them at the round's end. It is the acceptance service of every variant: FF1,
 // whose sink reducer decides acceptance itself, publishes the outcome
 // here (Publish) instead of submitting candidates. A reduce task collects
 // the candidates of all its groups and submits them as one batch when it
 // closes (ffReducer.Close), or sooner once it holds submitFlushBytes of
-// them; a batch is enqueued and acknowledged immediately, and a small pool
-// of consumer goroutines drains the queue, so acceptance overlaps the
-// reduce phase task by task. The paper implements the connection with Java
-// RMI; this implementation uses net/rpc over TCP, which has the same
-// persistent-connection, request/response semantics.
+// them; a batch is held and acknowledged immediately. EndRound, once the
+// round's last reducer has returned, keeps one complete execution per
+// reduce task and accepts the surviving candidates in their encoded byte
+// order, so the accepted set does not depend on which reducer finished
+// first. The paper accepts in arrival order, overlapping acceptance with
+// the reduce phase; the canonical order gives that overlap up, and
+// AugProcStats.DrainWait measures what it costs. The paper implements the
+// connection with Java RMI; this implementation uses net/rpc over TCP,
+// which has the same persistent-connection, request/response semantics.
 
 // SubmitArgs is the RPC request: a batch of wire-encoded candidate
 // augmenting paths (graph.EncodePath format), tagged with the reduce
-// task and execution id that produced it so deterministic mode can
-// discard batches duplicated by task re-execution.
+// task and execution id that produced it so EndRound can discard batches
+// duplicated by task re-execution.
 type SubmitArgs struct {
 	// Round fences the submission to the round that produced it. A
 	// reduce attempt orphaned by a master restart (its generation died,
@@ -71,7 +68,7 @@ type SubmitArgs struct {
 }
 
 // SubmitReply is the (empty) RPC acknowledgement; Submit returns as soon
-// as the batch is enqueued.
+// as the batch is held.
 type SubmitReply struct{}
 
 // AppendFrame implements rpcutil.Message.
@@ -87,9 +84,8 @@ func (a *SubmitArgs) AppendFrame(b []byte) []byte {
 }
 
 // DecodeFrame implements rpcutil.Message. The paths outlive the codec's
-// pooled frame (they wait in the queue, and in deterministic mode until
-// EndRound), so the frame is copied once and every path is a slice of
-// that copy.
+// pooled frame (they wait until EndRound), so the frame is copied once
+// and every path is a slice of that copy.
 func (a *SubmitArgs) DecodeFrame(b []byte) error {
 	d := rpcutil.NewReader(bytes.Clone(b))
 	a.Round = int(d.Varint("submit round"))
@@ -161,22 +157,22 @@ type AugProcStats struct {
 	Accepted int64
 	// TotalDelta is the flow added by accepted paths this round.
 	TotalDelta int64
-	// MaxQueue is the maximum processing-queue length observed (MaxQ).
+	// MaxQueue counts the paths held for the round-end decision (MaxQ),
+	// re-executions' copies included.
 	MaxQueue int64
 	// DecodeErrors counts malformed submissions (always 0 in practice).
 	DecodeErrors int64
-	// DrainWait is how long EndRound waited for the queue to empty (see
-	// MetricAugDrainWaitNS). Like MaxQueue it depends on scheduling.
+	// DrainWait is how long EndRound took to decide the round (see
+	// MetricAugDrainWaitNS). It is the only timing here.
 	DrainWait time.Duration
 }
 
-// augBatch is one submission: what waits in the processing queue and, in
-// deterministic mode, in pending until EndRound. Batches stay apart per
-// (task, exec) so EndRound can keep exactly one complete execution per
-// reduce task: a task re-executed after a failure or a worker death
-// submits its candidates again, and counting both
-// copies would skew Submitted/Accepted relative to the simulated
-// engine's single-execution accounting.
+// augBatch is one submission, held in pending until EndRound. Batches
+// stay apart per (task, exec) so EndRound can keep exactly one complete
+// execution per reduce task: a task re-executed after a failure or a
+// worker death submits its candidates again, and counting both copies
+// would skew Submitted/Accepted relative to the simulated engine's
+// single-execution accounting.
 type augBatch struct {
 	task  int
 	exec  int
@@ -188,19 +184,11 @@ type augBatch struct {
 // when the computation finishes.
 type AugProcServer struct {
 	listener net.Listener
-	queue    chan augBatch
-	done     chan struct{}
-
-	queued atomic.Int64 // paths currently enqueued
-	maxQ   atomic.Int64
-	round  atomic.Int64 // current round; stale submissions are dropped
-	stale  atomic.Int64 // paths dropped for a round mismatch (cumulative)
+	stale    atomic.Int64 // paths dropped for a round mismatch (cumulative)
 
 	// Trace instrumentation, installed by SetTracer (atomic pointers so
-	// RPC goroutines and the consumer need no extra locking; the nil
-	// defaults are valid no-op handles).
-	qGauge      atomic.Pointer[trace.Gauge]
-	acceptNS    atomic.Pointer[trace.Counter]
+	// RPC goroutines need no extra locking; the nil defaults are valid
+	// no-op handles).
 	batches     atomic.Pointer[trace.Counter]
 	acceptHist  atomic.Pointer[trace.Histogram]
 	drainWaitNS atomic.Pointer[trace.Counter]
@@ -209,58 +197,28 @@ type AugProcServer struct {
 	// (atomic for the same reason as the trace handles).
 	log atomic.Pointer[slog.Logger]
 
-	// drainMu/drainCond/inFlight form the drain barrier: Submit counts a
-	// batch in before enqueueing it, a consumer counts it out after
-	// deciding it, and drain waits for the count to reach zero. With
-	// multiple consumers a flush token through the queue would only
-	// prove one consumer passed it; the counter proves every batch
-	// enqueued before the barrier has been fully decided.
-	drainMu   sync.Mutex
-	drainCond *sync.Cond
-	inFlight  int
-
 	mu      sync.Mutex
+	round   int // current round; stale submissions are dropped
 	acc     Accumulator
 	stats   AugProcStats
 	serving bool
 	// scratch is the one path every candidate is decoded into on its way
 	// to the accumulator, which keeps nothing of it.
 	scratch graph.ExcessPath
-
-	// Deterministic mode (SetDeterministic): candidates are collected
-	// here during the round and accepted in canonical byte order at
-	// EndRound, instead of first-come-first-served as they arrive.
-	deterministic bool
-	pending       []augBatch
+	// pending holds the round's submissions for EndRound, and held counts
+	// their paths.
+	pending []augBatch
+	held    int64
 }
 
-// SetDeterministic toggles deterministic acceptance. The default (off)
-// is the paper's policy: the consumer accepts candidates in arrival
-// order, overlapping acceptance with the reduce phase — but arrival
-// order across concurrently running reducers depends on scheduling, so
-// when candidates conflict, which one wins varies run to run (the max
-// flow is unaffected; per-round A-Paths are). With deterministic mode
-// on, candidates are buffered during the round and accepted in sorted
-// encoded-path order at EndRound, making every per-round counter except
-// the timing-dependent MaxQueue reproducible. Queue accounting is
-// unchanged, so MaxQ measurements remain meaningful in both modes.
-func (s *AugProcServer) SetDeterministic(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.deterministic = on
-}
-
-// SetTracer installs trace instrumentation: a queue-depth gauge (whose
-// high-water mark is the paper's MaxQ) and accept-latency counters on
-// the tracer's registry. Passing a nil tracer leaves the server
-// uninstrumented.
+// SetTracer installs trace instrumentation: the batch count, the per-round
+// decision time and its histogram on the tracer's registry. Passing a nil
+// tracer leaves the server uninstrumented.
 func (s *AugProcServer) SetTracer(t *trace.Tracer) {
 	reg := t.Registry()
 	if reg == nil {
 		return
 	}
-	s.qGauge.Store(reg.Gauge(MetricAugQueueDepth))
-	s.acceptNS.Store(reg.Counter(MetricAugAcceptNS))
 	s.batches.Store(reg.Counter(MetricAugBatches))
 	s.acceptHist.Store(reg.Histogram(HistAugAcceptNS))
 	s.drainWaitNS.Store(reg.Counter(MetricAugDrainWaitNS))
@@ -284,44 +242,36 @@ func (s *AugProcServer) logger() *slog.Logger {
 // the wire.
 type augProcService struct{ s *AugProcServer }
 
-// Submit enqueues a batch of candidate augmenting paths and returns
-// immediately (paper: "inserts them to a processing queue and returns
-// immediately to avoid delaying the reducer").
+// Submit holds a batch of candidate augmenting paths for the round-end
+// decision and returns immediately (paper: "inserts them to a processing
+// queue and returns immediately to avoid delaying the reducer").
 func (svc *augProcService) Submit(args *SubmitArgs, _ *SubmitReply) error {
 	s := svc.s
-	if args.Round != int(s.round.Load()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if args.Round != s.round {
 		// Stale execution from an earlier round (see SubmitArgs.Round):
 		// acknowledge and drop. The submitter's result is not going to be
 		// used either way.
 		s.stale.Add(int64(len(args.Paths)))
 		return nil
 	}
-	n := int64(len(args.Paths))
-	q := s.queued.Add(n)
-	for {
-		m := s.maxQ.Load()
-		if q <= m || s.maxQ.CompareAndSwap(m, q) {
-			break
-		}
-	}
-	s.qGauge.Load().Set(q)
-	s.drainMu.Lock()
-	s.inFlight++
-	s.drainMu.Unlock()
-	s.queue <- augBatch{task: args.Task, exec: args.Exec, paths: args.Paths}
+	s.pending = append(s.pending, augBatch{task: args.Task, exec: args.Exec, paths: args.Paths})
+	s.held += int64(len(args.Paths))
+	s.batches.Load().Add(1)
 	return nil
 }
 
 // Publish installs the FF1 sink reducer's outcome as the round's result.
-// It bypasses the queue (there is nothing left to decide, and FF1's MaxQ
-// stays 0) and replaces rather than accumulates: exactly one reduce
-// group, the sink vertex's, ever publishes, so a second call is a
-// retried or reassigned attempt of it carrying the same outcome.
+// It holds nothing (there is nothing left to decide, and FF1's MaxQ stays
+// 0) and replaces rather than accumulates: exactly one reduce group, the
+// sink vertex's, ever publishes, so a second call is a retried or
+// reassigned attempt of it carrying the same outcome.
 func (svc *augProcService) Publish(args *PublishArgs, _ *SubmitReply) error {
 	s := svc.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if args.Round != int(s.round.Load()) {
+	if args.Round != s.round {
 		// Orphaned in an earlier round (see SubmitArgs.Round): its table
 		// describes an older residual graph. Acknowledge and drop.
 		s.stale.Add(args.Stats.Submitted)
@@ -338,19 +288,11 @@ func NewAugProcServer() (*AugProcServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: aug_proc listen: %w", err)
 	}
-	s := &AugProcServer{
-		listener: ln,
-		queue:    make(chan augBatch, 4096),
-		done:     make(chan struct{}),
-	}
-	s.drainCond = sync.NewCond(&s.drainMu)
+	s := &AugProcServer{listener: ln}
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("AugProc", &augProcService{s: s}); err != nil {
 		ln.Close()
 		return nil, fmt.Errorf("core: aug_proc register: %w", err)
-	}
-	for i := 0; i < augConsumers(); i++ {
-		go s.consume()
 	}
 	go func() {
 		for {
@@ -367,53 +309,6 @@ func NewAugProcServer() (*AugProcServer, error) {
 
 // Addr returns the server's listen address for clients to dial.
 func (s *AugProcServer) Addr() string { return s.listener.Addr().String() }
-
-// augConsumers sizes the consumer pool. More than a few goroutines buys
-// nothing: a batch is decided, decode included, under the accumulator lock.
-func augConsumers() int {
-	if n := runtime.GOMAXPROCS(0); n < 4 {
-		return n
-	}
-	return 4
-}
-
-// consume is one accumulator worker: it takes batches off the processing
-// queue and decides each under s.mu, first come first served, or in
-// deterministic mode sets it aside for EndRound. Which conflicting
-// candidate wins in arrival order varies run to run (it is
-// scheduling-dependent, with one consumer as with several); deterministic
-// mode is what fixes it.
-func (s *AugProcServer) consume() {
-	for {
-		select {
-		case b := <-s.queue:
-			t0 := time.Now()
-			s.mu.Lock()
-			// Mode flips mid-round are unsupported (SetDeterministic is
-			// pre-round configuration), so checking under the same lock
-			// the EndRound flush takes is sufficient.
-			if s.deterministic {
-				s.pending = append(s.pending, b)
-			} else {
-				s.acceptLocked(b.paths)
-			}
-			s.mu.Unlock()
-			dt := time.Since(t0).Nanoseconds()
-			s.acceptNS.Load().Add(dt)
-			s.acceptHist.Load().Observe(dt)
-			s.batches.Load().Add(1)
-			s.qGauge.Load().Set(s.queued.Add(-int64(len(b.paths))))
-			s.drainMu.Lock()
-			s.inFlight--
-			if s.inFlight == 0 {
-				s.drainCond.Broadcast()
-			}
-			s.drainMu.Unlock()
-		case <-s.done:
-			return
-		}
-	}
-}
 
 // acceptLocked decodes wire-encoded candidates and runs them through the
 // accumulator, updating round stats. Callers hold s.mu.
@@ -434,43 +329,31 @@ func (s *AugProcServer) acceptLocked(paths [][]byte) {
 
 // BeginRound resets per-round state before a MapReduce round starts.
 // The round number fences submissions: only batches tagged with it are
-// accepted until the next BeginRound.
+// held until the next BeginRound.
 func (s *AugProcServer) BeginRound(round int) {
-	s.round.Store(int64(round))
-	s.drain()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.round = round
 	s.acc.Reset()
 	s.stats = AugProcStats{}
-	s.pending = nil
-	s.maxQ.Store(0)
+	s.pending, s.held = nil, 0
 }
 
-// drain blocks until every batch enqueued so far has been decided.
-func (s *AugProcServer) drain() {
-	s.drainMu.Lock()
-	for s.inFlight > 0 {
-		s.drainCond.Wait()
-	}
-	s.drainMu.Unlock()
-}
-
-// EndRound waits for the queue to drain ("aug_proc finishes immediately
-// after the last reducer") and returns the round's statistics and the
+// EndRound decides the round once its last reducer has returned: it keeps
+// one complete execution per reduce task, accepts the surviving candidates
+// in canonical byte order, and returns the round's statistics and the
 // accepted flow deltas for the next round's AugmentedEdges side file.
 func (s *AugProcServer) EndRound() (AugProcStats, map[graph.EdgeID]int64) {
-	t0 := time.Now()
-	s.drain()
-	wait := time.Since(t0)
-	s.drainWaitNS.Load().Add(wait.Nanoseconds())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.deterministic {
-		s.acceptLocked(dedupePending(s.pending))
-		s.pending = nil
-	}
+	t0 := time.Now()
+	s.acceptLocked(dedupePending(s.pending))
+	s.pending = nil
+	wait := time.Since(t0)
+	s.drainWaitNS.Load().Add(wait.Nanoseconds())
+	s.acceptHist.Load().Observe(wait.Nanoseconds())
 	st := s.stats
-	st.MaxQueue = s.maxQ.Load()
+	st.MaxQueue = s.held
 	st.DrainWait = wait
 	s.logger().Debug("aug_proc round",
 		"submitted", st.Submitted, "accepted", st.Accepted,
@@ -517,7 +400,6 @@ func (s *AugProcServer) Close() error {
 		return nil
 	}
 	s.serving = false
-	close(s.done)
 	return s.listener.Close()
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ffmr/internal/graph"
+	"ffmr/internal/graphgen"
 	"ffmr/internal/mapreduce"
 	"ffmr/internal/trace"
 )
@@ -143,8 +144,8 @@ func TestAugProcConcurrentClients(t *testing.T) {
 	if len(deltas) != clients*perClient {
 		t.Fatalf("deltas = %d entries", len(deltas))
 	}
-	if st.MaxQueue < 1 {
-		t.Errorf("max queue = %d, want >= 1", st.MaxQueue)
+	if st.MaxQueue != clients*perClient {
+		t.Errorf("max queue = %d, want %d (every path held)", st.MaxQueue, clients*perClient)
 	}
 }
 
@@ -167,9 +168,9 @@ func TestAugProcEmptySubmit(t *testing.T) {
 
 // TestAugProcPublishIsRoundFenced pins the FF1 acceptance path: the sink
 // reducer's Publish replaces (a retried attempt must not double-count),
-// never touches the queue, and — the hole the FF1 collector server had —
-// a publish orphaned in an earlier round is acknowledged, counted as
-// stale and otherwise ignored.
+// holds nothing for the round-end decision, and — the hole the FF1
+// collector server had — a publish orphaned in an earlier round is
+// acknowledged, counted as stale and otherwise ignored.
 func TestAugProcPublishIsRoundFenced(t *testing.T) {
 	s := newTestAugProc(t)
 	c, err := DialAugProc(s.Addr())
@@ -196,7 +197,7 @@ func TestAugProcPublishIsRoundFenced(t *testing.T) {
 	st, deltas := s.EndRound()
 	st.DrainWait = 0 // measured, not published
 	if st != wantStats {
-		t.Errorf("stats = %+v, want %+v (MaxQueue 0: Publish bypasses the queue)", st, wantStats)
+		t.Errorf("stats = %+v, want %+v (MaxQueue 0: Publish holds nothing)", st, wantStats)
 	}
 	if !reflect.DeepEqual(deltas, want) {
 		t.Errorf("deltas = %v, want %v", deltas, want)
@@ -232,8 +233,7 @@ func TestOneBatchPerReduceTask(t *testing.T) {
 	}
 	const reducers = 12
 	tr := trace.New()
-	res, err := Run(testCluster(3), in, Options{Variant: FF5, Reducers: reducers, DeterministicAccept: true, Tracer: tr,
-		Termination: TerminationQuiescent})
+	res, err := Run(testCluster(3), in, Options{Variant: FF5, Reducers: reducers, Tracer: tr, Termination: TerminationQuiescent})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +283,8 @@ func (d *dyingReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, va
 // TestEarlyFlushSurvivesReexecution: a task holding more than
 // submitFlushBytes of candidates sends them in several batches under its
 // one (task, exec), so an execution that dies has already submitted a
-// prefix; with the re-execution's complete sequence beside it, deterministic
-// mode must keep exactly the complete one.
+// prefix; with the re-execution's complete sequence beside it, the
+// round-end dedup must keep exactly the complete one.
 func TestEarlyFlushSurvivesReexecution(t *testing.T) {
 	const groups = 24000 // at some 30 bytes a candidate, at least two full batches and a rest
 	sink := &recordingSink{}
@@ -352,10 +352,10 @@ func TestEarlyFlushSurvivesReexecution(t *testing.T) {
 }
 
 // TestAugProcBatchSteadyStateAllocs: what a batch costs the server — the
-// frame decode, the queue, the decision — does not grow with the number of
-// paths in it. It measures whole rounds of sixteen 1 000-path batches, one
-// per reduce task, so the round's own few objects (the dedup's output, the
-// AugmentedEdges table) are in the count too.
+// frame decode, holding it, the round-end decision — does not grow with
+// the number of paths in it. It measures whole rounds of sixteen 1 000-path
+// batches, one per reduce task, so the round's own few objects (the
+// dedup's output, the AugmentedEdges table) are in the count too.
 func TestAugProcBatchSteadyStateAllocs(t *testing.T) {
 	const tasks, paths = 16, 1000
 	args := SubmitArgs{Round: 1, Exec: 3}
@@ -372,31 +372,195 @@ func TestAugProcBatchSteadyStateAllocs(t *testing.T) {
 		args.Task = task
 		frames[task] = args.AppendFrame(nil)
 	}
-	for _, deterministic := range []bool{false, true} {
-		s := newTestAugProc(t)
-		s.SetDeterministic(deterministic)
-		svc := &augProcService{s: s}
-		round := func() {
-			s.BeginRound(1)
-			for _, frame := range frames {
-				var in SubmitArgs
-				if err := in.DecodeFrame(frame); err != nil {
-					t.Fatal(err)
-				}
-				if err := svc.Submit(&in, nil); err != nil {
-					t.Fatal(err)
-				}
+	s := newTestAugProc(t)
+	svc := &augProcService{s: s}
+	round := func() {
+		s.BeginRound(1)
+		for _, frame := range frames {
+			var in SubmitArgs
+			if err := in.DecodeFrame(frame); err != nil {
+				t.Fatal(err)
 			}
-			if st, _ := s.EndRound(); st.Submitted != tasks*paths || st.Accepted != 10 {
-				t.Fatalf("deterministic=%v: %d submitted, %d accepted, want %d and 10",
-					deterministic, st.Submitted, st.Accepted, tasks*paths)
+			if err := svc.Submit(&in, nil); err != nil {
+				t.Fatal(err)
 			}
 		}
-		perPath := testing.AllocsPerRun(20, round) / (tasks * paths)
-		t.Logf("aug_proc, deterministic=%v: %.4f allocs per path in %d-path batches", deterministic, perPath, paths)
-		if perPath >= 0.01 {
-			t.Errorf("aug_proc, deterministic=%v: %.4f allocs per path once warm, want under 0.01 (nothing per path)",
-				deterministic, perPath)
+		if st, _ := s.EndRound(); st.Submitted != tasks*paths || st.Accepted != 10 {
+			t.Fatalf("%d submitted, %d accepted, want %d and 10", st.Submitted, st.Accepted, tasks*paths)
 		}
+	}
+	perPath := testing.AllocsPerRun(20, round) / (tasks * paths)
+	t.Logf("aug_proc: %.4f allocs per path in %d-path batches", perPath, paths)
+	if perPath >= 0.01 {
+		t.Errorf("aug_proc: %.4f allocs per path once warm, want under 0.01 (nothing per path)", perPath)
+	}
+}
+
+// orderBatch is one Submit call of TestAugProcOrderIndependent.
+type orderBatch struct {
+	task, exec int
+	paths      []graph.ExcessPath
+}
+
+// TestAugProcOrderIndependent: the round's outcome does not depend on the
+// order its batches arrive in. The round holds two tasks whose candidates
+// conflict on a unit-capacity edge, and a task whose first execution died
+// after an early flush beside its complete re-execution. Two fixed orders,
+// each submitted sequentially on one connection and concurrently from one
+// client per execution, must yield the same stats and deltas.
+func TestAugProcOrderIndependent(t *testing.T) {
+	hop := func(id graph.EdgeID, from, to graph.VertexID) graph.PathEdge {
+		return graph.PathEdge{ID: id, From: from, To: to, Cap: 1, Fwd: true}
+	}
+	path := func(edges ...graph.PathEdge) graph.ExcessPath { return graph.ExcessPath{Edges: edges} }
+	// Tasks 0 and 1 both want edge 7; whichever wins also carries its own
+	// first hop, so the winner shows in the deltas.
+	t0 := path(hop(1, 0, 2), hop(7, 2, 9))
+	t1 := path(hop(2, 0, 3), hop(7, 3, 9))
+	// Task 2 holds three candidates, two of them over edge 8. Its first
+	// execution flushed the first two and died; its second sent all three.
+	// Both copies counted would count edge 8's loser twice.
+	a, b, c := path(hop(3, 0, 4), hop(8, 4, 9)), path(hop(4, 0, 5), hop(8, 5, 9)), path(hop(5, 0, 6), hop(6, 6, 9))
+	batches := []orderBatch{
+		{task: 0, exec: 0, paths: []graph.ExcessPath{t0}},
+		{task: 1, exec: 0, paths: []graph.ExcessPath{t1}},
+		{task: 2, exec: 0, paths: []graph.ExcessPath{a, b}},
+		{task: 2, exec: 1, paths: []graph.ExcessPath{a, b}},
+		{task: 2, exec: 1, paths: []graph.ExcessPath{c}},
+	}
+	orders := map[string][]int{
+		"forward": {0, 1, 2, 3, 4},
+		"reverse": {3, 4, 1, 2, 0},
+	}
+
+	s := newTestAugProc(t)
+	type outcome struct {
+		st     AugProcStats
+		deltas map[graph.EdgeID]int64
+	}
+	runRound := func(submit func(order []int) error, order []int) outcome {
+		s.BeginRound(1)
+		if err := submit(order); err != nil {
+			t.Fatal(err)
+		}
+		st, deltas := s.EndRound()
+		st.DrainWait = 0
+		return outcome{st, deltas}
+	}
+	sequential := func(order []int) error {
+		c, err := DialAugProc(s.Addr())
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		for _, i := range order {
+			b := batches[i]
+			if err := c.Submit(1, b.task, b.exec, b.paths); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// concurrent gives each execution its own client, which sends that
+	// execution's batches in the order's sequence.
+	concurrent := func(order []int) error {
+		perExec := map[[2]int][]int{}
+		for _, i := range order {
+			key := [2]int{batches[i].task, batches[i].exec}
+			perExec[key] = append(perExec[key], i)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, len(perExec))
+		for _, idx := range perExec {
+			wg.Add(1)
+			go func(idx []int) {
+				defer wg.Done()
+				errs <- sequential(idx)
+			}(idx)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	var first *outcome
+	var firstName string
+	for _, name := range []string{"forward", "reverse"} {
+		for mode, submit := range map[string]func([]int) error{"sequential": sequential, "concurrent": concurrent} {
+			got := runRound(submit, orders[name])
+			label := name + "/" + mode
+			if first == nil {
+				first, firstName = &got, label
+				continue
+			}
+			if got.st != first.st || !reflect.DeepEqual(got.deltas, first.deltas) {
+				t.Errorf("%s: stats %+v deltas %v; %s: stats %+v deltas %v",
+					label, got.st, got.deltas, firstName, first.st, first.deltas)
+			}
+		}
+	}
+	// One of each conflicting pair wins, and task 2 counts once.
+	want := AugProcStats{Submitted: 5, Accepted: 3, TotalDelta: 3, MaxQueue: 7}
+	if first.st != want {
+		t.Errorf("stats = %+v, want %+v", first.st, want)
+	}
+}
+
+// TestDrainWaitIsTheDecision: the round span's aug_drain_wait_us is the
+// time EndRound spent deciding, so every round that held a candidate shows
+// one, and the rounds add up to the registry counter.
+func TestDrainWaitIsTheDecision(t *testing.T) {
+	in, err := graphgen.BarabasiAlbert(1000, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Source, in.Sink = graphgen.PickEndpoints(in)
+	tr := trace.New()
+	res, err := Run(testCluster(3), in, Options{Variant: FF5, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	events, err := trace.ParseChromeTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sumUS, rounds, submitting int64
+	for i := range events {
+		e := &events[i]
+		wait, ok := e.Int(trace.AttrAugDrainWaitUS)
+		if e.Cat != trace.CatRound || !ok {
+			continue
+		}
+		rounds++
+		sumUS += wait
+		submitted, _ := e.Int(trace.AttrSubmitted)
+		t.Logf("%s: %d candidates, drain wait %d µs", e.Name, submitted, wait)
+		if submitted > 0 {
+			submitting++
+			if wait <= 0 {
+				t.Errorf("%s held %d candidates but shows no drain wait", e.Name, submitted)
+			}
+		}
+	}
+	if rounds != int64(res.Rounds) || submitting == 0 {
+		t.Fatalf("%d round spans carry a drain wait, %d of them with candidates, over %d rounds",
+			rounds, submitting, res.Rounds)
+	}
+	// Each round's span truncates its wait to whole microseconds.
+	ns := tr.Registry().Counter(MetricAugDrainWaitNS).Value()
+	if ns < sumUS*1000 || ns >= (sumUS+rounds)*1000 {
+		t.Errorf("registry drain wait %d ns, round spans sum to %d µs over %d rounds", ns, sumUS, rounds)
+	}
+	if n := tr.Registry().HistogramSnapshot()[HistAugAcceptNS].Count; n != rounds {
+		t.Errorf("accept histogram observed %d rounds, want %d", n, rounds)
 	}
 }

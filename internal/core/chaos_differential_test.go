@@ -49,7 +49,7 @@ func chaosRun(t *testing.T, in *graph.Input, variant Variant, sched chaos.Schedu
 
 	distC := testCluster(3)
 	distC.Distributed = sup
-	res, err := Run(distC, in, Options{Variant: variant, DeterministicAccept: true})
+	res, err := Run(distC, in, Options{Variant: variant})
 	applied := <-runnerDone
 	if err != nil {
 		t.Fatalf("distributed run under chaos: %v\napplied events:\n  %v", err, applied)
@@ -78,7 +78,7 @@ func TestChaosSeededDifferentialParity(t *testing.T) {
 	variants := allVariants()
 	simRes := make(map[Variant]*Result, len(variants))
 	for _, v := range variants {
-		res, err := Run(testCluster(3), in, Options{Variant: v, DeterministicAccept: true})
+		res, err := Run(testCluster(3), in, Options{Variant: v})
 		if err != nil {
 			t.Fatalf("simulated %s run: %v", v, err)
 		}
@@ -127,7 +127,7 @@ func TestChaosMasterRestartRecovery(t *testing.T) {
 	graphgen.RandomCapacities(in, 5, tc.seed+1)
 	want := oracleValue(t, tc, in)
 
-	simRes, err := Run(testCluster(3), in, Options{Variant: FF2, DeterministicAccept: true})
+	simRes, err := Run(testCluster(3), in, Options{Variant: FF2})
 	if err != nil {
 		t.Fatalf("simulated run: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestChaosMasterRestartRecovery(t *testing.T) {
 
 	distC := testCluster(3)
 	distC.Distributed = sup
-	distRes, err := Run(distC, in, Options{Variant: FF2, DeterministicAccept: true})
+	distRes, err := Run(distC, in, Options{Variant: FF2})
 	applied := <-runnerDone
 	if err != nil {
 		t.Fatalf("distributed run across master restarts: %v\napplied events:\n  %v", err, applied)

@@ -19,8 +19,7 @@ import (
 // variant (and MR-BFS) runs once on the simulated engine and once on the
 // distmr backend — real TCP workers, network shuffle, task leases — and
 // the two runs must agree on the max-flow value and on every per-round
-// Table I counter. DeterministicAccept pins aug_proc's acceptance order
-// for the same reason as in the spill harness.
+// Table I counter.
 
 // distHarness boots an in-process master/worker cluster and closes it
 // when the test finishes.
@@ -77,7 +76,7 @@ func TestDistributedDifferentialAllVariants(t *testing.T) {
 	for _, variant := range allVariants() {
 		variant := variant
 		t.Run(variant.String(), func(t *testing.T) {
-			opts := Options{Variant: variant, DeterministicAccept: true, KeepIntermediate: true}
+			opts := Options{Variant: variant, KeepIntermediate: true}
 			simC := testCluster(3)
 			simRes, err := Run(simC, in, opts)
 			if err != nil {
@@ -124,7 +123,7 @@ func TestDistributedDifferentialSpill(t *testing.T) {
 		t.Run(variant.String(), func(t *testing.T) {
 			simTr := trace.New()
 			simRes, err := Run(budgetedCluster(t, 3), in,
-				Options{Variant: variant, DeterministicAccept: true, Tracer: simTr})
+				Options{Variant: variant, Tracer: simTr})
 			if err != nil {
 				t.Fatalf("budgeted simulated run: %v", err)
 			}
@@ -134,7 +133,7 @@ func TestDistributedDifferentialSpill(t *testing.T) {
 			distC.MergeFanIn = 2
 			distC.Distributed = h.Master
 			distTr := trace.New()
-			distRes, err := Run(distC, in, Options{Variant: variant, DeterministicAccept: true, Tracer: distTr})
+			distRes, err := Run(distC, in, Options{Variant: variant, Tracer: distTr})
 			if err != nil {
 				t.Fatalf("distributed run: %v", err)
 			}
@@ -176,7 +175,7 @@ func TestDistributedDifferentialWorkerCrash(t *testing.T) {
 	for _, variant := range []Variant{FF2, FF5} {
 		variant := variant
 		t.Run(variant.String(), func(t *testing.T) {
-			simRes, err := Run(testCluster(3), in, Options{Variant: variant, DeterministicAccept: true})
+			simRes, err := Run(testCluster(3), in, Options{Variant: variant})
 			if err != nil {
 				t.Fatalf("simulated run: %v", err)
 			}
@@ -187,7 +186,7 @@ func TestDistributedDifferentialWorkerCrash(t *testing.T) {
 			distC.Distributed = h.Master
 			distC.Fault.WorkerCrashRate = 0.02
 			distC.Fault.Seed = tc.seed
-			distRes, err := Run(distC, in, Options{Variant: variant, DeterministicAccept: true})
+			distRes, err := Run(distC, in, Options{Variant: variant})
 			if err != nil {
 				t.Fatalf("distributed run with crashes: %v", err)
 			}
@@ -229,7 +228,7 @@ func TestDistributedPrefetchDifferential(t *testing.T) {
 	for _, variant := range allVariants() {
 		variant := variant
 		t.Run(variant.String(), func(t *testing.T) {
-			simRes, err := Run(testCluster(3), in, Options{Variant: variant, DeterministicAccept: true})
+			simRes, err := Run(testCluster(3), in, Options{Variant: variant})
 			if err != nil {
 				t.Fatalf("simulated run: %v", err)
 			}
@@ -239,7 +238,7 @@ func TestDistributedPrefetchDifferential(t *testing.T) {
 				distC.Distributed = h.Master
 				distC.Fault.WorkerCrashRate = 0.02
 				distC.Fault.Seed = tc.seed
-				distRes, err := Run(distC, in, Options{Variant: variant, DeterministicAccept: true})
+				distRes, err := Run(distC, in, Options{Variant: variant})
 				if err != nil {
 					t.Fatalf("distributed run: %v", err)
 				}
@@ -363,13 +362,13 @@ func TestDistributedMultiProcessWorkers(t *testing.T) {
 	for _, variant := range []Variant{FF1, FF5} {
 		variant := variant
 		t.Run(variant.String(), func(t *testing.T) {
-			simRes, err := Run(testCluster(3), in, Options{Variant: variant, DeterministicAccept: true})
+			simRes, err := Run(testCluster(3), in, Options{Variant: variant})
 			if err != nil {
 				t.Fatalf("simulated run: %v", err)
 			}
 			distC := testCluster(3)
 			distC.Distributed = m
-			distRes, err := Run(distC, in, Options{Variant: variant, DeterministicAccept: true})
+			distRes, err := Run(distC, in, Options{Variant: variant})
 			if err != nil {
 				t.Fatalf("multi-process run: %v", err)
 			}

@@ -58,7 +58,7 @@ func TestDistributedHeldHolderKilled(t *testing.T) {
 		t.Skip("differential harness is slow; skipped with -short")
 	}
 	in, want := heldInput(t)
-	opts := Options{Variant: FF5, DeterministicAccept: true, KeepIntermediate: true}
+	opts := Options{Variant: FF5, KeepIntermediate: true}
 	simC := testCluster(3)
 	simRes, err := Run(simC, in, opts)
 	if err != nil {

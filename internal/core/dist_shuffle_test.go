@@ -40,12 +40,12 @@ func TestDistributedPartFilesMatchUnderPoisonedPool(t *testing.T) {
 	for _, variant := range allVariants() {
 		t.Run(variant.String(), func(t *testing.T) {
 			simC := testCluster(3)
-			if _, err := Run(simC, in, Options{Variant: variant, DeterministicAccept: true}); err != nil {
+			if _, err := Run(simC, in, Options{Variant: variant}); err != nil {
 				t.Fatalf("simulated run: %v", err)
 			}
 			distC := testCluster(3)
 			distC.Distributed = h.Master
-			if _, err := Run(distC, in, Options{Variant: variant, DeterministicAccept: true}); err != nil {
+			if _, err := Run(distC, in, Options{Variant: variant}); err != nil {
 				t.Fatalf("distributed run: %v", err)
 			}
 			names := simC.FS.List("")
@@ -89,7 +89,7 @@ func TestShuffleFetchCountAndFootprint(t *testing.T) {
 		c := testCluster(3)
 		c.Distributed = h.Master
 		c.MemoryBudget = budget
-		res, err := Run(c, in, Options{Variant: FF5, DeterministicAccept: true, Tracer: tr})
+		res, err := Run(c, in, Options{Variant: FF5, Tracer: tr})
 		if err != nil {
 			t.Fatalf("distributed run: %v", err)
 		}

@@ -13,11 +13,12 @@ import (
 
 // RoundStat captures one round of execution. The fields correspond to
 // the columns of the paper's Table I: accepted augmenting paths
-// (A-Paths), the maximum aug_proc queue length (MaxQ), the number of
-// intermediate records emitted by mappers (Map Out), the bytes shuffled
-// between map and reduce (Shuffle), and the round's runtime. Round 0 runs
-// no job: the driver writes its records, so its stat holds only
-// OutputBytes, the DFS write's modelled SimTime and the write's WallTime.
+// (A-Paths), the paths aug_proc held for its round-end decision (MaxQ),
+// the number of intermediate records emitted by mappers (Map Out), the
+// bytes shuffled between map and reduce (Shuffle), and the round's
+// runtime. Round 0 runs no job: the driver writes its records, so its
+// stat holds only OutputBytes, the DFS write's modelled SimTime and the
+// write's WallTime.
 type RoundStat struct {
 	Round int
 
@@ -25,8 +26,8 @@ type RoundStat struct {
 	APaths int64
 	// Submitted is the number of candidate augmenting paths offered.
 	Submitted int64
-	// MaxQueue is the largest aug_proc queue length observed (0 for FF1
-	// and for round 0).
+	// MaxQueue is the number of paths aug_proc held for its round-end
+	// decision (0 for FF1 and for round 0).
 	MaxQueue int64
 	// FlowDelta is the flow value added by this round's accepted paths.
 	FlowDelta int64
@@ -248,7 +249,6 @@ func (l *ffLoop) run() error {
 	}
 	aug.SetTracer(l.tr)
 	aug.SetLogger(opts.Log)
-	aug.SetDeterministic(opts.DeterministicAccept)
 	defer aug.Close() //nolint:errcheck // shutdown of a loopback listener
 
 	for round := 1; round <= opts.MaxRounds && !result.Converged; round++ {

@@ -105,10 +105,9 @@ func TestEngineParity(t *testing.T) {
 				t.Run(engine, func(t *testing.T) {
 					cluster := parityCluster(3)
 					opts := core.Options{
-						Engine:              engine,
-						KeepIntermediate:    true,
-						DeterministicAccept: true,
-						PathPrefix:          fmt.Sprintf("parity/%s/%s/", name, engine),
+						Engine:           engine,
+						KeepIntermediate: true,
+						PathPrefix:       fmt.Sprintf("parity/%s/%s/", name, engine),
 					}
 					res, err := core.Run(cluster, in, opts)
 					if err != nil {
@@ -153,10 +152,9 @@ func TestEngineParityDistributed(t *testing.T) {
 			cluster := parityCluster(3)
 			cluster.Distributed = h.Master
 			opts := core.Options{
-				Engine:              engine,
-				KeepIntermediate:    true,
-				DeterministicAccept: true,
-				PathPrefix:          fmt.Sprintf("dist/%s/", engine),
+				Engine:           engine,
+				KeepIntermediate: true,
+				PathPrefix:       fmt.Sprintf("dist/%s/", engine),
 			}
 			res, err := core.Run(cluster, in, opts)
 			if err != nil {

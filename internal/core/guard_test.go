@@ -34,7 +34,7 @@ func TestGuardedDFSAllVariants(t *testing.T) {
 				if backend == "distributed" {
 					c.Distributed = h.Master
 				}
-				res, err := Run(c, in, Options{Variant: variant, DeterministicAccept: true})
+				res, err := Run(c, in, Options{Variant: variant})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -69,8 +69,7 @@ func TestStoredStatePinned(t *testing.T) {
 		t.Run(variant.String(), func(t *testing.T) {
 			t.Parallel()
 			cluster := testCluster(3)
-			opts := Options{Variant: variant, KeepIntermediate: true, DeterministicAccept: true,
-				Termination: TerminationQuiescent}
+			opts := Options{Variant: variant, KeepIntermediate: true, Termination: TerminationQuiescent}
 			res, err := Run(cluster, in, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -124,7 +124,7 @@ func TestReuseDifferential(t *testing.T) {
 					t.Fatalf("[%s seed=%d] build: %v", tc.name, tc.seed, err)
 				}
 				cluster := testCluster(3)
-				opts := Options{Variant: variant, KeepIntermediate: true, DeterministicAccept: true}
+				opts := Options{Variant: variant, KeepIntermediate: true}
 				ref, err := Run(cluster, in, opts)
 				if err != nil {
 					t.Fatalf("[%s seed=%d] %s: %v", tc.name, tc.seed, variant, err)
@@ -158,7 +158,6 @@ func replayRound(t *testing.T, where string, cluster *mapreduce.Cluster, in *gra
 		t.Fatal(err)
 	}
 	defer aug.Close() //nolint:errcheck // shutdown of a loopback listener
-	aug.SetDeterministic(true)
 	aug.BeginRound(round)
 	client, err := DialAugProc(aug.Addr())
 	if err != nil {
@@ -308,7 +307,7 @@ func TestFFMapperSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster := testCluster(3)
-	opts := Options{Variant: FF5, KeepIntermediate: true, DeterministicAccept: true}
+	opts := Options{Variant: FF5, KeepIntermediate: true}
 	ref, err := Run(cluster, in, opts)
 	if err != nil {
 		t.Fatal(err)

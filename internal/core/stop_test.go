@@ -72,7 +72,7 @@ type stopRun struct {
 func runStop(t *testing.T, cluster *mapreduce.Cluster, in *graph.Input, variant Variant, term TerminationMode, want int64) stopRun {
 	t.Helper()
 	tr := trace.New()
-	opts := Options{Variant: variant, KeepIntermediate: true, DeterministicAccept: true,
+	opts := Options{Variant: variant, KeepIntermediate: true,
 		Termination: term, Tracer: tr}
 	res, err := Run(cluster, in, opts)
 	if err != nil {

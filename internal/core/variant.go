@@ -159,21 +159,17 @@ type Options struct {
 	RoundCallback func(RoundStat)
 	// PathPrefix namespaces this run's DFS files (default "ffmr/").
 	PathPrefix string
-	// DeterministicAccept makes aug_proc (FF2+) accept candidate paths
-	// in a canonical order at the end of each round instead of
-	// first-come-first-served as reducers submit them. The paper's FCFS
-	// policy overlaps acceptance with the reduce phase, but which
-	// conflicting candidate wins then depends on scheduling, so two
-	// identical runs can accept different path sets (same max flow,
-	// different per-round A-Paths). Differential tests set this so
-	// per-round counters are byte-for-byte reproducible. FF1 has no
-	// aug_proc and is deterministic either way.
+	// DeterministicAccept is ignored: aug_proc decides every round in
+	// canonical order. The field remains only because the benchmark
+	// module (cmd/ffbench) still sets it.
+	//
+	// Deprecated: it has no effect.
 	DeterministicAccept bool
 	// Tracer, if non-nil, records a run span with one child round span
 	// per executed round, each annotated with the paper's Table I
 	// metrics. The driver also installs the tracer on the cluster (job/
-	// phase/task spans) and the aug_proc server (queue-depth gauge,
-	// accept latency) for the duration of the run.
+	// phase/task spans) and the aug_proc server (batch count,
+	// round-end decision time) for the duration of the run.
 	Tracer *trace.Tracer
 	// Log, if non-nil, receives structured per-round progress events. The
 	// driver installs it on the cluster for job-level events too.

@@ -1036,8 +1036,8 @@ func (jr *jobRun) persistWinner(ts *taskState) {
 // matches a single uninterrupted run. It also advances the job's epoch,
 // offsetting every new Assign so (task, exec) submission keys from the
 // previous master generation can never collide with this one's —
-// aug_proc's DeterministicAccept dedup then keeps exactly one complete
-// execution per reduce, exactly as DESIGN.md §7 requires.
+// aug_proc's round-end dedup then keeps exactly one complete execution
+// per reduce, exactly as DESIGN.md §7 requires.
 func (jr *jobRun) restoreState() {
 	fs := jr.c.FS
 	prefix := statePrefix(jr.job.Name)

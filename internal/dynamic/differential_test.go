@@ -81,7 +81,7 @@ func TestDynamicDifferentialFBChain(t *testing.T) {
 				v := v
 				t.Run(v.String(), func(t *testing.T) {
 					cluster := testCluster(3)
-					snap, err := Solve(cluster, in, core.Options{Variant: v, DeterministicAccept: true})
+					snap, err := Solve(cluster, in, core.Options{Variant: v})
 					if err != nil {
 						t.Fatalf("Solve: %v", err)
 					}
@@ -123,7 +123,7 @@ func TestDynamicDifferentialPaperTermination(t *testing.T) {
 	in := fbPrime(t)[0]
 	cluster := testCluster(3)
 	snap, err := Solve(cluster, in, core.Options{
-		Variant: core.FF5, Termination: core.TerminationPaper, DeterministicAccept: true,
+		Variant: core.FF5, Termination: core.TerminationPaper,
 	})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
@@ -158,7 +158,7 @@ func TestDynamicDifferentialDistributed(t *testing.T) {
 	}
 	defer h.Close()
 
-	opts := core.Options{Variant: core.FF5, DeterministicAccept: true}
+	opts := core.Options{Variant: core.FF5}
 	simC := testCluster(3)
 	distC := testCluster(3)
 	distC.Distributed = h.Master

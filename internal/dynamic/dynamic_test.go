@@ -217,7 +217,7 @@ func TestApplyAllVariants(t *testing.T) {
 			cluster := testCluster(2)
 			in := pathGraph(2, 5)
 			in.Edges[1].Cap = 2
-			snap := solveSnap(t, cluster, in, core.Options{Variant: v, DeterministicAccept: true})
+			snap := solveSnap(t, cluster, in, core.Options{Variant: v})
 			out := applyChecked(t, cluster, snap, []graph.Update{
 				graph.InsertEdge(1, 2, 4, false),
 				graph.SetCapacity(0, 4, false),

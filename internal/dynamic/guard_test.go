@@ -20,7 +20,7 @@ func TestGuardedDFSApplyChain(t *testing.T) {
 	in := fbPrime(t)[0]
 	cluster := mapreduce.NewCluster(3, 4, dfstest.NewFS(t, dfs.Config{Nodes: 3, BlockSize: 16 << 10, Replication: 2}))
 	cluster.Cost = mapreduce.ZeroCostModel()
-	snap := solveSnap(t, cluster, in, core.Options{Variant: core.FF5, DeterministicAccept: true})
+	snap := solveSnap(t, cluster, in, core.Options{Variant: core.FF5})
 	for gen := 1; gen <= 20; gen++ {
 		batch, err := graphgen.GenerateUpdates(snap.Input, 10, graphgen.DefaultUpdateProfile(), int64(gen))
 		if err != nil {

@@ -375,10 +375,7 @@ func Fig7(sc Scale) ([]Fig7Variant, *stats.Figure, error) {
 	var out []Fig7Variant
 	for _, variant := range []core.Variant{core.FF1, core.FF2, core.FF3, core.FF5} {
 		cluster := sc.newCluster(sc.Nodes)
-		// Arrival order at aug_proc decides which of two conflicting
-		// candidates wins, and with it whether a run draws an extra round;
-		// the figure compares variants, so pin it.
-		res, err := runQuiescent(cluster, in, core.Options{Variant: variant, Tracer: tr, DeterministicAccept: true})
+		res, err := runQuiescent(cluster, in, core.Options{Variant: variant, Tracer: tr})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -402,8 +399,8 @@ type Fig8Point struct {
 	Rounds  int
 	MaxFlow int64
 	SimTime time.Duration
-	// ShuffleBytes is the run's total shuffle volume, a scale signal
-	// that is much less sensitive to round-count jitter than time.
+	// ShuffleBytes is the run's total shuffle volume, an exact scale
+	// signal (SimTime is modelled from measured task CPU).
 	ShuffleBytes int64
 }
 
@@ -595,9 +592,7 @@ func AblationCombiner(sc Scale) ([]AblationRow, *stats.Table, error) {
 			name = "fragment combiner"
 		}
 		cluster := sc.newCluster(sc.Nodes)
-		// Pinned for the reason Fig7 pins it: arrival order at aug_proc can
-		// hand either side an extra round, which is a round's shuffle.
-		res, err := runQuiescent(cluster, in, core.Options{Variant: core.FF2, UseCombiner: useCombiner, DeterministicAccept: true})
+		res, err := runQuiescent(cluster, in, core.Options{Variant: core.FF2, UseCombiner: useCombiner})
 		if err != nil {
 			return nil, nil, err
 		}

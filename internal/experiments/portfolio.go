@@ -67,11 +67,8 @@ func Portfolio(sc Scale) ([]PortfolioRow, *stats.Table, error) {
 		})
 	}
 	solve := func(in *graph.Input, engine string) (*core.Result, error) {
-		// Pinned acceptance order, as in Fig7: the rows compare
-		// configurations, and first-come-first-served can hand any one of
-		// them an extra round.
 		return runQuiescent(sc.newCluster(sc.Nodes), in, core.Options{
-			Variant: core.FF5, Engine: engine, Tracer: sc.Tracer, DeterministicAccept: true,
+			Variant: core.FF5, Engine: engine, Tracer: sc.Tracer,
 		})
 	}
 	autoNote := func(in *graph.Input) string {

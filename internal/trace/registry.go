@@ -50,8 +50,7 @@ func (c *Counter) Value() int64 {
 }
 
 // Gauge is a point-in-time int64 metric that additionally remembers the
-// maximum value it was ever set to (the paper's MaxQ is the high-water
-// mark of the aug_proc queue-depth gauge).
+// maximum value it was ever set to, its high-water mark.
 type Gauge struct {
 	mu        sync.Mutex
 	last, max int64

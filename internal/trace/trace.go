@@ -69,8 +69,9 @@ const (
 	AttrMaxGroupBytes  = "max_group_bytes"
 	AttrOutputBytes    = "output_bytes"
 	AttrSimTimeUS      = "sim_time_us"
-	// AttrAugDrainWaitUS is how long the round's EndRound waited for the
-	// aug_proc queue to empty after the last reducer returned.
+	// AttrAugDrainWaitUS is how long the round's EndRound took, after the
+	// last reducer returned, to decide which of the round's candidates
+	// aug_proc accepts.
 	AttrAugDrainWaitUS = "aug_drain_wait_us"
 	// AttrCertifyUS is how long the driver's maximality check took after
 	// the round (TerminationMaximal; only rounds that accepted a path, and
