@@ -384,7 +384,11 @@ func dedupePending(pending []augBatch) [][]byte {
 			chosen[task] = exec
 		}
 	}
-	var out [][]byte
+	n := 0
+	for task, exec := range chosen {
+		n += total[[2]int{task, exec}]
+	}
+	out := make([][]byte, 0, n)
 	for _, sub := range pending {
 		if chosen[sub.task] == sub.exec {
 			out = append(out, sub.paths...)
@@ -444,14 +448,17 @@ func (sb *submitBuf) add(paths []graph.ExcessPath) {
 	}
 }
 
-// reset empties the batch, keeping its storage.
+// reset empties the batch, keeping its storage but no array enc has
+// outgrown.
 func (sb *submitBuf) reset() {
+	clear(sb.args.Paths)
 	sb.args.Paths, sb.enc = sb.args.Paths[:0], sb.enc[:0]
 }
 
-// submitPool recycles requests across Submit calls and clients. Call has
-// written the request to the connection by the time it returns, so nothing
-// references a request that goes back to the pool.
+// submitPool recycles requests across Submit calls, clients and the FF4+
+// reduce tasks of a process, which keep one for their batch until Close.
+// Call has written the request to the connection by the time it returns,
+// so nothing references a request that goes back to the pool.
 var submitPool = sync.Pool{New: func() any { return new(submitBuf) }}
 
 // Submit sends candidate augmenting paths to aug_proc, tagged with the

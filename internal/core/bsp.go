@@ -132,6 +132,7 @@ func (p *bspProgram) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][
 		return err
 	}
 	deltas := &deltaSet{m: table}
+	var sigs []uint64
 	if stop {
 		ctx.VoteToHalt()
 		return nil
@@ -140,7 +141,7 @@ func (p *bspProgram) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][
 	if err != nil {
 		return err
 	}
-	updateVertex(val, deltas)
+	updateVertex(val, deltas, &sigs)
 
 	// Merge incoming fragments exactly as the REDUCE function does.
 	sm, tm := len(val.Su), len(val.Tu)
@@ -171,7 +172,7 @@ func (p *bspProgram) Compute(ctx *pregel.Context, v *pregel.Vertex, messages [][
 		// the same round). Bring them current and drop any that the
 		// barrier's acceptances saturated — otherwise the sink would
 		// accept stale candidates and overshoot the true maximum flow.
-		updateVertex(&frag, deltas)
+		updateVertex(&frag, deltas, &sigs)
 		for i := range frag.Su {
 			se := &frag.Su[i]
 			if isSink {

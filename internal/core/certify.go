@@ -28,10 +28,22 @@ type residualGraph struct {
 
 func newResidualGraph(in *graph.Input) *residualGraph {
 	n := in.NumVertices
+	start, arcs := arcIndex(in)
+	return &residualGraph{
+		in: in, start: start, arcs: arcs,
+		seen: make([]bool, n), queue: make([]graph.VertexID, 0, n),
+	}
+}
+
+// arcIndex groups both arcs of every input edge by tail: the arcs leaving
+// u are arcs[start[u]:start[u+1]], arc 2i being edge i's U -> V direction
+// and arc 2i+1 its V -> U direction, in no particular order within a run.
+func arcIndex(in *graph.Input) (start, arcs []int32) {
+	n := in.NumVertices
 	// Counting sort by tail: after the running sums start[u] is the end
 	// of u's run, and placing each arc by decrementing it leaves start[u]
 	// at the run's beginning.
-	start := make([]int32, n+1)
+	start = make([]int32, n+1)
 	for i := range in.Edges {
 		start[in.Edges[i].U]++
 		start[in.Edges[i].V]++
@@ -39,7 +51,7 @@ func newResidualGraph(in *graph.Input) *residualGraph {
 	for u := 1; u <= n; u++ {
 		start[u] += start[u-1]
 	}
-	arcs := make([]int32, 2*len(in.Edges))
+	arcs = make([]int32, 2*len(in.Edges))
 	for i := range in.Edges {
 		e := &in.Edges[i]
 		start[e.U]--
@@ -47,10 +59,7 @@ func newResidualGraph(in *graph.Input) *residualGraph {
 		start[e.V]--
 		arcs[start[e.V]] = int32(2*i + 1)
 	}
-	return &residualGraph{
-		in: in, start: start, arcs: arcs,
-		seen: make([]bool, n), queue: make([]graph.VertexID, 0, n),
-	}
+	return start, arcs
 }
 
 // revCap is the capacity of an edge's V -> U direction.

@@ -2,19 +2,41 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"ffmr/internal/graph"
 	"ffmr/internal/mapreduce"
 )
 
-// runConfig is the immutable per-round configuration shared by all of a
-// job's mapper and reducer instances.
+// runConfig is the per-round configuration shared by all of a job's
+// mapper and reducer instances in one process. Only the round's deltas
+// table is filled in after construction, once, by the first task to need
+// it.
 type runConfig struct {
 	opts       Options
 	feat       features
 	source     graph.VertexID
 	sink       graph.VertexID
 	deltasFile string
+
+	deltasOnce sync.Once
+	deltas     *deltaSet
+	deltasErr  error
+}
+
+// deltaSet returns the round's AugmentedEdges table. The first task of the
+// job to ask decodes the side file and builds the filter; every later task
+// shares the result, which nothing writes.
+func (c *runConfig) deltaSet(ctx *mapreduce.TaskContext) (*deltaSet, error) {
+	c.deltasOnce.Do(func() {
+		m, err := DecodeDeltas(ctx.SideFile(c.deltasFile))
+		if err != nil {
+			c.deltasErr = err
+			return
+		}
+		c.deltas = newDeltaSet(m)
+	})
+	return c.deltas, c.deltasErr
 }
 
 func (c *runConfig) pathLimit(v *graph.VertexValue) int {
@@ -41,32 +63,19 @@ type candidateSink interface {
 	send(round, task, exec int, sb *submitBuf) error
 }
 
-// deltaCache lazily parses the AugmentedEdges side file, and builds its
-// filter, once per task.
-type deltaCache struct {
-	deltas *deltaSet
-}
-
-func (dc *deltaCache) get(ctx *mapreduce.TaskContext, file string) (*deltaSet, error) {
-	if dc.deltas != nil {
-		return dc.deltas, nil
-	}
-	m, err := DecodeDeltas(ctx.SideFile(file))
-	if err != nil {
-		return nil, err
-	}
-	dc.deltas = newDeltaSet(m)
-	return dc.deltas, nil
-}
-
 // FF4 (Section IV-C) eliminates object instantiations: a mapper or reducer
-// builds every record in scratch it owns and keeps for the whole task, so
-// that after the first few records nothing on the path from the bytes of
-// a shuffle group to the bytes of the reduce output allocates. There is
-// one MAP body and one REDUCE body for all variants; feat.reuseObjects only
-// decides whether the scratch survives from one record to the next. The
-// earlier variants drop it after every use and so keep allocating a fresh
-// value, path and buffer per record, which is the churn FF4 removes.
+// builds every record in scratch it keeps for the whole task, so that once
+// the scratch is warm nothing on the path from the bytes of a shuffle group
+// to the bytes of the reduce output allocates. The scratch belongs to the
+// process, not to the task: a task takes it from a pool (mapScratchPool,
+// reduceScratchPool, and submitPool for the candidate batch) on first use
+// and puts it back in Close, so the next task starts warm. A failed attempt
+// is never closed and drops its scratch to the GC; nothing can put back
+// scratch an attempt still uses. There is one MAP body and one REDUCE body
+// for all variants; feat.reuseObjects only decides whether the scratch
+// survives from one record to the next. The earlier variants drop it after
+// every use and so keep allocating a fresh value, path and buffer per
+// record, which is the churn FF4 removes.
 //
 // Nothing in the scratch is referenced by what a call leaves behind:
 // TaskContext.Emit copies the bytes it is given and submitBuf.add encodes
@@ -78,8 +87,8 @@ func (dc *deltaCache) get(ctx *mapreduce.TaskContext, file string) (*deltaSet, e
 type ffMapper struct {
 	cfg    *runConfig
 	extcfg extendConfig
-	dc     deltaCache
-	s      mapScratch
+	s      *mapScratch // nil until the first record that decodes
+	fresh  mapScratch  // FF1–FF3: s, zeroed for every record
 }
 
 // mapScratch is what Map builds one record's emissions in.
@@ -90,7 +99,10 @@ type mapScratch struct {
 	local Accumulator        // FF1: generateCandidates' filter
 	key   []byte             // encoded destination key
 	buf   []byte             // encoded value
+	sigs  []uint64           // updateVertex's scratch
 }
+
+var mapScratchPool = sync.Pool{New: func() any { return new(mapScratch) }}
 
 func newFFMapper(cfg *runConfig) mapreduce.Mapper {
 	return &ffMapper{cfg: cfg, extcfg: cfg.extendConfig()}
@@ -99,7 +111,7 @@ func newFFMapper(cfg *runConfig) mapreduce.Mapper {
 // emit encodes v and emits it to vertex to: into the scratch buffers, or
 // before FF4 into a fresh key, value and (for the next call) fragment.
 func (m *ffMapper) emit(ctx *mapreduce.TaskContext, to graph.VertexID, v *graph.VertexValue) {
-	s := &m.s
+	s := m.s
 	if !m.cfg.feat.reuseObjects {
 		ctx.Emit(graph.KeyBytes(to), graph.EncodeValue(v))
 		s.frag = fragment{}
@@ -125,9 +137,14 @@ func (m *ffMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
 		return nil
 	}
 	if !m.cfg.feat.reuseObjects {
-		m.s = mapScratch{}
+		m.fresh = mapScratch{}
+		m.s = &m.fresh
+	} else if m.s == nil {
+		m.s = mapScratchPool.Get().(*mapScratch)
+		// extendVertex only ever sets a fragment's paths.
+		m.s.frag.Value.Reset()
 	}
-	s := &m.s
+	s := m.s
 	val := &s.val
 	if err := graph.DecodeValueInto(value, val); err != nil {
 		return err
@@ -136,13 +153,13 @@ func (m *ffMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
 		return fmt.Errorf("core: mapper got a non-master record for vertex %d", u)
 	}
 
-	deltas, err := m.dc.get(ctx, m.cfg.deltasFile)
+	deltas, err := m.cfg.deltaSet(ctx)
 	if err != nil {
 		return err
 	}
 
 	// Update All Edge Flows (MAP lines 1-4).
-	updateVertex(val, deltas)
+	updateVertex(val, deltas, &s.sigs)
 
 	// Generate Augmenting Paths (MAP lines 5-8). Only FF1 does this in
 	// the map phase; FF2+ moved generation into the previous reduce.
@@ -167,25 +184,39 @@ func (m *ffMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
 	return nil
 }
 
+// Close implements mapreduce.TaskCloser: the scratch goes back to the pool
+// for the process's next map task.
+func (m *ffMapper) Close(*mapreduce.TaskContext) error {
+	if m.s != nil && m.cfg.feat.reuseObjects {
+		mapScratchPool.Put(m.s)
+	}
+	m.s = nil
+	return nil
+}
+
 // ffReducer implements the REDUCE function of Fig. 4 for all variants.
 type ffReducer struct {
 	cfg    *runConfig
 	extcfg extendConfig
-	dc     deltaCache
-	s      reduceScratch
+	s      *reduceScratch // nil until the first group
+	fresh  reduceScratch  // FF1–FF3: s, zeroed for every group
 	// batch holds, encoded, the candidates of the task's groups so far that
-	// have not been sent to aug_proc (FF2+). It is the task's, not the
-	// group's: FF2 and FF3 drop s after every group and still keep it.
-	batch submitBuf
+	// have not been sent to aug_proc (FF2+); nil until the first one. It is
+	// the task's, not the group's: FF2 and FF3 drop s after every group and
+	// still keep it.
+	batch *submitBuf
 }
 
 // reduceScratch is what Reduce builds one group's output in. It grows to
-// the largest group of the task and no further.
+// the largest group any task of the process has seen and no further.
 type reduceScratch struct {
-	// vals is the slab of decoded values, master and fragments alike: the
-	// i-th value of every group is decoded into vals[i].
-	vals []*graph.VertexValue
-	used int
+	// vals is the slab of decoded values: the i-th value of every group is
+	// decoded into vals[i]. A schimmy master is decoded into master, so a
+	// hub's adjacency grows one array, not whichever slot its fragment
+	// count picks.
+	vals   []*graph.VertexValue
+	used   int
+	master graph.VertexValue
 
 	out          graph.VertexValue // the merged record
 	seenS, seenT map[uint64]bool   // signatures of the paths kept in out
@@ -193,8 +224,11 @@ type reduceScratch struct {
 	ap           Accumulator       // FF1: the sink's final acceptance
 	local        Accumulator       // generateCandidates' filter
 	cands        []graph.ExcessPath
-	buf          []byte // encoded out
+	buf          []byte   // encoded out
+	sigs         []uint64 // updateVertex's scratch
 }
+
+var reduceScratchPool = sync.Pool{New: func() any { return new(reduceScratch) }}
 
 // value returns the next free slot of the slab.
 func (s *reduceScratch) value() *graph.VertexValue {
@@ -234,12 +268,16 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 	}
 	isSink := u == r.cfg.sink
 
-	if r.cfg.feat.reuseObjects {
-		r.s.reset()
+	if !r.cfg.feat.reuseObjects {
+		r.fresh = reduceScratch{}
+		r.s = &r.fresh
 	} else {
-		r.s = reduceScratch{}
+		if r.s == nil {
+			r.s = reduceScratchPool.Get().(*reduceScratch)
+		}
+		r.s.reset()
 	}
-	s := &r.s
+	s := r.s
 	out := &s.out
 
 	// Buffer the shuffled fragments. With schimmy the master arrives via
@@ -267,7 +305,7 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 		if master == nil {
 			return fmt.Errorf("core: vertex %d missing from schimmy base", u)
 		}
-		masterVal = s.value()
+		masterVal = &s.master
 		if err := graph.DecodeValueInto(master, masterVal); err != nil {
 			return err
 		}
@@ -284,7 +322,7 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 	}
 
 	if r.cfg.feat.schimmy {
-		deltas, err := r.dc.get(ctx, r.cfg.deltasFile)
+		deltas, err := r.cfg.deltaSet(ctx)
 		if err != nil {
 			return err
 		}
@@ -304,7 +342,7 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 		// pass to reproduce the FF5 sent-flag updates. extendVertex is
 		// deterministic in (value, deltas), so this reproduces exactly
 		// what the mapper computed and did not ship.
-		updateVertex(masterVal, deltas)
+		updateVertex(masterVal, deltas, &s.sigs)
 		extendVertex(u, masterVal, &r.extcfg, nil, nil)
 	}
 
@@ -411,6 +449,9 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 	if r.cfg.feat.augProc {
 		s.cands = generateCandidates(out, s.cands, &s.local)
 		if len(s.cands) > 0 {
+			if r.batch == nil {
+				r.batch = r.newBatch()
+			}
 			r.batch.add(s.cands)
 			ctx.Inc("candidates sent", int64(len(s.cands)))
 			if len(r.batch.enc) >= submitFlushBytes {
@@ -440,21 +481,47 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 	return nil
 }
 
+// newBatch returns an empty candidate batch: a pooled one under FF4+.
+func (r *ffReducer) newBatch() *submitBuf {
+	if !r.cfg.feat.reuseObjects {
+		return new(submitBuf)
+	}
+	sb := submitPool.Get().(*submitBuf)
+	sb.reset()
+	return sb
+}
+
 // flush sends the candidates collected since the last send as one batch
 // tagged (round, task, exec), the unit aug_proc fences and deduplicates on.
 func (r *ffReducer) flush(ctx *mapreduce.TaskContext) error {
-	if len(r.batch.args.Paths) == 0 {
+	if r.batch == nil || len(r.batch.args.Paths) == 0 {
 		return nil
 	}
 	sink, ok := ctx.Service().(candidateSink)
 	if !ok {
 		return fmt.Errorf("core: job service is not an aug_proc client")
 	}
-	err := sink.send(ctx.Round(), ctx.Task(), ctx.Exec(), &r.batch)
+	err := sink.send(ctx.Round(), ctx.Task(), ctx.Exec(), r.batch)
 	r.batch.reset()
 	return err
 }
 
-// Close implements mapreduce.TaskCloser. An attempt that fails never gets
-// here, so it submits at most what Reduce had already flushed.
-func (r *ffReducer) Close(ctx *mapreduce.TaskContext) error { return r.flush(ctx) }
+// Close implements mapreduce.TaskCloser: it sends the rest of the batch
+// and, under FF4+, puts the scratch and the batch back in their pools for
+// the process's next reduce task. An attempt that fails never gets here,
+// so it submits at most what Reduce had already flushed.
+func (r *ffReducer) Close(ctx *mapreduce.TaskContext) error {
+	if err := r.flush(ctx); err != nil {
+		return err
+	}
+	if r.cfg.feat.reuseObjects {
+		if r.s != nil {
+			reduceScratchPool.Put(r.s)
+		}
+		if r.batch != nil {
+			submitPool.Put(r.batch)
+		}
+	}
+	r.s, r.batch = nil, nil
+	return nil
+}

@@ -163,9 +163,9 @@ func TestQuickUpdateVertexIdempotent(t *testing.T) {
 			}
 			v.Su = append(v.Su, p)
 		}
-		updateVertex(v, &deltaSet{})
+		updateVertex(v, &deltaSet{}, nil)
 		before := graph.EncodeValue(v)
-		updateVertex(v, &deltaSet{})
+		updateVertex(v, &deltaSet{}, nil)
 		after := graph.EncodeValue(v)
 		return string(before) == string(after)
 	}

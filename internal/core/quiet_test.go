@@ -178,7 +178,7 @@ func TestQuietMasterContract(t *testing.T) {
 	// fullPath is what the reducer's record path makes of v.
 	fullPath := func(v graph.VertexValue, deltas map[graph.EdgeID]int64) []byte {
 		v = graph.VertexValue{Eu: slices.Clone(v.Eu), SentS: slices.Clone(v.SentS), SentT: slices.Clone(v.SentT)}
-		updateVertex(&v, newDeltaSet(deltas))
+		updateVertex(&v, newDeltaSet(deltas), nil)
 		return graph.EncodeValue(&v)
 	}
 

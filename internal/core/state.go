@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ffmr/internal/dfs"
 	"ffmr/internal/graph"
@@ -60,23 +61,44 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 		return fmt.Errorf("core: WriteEngineState: %d flows for %d edges", len(flows), len(in.Edges))
 	}
 	feat := opts.Variant.features()
-	start, edges := graph.HalfEdges(in, flows)
-
-	// Vertices are added in key order. A vertex no edge touches has no
-	// record. The seed paths and the zeroed sent flags are only read, so
-	// every record shares them.
-	seed := []graph.ExcessPath{{}}
-	var unsent []uint64
-	if feat.sentTracking {
-		maxDegree := 0
-		for u := 0; u < in.NumVertices; u++ {
-			maxDegree = max(maxDegree, start[u+1]-start[u])
-		}
-		unsent = make([]uint64, maxDegree)
+	start, arcs := arcIndex(in)
+	maxDegree := 0
+	for u := 0; u < in.NumVertices; u++ {
+		maxDegree = max(maxDegree, int(start[u+1]-start[u]))
 	}
-	record := func(u int) (graph.VertexValue, bool) {
-		eu := edges[start[u]:start[u+1]]
-		val := graph.VertexValue{Eu: eu}
+	// One record at a time is built in eu, in the order keys sorts its
+	// arcs into: by (to, arc), which is (to, edge ID) since a vertex holds
+	// one arc of an edge. Under FF5 the zeroed sent flags share keys'
+	// allocation; they are only read, so every record shares them.
+	n := maxDegree
+	if feat.sentTracking {
+		n *= 2
+	}
+	buf := make([]uint64, n)
+	keys, unsent := buf[:maxDegree], buf[maxDegree:]
+	eu := make([]graph.Edge, maxDegree)
+	seed := []graph.ExcessPath{{}}
+
+	// record returns vertex u's record and whether u has one: a vertex no
+	// edge touches has none. The records added to the partitions must be
+	// sorted; sizing one needs only its halves.
+	record := func(u int, sorted bool) (graph.VertexValue, bool) {
+		run := arcs[start[u]:start[u+1]]
+		keys := keys[:len(run)]
+		for j, a := range run {
+			to := in.Edges[a>>1].V
+			if a&1 == 1 {
+				to = in.Edges[a>>1].U
+			}
+			keys[j] = uint64(to)<<32 | uint64(a)
+		}
+		if sorted {
+			slices.Sort(keys)
+		}
+		val := graph.VertexValue{Eu: eu[:len(run)]}
+		for j, k := range keys {
+			val.Eu[j] = halfEdge(in, flows, int(uint32(k)))
+		}
 		if graph.VertexID(u) == in.Source {
 			val.Su = seed
 		}
@@ -84,16 +106,16 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 			val.Tu = seed
 		}
 		if feat.sentTracking {
-			val.SentS, val.SentT = unsent[:len(eu)], unsent[:len(eu)]
+			val.SentS, val.SentT = unsent[:len(run)], unsent[:len(run)]
 		}
-		return val, len(eu) > 0
+		return val, len(run) > 0
 	}
 	// The partitions are sized first, so each buffer is allocated once.
 	parts := make(partitions, opts.Reducers)
 	sizes := make([]int, len(parts))
 	var key, value []byte
 	for u := 0; u < in.NumVertices; u++ {
-		if val, ok := record(u); ok {
+		if val, ok := record(u, false); ok {
 			key = graph.AppendKey(key[:0], graph.VertexID(u))
 			sizes[mapreduce.Partition(key, len(parts))] += spill.FrameLen(len(key), graph.ValueSize(&val))
 		}
@@ -102,7 +124,7 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 		parts[p].Grow(n)
 	}
 	for u := 0; u < in.NumVertices; u++ {
-		if val, ok := record(u); ok {
+		if val, ok := record(u, true); ok {
 			key = graph.AppendKey(key[:0], graph.VertexID(u))
 			value = graph.AppendValue(value[:0], &val)
 			parts.add(key, value)
@@ -113,6 +135,25 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 		return err
 	}
 	return fs.WriteFile(deltaName(opts.PathPrefix, rounds+1), EncodeDeltas(nil))
+}
+
+// halfEdge is arc a of in's arc index as the vertex record holding it
+// stores it. flows is as for WriteEngineState.
+func halfEdge(in *graph.Input, flows []int64, a int) graph.Edge {
+	i := a >> 1
+	e := &in.Edges[i]
+	rev := e.Cap
+	if e.Directed {
+		rev = 0
+	}
+	var f int64
+	if flows != nil {
+		f = flows[i]
+	}
+	if a&1 == 0 {
+		return graph.Edge{To: e.V, ID: graph.EdgeID(i), Flow: f, Cap: e.Cap, RevCap: rev, Fwd: true}
+	}
+	return graph.Edge{To: e.U, ID: graph.EdgeID(i), Flow: -f, Cap: rev, RevCap: e.Cap}
 }
 
 // ExtractFlows reads a completed run's persisted residual state and
@@ -142,8 +183,9 @@ func ExtractFlows(fs *dfs.FS, in *graph.Input, opts Options, res *Result) ([]int
 			return nil, err
 		}
 		deltas := newDeltaSet(table)
+		var sigs []uint64
 		for _, v := range verts {
-			updateVertex(v, deltas)
+			updateVertex(v, deltas, &sigs)
 		}
 	}
 

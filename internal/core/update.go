@@ -19,13 +19,13 @@ import (
 // first asks filter, a one-hash Bloom filter over the table's edge IDs,
 // and goes to the map only when the edge's bit is set. A deltaSet without
 // a filter (the zero value, or one wrapping a map directly) asks the map
-// every time. sigs is updateVertex's scratch, so one goroutine at a time
-// uses a deltaSet.
+// every time. A deltaSet is read-only once built, so every task of a job
+// in one process shares one (runConfig.deltaSet); the scratch a lookup's
+// caller needs (updateVertex's sigs) is each task's own.
 type deltaSet struct {
 	m      map[graph.EdgeID]int64
 	filter []uint64
 	shift  uint8
-	sigs   []uint64
 }
 
 // newDeltaSet wraps m with a filter of at least 16 bits per edge, which
@@ -64,8 +64,9 @@ func (s *deltaSet) lookup(id graph.EdgeID) (int64, bool) {
 // every edge held by the vertex (adjacency plus every hop of every
 // stored excess path, MAP lines 1-3), then removes saturated excess
 // paths (line 4) and clears FF5 sent flags whose recorded path no longer
-// exists. It returns the number of paths dropped.
-func updateVertex(v *graph.VertexValue, deltas *deltaSet) int {
+// exists. It returns the number of paths dropped. sigs is the caller's
+// scratch for signing paths, kept across calls; nil is a fresh one.
+func updateVertex(v *graph.VertexValue, deltas *deltaSet, sigs *[]uint64) int {
 	if len(deltas.m) > 0 {
 		for i := range v.Eu {
 			if d, ok := deltas.lookup(v.Eu[i].ID); ok {
@@ -91,11 +92,14 @@ func updateVertex(v *graph.VertexValue, deltas *deltaSet) int {
 	// FF5 bookkeeping: a sent flag names a stored path by signature; once
 	// that path is gone the extension it backed is dead, so the slot
 	// reopens and the path can be replaced next extension pass.
+	if sigs == nil {
+		sigs = new([]uint64)
+	}
 	if len(v.SentS) > 0 {
-		deltas.sigs = clearStaleSent(v.SentS, v.Su, deltas.sigs)
+		*sigs = clearStaleSent(v.SentS, v.Su, *sigs)
 	}
 	if len(v.SentT) > 0 {
-		deltas.sigs = clearStaleSent(v.SentT, v.Tu, deltas.sigs)
+		*sigs = clearStaleSent(v.SentT, v.Tu, *sigs)
 	}
 	return dropped
 }

@@ -17,7 +17,7 @@ func TestUpdateVertexAppliesDeltas(t *testing.T) {
 		}}},
 	}
 	deltas := map[graph.EdgeID]int64{10: 2, 11: 3}
-	updateVertex(v, newDeltaSet(deltas))
+	updateVertex(v, newDeltaSet(deltas), nil)
 	if v.Eu[0].Flow != 2 {
 		t.Errorf("forward half flow = %d, want 2", v.Eu[0].Flow)
 	}
@@ -40,7 +40,7 @@ func TestUpdateVertexDropsSaturatedPaths(t *testing.T) {
 		Su: []graph.ExcessPath{mkPath(1), mkPath(2), mkPath(3)},
 		Tu: []graph.ExcessPath{mkPath(2)},
 	}
-	dropped := updateVertex(v, newDeltaSet(map[graph.EdgeID]int64{2: 1}))
+	dropped := updateVertex(v, newDeltaSet(map[graph.EdgeID]int64{2: 1}), nil)
 	if dropped != 2 {
 		t.Errorf("dropped = %d, want 2", dropped)
 	}
@@ -73,7 +73,7 @@ func TestUpdateVertexClearsStaleSentFlags(t *testing.T) {
 		SentS: []uint64{alive.Signature(), dying.Signature()},
 		SentT: []uint64{0, 0},
 	}
-	updateVertex(v, newDeltaSet(map[graph.EdgeID]int64{2: 1})) // saturates "dying"
+	updateVertex(v, newDeltaSet(map[graph.EdgeID]int64{2: 1}), nil) // saturates "dying"
 	if v.SentS[0] != alive.Signature() {
 		t.Error("live sent flag cleared")
 	}
@@ -199,7 +199,7 @@ func TestExtendVertexSentTrackingSuppressesResend(t *testing.T) {
 	}
 	// After the outstanding paths saturate, sends resume.
 	v.Su[0].Edges[0].Flow = 1
-	updateVertex(v, &deltaSet{})
+	updateVertex(v, &deltaSet{}, nil)
 	if len(v.Su) != 0 {
 		t.Fatal("saturated source path not dropped")
 	}

@@ -48,8 +48,9 @@ func Validate(fs *dfs.FS, in *graph.Input, opts Options, res *Result) error {
 			return err
 		}
 		deltas := newDeltaSet(table)
+		var sigs []uint64
 		for _, v := range verts {
-			updateVertex(v, deltas)
+			updateVertex(v, deltas, &sigs)
 		}
 	}
 

@@ -124,5 +124,5 @@ func PendingDeltasFile(opts Options, rounds int) string {
 // dynamic-update drain job uses it to fold flow-cancellation deltas into
 // persisted records between runs.
 func ApplyAugmentedEdges(v *graph.VertexValue, deltas map[graph.EdgeID]int64) int {
-	return updateVertex(v, &deltaSet{m: deltas})
+	return updateVertex(v, &deltaSet{m: deltas}, nil)
 }

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
 	"ffmr/internal/dfs"
 	"ffmr/internal/spill"
@@ -82,9 +83,10 @@ type MapResult struct {
 }
 
 // ExecMap runs one map attempt: every record of the split goes through
-// the mapper, emissions are partitioned into a spill writer, and a
-// failure of the mapper, the input or a spill write discards whatever
-// the attempt had already put in the store. User counters are added to
+// the mapper, a mapper that is a TaskCloser is closed after the last
+// record, emissions are partitioned into a spill writer, and a failure of
+// the mapper, its Close, the input or a spill write discards whatever the
+// attempt had already put in the store. User counters are added to
 // counters, which the caller owns; att is the attempt's span (may be nil).
 func ExecMap(env *TaskEnv, t *MapTask, counters *Counters, att *trace.Span) (*MapResult, error) {
 	parts, newCombiner := t.Partitions, env.NewCombiner
@@ -153,6 +155,9 @@ func ExecMap(env *TaskEnv, t *MapTask, counters *Counters, att *trace.Span) (*Ma
 		if err := mapper.Map(ctx, key, value); err != nil {
 			emitErr = err
 		}
+	}
+	if c, ok := mapper.(TaskCloser); ok && emitErr == nil {
+		emitErr = c.Close(ctx)
 	}
 	if emitErr == nil {
 		res.Out, emitErr = w.Close()
@@ -259,9 +264,13 @@ func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span
 		ctx := env.context(t.Task, t.Exec, t.Node, counters, func(key, value []byte) { out.Append(key, value) })
 		defer ctx.flush()
 		reducer := env.NewReducer()
-		if res.MaxGroup, err = reduceGroups(ctx, reducer, base, it.Next); err != nil {
+		group := groupPool.Get().(*Values)
+		if res.MaxGroup, err = reduceGroups(ctx, reducer, group, base, it.Next); err != nil {
 			return fail(err)
 		}
+		// No record of this attempt stays reachable from the pool.
+		clear(group.vals[:cap(group.vals)])
+		groupPool.Put(group)
 		if c, ok := reducer.(TaskCloser); ok {
 			if err := c.Close(ctx); err != nil {
 				return fail(err)
@@ -285,13 +294,12 @@ func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span
 // rule): a group is held, together with the record that ended it, while
 // its reducer runs, and dropped before next is called again. One Values
 // and one backing slice serve every group of the task (the Reducer
-// contract lets them). It returns the byte size of the largest group
-// processed.
-func reduceGroups(ctx *TaskContext, reducer Reducer, base *dfs.RecordReader,
+// contract lets them): group, which the caller provides. It returns the
+// byte size of the largest group processed.
+func reduceGroups(ctx *TaskContext, reducer Reducer, group *Values, base *dfs.RecordReader,
 	next func() (key, value []byte, ok bool, err error)) (int64, error) {
 
 	var maxGroup int64
-	var group Values
 	bkey, bval, bok, err := base.Next()
 	if err != nil {
 		return 0, fmt.Errorf("schimmy base: %w", err)
@@ -331,9 +339,14 @@ func reduceGroups(ctx *TaskContext, reducer Reducer, base *dfs.RecordReader,
 		if groupBytes > maxGroup {
 			maxGroup = groupBytes
 		}
-		if err := reducer.Reduce(ctx, key, master, &group); err != nil {
+		if err := reducer.Reduce(ctx, key, master, group); err != nil {
 			return 0, err
 		}
 	}
 	return maxGroup, nil
 }
+
+// groupPool holds the Values reduce tasks walk their groups with, so that a
+// task starts with a backing slice grown to the largest group an earlier
+// task of the process had.
+var groupPool = sync.Pool{New: func() any { return new(Values) }}

@@ -470,8 +470,8 @@ func TestExecMapOnly(t *testing.T) {
 
 // TestReduceGroupsSteadyStateAllocs is the engine's share of the FF4
 // contract: walking the groups of a reduce task allocates per task (the
-// one Values and its backing slice), never per group. The cost of a task
-// with four times the groups must be the same.
+// Values' backing slice, until it has grown), never per group. The cost
+// of a task with four times the groups must be the same.
 func TestReduceGroupsSteadyStateAllocs(t *testing.T) {
 	const perGroup = 3
 	walk := func(groups int) float64 {
@@ -493,6 +493,7 @@ func TestReduceGroupsSteadyStateAllocs(t *testing.T) {
 			seen++
 			return nil
 		})
+		var group Values
 		return testing.AllocsPerRun(20, func() {
 			i := 0
 			next := func() (key, value []byte, ok bool, err error) {
@@ -502,7 +503,7 @@ func TestReduceGroupsSteadyStateAllocs(t *testing.T) {
 				i++
 				return shuffled[i-1][0], shuffled[i-1][1], true, nil
 			}
-			if _, err := reduceGroups(ctx, reducer, dfs.NewRecordReader(base.Bytes()), next); err != nil {
+			if _, err := reduceGroups(ctx, reducer, &group, dfs.NewRecordReader(base.Bytes()), next); err != nil {
 				t.Fatal(err)
 			}
 		})

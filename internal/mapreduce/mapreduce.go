@@ -164,18 +164,21 @@ func (v *Values) Len() int { return len(v.vals) }
 // and are valid only during the call: the next group overwrites them. A
 // reducer that keeps any of it across calls copies it first. Reducers are
 // created per reduce task via Job.NewReducer, so state a reducer owns
-// (FF4's slabs and scratch) lives for one task attempt.
+// lives for one task attempt unless Close hands it on (TaskCloser).
 type Reducer interface {
 	Reduce(ctx *TaskContext, key []byte, master []byte, values *Values) error
 }
 
-// TaskCloser is Hadoop's cleanup(): a Reducer that also implements it has
-// Close called once per task attempt, after the last group's Reduce has
-// returned and before the attempt's result exists, with the TaskContext
-// every Reduce call of the attempt saw. It is how a reducer hands over what
-// it collected across groups (FF2+ send a task's candidate augmenting
-// paths to aug_proc in one batch). An attempt whose merge or whose Reduce
-// failed is never closed, and a Close error fails the attempt.
+// TaskCloser is Hadoop's cleanup(): a Mapper or Reducer that also
+// implements it has Close called once per task attempt, after the last
+// record's Map or the last group's Reduce has returned and before the
+// attempt's result exists, with the TaskContext every call of the attempt
+// saw. A mapper is closed before its spill writer, so it may still emit.
+// It is how a task hands over what it collected across records (FF2+
+// reducers send a task's candidate augmenting paths to aug_proc in one
+// batch) and gives back what it borrowed (FF4+ return their scratch to a
+// process-wide pool). An attempt whose input, merge, Map or Reduce failed
+// is never closed, and a Close error fails the attempt.
 type TaskCloser interface {
 	Close(ctx *TaskContext) error
 }

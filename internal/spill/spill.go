@@ -185,6 +185,7 @@ func (a *arena) reset() {
 			arenaPool.Put(c)
 		}
 	}
+	clear(a.chunks)
 	a.chunks = a.chunks[:0]
 }
 
@@ -198,19 +199,46 @@ func (a *arena) sortRecs(recs []rec) {
 	})
 }
 
+// sortBuffer is what a Writer buffers records in: the arena holding their
+// bytes and the per-partition index locating them. It goes back to
+// sortBufferPool when the writer closes, so a process's next map task
+// starts with every partition's index and the arena's chunk list grown to
+// what an earlier task needed; a writer that fails drops it to the GC.
+type sortBuffer struct {
+	parts  [][]rec
+	sorted [][]rec // per partition, what the spill in progress writes
+	buf    arena
+}
+
+var sortBufferPool = sync.Pool{New: func() any { return new(sortBuffer) }}
+
+// getSortBuffer returns a pooled, empty buffer of n partitions. Partitions
+// past n that an earlier job used keep their storage for a later one.
+func getSortBuffer(n int) *sortBuffer {
+	b := sortBufferPool.Get().(*sortBuffer)
+	if cap(b.parts) < n {
+		parts := make([][]rec, n)
+		copy(parts, b.parts[:cap(b.parts)])
+		b.parts, b.sorted = parts, make([][]rec, n)
+	}
+	b.parts, b.sorted = b.parts[:n], b.sorted[:n]
+	for p := range b.parts {
+		b.parts[p] = b.parts[p][:0]
+	}
+	return b
+}
+
 // Writer is the map side of the out-of-core shuffle: a bounded
 // in-memory buffer that spills sorted runs to the store. Not safe for
 // concurrent use; each map task attempt owns one Writer.
 type Writer struct {
-	cfg      Config
-	parts    [][]rec
-	sorted   [][]rec // per partition, what the spill in progress writes
-	buf      arena
-	buffered int64
-	spillIdx int
-	out      Output
-	err      error
-	closed   bool
+	cfg         Config
+	*sortBuffer // nil once closed
+	buffered    int64
+	spillIdx    int
+	out         Output
+	err         error
+	closed      bool
 }
 
 // NewWriter creates a Writer for one map task attempt.
@@ -225,10 +253,9 @@ func NewWriter(cfg Config) (*Writer, error) {
 		return nil, fmt.Errorf("spill: writer needs a run store")
 	}
 	return &Writer{
-		cfg:    cfg,
-		parts:  make([][]rec, cfg.Partitions),
-		sorted: make([][]rec, cfg.Partitions),
-		out:    Output{Node: cfg.Node, Parts: make([][]Segment, cfg.Partitions)},
+		cfg:        cfg,
+		sortBuffer: getSortBuffer(cfg.Partitions),
+		out:        Output{Node: cfg.Node, Parts: make([][]Segment, cfg.Partitions)},
 	}, nil
 }
 
@@ -392,6 +419,10 @@ func (w *Writer) Close() (*Output, error) {
 			return nil, err
 		}
 	}
+	// Every spill emptied the index and the arena, and no segment points
+	// into either.
+	sortBufferPool.Put(w.sortBuffer)
+	w.sortBuffer = nil
 	return &w.out, nil
 }
 
