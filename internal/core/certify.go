@@ -10,8 +10,9 @@ import (
 // the vertices the source still reaches equals the flow value. The
 // driver holds the input in memory and learns every accepted delta from
 // aug_proc, so one host BFS over residual arcs decides it; no MapReduce
-// round has to run to find out. prflow runs the same BFS as its
-// independent check of a finished run.
+// round has to run to find out. ResidualReachable is the same search for
+// a flow vector held anywhere else: prflow's check of a finished run and
+// the dynamic package's query views.
 
 // residualGraph is a CSR over both arc directions of every input edge.
 // Arc 2i is edge i's U -> V direction, arc 2i+1 its V -> U direction;
@@ -28,38 +29,11 @@ type residualGraph struct {
 
 func newResidualGraph(in *graph.Input) *residualGraph {
 	n := in.NumVertices
-	start, arcs := arcIndex(in)
+	start, arcs := graph.ArcIndex(in)
 	return &residualGraph{
 		in: in, start: start, arcs: arcs,
 		seen: make([]bool, n), queue: make([]graph.VertexID, 0, n),
 	}
-}
-
-// arcIndex groups both arcs of every input edge by tail: the arcs leaving
-// u are arcs[start[u]:start[u+1]], arc 2i being edge i's U -> V direction
-// and arc 2i+1 its V -> U direction, in no particular order within a run.
-func arcIndex(in *graph.Input) (start, arcs []int32) {
-	n := in.NumVertices
-	// Counting sort by tail: after the running sums start[u] is the end
-	// of u's run, and placing each arc by decrementing it leaves start[u]
-	// at the run's beginning.
-	start = make([]int32, n+1)
-	for i := range in.Edges {
-		start[in.Edges[i].U]++
-		start[in.Edges[i].V]++
-	}
-	for u := 1; u <= n; u++ {
-		start[u] += start[u-1]
-	}
-	arcs = make([]int32, 2*len(in.Edges))
-	for i := range in.Edges {
-		e := &in.Edges[i]
-		start[e.U]--
-		arcs[start[e.U]] = int32(2 * i)
-		start[e.V]--
-		arcs[start[e.V]] = int32(2*i + 1)
-	}
-	return start, arcs
 }
 
 // revCap is the capacity of an edge's V -> U direction.
@@ -118,11 +92,17 @@ func (g *residualGraph) cutCapacity() int64 {
 	return c
 }
 
-// ResidualReachable reports whether the sink is reachable from the
-// source in the residual graph induced by flows (flows[i] is the flow on
-// in.Edges[i] in canonical U -> V orientation) — true means the
-// assignment is not maximum. It builds its own arcs from in.Edges, so
-// an engine can use it as a check independent of its own data structures.
-func ResidualReachable(in *graph.Input, flows []int64) bool {
-	return newResidualGraph(in).sinkReachable(flows)
+// ResidualReachable searches the residual graph induced by flows
+// (flows[i] is the flow on in.Edges[i] in canonical U -> V orientation)
+// from the source. maximal reports that the sink is unreachable, so the
+// flow is maximum; then reached marks the source side of a minimum cut
+// and cut is that cut's capacity, which equals the flow's value unless
+// the vector is not a flow. When the flow is not maximal, reached is the
+// part the search saw before it found the sink and cut is 0.
+func ResidualReachable(in *graph.Input, flows []int64) (reached []bool, cut int64, maximal bool) {
+	g := newResidualGraph(in)
+	if g.sinkReachable(flows) {
+		return g.seen, 0, false
+	}
+	return g.seen, g.cutCapacity(), true
 }

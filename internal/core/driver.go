@@ -64,6 +64,11 @@ type Result struct {
 	// Converged reports whether the termination rule fired before
 	// Options.MaxRounds.
 	Converged bool
+	// Flows is the final flow on every input edge: Flows[i] is the flow
+	// on in.Edges[i] in canonical U -> V orientation, negative for flow
+	// V -> U on an undirected edge. Deltas a run left pending in the
+	// AugmentedEdges file (see PendingDeltasFile) are already included.
+	Flows []int64
 	// RoundStats has one entry per executed round; index 0 is round #0.
 	RoundStats []RoundStat
 
@@ -150,6 +155,7 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 	result.InputGraphBytes = stat0.OutputBytes
 	result.MaxGraphBytes = stat0.OutputBytes
 
+	result.Flows = make([]int64, len(in.Edges))
 	loop := &ffLoop{
 		cluster: cluster, in: in, opts: opts, feat: feat,
 		prefix: prefix, tr: tr, runSpan: runSpan, result: result,
@@ -157,7 +163,7 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 	if opts.Termination == TerminationMaximal {
 		// The zero flow is already maximum when no s-t path exists; the
 		// run then ends after round #0.
-		loop.cert, loop.flows = newResidualGraph(in), make([]int64, len(in.Edges))
+		loop.cert = newResidualGraph(in)
 		if result.Converged, err = loop.certify(round0Span); err != nil {
 			round0Span.End()
 			return nil, err
@@ -204,11 +210,10 @@ type ffLoop struct {
 	// byte-identical, so this is never inferred.
 	warm bool
 
-	// cert and flows serve TerminationMaximal (nil otherwise): flows is
-	// the sum of every accepted delta, indexed by EdgeID (the input edge's
-	// index), and cert the residual graph the maximality check searches.
-	cert  *residualGraph
-	flows []int64
+	// cert is the residual graph the maximality check of
+	// TerminationMaximal searches (nil under the other rules) for
+	// result.Flows, the sum of every accepted delta.
+	cert *residualGraph
 }
 
 // certify runs the maximality check on the flow accepted so far and
@@ -218,7 +223,7 @@ type ffLoop struct {
 // which is an internal error.
 func (l *ffLoop) certify(sp *trace.Span) (bool, error) {
 	t0 := time.Now()
-	reachable := l.cert.sinkReachable(l.flows)
+	reachable := l.cert.sinkReachable(l.result.Flows)
 	var cut int64
 	if !reachable {
 		cut = l.cert.cutCapacity()
@@ -319,10 +324,10 @@ func (l *ffLoop) run() error {
 		// Not a RoundStat field: RoundStats are compared between runs, and
 		// this is a timing.
 		roundSpan.SetInt(trace.AttrAugDrainWaitUS, st.DrainWait.Microseconds())
+		for id, d := range deltas {
+			result.Flows[id] += d
+		}
 		if l.cert != nil && st.Accepted > 0 {
-			for id, d := range deltas {
-				l.flows[id] += d
-			}
 			if result.Converged, err = l.certify(roundSpan); err != nil {
 				roundSpan.End()
 				return err

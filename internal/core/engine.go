@@ -19,10 +19,10 @@ import (
 // snapshots) without core knowing it exists.
 
 // EngineFunc is an alternative solver with the same contract as Run: it
-// computes the maximum flow of in on the given cluster and leaves the
-// final residual state persisted in the cluster's DFS exactly as the
-// FFMR driver would (see WriteEngineState). opts arrives with defaults
-// applied and validated.
+// computes the maximum flow of in on the given cluster, returns its flow
+// vector as Result.Flows and leaves the final residual state persisted
+// in the cluster's DFS exactly as the FFMR driver would (see
+// WriteEngineState). opts arrives with defaults applied and validated.
 type EngineFunc func(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, error)
 
 var (

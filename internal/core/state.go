@@ -61,7 +61,7 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 		return fmt.Errorf("core: WriteEngineState: %d flows for %d edges", len(flows), len(in.Edges))
 	}
 	feat := opts.Variant.features()
-	start, arcs := arcIndex(in)
+	start, arcs := graph.ArcIndex(in)
 	maxDegree := 0
 	for u := 0; u < in.NumVertices; u++ {
 		maxDegree = max(maxDegree, int(start[u+1]-start[u]))
@@ -154,65 +154,4 @@ func halfEdge(in *graph.Input, flows []int64, a int) graph.Edge {
 		return graph.Edge{To: e.V, ID: graph.EdgeID(i), Flow: f, Cap: e.Cap, RevCap: rev, Fwd: true}
 	}
 	return graph.Edge{To: e.U, ID: graph.EdgeID(i), Flow: -f, Cap: rev, RevCap: e.Cap}
-}
-
-// ExtractFlows reads a completed run's persisted residual state and
-// returns the canonical per-edge flow assignment, applying the pending
-// AugmentedEdges file first if one exists (it is empty after a quiescent
-// run). It verifies that every input edge appears with exactly two
-// skew-symmetric halves, so the result is trustworthy enough to feed
-// prep.Uncontract or CheckAssignment.
-func ExtractFlows(fs *dfs.FS, in *graph.Input, opts Options, res *Result) ([]int64, error) {
-	opts.applyDefaults(1)
-	verts, err := ReadVertices(fs, roundPrefix(opts.PathPrefix, res.Rounds))
-	if err != nil {
-		return nil, fmt.Errorf("core: extract flows: %w", err)
-	}
-	if len(verts) == 0 && len(in.Edges) > 0 {
-		return nil, fmt.Errorf("core: extract flows: no vertex records under %q (run with KeepIntermediate)",
-			roundPrefix(opts.PathPrefix, res.Rounds))
-	}
-	deltaFile := deltaName(opts.PathPrefix, res.Rounds+1)
-	if fs.Exists(deltaFile) {
-		data, err := fs.ReadFile(deltaFile)
-		if err != nil {
-			return nil, err
-		}
-		table, err := DecodeDeltas(data)
-		if err != nil {
-			return nil, err
-		}
-		deltas := newDeltaSet(table)
-		var sigs []uint64
-		for _, v := range verts {
-			updateVertex(v, deltas, &sigs)
-		}
-	}
-
-	flows := make([]int64, len(in.Edges))
-	halves := make([]int, len(in.Edges))
-	for _, v := range verts {
-		for i := range v.Eu {
-			e := &v.Eu[i]
-			if int(e.ID) >= len(flows) {
-				return nil, fmt.Errorf("core: extract flows: edge %d out of range (m=%d)", e.ID, len(flows))
-			}
-			canonical := e.Flow
-			if !e.Fwd {
-				canonical = -canonical
-			}
-			if halves[e.ID] > 0 && flows[e.ID] != canonical {
-				return nil, fmt.Errorf("core: extract flows: edge %d violates skew symmetry: %d vs %d",
-					e.ID, flows[e.ID], canonical)
-			}
-			flows[e.ID] = canonical
-			halves[e.ID]++
-		}
-	}
-	for id, n := range halves {
-		if n != 2 {
-			return nil, fmt.Errorf("core: extract flows: edge %d has %d halves", id, n)
-		}
-	}
-	return flows, nil
 }

@@ -242,17 +242,24 @@ func TestResidualCut(t *testing.T) {
 			if got := g.sinkReachable(tc.flows); got != tc.reachable {
 				t.Fatalf("reachable %v, want %v", got, tc.reachable)
 			}
-			if got := ResidualReachable(in, tc.flows); got != tc.reachable {
-				t.Errorf("ResidualReachable %v, want %v", got, tc.reachable)
+			reached, cut, maximal := ResidualReachable(in, tc.flows)
+			if maximal == tc.reachable {
+				t.Errorf("ResidualReachable says maximal %v, want %v", maximal, !tc.reachable)
 			}
 			if tc.reachable {
 				return
+			}
+			if !reached[0] || !reached[1] || !reached[2] || reached[3] {
+				t.Errorf("reached %v, want the source side {0,1,2}", reached)
+			}
+			if cut != tc.value {
+				t.Errorf("ResidualReachable cut %d, want the flow value %d", cut, tc.value)
 			}
 			if cut := g.cutCapacity(); cut != tc.value {
 				t.Errorf("cut capacity %d, want the flow value %d", cut, tc.value)
 			}
 			for _, claimed := range []int64{tc.value, tc.value + 1} {
-				l := &ffLoop{cert: g, flows: tc.flows, result: &Result{MaxFlow: claimed}}
+				l := &ffLoop{cert: g, result: &Result{MaxFlow: claimed, Flows: tc.flows}}
 				maximal, err := l.certify(nil)
 				if claimed == tc.value && (err != nil || !maximal) {
 					t.Errorf("certify at the flow value: maximal %v, %v", maximal, err)

@@ -22,7 +22,9 @@ import (
 //   - flow conservation: net flow out of every vertex other than the
 //     source and sink is zero;
 //   - flow value: net flow out of the source equals res.MaxFlow (only
-//     when the run converged).
+//     when the run converged);
+//   - flow vector: res.Flows has one entry per input edge, and every
+//     edge's records carry exactly that flow.
 func Validate(fs *dfs.FS, in *graph.Input, opts Options, res *Result) error {
 	opts.applyDefaults(1)
 	prefix := roundPrefix(opts.PathPrefix, res.Rounds)
@@ -83,9 +85,21 @@ func Validate(fs *dfs.FS, in *graph.Input, opts Options, res *Result) error {
 			netOut[u] += e.Flow
 		}
 	}
+	if len(res.Flows) != len(in.Edges) {
+		return fmt.Errorf("core: validate: result has %d flows for %d edges", len(res.Flows), len(in.Edges))
+	}
+	if len(edges) != len(in.Edges) {
+		return fmt.Errorf("core: validate: records hold %d edges, the input %d", len(edges), len(in.Edges))
+	}
 	for id, hs := range edges {
 		if hs.n != 2 {
 			return fmt.Errorf("core: validate: edge %d has %d halves", id, hs.n)
+		}
+		if int(id) >= len(res.Flows) {
+			return fmt.Errorf("core: validate: edge %d out of range (m=%d)", id, len(res.Flows))
+		}
+		if hs.flow != res.Flows[id] {
+			return fmt.Errorf("core: validate: edge %d: result flow %d, records %d", id, res.Flows[id], hs.flow)
 		}
 	}
 	for u, out := range netOut {

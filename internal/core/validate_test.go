@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ffmr/internal/dfs"
@@ -100,5 +101,36 @@ func TestValidateDetectsCorruption(t *testing.T) {
 
 	if err := Validate(cluster.FS, in, opts, res); err == nil {
 		t.Fatal("validator accepted a corrupted graph")
+	}
+}
+
+// TestValidateChecksFlowVector: Validate holds Result.Flows to the
+// persisted records, so a vector that is off on one edge or misses an
+// edge is rejected.
+func TestValidateChecksFlowVector(t *testing.T) {
+	in := pathGraph(3, 2)
+	cluster := testCluster(1)
+	opts := Options{Variant: FF5, KeepIntermediate: true}
+	res, err := Run(cluster, in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Validate(cluster.FS, in, opts, res); err != nil {
+		t.Fatalf("validate the run's own vector: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		flows func([]int64) []int64
+	}{
+		{"off by one on one edge", func(f []int64) []int64 { f[1]--; return f }},
+		{"too short", func(f []int64) []int64 { return f[:len(f)-1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *res
+			bad.Flows = tc.flows(slices.Clone(res.Flows))
+			if err := Validate(cluster.FS, in, opts, &bad); err == nil {
+				t.Fatal("validator accepted a flow vector that disagrees with the records")
+			}
+		})
 	}
 }

@@ -21,9 +21,12 @@ type WarmStart struct {
 	// when produced by a job with the same reducer count on the same
 	// cluster), because schimmy rounds merge-join against them.
 	StatePrefix string
-	// BaseFlow is the flow value already committed in the records; the
-	// run's MaxFlow accumulates on top of it.
-	BaseFlow int64
+	// Flows is the flow the records hold, one entry per input edge in
+	// canonical U -> V orientation (see Result.Flows). The run's MaxFlow
+	// starts from its value, the source's net outflow, and the run adds
+	// its accepted deltas to the vector in place and returns it as
+	// Result.Flows.
+	Flows []int64
 }
 
 // RunWarm resumes FFMR from pre-existing warm state rather than from the
@@ -31,8 +34,9 @@ type WarmStart struct {
 // records Run writes in round #0, and the result has no round-0 stat; the
 // first max-flow round reads them with an empty
 // AugmentedEdges table and augmentation continues until the warm
-// fixpoint rule fires (see ffLoop.run). The input graph is used only for
-// its source/sink designation and is not re-written to the DFS.
+// fixpoint rule fires (see ffLoop.run). The input graph gives the
+// source/sink designation and the meaning of warm.Flows, and is not
+// re-written to the DFS.
 //
 // Unlike Run, the caller must pass the same explicit Reducers count the
 // state was produced with (a zero value is resolved from the cluster,
@@ -52,6 +56,9 @@ func RunWarm(cluster *mapreduce.Cluster, in *graph.Input, opts Options, warm War
 	if warm.StatePrefix == "" {
 		return nil, fmt.Errorf("core: warm restart needs a state prefix")
 	}
+	if len(warm.Flows) != len(in.Edges) {
+		return nil, fmt.Errorf("core: warm restart has %d flows for %d edges", len(warm.Flows), len(in.Edges))
+	}
 	fs := cluster.FS
 	if len(fs.List(warm.StatePrefix)) == 0 {
 		return nil, fmt.Errorf("core: warm state prefix %q holds no records", warm.StatePrefix)
@@ -66,7 +73,15 @@ func RunWarm(cluster *mapreduce.Cluster, in *graph.Input, opts Options, warm War
 	runSpan := tr.Start(trace.CatRun, fmt.Sprintf("ffmr-%s-warm", opts.Variant), nil)
 	runSpan.SetStr("variant", opts.Variant.String())
 	runSpan.SetInt(trace.AttrWarm, 1)
-	result := &Result{Variant: opts.Variant, MaxFlow: warm.BaseFlow, RunSpan: runSpan}
+	result := &Result{Variant: opts.Variant, Flows: warm.Flows, RunSpan: runSpan}
+	for i := range in.Edges {
+		switch in.Source {
+		case in.Edges[i].U:
+			result.MaxFlow += warm.Flows[i]
+		case in.Edges[i].V:
+			result.MaxFlow -= warm.Flows[i]
+		}
+	}
 	defer func() {
 		runSpan.SetInt("max_flow", result.MaxFlow)
 		runSpan.SetInt("rounds", int64(result.Rounds))

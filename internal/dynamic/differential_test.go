@@ -88,6 +88,7 @@ func TestDynamicDifferentialFBChain(t *testing.T) {
 					if want := bothOracles(t, in); snap.Result.MaxFlow != want {
 						t.Fatalf("cold flow = %d, oracles say %d", snap.Result.MaxFlow, want)
 					}
+					checkSnapshot(t, cluster, snap)
 					for gen := 1; gen <= 3; gen++ {
 						batch, err := graphgen.GenerateUpdates(
 							snap.Input, 25, graphgen.DefaultUpdateProfile(), int64(100*i+10*int(v)+gen))
@@ -102,6 +103,7 @@ func TestDynamicDifferentialFBChain(t *testing.T) {
 							t.Fatalf("gen %d: warm flow = %d, oracles say %d (violations=%d cancelled=%d)",
 								gen, out.Warm.MaxFlow, want, out.Violations, out.CancelledFlow)
 						}
+						checkSnapshot(t, cluster, out.Snapshot)
 						snap = out.Snapshot
 					}
 				})
@@ -128,6 +130,7 @@ func TestDynamicDifferentialPaperTermination(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
+	checkSnapshot(t, cluster, snap)
 	for gen := 1; gen <= 2; gen++ {
 		batch, err := graphgen.GenerateUpdates(snap.Input, 20, graphgen.DefaultUpdateProfile(), int64(gen))
 		if err != nil {
@@ -140,6 +143,7 @@ func TestDynamicDifferentialPaperTermination(t *testing.T) {
 		if want := bothOracles(t, out.Snapshot.Input); out.Warm.MaxFlow != want {
 			t.Fatalf("gen %d: warm flow = %d, oracles say %d", gen, out.Warm.MaxFlow, want)
 		}
+		checkSnapshot(t, cluster, out.Snapshot)
 		snap = out.Snapshot
 	}
 }
@@ -202,6 +206,8 @@ func TestDynamicDifferentialDistributed(t *testing.T) {
 			t.Errorf("gen %d: repair stats diverge: sim {%d %d} dist {%d %d}", gen,
 				simOut.Violations, simOut.CancelledFlow, distOut.Violations, distOut.CancelledFlow)
 		}
+		checkSnapshot(t, simC, simOut.Snapshot)
+		checkSnapshot(t, distC, distOut.Snapshot)
 		simSnap, distSnap = simOut.Snapshot, distOut.Snapshot
 	}
 }

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"fmt"
+	"maps"
 
 	"ffmr/internal/graph"
 )
@@ -46,22 +47,15 @@ type step struct {
 	dir int64
 }
 
-// computeDrain repairs the committed flows against the updated
-// capacities and returns the per-edge flow deltas the drain job must
+// computeDrain repairs the committed flows f (one entry per edge of
+// updated, canonical orientation) against the updated capacities, in
+// place, and returns the per-edge flow deltas the drain job must
 // broadcast.
-func computeDrain(updated *graph.Input, flows map[graph.EdgeID]int64) (*drainPlan, error) {
-	plan := &drainPlan{deltas: make(map[graph.EdgeID]int64)}
-
-	f := make(map[graph.EdgeID]int64, len(flows))
-	for id, v := range flows {
-		if v == 0 {
-			continue
-		}
-		if int(id) >= len(updated.Edges) {
-			return nil, fmt.Errorf("dynamic: record flow on unknown edge %d", id)
-		}
-		f[id] = v
+func computeDrain(updated *graph.Input, f []int64) (*drainPlan, error) {
+	if len(f) != len(updated.Edges) {
+		return nil, fmt.Errorf("dynamic: %d committed flows for %d edges", len(f), len(updated.Edges))
 	}
+	plan := &drainPlan{deltas: make(map[graph.EdgeID]int64)}
 
 	capF := func(id graph.EdgeID) int64 { return updated.Edges[id].Cap }
 	capR := func(id graph.EdgeID) int64 {
@@ -86,15 +80,9 @@ func computeDrain(updated *graph.Input, flows map[graph.EdgeID]int64) (*drainPla
 		return plan, nil
 	}
 
-	// Adjacency over every edge (capacity changes make any edge usable
-	// by the residual search, flow-carrying or not).
-	adj := make([][]graph.EdgeID, updated.NumVertices)
-	for id := range updated.Edges {
-		e := &updated.Edges[id]
-		eid := graph.EdgeID(id)
-		adj[e.U] = append(adj[e.U], eid)
-		adj[e.V] = append(adj[e.V], eid)
-	}
+	// Arcs of every edge (capacity changes make any edge usable by the
+	// residual search, flow-carrying or not).
+	start, arcs := graph.ArcIndex(updated)
 
 	// residual capacity crossing edge id out of vertex x.
 	resid := func(id graph.EdgeID, x graph.VertexID) int64 {
@@ -110,11 +98,16 @@ func computeDrain(updated *graph.Input, flows map[graph.EdgeID]int64) (*drainPla
 		}
 		return -f[id]
 	}
+	// add changes one edge's flow by a canonical delta.
+	add := func(id graph.EdgeID, d int64) {
+		f[id] += d
+		plan.deltas[id] += d
+	}
 	// push moves amount along a search path; dir orients each step's
 	// delta into the canonical (U -> V positive) frame.
 	push := func(path []step, amount int64) {
 		for _, s := range path {
-			f[s.id] += s.dir * amount
+			add(s.id, s.dir*amount)
 		}
 	}
 	pathMin := func(path []step, weight func(graph.EdgeID, graph.VertexID) int64, bound int64) int64 {
@@ -150,13 +143,13 @@ func computeDrain(updated *graph.Input, flows map[graph.EdgeID]int64) (*drainPla
 
 			// Preferred repair: reroute the excess through the residual
 			// network, keeping the flow value.
-			if path, ok := bfsSearch(adj, updated, from, to, vid, resid); ok {
+			if path, ok := bfsSearch(updated, start, arcs, from, to, vid, resid); ok {
 				delta := pathMin(path, resid, exc)
 				if delta <= 0 {
 					return nil, fmt.Errorf("dynamic: reroute stalled on edge %d", vid)
 				}
 				push(path, delta)
-				f[vid] -= dir * delta
+				add(vid, -dir*delta)
 				plan.rerouted += delta
 				continue
 			}
@@ -168,11 +161,11 @@ func computeDrain(updated *graph.Input, flows map[graph.EdgeID]int64) (*drainPla
 			// from to back to from, whose reversal is a residual
 			// from->to path — contradiction. So the walk never repeats
 			// an edge and its minimum is a safe cancellation bottleneck.
-			p1, ok := bfsSearch(adj, updated, updated.Source, from, vid, carrying)
+			p1, ok := bfsSearch(updated, start, arcs, updated.Source, from, vid, carrying)
 			if !ok {
 				return nil, fmt.Errorf("dynamic: no flow path from source to vertex %d; records violate conservation", from)
 			}
-			p2, ok := bfsSearch(adj, updated, to, updated.Sink, vid, carrying)
+			p2, ok := bfsSearch(updated, start, arcs, to, updated.Sink, vid, carrying)
 			if !ok {
 				return nil, fmt.Errorf("dynamic: no flow path from vertex %d to sink; records violate conservation", to)
 			}
@@ -189,33 +182,24 @@ func computeDrain(updated *graph.Input, flows map[graph.EdgeID]int64) (*drainPla
 			}
 			push(p1, delta)
 			push(p2, delta)
-			f[vid] -= dir * delta
+			add(vid, -dir*delta)
 			plan.flowDelta -= delta
 		}
 	}
 
-	// Deltas are the canonical flow changes the repair produced.
-	ids := make(map[graph.EdgeID]struct{}, len(f)+len(flows))
-	for id := range f {
-		ids[id] = struct{}{}
-	}
-	for id := range flows {
-		ids[id] = struct{}{}
-	}
-	for id := range ids {
-		if d := f[id] - flows[id]; d != 0 {
-			plan.deltas[id] = d
-		}
-	}
+	// Deltas are the canonical flow changes the repair produced; walks
+	// can cancel each other out on an edge.
+	maps.DeleteFunc(plan.deltas, func(_ graph.EdgeID, d int64) bool { return d == 0 })
 	return plan, nil
 }
 
 // bfsSearch finds a shortest path of edge traversals from src to dst
 // whose per-step weight (residual capacity for reroutes, committed flow
 // for skeleton walks) is positive, never crossing edge skip in either
-// direction. Adjacency lists are in edge-ID order, so the search is
-// deterministic. An empty path (src == dst) is valid.
-func bfsSearch(adj [][]graph.EdgeID, in *graph.Input, src, dst graph.VertexID,
+// direction. start and arcs are in's graph.ArcIndex, whose runs are in
+// edge-ID order, so the search is deterministic. An empty path
+// (src == dst) is valid.
+func bfsSearch(in *graph.Input, start, arcs []int32, src, dst graph.VertexID,
 	skip graph.EdgeID, weight func(graph.EdgeID, graph.VertexID) int64) ([]step, bool) {
 	if src == dst {
 		return nil, true
@@ -229,16 +213,15 @@ func bfsSearch(adj [][]graph.EdgeID, in *graph.Input, src, dst graph.VertexID,
 	for len(queue) > 0 {
 		x := queue[0]
 		queue = queue[1:]
-		for _, id := range adj[x] {
+		for _, a := range arcs[start[x]:start[x+1]] {
+			id := graph.EdgeID(a >> 1)
 			if id == skip || weight(id, x) <= 0 {
 				continue
 			}
 			e := &in.Edges[id]
-			y := e.V
-			dir := int64(1)
-			if x == e.V {
-				y = e.U
-				dir = -1
+			y, dir := e.V, int64(1)
+			if a&1 == 1 {
+				y, dir = e.U, -1
 			}
 			if y == src {
 				continue

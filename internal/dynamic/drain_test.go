@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"slices"
 	"testing"
 
 	"ffmr/internal/graph"
@@ -25,9 +26,13 @@ func TestComputeDrainPathViolation(t *testing.T) {
 		graph.InputEdge{U: 1, V: 2, Cap: 2},
 		graph.InputEdge{U: 2, V: 3, Cap: 5},
 	)
-	plan, err := computeDrain(in, map[graph.EdgeID]int64{0: 3, 1: 3, 2: 3})
+	flows := []int64{3, 3, 3}
+	plan, err := computeDrain(in, flows)
 	if err != nil {
 		t.Fatalf("computeDrain: %v", err)
+	}
+	if want := []int64{2, 2, 2}; !slices.Equal(flows, want) {
+		t.Errorf("repaired flows %v, want %v", flows, want)
 	}
 	if plan.violations != 1 {
 		t.Errorf("violations = %d, want 1", plan.violations)
@@ -61,7 +66,7 @@ func TestComputeDrainCancelsCycle(t *testing.T) {
 		graph.InputEdge{U: 2, V: 3, Cap: 5}, // e3 cycle, f=1
 		graph.InputEdge{U: 3, V: 1, Cap: 5}, // e4 cycle, f=1
 	)
-	plan, err := computeDrain(in, map[graph.EdgeID]int64{0: 2, 1: 2, 2: 1, 3: 1, 4: 1})
+	plan, err := computeDrain(in, []int64{2, 2, 1, 1, 1})
 	if err != nil {
 		t.Fatalf("computeDrain: %v", err)
 	}
@@ -92,7 +97,7 @@ func TestComputeDrainReroutesThroughSpareCapacity(t *testing.T) {
 		graph.InputEdge{U: 1, V: 2, Cap: 2}, // e2, empty detour
 		graph.InputEdge{U: 2, V: 3, Cap: 2}, // e3, empty detour
 	)
-	plan, err := computeDrain(in, map[graph.EdgeID]int64{0: 2, 1: 2})
+	plan, err := computeDrain(in, []int64{2, 2, 0, 0})
 	if err != nil {
 		t.Fatalf("computeDrain: %v", err)
 	}
@@ -122,7 +127,7 @@ func TestComputeDrainReverseOrientation(t *testing.T) {
 		graph.InputEdge{U: 2, V: 1, Cap: 2, Directed: true},
 		graph.InputEdge{U: 2, V: 3, Cap: 2},
 	)
-	plan, err := computeDrain(in, map[graph.EdgeID]int64{0: 2, 1: -2, 2: 2})
+	plan, err := computeDrain(in, []int64{2, -2, 2})
 	if err != nil {
 		t.Fatalf("computeDrain: %v", err)
 	}
@@ -145,7 +150,7 @@ func TestComputeDrainNoViolations(t *testing.T) {
 		graph.InputEdge{U: 0, V: 1, Cap: 5},
 		graph.InputEdge{U: 1, V: 2, Cap: 5},
 	)
-	plan, err := computeDrain(in, map[graph.EdgeID]int64{0: 3, 1: 3})
+	plan, err := computeDrain(in, []int64{3, 3})
 	if err != nil {
 		t.Fatalf("computeDrain: %v", err)
 	}
@@ -160,14 +165,16 @@ func TestComputeDrainConservationViolation(t *testing.T) {
 	in := drainInput(4,
 		graph.InputEdge{U: 0, V: 1, Cap: 1},
 	)
-	if _, err := computeDrain(in, map[graph.EdgeID]int64{0: 3}); err == nil {
+	if _, err := computeDrain(in, []int64{3}); err == nil {
 		t.Fatal("expected a conservation error")
 	}
 }
 
+// TestComputeDrainUnknownEdge: a flow vector longer than the edge list
+// puts flow on an edge the graph does not have.
 func TestComputeDrainUnknownEdge(t *testing.T) {
 	in := drainInput(3, graph.InputEdge{U: 0, V: 1, Cap: 1})
-	if _, err := computeDrain(in, map[graph.EdgeID]int64{7: 1}); err == nil {
+	if _, err := computeDrain(in, []int64{0, 0, 0, 0, 0, 0, 0, 1}); err == nil {
 		t.Fatal("expected an unknown-edge error")
 	}
 }

@@ -65,7 +65,9 @@ type Snapshot struct {
 	// load-bearing: every job of the pipeline must reuse it so output
 	// files stay partition-aligned for schimmy rounds.
 	Opts core.Options
-	// Result is the run that produced the state.
+	// Result is the run that produced the state. Its Flows is the flow
+	// the records hold, pending deltas included; Apply and BuildView
+	// read it instead of the records, and nothing may modify it.
 	Result *core.Result
 	// StatePrefix locates the final vertex records; PendingDeltas names
 	// the AugmentedEdges file the run left unapplied. It is non-empty
@@ -143,6 +145,9 @@ func Apply(cluster *mapreduce.Cluster, snap *Snapshot, batch []graph.Update) (*O
 	if err := validateBatch(snap.Input, batch); err != nil {
 		return nil, err
 	}
+	if len(snap.Result.Flows) != len(snap.Input.Edges) {
+		return nil, fmt.Errorf("dynamic: snapshot has %d flows for %d edges", len(snap.Result.Flows), len(snap.Input.Edges))
+	}
 	updated, err := graph.ApplyUpdates(snap.Input, batch)
 	if err != nil {
 		return nil, err
@@ -159,27 +164,18 @@ func Apply(cluster *mapreduce.Cluster, snap *Snapshot, batch []graph.Update) (*O
 	fs.DeletePrefix(warmPrefix)
 
 	// The previous run's unapplied deltas ride along as the apply job's
-	// side file; the updated flow they imply also feeds the driver-side
-	// skeleton below.
+	// side file; the snapshot's flow vector already includes them.
 	pendingData, err := fs.ReadFile(snap.PendingDeltas)
 	if err != nil {
 		return nil, fmt.Errorf("dynamic: pending deltas: %w (was the base run KeepIntermediate?)", err)
 	}
-	pending, err := core.DecodeDeltas(pendingData)
-	if err != nil {
-		return nil, fmt.Errorf("dynamic: pending deltas: %w", err)
-	}
 
-	// Committed flow per edge, in canonical orientation, from the
-	// persisted records plus the pending table.
-	flows, err := readFlows(fs, snap.StatePrefix)
-	if err != nil {
-		return nil, err
-	}
-	for id, d := range pending {
-		flows[id] += d
-	}
-
+	// Committed flow per edge, in canonical orientation: a copy of the
+	// snapshot's vector, which later generations and views still read,
+	// with zero flow on the inserted edges. The repair leaves it the
+	// flow the drained records hold.
+	flows := make([]int64, len(updated.Edges))
+	copy(flows, snap.Result.Flows)
 	drain, err := computeDrain(updated, flows)
 	if err != nil {
 		return nil, err
@@ -216,7 +212,7 @@ func Apply(cluster *mapreduce.Cluster, snap *Snapshot, batch []graph.Update) (*O
 	warmOpts.PathPrefix = warmPrefix
 	res, err := core.RunWarm(cluster, updated, warmOpts, core.WarmStart{
 		StatePrefix: statePrefix,
-		BaseFlow:    snap.Result.MaxFlow + drain.flowDelta,
+		Flows:       flows,
 	})
 	if err != nil {
 		return nil, err
@@ -275,27 +271,4 @@ func validateBatch(in *graph.Input, batch []graph.Update) error {
 		}
 	}
 	return nil
-}
-
-// readFlows extracts each edge's committed flow (canonical orientation)
-// from the persisted records. Only the Fwd half is consulted; skew
-// symmetry makes the mirror redundant.
-func readFlows(fsys interface {
-	List(prefix string) []string
-	ReadFile(name string) ([]byte, error)
-}, prefix string) (map[graph.EdgeID]int64, error) {
-	verts, err := core.ReadVertices(fsys, prefix)
-	if err != nil {
-		return nil, fmt.Errorf("dynamic: read state: %w", err)
-	}
-	flows := make(map[graph.EdgeID]int64)
-	for _, v := range verts {
-		for i := range v.Eu {
-			e := &v.Eu[i]
-			if e.Fwd && e.Flow != 0 {
-				flows[e.ID] = e.Flow
-			}
-		}
-	}
-	return flows, nil
 }

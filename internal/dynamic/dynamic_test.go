@@ -52,7 +52,7 @@ func solveSnap(t *testing.T, cluster *mapreduce.Cluster, in *graph.Input, opts c
 }
 
 // applyChecked applies a batch and asserts the warm flow matches the
-// oracle on the updated graph.
+// oracle on the updated graph and passes checkSnapshot.
 func applyChecked(t *testing.T, cluster *mapreduce.Cluster, snap *Snapshot, batch []graph.Update) *Outcome {
 	t.Helper()
 	out, err := Apply(cluster, snap, batch)
@@ -65,7 +65,26 @@ func applyChecked(t *testing.T, cluster *mapreduce.Cluster, snap *Snapshot, batc
 	if !out.Warm.Converged {
 		t.Fatal("warm run did not converge")
 	}
+	checkSnapshot(t, cluster, out.Snapshot)
 	return out
+}
+
+// checkSnapshot asserts that a snapshot's persisted state and flow
+// vector agree (Validate, with the run's resolved options and final
+// prefix), and that the vector is a feasible flow of the snapshot's
+// value that the certificate calls maximal.
+func checkSnapshot(t *testing.T, cluster *mapreduce.Cluster, snap *Snapshot) {
+	t.Helper()
+	in, res := snap.Input, snap.Result
+	if err := core.Validate(cluster.FS, in, snap.Opts, res); err != nil {
+		t.Fatalf("gen %d state: %v", snap.Gen, err)
+	}
+	if err := core.CheckAssignment(in, res.Flows, res.MaxFlow); err != nil {
+		t.Fatalf("gen %d flow vector: %v", snap.Gen, err)
+	}
+	if _, _, maximal := core.ResidualReachable(in, res.Flows); !maximal {
+		t.Fatalf("gen %d: the certificate finds an augmenting path in the flow vector", snap.Gen)
+	}
 }
 
 func TestApplyCapacityDecrease(t *testing.T) {

@@ -1,6 +1,9 @@
 package dynamic
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"strings"
 	"testing"
 
 	"ffmr/internal/core"
@@ -14,12 +17,9 @@ import (
 // capacity in both residual directions, the source and sink land on
 // their own cut sides, and — the max-flow min-cut theorem — the cut's
 // crossing capacity equals the flow value.
-func buildViewChecked(t *testing.T, fsys interface {
-	List(prefix string) []string
-	ReadFile(name string) ([]byte, error)
-}, snap *Snapshot) *View {
+func buildViewChecked(t *testing.T, snap *Snapshot) *View {
 	t.Helper()
-	v, err := BuildView(fsys, snap)
+	v, err := BuildView(snap)
 	if err != nil {
 		t.Fatalf("BuildView: %v", err)
 	}
@@ -54,7 +54,7 @@ func buildViewChecked(t *testing.T, fsys interface {
 func TestViewPathGraph(t *testing.T) {
 	cluster := testCluster(2)
 	snap := solveSnap(t, cluster, pathGraph(3, 5), core.Options{})
-	v := buildViewChecked(t, cluster.FS, snap)
+	v := buildViewChecked(t, snap)
 
 	// A saturated path: every edge carries 5 of 5.
 	for i := 0; i < v.NumEdges(); i++ {
@@ -84,24 +84,104 @@ func TestViewSmallWorldAndAcrossGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster := testCluster(2)
-	snap := solveSnap(t, cluster, in, core.Options{})
-	buildViewChecked(t, cluster.FS, snap)
+	// One hash per generation over everything a view serves, recorded
+	// when views still decoded the persisted records: a view built from
+	// the snapshot's flow vector must serve the same answers.
+	viewGenerationsPinned(t, in, 3, []uint64{
+		0xe698ba468fa19fff, 0x350cb8527a2fa53, 0x16730ce42e555c20, 0x6e2002713be1d302,
+	})
+}
 
-	// Views must stay correct across warm generations: apply randomized
-	// batches and re-verify the cut invariants each time.
+func TestViewDirectedEdgesPinned(t *testing.T) {
+	in, err := graphgen.WattsStrogatz(200, 6, 0.2, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphgen.RandomCapacities(in, 9, 11)
+	for i := range in.Edges {
+		in.Edges[i].Directed = i%3 == 0
+	}
+	in.Source, in.Sink = graphgen.PickEndpoints(in)
+	viewGenerationsPinned(t, in, 2, []uint64{
+		0x2b986f4a78f1d8, 0xcf631d5a3f2c85f9, 0x85329e9d16e88ab7,
+	})
+}
+
+// TestBuildViewRejectsNonMaximalFlow: a snapshot whose flow vector is
+// not maximum gets no view, since its cut would be wrong.
+func TestBuildViewRejectsNonMaximalFlow(t *testing.T) {
+	cluster := testCluster(2)
+	snap := solveSnap(t, cluster, pathGraph(3, 5), core.Options{})
+	res := *snap.Result
+	res.Flows = make([]int64, len(snap.Result.Flows))
+	zeroed := *snap
+	zeroed.Result = &res
+	_, err := BuildView(&zeroed)
+	if err == nil || !strings.Contains(err.Error(), "internal error") {
+		t.Fatalf("BuildView on a zeroed flow vector: %v, want an internal error", err)
+	}
+}
+
+// viewGenerationsPinned solves in, applies gens randomized batches, and
+// checks every generation's view against its invariants and against
+// want, one viewHash per generation.
+func viewGenerationsPinned(t *testing.T, in *graph.Input, gens int, want []uint64) {
+	t.Helper()
+	cluster := testCluster(2)
+	cur := solveSnap(t, cluster, in, core.Options{})
+	got := []uint64{viewHash(buildViewChecked(t, cur))}
 	profile := graphgen.DefaultUpdateProfile()
-	cur := snap
-	for g := 1; g <= 3; g++ {
+	for g := 1; g <= gens; g++ {
 		batch, err := graphgen.GenerateUpdates(cur.Input, 12, profile, int64(100*g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := applyChecked(t, cluster, cur, batch)
-		cur = out.Snapshot
-		v := buildViewChecked(t, cluster.FS, cur)
+		cur = applyChecked(t, cluster, cur, batch).Snapshot
+		v := buildViewChecked(t, cur)
 		if v.Gen != g {
 			t.Fatalf("generation %d view reports gen %d", g, v.Gen)
 		}
+		got = append(got, viewHash(v))
 	}
+	for g := range got {
+		if got[g] != want[g] {
+			t.Errorf("generation %d view hash %#x, want %#x", g, got[g], want[g])
+		}
+	}
+}
+
+// viewHash is an FNV-1a hash over every Edge(id), every SourceSide(v)
+// and MinCut's edge list and capacity.
+func viewHash(v *View) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	put := func(x int64) { buf = binary.AppendVarint(buf, x) }
+	for i := 0; i < v.NumEdges(); i++ {
+		e, _ := v.Edge(graph.EdgeID(i))
+		put(int64(e.U))
+		put(int64(e.V))
+		put(e.Cap)
+		if e.Directed {
+			put(1)
+		} else {
+			put(0)
+		}
+		put(e.Flow)
+		put(e.ResidualFwd)
+		put(e.ResidualRev)
+	}
+	for u := 0; u < v.NumVertices; u++ {
+		if s, _ := v.SourceSide(graph.VertexID(u)); s {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	cut, c := v.MinCut()
+	for _, id := range cut {
+		put(int64(id))
+	}
+	put(c)
+	h.Write(buf) //nolint:errcheck // hash writes never fail
+	return h.Sum64()
 }

@@ -7,7 +7,6 @@ import (
 	"ffmr/internal/core"
 	"ffmr/internal/graph"
 	"ffmr/internal/graphgen"
-	"ffmr/internal/maxflow"
 	"ffmr/internal/portfolio"
 	"ffmr/internal/prep"
 	"ffmr/internal/stats"
@@ -110,12 +109,8 @@ func Portfolio(sc Scale) ([]PortfolioRow, *stats.Table, error) {
 		return nil, nil, fmt.Errorf("experiments: core-reduced flow %d != plain FFMR flow %d",
 			coreRes.MaxFlow, plain.MaxFlow)
 	}
-	// The reduction must also reconstruct a feasible full-graph flow.
-	coreFlows, err := dinicFlowsOnCore(red)
-	if err != nil {
-		return nil, nil, err
-	}
-	full, err := red.Uncontract(coreFlows)
+	// FFMR's own flow on the core must lift to a feasible full-graph flow.
+	full, err := red.Uncontract(coreRes.Flows)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -183,22 +178,6 @@ func Portfolio(sc Scale) ([]PortfolioRow, *stats.Table, error) {
 			stats.FormatBytes(r.ShuffleBytes), r.Note)
 	}
 	return rows, t, nil
-}
-
-// dinicFlowsOnCore extracts per-edge flows of the reduced core with the
-// sequential solver; the experiment only needs them to exercise
-// Uncontract against the full graph.
-func dinicFlowsOnCore(red *prep.Reduction) ([]int64, error) {
-	net, err := maxflow.FromInput(red.Core)
-	if err != nil {
-		return nil, err
-	}
-	maxflow.Dinic(net, int(red.Core.Source), int(red.Core.Sink))
-	flows := make([]int64, len(red.Core.Edges))
-	for i := range flows {
-		flows[i] = net.Flow(2 * i)
-	}
-	return flows, nil
 }
 
 func isqrt(n int) int {

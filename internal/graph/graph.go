@@ -366,6 +366,34 @@ func Adjacency(in *Input) [][]VertexID {
 	return adj
 }
 
+// ArcIndex groups both arcs of every edge of in by tail: the arcs
+// leaving u are arcs[start[u]:start[u+1]], in ascending edge-ID order,
+// arc 2i being in.Edges[i]'s U -> V direction and arc 2i+1 its V -> U
+// direction. in must be valid.
+func ArcIndex(in *Input) (start, arcs []int32) {
+	// Counting sort by tail: after the running sums start[u] is the end
+	// of u's run, and placing each arc by decrementing it, edges in
+	// reverse order, leaves start[u] at the run's beginning and the run
+	// ascending.
+	start = make([]int32, in.NumVertices+1)
+	for i := range in.Edges {
+		start[in.Edges[i].U]++
+		start[in.Edges[i].V]++
+	}
+	for u := 1; u < len(start); u++ {
+		start[u] += start[u-1]
+	}
+	arcs = make([]int32, 2*len(in.Edges))
+	for i := len(in.Edges) - 1; i >= 0; i-- {
+		e := &in.Edges[i]
+		start[e.U]--
+		arcs[start[e.U]] = int32(2 * i)
+		start[e.V]--
+		arcs[start[e.V]] = int32(2*i + 1)
+	}
+	return start, arcs
+}
+
 // HalfEdges returns both halves of every edge of in, grouped by owning
 // vertex in one backing array: the halves stored at u are
 // edges[start[u]:start[u+1]], sorted by (To, ID) as a vertex record

@@ -303,3 +303,43 @@ func TestInputValidate(t *testing.T) {
 		})
 	}
 }
+
+func TestArcIndex(t *testing.T) {
+	// Vertex 1 is the tail of arcs of edges 0, 1, 3 and 4, in both
+	// directions; vertex 4 has no edge.
+	in := &Input{NumVertices: 5, Source: 0, Sink: 3, Edges: []InputEdge{
+		{U: 0, V: 1, Cap: 1},
+		{U: 2, V: 1, Cap: 1, Directed: true},
+		{U: 0, V: 2, Cap: 1},
+		{U: 1, V: 3, Cap: 1},
+		{U: 3, V: 1, Cap: 1},
+	}}
+	start, arcs := ArcIndex(in)
+	if len(start) != in.NumVertices+1 || len(arcs) != 2*len(in.Edges) {
+		t.Fatalf("len(start) %d, len(arcs) %d", len(start), len(arcs))
+	}
+	wantDeg := []int32{2, 4, 2, 2, 0}
+	for u, d := range wantDeg {
+		run := arcs[start[u]:start[u+1]]
+		if int32(len(run)) != d {
+			t.Errorf("vertex %d has %d arcs, want %d", u, len(run), d)
+		}
+		for j, a := range run {
+			if j > 0 && run[j-1]>>1 >= a>>1 {
+				t.Errorf("vertex %d: arcs %v not in ascending edge-ID order", u, run)
+			}
+			// Arc 2i leaves edge i's U, arc 2i+1 its V.
+			e := in.Edges[a>>1]
+			tail := e.U
+			if a&1 == 1 {
+				tail = e.V
+			}
+			if tail != VertexID(u) {
+				t.Errorf("arc %d listed at vertex %d, but its tail is %d", a, u, tail)
+			}
+		}
+	}
+	if got, want := arcs[start[1]:start[2]], []int32{1, 3, 6, 9}; !slices.Equal(got, want) {
+		t.Errorf("vertex 1 arcs %v, want %v", got, want)
+	}
+}

@@ -202,24 +202,17 @@ func run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		return res, nil
 	}
 
-	// Reduced: solve the core under a sub-prefix (keeping its state so
-	// flows can be extracted), lift the flow back to the original
-	// instance, verify, and persist the lifted state under the caller's
-	// prefix.
+	// Reduced: solve the core under a sub-prefix, lift its flow vector
+	// back to the original instance, verify, and persist the lifted state
+	// under the caller's prefix.
 	coreOpts := opts
 	coreOpts.Engine = dec.Engine
 	coreOpts.PathPrefix = opts.PathPrefix + "core/"
-	coreOpts.KeepIntermediate = true
 	coreRes, err := core.Run(cluster, red.Core, coreOpts)
 	if err != nil {
 		return nil, fmt.Errorf("portfolio: core solve: %w", err)
 	}
-	resolved := coreOpts.WithDefaults(cluster.Nodes * cluster.SlotsPerNode)
-	coreFlows, err := core.ExtractFlows(fs, red.Core, resolved, coreRes)
-	if err != nil {
-		return nil, fmt.Errorf("portfolio: core flows: %w", err)
-	}
-	flows, err := red.Uncontract(coreFlows)
+	flows, err := red.Uncontract(coreRes.Flows)
 	if err != nil {
 		return nil, err
 	}
@@ -239,6 +232,7 @@ func run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		MaxFlow:         coreRes.MaxFlow,
 		Rounds:          coreRes.Rounds,
 		Converged:       coreRes.Converged,
+		Flows:           flows,
 		RoundStats:      coreRes.RoundStats,
 		TotalSimTime:    coreRes.TotalSimTime,
 		TotalWallTime:   time.Since(start),

@@ -93,13 +93,18 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 	}
 
 	// Proof-carrying checks: the assignment is a feasible s-t flow of
-	// the claimed value, and the residual graph admits no augmenting
-	// path, so the value is maximum.
+	// the claimed value, the residual graph admits no augmenting path,
+	// and the cut that leaves has the flow's value, so it is maximum.
 	if err := core.CheckAssignment(in, flows, value); err != nil {
 		return nil, fmt.Errorf("prflow: %w", err)
 	}
-	if core.ResidualReachable(in, flows) {
+	_, cut, maximal := core.ResidualReachable(in, flows)
+	if !maximal {
 		return nil, fmt.Errorf("prflow: internal error: residual augmenting path remains at value %d", value)
+	}
+	if cut != value {
+		return nil, fmt.Errorf("prflow: internal error: no residual augmenting path remains, but the minimum cut has capacity %d, not the flow value %d",
+			cut, value)
 	}
 
 	if err := core.WriteEngineState(fs, in, opts, rounds, flows); err != nil {
@@ -117,6 +122,7 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		MaxFlow:       value,
 		Rounds:        rounds,
 		Converged:     true,
+		Flows:         flows,
 		RoundStats:    stats,
 		TotalWallTime: time.Since(start),
 		RunSpan:       runSpan,

@@ -44,12 +44,8 @@ func runBoth(t *testing.T, in *graph.Input) {
 	if err := core.Validate(cluster.FS, in, resolved, res); err != nil {
 		t.Fatalf("persisted state invalid: %v", err)
 	}
-	flows, err := core.ExtractFlows(cluster.FS, in, resolved, res)
-	if err != nil {
-		t.Fatalf("extract flows: %v", err)
-	}
-	if err := core.CheckAssignment(in, flows, res.MaxFlow); err != nil {
-		t.Fatalf("reread assignment: %v", err)
+	if err := core.CheckAssignment(in, res.Flows, res.MaxFlow); err != nil {
+		t.Fatalf("result assignment: %v", err)
 	}
 }
 

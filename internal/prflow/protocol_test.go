@@ -70,16 +70,15 @@ func TestPrflowProtocolPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The flows are read back from the persisted records, one
-			// "flow\n" line per edge; the round stats hash every
-			// RoundStat's "Submitted FlowDelta ActiveVertices\n" line, in
-			// round order.
-			flows, err := core.ExtractFlows(cluster.FS, in, opts.WithDefaults(cluster.Nodes*cluster.SlotsPerNode), res)
-			if err != nil {
+			// The flows hash the result's vector, one "flow\n" line per
+			// edge, once Validate has held it to the persisted records;
+			// the round stats hash every RoundStat's "Submitted FlowDelta
+			// ActiveVertices\n" line, in round order.
+			if err := core.Validate(cluster.FS, in, opts.WithDefaults(cluster.Nodes*cluster.SlotsPerNode), res); err != nil {
 				t.Fatal(err)
 			}
 			fh := fnv.New64a()
-			for _, f := range flows {
+			for _, f := range res.Flows {
 				fmt.Fprintf(fh, "%d\n", f)
 			}
 			h := fnv.New64a()

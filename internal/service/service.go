@@ -298,7 +298,7 @@ func (s *Service) runSolve(j *job, in *graph.Input, variant int, engine string, 
 	if err != nil {
 		return nil, err
 	}
-	view, err := dynamic.BuildView(s.cfg.Cluster.FS, snap)
+	view, err := dynamic.BuildView(snap)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +341,7 @@ func (s *Service) runUpdate(j *job, batch []graph.Update) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	view, err := dynamic.BuildView(s.cfg.Cluster.FS, out.Snapshot)
+	view, err := dynamic.BuildView(out.Snapshot)
 	if err != nil {
 		return nil, err
 	}
