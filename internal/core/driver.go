@@ -113,9 +113,21 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 	if res, handled, err := dispatchEngine(cluster, in, opts); handled {
 		return res, err
 	}
+	return run(cluster, in, opts, nil)
+}
+
+// run is the body Run and RunWarm share; warm is nil for a cold run. The
+// two differ only in how round #0 and round 1's AugmentedEdges table come
+// to exist: a cold run writes the input's records and an empty table, a
+// warm restart finds round #0 written and writes warm.Deltas.
+func run(cluster *mapreduce.Cluster, in *graph.Input, opts Options, warm *WarmStart) (*Result, error) {
 	feat := opts.Variant.features()
 	fs := cluster.FS
 	prefix := opts.PathPrefix
+	label := opts.Variant.String()
+	if warm != nil {
+		label += "-warm"
+	}
 
 	tr := opts.Tracer
 	if tr != nil {
@@ -129,7 +141,7 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 	log.Info("run start", "variant", opts.Variant.String(),
 		"reducers", opts.Reducers, "max_rounds", opts.MaxRounds,
 		"distributed", cluster.Distributed != nil)
-	runSpan := tr.Start(trace.CatRun, fmt.Sprintf("ffmr-%s", opts.Variant), nil)
+	runSpan := tr.Start(trace.CatRun, "ffmr-"+label, nil)
 	runSpan.SetStr("variant", opts.Variant.String())
 	result := &Result{Variant: opts.Variant, RunSpan: runSpan}
 	defer func() {
@@ -138,38 +150,35 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 		runSpan.End()
 	}()
 
-	fs.DeletePrefix(prefix)
-
-	// Round #0: the driver writes the first vertex records and the empty
-	// AugmentedEdges table the first max-flow round reads.
-	round0Span := tr.Start(trace.CatRound, "round-00000", runSpan)
-	t0 := time.Now()
-	err := WriteEngineState(fs, in, opts, 0, nil)
-	if err != nil {
-		round0Span.End()
-		return nil, err
-	}
-	stat0 := hostRoundStat(cluster, fs.TotalSize(roundPrefix(prefix, 0)), time.Since(t0))
-	annotateRoundSpan(round0Span, stat0)
-	result.RoundStats = append(result.RoundStats, stat0)
-	result.InputGraphBytes = stat0.OutputBytes
-	result.MaxGraphBytes = stat0.OutputBytes
-
-	result.Flows = make([]int64, len(in.Edges))
 	loop := &ffLoop{
 		cluster: cluster, in: in, opts: opts, feat: feat,
 		prefix: prefix, tr: tr, runSpan: runSpan, result: result,
+		warm: warm != nil,
 	}
-	if opts.Termination == TerminationMaximal {
-		// The zero flow is already maximum when no s-t path exists; the
-		// run then ends after round #0.
+	// The check before round 1 times itself on round #0's span; a warm
+	// restart did not write round #0, so its check goes on the run span.
+	var round0Span *trace.Span
+	certSpan := runSpan
+	var err error
+	if warm == nil {
+		fs.DeletePrefix(prefix)
+		round0Span = tr.Start(trace.CatRound, "round-00000", runSpan)
+		certSpan = round0Span
+		err = loop.writeRoundZero(round0Span)
+	} else {
+		runSpan.SetInt(trace.AttrWarm, 1)
+		err = loop.startWarm(warm)
+	}
+	if err == nil && opts.Termination == TerminationMaximal {
+		// The starting flow is already maximum when no s-t path remains in
+		// its residual network; the run then executes no round.
 		loop.cert = newResidualGraph(in)
-		if result.Converged, err = loop.certify(round0Span); err != nil {
-			round0Span.End()
-			return nil, err
-		}
+		result.Converged, err = loop.certify(certSpan)
 	}
 	round0Span.End()
+	if err != nil {
+		return nil, err
+	}
 
 	if err := loop.run(); err != nil {
 		return nil, err
@@ -180,16 +189,47 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 		result.TotalWallTime += result.RoundStats[i].WallTime
 	}
 	if !result.Converged {
-		return result, fmt.Errorf("core: %s did not converge within %d rounds", opts.Variant, opts.MaxRounds)
+		return result, fmt.Errorf("core: %s did not converge within %d rounds", label, opts.MaxRounds)
 	}
 	return result, nil
 }
 
-// ffLoop is the multi-round max-flow loop shared by the cold driver (Run)
-// and the warm-restart driver (RunWarm). It owns the per-round job
-// construction, acceptance collection, delta broadcasting and the
-// termination rule; the two entry points differ only in how the
-// round-0 state comes to exist and in which termination rule they run.
+// writeRoundZero is round #0 of a cold run: the driver writes the first
+// vertex records and the empty AugmentedEdges table the first max-flow
+// round reads, and the run starts from the zero flow.
+func (l *ffLoop) writeRoundZero(sp *trace.Span) error {
+	t0 := time.Now()
+	if err := WriteEngineState(l.cluster.FS, l.in, l.opts, 0, nil); err != nil {
+		return err
+	}
+	stat0 := hostRoundStat(l.cluster, l.cluster.FS.TotalSize(roundPrefix(l.prefix, 0)), time.Since(t0))
+	annotateRoundSpan(sp, stat0)
+	l.result.RoundStats = append(l.result.RoundStats, stat0)
+	l.result.InputGraphBytes = stat0.OutputBytes
+	l.result.MaxGraphBytes = stat0.OutputBytes
+	l.result.Flows = make([]int64, len(l.in.Edges))
+	return nil
+}
+
+// startWarm starts a warm restart from warm.Flows, whose value is the
+// source's net outflow, and writes the repair's deltas as round 1's
+// AugmentedEdges table.
+func (l *ffLoop) startWarm(warm *WarmStart) error {
+	l.result.Flows = warm.Flows
+	for i := range l.in.Edges {
+		switch l.in.Source {
+		case l.in.Edges[i].U:
+			l.result.MaxFlow += warm.Flows[i]
+		case l.in.Edges[i].V:
+			l.result.MaxFlow -= warm.Flows[i]
+		}
+	}
+	return l.cluster.FS.WriteFile(deltaName(l.prefix, 1), EncodeDeltas(warm.Deltas))
+}
+
+// ffLoop is the multi-round max-flow loop of a run (see run). It owns the
+// per-round job construction, acceptance collection, delta broadcasting
+// and the termination rule.
 type ffLoop struct {
 	cluster *mapreduce.Cluster
 	in      *graph.Input
@@ -200,14 +240,9 @@ type ffLoop struct {
 	runSpan *trace.Span
 	result  *Result
 
-	// warmBase, when non-empty, is the DFS prefix of the records consumed
-	// by round 1 instead of roundPrefix(prefix, 0): warm restarts read
-	// state produced outside the round-NNNNN chain (by the dynamic-update
-	// apply/drain jobs).
-	warmBase string
-	// warm switches the termination rule to the warm-restart one; see
-	// run. Cold runs must keep the paper's source/sink-move rule
-	// byte-identical, so this is never inferred.
+	// warm marks a warm restart (RunWarm), whose stall check counts added
+	// paths instead of movement; see ffLoop.run. Cold runs keep the paper's
+	// source/sink-move rule, so this is never inferred.
 	warm bool
 
 	// cert is the residual graph the maximality check of
@@ -274,9 +309,6 @@ func (l *ffLoop) run() error {
 		}
 
 		basePrefix := roundPrefix(prefix, round-1)
-		if round == 1 && l.warmBase != "" {
-			basePrefix = l.warmBase
-		}
 		job := &mapreduce.Job{
 			Name:         fmt.Sprintf("ffmr-%s-round-%d", opts.Variant, round),
 			Round:        round,
@@ -354,28 +386,25 @@ func (l *ffLoop) run() error {
 
 		if !opts.KeepIntermediate {
 			// The next round reads only this round's records and the deltas
-			// just written, so this round's inputs go now. A warm restart's
-			// base records are not the run's to delete.
-			if basePrefix != l.warmBase {
-				fs.DeletePrefix(basePrefix)
-			}
+			// just written, so this round's inputs go now.
+			fs.DeletePrefix(basePrefix)
 			fs.Delete(cfg.deltasFile)
 		}
 
 		if l.warm {
-			// Warm termination. A warm restart starts from records already
-			// holding excess paths, so the movement counters of Fig. 4 —
-			// which fire only on a vertex's 0 -> nonzero path transition —
-			// can read zero while extensions are still propagating through
-			// vertices that merely *grew* their path sets. Stopping on them
-			// would abandon in-flight augmentation. Instead the loop stops
-			// at a fixpoint: no vertex added any excess path this round and
-			// no augmenting path was accepted. The next round would then
-			// see an empty AugmentedEdges table and byte-identical records,
-			// so no future round can ever make progress.
+			// A warm restart stops only by the certificate. Its records
+			// already hold excess paths, so the movement counters of Fig. 4,
+			// which fire only on a vertex's 0 -> nonzero path transition, can
+			// read zero while extensions still propagate; the stall test is
+			// a fixpoint instead. When no vertex added an excess path and
+			// nothing was accepted, the next round sees an empty
+			// AugmentedEdges table and the records this round wrote, so no
+			// later round can make progress: a residual path the searches
+			// cannot reach, or a delta the flow vector lost.
 			if res.Counter("source paths added")+res.Counter("sink paths added") == 0 &&
 				st.Accepted == 0 {
-				result.Converged = true
+				return fmt.Errorf("core: internal error: warm round %d added no excess path and accepted nothing, but a residual augmenting path remains at flow value %d",
+					round, result.MaxFlow)
 			}
 		} else {
 			// Termination (Fig. 2 line 10): stop once either search is
@@ -406,11 +435,8 @@ func (l *ffLoop) run() error {
 		}
 	}
 	stop := opts.Termination.String()
-	switch {
-	case !result.Converged:
+	if !result.Converged {
 		stop = "max-rounds"
-	case l.warm:
-		stop = "warm-fixpoint"
 	}
 	l.runSpan.SetStr(trace.AttrStop, stop)
 	log.Info("run done", "max_flow", result.MaxFlow,

@@ -424,8 +424,8 @@ func (r *ffReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, value
 	if tm == 0 && len(out.Tu) > 0 {
 		ctx.Inc("sink move", 1)
 	}
-	// Path-addition counters drive the warm-restart termination rule: a
-	// warm start leaves most vertices already holding paths, so movement
+	// Path-addition counters drive the warm-restart stall check: a warm
+	// start leaves most vertices already holding paths, so movement
 	// counters (0 -> nonzero transitions) are blind to progress that only
 	// grows existing path sets. A round in which no vertex adds any path
 	// and nothing is accepted is a fixpoint.

@@ -92,9 +92,8 @@ const (
 	// rule made conservative, so it never stops in a round that still made
 	// progress and leaves no accepted delta pending. It pays for one round
 	// past the maximum, whose searches spread the excess-path frontier to
-	// quiescence; dynamic.Solve selects it so that the warm restarts that
-	// follow start from that frontier, and the experiments select it
-	// because the paper's per-round figures include that round.
+	// quiescence; the experiments select it because the paper's per-round
+	// figures include that round.
 	TerminationQuiescent
 )
 

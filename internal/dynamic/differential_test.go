@@ -115,9 +115,9 @@ func TestDynamicDifferentialFBChain(t *testing.T) {
 // TestDynamicDifferentialPaperTermination exercises the pending-deltas
 // path: under the paper's termination rule the cold run can stop with
 // accepted paths whose deltas were never folded into the records. Apply
-// must account for them, and the warm run — which uses the fixpoint
-// termination rule — still converges to the true max flow of the updated
-// graph.
+// must account for them, and the warm run — which stops by the
+// certificate whatever the snapshot's rule — still converges to the true
+// max flow of the updated graph.
 func TestDynamicDifferentialPaperTermination(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential harness is slow; skipped with -short")

@@ -16,7 +16,8 @@ import (
 //     (excluding the violating edge itself). The flow value is
 //     unchanged, and — crucially for warm-restart cost — if the old flow
 //     was maximum and the batch only decreased capacities, the rerouted
-//     flow is still maximum, so the warm run converges immediately.
+//     flow is still maximum, so the warm run's certificate stops it
+//     before round 1.
 //     Cancelling a cycle of committed flow through the edge is the
 //     special case where the residual path consists solely of reverse
 //     residual capacity, so this strictly generalizes flow-decomposition
@@ -49,8 +50,8 @@ type step struct {
 
 // computeDrain repairs the committed flows f (one entry per edge of
 // updated, canonical orientation) against the updated capacities, in
-// place, and returns the per-edge flow deltas the drain job must
-// broadcast.
+// place, and returns the per-edge flow deltas the warm run's round 1
+// must broadcast.
 func computeDrain(updated *graph.Input, f []int64) (*drainPlan, error) {
 	if len(f) != len(updated.Edges) {
 		return nil, fmt.Errorf("dynamic: %d committed flows for %d edges", len(f), len(updated.Edges))

@@ -13,22 +13,23 @@
 // warm run simply continues augmenting. Flow-breaking updates — deletes
 // and capacity decreases below committed flow — leave edges carrying
 // more flow than they may (f > cap), which the repair phase resolves
-// driver-side on the updated residual network: excess flow is first
+// driver-side on the snapshot's flow vector: excess flow is first
 // rerouted around the violating edge through residual capacity (flow
 // value preserved — and if the batch only removed capacity, the rerouted
-// flow is still maximum, so the warm run converges immediately), and
-// whatever cannot be rerouted is drained by cancelling a source-to-sink
-// walk of committed flow through the edge (flow value lowered). The
-// resulting deltas are folded into every record by a drain MapReduce
-// job; afterwards no record violates its capacity and RunWarm
-// re-augments to the new maximum.
+// flow is still maximum), and whatever cannot be rerouted is drained by
+// cancelling a source-to-sink walk of committed flow through the edge
+// (flow value lowered). The resulting deltas are the warm run's round-1
+// AugmentedEdges table, which folds them into every record before it
+// searches, exactly as a cold round folds the previous round's accepted
+// paths.
 //
-// The pipeline per batch is: apply job (rewrite capacities, attach
-// inserted half-edges, fold the previous run's pending deltas, zero FF5
-// sent flags) -> driver-side drain computation -> drain job (apply
-// cancellation deltas) -> core.RunWarm. All jobs carry distmr JobSpecs,
-// so the whole pipeline runs unchanged on the simulated engine or the
-// distributed backend.
+// The pipeline per batch is: driver-side repair -> apply job (rewrite
+// capacities, attach inserted half-edges, fold the previous run's
+// pending deltas, zero FF5 sent flags), which writes the warm run's round
+// #0 -> core.RunWarm. The warm run certifies the repaired flow before
+// round 1 and runs no round when it is already maximum. The apply job
+// carries a distmr JobSpec, so the whole pipeline runs unchanged on the
+// simulated engine or the distributed backend.
 //
 // Invariants: EdgeIDs are never reused — deletion zeroes capacity but
 // keeps the half-edges in place, so IDs stored inside persisted excess
@@ -70,11 +71,12 @@ type Snapshot struct {
 	// read it instead of the records, and nothing may modify it.
 	Result *core.Result
 	// StatePrefix locates the final vertex records; PendingDeltas names
-	// the AugmentedEdges file the run left unapplied. It is non-empty
-	// only under TerminationPaper, the one rule a snapshot runs that can
-	// stop in a round that accepted paths: Solve turns the default
-	// maximality rule into the quiescent one, and warm runs stop at a
-	// fixpoint that accepted nothing.
+	// the AugmentedEdges file the run left unapplied, which the next Apply
+	// folds in and BuildView need not (Result.Flows includes it). It holds
+	// the last round's deltas when that round accepted paths, as it does
+	// under the default maximality rule, and a warm restart that ran no
+	// round leaves its repair deltas there; under TerminationQuiescent it
+	// encodes an empty table.
 	StatePrefix   string
 	PendingDeltas string
 	// Root is the original run's DFS prefix; Gen counts applied batches
@@ -83,19 +85,12 @@ type Snapshot struct {
 	Gen  int
 }
 
-// Solve performs the cold base run and returns its snapshot. It forces
-// KeepIntermediate (the persisted state is the whole point) and resolves
+// Solve performs the cold base run and returns its snapshot. It resolves
 // option defaults so later batches see the same effective configuration.
+// The run keeps its final records and pending deltas whatever
+// KeepIntermediate says, which is all a snapshot needs.
 func Solve(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*Snapshot, error) {
 	opts = opts.WithDefaults(cluster.Nodes * cluster.SlotsPerNode)
-	opts.KeepIntermediate = true
-	if opts.Termination == core.TerminationMaximal {
-		// A run stopped at the maximum leaves the excess-path frontier
-		// where the last accepting round left it; the quiescent rule's
-		// extra round spreads it, and the first warm restart starts from
-		// there. Snapshots keep that rule so warm restarts stay cheap.
-		opts.Termination = core.TerminationQuiescent
-	}
 	res, err := core.Run(cluster, in, opts)
 	if err != nil {
 		return nil, err
@@ -123,21 +118,20 @@ type Outcome struct {
 	// alternative residual paths (flow value preserved); CancelledFlow is
 	// what remained and had to be drained to source/sink (flow value
 	// lowered, re-augmented by the warm run). Both are zero when the
-	// batch was residual-monotone. DrainRan reports whether the drain job
-	// executed.
+	// batch was residual-monotone.
 	Violations    int
 	ReroutedFlow  int64
 	CancelledFlow int64
-	DrainRan      bool
-	// RepairSimTime is the modelled cluster cost of the apply and drain
-	// jobs, so warm-versus-cold comparisons can charge the full
-	// incremental pipeline, not just the warm rounds.
+	// RepairSimTime is the modelled cluster cost of the apply job, so
+	// warm-versus-cold comparisons can charge the full incremental
+	// pipeline, not just the warm rounds.
 	RepairSimTime time.Duration
 }
 
-// Apply folds an update batch into a snapshot: it rewrites the persisted
-// records (apply job), cancels any flow the batch invalidated (drain
-// computation + drain job) and warm-restarts FFMR to re-augment. The
+// Apply folds an update batch into a snapshot: it repairs any flow the
+// batch invalidated on the snapshot's flow vector, rewrites the persisted
+// records as the warm run's round #0 (apply job) and warm-restarts FFMR
+// with the repair's deltas as round 1's table to re-augment. The
 // snapshot itself is read-only; each call works under a fresh
 // Root/warm-NNNN/ DFS prefix, so a failed Apply leaves the snapshot
 // usable.
@@ -167,13 +161,13 @@ func Apply(cluster *mapreduce.Cluster, snap *Snapshot, batch []graph.Update) (*O
 	// side file; the snapshot's flow vector already includes them.
 	pendingData, err := fs.ReadFile(snap.PendingDeltas)
 	if err != nil {
-		return nil, fmt.Errorf("dynamic: pending deltas: %w (was the base run KeepIntermediate?)", err)
+		return nil, fmt.Errorf("dynamic: pending deltas: %w", err)
 	}
 
 	// Committed flow per edge, in canonical orientation: a copy of the
 	// snapshot's vector, which later generations and views still read,
 	// with zero flow on the inserted edges. The repair leaves it the
-	// flow the drained records hold.
+	// flow the records hold once round 1 folds in the repair's deltas.
 	flows := make([]int64, len(updated.Edges))
 	copy(flows, snap.Result.Flows)
 	drain, err := computeDrain(updated, flows)
@@ -182,7 +176,7 @@ func Apply(cluster *mapreduce.Cluster, snap *Snapshot, batch []graph.Update) (*O
 	}
 	log.Info("update batch repair", "gen", gen, "updates", len(batch),
 		"violations", drain.violations, "rerouted_flow", drain.rerouted,
-		"cancelled_flow", -drain.flowDelta, "drain_needed", len(drain.deltas) > 0)
+		"cancelled_flow", -drain.flowDelta, "repair_deltas", len(drain.deltas))
 
 	repairSpan := tr.Start(trace.CatRepair, fmt.Sprintf("repair-%04d", gen), nil)
 	repairSpan.SetInt(trace.AttrUpdates, int64(len(batch)))
@@ -190,29 +184,17 @@ func Apply(cluster *mapreduce.Cluster, snap *Snapshot, batch []graph.Update) (*O
 	repairSpan.SetInt(trace.AttrReroutedFlow, drain.rerouted)
 	repairSpan.SetInt(trace.AttrCancelledFlow, -drain.flowDelta)
 
-	statePrefix, repairSim, err := runApplyJob(cluster, snap, batch, updated, warmPrefix, pendingData, repairSpan)
-	if err != nil {
-		repairSpan.End()
-		return nil, err
-	}
-	drainRan := false
-	if len(drain.deltas) > 0 {
-		var drainSim time.Duration
-		statePrefix, drainSim, err = runDrainJob(cluster, snap, drain.deltas, warmPrefix, statePrefix, repairSpan)
-		if err != nil {
-			repairSpan.End()
-			return nil, err
-		}
-		repairSim += drainSim
-		drainRan = true
-	}
-	repairSpan.End()
-
 	warmOpts := snap.Opts
 	warmOpts.PathPrefix = warmPrefix
+	repairSim, err := runApplyJob(cluster, snap, batch, updated, warmOpts, pendingData, repairSpan)
+	repairSpan.End()
+	if err != nil {
+		return nil, err
+	}
+
 	res, err := core.RunWarm(cluster, updated, warmOpts, core.WarmStart{
-		StatePrefix: statePrefix,
-		Flows:       flows,
+		Flows:  flows,
+		Deltas: drain.deltas,
 	})
 	if err != nil {
 		return nil, err
@@ -235,7 +217,6 @@ func Apply(cluster *mapreduce.Cluster, snap *Snapshot, batch []graph.Update) (*O
 		Violations:    drain.violations,
 		ReroutedFlow:  drain.rerouted,
 		CancelledFlow: -drain.flowDelta,
-		DrainRan:      drainRan,
 		RepairSimTime: repairSim,
 	}, nil
 }

@@ -1,11 +1,15 @@
 package dynamic
 
 import (
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"ffmr/internal/core"
 	"ffmr/internal/dfs"
 	"ffmr/internal/graph"
+	"ffmr/internal/graphgen"
 	"ffmr/internal/mapreduce"
 	"ffmr/internal/maxflow"
 )
@@ -101,8 +105,10 @@ func TestApplyCapacityDecrease(t *testing.T) {
 	if out.CancelledFlow != 3 {
 		t.Errorf("cancelled flow = %d, want 3", out.CancelledFlow)
 	}
-	if !out.DrainRan {
-		t.Error("drain job should have run")
+	// The drained flow of 2 is already maximum, so the certificate stops
+	// the warm run before round 1.
+	if out.Warm.Rounds != 0 {
+		t.Errorf("warm rounds = %d, want 0 (the repaired flow is maximum)", out.Warm.Rounds)
 	}
 	if out.Snapshot.Gen != 1 {
 		t.Errorf("gen = %d, want 1", out.Snapshot.Gen)
@@ -124,9 +130,8 @@ func TestApplyCapacityIncreaseReaugments(t *testing.T) {
 	if out2.Violations != 0 {
 		t.Errorf("violations = %d, want 0 (residual-monotone batch)", out2.Violations)
 	}
-	if out2.CancelledFlow != 0 || out2.DrainRan {
-		t.Errorf("residual-monotone batch must skip the drain; cancelled=%d ran=%v",
-			out2.CancelledFlow, out2.DrainRan)
+	if out2.CancelledFlow != 0 {
+		t.Errorf("residual-monotone batch must cancel no flow; cancelled=%d", out2.CancelledFlow)
 	}
 	if out2.Snapshot.Gen != 2 {
 		t.Errorf("gen = %d, want 2", out2.Snapshot.Gen)
@@ -146,8 +151,8 @@ func TestApplyInsertAddsCapacity(t *testing.T) {
 	if out.Warm.MaxFlow != 5 {
 		t.Errorf("flow after insert = %d, want 5", out.Warm.MaxFlow)
 	}
-	if out.DrainRan || out.Violations != 0 {
-		t.Errorf("insert is residual-monotone; drain ran=%v violations=%d", out.DrainRan, out.Violations)
+	if out.CancelledFlow != 0 || out.Violations != 0 {
+		t.Errorf("insert is residual-monotone; cancelled=%d violations=%d", out.CancelledFlow, out.Violations)
 	}
 }
 
@@ -224,8 +229,11 @@ func TestApplyEmptyBatch(t *testing.T) {
 	if out.Warm.MaxFlow != snap.Result.MaxFlow {
 		t.Errorf("empty batch changed the flow: %d -> %d", snap.Result.MaxFlow, out.Warm.MaxFlow)
 	}
-	if out.DrainRan || out.Violations != 0 {
-		t.Errorf("empty batch must be a no-op repair; ran=%v violations=%d", out.DrainRan, out.Violations)
+	if out.CancelledFlow != 0 || out.Violations != 0 {
+		t.Errorf("empty batch must be a no-op repair; cancelled=%d violations=%d", out.CancelledFlow, out.Violations)
+	}
+	if out.Warm.Rounds != 0 {
+		t.Errorf("warm rounds = %d, want 0 (the snapshot's flow is maximum)", out.Warm.Rounds)
 	}
 }
 
@@ -252,6 +260,80 @@ func TestRunWarmValidation(t *testing.T) {
 	cluster := testCluster(2)
 	in := pathGraph(2, 1)
 	if _, err := core.RunWarm(cluster, in, core.Options{}, core.WarmStart{}); err == nil {
-		t.Error("empty StatePrefix must be rejected")
+		t.Error("a flow vector that does not match the input's edges must be rejected")
 	}
+	if _, err := core.RunWarm(cluster, in, core.Options{}, core.WarmStart{Flows: make([]int64, len(in.Edges))}); err == nil {
+		t.Error("a warm restart without round #0 records must be rejected")
+	}
+}
+
+// TestRunWarmStallIsInternalError starts a warm run from records that
+// hold a maximum flow while its flow vector says zero: the certificate
+// finds an augmenting path in the vector, but no round can add an excess
+// path over the saturated records. That stall is the internal error, not
+// a stop at flow value 0.
+func TestRunWarmStallIsInternalError(t *testing.T) {
+	cluster := testCluster(2)
+	in := pathGraph(3, 5)
+	snap := solveSnap(t, cluster, in, core.Options{Termination: core.TerminationQuiescent})
+
+	warmOpts := snap.Opts
+	warmOpts.PathPrefix = "stall/"
+	base := core.FinalGraphPrefix(warmOpts, 0)
+	for _, name := range cluster.FS.List(snap.StatePrefix) {
+		data, err := cluster.FS.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cluster.FS.WriteFile(base+strings.TrimPrefix(name, snap.StatePrefix), append([]byte(nil), data...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := core.RunWarm(cluster, in, warmOpts, core.WarmStart{Flows: make([]int64, len(in.Edges))})
+	if err == nil || !strings.Contains(err.Error(), "internal error") {
+		t.Fatalf("RunWarm error = %v, want the internal error", err)
+	}
+}
+
+// TestApplyChainKeepsOneRoundPerGeneration checks that an update chain's
+// DFS footprint stays bounded: after Solve and three Applys, the chain's
+// prefix holds the records of exactly one round per generation, the final
+// round each snapshot reads.
+func TestApplyChainKeepsOneRoundPerGeneration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the FB1' chain graph; skipped with -short")
+	}
+	cluster := testCluster(3)
+	snap, err := Solve(cluster, fbPrime(t)[0], core.Options{})
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	want := map[string]bool{snap.StatePrefix: true}
+	for gen := 1; gen <= 3; gen++ {
+		batch, err := graphgen.GenerateUpdates(snap.Input, 20, graphgen.DefaultUpdateProfile(), int64(gen))
+		if err != nil {
+			t.Fatalf("GenerateUpdates: %v", err)
+		}
+		snap = applyChecked(t, cluster, snap, batch).Snapshot
+		want[snap.StatePrefix] = true
+	}
+	got := map[string]bool{}
+	for _, name := range cluster.FS.List(snap.Root) {
+		if i := strings.LastIndex(name, "/part-"); i >= 0 {
+			got[name[:i+1]] = true
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("record directories under %q: %v, want one per generation: %v", snap.Root, keys(got), keys(want))
+	}
+	t.Logf("%d record directories, %d bytes under %q", len(got), cluster.FS.TotalSize(snap.Root), snap.Root)
+}
+
+func keys(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -15,17 +15,16 @@ import (
 	"ffmr/internal/trace"
 )
 
-// This file holds the two MapReduce jobs of the repair pipeline. Both
-// are map-side record rewrites with an identity reducer, so their output
-// is partition-aligned part files usable as a warm round's schimmy base.
-// Both carry JobSpecs registered with the distributed backend, so they
-// run identically on the simulated engine and on distmr workers.
+// This file holds the MapReduce job of the repair pipeline: a map-side
+// record rewrite with an identity reducer, so its output is
+// partition-aligned part files, the warm run's round #0 and round 1's
+// schimmy base. It carries a JobSpec registered with the distributed
+// backend, so it runs identically on the simulated engine and on distmr
+// workers.
 
-// Job kind names registered with the distributed backend.
-const (
-	KindApplyUpdates = "dynamic/apply"
-	KindDrain        = "dynamic/drain"
-)
+// KindApplyUpdates is the apply job's kind name, registered with the
+// distributed backend.
+const KindApplyUpdates = "dynamic/apply"
 
 // capPair is an edge's updated capacity in both directions.
 type capPair struct {
@@ -47,11 +46,6 @@ type applyParams struct {
 	Caps         map[graph.EdgeID]capPair
 	Inserts      []insertEdge
 	SentTracking bool
-}
-
-// drainParams parameterizes the drain job.
-type drainParams struct {
-	DeltasFile string
 }
 
 // append frames the params with the cursor every wire message uses
@@ -107,14 +101,6 @@ func (p *applyParams) decode(data []byte) error {
 	return d.Finish("dynamic/apply params")
 }
 
-func (p *drainParams) append(b []byte) []byte { return rpcutil.AppendString(b, p.DeltasFile) }
-
-func (p *drainParams) decode(data []byte) error {
-	d := rpcutil.NewReader(data)
-	p.DeltasFile = d.Str("drain deltas file")
-	return d.Finish("dynamic/drain params")
-}
-
 func init() {
 	distmr.RegisterKind(KindApplyUpdates, func(params []byte) (*distmr.JobCode, error) {
 		var p applyParams
@@ -123,16 +109,6 @@ func init() {
 		}
 		return &distmr.JobCode{
 			NewMapper:  func() mapreduce.Mapper { return &applyMapper{p: &p} },
-			NewReducer: func() mapreduce.Reducer { return passReducer{} },
-		}, nil
-	})
-	distmr.RegisterKind(KindDrain, func(params []byte) (*distmr.JobCode, error) {
-		var p drainParams
-		if err := p.decode(params); err != nil {
-			return nil, err
-		}
-		return &distmr.JobCode{
-			NewMapper:  func() mapreduce.Mapper { return &drainMapper{file: p.DeltasFile} },
 			NewReducer: func() mapreduce.Reducer { return passReducer{} },
 		}, nil
 	})
@@ -177,22 +153,21 @@ func buildApplyParams(snap *Snapshot, batch []graph.Update, updated *graph.Input
 	}
 }
 
-// runApplyJob rewrites the snapshot's records under the update batch and
-// returns the DFS prefix of the rewritten state plus the job's simulated
-// cost.
+// runApplyJob rewrites the snapshot's records under the update batch as
+// round #0 of the warm run warmOpts configures, and returns the job's
+// simulated cost.
 func runApplyJob(cluster *mapreduce.Cluster, snap *Snapshot, batch []graph.Update,
-	updated *graph.Input, warmPrefix string, pendingData []byte, parent *trace.Span) (string, time.Duration, error) {
+	updated *graph.Input, warmOpts core.Options, pendingData []byte, parent *trace.Span) (time.Duration, error) {
 	fs := cluster.FS
-	pendingFile := warmPrefix + "pending-deltas"
+	pendingFile := warmOpts.PathPrefix + "pending-deltas"
 	if err := fs.WriteFile(pendingFile, pendingData); err != nil {
-		return "", 0, err
+		return 0, err
 	}
 	p := buildApplyParams(snap, batch, updated, pendingFile)
-	out := warmPrefix + "state-apply/"
 	job := &mapreduce.Job{
 		Name:         fmt.Sprintf("dynamic-apply-%04d", snap.Gen+1),
 		Inputs:       fs.List(snap.StatePrefix),
-		OutputPrefix: out,
+		OutputPrefix: core.FinalGraphPrefix(warmOpts, 0),
 		NumReducers:  snap.Opts.Reducers,
 		SideFiles:    []string{pendingFile},
 		Parent:       parent,
@@ -202,38 +177,9 @@ func runApplyJob(cluster *mapreduce.Cluster, snap *Snapshot, batch []graph.Updat
 	}
 	res, err := cluster.Run(job)
 	if err != nil {
-		return "", 0, fmt.Errorf("dynamic: apply job: %w", err)
+		return 0, fmt.Errorf("dynamic: apply job: %w", err)
 	}
-	return out, res.SimTime, nil
-}
-
-// runDrainJob folds the cancellation deltas into every record and
-// returns the drained state's prefix plus the job's simulated cost.
-func runDrainJob(cluster *mapreduce.Cluster, snap *Snapshot, deltas map[graph.EdgeID]int64,
-	warmPrefix, statePrefix string, parent *trace.Span) (string, time.Duration, error) {
-	fs := cluster.FS
-	drainFile := warmPrefix + "drain-deltas"
-	if err := fs.WriteFile(drainFile, core.EncodeDeltas(deltas)); err != nil {
-		return "", 0, err
-	}
-	out := warmPrefix + "state/"
-	p := &drainParams{DeltasFile: drainFile}
-	job := &mapreduce.Job{
-		Name:         fmt.Sprintf("dynamic-drain-%04d", snap.Gen+1),
-		Inputs:       fs.List(statePrefix),
-		OutputPrefix: out,
-		NumReducers:  snap.Opts.Reducers,
-		SideFiles:    []string{drainFile},
-		Parent:       parent,
-		NewMapper:    func() mapreduce.Mapper { return &drainMapper{file: p.DeltasFile} },
-		NewReducer:   func() mapreduce.Reducer { return passReducer{} },
-		Spec:         &mapreduce.JobSpec{Kind: KindDrain, Params: p.append(nil)},
-	}
-	res, err := cluster.Run(job)
-	if err != nil {
-		return "", 0, fmt.Errorf("dynamic: drain job: %w", err)
-	}
-	return out, res.SimTime, nil
+	return res.SimTime, nil
 }
 
 // applyMapper rewrites one vertex record under the batch: it folds the
@@ -351,9 +297,8 @@ func (m *applyMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
 		})
 	}
 
-	// Prune paths the new capacities saturated (ApplyAugmentedEdges with
-	// no deltas is exactly the Fig. 3 line 4 pruning pass).
-	if dropped := core.ApplyAugmentedEdges(val, nil); dropped > 0 {
+	// Prune paths the new capacities saturated.
+	if dropped := core.PruneSaturated(val); dropped > 0 {
 		ctx.Inc("paths dropped", int64(dropped))
 	}
 
@@ -368,47 +313,9 @@ func (m *applyMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
 	return nil
 }
 
-// drainMapper folds the flow-cancellation deltas into one record. It is
-// deliberately nothing but the paper's own delta-application pass (MAP
-// lines 1-4) run out-of-band: adjacency and hop copies update in
-// canonical orientation and paths left without residual capacity are
-// pruned.
-type drainMapper struct {
-	file string
-
-	loaded bool
-	deltas map[graph.EdgeID]int64
-}
-
-func (m *drainMapper) Map(ctx *mapreduce.TaskContext, key, value []byte) error {
-	u, err := graph.DecodeKey(key)
-	if err != nil {
-		return err
-	}
-	val := new(graph.VertexValue)
-	if err := graph.DecodeValueInto(value, val); err != nil {
-		return err
-	}
-	if !val.IsMaster() {
-		return fmt.Errorf("dynamic: drain mapper got a non-master record for vertex %d", u)
-	}
-	if !m.loaded {
-		m.deltas, err = core.DecodeDeltas(ctx.SideFile(m.file))
-		if err != nil {
-			return err
-		}
-		m.loaded = true
-	}
-	if dropped := core.ApplyAugmentedEdges(val, m.deltas); dropped > 0 {
-		ctx.Inc("paths dropped", int64(dropped))
-	}
-	ctx.Emit(key, graph.EncodeValue(val))
-	return nil
-}
-
 // passReducer writes each mapped record through unchanged. Every key
-// carries exactly one record (the jobs are per-vertex rewrites), which
-// it asserts.
+// carries exactly one record (the job is a per-vertex rewrite), which it
+// asserts.
 type passReducer struct{}
 
 func (passReducer) Reduce(ctx *mapreduce.TaskContext, key, master []byte, values *mapreduce.Values) error {

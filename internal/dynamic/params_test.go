@@ -37,20 +37,14 @@ func TestJobParamsRoundTrip(t *testing.T) {
 			t.Fatal("apply params encode differently from run to run")
 		}
 	}
-	drain := drainParams{DeltasFile: "ffmr/warm-0003/drain-deltas"}
-	var gotDrain drainParams
-	if err := gotDrain.decode(drain.append(nil)); err != nil || gotDrain != drain {
-		t.Errorf("drain params round trip: %+v, %v", gotDrain, err)
-	}
 }
 
 // FuzzDecodeJobParams is internal/core's target of the same name for the
-// two param structs of this package: no input may panic a decoder, and
-// whatever one accepts re-encodes to a fixed point.
+// apply job's params: no input may panic the decoder, and whatever it
+// accepts re-encodes to a fixed point.
 func FuzzDecodeJobParams(f *testing.F) {
 	f.Add(sampleApplyParams().append(nil))
 	f.Add((&applyParams{}).append(nil))
-	f.Add((&drainParams{DeltasFile: "d"}).append(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var apply applyParams
 		if apply.decode(data) == nil {
@@ -61,14 +55,6 @@ func FuzzDecodeJobParams(f *testing.F) {
 			}
 			if re := again.append(nil); !bytes.Equal(re, enc) {
 				t.Fatal("apply: encoding is not a fixed point")
-			}
-		}
-		var drain drainParams
-		if drain.decode(data) == nil {
-			enc := drain.append(nil)
-			var again drainParams
-			if err := again.decode(enc); err != nil || !bytes.Equal(again.append(nil), enc) {
-				t.Fatalf("drain: encoding is not a fixed point (%v)", err)
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"ffmr/internal/core"
 	"ffmr/internal/dynamic"
 	"ffmr/internal/graphgen"
+	"ffmr/internal/maxflow"
 	"ffmr/internal/stats"
 )
 
@@ -27,7 +28,7 @@ type WarmColdRow struct {
 	Violations    int
 	CancelledFlow int64
 	// Warm numbers come from dynamic.Apply; WarmSim charges the full
-	// incremental pipeline (apply + drain jobs + warm rounds). Cold
+	// incremental pipeline (apply job + warm rounds). Cold
 	// numbers come from runQuiescent on the same updated graph.
 	WarmRounds int
 	ColdRounds int
@@ -38,8 +39,9 @@ type WarmColdRow struct {
 // WarmVsCold applies gens randomized update batches of each given size
 // to a chain graph and solves every updated graph twice: warm (resumed
 // from the previous generation's persisted records) and cold (from
-// scratch). The two flows must agree — a mismatch is an error, making
-// every run of this experiment a differential test — and the returned
+// scratch). The two flows must agree with each other and with sequential
+// Dinic — a mismatch is an error, making every run of this experiment a
+// differential test — and the returned
 // rows carry the rounds/simulated-time comparison that EXPERIMENTS.md
 // tabulates.
 func WarmVsCold(sc Scale, batchSizes []int, gens int) ([]WarmColdRow, *stats.Table, error) {
@@ -82,6 +84,16 @@ func WarmVsCold(sc Scale, batchSizes []int, gens int) ([]WarmColdRow, *stats.Tab
 				return nil, nil, fmt.Errorf(
 					"experiments: warm/cold flows diverge on %s batch %d gen %d: warm %d, cold %d",
 					name, size, gen, out.Warm.MaxFlow, coldRes.MaxFlow)
+			}
+			upd := out.Snapshot.Input
+			net, err := maxflow.FromInput(upd)
+			if err != nil {
+				return nil, nil, err
+			}
+			if want := maxflow.Dinic(net, int(upd.Source), int(upd.Sink)); want != out.Warm.MaxFlow {
+				return nil, nil, fmt.Errorf(
+					"experiments: warm flow %d on %s batch %d gen %d, Dinic says %d",
+					out.Warm.MaxFlow, name, size, gen, want)
 			}
 			rows = append(rows, WarmColdRow{
 				Graph: name, BatchSize: size, Gen: gen, MaxFlow: out.Warm.MaxFlow,

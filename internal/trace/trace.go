@@ -41,8 +41,8 @@ const (
 	CatRPC     = "rpc"
 
 	// CatRepair spans the dynamic-update repair phase between two runs:
-	// one span per update batch, parenting the apply and drain job spans
-	// and annotated with batch size, violation count and cancelled flow.
+	// one span per update batch, parenting the apply job's span and
+	// annotated with batch size, violation count and cancelled flow.
 	CatRepair = "repair"
 
 	// CatEvent marks a zero-duration event span recorded by Tracer.Event:
@@ -74,11 +74,14 @@ const (
 	// aug_proc accepts.
 	AttrAugDrainWaitUS = "aug_drain_wait_us"
 	// AttrCertifyUS is how long the driver's maximality check took after
-	// the round (TerminationMaximal; only rounds that accepted a path, and
-	// round #0, which the driver writes without a job, run it).
+	// the round (TerminationMaximal and every warm restart; only rounds
+	// that accepted a path, and round #0, which the driver writes without
+	// a job, run it). A warm restart's check before round 1 records it on
+	// the run span, since the warm run did not write round #0.
 	AttrCertifyUS = "certify_us"
 	// AttrStop, on a run span, names the rule that ended the run:
-	// "maximal", "quiescent", "paper", "warm-fixpoint" or "max-rounds".
+	// "maximal", "quiescent", "paper" or "max-rounds". Warm restarts stop
+	// by the certificate, so theirs is "maximal".
 	AttrStop = "stop"
 )
 
