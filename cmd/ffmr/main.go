@@ -312,7 +312,7 @@ func run() error {
 				}
 				snap, cur = out.Snapshot, out.Snapshot.Input
 				flow, nrounds = out.Warm.MaxFlow, out.Warm.Rounds
-				simTime = out.Warm.TotalSimTime + out.RepairSimTime
+				simTime = out.Warm.TotalSimTime
 				viol, cancel = out.Violations, out.CancelledFlow
 			} else {
 				cur, err = graph.ApplyUpdates(cur, batch)

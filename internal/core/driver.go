@@ -67,7 +67,7 @@ type Result struct {
 	// Flows is the final flow on every input edge: Flows[i] is the flow
 	// on in.Edges[i] in canonical U -> V orientation, negative for flow
 	// V -> U on an undirected edge. Deltas a run left pending in the
-	// AugmentedEdges file (see PendingDeltasFile) are already included.
+	// AugmentedEdges file of the round after its last are already included.
 	Flows []int64
 	// RoundStats has one entry per executed round; index 0 is round #0.
 	RoundStats []RoundStat
@@ -117,12 +117,9 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts Options) (*Result, er
 }
 
 // run is the body Run and RunWarm share; warm is nil for a cold run. The
-// two differ only in how round #0 and round 1's AugmentedEdges table come
-// to exist: a cold run writes the input's records and an empty table, a
-// warm restart finds round #0 written and writes warm.Deltas.
+// two differ only in the round #0 writeRoundZero writes.
 func run(cluster *mapreduce.Cluster, in *graph.Input, opts Options, warm *WarmStart) (*Result, error) {
 	feat := opts.Variant.features()
-	fs := cluster.FS
 	prefix := opts.PathPrefix
 	label := opts.Variant.String()
 	if warm != nil {
@@ -155,25 +152,17 @@ func run(cluster *mapreduce.Cluster, in *graph.Input, opts Options, warm *WarmSt
 		prefix: prefix, tr: tr, runSpan: runSpan, result: result,
 		warm: warm != nil,
 	}
-	// The check before round 1 times itself on round #0's span; a warm
-	// restart did not write round #0, so its check goes on the run span.
-	var round0Span *trace.Span
-	certSpan := runSpan
-	var err error
-	if warm == nil {
-		fs.DeletePrefix(prefix)
-		round0Span = tr.Start(trace.CatRound, "round-00000", runSpan)
-		certSpan = round0Span
-		err = loop.writeRoundZero(round0Span)
-	} else {
+	if warm != nil {
 		runSpan.SetInt(trace.AttrWarm, 1)
-		err = loop.startWarm(warm)
 	}
+	round0Span := tr.Start(trace.CatRound, "round-00000", runSpan)
+	err := loop.writeRoundZero(round0Span, warm)
 	if err == nil && opts.Termination == TerminationMaximal {
 		// The starting flow is already maximum when no s-t path remains in
-		// its residual network; the run then executes no round.
+		// its residual network; the run then executes no round. The check
+		// times itself on round #0's span.
 		loop.cert = newResidualGraph(in)
-		result.Converged, err = loop.certify(certSpan)
+		result.Converged, err = loop.certify(round0Span)
 	}
 	round0Span.End()
 	if err != nil {
@@ -194,12 +183,37 @@ func run(cluster *mapreduce.Cluster, in *graph.Input, opts Options, warm *WarmSt
 	return result, nil
 }
 
-// writeRoundZero is round #0 of a cold run: the driver writes the first
-// vertex records and the empty AugmentedEdges table the first max-flow
-// round reads, and the run starts from the zero flow.
-func (l *ffLoop) writeRoundZero(sp *trace.Span) error {
+// writeRoundZero is round #0: the driver writes the first vertex records
+// and the empty AugmentedEdges table the first max-flow round reads. A
+// cold run starts from the zero flow with seeded source and sink records.
+// A warm restart starts from warm.Flows, whose value is the source's net
+// outflow, and its records carry the excess paths of the records under
+// warm.Base, refreshed against the input and warm.Flows.
+func (l *ffLoop) writeRoundZero(sp *trace.Span, warm *WarmStart) error {
 	t0 := time.Now()
-	if err := WriteEngineState(l.cluster.FS, l.in, l.opts, 0, nil); err != nil {
+	var flows []int64
+	var base []graph.VertexValue
+	if warm != nil {
+		flows = warm.Flows
+		var err error
+		if base, err = readBase(l.cluster.FS, l.in, warm.Base); err != nil {
+			return err
+		}
+		for i := range l.in.Edges {
+			switch l.in.Source {
+			case l.in.Edges[i].U:
+				l.result.MaxFlow += flows[i]
+			case l.in.Edges[i].V:
+				l.result.MaxFlow -= flows[i]
+			}
+		}
+		if err := CheckAssignment(l.in, flows, l.result.MaxFlow); err != nil {
+			return fmt.Errorf("core: warm restart: %w", err)
+		}
+	}
+	// The base is read first: it may lie under the run's prefix.
+	l.cluster.FS.DeletePrefix(l.prefix)
+	if err := writeState(l.cluster.FS, l.in, l.opts, 0, flows, base); err != nil {
 		return err
 	}
 	stat0 := hostRoundStat(l.cluster, l.cluster.FS.TotalSize(roundPrefix(l.prefix, 0)), time.Since(t0))
@@ -207,24 +221,11 @@ func (l *ffLoop) writeRoundZero(sp *trace.Span) error {
 	l.result.RoundStats = append(l.result.RoundStats, stat0)
 	l.result.InputGraphBytes = stat0.OutputBytes
 	l.result.MaxGraphBytes = stat0.OutputBytes
-	l.result.Flows = make([]int64, len(l.in.Edges))
-	return nil
-}
-
-// startWarm starts a warm restart from warm.Flows, whose value is the
-// source's net outflow, and writes the repair's deltas as round 1's
-// AugmentedEdges table.
-func (l *ffLoop) startWarm(warm *WarmStart) error {
-	l.result.Flows = warm.Flows
-	for i := range l.in.Edges {
-		switch l.in.Source {
-		case l.in.Edges[i].U:
-			l.result.MaxFlow += warm.Flows[i]
-		case l.in.Edges[i].V:
-			l.result.MaxFlow -= warm.Flows[i]
-		}
+	if flows == nil {
+		flows = make([]int64, len(l.in.Edges))
 	}
-	return l.cluster.FS.WriteFile(deltaName(l.prefix, 1), EncodeDeltas(warm.Deltas))
+	l.result.Flows = flows
+	return nil
 }
 
 // ffLoop is the multi-round max-flow loop of a run (see run). It owns the

@@ -457,7 +457,7 @@ func TestRunLeavesOnlyFinalState(t *testing.T) {
 				t.Fatalf("the run took %d rounds; the test needs a round that deletes another", res.Rounds)
 			}
 			final := FinalGraphPrefix(opts, res.Rounds)
-			want := append([]string{PendingDeltasFile(opts, res.Rounds)}, c.FS.List(final)...)
+			want := append([]string{deltaName("ffmr/", res.Rounds+1)}, c.FS.List(final)...)
 			if got := c.FS.List(""); !slices.Equal(got, want) || len(want) < 2 {
 				t.Errorf("after %d rounds the DFS holds %q, want the final round's parts and pending deltas %q",
 					res.Rounds, got, want)

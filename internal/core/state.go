@@ -11,7 +11,8 @@ import (
 )
 
 // This file writes vertex records from the host. The FFMR driver writes
-// its round #0 with WriteEngineState and zero flows, and alternative
+// round #0 with it: a cold run's from zero flows, a warm restart's from
+// the repaired flow vector and the previous run's excess paths. Alternative
 // engines (internal/prflow, the portfolio's core-reduced runs) persist
 // their final state with it: canonical vertex records under a round-NNNNN
 // prefix plus an AugmentedEdges pending-deltas file. Keeping the state
@@ -42,23 +43,53 @@ func (p partitions) write(fs *dfs.FS, prefix string) (int64, error) {
 
 // WriteEngineState persists a per-edge flow assignment as the state after
 // round rounds: partition-aligned vertex record files under
-// roundPrefix(opts.PathPrefix, rounds) and an empty pending-deltas file
-// at PendingDeltasFile(opts, rounds) — exactly what the FFMR driver
+// roundPrefix(opts.PathPrefix, rounds) and an empty AugmentedEdges file
+// for round rounds+1 — exactly what the FFMR driver
 // leaves behind after a quiescent-termination run, and, with rounds 0
 // and nil flows, the records the driver starts from. flows[i] is the flow
 // on in.Edges[i] in canonical (U -> V) orientation; nil means no flow.
 //
 // opts must have defaults resolved (Run resolves them before engine
 // dispatch): Reducers fixes the partition alignment of the output files,
-// which schimmy rounds and the dynamic-update pipeline rely on. Records
-// carry the usual source/sink excess-path seeds and (for FF5) zeroed
-// sent-flag arrays, so a later warm restart can re-augment from them.
+// which schimmy rounds rely on. Records carry the usual source/sink
+// excess-path seeds and (for FF5) zeroed sent-flag arrays, so a later warm
+// restart can carry the seeds into its round #0.
 func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flows []int64) error {
+	return writeState(fs, in, opts, rounds, flows, nil)
+}
+
+// writeState is WriteEngineState with an optional base: nil, or one
+// decoded record per vertex (see readBase) whose excess paths the new
+// records carry instead of the source/sink seeds. Each carried path is
+// refreshed once: every hop's Flow and Cap are re-read from in and flows
+// in the hop's orientation, and a path with a hop of no residual capacity
+// is dropped (Fig. 3 line 4). The base's adjacency and sent flags are not
+// read.
+func writeState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flows []int64, base []graph.VertexValue) error {
 	if opts.Reducers <= 0 {
 		return fmt.Errorf("core: WriteEngineState needs resolved options (Reducers=%d)", opts.Reducers)
 	}
 	if flows != nil && len(flows) != len(in.Edges) {
 		return fmt.Errorf("core: WriteEngineState: %d flows for %d edges", len(flows), len(in.Edges))
+	}
+	for u := range base {
+		for _, paths := range [2]*[]graph.ExcessPath{&base[u].Su, &base[u].Tu} {
+			for _, p := range *paths {
+				for i := range p.Edges {
+					pe := &p.Edges[i]
+					if int(pe.ID) >= len(in.Edges) {
+						return fmt.Errorf("core: vertex %d carries a path over edge %d of %d", u, pe.ID, len(in.Edges))
+					}
+					a := 2 * int(pe.ID)
+					if !pe.Fwd {
+						a++
+					}
+					h := halfEdge(in, flows, a)
+					pe.Flow, pe.Cap = h.Flow, h.Cap
+				}
+			}
+			*paths, _ = removeSaturated(*paths, 0)
+		}
 	}
 	feat := opts.Variant.features()
 	start, arcs := graph.ArcIndex(in)
@@ -99,10 +130,12 @@ func WriteEngineState(fs *dfs.FS, in *graph.Input, opts Options, rounds int, flo
 		for j, k := range keys {
 			val.Eu[j] = halfEdge(in, flows, int(uint32(k)))
 		}
-		if graph.VertexID(u) == in.Source {
+		switch {
+		case base != nil:
+			val.Su, val.Tu = base[u].Su, base[u].Tu
+		case graph.VertexID(u) == in.Source:
 			val.Su = seed
-		}
-		if graph.VertexID(u) == in.Sink && !opts.DisableBidirectional {
+		case graph.VertexID(u) == in.Sink && !opts.DisableBidirectional:
 			val.Tu = seed
 		}
 		if feat.sentTracking {
@@ -154,4 +187,25 @@ func halfEdge(in *graph.Input, flows []int64, a int) graph.Edge {
 		return graph.Edge{To: e.V, ID: graph.EdgeID(i), Flow: f, Cap: e.Cap, RevCap: rev, Fwd: true}
 	}
 	return graph.Edge{To: e.U, ID: graph.EdgeID(i), Flow: -f, Cap: rev, RevCap: e.Cap}
+}
+
+// readBase decodes the vertex records under prefix into one value per
+// vertex of in, the base writeState carries excess paths from. A vertex
+// without a record gets the zero value.
+func readBase(fs *dfs.FS, in *graph.Input, prefix string) ([]graph.VertexValue, error) {
+	verts, err := ReadVertices(fs, prefix)
+	if err != nil {
+		return nil, err
+	}
+	if len(verts) == 0 {
+		return nil, fmt.Errorf("core: %q holds no records", prefix)
+	}
+	base := make([]graph.VertexValue, in.NumVertices)
+	for u, v := range verts {
+		if int(u) >= len(base) {
+			return nil, fmt.Errorf("core: %q holds vertex %d of a graph with %d", prefix, u, len(base))
+		}
+		base[u] = *v
+	}
+	return base, nil
 }

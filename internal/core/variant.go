@@ -81,8 +81,8 @@ const (
 	// before round 1 and after every round that accepted a path, runs one
 	// host BFS over the input's residual arcs. When the sink is no longer
 	// reachable the run ends, after checking that the cut the BFS leaves
-	// has the flow's value. The last round's deltas stay pending (see
-	// PendingDeltasFile). It is the default.
+	// has the flow's value. The last round's deltas stay pending in the
+	// AugmentedEdges file of the round after it. It is the default.
 	TerminationMaximal TerminationMode = iota
 	// TerminationPaper stops exactly per Fig. 2 of the paper: as soon as
 	// the source-move or sink-move counter of a round is zero.

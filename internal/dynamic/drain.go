@@ -7,7 +7,7 @@ import (
 	"ffmr/internal/graph"
 )
 
-// This file computes the repair phase's flow deltas. A violating edge —
+// This file repairs the committed flow vector. A violating edge —
 // one the batch left carrying more flow than its new capacity permits —
 // sheds its excess in order of preference:
 //
@@ -50,8 +50,8 @@ type step struct {
 
 // computeDrain repairs the committed flows f (one entry per edge of
 // updated, canonical orientation) against the updated capacities, in
-// place, and returns the per-edge flow deltas the warm run's round 1
-// must broadcast.
+// place; the warm run starts from the result. The returned plan records
+// the per-edge flow deltas the repair made.
 func computeDrain(updated *graph.Input, f []int64) (*drainPlan, error) {
 	if len(f) != len(updated.Edges) {
 		return nil, fmt.Errorf("dynamic: %d committed flows for %d edges", len(f), len(updated.Edges))

@@ -211,14 +211,21 @@ func TestApplyMixedBatch(t *testing.T) {
 	}
 }
 
-func TestApplyRejectsInsertAtIsolatedVertex(t *testing.T) {
+// TestApplyInsertAtIsolatedVertex inserts edges at a vertex that has no
+// record in the snapshot: round #0 is written from the updated input, so
+// the vertex gets one, and the new s-3-t path carries flow.
+func TestApplyInsertAtIsolatedVertex(t *testing.T) {
 	in := pathGraph(2, 3)
 	in.NumVertices = 4 // vertex 3 exists but has no edges, hence no record
 	cluster := testCluster(2)
 	snap := solveSnap(t, cluster, in, core.Options{})
 
-	if _, err := Apply(cluster, snap, []graph.Update{graph.InsertEdge(1, 3, 5, false)}); err == nil {
-		t.Fatal("insert at an isolated vertex must be rejected")
+	out := applyChecked(t, cluster, snap, []graph.Update{
+		graph.InsertEdge(0, 3, 5, false),
+		graph.InsertEdge(3, 2, 5, false),
+	})
+	if out.Warm.MaxFlow != 8 {
+		t.Errorf("flow after inserts at the isolated vertex = %d, want 8", out.Warm.MaxFlow)
 	}
 }
 
@@ -263,35 +270,29 @@ func TestRunWarmValidation(t *testing.T) {
 		t.Error("a flow vector that does not match the input's edges must be rejected")
 	}
 	if _, err := core.RunWarm(cluster, in, core.Options{}, core.WarmStart{Flows: make([]int64, len(in.Edges))}); err == nil {
-		t.Error("a warm restart without round #0 records must be rejected")
+		t.Error("a warm restart without a base must be rejected")
+	}
+	if _, err := core.RunWarm(cluster, in, core.Options{}, core.WarmStart{Flows: make([]int64, len(in.Edges)), Base: "none/"}); err == nil {
+		t.Error("a base prefix that holds no records must be rejected")
 	}
 }
 
-// TestRunWarmStallIsInternalError starts a warm run from records that
-// hold a maximum flow while its flow vector says zero: the certificate
-// finds an augmenting path in the vector, but no round can add an excess
-// path over the saturated records. That stall is the internal error, not
-// a stop at flow value 0.
-func TestRunWarmStallIsInternalError(t *testing.T) {
+// TestRunWarmRejectsInfeasibleFlows starts a warm run from a vector that
+// breaks conservation at vertex 1. The vector defines round #0, so the
+// run must fail before it writes anything.
+func TestRunWarmRejectsInfeasibleFlows(t *testing.T) {
 	cluster := testCluster(2)
 	in := pathGraph(3, 5)
-	snap := solveSnap(t, cluster, in, core.Options{Termination: core.TerminationQuiescent})
+	snap := solveSnap(t, cluster, in, core.Options{})
 
 	warmOpts := snap.Opts
-	warmOpts.PathPrefix = "stall/"
-	base := core.FinalGraphPrefix(warmOpts, 0)
-	for _, name := range cluster.FS.List(snap.StatePrefix) {
-		data, err := cluster.FS.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cluster.FS.WriteFile(base+strings.TrimPrefix(name, snap.StatePrefix), append([]byte(nil), data...)); err != nil {
-			t.Fatal(err)
-		}
+	warmOpts.PathPrefix = "infeasible/"
+	_, err := core.RunWarm(cluster, in, warmOpts, core.WarmStart{Flows: []int64{5, 0, 0}, Base: snap.StatePrefix})
+	if err == nil || !strings.Contains(err.Error(), "conservation") {
+		t.Fatalf("RunWarm error = %v, want a conservation violation", err)
 	}
-	_, err := core.RunWarm(cluster, in, warmOpts, core.WarmStart{Flows: make([]int64, len(in.Edges))})
-	if err == nil || !strings.Contains(err.Error(), "internal error") {
-		t.Fatalf("RunWarm error = %v, want the internal error", err)
+	if names := cluster.FS.List(warmOpts.PathPrefix); len(names) != 0 {
+		t.Errorf("the rejected warm run wrote %q", names)
 	}
 }
 

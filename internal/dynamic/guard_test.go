@@ -12,8 +12,8 @@ import (
 
 // TestGuardedDFSApplyChain applies twenty generations of updates over a
 // DFS that checksums every stored block and checks it on every read,
-// delete and close. Each generation reads the previous one's state and
-// pending deltas and writes them on, so any Apply-side writer that reused
+// delete and close. Each generation reads the previous one's final
+// records and writes its own, so any Apply-side writer that reused
 // a buffer it had stored, or reader that wrote into a view it was handed,
 // fails the test naming the file.
 func TestGuardedDFSApplyChain(t *testing.T) {

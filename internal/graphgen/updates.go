@@ -62,8 +62,9 @@ type edgeState struct {
 // reproducible from seed. Deletions and capacity changes only target
 // edges that currently carry capacity (an edge deleted earlier in the
 // batch is not re-targeted), and inserted edges always connect vertices
-// that already have at least one edge — the invariant internal/dynamic
-// requires, since only such vertices own a persisted record.
+// that already have at least one edge, near each other (see pickInsert).
+// internal/dynamic accepts inserts at isolated vertices too; this
+// generator does not produce them.
 func GenerateUpdates(in *graph.Input, n int, p UpdateProfile, seed int64) ([]graph.Update, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graphgen: negative batch size %d", n)
@@ -106,8 +107,8 @@ func GenerateUpdates(in *graph.Input, n int, p UpdateProfile, seed int64) ([]gra
 		return 0, false
 	}
 
-	// pickInsert finds a new edge's endpoints: a random vertex with a
-	// record, then a short random walk to a nearby distinct vertex.
+	// pickInsert finds a new edge's endpoints: a random vertex with an
+	// edge, then a short random walk to a nearby distinct vertex.
 	pickInsert := func() (u, v graph.VertexID, ok bool) {
 		for try := 0; try < 64; try++ {
 			u = graph.VertexID(rng.Intn(in.NumVertices))

@@ -41,8 +41,9 @@ const (
 	CatRPC     = "rpc"
 
 	// CatRepair spans the dynamic-update repair phase between two runs:
-	// one span per update batch, parenting the apply job's span and
-	// annotated with batch size, violation count and cancelled flow.
+	// one span per update batch, covering the host repair of the flow
+	// vector and annotated with batch size, violation count, rerouted and
+	// cancelled flow.
 	CatRepair = "repair"
 
 	// CatEvent marks a zero-duration event span recorded by Tracer.Event:
