@@ -546,7 +546,6 @@ func BenchmarkDynamic(b *testing.B) {
 			b.ReportMetric(coldR/n, "cold-rounds")
 			b.ReportMetric(warmMS/n, "warm-sim-ms")
 			b.ReportMetric(coldMS/n, "cold-sim-ms")
-			b.ReportMetric(coldMS/warmMS, "speedup-x")
 		})
 	}
 }

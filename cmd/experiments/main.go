@@ -46,7 +46,6 @@ func run(args []string, stdout io.Writer) error {
 		traceOut = fs.String("trace", "", "write a Chrome trace_event JSON file covering every run")
 		budget   = fs.Int64("memory-budget", 0, "per-map-task shuffle buffer bytes; >0 spills sorted runs to disk (0 = unbounded)")
 		spillTo  = fs.String("spill-dir", "", "directory for spill segments (default: system temp dir)")
-		comp     = fs.Bool("compress", false, "DEFLATE-compress spill segments")
 		dist     = fs.Bool("distributed", false, "run every job on an in-process distributed master/worker cluster")
 		distWork = fs.Int("dist-workers", 3, "workers in the distributed cluster (with -distributed)")
 	)
@@ -95,7 +94,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	sc.MemoryBudget = *budget
 	sc.SpillDir = *spillTo
-	sc.SpillCompress = *comp
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		tracer = trace.New()

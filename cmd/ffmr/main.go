@@ -98,7 +98,6 @@ func run() error {
 		trOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the run")
 		budget  = flag.Int64("memory-budget", 0, "per-map-task shuffle buffer bytes; >0 spills sorted runs to disk (0 = unbounded in-memory shuffle)")
 		spillTo = flag.String("spill-dir", "", "directory for spill segments (default: system temp dir)")
-		comp    = flag.Bool("compress", false, "DEFLATE-compress spill segments")
 
 		updates  = flag.Int("updates", 0, "after solving, apply this many randomized edge-update batches (dynamic max-flow)")
 		updBatch = flag.Int("update-batch", 20, "updates per batch for -updates (inserts, deletes, capacity changes)")
@@ -173,7 +172,7 @@ func run() error {
 			}
 		}()
 	}
-	cluster := newCluster(*nodes, *slots, *real, *budget, *spillTo, *comp)
+	cluster := newCluster(*nodes, *slots, *real, *budget, *spillTo)
 
 	// Distributed mode: boot a master (plus optional in-process workers),
 	// wait for registrations, and point the cluster's job execution at it.
@@ -319,7 +318,7 @@ func run() error {
 				if err != nil {
 					return err
 				}
-				coldC := newCluster(*nodes, *slots, *real, *budget, *spillTo, *comp)
+				coldC := newCluster(*nodes, *slots, *real, *budget, *spillTo)
 				if master != nil {
 					distribute(coldC, master, *crash, *seed)
 				}
@@ -354,7 +353,7 @@ func run() error {
 		simOpts := opts
 		simOpts.Tracer = trace.New()
 		simOpts.RoundCallback = nil
-		simRes, err := core.Run(newCluster(*nodes, *slots, *real, *budget, *spillTo, *comp), in, simOpts)
+		simRes, err := core.Run(newCluster(*nodes, *slots, *real, *budget, *spillTo), in, simOpts)
 		if err != nil {
 			return err
 		}
@@ -389,7 +388,7 @@ func run() error {
 	}
 
 	if *bfs {
-		bc := newCluster(*nodes, *slots, *real, *budget, *spillTo, *comp)
+		bc := newCluster(*nodes, *slots, *real, *budget, *spillTo)
 		if master != nil {
 			distribute(bc, master, *crash, *seed)
 		}
@@ -509,7 +508,7 @@ func comparableStat(rs core.RoundStat) core.RoundStat {
 	return rs
 }
 
-func newCluster(nodes, slots int, realistic bool, budget int64, spillDir string, compress bool) *mapreduce.Cluster {
+func newCluster(nodes, slots int, realistic bool, budget int64, spillDir string) *mapreduce.Cluster {
 	fs := dfs.New(dfs.Config{Nodes: nodes, BlockSize: 4 << 20, Replication: 2})
 	c := mapreduce.NewCluster(nodes, slots, fs)
 	if realistic {
@@ -519,7 +518,6 @@ func newCluster(nodes, slots int, realistic bool, budget int64, spillDir string,
 	}
 	c.MemoryBudget = budget
 	c.SpillDir = spillDir
-	c.SpillCompress = compress
 	return c
 }
 

@@ -65,20 +65,19 @@ func TestBuildGraphFromFile(t *testing.T) {
 }
 
 func TestNewClusterModes(t *testing.T) {
-	real := newCluster(3, 2, true, 0, "", false)
+	real := newCluster(3, 2, true, 0, "")
 	if real.Nodes != 3 || real.SlotsPerNode != 2 {
 		t.Errorf("cluster shape: %d/%d", real.Nodes, real.SlotsPerNode)
 	}
 	if real.Cost.RoundOverhead == 0 {
 		t.Error("realistic cluster has no round overhead")
 	}
-	fast := newCluster(1, 1, false, 0, "", false)
+	fast := newCluster(1, 1, false, 0, "")
 	if fast.Cost.RoundOverhead != 0 {
 		t.Error("zero-cost cluster has round overhead")
 	}
-	spill := newCluster(2, 2, false, 4096, t.TempDir(), true)
-	if spill.MemoryBudget != 4096 || spill.SpillDir == "" || !spill.SpillCompress {
-		t.Errorf("spill knobs not threaded: budget=%d dir=%q compress=%v",
-			spill.MemoryBudget, spill.SpillDir, spill.SpillCompress)
+	spill := newCluster(2, 2, false, 4096, t.TempDir())
+	if spill.MemoryBudget != 4096 || spill.SpillDir == "" {
+		t.Errorf("spill knobs not threaded: budget=%d dir=%q", spill.MemoryBudget, spill.SpillDir)
 	}
 }

@@ -129,7 +129,6 @@ func TestDistributedDifferentialSpill(t *testing.T) {
 			}
 			distC := testCluster(3)
 			distC.MemoryBudget = spillBudget
-			distC.SpillCompress = true
 			distC.MergeFanIn = 2
 			distC.Distributed = h.Master
 			distTr := trace.New()

@@ -495,7 +495,7 @@ func jobStat(round int, res *mapreduce.Result, st AugProcStats) RoundStat {
 }
 
 // FinalGraphPrefix returns the DFS prefix of the last round's vertex
-// records for a run configured with KeepIntermediate (used by tests and
+// records, which every finished run leaves in the DFS (used by tests and
 // tools to inspect the final residual network).
 func FinalGraphPrefix(opts Options, rounds int) string {
 	prefix := opts.PathPrefix

@@ -24,14 +24,13 @@ import (
 const spillBudget = 1 << 10
 
 // budgetedCluster builds a cluster on the out-of-core shuffle path:
-// small memory budget, disk spill dir, minimal merge fan-in (so segment
-// counts above 2 need intermediate merge passes), and compression to
-// exercise the DEFLATE stage.
+// small memory budget, disk spill dir and minimal merge fan-in (so
+// segment counts above 2 need intermediate merge passes): the path every
+// budgeted run takes.
 func budgetedCluster(t *testing.T, nodes int) *mapreduce.Cluster {
 	c := testCluster(nodes)
 	c.MemoryBudget = spillBudget
 	c.SpillDir = t.TempDir()
-	c.SpillCompress = true
 	c.MergeFanIn = 2
 	return c
 }

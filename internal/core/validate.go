@@ -10,7 +10,8 @@ import (
 // This file validates a finished run's final residual network against
 // the flow-network axioms of Section II-A: capacity constraint, skew
 // symmetry, and flow conservation. Validation reads the last round's
-// vertex records from the DFS (requires Options.KeepIntermediate) and is
+// vertex records from the DFS — every run leaves them there, since the
+// driver deletes only round r-1's inputs once round r succeeds — and is
 // used by the test suite as a whole-system invariant check; it is not on
 // the data path.
 
@@ -33,7 +34,7 @@ func Validate(fs *dfs.FS, in *graph.Input, opts Options, res *Result) error {
 		return fmt.Errorf("core: validate: %w", err)
 	}
 	if len(verts) == 0 {
-		return fmt.Errorf("core: validate: no vertex records under %q (run with KeepIntermediate)", prefix)
+		return fmt.Errorf("core: validate: no vertex records under %q", prefix)
 	}
 
 	// The final round's records predate the application of that round's

@@ -31,8 +31,8 @@ type HeartbeatReply struct {
 	Retired  bool
 }
 
-// HandoffReply returns the stored (possibly compressed) bytes of each
-// requested spill object, whole, in descriptor order.
+// HandoffReply returns the stored bytes of each requested spill object,
+// whole, in descriptor order.
 type HandoffReply struct {
 	Data [][]byte
 }
@@ -121,10 +121,9 @@ type FetchSegmentsArgs struct {
 	Ranges []FetchRange
 }
 
-// FetchSegmentsReply returns the ranges' stored (possibly compressed)
-// bytes back to back, in request order. A decoded reply holds them in
-// Data; a serving worker lists them in parts, which the codec writes
-// from the worker's store.
+// FetchSegmentsReply returns the ranges' stored bytes back to back, in
+// request order. A decoded reply holds them in Data; a serving worker
+// lists them in parts, which the codec writes from the worker's store.
 type FetchSegmentsReply struct {
 	Data  []byte
 	parts [][]byte

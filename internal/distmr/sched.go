@@ -287,7 +287,7 @@ func (jr *jobRun) run() (*mapreduce.Result, error) {
 		r := jr.maps[i].winner
 		mapDur[i] = jr.maps[i].dur
 		res.AddMapWinner(&mapreduce.MapResult{InRecs: r.InRecs, OutRecs: r.OutRecs,
-			Out: &spill.Output{RawBytes: r.RawBytes, MaxFrame: r.MaxFrame, Spills: r.Spills}})
+			Out: &spill.Output{Bytes: r.RawBytes, MaxFrame: r.MaxFrame, Spills: r.Spills}})
 	}
 	reduceDur := make([]time.Duration, len(jr.reduces))
 	reduceFetch := make([]int64, len(jr.reduces))
@@ -612,7 +612,6 @@ func (jr *jobRun) descriptor(ts *taskState, assign int, w *workerHandle) *TaskDe
 		Round:           job.Round,
 		NumReducers:     job.NumReducers,
 		MemoryBudget:    c.MemoryBudget,
-		Compress:        c.SpillCompress,
 		MergeFanIn:      c.MergeFanIn,
 		Seed:            c.Fault.Seed,
 		CrashRate:       c.Fault.WorkerCrashRate,

@@ -102,7 +102,6 @@ type TaskDescriptor struct {
 
 	NumReducers  int
 	MemoryBudget int64
-	Compress     bool
 	MergeFanIn   int
 
 	// Fault-injection coordinates, mirrored from the cluster's Faults.
@@ -223,12 +222,14 @@ type Completion struct {
 // FetchSegments and dropped shuffle prefetch. Version 7 added
 // TaskDescriptor.Held, ReadFileArgs.Charged and TaskResult.InputLocal:
 // a map split or schimmy base the receiving worker kept from the
-// previous job is named, not shipped.
+// previous job is named, not shipped. Version 8 dropped spill
+// compression: a segment entry carries one size, its range's length,
+// and a task descriptor no compress flag.
 // Decoders accept exactly the current version: master and workers ship
 // from one binary (DESIGN.md §13's compatibility rule), so a mismatch
 // means a stale process, and refusing it beats silently misreading
 // frames.
-const wireVersion = 7
+const wireVersion = 8
 
 // inline is the put of an AppendBulk (rpcutil.Bulky) that wants the
 // whole frame in b.
@@ -255,9 +256,7 @@ func appendSegment(b []byte, s *spill.Segment) []byte {
 	b = binary.AppendVarint(b, s.Offset)
 	b = binary.AppendVarint(b, int64(s.Partition))
 	b = binary.AppendVarint(b, s.Records)
-	b = binary.AppendVarint(b, s.RawBytes)
-	b = binary.AppendVarint(b, s.StoredBytes)
-	b = rpcutil.AppendBool(b, s.Compressed)
+	b = binary.AppendVarint(b, s.Bytes)
 	b = binary.AppendVarint(b, int64(s.Node))
 	return b
 }
@@ -300,7 +299,6 @@ func (d *TaskDescriptor) AppendBulk(b []byte, put func(b, p []byte) []byte) []by
 	b = binary.AppendVarint(b, int64(d.Round))
 	b = binary.AppendVarint(b, int64(d.NumReducers))
 	b = binary.AppendVarint(b, d.MemoryBudget)
-	b = rpcutil.AppendBool(b, d.Compress)
 	b = binary.AppendVarint(b, int64(d.MergeFanIn))
 	b = binary.AppendVarint(b, d.Seed)
 	b = rpcutil.AppendF64(b, d.DiskFailureRate)
@@ -383,14 +381,12 @@ func readSegment(d *rpcutil.Reader, s *spill.Segment) {
 	s.Offset = d.Varint("segment offset")
 	s.Partition = d.Int("segment partition")
 	s.Records = d.Varint("segment records")
-	s.RawBytes = d.Varint("segment raw bytes")
-	s.StoredBytes = d.Varint("segment stored bytes")
-	s.Compressed = d.Bool("segment compressed")
+	s.Bytes = d.Varint("segment bytes")
 	s.Node = int(d.Varint("segment node"))
 	// No object holds a range that starts or ends before its first byte.
 	// Whether the range ends inside the object is checked where it is
 	// opened.
-	if s.Offset < 0 || s.StoredBytes < 0 || s.Offset+s.StoredBytes < 0 {
+	if s.Offset < 0 || s.Bytes < 0 || s.Offset+s.Bytes < 0 {
 		d.Fail("segment range")
 	}
 }
@@ -436,7 +432,6 @@ func (t *TaskDescriptor) decode(data []byte) error {
 	t.Round = d.Int("round")
 	t.NumReducers = d.Int("reducers")
 	t.MemoryBudget = d.Varint("memory budget")
-	t.Compress = d.Bool("compress")
 	t.MergeFanIn = d.Int("merge fan-in")
 	t.Seed = d.Varint("seed")
 	t.DiskFailureRate = d.F64("disk failure rate")

@@ -24,11 +24,11 @@ func sampleResult() *TaskResult {
 		Spills:   3,
 		Parts: [][]spill.Segment{
 			{
-				{Name: "j42-m0-a0-p0-s0", Partition: 0, Records: 10, RawBytes: 512, StoredBytes: 300, Compressed: true, Node: 1},
-				{Name: "j42-m0-a0-p0-s1", Partition: 0, Records: 4, RawBytes: 128, StoredBytes: 128, Node: 1},
+				{Name: "j42-m0-a0-p0-s0", Partition: 0, Records: 10, Bytes: 300, Node: 1},
+				{Name: "j42-m0-a0-p0-s1", Partition: 0, Records: 4, Bytes: 128, Node: 1},
 			},
 			nil,
-			{{Name: "j42-m0-a0-p0-s0", Offset: 300, Partition: 2, Records: 6, RawBytes: 256, StoredBytes: 256, Node: 0}},
+			{{Name: "j42-m0-a0-p0-s0", Offset: 300, Partition: 2, Records: 6, Bytes: 256, Node: 0}},
 		},
 		OutputData:    []byte("framed reduce output bytes"),
 		OutBytes:      26,

@@ -23,7 +23,6 @@ func sampleTask() *TaskDescriptor {
 
 		NumReducers:  6,
 		MemoryBudget: 1 << 10,
-		Compress:     true,
 		MergeFanIn:   2,
 
 		Seed:            -99,
@@ -36,12 +35,12 @@ func sampleTask() *TaskDescriptor {
 		Split:       []byte("record-aligned split bytes"),
 		Sources: []MapSource{
 			{MapTask: 0, Worker: 3, Addr: "127.0.0.1:4001", Segments: []spill.Segment{
-				{Name: "j42/map-0/a0/spill-0", Offset: 811, Partition: 1, Records: 10, RawBytes: 512, StoredBytes: 300, Compressed: true, Node: 1},
-				{Name: "j42/map-0/a0/spill-1", Offset: 1 << 33, Partition: 1, Records: 4, RawBytes: 128, StoredBytes: 128, Node: 1},
+				{Name: "j42/map-0/a0/spill-0", Offset: 811, Partition: 1, Records: 10, Bytes: 300, Node: 1},
+				{Name: "j42/map-0/a0/spill-1", Offset: 1 << 33, Partition: 1, Records: 4, Bytes: 128, Node: 1},
 			}},
 			{MapTask: 1, Worker: 5, Addr: "127.0.0.1:4002"},
 			{MapTask: 2, Prefix: "distmr-state/ff-round-3/seg/", Segments: []spill.Segment{
-				{Name: "j42-m2-a1-p1-s0", Partition: 1, Records: 6, RawBytes: 256, StoredBytes: 256, Node: 0},
+				{Name: "j42-m2-a1-p1-s0", Partition: 1, Records: 6, Bytes: 256, Node: 0},
 			}},
 		},
 	}
@@ -93,19 +92,19 @@ func TestTaskDescriptorRoundTrip(t *testing.T) {
 // decoded, in a task descriptor and in a result alike.
 func TestSegmentRangeIsChecked(t *testing.T) {
 	for _, c := range []struct {
-		offset, stored int64
-		ok             bool
+		offset, bytes int64
+		ok            bool
 	}{
 		{0, 0, true}, {4096, 64, true}, {-1, 64, false}, {0, -64, false}, {1 << 62, 1 << 62, false},
 	} {
-		segs := []spill.Segment{{Name: "j1/map-0/a0/spill-0", Offset: c.offset, StoredBytes: c.stored}}
+		segs := []spill.Segment{{Name: "j1/map-0/a0/spill-0", Offset: c.offset, Bytes: c.bytes}}
 		_, err := DecodeTask(EncodeTask(&TaskDescriptor{Phase: PhaseReduce, Sources: []MapSource{{Segments: segs}}}))
 		if (err == nil) != c.ok {
-			t.Errorf("task with a segment at [%d,+%d): decode error %v", c.offset, c.stored, err)
+			t.Errorf("task with a segment at [%d,+%d): decode error %v", c.offset, c.bytes, err)
 		}
 		_, err = DecodeResult(EncodeResult(&TaskResult{Parts: [][]spill.Segment{segs}}))
 		if (err == nil) != c.ok {
-			t.Errorf("result with a segment at [%d,+%d): decode error %v", c.offset, c.stored, err)
+			t.Errorf("result with a segment at [%d,+%d): decode error %v", c.offset, c.bytes, err)
 		}
 	}
 }

@@ -935,7 +935,6 @@ func (w *Worker) runMap(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *Tas
 		Split:           split,
 		Partitions:      desc.NumReducers,
 		Budget:          desc.MemoryBudget,
-		Compress:        desc.Compress,
 		Prefix:          fmt.Sprintf("j%05d/map-%05d/a%d/", desc.JobSeq, desc.Task, desc.Assign),
 		Seed:            desc.Seed,
 		DiskFailureRate: desc.DiskFailureRate,
@@ -946,7 +945,7 @@ func (w *Worker) runMap(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *Tas
 	return &TaskResult{
 		InRecs:     r.InRecs,
 		OutRecs:    r.OutRecs,
-		RawBytes:   r.Out.RawBytes,
+		RawBytes:   r.Out.Bytes,
 		MaxFrame:   r.Out.MaxFrame,
 		Spills:     r.Out.Spills,
 		Parts:      r.Out.Parts,
@@ -997,7 +996,6 @@ func (w *Worker) runReduce(desc *TaskDescriptor, j *workerJob, sp *trace.Span) *
 		Node:      desc.Node,
 		Segments:  segs,
 		FanIn:     desc.MergeFanIn,
-		Compress:  desc.Compress,
 		TmpPrefix: prefix,
 		Base:      base,
 	}, counters, sp)
@@ -1055,7 +1053,7 @@ func (w *Worker) shuffle(desc *TaskDescriptor, prefix string) ([]spill.Segment, 
 			}
 			c := open[key]
 			if c == nil || (src.Prefix == "" && desc.MemoryBudget > 0 &&
-				c.bytes > 0 && c.bytes+seg.StoredBytes > desc.MemoryBudget) {
+				c.bytes > 0 && c.bytes+seg.Bytes > desc.MemoryBudget) {
 				c = &fetchCall{addr: src.Addr}
 				if src.Prefix != "" {
 					c.addr, c.file = "", key
@@ -1065,7 +1063,7 @@ func (w *Worker) shuffle(desc *TaskDescriptor, prefix string) ([]spill.Segment, 
 			}
 			c.segs = append(c.segs, seg)
 			c.srcs = append(c.srcs, i)
-			c.bytes += seg.StoredBytes
+			c.bytes += seg.Bytes
 		}
 	}
 	// One goroutine per source worker (and one for the DFS) runs its calls
@@ -1132,7 +1130,7 @@ func (w *Worker) fetch(c *fetchCall, name string, ctx trace.Context) error {
 	} else {
 		args := &FetchSegmentsArgs{Ranges: make([]FetchRange, len(c.segs))}
 		for k, s := range c.segs {
-			args.Ranges[k] = FetchRange{Name: s.Name, Offset: s.Offset, Length: s.StoredBytes}
+			args.Ranges[k] = FetchRange{Name: s.Name, Offset: s.Offset, Length: s.Bytes}
 		}
 		client, err := w.fetchClient(c.addr)
 		if err != nil {
@@ -1149,7 +1147,7 @@ func (w *Worker) fetch(c *fetchCall, name string, ctx trace.Context) error {
 		data = reply.Data
 		var off int64
 		for _, s := range c.segs {
-			s.Offset, off = off, off+s.StoredBytes
+			s.Offset, off = off, off+s.Bytes
 		}
 	}
 	if err := w.cfg.Store.Put(name, data); err != nil {

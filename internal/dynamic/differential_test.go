@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"math/rand"
 	"testing"
 
 	"ffmr/internal/core"
@@ -109,6 +110,54 @@ func TestDynamicDifferentialFBChain(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestDynamicDifferentialIsolatedVertices runs FB1' under FF5 with three
+// vertices appended that no edge touches, so they have no record when the
+// chain starts. Each generation's randomized batch also joins one of them
+// to the super source and to a random vertex of the graph, the last one
+// to the first as well: the vertex's first record appears in a warm
+// round #0, and the flow through it must match the oracles.
+func TestDynamicDifferentialIsolatedVertices(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential harness is slow; skipped with -short")
+	}
+	in := fbPrime(t)[0]
+	const isolated = 3
+	first := in.NumVertices
+	in.NumVertices += isolated
+	cluster := testCluster(3)
+	snap, err := Solve(cluster, in, core.Options{Variant: core.FF5})
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if want := bothOracles(t, in); snap.Result.MaxFlow != want {
+		t.Fatalf("cold flow = %d, oracles say %d", snap.Result.MaxFlow, want)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for gen := 1; gen <= isolated; gen++ {
+		batch, err := graphgen.GenerateUpdates(snap.Input, 20, graphgen.DefaultUpdateProfile(), int64(500+gen))
+		if err != nil {
+			t.Fatalf("gen %d: GenerateUpdates: %v", gen, err)
+		}
+		x := graph.VertexID(first + gen - 1)
+		batch = append(batch,
+			graph.InsertEdge(in.Source, x, 4, false),
+			graph.InsertEdge(x, graph.VertexID(rng.Intn(first)), 3, false))
+		if gen == isolated {
+			batch = append(batch, graph.InsertEdge(graph.VertexID(first), x, 2, true))
+		}
+		out, err := Apply(cluster, snap, batch)
+		if err != nil {
+			t.Fatalf("gen %d: Apply: %v", gen, err)
+		}
+		if want := bothOracles(t, out.Snapshot.Input); out.Warm.MaxFlow != want {
+			t.Fatalf("gen %d: warm flow = %d, oracles say %d (violations=%d cancelled=%d)",
+				gen, out.Warm.MaxFlow, want, out.Violations, out.CancelledFlow)
+		}
+		checkSnapshot(t, cluster, out.Snapshot)
+		snap = out.Snapshot
 	}
 }
 

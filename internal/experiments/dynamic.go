@@ -108,12 +108,11 @@ func WarmVsCold(sc Scale, batchSizes []int, gens int) ([]WarmColdRow, *stats.Tab
 
 	t := stats.NewTable("Warm restart vs cold recompute (FF5, "+name+")",
 		"Batch", "Gen", "|f*|", "Violations", "Cancelled", "Warm Rounds", "Cold Rounds",
-		"Warm SimTime", "Cold SimTime", "Speedup")
+		"Warm SimTime", "Cold SimTime")
 	for _, r := range rows {
 		t.AddRow(r.BatchSize, r.Gen, stats.FormatCount(r.MaxFlow), r.Violations,
 			stats.FormatCount(r.CancelledFlow), r.WarmRounds, r.ColdRounds,
-			stats.FormatDuration(r.WarmSim), stats.FormatDuration(r.ColdSim),
-			stats.Speedup(r.ColdSim, r.WarmSim))
+			stats.FormatDuration(r.WarmSim), stats.FormatDuration(r.ColdSim))
 	}
 	return rows, t, nil
 }

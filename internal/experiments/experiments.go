@@ -48,14 +48,12 @@ type Scale struct {
 	// wall-clock numbers do.
 	Realistic bool
 	// MemoryBudget, when positive, runs every cluster on the out-of-core
-	// shuffle path: map outputs above this many raw bytes spill sorted
+	// shuffle path: map outputs above this many framed bytes spill sorted
 	// runs to SpillDir and reducers k-way merge them back. Zero keeps the
 	// unbounded in-memory shuffle.
 	MemoryBudget int64
 	// SpillDir is where spill segments live (default: system temp dir).
 	SpillDir string
-	// SpillCompress DEFLATE-compresses spill segments.
-	SpillCompress bool
 	// Tracer, if non-nil, is threaded through the experiment's FFMR runs
 	// so their run/round/job/task spans accumulate in one trace (exported
 	// with the CLI's -trace flag). Trace-derived experiments (Table1,
@@ -114,7 +112,6 @@ func (sc *Scale) newCluster(nodes int) *mapreduce.Cluster {
 	}
 	c.MemoryBudget = sc.MemoryBudget
 	c.SpillDir = sc.SpillDir
-	c.SpillCompress = sc.SpillCompress
 	c.Distributed = sc.Distributed
 	return c
 }

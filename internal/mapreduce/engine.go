@@ -44,8 +44,6 @@ type Cluster struct {
 	// SpillDir is where spill runs live when MemoryBudget > 0 (a fresh
 	// private dir is created per job; the OS temp dir when empty).
 	SpillDir string
-	// SpillCompress DEFLATE-compresses spill segments.
-	SpillCompress bool
 	// MergeFanIn bounds how many segments one reduce-side merge pass
 	// reads (Hadoop's io.sort.factor; default spill.DefaultMergeFanIn).
 	MergeFanIn int
@@ -325,7 +323,6 @@ func (c *Cluster) runMapPhase(job *Job, env *TaskEnv, splits []Split,
 				Split:           splits[ti].Data,
 				Partitions:      job.NumReducers,
 				Budget:          c.MemoryBudget,
-				Compress:        c.SpillCompress,
 				Prefix:          fmt.Sprintf("map-%05d/a%d/", ti, attempt),
 				Seed:            c.Fault.Seed,
 				DiskFailureRate: c.Fault.DiskFailureRate,
@@ -485,7 +482,6 @@ func (c *Cluster) runReducePhase(job *Job, env *TaskEnv, mapOut []*MapResult,
 				Node:      node,
 				Segments:  segs,
 				FanIn:     c.MergeFanIn,
-				Compress:  c.SpillCompress,
 				TmpPrefix: fmt.Sprintf("reduce-%05d/a%d/", p, attempt),
 				Base:      base,
 			}, counters, att)

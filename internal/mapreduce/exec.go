@@ -63,8 +63,7 @@ type MapTask struct {
 	// the unbounded shuffle: the buffer is written once, at close, and
 	// since that single write stands for memory rather than a local disk
 	// no disk failure is drawn for it.
-	Budget   int64
-	Compress bool
+	Budget int64
 	// Prefix namespaces the attempt's segments in the store; a failed
 	// attempt leaves nothing under it.
 	Prefix string
@@ -99,7 +98,6 @@ func ExecMap(env *TaskEnv, t *MapTask, counters *Counters, att *trace.Span) (*Ma
 		Store:        env.Store,
 		NamePrefix:   t.Prefix,
 		Node:         t.Node,
-		Compress:     t.Compress,
 		Tracer:       env.Tracer,
 		Parent:       att,
 	}
@@ -168,7 +166,7 @@ func ExecMap(env *TaskEnv, t *MapTask, counters *Counters, att *trace.Span) (*Ma
 	}
 	att.SetInt("spills", res.Out.Spills)
 	att.SetInt("records_out", res.OutRecs)
-	att.SetInt("raw_bytes", res.Out.RawBytes)
+	att.SetInt("raw_bytes", res.Out.Bytes)
 	return res, nil
 }
 
@@ -180,10 +178,9 @@ type ReduceTask struct {
 	// Segments are the task's partition of every map output, in map-task
 	// order; all of them are present in the store.
 	Segments []spill.Segment
-	// FanIn and Compress parameterize the merge; TmpPrefix namespaces its
-	// intermediate segments, which are gone when ExecReduce returns.
+	// FanIn bounds the merge; TmpPrefix namespaces its intermediate
+	// segments, which are gone when ExecReduce returns.
 	FanIn     int
-	Compress  bool
 	TmpPrefix string
 	// Base is a schimmy job's base partition: the previous round's output
 	// partition Task, merge-joined with the shuffled stream. The caller
@@ -219,9 +216,9 @@ func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span
 	}
 	res := &ReduceResult{}
 	for _, seg := range t.Segments {
-		res.Fetch += seg.RawBytes
+		res.Fetch += seg.Bytes
 		if seg.Node != t.Node {
-			res.Inter += seg.RawBytes
+			res.Inter += seg.Bytes
 		}
 	}
 
@@ -236,7 +233,6 @@ func ExecReduce(env *TaskEnv, t *ReduceTask, counters *Counters, att *trace.Span
 
 	it, mstats, err := spill.Merge(env.Store, t.Segments, spill.MergeOptions{
 		FanIn:     t.FanIn,
-		Compress:  t.Compress,
 		TmpPrefix: t.TmpPrefix,
 		Tracer:    env.Tracer,
 		Parent:    att,

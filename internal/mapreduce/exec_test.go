@@ -89,13 +89,13 @@ func sumEnv(store spill.RunStore) *TaskEnv {
 const execParts = 3
 
 // execMaps runs one ExecMap attempt per split.
-func execMaps(t *testing.T, env *TaskEnv, splits [][]byte, budget int64, compress bool, counters *Counters) []*MapResult {
+func execMaps(t *testing.T, env *TaskEnv, splits [][]byte, budget int64, counters *Counters) []*MapResult {
 	t.Helper()
 	outs := make([]*MapResult, len(splits))
 	for ti, split := range splits {
 		r, err := ExecMap(env, &MapTask{
 			Task: ti, Node: ti, Split: split, Partitions: execParts,
-			Budget: budget, Compress: compress, Prefix: fmt.Sprintf("map-%05d/a0/", ti),
+			Budget: budget, Prefix: fmt.Sprintf("map-%05d/a0/", ti),
 		}, counters, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -115,72 +115,70 @@ func partSegments(maps []*MapResult, p int) []spill.Segment {
 }
 
 // TestExecSameOutputInEveryCell runs ExecMap then ExecReduce over both
-// stores, with a tiny and with no budget, raw and compressed. Every cell
-// must produce byte-identical output partitions; at a fixed budget the
-// statistics must not depend on the store or on compression (between
-// budgets they legitimately differ: the combiner runs once per spill).
+// stores, with a tiny and with no budget. Every cell must produce
+// byte-identical output partitions; at a fixed budget the statistics must
+// not depend on the store (between budgets they legitimately differ: the
+// combiner runs once per spill).
 func TestExecSameOutputInEveryCell(t *testing.T) {
 	type stats struct {
-		InRecs, OutRecs, RawBytes, SegRecords, Spills int64
-		Fetch, Inter, OutRecords                      int64
-		CombineIn, CombineOut                         int64
+		InRecs, OutRecs, Bytes, SegRecords, Spills int64
+		Fetch, Inter, OutRecords                   int64
+		CombineIn, CombineOut                      int64
 	}
 	splits := execSplits(3, 150)
 	var wantOut [][]byte
 	for _, budget := range []int64{512, 0} {
 		var want *stats
 		for storeName, newStore := range execStores {
-			for _, compress := range []bool{false, true} {
-				cell := fmt.Sprintf("%s/budget=%d/compress=%v", storeName, budget, compress)
-				store := newStore(t)
-				env := sumEnv(store)
-				counters := NewCounters()
-				maps := execMaps(t, env, splits, budget, compress, counters)
+			cell := fmt.Sprintf("%s/budget=%d", storeName, budget)
+			store := newStore(t)
+			env := sumEnv(store)
+			counters := NewCounters()
+			maps := execMaps(t, env, splits, budget, counters)
 
-				var got stats
-				for _, m := range maps {
-					got.InRecs += m.InRecs
-					got.OutRecs += m.OutRecs
-					got.RawBytes += m.Out.RawBytes
-					got.SegRecords += m.Out.Records
-					got.Spills += m.Out.Spills
+			var got stats
+			for _, m := range maps {
+				got.InRecs += m.InRecs
+				got.OutRecs += m.OutRecs
+				got.Bytes += m.Out.Bytes
+				got.SegRecords += m.Out.Records
+				got.Spills += m.Out.Spills
+			}
+			var out [][]byte
+			for p := 0; p < execParts; p++ {
+				r, err := ExecReduce(env, &ReduceTask{
+					Task: p, Node: p, Segments: partSegments(maps, p),
+					FanIn: 2, TmpPrefix: fmt.Sprintf("reduce-%05d/a0/", p),
+				}, counters, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
 				}
-				var out [][]byte
-				for p := 0; p < execParts; p++ {
-					r, err := ExecReduce(env, &ReduceTask{
-						Task: p, Node: p, Segments: partSegments(maps, p),
-						FanIn: 2, Compress: compress, TmpPrefix: fmt.Sprintf("reduce-%05d/a0/", p),
-					}, counters, nil)
-					if err != nil {
-						t.Fatalf("%s: %v", cell, err)
-					}
-					got.Fetch += r.Fetch
-					got.Inter += r.Inter
-					got.OutRecords += r.OutRecords
-					out = append(out, r.Output)
-				}
-				snap := counters.Snapshot()
-				got.CombineIn, got.CombineOut = snap["combine input records"], snap["combine output records"]
+				got.Fetch += r.Fetch
+				got.Inter += r.Inter
+				got.OutRecords += r.OutRecords
+				out = append(out, r.Output)
+			}
+			snap := counters.Snapshot()
+			got.CombineIn, got.CombineOut = snap["combine input records"], snap["combine output records"]
 
-				if wantOut == nil {
-					wantOut = out
-				} else if !reflect.DeepEqual(out, wantOut) {
-					t.Errorf("%s: reduce output differs from the first cell's", cell)
-				}
-				if want == nil {
-					want = &got
-				} else if got != *want {
-					t.Errorf("%s: stats %+v, want %+v as in the budget's first cell", cell, got, *want)
-				}
-				if budget > 0 && got.Spills < 2*int64(len(splits)) {
-					t.Errorf("%s: %d spills, want several per map task", cell, got.Spills)
-				}
-				if budget == 0 && got.Spills != int64(len(splits)) {
-					t.Errorf("%s: %d spills, want one per map task", cell, got.Spills)
-				}
-				if got.Fetch != got.RawBytes || got.OutRecs == 0 || got.OutRecords == 0 {
-					t.Errorf("%s: implausible stats %+v", cell, got)
-				}
+			if wantOut == nil {
+				wantOut = out
+			} else if !reflect.DeepEqual(out, wantOut) {
+				t.Errorf("%s: reduce output differs from the first cell's", cell)
+			}
+			if want == nil {
+				want = &got
+			} else if got != *want {
+				t.Errorf("%s: stats %+v, want %+v as in the budget's first cell", cell, got, *want)
+			}
+			if budget > 0 && got.Spills < 2*int64(len(splits)) {
+				t.Errorf("%s: %d spills, want several per map task", cell, got.Spills)
+			}
+			if budget == 0 && got.Spills != int64(len(splits)) {
+				t.Errorf("%s: %d spills, want one per map task", cell, got.Spills)
+			}
+			if got.Fetch != got.Bytes || got.OutRecs == 0 || got.OutRecords == 0 {
+				t.Errorf("%s: implausible stats %+v", cell, got)
 			}
 		}
 	}
@@ -195,7 +193,7 @@ func TestFailedMapAttemptLeavesStoreUnchanged(t *testing.T) {
 		t.Run(storeName, func(t *testing.T) {
 			store := newStore(t)
 			env := sumEnv(store)
-			execMaps(t, env, [][]byte{split}, 512, false, NewCounters()) // a neighbour's output
+			execMaps(t, env, [][]byte{split}, 512, NewCounters()) // a neighbour's output
 			before := store.Objects()
 
 			seen := 0
@@ -267,64 +265,62 @@ func readObjects(t *testing.T, store spill.RunStore, segs []spill.Segment) [][]b
 // TestFailedReduceAttemptLeavesRetryUnchanged fails a reduce attempt
 // half-way and retries it: the retry must produce what an undisturbed
 // attempt produces, and the failed one must not have touched the stored
-// segments. Where the merge copies records out of the store (on disk, or
-// compressed) the failing reducer also scribbles over every value it was
-// handed, which must be harmless. Where the merge parses in place
-// (uncompressed, in memory) the values are the stored bytes themselves —
-// that is what keeps the default shuffle free of per-record copies — and
-// Values.Next's read-only contract is what protects the retry, so there
-// the failing reducer keeps to it.
+// segments. Where the merge copies records out of the store (on disk) the
+// failing reducer also scribbles over every value it was handed, which
+// must be harmless. Where the merge parses in place (in memory) the
+// values are the stored bytes themselves — that is what keeps the default
+// shuffle free of per-record copies — and Values.Next's read-only
+// contract is what protects the retry, so there the failing reducer keeps
+// to it.
 func TestFailedReduceAttemptLeavesRetryUnchanged(t *testing.T) {
 	splits := execSplits(2, 100)
 	for storeName, newStore := range execStores {
-		for _, compress := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/compress=%v", storeName, compress), func(t *testing.T) {
-				store := newStore(t)
-				env := sumEnv(store)
-				env.NewCombiner = nil // keep many values per group
-				maps := execMaps(t, env, splits, 2048, compress, NewCounters())
-				segs := partSegments(maps, 0)
-				task := &ReduceTask{Segments: segs, FanIn: 2, Compress: compress, TmpPrefix: "reduce-00000/a0/"}
-				clean, err := ExecReduce(env, task, NewCounters(), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				stored := readObjects(t, store, segs)
+		t.Run(storeName, func(t *testing.T) {
+			store := newStore(t)
+			env := sumEnv(store)
+			env.NewCombiner = nil // keep many values per group
+			maps := execMaps(t, env, splits, 2048, NewCounters())
+			segs := partSegments(maps, 0)
+			task := &ReduceTask{Segments: segs, FanIn: 2, TmpPrefix: "reduce-00000/a0/"}
+			clean, err := ExecReduce(env, task, NewCounters(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored := readObjects(t, store, segs)
 
-				copies := storeName == "disk" || compress
-				groups := 0
-				boom := errors.New("boom")
-				failing := *env
-				failing.NewReducer = func() Reducer {
-					return ReducerFunc(func(ctx *TaskContext, key, master []byte, values *Values) error {
-						for v := values.Next(); v != nil; v = values.Next() {
-							if copies {
-								for i := range v {
-									v[i] = 'X'
-								}
+			copies := storeName == "disk"
+			groups := 0
+			boom := errors.New("boom")
+			failing := *env
+			failing.NewReducer = func() Reducer {
+				return ReducerFunc(func(ctx *TaskContext, key, master []byte, values *Values) error {
+					for v := values.Next(); v != nil; v = values.Next() {
+						if copies {
+							for i := range v {
+								v[i] = 'X'
 							}
 						}
-						if groups++; groups > 3 {
-							return boom
-						}
-						return nil
-					})
-				}
-				if _, err := ExecReduce(&failing, task, NewCounters(), nil); !errors.Is(err, boom) {
-					t.Fatalf("reducer error not reported: %v", err)
-				}
-				if !reflect.DeepEqual(readObjects(t, store, segs), stored) {
-					t.Error("a failed reduce attempt changed the stored segments")
-				}
-				retry, err := ExecReduce(env, task, NewCounters(), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(retry.Output, clean.Output) || retry.OutRecords != clean.OutRecords {
-					t.Error("the retry's output differs from an undisturbed attempt's")
-				}
-			})
-		}
+					}
+					if groups++; groups > 3 {
+						return boom
+					}
+					return nil
+				})
+			}
+			if _, err := ExecReduce(&failing, task, NewCounters(), nil); !errors.Is(err, boom) {
+				t.Fatalf("reducer error not reported: %v", err)
+			}
+			if !reflect.DeepEqual(readObjects(t, store, segs), stored) {
+				t.Error("a failed reduce attempt changed the stored segments")
+			}
+			retry, err := ExecReduce(env, task, NewCounters(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(retry.Output, clean.Output) || retry.OutRecords != clean.OutRecords {
+				t.Error("the retry's output differs from an undisturbed attempt's")
+			}
+		})
 	}
 }
 
@@ -369,7 +365,7 @@ func TestExecReduceClosesReducerOnce(t *testing.T) {
 		t.Run(storeName, func(t *testing.T) {
 			store := newStore(t)
 			env := sumEnv(store)
-			maps := execMaps(t, env, splits, 2048, false, NewCounters())
+			maps := execMaps(t, env, splits, 2048, NewCounters())
 			task := &ReduceTask{Task: 2, Exec: 5, Segments: partSegments(maps, 0), FanIn: 2, TmpPrefix: "reduce-00002/a5/"}
 			plain, err := ExecReduce(env, task, NewCounters(), nil) // sumEnv's ReducerFunc has no Close
 			if err != nil {
@@ -411,7 +407,7 @@ func TestExecReduceClosesReducerOnce(t *testing.T) {
 
 			badMerge := &closingReducer{}
 			missing := *task
-			missing.Segments = append([]spill.Segment{{Name: "no-such-segment", RawBytes: 1, StoredBytes: 1, Records: 1}}, task.Segments...)
+			missing.Segments = append([]spill.Segment{{Name: "no-such-segment", Bytes: 1, Records: 1}}, task.Segments...)
 			if _, _, err := run(badMerge, &missing); err == nil {
 				t.Fatal("a missing segment did not fail the attempt")
 			}
@@ -437,7 +433,7 @@ func TestExecMapOnly(t *testing.T) {
 	env := sumEnv(spill.NewMemRunStore())
 	env.NewReducer = nil
 	counters := NewCounters()
-	m := execMaps(t, env, execSplits(1, 20), 256, false, counters)[0]
+	m := execMaps(t, env, execSplits(1, 20), 256, counters)[0]
 	if len(m.Out.Parts) != 1 || m.Out.Records != m.OutRecs {
 		t.Fatalf("map-only attempt wrote %d partitions, %d of %d records", len(m.Out.Parts), m.Out.Records, m.OutRecs)
 	}
@@ -531,7 +527,7 @@ func TestExecReduceRejectsDisorderedBase(t *testing.T) {
 				base.Append([]byte(k), []byte("1"))
 			}
 			env := sumEnv(spill.NewMemRunStore())
-			maps := execMaps(t, env, execSplits(1, 20), 0, false, NewCounters())
+			maps := execMaps(t, env, execSplits(1, 20), 0, NewCounters())
 			_, err := ExecReduce(env, &ReduceTask{
 				Task: 1, Segments: partSegments(maps, 1), FanIn: 2,
 				TmpPrefix: "reduce-00001/a0/", Base: base.Bytes(),

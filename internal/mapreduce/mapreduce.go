@@ -349,7 +349,7 @@ type Result struct {
 	// (Cluster.MemoryBudget == 0: every map task then writes its buffer
 	// once, to memory, and Cluster.Finish reports that as no spill at
 	// all). Spills counts map-side sort+write cycles; SpilledBytes is the
-	// framed (uncompressed) bytes they wrote;
+	// framed bytes they wrote;
 	// MergePasses counts reduce-side merge passes (including each reduce
 	// task's final streaming pass); MaxMergeFanIn is the largest number
 	// of segments any single merge pass read; SpillObjects counts the
@@ -373,13 +373,13 @@ type Result struct {
 func (r *Result) AddMapWinner(w *MapResult) {
 	r.MapInputRecords += w.InRecs
 	r.MapOutputRecords += w.OutRecs
-	r.MapOutputBytes += w.Out.RawBytes
+	r.MapOutputBytes += w.Out.Bytes
 	r.MaxRecordBytes = max(r.MaxRecordBytes, w.Out.MaxFrame)
 	r.Spills += w.Out.Spills
 	r.SpillObjects += w.Out.Spills
 	// Every framed byte of map output reaches the reducers through a
 	// spill segment, so the two totals are one number.
-	r.SpilledBytes += w.Out.RawBytes
+	r.SpilledBytes += w.Out.Bytes
 }
 
 // AddReduceWinner is AddMapWinner for a reduce task. shuffled is false

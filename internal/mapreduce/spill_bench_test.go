@@ -50,15 +50,13 @@ func BenchmarkShuffle(b *testing.B) {
 	}
 
 	cases := []struct {
-		name     string
-		budget   int64
-		compress bool
+		name   string
+		budget int64
 	}{
-		{"mem-unbounded", 0, false},
-		{"budget-16KiB", 16 << 10, false},
-		{"budget-64KiB", 64 << 10, false},
-		{"budget-256KiB", 256 << 10, false},
-		{"budget-64KiB-compress", 64 << 10, true},
+		{"mem-unbounded", 0},
+		{"budget-16KiB", 16 << 10},
+		{"budget-64KiB", 64 << 10},
+		{"budget-256KiB", 256 << 10},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -67,7 +65,6 @@ func BenchmarkShuffle(b *testing.B) {
 			c.Cost = ZeroCostModel()
 			c.MemoryBudget = tc.budget
 			c.SpillDir = b.TempDir()
-			c.SpillCompress = tc.compress
 			var w dfs.RecordWriter
 			for _, kv := range kvs {
 				w.Append([]byte(kv[0]), []byte(kv[1]))

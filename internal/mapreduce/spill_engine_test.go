@@ -78,59 +78,53 @@ func comparableStats(res *Result) map[string]int64 {
 }
 
 func TestSpillPathMatchesInMemory(t *testing.T) {
-	run := func(budget int64, compress bool) (*Cluster, *Result, []string) {
-		c := newTestCluster(3, 2, 512)
-		c.MemoryBudget = budget
-		c.SpillDir = t.TempDir()
-		c.SpillCompress = compress
-		c.MergeFanIn = 2
-		writeSpillInput(t, c, "in/0", 120)
-		res, err := c.Run(spillTestJob([]string{"in/0"}))
-		if err != nil {
-			t.Fatal(err)
+	// The subtest keeps the name of the uncompressed cell this test once
+	// shared with a compressed one.
+	t.Run("raw", func(t *testing.T) {
+		run := func(budget int64) (*Result, []string) {
+			c := newTestCluster(3, 2, 512)
+			c.MemoryBudget = budget
+			c.SpillDir = t.TempDir()
+			c.MergeFanIn = 2
+			writeSpillInput(t, c, "in/0", 120)
+			res, err := c.Run(spillTestJob([]string{"in/0"}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, readAll(t, c, "sp-out/")
 		}
-		return c, res, readAll(t, c, "sp-out/")
-	}
 
-	memC, memRes, memOut := run(0, false)
-	_ = memC
-	for _, compress := range []bool{false, true} {
-		name := "raw"
-		if compress {
-			name = "compressed"
+		memRes, memOut := run(0)
+		spRes, spOut := run(1024)
+		if !reflect.DeepEqual(memOut, spOut) {
+			t.Fatalf("outputs diverge: mem %d records, spill %d records", len(memOut), len(spOut))
 		}
-		t.Run(name, func(t *testing.T) {
-			_, spRes, spOut := run(1024, compress)
-			if !reflect.DeepEqual(memOut, spOut) {
-				t.Fatalf("outputs diverge: mem %d records, spill %d records", len(memOut), len(spOut))
-			}
-			if mem, sp := comparableStats(memRes), comparableStats(spRes); !reflect.DeepEqual(mem, sp) {
-				t.Fatalf("stats diverge:\n mem   %v\n spill %v", mem, sp)
-			}
-			if memRes.Counter("groups") != spRes.Counter("groups") {
-				t.Fatalf("groups counter diverges: %d vs %d",
-					memRes.Counter("groups"), spRes.Counter("groups"))
-			}
-			if memRes.Spills != 0 || memRes.MergePasses != 0 {
-				t.Fatalf("in-memory path reported spill work: %d spills, %d merge passes",
-					memRes.Spills, memRes.MergePasses)
-			}
-			if spRes.Spills < 2*int64(spRes.MapTasks) {
-				t.Errorf("spills = %d over %d map tasks, want >= 2 per task",
-					spRes.Spills, spRes.MapTasks)
-			}
-			if spRes.SpilledBytes != spRes.MapOutputBytes {
-				t.Errorf("spilled bytes = %d, map output bytes = %d (no combiner: must match)",
-					spRes.SpilledBytes, spRes.MapOutputBytes)
-			}
-			if spRes.MergePasses < 2 {
-				t.Errorf("merge passes = %d, want >= 2", spRes.MergePasses)
-			}
-			if spRes.MaxMergeFanIn > 2 {
-				t.Errorf("max merge fan-in = %d, want <= configured 2", spRes.MaxMergeFanIn)
-			}
-		})
-	}
+		if mem, sp := comparableStats(memRes), comparableStats(spRes); !reflect.DeepEqual(mem, sp) {
+			t.Fatalf("stats diverge:\n mem   %v\n spill %v", mem, sp)
+		}
+		if memRes.Counter("groups") != spRes.Counter("groups") {
+			t.Fatalf("groups counter diverges: %d vs %d",
+				memRes.Counter("groups"), spRes.Counter("groups"))
+		}
+		if memRes.Spills != 0 || memRes.MergePasses != 0 {
+			t.Fatalf("in-memory path reported spill work: %d spills, %d merge passes",
+				memRes.Spills, memRes.MergePasses)
+		}
+		if spRes.Spills < 2*int64(spRes.MapTasks) {
+			t.Errorf("spills = %d over %d map tasks, want >= 2 per task",
+				spRes.Spills, spRes.MapTasks)
+		}
+		if spRes.SpilledBytes != spRes.MapOutputBytes {
+			t.Errorf("spilled bytes = %d, map output bytes = %d (no combiner: must match)",
+				spRes.SpilledBytes, spRes.MapOutputBytes)
+		}
+		if spRes.MergePasses < 2 {
+			t.Errorf("merge passes = %d, want >= 2", spRes.MergePasses)
+		}
+		if spRes.MaxMergeFanIn > 2 {
+			t.Errorf("max merge fan-in = %d, want <= configured 2", spRes.MaxMergeFanIn)
+		}
+	})
 }
 
 func TestSpillWithCombinerMatchesInMemory(t *testing.T) {

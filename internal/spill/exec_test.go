@@ -74,13 +74,13 @@ func execSplits() [][]byte {
 	return splits
 }
 
-func execMaps(t *testing.T, env *mapreduce.TaskEnv, compress bool) []*mapreduce.MapResult {
+func execMaps(t *testing.T, env *mapreduce.TaskEnv) []*mapreduce.MapResult {
 	t.Helper()
 	var outs []*mapreduce.MapResult
 	for ti, split := range execSplits() {
 		r, err := mapreduce.ExecMap(env, &mapreduce.MapTask{
 			Task: ti, Node: ti, Split: split, Partitions: execParts,
-			Budget: 512 << 10, Compress: compress, Prefix: fmt.Sprintf("map-%05d/a0/", ti),
+			Budget: 512 << 10, Prefix: fmt.Sprintf("map-%05d/a0/", ti),
 		}, mapreduce.NewCounters(), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -93,8 +93,8 @@ func execMaps(t *testing.T, env *mapreduce.TaskEnv, compress bool) []*mapreduce.
 	return outs
 }
 
-func reduceTask(maps []*mapreduce.MapResult, p int, compress bool) *mapreduce.ReduceTask {
-	t := &mapreduce.ReduceTask{Task: p, Node: p, FanIn: 2, Compress: compress, TmpPrefix: fmt.Sprintf("reduce-%05d/a0/", p)}
+func reduceTask(maps []*mapreduce.MapResult, p int) *mapreduce.ReduceTask {
+	t := &mapreduce.ReduceTask{Task: p, Node: p, FanIn: 2, TmpPrefix: fmt.Sprintf("reduce-%05d/a0/", p)}
 	for _, m := range maps {
 		t.Segments = append(t.Segments, m.Out.Parts[p]...)
 	}
@@ -112,20 +112,20 @@ func newDiskStore(t *testing.T) *spill.DiskRunStore {
 }
 
 // TestSpillPoisonedWindowsMatchMemStore is the lifetime differential.
-// The reference is the cell that never recycles anything: an uncompressed
-// MemRunStore, whose records alias the stored objects. Every cell that
-// reads through windows runs with each window overwritten the moment it
-// is recycled, and must produce the same reduce output byte for byte —
+// The reference is the cell that never recycles anything: a MemRunStore,
+// whose records alias the stored objects. A DiskRunStore reads through
+// windows; it runs with each window overwritten the moment it is
+// recycled, and must produce the same reduce output byte for byte —
 // so no record reaches a reducer, or the heap's comparisons, or an
 // intermediate merge pass, after its window has been given away.
 func TestSpillPoisonedWindowsMatchMemStore(t *testing.T) {
-	reduceAll := func(store spill.RunStore, compress bool) [][]byte {
+	reduceAll := func(store spill.RunStore) [][]byte {
 		env := execEnv(store)
-		maps := execMaps(t, env, compress)
+		maps := execMaps(t, env)
 		var out [][]byte
 		for p := 0; p < execParts; p++ {
 			before := store.Objects()
-			r, err := mapreduce.ExecReduce(env, reduceTask(maps, p, compress), mapreduce.NewCounters(), nil)
+			r, err := mapreduce.ExecReduce(env, reduceTask(maps, p), mapreduce.NewCounters(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,22 +137,13 @@ func TestSpillPoisonedWindowsMatchMemStore(t *testing.T) {
 		}
 		return out
 	}
-	want := reduceAll(spill.NewMemRunStore(), false)
+	want := reduceAll(spill.NewMemRunStore())
 
 	spill.PoisonRecycledWindows(t)
-	for name, cell := range map[string]struct {
-		store    spill.RunStore
-		compress bool
-	}{
-		"disk":          {newDiskStore(t), false},
-		"disk+compress": {newDiskStore(t), true},
-		"mem+compress":  {spill.NewMemRunStore(), true},
-	} {
-		got := reduceAll(cell.store, cell.compress)
-		for p := range want {
-			if !bytes.Equal(got[p], want[p]) {
-				t.Errorf("%s: output partition %d differs from the in-memory cell's", name, p)
-			}
+	got := reduceAll(newDiskStore(t))
+	for p := range want {
+		if !bytes.Equal(got[p], want[p]) {
+			t.Errorf("disk: output partition %d differs from the in-memory cell's", p)
 		}
 	}
 }
@@ -174,7 +165,7 @@ func openFds(t *testing.T) int {
 func TestSpillFailedTaskLeavesNoFdOrObject(t *testing.T) {
 	store := newDiskStore(t)
 	env := execEnv(store)
-	maps := execMaps(t, env, false)
+	maps := execMaps(t, env)
 	fds, objects := openFds(t), store.Objects()
 	boom := errors.New("boom")
 	check := func(what string) {
@@ -198,7 +189,7 @@ func TestSpillFailedTaskLeavesNoFdOrObject(t *testing.T) {
 			return boom
 		})
 	}
-	if _, err := mapreduce.ExecReduce(&failing, reduceTask(maps, 0, false), mapreduce.NewCounters(), nil); !errors.Is(err, boom) {
+	if _, err := mapreduce.ExecReduce(&failing, reduceTask(maps, 0), mapreduce.NewCounters(), nil); !errors.Is(err, boom) {
 		t.Fatalf("reducer error not reported: %v", err)
 	}
 	check("a reducer failed mid-group")

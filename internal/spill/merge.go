@@ -3,7 +3,6 @@ package spill
 import (
 	"bytes"
 	"cmp"
-	"compress/flate"
 	"container/heap"
 	"fmt"
 	"io"
@@ -24,69 +23,34 @@ const segFlushBytes = 64 << 10
 var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // objectWriter frames records into one store object as a run of
-// segments laid back to back, each through its own DEFLATE stream when
-// compressing, so a reader needs nothing but its segment's range. Frames
-// gather in a pooled buffer and reach the object in writes of about
-// segFlushBytes, so a small object is written exactly once.
+// segments laid back to back, so a reader needs nothing but its segment's
+// range. Frames gather in a pooled buffer and reach the object in writes
+// of about segFlushBytes, so a small object is written exactly once.
 type objectWriter struct {
 	store RunStore
 	obj   io.WriteCloser
-	top   io.Writer // fw when compressing, else cw
-	cw    countWriter
-	fw    *flate.Writer
+	n     int64 // framed bytes appended to the object so far
 	buf   *[]byte
 	seg   Segment // the segment being written
 }
 
-// countWriter counts the bytes reaching the store object.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// createObject starts a store object that will hold rawSize framed
-// bytes. That is its stored size too unless it is compressed, and then
-// the store is told nothing.
-func createObject(store RunStore, name string, rawSize int64, compress bool) (*objectWriter, error) {
-	if compress {
-		rawSize = 0
-	}
-	obj, err := store.Create(name, rawSize)
+// createObject starts a store object that will hold size framed bytes.
+func createObject(store RunStore, name string, size int64) (*objectWriter, error) {
+	obj, err := store.Create(name, size)
 	if err != nil {
 		return nil, err
 	}
-	ow := &objectWriter{
+	return &objectWriter{
 		store: store,
 		obj:   obj,
-		cw:    countWriter{w: obj},
-		seg:   Segment{Name: name, Compressed: compress},
-	}
-	ow.top = &ow.cw
-	if compress {
-		fw, err := flate.NewWriter(&ow.cw, flate.BestSpeed)
-		if err != nil {
-			ow.abort()
-			return nil, fmt.Errorf("spill: %w", err)
-		}
-		ow.fw = fw
-		ow.top = fw
-	}
-	ow.buf = frameBufPool.Get().(*[]byte)
-	return ow, nil
+		buf:   frameBufPool.Get().(*[]byte),
+		seg:   Segment{Name: name},
+	}, nil
 }
 
 // begin starts a segment where the previous one ended.
 func (ow *objectWriter) begin(partition, node int) {
-	ow.seg = Segment{
-		Name: ow.seg.Name, Offset: ow.cw.n, Compressed: ow.seg.Compressed,
-		Partition: partition, Node: node,
-	}
+	ow.seg = Segment{Name: ow.seg.Name, Offset: ow.n, Partition: partition, Node: node}
 }
 
 // append frames one record onto the current segment.
@@ -94,7 +58,7 @@ func (ow *objectWriter) append(key, value []byte) error {
 	before := len(*ow.buf)
 	*ow.buf = AppendFrame(*ow.buf, key, value)
 	ow.seg.Records++
-	ow.seg.RawBytes += int64(len(*ow.buf) - before)
+	ow.n += int64(len(*ow.buf) - before)
 	if len(*ow.buf) >= segFlushBytes {
 		return ow.flush()
 	}
@@ -103,7 +67,7 @@ func (ow *objectWriter) append(key, value []byte) error {
 
 // flush writes the gathered frames to the object.
 func (ow *objectWriter) flush() error {
-	_, err := ow.top.Write(*ow.buf)
+	_, err := ow.obj.Write(*ow.buf)
 	*ow.buf = (*ow.buf)[:0]
 	if err != nil {
 		return fmt.Errorf("spill: write segment %q: %w", ow.seg.Name, err)
@@ -112,18 +76,12 @@ func (ow *objectWriter) flush() error {
 }
 
 // end finishes the current segment and returns its metadata, which is
-// also its index entry: the range [Offset, Offset+StoredBytes).
+// also its index entry: the range [Offset, Offset+Bytes).
 func (ow *objectWriter) end() (Segment, error) {
 	if err := ow.flush(); err != nil {
 		return Segment{}, err
 	}
-	if ow.fw != nil {
-		if err := ow.fw.Close(); err != nil {
-			return Segment{}, fmt.Errorf("spill: compress segment %q: %w", ow.seg.Name, err)
-		}
-		ow.fw.Reset(&ow.cw)
-	}
-	ow.seg.StoredBytes = ow.cw.n - ow.seg.Offset
+	ow.seg.Bytes = ow.n - ow.seg.Offset
 	return ow.seg, nil
 }
 
@@ -166,16 +124,14 @@ var poisonRecycled bool
 // segStream reads one segment's sorted records, holding the head record
 // for the merge heap. It has one form: frames are parsed in place out of
 // a window onto the segment's framed bytes, and the head's key and value
-// alias that window. For an uncompressed segment in a MemRunStore the
-// window is the stored range itself, once and for good. Any other
-// segment is loaded a window at a time from the object's range, through
-// a DEFLATE stage when compressed, and a frame the end of a window cuts
-// is carried over to the head of the next.
+// alias that window. For a segment in a MemRunStore the window is the
+// stored range itself, once and for good. Any other segment is loaded a
+// window at a time from the object's range, and a frame the end of a
+// window cuts is carried over to the head of the next.
 type segStream struct {
 	obj  Object
-	src  io.Reader     // what fills windows; nil when the window is the stored range
-	fr   io.ReadCloser // the DEFLATE stage of src, nil when uncompressed
-	left int64         // framed bytes of the segment no window has held yet
+	src  io.Reader // what fills windows; nil when the window is the stored range
+	left int64     // framed bytes of the segment no window has held yet
 	win  []byte
 	off  int  // win[off:] is unparsed
 	held bool // some record was parsed out of win, so a caller may hold it
@@ -186,24 +142,16 @@ type segStream struct {
 }
 
 func openSegStream(store RunStore, seg Segment, order int) (*segStream, error) {
-	obj, err := openRange(store, seg.Name, seg.Offset, seg.StoredBytes)
+	obj, err := openRange(store, seg.Name, seg.Offset, seg.Bytes)
 	if err != nil {
 		return nil, err
 	}
 	st := &segStream{obj: obj, order: order}
-	if m, inMemory := obj.(*memObject); inMemory && !seg.Compressed {
-		st.win = m.data[seg.Offset : seg.Offset+seg.StoredBytes]
+	if m, inMemory := obj.(*memObject); inMemory {
+		st.win = m.data[seg.Offset : seg.Offset+seg.Bytes]
 		return st, nil
 	}
-	st.src, st.left = io.NewSectionReader(obj, seg.Offset, seg.StoredBytes), seg.StoredBytes
-	if seg.Compressed {
-		if seg.RawBytes < 0 {
-			obj.Close()
-			return nil, fmt.Errorf("spill: segment of run %q claims %d framed bytes", seg.Name, seg.RawBytes)
-		}
-		st.fr = flate.NewReader(st.src)
-		st.src, st.left = st.fr, seg.RawBytes
-	}
+	st.src, st.left = io.NewSectionReader(obj, seg.Offset, seg.Bytes), seg.Bytes
 	return st, nil
 }
 
@@ -267,12 +215,7 @@ func (st *segStream) retire(it *Iterator) {
 	st.win, st.off, st.held = nil, 0, false
 }
 
-func (st *segStream) close() error {
-	if st.fr != nil {
-		st.fr.Close()
-	}
-	return st.obj.Close()
-}
+func (st *segStream) close() error { return st.obj.Close() }
 
 // mergeHeap orders streams by their head record (key, value), ties by
 // stream index.
@@ -305,8 +248,6 @@ type MergeOptions struct {
 	// merge the smallest FanIn segments into one until the remainder
 	// fits a single streaming pass, as Hadoop's reduce merger does.
 	FanIn int
-	// Compress DEFLATE-compresses intermediate merged segments.
-	Compress bool
 	// TmpPrefix namespaces intermediate segments in the store, unique
 	// per reduce task attempt. Iterator.Close removes them.
 	TmpPrefix string
@@ -396,7 +337,7 @@ func Merge(store RunStore, segs []Segment, opts MergeOptions) (*Iterator, MergeS
 	work := append([]Segment(nil), segs...)
 	tmpIdx := 0
 	for len(work) > fanIn {
-		slices.SortFunc(work, func(a, b Segment) int { return cmp.Compare(a.RawBytes, b.RawBytes) })
+		slices.SortFunc(work, func(a, b Segment) int { return cmp.Compare(a.Bytes, b.Bytes) })
 		batch := work[:fanIn]
 		rest := append([]Segment(nil), work[fanIn:]...)
 		name := fmt.Sprintf("%smerge-%04d", opts.TmpPrefix, tmpIdx)
@@ -451,19 +392,19 @@ func mergePass(store RunStore, batch []Segment, name string, opts MergeOptions) 
 	sp := opts.Tracer.Start(trace.CatMerge, fmt.Sprintf("merge-pass-%d", len(batch)), opts.Parent)
 	defer sp.End()
 	part := -1
-	var raw int64
+	var size int64
 	if len(batch) > 0 {
 		part = batch[0].Partition
 	}
 	for i := range batch {
-		raw += batch[i].RawBytes
+		size += batch[i].Bytes
 	}
 	sub, _, err := Merge(store, batch, MergeOptions{FanIn: len(batch), window: opts.window})
 	if err != nil {
 		return Segment{}, err
 	}
 	defer sub.Close()
-	ow, err := createObject(store, name, raw, opts.Compress)
+	ow, err := createObject(store, name, size)
 	if err != nil {
 		return Segment{}, err
 	}
@@ -492,7 +433,7 @@ func mergePass(store RunStore, batch []Segment, name string, opts MergeOptions) 
 	}
 	sp.SetInt("segments", int64(len(batch)))
 	sp.SetInt("records", seg.Records)
-	sp.SetInt("raw_bytes", seg.RawBytes)
+	sp.SetInt("raw_bytes", seg.Bytes)
 	return seg, nil
 }
 

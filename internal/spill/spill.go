@@ -8,15 +8,14 @@
 // partition, the job's combiner (if any) is applied, and the spill is
 // written as one object to a RunStore — the tasktracker's local disk in
 // Hadoop, a temp dir (DiskRunStore) or memory (MemRunStore) here. The
-// object is Hadoop's spill file: each partition's records are one
-// framed, optionally DEFLATE-compressed segment, the segments lie back to
-// back, and a Segment's Offset and StoredBytes are its entry in the
-// spill's index. Reducers stream their partition through a k-way merge
-// Iterator over all tasks' segments, a window of each at a time, instead
-// of materializing the partition in memory; when the segment count
-// exceeds the merge fan-in, intermediate merge passes combine segments
-// first, exactly as Hadoop's reduce-side merger bounds its open-file
-// count.
+// object is Hadoop's spill file: each partition's records are one framed
+// segment, stored as framed, the segments lie back to back, and a
+// Segment's Offset and Bytes are its entry in the spill's index. Reducers
+// stream their partition through a k-way merge Iterator over all tasks'
+// segments, a window of each at a time, instead of materializing the
+// partition in memory; when the segment count exceeds the merge fan-in,
+// intermediate merge passes combine segments first, exactly as Hadoop's
+// reduce-side merger bounds its open-file count.
 //
 // Record framing (format.go) is the canonical implementation shared
 // with the DFS SequenceFile emulation, so on-disk bytes and shuffle
@@ -37,8 +36,7 @@ import (
 const DefaultMergeFanIn = 16
 
 // Segment is one sorted run of framed records for a single partition,
-// stored in a RunStore as the range [Offset, Offset+StoredBytes) of an
-// object.
+// stored in a RunStore as the range [Offset, Offset+Bytes) of an object.
 type Segment struct {
 	// Name is the store object holding the segment. The segments of one
 	// spill, a partition each, share an object.
@@ -49,14 +47,9 @@ type Segment struct {
 	Partition int
 	// Records is the number of framed records in the segment.
 	Records int64
-	// RawBytes is the framed (uncompressed) payload size — the bytes the
-	// shuffle accounts for.
-	RawBytes int64
-	// StoredBytes is the length of the segment's range in the object
-	// (smaller than RawBytes when compressed).
-	StoredBytes int64
-	// Compressed reports whether the range is a DEFLATE stream of its own.
-	Compressed bool
+	// Bytes is the length of the segment's range in the object: its
+	// framed records, the bytes the shuffle accounts for.
+	Bytes int64
 	// Node is the simulated cluster node of the producing map task, used
 	// for inter-node shuffle accounting (-1 for merged segments, which
 	// mix producers; accounting happens before merging).
@@ -71,9 +64,8 @@ type Output struct {
 	Parts [][]Segment
 	// Spills is the number of spill events (sort+write cycles).
 	Spills int64
-	// RawBytes and StoredBytes total the segments' sizes.
-	RawBytes    int64
-	StoredBytes int64
+	// Bytes totals the segments' sizes.
+	Bytes int64
 	// Records is the number of records written (post-combine).
 	Records int64
 	// MaxFrame is the largest single framed record written.
@@ -94,8 +86,6 @@ type Config struct {
 	NamePrefix string
 	// Node is the producing task's simulated node.
 	Node int
-	// Compress DEFLATE-compresses stored segments.
-	Compress bool
 	// Combine, if non-nil, is applied per spill to each key's values
 	// (Hadoop runs the combiner on every spill, so a multi-spill task
 	// combines each buffer independently). The key and value slices alias
@@ -323,7 +313,7 @@ func (w *Writer) spill() error {
 		w.sorted[p] = recs
 	}
 
-	ow, err := createObject(w.cfg.Store, fmt.Sprintf("%sspill-%05d", w.cfg.NamePrefix, idx), raw, w.cfg.Compress)
+	ow, err := createObject(w.cfg.Store, fmt.Sprintf("%sspill-%05d", w.cfg.NamePrefix, idx), raw)
 	if err != nil {
 		return w.fail(err)
 	}
@@ -345,7 +335,6 @@ func (w *Writer) spill() error {
 			return w.fail(err)
 		}
 		w.out.Parts[p] = append(w.out.Parts[p], seg)
-		w.out.StoredBytes += seg.StoredBytes
 		spillRecs += seg.Records
 		partitions++
 		w.sorted[p] = nil
@@ -354,7 +343,7 @@ func (w *Writer) spill() error {
 	if err := ow.close(); err != nil {
 		return w.fail(err)
 	}
-	w.out.RawBytes += raw
+	w.out.Bytes += raw
 	w.out.Records += spillRecs
 	w.buffered = 0
 	// Every buffered record has been written out (or combined away), so

@@ -42,7 +42,7 @@ type RunStore interface {
 	// RemovePrefix deletes every object whose name starts with prefix
 	// and returns the number removed (failed-attempt cleanup).
 	RemovePrefix(prefix string) int
-	// Bytes returns the total stored (on-disk, post-compression) bytes.
+	// Bytes returns the total stored bytes.
 	Bytes() int64
 	// Objects returns the number of live objects.
 	Objects() int

@@ -12,9 +12,9 @@ import (
 
 // spillAll pushes recs through a Writer over parts partitions, record i
 // to partition i%parts.
-func spillAll(t testing.TB, store RunStore, prefix string, parts int, budget int64, compress bool, recs [][2][]byte) *Output {
+func spillAll(t testing.TB, store RunStore, prefix string, parts int, budget int64, recs [][2][]byte) *Output {
 	t.Helper()
-	w, err := NewWriter(Config{Partitions: parts, MemoryBudget: budget, Store: store, NamePrefix: prefix, Compress: compress})
+	w, err := NewWriter(Config{Partitions: parts, MemoryBudget: budget, Store: store, NamePrefix: prefix})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,24 +30,22 @@ func spillAll(t testing.TB, store RunStore, prefix string, parts int, budget int
 	return out
 }
 
-// storeCells are the four cells of the read path: where the object is,
-// and whether its segments are DEFLATE streams.
-func storeCells(t *testing.T, run func(t *testing.T, store RunStore, compress bool)) {
+// storeCells are the two cells of the read path: the object in memory,
+// read where it lies, and on disk, read through windows.
+func storeCells(t *testing.T, run func(t *testing.T, store RunStore)) {
 	for _, disk := range []bool{false, true} {
-		for _, compress := range []bool{false, true} {
-			t.Run(fmt.Sprintf("disk=%v/compress=%v", disk, compress), func(t *testing.T) {
-				var store RunStore = NewMemRunStore()
-				if disk {
-					ds, err := NewDiskRunStore(t.TempDir())
-					if err != nil {
-						t.Fatal(err)
-					}
-					store = ds
+		t.Run(fmt.Sprintf("disk=%v", disk), func(t *testing.T) {
+			var store RunStore = NewMemRunStore()
+			if disk {
+				ds, err := NewDiskRunStore(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
 				}
-				defer store.Close()
-				run(t, store, compress)
-			})
-		}
+				store = ds
+			}
+			defer store.Close()
+			run(t, store)
+		})
 	}
 }
 
@@ -63,8 +61,8 @@ func openFds(t *testing.T) int {
 
 // TestMergeSteadyStateAllocs is the allocation gate of the reduce side:
 // once every stream has the windows it cycles through, Next allocates
-// nothing per record, wherever the segments are and whether or not they
-// are compressed. Segments are many windows long, so the measured calls
+// nothing per record, wherever the segments are. Segments are many
+// windows long, so the measured calls
 // slide, retire and recycle windows all the time.
 func TestMergeSteadyStateAllocs(t *testing.T) {
 	const warm, measured = 20000, 60000
@@ -75,10 +73,10 @@ func TestMergeSteadyStateAllocs(t *testing.T) {
 			[]byte(fmt.Sprintf("value-%07d-%s", i, bytes.Repeat([]byte{byte('a' + i%26)}, i%61))),
 		})
 	}
-	storeCells(t, func(t *testing.T, store RunStore, compress bool) {
-		out := spillAll(t, store, "t/", 1, 1<<20, compress, recs)
-		if out.Spills < 4 || out.RawBytes/out.Spills < 4*windowBytes {
-			t.Fatalf("%d spills of %d bytes: want several segments of many windows each", out.Spills, out.RawBytes)
+	storeCells(t, func(t *testing.T, store RunStore) {
+		out := spillAll(t, store, "t/", 1, 1<<20, recs)
+		if out.Spills < 4 || out.Bytes/out.Spills < 4*windowBytes {
+			t.Fatalf("%d spills of %d bytes: want several segments of many windows each", out.Spills, out.Bytes)
 		}
 		it, _, err := Merge(store, out.Parts[0], MergeOptions{FanIn: int(out.Spills)})
 		if err != nil {
@@ -116,14 +114,11 @@ func (c *createCounter) Create(name string, size int64) (io.WriteCloser, error) 
 // its spill's object and the ranges tile it, and a merge creates one
 // object per pass that is not the final one, gone again at Close.
 func TestSpillIsOneObject(t *testing.T) {
-	storeCells(t, func(t *testing.T, store RunStore, compress bool) {
+	storeCells(t, func(t *testing.T, store RunStore) {
 		const parts = 5
 		tr := trace.New()
 		counted := &createCounter{RunStore: store}
-		w, err := NewWriter(Config{
-			Partitions: parts, MemoryBudget: 2048, Store: counted, NamePrefix: "j/map-0/a0/",
-			Compress: compress, Tracer: tr,
-		})
+		w, err := NewWriter(Config{Partitions: parts, MemoryBudget: 2048, Store: counted, NamePrefix: "j/map-0/a0/", Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +146,7 @@ func TestSpillIsOneObject(t *testing.T) {
 				if seg.Partition != p || seg.Offset != ends[seg.Name] {
 					t.Errorf("segment %+v of partition %d: the one before it in the object ends at %d", seg, p, ends[seg.Name])
 				}
-				ends[seg.Name] = seg.Offset + seg.StoredBytes
+				ends[seg.Name] = seg.Offset + seg.Bytes
 				segments++
 			}
 		}
@@ -159,13 +154,13 @@ func TestSpillIsOneObject(t *testing.T) {
 		for _, end := range ends {
 			stored += end
 		}
-		if len(ends) != int(out.Spills) || stored != store.Bytes() || stored != out.StoredBytes {
+		if len(ends) != int(out.Spills) || stored != store.Bytes() || stored != out.Bytes {
 			t.Errorf("segments tile %d bytes of %d objects; the store holds %d bytes, the writer reports %d in %d spills",
-				stored, len(ends), store.Bytes(), out.StoredBytes, out.Spills)
+				stored, len(ends), store.Bytes(), out.Bytes, out.Spills)
 		}
 
 		counted.creates = 0
-		it, stats, err := Merge(counted, out.Parts[2], MergeOptions{FanIn: 2, Compress: compress, TmpPrefix: "j/reduce-2/a0/", Tracer: tr})
+		it, stats, err := Merge(counted, out.Parts[2], MergeOptions{FanIn: 2, TmpPrefix: "j/reduce-2/a0/", Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,9 +231,9 @@ func TestDiskStoreRootEmptyAfterRemoval(t *testing.T) {
 	// What a distmr worker holds of job 7 when CleanJob arrives: its own
 	// map output, segments fetched from other workers, and the
 	// intermediate objects of a merge in progress.
-	out := spillAll(t, store, "j00007/map-00003/a1/", 4, 512, false, testRecords(300))
+	out := spillAll(t, store, "j00007/map-00003/a1/", 4, 512, testRecords(300))
 	for p, segs := range out.Parts {
-		data, err := ReadRange(store, segs[0].Name, segs[0].Offset, segs[0].StoredBytes)
+		data, err := ReadRange(store, segs[0].Name, segs[0].Offset, segs[0].Bytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,71 +284,66 @@ func TestDiskStoreRootEmptyAfterRemoval(t *testing.T) {
 // fails, once the iterator is closed (Merge closes the one it does not
 // return) no descriptor is still open and no intermediate object is left.
 func TestFailedMergeLeavesNoFdOrObject(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		for _, fanIn := range []int{4, 2} {
-			for _, late := range []bool{false, true} {
-				t.Run(fmt.Sprintf("compress=%v/fanIn=%d/late=%v", compress, fanIn, late), func(t *testing.T) {
-					store, err := NewDiskRunStore(t.TempDir())
+	for _, fanIn := range []int{4, 2} {
+		for _, late := range []bool{false, true} {
+			t.Run(fmt.Sprintf("fanIn=%d/late=%v", fanIn, late), func(t *testing.T) {
+				store, err := NewDiskRunStore(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer store.Close()
+				out := spillAll(t, store, "t/", 1, 2048, testRecords(400))
+				if out.Spills < 4 {
+					t.Fatalf("%d spills, want 4", out.Spills)
+				}
+				segs := out.Parts[0][:4]
+				seg := segs[2]
+				// The damage is a key length no segment has room for, written
+				// over the first frame or over the first one past two thirds.
+				at := seg.Offset
+				if late {
+					data, err := ReadRange(store, seg.Name, seg.Offset, seg.Bytes)
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer store.Close()
-					out := spillAll(t, store, "t/", 1, 2048, compress, testRecords(400))
-					if out.Spills < 4 {
-						t.Fatalf("%d spills, want 4", out.Spills)
-					}
-					segs := out.Parts[0][:4]
-					seg := segs[2]
-					// The damage is a key length no segment has room for or, in a
-					// DEFLATE stream, a block of a reserved type.
-					at := seg.Offset
-					if late {
-						at += seg.StoredBytes * 2 / 3
-					}
-					if late && !compress {
-						data, err := ReadRange(store, seg.Name, seg.Offset, seg.StoredBytes)
-						if err != nil {
+					frame := 0
+					for int64(frame) < seg.Bytes*2/3 {
+						if _, _, frame, err = ReadFrame(data, frame); err != nil {
 							t.Fatal(err)
 						}
-						frame := 0
-						for int64(frame) < seg.StoredBytes*2/3 {
-							if _, _, frame, err = ReadFrame(data, frame); err != nil {
-								t.Fatal(err)
-							}
-						}
-						at = seg.Offset + int64(frame)
 					}
-					f, err := os.OpenFile(store.path(seg.Name), os.O_WRONLY, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, 12), at); err != nil {
-						t.Fatal(err)
-					}
-					f.Close()
+					at += int64(frame)
+				}
+				f, err := os.OpenFile(store.path(seg.Name), os.O_WRONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, 12), at); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
 
-					fds, objects := openFds(t), store.Objects()
-					it, _, err := Merge(store, segs, MergeOptions{FanIn: fanIn, Compress: compress, TmpPrefix: "t/reduce/", window: 256})
-					for err == nil {
-						var ok bool
-						if _, _, ok, err = it.Next(); !ok && err == nil {
-							t.Fatal("the corrupt segment merged without an error")
-						}
+				fds, objects := openFds(t), store.Objects()
+				it, _, err := Merge(store, segs, MergeOptions{FanIn: fanIn, TmpPrefix: "t/reduce/", window: 256})
+				for err == nil {
+					var ok bool
+					if _, _, ok, err = it.Next(); !ok && err == nil {
+						t.Fatal("the corrupt segment merged without an error")
 					}
-					if it != nil {
-						if late && fanIn == 4 && len(it.h) == 0 {
-							t.Error("the merge failed with no stream open: nothing for Close to release")
-						}
-						it.Close()
+				}
+				if it != nil {
+					if late && fanIn == 4 && len(it.h) == 0 {
+						t.Error("the merge failed with no stream open: nothing for Close to release")
 					}
-					if got := openFds(t); got != fds {
-						t.Errorf("%d descriptors open after the failed merge, %d before it", got, fds)
-					}
-					if got := store.Objects(); got != objects {
-						t.Errorf("store holds %d objects after the failed merge, %d before it", got, objects)
-					}
-				})
-			}
+					it.Close()
+				}
+				if got := openFds(t); got != fds {
+					t.Errorf("%d descriptors open after the failed merge, %d before it", got, fds)
+				}
+				if got := store.Objects(); got != objects {
+					t.Errorf("store holds %d objects after the failed merge, %d before it", got, objects)
+				}
+			})
 		}
 	}
 }
@@ -375,31 +365,29 @@ func TestWindowedMergeMatchesInPlace(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		recs = append(recs, [2][]byte{[]byte("key-020"), []byte(fmt.Sprintf("one-long-group-%04d", i))})
 	}
-	for _, compress := range []bool{false, true} {
-		store := NewMemRunStore()
-		out := spillAll(t, store, "t/", 1, 4096, compress, recs)
-		want := sortedCopy(recs)
-		for _, win := range []int{1, 2, 3, 7, 64, 1000, windowBytes} {
-			for _, fanIn := range []int{2, 16} {
-				it, _, err := Merge(streamOnlyStore{store}, out.Parts[0], MergeOptions{FanIn: fanIn, Compress: compress, TmpPrefix: "t/reduce/", window: win})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := drain(t, it)
-				if largest := largestWindow(it); win < 3000 && largest > 3100 {
-					t.Errorf("compress=%v window=%d: a window of %d bytes for records of at most 3020", compress, win, largest)
-				}
-				if err := it.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if !equalRecs(got, want) {
-					t.Errorf("compress=%v window=%d fanIn=%d: merged stream differs from the sorted input", compress, win, fanIn)
-				}
+	store := NewMemRunStore()
+	out := spillAll(t, store, "t/", 1, 4096, recs)
+	want := sortedCopy(recs)
+	for _, win := range []int{1, 2, 3, 7, 64, 1000, windowBytes} {
+		for _, fanIn := range []int{2, 16} {
+			it, _, err := Merge(streamOnlyStore{store}, out.Parts[0], MergeOptions{FanIn: fanIn, TmpPrefix: "t/reduce/", window: win})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := drain(t, it)
+			if largest := largestWindow(it); win < 3000 && largest > 3100 {
+				t.Errorf("window=%d: a window of %d bytes for records of at most 3020", win, largest)
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !equalRecs(got, want) {
+				t.Errorf("window=%d fanIn=%d: merged stream differs from the sorted input", win, fanIn)
 			}
 		}
-		if store.Objects() != int(out.Spills) {
-			t.Errorf("compress=%v: %d objects left of %d spills", compress, store.Objects(), out.Spills)
-		}
+	}
+	if store.Objects() != int(out.Spills) {
+		t.Errorf("%d objects left of %d spills", store.Objects(), out.Spills)
 	}
 }
 
@@ -422,51 +410,25 @@ func largestWindow(it *Iterator, streams ...*segStream) int {
 }
 
 // FuzzSegmentStream reads an arbitrary range of arbitrary bytes as a
-// segment, plain and as a DEFLATE stream, through windows of a fuzzed
-// size. Whatever the bytes, the stream yields records or an error: it
-// never panics, never yields more framed bytes than the segment claims,
-// and never holds a window larger than the segment (its range when plain,
-// its claimed framed size when compressed) or the window size. A plain
-// segment read through windows must agree, record for record and in
-// whether it fails, with the same segment parsed where it lies.
+// segment through windows of a fuzzed size. Whatever the bytes, the
+// stream yields records or an error: it never panics, never yields more
+// framed bytes than the segment's range holds, and never holds a window
+// larger than that range or the window size. Read through windows, the
+// segment must agree, record for record and in whether it fails, with
+// the same segment parsed where it lies.
 func FuzzSegmentStream(f *testing.F) {
 	frames := AppendFrame(AppendFrame(AppendFrame(nil, []byte("a"), []byte("1")), []byte("bb"), nil), nil, bytes.Repeat([]byte{'v'}, 40))
-	deflated := func(raw []byte) []byte {
-		store := NewMemRunStore()
-		ow, err := createObject(store, "o", 0, true)
-		if err != nil {
-			f.Fatal(err)
-		}
-		ow.begin(0, 0)
-		for off := 0; off < len(raw); {
-			key, value, next, err := ReadFrame(raw, off)
-			if err != nil {
-				f.Fatal(err)
-			}
-			ow.append(key, value)
-			off = next
-		}
-		if _, err := ow.end(); err != nil {
-			f.Fatal(err)
-		}
-		ow.close()
-		return store.objs["o"]
-	}
 	n := int64(len(frames))
-	f.Add(frames, int64(0), n, n, false, 5)
-	f.Add(append([]byte("skip"), frames...), int64(4), n, n, false, 1)
-	f.Add(deflated(frames), int64(0), int64(len(deflated(frames))), n, true, 3)
-	f.Fuzz(func(t *testing.T, data []byte, off, length, raw int64, compressed bool, win int) {
-		if win < 1 || win > 1<<16 || raw > 1<<20 {
+	f.Add(frames, int64(0), n, 5)
+	f.Add(append([]byte("skip"), frames...), int64(4), n, 1)
+	f.Add(frames, int64(0), n-1, 3)
+	f.Fuzz(func(t *testing.T, data []byte, off, length int64, win int) {
+		if win < 1 || win > 1<<16 {
 			return
 		}
 		store := NewMemRunStore()
 		store.objs["o"] = data
-		seg := Segment{Name: "o", Offset: off, StoredBytes: length, RawBytes: raw, Compressed: compressed}
-		limit := length
-		if compressed {
-			limit = raw
-		}
+		seg := Segment{Name: "o", Offset: off, Bytes: length}
 
 		read := func(s RunStore) (recs [][2][]byte, err error) {
 			it := &Iterator{store: s, win: win}
@@ -478,22 +440,19 @@ func FuzzSegmentStream(f *testing.F) {
 			var framed int64
 			for {
 				ok, err := st.advance(it)
-				if largest := largestWindow(it, st); int64(largest) > max(limit, int64(win)) {
-					t.Fatalf("a window of %d bytes for a segment of %d", largest, limit)
+				if largest := largestWindow(it, st); int64(largest) > max(length, int64(win)) {
+					t.Fatalf("a window of %d bytes for a segment of %d", largest, length)
 				}
 				if err != nil || !ok {
 					return recs, err
 				}
-				if framed += FramedSize(st.key, st.value); framed > limit {
-					t.Fatalf("%d framed bytes out of a segment of %d", framed, limit)
+				if framed += FramedSize(st.key, st.value); framed > length {
+					t.Fatalf("%d framed bytes out of a segment of %d", framed, length)
 				}
 				recs = append(recs, [2][]byte{bytes.Clone(st.key), bytes.Clone(st.value)})
 			}
 		}
 		windowed, werr := read(streamOnlyStore{store})
-		if compressed {
-			return
-		}
 		inPlace, perr := read(store)
 		if (werr == nil) != (perr == nil) || !equalRecs(windowed, inPlace) {
 			t.Errorf("through windows of %d: %d records, err %v; in place: %d records, err %v",
