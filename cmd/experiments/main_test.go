@@ -13,12 +13,11 @@ import (
 	"ffmr/internal/trace"
 )
 
-// TestTable1MatchesTrace is the acceptance check for the unified
-// instrumentation: running `-exp table1 -trace out.json` must emit a
-// Chrome trace whose per-round A-Paths, MaxQ, Map Out and Shuffle(KB)
-// values exactly match the rendered Table I — both views are projections
-// of the same round spans, so any disagreement means a second
-// bookkeeping path crept back in.
+// TestTable1MatchesTrace: running `-exp table1 -trace out.json` must
+// emit a Chrome trace whose per-round A-Paths, MaxQ, Map Out and
+// Shuffle(KB) values exactly match the rendered Table I. The table
+// renders Result.RoundStats and the driver writes the same values onto
+// each round span, so a disagreement means the two writes drifted.
 func TestTable1MatchesTrace(t *testing.T) {
 	traceFile := filepath.Join(t.TempDir(), "out.json")
 	var out bytes.Buffer

@@ -14,7 +14,8 @@
 //	ffmr-service -workers 3 -listen 127.0.0.1:7400
 //
 //	# Submit work from another terminal.
-//	ffmr -submit 127.0.0.1:7400 -tenant acme -handle social -gen ba -n 20000 -w 16
+//	gengraph -gen ba -n 20000 -w 16 -o social.txt
+//	ffmr -submit 127.0.0.1:7400 -tenant acme -handle social -input social.txt
 package main
 
 import (

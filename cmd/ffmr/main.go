@@ -1,44 +1,51 @@
-// Command ffmr computes a maximum flow on a graph using the FFMR
-// MapReduce algorithms and prints per-round statistics.
+// Command ffmr computes a maximum flow on one graph using the FFMR
+// MapReduce algorithms and prints per-round statistics. The graph is an
+// edge list written by cmd/gengraph (or any tool that writes the same
+// format). The baselines, warm-versus-cold update runs and the paper's
+// tables run in cmd/experiments; cmd/ffmr-service applies update
+// batches to a resident solve.
 //
 // Examples:
 //
 //	# Generate a Barabási-Albert graph with super source/sink taps and
 //	# run FF5 on a 8-node simulated cluster.
-//	ffmr -gen ba -n 20000 -m 4 -w 16 -variant 5 -nodes 8
+//	gengraph -gen ba -n 20000 -m 4 -w 16 -o ba.txt
+//	ffmr -input ba.txt -variant 5 -nodes 8
 //
-//	# Load an edge list, run FF2, cross-check against sequential Dinic.
+//	# Run FF2 and cross-check against sequential Dinic.
 //	ffmr -input graph.txt -variant 2 -check
 //
 //	# Let the portfolio probe the instance and pick the solver, or force
 //	# the synchronous push-relabel engine on a high-diameter lattice.
-//	ffmr -gen ba -n 20000 -m 2 -engine auto -check
-//	ffmr -gen grid -n 64 -engine prflow -check
-//
-//	# Compare against the MR-BFS baseline.
-//	ffmr -gen ws -n 5000 -k 6 -beta 0.1 -bfs
+//	gengraph -gen ba -n 20000 -m 2 -o pl.txt
+//	ffmr -input pl.txt -engine auto -check
+//	gengraph -gen grid -n 64 -o grid.txt
+//	ffmr -input grid.txt -engine prflow -check
 //
 //	# Run on the distributed backend with 3 in-process TCP workers and
 //	# verify per-round counters against the simulated engine.
-//	ffmr -gen ws -n 2000 -variant 5 -distributed -dist-verify
+//	gengraph -gen ws -n 2000 -o ws.txt
+//	ffmr -input ws.txt -variant 5 -distributed -dist-verify
 //
 //	# Serve external worker processes (see cmd/ffmr-worker).
-//	ffmr -gen ws -n 2000 -distributed -dist-workers 0 \
+//	ffmr -input ws.txt -distributed -dist-workers 0 \
 //	     -dist-listen 127.0.0.1:7350 -dist-wait 3
 //
-//	# Watch a distributed run live: structured logs and an admin server
-//	# (/metrics, /healthz, /status, /flight, /debug/pprof).
-//	ffmr -gen ws -n 5000 -distributed -log json -admin 127.0.0.1:8080
+//	# Watch a distributed run live: structured logs (one "round done"
+//	# event per round) and an admin server (/metrics, /healthz, /status,
+//	# /flight, /debug/pprof).
+//	ffmr -input ws.txt -distributed -log text -admin 127.0.0.1:8080
 //
 //	# Analyze a recorded trace: per-round critical path, wall-time
 //	# attribution (map/shuffle/reduce/rpc/idle), stragglers, and the
 //	# decision events. Crashed workers dump their tracers into
 //	# run.json.d/, which -analyze merges onto the same timeline.
-//	ffmr -gen ws -n 5000 -distributed -worker-crash 0.05 -trace run.json
+//	ffmr -input ws.txt -distributed -worker-crash 0.05 -trace run.json
 //	ffmr -analyze run.json
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -51,7 +58,6 @@ import (
 	"ffmr/internal/core"
 	"ffmr/internal/dfs"
 	"ffmr/internal/distmr"
-	"ffmr/internal/dynamic"
 	"ffmr/internal/graph"
 	"ffmr/internal/graphgen"
 	"ffmr/internal/mapreduce"
@@ -72,16 +78,8 @@ func main() {
 
 func run() error {
 	var (
-		gen     = flag.String("gen", "", "generate a graph: ba|ws|rmat|er|grid|bip (mutually exclusive with -input)")
-		input   = flag.String("input", "", "read an edge-list file instead of generating")
-		n       = flag.Int("n", 10000, "vertices (ba, ws, er) / side length (grid) / per-side vertices (bip)")
-		m       = flag.Int("m", 4, "attachment count (ba) / edges factor (rmat) / edges (er, absolute)")
-		k       = flag.Int("k", 6, "ring neighbours (ws)")
-		beta    = flag.Float64("beta", 0.1, "rewire probability (ws) / edge density (bip)")
-		scale   = flag.Int("rmat-scale", 12, "log2 vertices (rmat)")
-		seed    = flag.Int64("seed", 1, "generator seed")
-		w       = flag.Int("w", 0, "attach a super source/sink with w taps (0 = use highest-degree endpoints)")
-		minDeg  = flag.Int("min-degree", 8, "tap eligibility threshold for -w")
+		input   = flag.String("input", "", "edge-list file to solve (write one with gengraph)")
+		seed    = flag.Int64("seed", 1, "seed of injected worker crashes (-worker-crash)")
 		variant = flag.Int("variant", 5, "algorithm variant 1..5 (FF1..FF5)")
 		engine  = flag.String("engine", "", "solver engine: ffmr|prflow|auto (empty: ffmr)")
 		nodes   = flag.Int("nodes", 4, "simulated cluster nodes")
@@ -90,18 +88,11 @@ func run() error {
 		maxR    = flag.Int("max-rounds", 1000, "abort after this many rounds")
 		paperT  = flag.Bool("paper-termination", false, "terminate exactly per the paper's Fig. 2 rule")
 		check   = flag.Bool("check", false, "cross-check the result against sequential Dinic")
-		bfs     = flag.Bool("bfs", false, "also run the MR-BFS baseline")
-		bsp     = flag.Bool("bsp", false, "also run the Pregel/BSP translation")
 		real    = flag.Bool("realistic", true, "charge Hadoop-like per-round overhead in simulated time")
 		rounds  = flag.Bool("rounds", true, "print the per-round statistics table")
-		live    = flag.Bool("progress", false, "print each round's statistics as it completes")
 		trOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the run")
 		budget  = flag.Int64("memory-budget", 0, "per-map-task shuffle buffer bytes; >0 spills sorted runs to disk (0 = unbounded in-memory shuffle)")
 		spillTo = flag.String("spill-dir", "", "directory for spill segments (default: system temp dir)")
-
-		updates  = flag.Int("updates", 0, "after solving, apply this many randomized edge-update batches (dynamic max-flow)")
-		updBatch = flag.Int("update-batch", 20, "updates per batch for -updates (inserts, deletes, capacity changes)")
-		warm     = flag.Bool("warm", true, "solve update batches by warm restart from persisted state (false: cold recompute per batch)")
 
 		dist       = flag.Bool("distributed", false, "run jobs on the distributed master/worker backend instead of the simulated engine")
 		distWork   = flag.Int("dist-workers", 3, "in-process workers to start (0 = external ffmr-worker processes only)")
@@ -141,15 +132,9 @@ func run() error {
 		}
 	}
 
-	in, err := buildGraph(*gen, *input, *n, *m, *k, *beta, *scale, *seed)
+	in, err := readGraph(*input)
 	if err != nil {
 		return err
-	}
-	if *w > 0 {
-		in, err = graphgen.AttachSuperSourceSink(in, *w, *minDeg, *seed+100)
-		if err != nil {
-			return err
-		}
 	}
 	fmt.Printf("graph: %d vertices, %d edges, s=%d, t=%d\n",
 		in.NumVertices, len(in.Edges), in.Source, in.Sink)
@@ -176,8 +161,8 @@ func run() error {
 
 	// Distributed mode: boot a master (plus optional in-process workers),
 	// wait for registrations, and point the cluster's job execution at it.
-	var master *distmr.Master
 	if *dist {
+		var master *distmr.Master
 		if *distWork > 0 {
 			h, err := distmr.StartHarness(distmr.HarnessConfig{
 				Workers:    *distWork,
@@ -210,7 +195,11 @@ func run() error {
 		}
 		fmt.Printf("distributed: %d workers registered with master %s\n",
 			master.LiveWorkers(), master.Addr())
-		distribute(cluster, master, *crash, *seed)
+		cluster.Distributed = master
+		if *crash > 0 {
+			cluster.Fault.WorkerCrashRate = *crash
+			cluster.Fault.Seed = *seed
+		}
 	} else if *admin != "" {
 		// Simulated mode still gets the admin surface: /metrics serves the
 		// tracer's live registry, pprof the in-process engine.
@@ -237,30 +226,9 @@ func run() error {
 	if *paperT {
 		opts.Termination = core.TerminationPaper
 	}
-	if *live {
-		opts.RoundCallback = func(rs core.RoundStat) {
-			fmt.Printf("round %d: %s paths accepted (+%s flow), %s records out, %s shuffled, %s active\n",
-				rs.Round, stats.FormatCount(rs.APaths), stats.FormatCount(rs.FlowDelta),
-				stats.FormatCount(rs.MapOutRecords), stats.FormatBytes(rs.ShuffleBytes),
-				stats.FormatCount(rs.ActiveVertices))
-		}
-	}
-
-	// With -updates the base solve goes through dynamic.Solve, which keeps
-	// the final records in the DFS so batches can warm-restart from them.
-	var res *core.Result
-	var snap *dynamic.Snapshot
-	if *updates > 0 {
-		snap, err = dynamic.Solve(cluster, in, opts)
-		if err != nil {
-			return err
-		}
-		res = snap.Result
-	} else {
-		res, err = core.Run(cluster, in, opts)
-		if err != nil {
-			return err
-		}
+	res, err := core.Run(cluster, in, opts)
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("\n%s max-flow: %d in %d rounds (sim %s, wall %s)\n",
@@ -279,80 +247,12 @@ func run() error {
 	}
 
 	if *rounds {
-		fmt.Println(stats.RoundTable("\nPer-round statistics",
-			trace.RoundSummariesUnder(res.RunSpan)))
-	}
-
-	if *updates > 0 {
-		mode := "warm"
-		if !*warm {
-			mode = "cold"
-		}
-		tbl := stats.NewTable(fmt.Sprintf("\nDynamic updates (%s, %d batches x %d updates)", mode, *updates, *updBatch),
-			"Gen", "Violations", "Cancelled", "Rounds", "SimTime", "|f*|")
-		profile := graphgen.DefaultUpdateProfile()
-		cur := in
-		for g := 1; g <= *updates; g++ {
-			batch, err := graphgen.GenerateUpdates(cur, *updBatch, profile, *seed+int64(1000*g))
-			if err != nil {
-				return err
-			}
-			var (
-				flow    int64
-				nrounds int
-				simTime time.Duration
-				viol    int
-				cancel  int64
-			)
-			if *warm {
-				out, err := dynamic.Apply(cluster, snap, batch)
-				if err != nil {
-					return err
-				}
-				snap, cur = out.Snapshot, out.Snapshot.Input
-				flow, nrounds = out.Warm.MaxFlow, out.Warm.Rounds
-				simTime = out.Warm.TotalSimTime
-				viol, cancel = out.Violations, out.CancelledFlow
-			} else {
-				cur, err = graph.ApplyUpdates(cur, batch)
-				if err != nil {
-					return err
-				}
-				coldC := newCluster(*nodes, *slots, *real, *budget, *spillTo)
-				if master != nil {
-					distribute(coldC, master, *crash, *seed)
-				}
-				coldOpts := opts
-				coldOpts.Tracer = nil
-				coldRes, err := core.Run(coldC, cur, coldOpts)
-				if err != nil {
-					return err
-				}
-				flow, nrounds, simTime = coldRes.MaxFlow, coldRes.Rounds, coldRes.TotalSimTime
-			}
-			if *check {
-				net, err := maxflow.FromInput(cur)
-				if err != nil {
-					return err
-				}
-				if want := maxflow.Dinic(net, int(cur.Source), int(cur.Sink)); want != flow {
-					return fmt.Errorf("check: MISMATCH at batch %d — %s computed %d, Dinic says %d",
-						g, mode, flow, want)
-				}
-			}
-			tbl.AddRow(g, viol, stats.FormatCount(cancel), nrounds,
-				stats.FormatDuration(simTime), stats.FormatCount(flow))
-		}
-		fmt.Println(tbl.String())
-		if *check {
-			fmt.Printf("check: sequential Dinic agrees after every batch\n")
-		}
+		fmt.Println(stats.RoundTable("\nPer-round statistics", res.RoundStats))
 	}
 
 	if *distVerify {
 		simOpts := opts
 		simOpts.Tracer = trace.New()
-		simOpts.RoundCallback = nil
 		simRes, err := core.Run(newCluster(*nodes, *slots, *real, *budget, *spillTo), in, simOpts)
 		if err != nil {
 			return err
@@ -387,31 +287,6 @@ func run() error {
 		}
 	}
 
-	if *bfs {
-		bc := newCluster(*nodes, *slots, *real, *budget, *spillTo)
-		if master != nil {
-			distribute(bc, master, *crash, *seed)
-		}
-		bres, err := core.RunBFS(bc, in, 0, "")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("BFS baseline: %d rounds, s-t distance %d, visited %d (sim %s)\n",
-			bres.Rounds, bres.SinkDist, bres.Visited, stats.FormatDuration(bres.TotalSimTime))
-	}
-
-	if *bsp {
-		bres, err := core.RunBSP(in, core.BSPOptions{Workers: *nodes * *slots, Tracer: tracer})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("BSP translation: max-flow %d in %d supersteps, %s messages, %s moved (wall %s)\n",
-			bres.MaxFlow, bres.Supersteps, stats.FormatCount(bres.Messages),
-			stats.FormatBytes(bres.MessageBytes), stats.FormatDuration(bres.WallTime))
-		if bres.MaxFlow != res.MaxFlow {
-			return fmt.Errorf("BSP and MR flows disagree (BSP %d, MR %d)", bres.MaxFlow, res.MaxFlow)
-		}
-	}
 	return nil
 }
 
@@ -471,16 +346,6 @@ func writeTrace(tracer *trace.Tracer, path string) error {
 	return f.Close()
 }
 
-// distribute points a cluster's job execution at the distributed
-// backend and arms worker-crash injection.
-func distribute(c *mapreduce.Cluster, m *distmr.Master, crash float64, seed int64) {
-	c.Distributed = m
-	if crash > 0 {
-		c.Fault.WorkerCrashRate = crash
-		c.Fault.Seed = seed
-	}
-}
-
 // diffRuns compares two runs' results and per-round counters, ignoring
 // the fields that legitimately differ across backends: SimTime and
 // WallTime (measured durations differ between one-process simulation
@@ -521,44 +386,15 @@ func newCluster(nodes, slots int, realistic bool, budget int64, spillDir string)
 	return c
 }
 
-func buildGraph(gen, input string, n, m, k int, beta float64, scale int, seed int64) (*graph.Input, error) {
-	if input != "" {
-		f, err := os.Open(input)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graphgen.ReadEdgeList(f)
+// readGraph loads the edge list at path (the format gengraph writes).
+func readGraph(path string) (*graph.Input, error) {
+	if path == "" {
+		return nil, errors.New("-input is required: write a graph with gengraph, e.g. gengraph -gen ba -n 20000 -w 16 -o g.txt")
 	}
-	var in *graph.Input
-	var err error
-	switch gen {
-	case "ba", "":
-		in, err = graphgen.BarabasiAlbert(n, m, seed)
-	case "ws":
-		in, err = graphgen.WattsStrogatz(n, k, beta, seed)
-	case "rmat":
-		in, err = graphgen.RMAT(scale, m, seed)
-	case "er":
-		in, err = graphgen.ErdosRenyi(n, m, seed)
-	case "grid":
-		// Grid and bip pick their own corner/super endpoints: rerouting
-		// them through PickEndpoints (or tapping a super source/sink with
-		// -w) would collapse the diameter these families exist to provide.
-		in, err = graphgen.Grid(n, n)
-		if err != nil {
-			return nil, err
-		}
-		graphgen.RandomCapacities(in, 16, seed)
-		return in, nil
-	case "bip":
-		return graphgen.DenseBipartite(n, n, beta, seed)
-	default:
-		return nil, fmt.Errorf("unknown generator %q (want ba, ws, rmat, er, grid or bip)", gen)
-	}
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	in.Source, in.Sink = graphgen.PickEndpoints(in)
-	return in, nil
+	defer f.Close()
+	return graphgen.ReadEdgeList(f)
 }

@@ -8,34 +8,7 @@ import (
 	"ffmr/internal/graphgen"
 )
 
-func TestBuildGraphGenerators(t *testing.T) {
-	tests := []struct {
-		name string
-		gen  string
-	}{
-		{"barabasi-albert", "ba"},
-		{"default is ba", ""},
-		{"watts-strogatz", "ws"},
-		{"rmat", "rmat"},
-		{"erdos-renyi", "er"},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			in, err := buildGraph(tc.gen, "", 200, 3, 4, 0.1, 7, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := in.Validate(); err != nil {
-				t.Fatalf("generated graph invalid: %v", err)
-			}
-		})
-	}
-	if _, err := buildGraph("bogus", "", 100, 3, 4, 0.1, 7, 1); err == nil {
-		t.Error("unknown generator accepted")
-	}
-}
-
-func TestBuildGraphFromFile(t *testing.T) {
+func TestReadGraph(t *testing.T) {
 	gen, err := graphgen.BarabasiAlbert(100, 3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +24,7 @@ func TestBuildGraphFromFile(t *testing.T) {
 	}
 	f.Close()
 
-	in, err := buildGraph("", path, 0, 0, 0, 0, 0, 0)
+	in, err := readGraph(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +32,11 @@ func TestBuildGraphFromFile(t *testing.T) {
 		t.Errorf("loaded %d/%d, want %d/%d",
 			in.NumVertices, len(in.Edges), gen.NumVertices, len(gen.Edges))
 	}
-	if _, err := buildGraph("", filepath.Join(t.TempDir(), "missing"), 0, 0, 0, 0, 0, 0); err == nil {
+	if _, err := readGraph(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing file accepted")
+	}
+	if _, err := readGraph(""); err == nil {
+		t.Error("empty -input accepted")
 	}
 }
 

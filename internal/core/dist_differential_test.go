@@ -201,21 +201,18 @@ func TestDistributedDifferentialWorkerCrash(t *testing.T) {
 	}
 }
 
-// TestDistributedPrefetchDifferential pins the shuffle parity invariant
+// TestDistributedShuffleDifferential pins the shuffle parity invariant
 // under injected worker crashes: every FF variant must reproduce the
 // simulated engine's per-round Table I counters exactly. Shuffle
 // transport — local reads, one fetch per source worker, re-fetches after
 // a crash — may only change when bytes move, never how many are
 // accounted: the fetch and inter-node counters are computed from segment
-// metadata on the reduce path whichever way the bytes landed. (The
-// names predate the removal of shuffle prefetch: the test compared a
-// prefetch-on and a prefetch-off cell, and the off cell's configuration
-// is the only one left.)
-func TestDistributedPrefetchDifferential(t *testing.T) {
+// metadata on the reduce path whichever way the bytes landed.
+func TestDistributedShuffleDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential harness is slow; skipped with -short")
 	}
-	tc := diffCase{name: "dist-prefetch-ws130", seed: 61}
+	tc := diffCase{name: "dist-shuffle-ws130", seed: 61}
 	in, err := graphgen.WattsStrogatz(130, 6, 0.1, tc.seed)
 	if err != nil {
 		t.Fatal(err)
@@ -231,18 +228,16 @@ func TestDistributedPrefetchDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("simulated run: %v", err)
 			}
-			t.Run("prefetch-off", func(t *testing.T) {
-				h := distHarness(t, distmr.HarnessConfig{Workers: 3, Replace: true})
-				distC := testCluster(3)
-				distC.Distributed = h.Master
-				distC.Fault.WorkerCrashRate = 0.02
-				distC.Fault.Seed = tc.seed
-				distRes, err := Run(distC, in, Options{Variant: variant})
-				if err != nil {
-					t.Fatalf("distributed run: %v", err)
-				}
-				checkBackendParity(t, want, simRes, distRes)
-			})
+			h := distHarness(t, distmr.HarnessConfig{Workers: 3, Replace: true})
+			distC := testCluster(3)
+			distC.Distributed = h.Master
+			distC.Fault.WorkerCrashRate = 0.02
+			distC.Fault.Seed = tc.seed
+			distRes, err := Run(distC, in, Options{Variant: variant})
+			if err != nil {
+				t.Fatalf("distributed run: %v", err)
+			}
+			checkBackendParity(t, want, simRes, distRes)
 		})
 	}
 }

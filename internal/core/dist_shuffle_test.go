@@ -169,8 +169,8 @@ func TestShuffleFetchCountAndFootprint(t *testing.T) {
 }
 
 // TestDistributedCrashRunFinishes runs the configuration of
-// `ffmr -gen ws -n 400 -k 6 -beta 0.2 -variant 5 -distributed
-// -worker-crash 0.1` to a Dinic-checked flow. Each crash kills every
+// `gengraph -gen ws -n 400 -k 6 -beta 0.2` solved with `ffmr -variant 5
+// -distributed -worker-crash 0.1` to a Dinic-checked flow. Each crash kills every
 // lease on its worker; those leases do not count against the task that
 // held them, so no task runs out of assignments, and a fetch from a
 // crashed worker is a lost map output, not a failed reduce.

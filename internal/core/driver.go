@@ -83,8 +83,7 @@ type Result struct {
 	MaxGraphBytes   int64
 
 	// RunSpan is the run's trace span when Options.Tracer was set (nil
-	// otherwise). trace.RoundSummariesUnder(RunSpan) yields the same
-	// per-round metrics as RoundStats.
+	// otherwise). Its round spans carry RoundStats' values as attributes.
 	RunSpan *trace.Span
 }
 
@@ -377,7 +376,8 @@ func (l *ffLoop) run() error {
 		log.Info("round done", "round", round,
 			"a_paths", stat.APaths, "flow_delta", stat.FlowDelta,
 			"max_flow", result.MaxFlow, "active", stat.ActiveVertices,
-			"shuffle_bytes", stat.ShuffleBytes, "sim", stat.SimTime)
+			"map_out_records", stat.MapOutRecords, "shuffle_bytes", stat.ShuffleBytes,
+			"sim", stat.SimTime)
 		if opts.RoundCallback != nil {
 			opts.RoundCallback(stat)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -231,5 +232,47 @@ func TestFaultFreeDistributedRunRecordsNoEvents(t *testing.T) {
 		if e.Cat == trace.CatEvent {
 			t.Errorf("fault-free run recorded event %q %v", e.Name, e.Args)
 		}
+	}
+}
+
+// TestRoundDoneLogMatchesRoundStats: the "round done" log event is the
+// live per-round view of a run, so each one carries its round's Table I
+// columns exactly as Result.RoundStats records them.
+func TestRoundDoneLogMatchesRoundStats(t *testing.T) {
+	in, err := graphgen.WattsStrogatz(160, 6, 0.1, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Source, in.Sink = graphgen.PickEndpoints(in)
+	var buf bytes.Buffer
+	res, err := Run(testCluster(3), in, Options{Variant: FF5, Log: obsv.NewLogger(&buf, "json", slog.LevelInfo)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev struct {
+			Msg           string `json:"msg"`
+			Round         int    `json:"round"`
+			APaths        int64  `json:"a_paths"`
+			Active        int64  `json:"active"`
+			MapOutRecords int64  `json:"map_out_records"`
+			ShuffleBytes  int64  `json:"shuffle_bytes"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if ev.Msg != "round done" {
+			continue
+		}
+		logged++
+		rs := res.RoundStats[ev.Round]
+		if ev.APaths != rs.APaths || ev.Active != rs.ActiveVertices ||
+			ev.MapOutRecords != rs.MapOutRecords || ev.ShuffleBytes != rs.ShuffleBytes {
+			t.Errorf("round %d logged %+v, RoundStats %+v", ev.Round, ev, rs)
+		}
+	}
+	if logged != res.Rounds || logged == 0 {
+		t.Errorf("%d round done events for %d rounds", logged, res.Rounds)
 	}
 }

@@ -962,24 +962,15 @@ func (jr *jobRun) handoffWorker(w *workerHandle) bool {
 		names = append(names, spillObjects(ts.winner.Parts)...)
 	}
 	if len(names) > 0 {
-		reply := &HandoffReply{}
-		if err := w.client.Call("Worker.Handoff", &HandoffDescriptor{JobSeq: jr.seq, Segments: names}, reply); err != nil {
-			jr.decide(slog.LevelWarn, "drain hand-off failed; treating worker as dead", "worker", w.id, "err", err)
+		pullErr, writeErr := jr.pullSegments(w, names)
+		if pullErr != nil {
+			jr.decide(slog.LevelWarn, "drain hand-off failed; treating worker as dead", "worker", w.id, "err", pullErr)
 			jr.m.markDead(w)
 			return false
 		}
-		if len(reply.Data) != len(names) {
-			jr.decide(slog.LevelWarn, "drain hand-off returned short data; treating worker as dead",
-				"worker", w.id, "want", len(names), "got", len(reply.Data))
-			jr.m.markDead(w)
+		if writeErr != nil {
+			jr.decide(slog.LevelWarn, "drain hand-off DFS write failed; will retry", "worker", w.id, "err", writeErr)
 			return false
-		}
-		for i, name := range names {
-			jr.counters.Add(CounterMasterBytes, int64(len(reply.Data[i])))
-			if err := jr.c.FS.WriteFile(jr.segPrefix+name, reply.Data[i]); err != nil {
-				jr.decide(slog.LevelWarn, "drain hand-off DFS write failed; will retry", "worker", w.id, "err", err)
-				return false
-			}
 		}
 		jr.m.registry().Counter(CounterHandoffSegments).Add(int64(len(names)))
 	}
@@ -993,6 +984,28 @@ func (jr *jobRun) handoffWorker(w *workerHandle) bool {
 	return true
 }
 
+// pullSegments copies the named spill objects from w into the job's
+// segment prefix on the DFS, counting every byte through the master. A
+// failed Handoff call or a reply short of segments is the worker's
+// fault (pullErr); a failed DFS write is the master's (writeErr), and
+// the callers treat the two differently.
+func (jr *jobRun) pullSegments(w *workerHandle, names []string) (pullErr, writeErr error) {
+	reply := &HandoffReply{}
+	if err := w.client.Call("Worker.Handoff", &HandoffDescriptor{JobSeq: jr.seq, Segments: names}, reply); err != nil {
+		return err, nil
+	}
+	if len(reply.Data) != len(names) {
+		return fmt.Errorf("distmr: hand-off returned %d of %d segments", len(reply.Data), len(names)), nil
+	}
+	for i, name := range names {
+		jr.counters.Add(CounterMasterBytes, int64(len(reply.Data[i])))
+		if err := jr.c.FS.WriteFile(jr.segPrefix+name, reply.Data[i]); err != nil {
+			return nil, err
+		}
+	}
+	return nil, nil
+}
+
 // persistWinner writes a completed task's winner to DFS (PersistState):
 // for maps, the output segments are first pulled from the winning worker
 // into the state prefix; then a manifest records the winner. The
@@ -1003,19 +1016,15 @@ func (jr *jobRun) handoffWorker(w *workerHandle) bool {
 func (jr *jobRun) persistWinner(ts *taskState) {
 	if ts.ph == PhaseMap {
 		if names := spillObjects(ts.winner.Parts); len(names) > 0 {
-			args := &HandoffDescriptor{JobSeq: jr.seq, Segments: names}
-			reply := &HandoffReply{}
-			if err := ts.winnerW.client.Call("Worker.Handoff", args, reply); err != nil || len(reply.Data) != len(names) {
+			pullErr, writeErr := jr.pullSegments(ts.winnerW, names)
+			if pullErr != nil {
 				jr.log.Warn("winner persist: segment pull failed", "phase", ts.ph.String(),
-					"task", ts.task, "worker", ts.winnerW.id, "err", err)
+					"task", ts.task, "worker", ts.winnerW.id, "err", pullErr)
 				return
 			}
-			for i, name := range names {
-				jr.counters.Add(CounterMasterBytes, int64(len(reply.Data[i])))
-				if err := jr.c.FS.WriteFile(jr.segPrefix+name, reply.Data[i]); err != nil {
-					jr.log.Warn("winner persist: DFS write failed", "task", ts.task, "err", err)
-					return
-				}
+			if writeErr != nil {
+				jr.log.Warn("winner persist: DFS write failed", "task", ts.task, "err", writeErr)
+				return
 			}
 		}
 	}

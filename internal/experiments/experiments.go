@@ -56,8 +56,7 @@ type Scale struct {
 	SpillDir string
 	// Tracer, if non-nil, is threaded through the experiment's FFMR runs
 	// so their run/round/job/task spans accumulate in one trace (exported
-	// with the CLI's -trace flag). Trace-derived experiments (Table1,
-	// Fig7) create a private tracer when this is nil.
+	// with the CLI's -trace flag).
 	Tracer *trace.Tracer
 	// Distributed, if non-nil, runs every job on this distributed
 	// master/worker backend instead of the simulated engine (the cost
@@ -317,10 +316,9 @@ func Fig6(sc Scale) ([]Fig6Row, *stats.Table, error) {
 }
 
 // Table1 reproduces Table I: per-round Hadoop, aug_proc and runtime
-// statistics of FF5 on the largest graph. The rendered rows come from
-// the run's trace (round spans under Result.RunSpan), not from a second
-// bookkeeping path, so a -trace export and the printed table can never
-// disagree. A private tracer is created when sc.Tracer is nil.
+// statistics of FF5 on the largest graph, one row per Result.RoundStats
+// entry. The driver writes the same values onto the round spans of
+// sc.Tracer when it is set, so a -trace export agrees with the table.
 func Table1(sc Scale, w int) (*core.Result, *stats.Table, error) {
 	chain, err := sc.BuildChain()
 	if err != nil {
@@ -330,18 +328,14 @@ func Table1(sc Scale, w int) (*core.Result, *stats.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := sc.Tracer
-	if tr == nil {
-		tr = trace.New()
-	}
 	cluster := sc.newCluster(sc.Nodes)
-	res, err := runQuiescent(cluster, in, core.Options{Variant: core.FF5, Tracer: tr})
+	res, err := runQuiescent(cluster, in, core.Options{Variant: core.FF5, Tracer: sc.Tracer})
 	if err != nil {
 		return nil, nil, err
 	}
 	t := stats.RoundTable(
 		fmt.Sprintf("Table I: FF5 per-round statistics (largest graph, w=%d, |f*|=%d)", w, res.MaxFlow),
-		trace.RoundSummariesUnder(res.RunSpan))
+		res.RoundStats)
 	return res, t, nil
 }
 
@@ -353,8 +347,6 @@ type Fig7Variant struct {
 
 // Fig7 reproduces Fig. 7: total shuffle bytes per round for FF1, FF2,
 // FF3 and FF5 (FF4 does not change shuffle volume, as the paper notes).
-// Like Table1, the per-round values are read back from each run's trace
-// spans rather than a parallel stats path.
 func Fig7(sc Scale) ([]Fig7Variant, *stats.Figure, error) {
 	chain, err := sc.BuildChain()
 	if err != nil {
@@ -364,21 +356,17 @@ func Fig7(sc Scale) ([]Fig7Variant, *stats.Figure, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := sc.Tracer
-	if tr == nil {
-		tr = trace.New()
-	}
 	fig := stats.NewFigure("Fig 7: shuffle bytes per round", "round", "shuffle bytes")
 	var out []Fig7Variant
 	for _, variant := range []core.Variant{core.FF1, core.FF2, core.FF3, core.FF5} {
 		cluster := sc.newCluster(sc.Nodes)
-		res, err := runQuiescent(cluster, in, core.Options{Variant: variant, Tracer: tr})
+		res, err := runQuiescent(cluster, in, core.Options{Variant: variant, Tracer: sc.Tracer})
 		if err != nil {
 			return nil, nil, err
 		}
 		v := Fig7Variant{Algo: variant.String()}
 		s := fig.AddSeries(variant.String())
-		for _, rs := range trace.RoundSummariesUnder(res.RunSpan) {
+		for _, rs := range res.RoundStats {
 			v.Rounds = append(v.Rounds, rs.ShuffleBytes)
 			s.Add(float64(rs.Round), float64(rs.ShuffleBytes))
 		}

@@ -1,17 +1,16 @@
 package stats
 
 import (
-	"ffmr/internal/trace"
+	"ffmr/internal/core"
 )
 
-// RoundTable renders per-round trace summaries in the shape of the
-// paper's Table I: one row per MapReduce round with the accepted
-// augmenting paths, aug_proc queue high-water mark, map output volume,
-// shuffle volume and active-vertex count. The rows come straight from
-// the tracer's round spans (trace.RoundSummariesUnder), so the table is
-// a pure view over the same instrumentation that the trace exporters
-// serialize — there is no second bookkeeping path to drift.
-func RoundTable(title string, rounds []trace.RoundSummary) *Table {
+// RoundTable renders per-round statistics in the shape of the paper's
+// Table I: one row per MapReduce round with the accepted augmenting
+// paths, aug_proc queue high-water mark, map output volume, shuffle
+// volume and active-vertex count. The rows are Result.RoundStats; the
+// driver writes the same values onto each round's trace span, so a
+// rendered table and an exported trace agree.
+func RoundTable(title string, rounds []core.RoundStat) *Table {
 	t := NewTable(title,
 		"R", "A-Paths", "MaxQ", "Map Out", "Shuffle(KB)", "Active", "Runtime")
 	for _, r := range rounds {

@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // chromeEvent is one entry of the Chrome trace_event format
@@ -99,47 +97,6 @@ func (t *Tracer) writeChrome(w io.Writer, source, reason string, withRing bool) 
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(doc)
-}
-
-// WriteCSV exports every span as one CSV row: id, parent, category,
-// name, lane, start/duration in microseconds, and the annotations as a
-// "key=value|key=value" list. Counters and gauges follow as pseudo-rows
-// with empty timing columns.
-func (t *Tracer) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "parent", "cat", "name", "tid", "start_us", "dur_us", "attrs"}); err != nil {
-		return err
-	}
-	for _, sn := range t.snapshots(false) {
-		parts := make([]string, 0, len(sn.attrs))
-		for i := range sn.attrs {
-			parts = append(parts, fmt.Sprintf("%s=%v", sn.attrs[i].Key, sn.attrs[i].Value()))
-		}
-		err := cw.Write([]string{
-			fmt.Sprint(sn.id), fmt.Sprint(sn.parent), sn.cat, sn.name,
-			fmt.Sprint(sn.tid), fmt.Sprint(sn.startUS), fmt.Sprint(sn.durUS),
-			strings.Join(parts, "|"),
-		})
-		if err != nil {
-			return err
-		}
-	}
-	reg := t.Registry()
-	counters := reg.CounterSnapshot()
-	for _, name := range sortedKeys(counters) {
-		if err := cw.Write([]string{"", "", "counter", name, "", "", "", fmt.Sprintf("value=%d", counters[name])}); err != nil {
-			return err
-		}
-	}
-	gauges := reg.GaugeSnapshot()
-	for _, name := range sortedKeys(gauges) {
-		gv := gauges[name]
-		if err := cw.Write([]string{"", "", "gauge", name, "", "", "", fmt.Sprintf("value=%d|max=%d", gv.Last, gv.Max)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // ParsedEvent is one trace_event read back from an exported JSON file,

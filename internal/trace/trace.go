@@ -7,9 +7,9 @@
 // The model is a hierarchy of spans (run -> round -> job -> phase ->
 // task-attempt) carrying wall-time plus integer/string annotations, and
 // a typed counter/gauge registry for point metrics (the Hadoop-style
-// named counters, the aug_proc queue-depth gauge). Exporters render a
-// recorded trace as a Chrome trace_event-compatible JSON file, as CSV
-// series, and as per-round summary rows that the stats tables consume.
+// named counters, the aug_proc queue-depth gauge). The exporter renders
+// a recorded trace as a Chrome trace_event-compatible JSON file, which
+// Analyze and the benchmark read back.
 //
 // The package depends only on the standard library, and every API is
 // safe on nil receivers: a nil *Tracer produces nil *Spans and nil
@@ -23,8 +23,8 @@ import (
 	"time"
 )
 
-// Span categories used across the system. Consumers (summary extraction,
-// the stats tables) key on these, so producers must use the constants.
+// Span categories used across the system. Consumers (Analyze, the
+// benchmark) key on these, so producers must use the constants.
 const (
 	CatRun   = "run"   // one full multi-round computation
 	CatRound = "round" // one MR round or BSP superstep
@@ -52,8 +52,8 @@ const (
 )
 
 // Round-span attribute keys. The driver annotates each round span with
-// the paper's Table I columns under these names; RoundSummariesUnder
-// reads them back.
+// the paper's Table I columns under these names, the values of its
+// core.RoundStat.
 const (
 	AttrRound          = "round"
 	AttrAPaths         = "a_paths"
@@ -351,21 +351,6 @@ func (t *Tracer) snapshots(withRing bool) []snapshot {
 			durUS:   s.durLocked().Microseconds(),
 			attrs:   append([]Attr(nil), s.attrs...),
 		})
-	}
-	return out
-}
-
-// childrenOf returns snapshots of parent's direct children with the
-// given category, in start order.
-func (t *Tracer) childrenOf(parent *Span, cat string) []snapshot {
-	if t == nil {
-		return nil
-	}
-	var out []snapshot
-	for _, sn := range t.snapshots(false) {
-		if sn.cat == cat && (parent == nil || sn.parent == parent.id) {
-			out = append(out, sn)
-		}
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,9 +29,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if reg.Counter("c").Value() != 0 || reg.Gauge("g").Max() != 0 {
 		t.Fatal("nil registry recorded values")
 	}
-	if tr.RoundSummaries() != nil || RoundSummariesUnder(nil) != nil {
-		t.Fatal("nil tracer produced summaries")
-	}
 }
 
 func TestSpanHierarchyAndAttrs(t *testing.T) {
@@ -49,21 +45,11 @@ func TestSpanHierarchyAndAttrs(t *testing.T) {
 	if v, ok := round.Int(AttrAPaths); !ok || v != 9 {
 		t.Fatalf("a_paths = %d, %v", v, ok)
 	}
-	sums := RoundSummariesUnder(run)
-	if len(sums) != 1 || sums[0].Round != 1 || sums[0].APaths != 9 {
-		t.Fatalf("summaries = %+v", sums)
+	if v, ok := round.Int(AttrRound); !ok || v != 1 {
+		t.Fatalf("round = %d, %v", v, ok)
 	}
-	// A round under a different run must not leak into this run's view.
-	other := tr.Start(CatRun, "run2", nil)
-	r2 := tr.Start(CatRound, "round-1", other)
-	r2.SetInt(AttrRound, 1)
-	r2.End()
-	other.End()
-	if got := len(RoundSummariesUnder(run)); got != 1 {
-		t.Fatalf("run 1 sees %d rounds", got)
-	}
-	if got := len(tr.RoundSummaries()); got != 2 {
-		t.Fatalf("tracer-wide summaries = %d, want 2", got)
+	if round.Name() != "round-1" || round.Cat() != CatRound {
+		t.Fatalf("round span = %s/%s", round.Cat(), round.Name())
 	}
 }
 
@@ -148,25 +134,6 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 	if !foundRound || !foundCounter || !foundGauge {
 		t.Fatalf("missing events: round=%v counter=%v gauge=%v", foundRound, foundCounter, foundGauge)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	tr := New()
-	sp := tr.Start(CatJob, "job-x", nil)
-	sp.SetInt("map_tasks", 3)
-	sp.End()
-	tr.Registry().Counter("task failures").Add(2)
-
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"id,parent,cat,name", "job,job-x", "map_tasks=3", "counter,task failures", "value=2"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("CSV missing %q:\n%s", want, out)
-		}
 	}
 }
 
