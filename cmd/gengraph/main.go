@@ -86,7 +86,8 @@ type spec struct {
 	w, minDeg      int
 }
 
-// generate builds the graph s describes. The small-world families (ba,
+// generate builds the graph s describes; an empty generator name is
+// ba, as the -gen flag's default is. The small-world families (ba,
 // ws, rmat, er) get random capacities when maxCap > 0, the two
 // highest-degree vertices as endpoints, and w super source/sink taps
 // when w > 0. Grid and bip set their own capacities and corner/super
@@ -100,7 +101,7 @@ func generate(s spec) (*graph.Input, error) {
 	var in *graph.Input
 	var err error
 	switch s.gen {
-	case "ba":
+	case "ba", "":
 		in, err = graphgen.BarabasiAlbert(s.n, s.m, s.seed)
 	case "ws":
 		in, err = graphgen.WattsStrogatz(s.n, s.k, s.beta, s.seed)

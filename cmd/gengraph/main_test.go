@@ -83,6 +83,8 @@ func TestGenerateMatchesPinnedGraphs(t *testing.T) {
 	}{
 		{"ba", spec{gen: "ba", n: 300, m: 3, seed: 1},
 			"ddb096e716c45716b944eb8d6bc3a4eb318aa0c98a4dfc0185b277ee4f4cc1a0"},
+		{"default is ba", spec{gen: "", n: 300, m: 3, seed: 1},
+			"ddb096e716c45716b944eb8d6bc3a4eb318aa0c98a4dfc0185b277ee4f4cc1a0"},
 		{"ba-w", spec{gen: "ba", n: 300, m: 3, seed: 1, w: 4, minDeg: 4},
 			"eac6288c921165b46439eba7f1c0c37aac11b9f4ed20a18194d186dbdc2349e2"},
 		{"ws", spec{gen: "ws", n: 300, k: 6, beta: 0.2, seed: 2},

@@ -228,16 +228,18 @@ func TestDistributedShuffleDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("simulated run: %v", err)
 			}
-			h := distHarness(t, distmr.HarnessConfig{Workers: 3, Replace: true})
-			distC := testCluster(3)
-			distC.Distributed = h.Master
-			distC.Fault.WorkerCrashRate = 0.02
-			distC.Fault.Seed = tc.seed
-			distRes, err := Run(distC, in, Options{Variant: variant})
-			if err != nil {
-				t.Fatalf("distributed run: %v", err)
-			}
-			checkBackendParity(t, want, simRes, distRes)
+			t.Run("worker-crash", func(t *testing.T) {
+				h := distHarness(t, distmr.HarnessConfig{Workers: 3, Replace: true})
+				distC := testCluster(3)
+				distC.Distributed = h.Master
+				distC.Fault.WorkerCrashRate = 0.02
+				distC.Fault.Seed = tc.seed
+				distRes, err := Run(distC, in, Options{Variant: variant})
+				if err != nil {
+					t.Fatalf("distributed run: %v", err)
+				}
+				checkBackendParity(t, want, simRes, distRes)
+			})
 		})
 	}
 }
