@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"log/slog"
 	"slices"
 	"testing"
 
@@ -69,8 +71,8 @@ func TestDistributedHeldHolderKilled(t *testing.T) {
 	distC := testCluster(3)
 	distC.Distributed = h.Master
 	killed := false
-	opts.RoundCallback = func(st RoundStat) {
-		if st.Round != 2 {
+	opts.Log = slog.New(onRoundDone(func(round int64) {
+		if round != 2 {
 			return
 		}
 		for _, w := range h.Workers() {
@@ -80,7 +82,7 @@ func TestDistributedHeldHolderKilled(t *testing.T) {
 				return
 			}
 		}
-	}
+	}))
 	distRes, err := Run(distC, in, opts)
 	if err != nil {
 		t.Fatalf("distributed run: %v", err)
@@ -90,6 +92,27 @@ func TestDistributedHeldHolderKilled(t *testing.T) {
 	}
 	checkBackendParity(t, want, simRes, distRes)
 	sameFiles(t, simC.FS, distC.FS, "ffmr/")
+}
+
+// onRoundDone is a slog.Handler that calls itself with the round of every
+// "round done" event; the driver logs one when a round completes, before
+// the next begins.
+type onRoundDone func(round int64)
+
+func (onRoundDone) Enabled(context.Context, slog.Level) bool { return true }
+func (f onRoundDone) WithAttrs([]slog.Attr) slog.Handler     { return f }
+func (f onRoundDone) WithGroup(string) slog.Handler          { return f }
+
+func (f onRoundDone) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "round done" {
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == "round" {
+				f(a.Value.Int64())
+			}
+			return a.Key != "round"
+		})
+	}
+	return nil
 }
 
 // TestDistributedHeldBounded runs 50 solves back to back on one harness:

@@ -378,9 +378,6 @@ func (l *ffLoop) run() error {
 			"max_flow", result.MaxFlow, "active", stat.ActiveVertices,
 			"map_out_records", stat.MapOutRecords, "shuffle_bytes", stat.ShuffleBytes,
 			"sim", stat.SimTime)
-		if opts.RoundCallback != nil {
-			opts.RoundCallback(stat)
-		}
 		if res.OutputBytes > result.MaxGraphBytes {
 			result.MaxGraphBytes = res.OutputBytes
 		}

@@ -365,26 +365,6 @@ func TestRunPaperTermination(t *testing.T) {
 	}
 }
 
-func TestRoundCallback(t *testing.T) {
-	in := pathGraph(4, 1)
-	var rounds []int
-	res, err := Run(testCluster(2), in, Options{
-		Variant:       FF2,
-		RoundCallback: func(rs RoundStat) { rounds = append(rounds, rs.Round) },
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(rounds) != res.Rounds {
-		t.Fatalf("callback fired %d times for %d rounds", len(rounds), res.Rounds)
-	}
-	for i, r := range rounds {
-		if r != i+1 {
-			t.Fatalf("callback order: %v", rounds)
-		}
-	}
-}
-
 // TestSoakLargeSmallWorld is a larger end-to-end run covering the MR and
 // BSP engines on one 20K-vertex scale-free workload against the oracle.
 func TestSoakLargeSmallWorld(t *testing.T) {

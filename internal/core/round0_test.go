@@ -11,26 +11,27 @@ import (
 	"ffmr/internal/dfs"
 	"ffmr/internal/graph"
 	"ffmr/internal/mapreduce"
+	"ffmr/internal/spill"
 )
 
-// round0Store is a block store that also keeps a copy of every block
+// round0Store is a DFS object store that also keeps a copy of every block
 // written to a file under prefix, so a test can read a run's round-0 files
-// after the run has deleted them.
+// after the run has deleted them. Block i of file f is the object "f#i".
 type round0Store struct {
-	*dfs.MemStore
+	*spill.MemRunStore
 	prefix string
 
 	mu    sync.Mutex
 	files map[string][]byte
 }
 
-func (s *round0Store) Put(key, file string, data []byte) error {
-	if strings.HasPrefix(file, s.prefix) {
+func (s *round0Store) Put(name string, data []byte) error {
+	if file := name[:strings.LastIndexByte(name, '#')]; strings.HasPrefix(file, s.prefix) {
 		s.mu.Lock()
 		s.files[file] = append(s.files[file], data...)
 		s.mu.Unlock()
 	}
-	return s.MemStore.Put(key, file, data)
+	return s.MemRunStore.Put(name, data)
 }
 
 // hash is FNV-64a over every captured file's name, length and bytes, in
@@ -51,7 +52,7 @@ func (s *round0Store) hash() uint64 {
 
 // round0Cluster is testCluster(3) over a round0Store capturing prefix.
 func round0Cluster(prefix string) (*mapreduce.Cluster, *round0Store) {
-	store := &round0Store{MemStore: dfs.NewMemStore(), prefix: prefix, files: map[string][]byte{}}
+	store := &round0Store{MemRunStore: spill.NewMemRunStore(), prefix: prefix, files: map[string][]byte{}}
 	fs := dfs.NewWithStore(dfs.Config{Nodes: 3, BlockSize: 16 << 10, Replication: 2}, store)
 	c := mapreduce.NewCluster(3, 4, fs)
 	c.Cost = mapreduce.ZeroCostModel()

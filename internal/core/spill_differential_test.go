@@ -9,6 +9,7 @@ import (
 	"ffmr/internal/dfs"
 	"ffmr/internal/graphgen"
 	"ffmr/internal/mapreduce"
+	"ffmr/internal/spill"
 	"ffmr/internal/trace"
 )
 
@@ -192,7 +193,7 @@ func TestAcceptReproducible(t *testing.T) {
 }
 
 // TestSpillDifferentialDiskBackedDFS runs one variant end to end with
-// BOTH subsystems on disk: spill runs for the shuffle and a DiskStore
+// BOTH subsystems on disk: spill runs for the shuffle and a DiskRunStore
 // for the DFS blocks. Results must match the all-in-memory run.
 func TestSpillDifferentialDiskBackedDFS(t *testing.T) {
 	if testing.Short() {
@@ -211,7 +212,7 @@ func TestSpillDifferentialDiskBackedDFS(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store, err := dfs.NewDiskStore(t.TempDir())
+	store, err := spill.NewDiskRunStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

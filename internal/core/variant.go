@@ -153,9 +153,6 @@ type Options struct {
 	// ("we do not use any combiners as we found worse performance");
 	// this knob exists to reproduce that ablation.
 	UseCombiner bool
-	// RoundCallback, if non-nil, is invoked after every completed round
-	// with that round's statistics — live progress for long runs.
-	RoundCallback func(RoundStat)
 	// PathPrefix namespaces this run's DFS files (default "ffmr/").
 	PathPrefix string
 	// DeterministicAccept is ignored: aug_proc decides every round in

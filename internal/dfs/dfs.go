@@ -6,15 +6,16 @@
 // experiment harness can report graph sizes ("Size" / "Max Size" columns
 // of the paper's graph table) and model I/O cost per MapReduce round.
 //
-// Block payloads live in a pluggable BlockStore: MemStore (the default)
-// keeps them in process memory for faithful accounting at test speed;
-// DiskStore writes each block under a private temp dir so graph state
-// larger than RAM can flow through the same placement and accounting
-// machinery.
+// Block payloads live in a spill.RunStore, the same object store the
+// shuffle spills to: New keeps them in a MemRunStore, in process memory,
+// for faithful accounting at test speed; NewWithStore over a DiskRunStore
+// writes each block as a file under a private temp dir, so graph state
+// larger than RAM flows through the same placement and accounting
+// machinery. Block i of file f is the object "f#i".
 //
 // Stored bytes move by ownership, not by copy, so a MapReduce round does
 // not copy the graph state on its way through the file system. WriteFile
-// takes ownership of the buffer it is given: a MemStore's blocks are
+// takes ownership of the buffer it is given: a MemRunStore's blocks are
 // sub-slices of it, and the caller must not modify it afterwards.
 // ReadFile returns a read-only view: for a one-block file the stored
 // block itself, which the caller must not modify. Only a file of several
@@ -25,8 +26,11 @@ package dfs
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+
+	"ffmr/internal/spill"
 )
 
 // DefaultBlockSize mirrors the common HDFS configuration (64 MiB); tests
@@ -67,7 +71,7 @@ type Block struct {
 }
 
 // blockRef is the stored representation of one block: metadata plus the
-// store key of its payload.
+// object name of its payload.
 type blockRef struct {
 	key   string
 	size  int
@@ -90,30 +94,28 @@ type Stats struct {
 	FilesDeleted int64
 }
 
-// FS is a distributed file system emulation over a pluggable block
-// store. The zero value is not usable; create instances with New or
-// NewWithStore.
+// FS is a distributed file system emulation over an object store. The
+// zero value is not usable; create instances with New or NewWithStore.
 type FS struct {
 	cfg   Config
-	store BlockStore
+	store spill.RunStore
 
 	mu        sync.RWMutex
 	files     map[string]*fileData
 	nextNode  int
-	nextBlock int64
 	stats     Stats
 	nodeBytes []int64 // replica bytes per node
 }
 
 // New creates a file system with the given configuration, backed by an
-// in-memory block store.
+// in-memory store.
 func New(cfg Config) *FS {
-	return NewWithStore(cfg, NewMemStore())
+	return NewWithStore(cfg, spill.NewMemRunStore())
 }
 
-// NewWithStore creates a file system over the given block store. The FS
-// owns the store: Close releases it.
-func NewWithStore(cfg Config, store BlockStore) *FS {
+// NewWithStore creates a file system over the given store. The FS owns
+// the store: Close releases it.
+func NewWithStore(cfg Config, store spill.RunStore) *FS {
 	cfg.applyDefaults()
 	return &FS{
 		cfg:       cfg,
@@ -127,8 +129,8 @@ func NewWithStore(cfg Config, store BlockStore) *FS {
 // (after defaulting).
 func (fs *FS) Config() Config { return fs.cfg }
 
-// Close releases the backing block store (removing its directory for a
-// DiskStore). The FS is unusable afterwards.
+// Close releases the backing store (removing its directory for a
+// DiskRunStore). The FS is unusable afterwards.
 func (fs *FS) Close() error {
 	return fs.store.Close()
 }
@@ -158,22 +160,18 @@ func (fs *FS) WriteFile(name string, data []byte) error {
 	fs.deleteLocked(name)
 
 	fd := &fileData{size: int64(len(data))}
-	for off := 0; off < len(data) || off == 0; off += fs.cfg.BlockSize {
-		end := off + fs.cfg.BlockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		fs.nextBlock++
+	for off := 0; ; off += fs.cfg.BlockSize {
+		end := min(off+fs.cfg.BlockSize, len(data))
 		ref := blockRef{
-			key:   fmt.Sprintf("b%010d", fs.nextBlock),
+			key:   name + "#" + strconv.Itoa(len(fd.blocks)),
 			size:  end - off,
 			nodes: fs.placement(),
 		}
-		if err := fs.store.Put(ref.key, name, data[off:end:end]); err != nil {
+		if err := fs.store.Put(ref.key, data[off:end:end]); err != nil {
 			// Roll back blocks already stored so a failed write leaves
 			// no orphans.
 			for _, b := range fd.blocks {
-				fs.store.Delete(b.key)
+				fs.store.Remove(b.key)
 			}
 			return err
 		}
@@ -181,7 +179,7 @@ func (fs *FS) WriteFile(name string, data []byte) error {
 		for _, n := range ref.nodes {
 			fs.nodeBytes[n] += int64(ref.size)
 		}
-		if len(data) == 0 {
+		if end == len(data) {
 			break
 		}
 	}
@@ -224,23 +222,20 @@ func (fs *FS) read(name string, charge bool) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("dfs: file %q does not exist", name)
 	}
-	if len(fd.blocks) == 1 {
-		data, err := fs.store.Get(fd.blocks[0].key)
-		if err != nil {
-			return nil, fmt.Errorf("dfs: file %q: %w", name, err)
-		}
-		if charge {
-			fs.stats.BytesRead += fd.size
-		}
-		return data[:len(data):len(data)], nil
+	var out []byte
+	if len(fd.blocks) > 1 {
+		out = make([]byte, 0, fd.size)
 	}
-	out := make([]byte, 0, fd.size)
 	for _, ref := range fd.blocks {
-		data, err := fs.store.Get(ref.key)
+		data, err := spill.ReadObject(fs.store, ref.key)
 		if err != nil {
 			return nil, fmt.Errorf("dfs: file %q: %w", name, err)
 		}
-		out = append(out, data...)
+		if out == nil {
+			out = data // the one block itself
+		} else {
+			out = append(out, data...)
+		}
 	}
 	if charge {
 		fs.stats.BytesRead += fd.size
@@ -325,7 +320,7 @@ func (fs *FS) deleteLocked(name string) {
 		for _, n := range ref.nodes {
 			fs.nodeBytes[n] -= int64(ref.size)
 		}
-		fs.store.Delete(ref.key)
+		fs.store.Remove(ref.key)
 	}
 	fs.stats.BytesStored -= fd.size
 	fs.stats.FilesDeleted++
@@ -337,16 +332,14 @@ func (fs *FS) deleteLocked(name string) {
 func (fs *FS) DeletePrefix(prefix string) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var victims []string
+	n := 0
 	for name := range fs.files {
 		if strings.HasPrefix(name, prefix) {
-			victims = append(victims, name)
+			fs.deleteLocked(name)
+			n++
 		}
 	}
-	for _, name := range victims {
-		fs.deleteLocked(name)
-	}
-	return len(victims)
+	return n
 }
 
 // List returns the names of files with the given prefix, sorted.

@@ -82,7 +82,7 @@ func TestBlockingAndPlacement(t *testing.T) {
 	}
 }
 
-// TestWriteFileTakesOwnership pins the ownership contract on a MemStore:
+// TestWriteFileTakesOwnership pins the ownership contract on a MemRunStore:
 // a one-block file is read back as the very buffer WriteFile was given,
 // capacity clipped so an append copies; a file of several blocks is read
 // back as a fresh copy.
@@ -133,6 +133,29 @@ func TestReadFileOneBlockAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ReadFile of a one-block file: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestWriteFileOneBlockAllocs is the allocation gate of the write path: a
+// one-block file costs four objects (its metadata, its block list, the
+// block's object name and its placement), never a copy of the payload.
+// The 300 files written first would expose a name built from a global
+// block counter: the runtime boxes numbers below 256 without allocating.
+func TestWriteFileOneBlockAllocs(t *testing.T) {
+	fs := New(Config{Nodes: 3, BlockSize: 1 << 10, Replication: 2})
+	for i := 0; i < 300; i++ {
+		if err := fs.WriteFile(fmt.Sprintf("round-00000/part-%05d", i), make([]byte, 1<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 1<<10)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := fs.WriteFile("round-00001/part-00000", buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("WriteFile of a one-block file: %.1f allocs, want at most 4", allocs)
 	}
 }
 

@@ -9,103 +9,100 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"ffmr/internal/dfs"
+	"ffmr/internal/spill"
 )
 
-// guard is a dfs.BlockStore that records a CRC32 of every block at Put and
-// checks it again at Get, Delete and Close, reporting a changed block with
+// guard is a spill.RunStore that records a CRC32 of every object at Put and
+// checks it again at Open, Remove and Close, reporting a changed block with
 // the name of its file.
 type guard struct {
-	inner  dfs.BlockStore
+	spill.RunStore
 	report func(error)
 
-	mu     sync.Mutex
-	blocks map[string]guarded
-}
-
-type guarded struct {
-	file string
-	crc  uint32
+	mu   sync.Mutex
+	crcs map[string]uint32
 }
 
 // newGuard wraps inner; report receives one error per changed block found.
-func newGuard(inner dfs.BlockStore, report func(error)) *guard {
-	return &guard{inner: inner, report: report, blocks: make(map[string]guarded)}
+func newGuard(inner spill.RunStore, report func(error)) *guard {
+	return &guard{RunStore: inner, report: report, crcs: make(map[string]uint32)}
 }
 
-// NewFS returns a file system over a MemStore that records a CRC32 of
-// every block at Put and checks it again at Get, Delete and Close; a
+// NewFS returns a file system over a MemRunStore that records a CRC32 of
+// every block at Put and checks it again at Open, Remove and Close; a
 // changed block fails tb with the name of its file. The file system is
 // closed when the test ends, which checks every block still stored.
 func NewFS(tb testing.TB, cfg dfs.Config) *dfs.FS {
 	tb.Helper()
-	fs := dfs.NewWithStore(cfg, newGuard(dfs.NewMemStore(), func(err error) { tb.Error(err) }))
+	fs := dfs.NewWithStore(cfg, newGuard(spill.NewMemRunStore(), func(err error) { tb.Error(err) }))
 	tb.Cleanup(func() { fs.Close() })
 	return fs
 }
 
-// Put implements dfs.BlockStore.
-func (g *guard) Put(key, file string, data []byte) error {
-	if err := g.inner.Put(key, file, data); err != nil {
+// Put implements spill.RunStore.
+func (g *guard) Put(name string, data []byte) error {
+	if err := g.RunStore.Put(name, data); err != nil {
 		return err
 	}
 	g.mu.Lock()
-	g.blocks[key] = guarded{file: file, crc: crc32.ChecksumIEEE(data)}
+	g.crcs[name] = crc32.ChecksumIEEE(data)
 	g.mu.Unlock()
 	return nil
 }
 
-// Get implements dfs.BlockStore.
-func (g *guard) Get(key string) ([]byte, error) {
-	data, err := g.inner.Get(key)
-	if err == nil {
-		g.check("Get", key, data)
-	}
-	return data, err
+// Open implements spill.RunStore; spill.ReadObject reads through it.
+func (g *guard) Open(name string) (spill.Object, error) {
+	g.check("Open", name)
+	return g.RunStore.Open(name)
 }
 
-// Delete implements dfs.BlockStore.
-func (g *guard) Delete(key string) {
-	if data, err := g.inner.Get(key); err == nil {
-		g.check("Delete", key, data)
-	}
+// Remove implements spill.RunStore.
+func (g *guard) Remove(name string) error {
+	g.check("Remove", name)
 	g.mu.Lock()
-	delete(g.blocks, key)
+	delete(g.crcs, name)
 	g.mu.Unlock()
-	g.inner.Delete(key)
+	return g.RunStore.Remove(name)
 }
 
-// Close implements dfs.BlockStore, checking every block still stored.
+// Close implements spill.RunStore, checking every block still stored.
 func (g *guard) Close() error {
 	g.mu.Lock()
-	keys := make([]string, 0, len(g.blocks))
-	for key := range g.blocks {
-		keys = append(keys, key)
+	names := make([]string, 0, len(g.crcs))
+	for name := range g.crcs {
+		names = append(names, name)
 	}
 	g.mu.Unlock()
-	sort.Strings(keys)
-	for _, key := range keys {
-		if data, err := g.inner.Get(key); err == nil {
-			g.check("Close", key, data)
-		}
+	sort.Strings(names)
+	for _, name := range names {
+		g.check("Close", name)
 	}
-	return g.inner.Close()
+	return g.RunStore.Close()
 }
 
-// check compares data with the checksum recorded at Put. A changed block
-// is reported once: its checksum is then re-recorded.
-func (g *guard) check(op, key string, data []byte) {
+// check compares a stored block with the checksum recorded at Put. A
+// changed block is reported once: its checksum is then re-recorded. The
+// block of file f is the object "f#i", so the file is the name up to its
+// last '#'.
+func (g *guard) check(op, name string) {
+	data, err := spill.ReadObject(g.RunStore, name)
+	if err != nil {
+		return
+	}
 	crc := crc32.ChecksumIEEE(data)
 	g.mu.Lock()
-	b, ok := g.blocks[key]
-	if ok && crc != b.crc {
-		g.blocks[key] = guarded{file: b.file, crc: crc}
+	want, ok := g.crcs[name]
+	if ok && crc != want {
+		g.crcs[name] = crc
 	}
 	g.mu.Unlock()
-	if ok && crc != b.crc {
-		g.report(fmt.Errorf("dfstest: file %q (block %s) changed after it was stored, found at %s", b.file, key, op))
+	if ok && crc != want {
+		file := name[:strings.LastIndexByte(name, '#')]
+		g.report(fmt.Errorf("dfstest: file %q (block %s) changed after it was stored, found at %s", file, name, op))
 	}
 }

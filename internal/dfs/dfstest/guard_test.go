@@ -5,17 +5,18 @@ import (
 	"testing"
 
 	"ffmr/internal/dfs"
+	"ffmr/internal/spill"
 )
 
-// guardedFS returns an FS over a guarded MemStore and the reports it made.
+// guardedFS returns an FS over a guarded MemRunStore and the reports it made.
 func guardedFS(cfg dfs.Config) (*dfs.FS, *[]error) {
 	var reports []error
-	return dfs.NewWithStore(cfg, newGuard(dfs.NewMemStore(), func(err error) { reports = append(reports, err) })), &reports
+	return dfs.NewWithStore(cfg, newGuard(spill.NewMemRunStore(), func(err error) { reports = append(reports, err) })), &reports
 }
 
 // TestGuardNamesTheChangedFile breaks each rule once — a buffer reused
 // after WriteFile, a ReadFile view written into — and requires the guard
-// to report the file by name at the next Get, Delete or Close.
+// to report the file by name at the next read, Delete or Close.
 func TestGuardNamesTheChangedFile(t *testing.T) {
 	cases := []struct {
 		name   string

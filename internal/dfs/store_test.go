@@ -7,15 +7,17 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"ffmr/internal/spill"
 )
 
 // newDiskFS creates a disk-backed FS rooted under t.TempDir and closes it
 // at test end.
 func newDiskFS(t *testing.T, cfg Config) *FS {
 	t.Helper()
-	store, err := NewDiskStore(t.TempDir())
+	store, err := spill.NewDiskRunStore(t.TempDir())
 	if err != nil {
-		t.Fatalf("NewDiskStore: %v", err)
+		t.Fatalf("NewDiskRunStore: %v", err)
 	}
 	fs := NewWithStore(cfg, store)
 	t.Cleanup(func() {
@@ -110,8 +112,8 @@ func TestStoreZeroLengthFile(t *testing.T) {
 	})
 }
 
-// TestStoreByteAccountingEquality drives a MemStore-backed and a
-// DiskStore-backed FS through the same write/read/overwrite/delete
+// TestStoreByteAccountingEquality drives a MemRunStore-backed and a
+// DiskRunStore-backed FS through the same write/read/overwrite/delete
 // sequence and asserts identical contents, stats, and per-node replica
 // accounting — the disk path must be a pure storage substitution.
 func TestStoreByteAccountingEquality(t *testing.T) {
@@ -172,8 +174,8 @@ func TestStoreByteAccountingEquality(t *testing.T) {
 	}
 }
 
-func TestDiskStoreCloseRemovesDir(t *testing.T) {
-	store, err := NewDiskStore(t.TempDir())
+func TestDiskRunStoreCloseRemovesDir(t *testing.T) {
+	store, err := spill.NewDiskRunStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

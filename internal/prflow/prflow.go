@@ -78,9 +78,6 @@ func Run(cluster *mapreduce.Cluster, in *graph.Input, opts core.Options) (*core.
 		reg.Gauge(trace.GaugeFFMaxFlow).Set(sinkFlow)
 		reg.Gauge(trace.GaugeFFActive).Set(st.ActiveVertices)
 		reg.Counter(trace.CounterFFRounds).Add(1)
-		if opts.RoundCallback != nil {
-			opts.RoundCallback(st)
-		}
 	})
 	if err != nil {
 		return nil, err

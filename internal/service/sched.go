@@ -294,17 +294,12 @@ func (s *scheduler) exec(t *tenantState, j *job) {
 	dur := j.finished.Sub(j.started)
 	e2e := j.finished.Sub(j.enqueued)
 	j.mu.Unlock()
-	close(j.done)
 	// Submit-to-done latency, queue wait included — the figure a tenant
 	// actually experiences, regardless of outcome.
 	s.reg.Histogram(tenantSubmitHist(j.tenant)).Observe(e2e.Nanoseconds())
-	if err != nil {
-		s.log.Warn("job failed", "job", j.id, "tenant", j.tenant, "err", err, "dur", dur)
-	} else {
-		s.log.Info("job done", "job", j.id, "tenant", j.tenant,
-			"handle", j.handle, "gen", res.Gen, "flow", res.Flow, "dur", dur)
-	}
 
+	// The job is counted before its waiter is released, so a status read
+	// after the job is done includes it.
 	s.mu.Lock()
 	t.running--
 	s.global--
@@ -315,6 +310,13 @@ func (s *scheduler) exec(t *tenantState, j *job) {
 	}
 	s.kickLocked()
 	s.mu.Unlock()
+	close(j.done)
+	if err != nil {
+		s.log.Warn("job failed", "job", j.id, "tenant", j.tenant, "err", err, "dur", dur)
+	} else {
+		s.log.Info("job done", "job", j.id, "tenant", j.tenant,
+			"handle", j.handle, "gen", res.Gen, "flow", res.Flow, "dur", dur)
+	}
 }
 
 // close stops admission, fails every queued job, and waits for running

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"testing"
 	"time"
@@ -109,6 +111,45 @@ func TestSchedulerQueueQuota(t *testing.T) {
 		t.Errorf("done=%d failed=%d, want 4/0", st.Done, st.Failed)
 	}
 	s.close()
+}
+
+// slowSink is a slog.Handler that takes a while over every record, as a
+// log shipped to a slow disk does.
+type slowSink struct{}
+
+func (slowSink) Enabled(context.Context, slog.Level) bool { return true }
+func (slowSink) WithAttrs([]slog.Attr) slog.Handler       { return slowSink{} }
+func (slowSink) WithGroup(string) slog.Handler            { return slowSink{} }
+func (slowSink) Handle(context.Context, slog.Record) error {
+	time.Sleep(200 * time.Microsecond)
+	return nil
+}
+
+// TestSchedulerCountsJobBeforeDone: a tenant that waits for its job and
+// then reads the status finds the job counted, done or failed, and no
+// longer running. The slow log sink widens any gap between releasing the
+// waiter and counting the job.
+func TestSchedulerCountsJobBeforeDone(t *testing.T) {
+	defer leakcheck.Check(t)()
+	s := newScheduler(Quotas{MaxConcurrent: 2}, slog.New(slowSink{}), nil)
+	defer s.close()
+	for i := 0; i < 20; i++ {
+		j := &job{id: fmt.Sprintf("a%d", i), tenant: "acme", kind: "fake", seq: uint64(i), done: make(chan struct{}),
+			run: func() (*JobResult, error) {
+				if i%2 == 1 {
+					return nil, errors.New("injected failure")
+				}
+				return &JobResult{}, nil
+			}}
+		if err := s.submit(j); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		waitJob(t, j)
+		if st := s.status(); st.Done != i/2+1 || st.Failed != (i+1)/2 || st.Running != 0 {
+			t.Fatalf("after job %d: done=%d failed=%d running=%d, want %d/%d/0",
+				i, st.Done, st.Failed, st.Running, i/2+1, (i+1)/2)
+		}
+	}
 }
 
 func TestSchedulerFairShareInterleaves(t *testing.T) {

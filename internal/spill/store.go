@@ -16,7 +16,7 @@ import (
 // a real Hadoop deployment this is the tasktracker's local disk (not
 // HDFS); here it is pluggable so tests can run the full spill/merge
 // machinery against memory while production runs write real files under
-// a temp dir.
+// a temp dir. The DFS keeps its blocks in a RunStore of its own too.
 //
 // Names are slash-separated paths, unique per task attempt, so a failed
 // attempt's partial state can be discarded with RemovePrefix. The
@@ -87,7 +87,11 @@ func ReadRange(store RunStore, name string, off, n int64) ([]byte, error) {
 }
 
 // ReadObject returns a stored object whole, as ReadRange returns a range.
+// From a MemRunStore it allocates nothing.
 func ReadObject(store RunStore, name string) ([]byte, error) {
+	if m, ok := store.(*MemRunStore); ok {
+		return m.get(name)
+	}
 	obj, err := store.Open(name)
 	if err != nil {
 		return nil, err
@@ -107,8 +111,8 @@ func readRange(obj Object, name string, off, n int64) ([]byte, error) {
 	return buf, nil
 }
 
-// MemRunStore is an in-memory RunStore for tests and for exercising the
-// spill path without touching the host file system.
+// MemRunStore is an in-memory RunStore: the DFS's default block store,
+// and the spill path's in tests, without touching the host file system.
 type MemRunStore struct {
 	mu   sync.Mutex
 	objs map[string][]byte
@@ -132,12 +136,7 @@ func (w *memWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (w *memWriter) Close() error {
-	w.store.mu.Lock()
-	w.store.objs[w.name] = w.data
-	w.store.mu.Unlock()
-	return nil
-}
+func (w *memWriter) Close() error { return w.store.Put(w.name, w.data) }
 
 // Create implements RunStore.
 func (s *MemRunStore) Create(name string, size int64) (io.WriteCloser, error) {
@@ -168,13 +167,22 @@ type memObject struct {
 
 func (*memObject) Close() error { return nil }
 
-// Open implements RunStore.
-func (s *MemRunStore) Open(name string) (Object, error) {
+// get returns a stored object's bytes, capacity clipped.
+func (s *MemRunStore) get(name string) ([]byte, error) {
 	s.mu.Lock()
 	data, ok := s.objs[name]
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("spill: run %q does not exist", name)
+	}
+	return data[:len(data):len(data)], nil
+}
+
+// Open implements RunStore.
+func (s *MemRunStore) Open(name string) (Object, error) {
+	data, err := s.get(name)
+	if err != nil {
+		return nil, err
 	}
 	o := &memObject{data: data}
 	o.Reset(data)
